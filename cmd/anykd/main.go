@@ -55,7 +55,6 @@ func main() {
 	maxBody := flag.Int64("max-body-bytes", 64<<20, "max dataset/query upload size")
 	maxK := flag.Int("max-k", 0, "cap on ?k= (0 = unlimited)")
 	registryCap := flag.Int("registry-cap", 128, "max resident prepared plans")
-	registryShards := flag.Int("registry-shards", 8, "plan-registry shards")
 	grace := flag.Duration("grace", 15*time.Second, "graceful-shutdown drain window")
 	adminAddr := flag.String("admin-addr", "", "operator-only listen address for pprof + /metrics (empty = off; bind to loopback)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-query token-bucket rate for /topk and /sample in requests/second (0 = off)")
@@ -71,7 +70,6 @@ func main() {
 		MaxBodyBytes:       *maxBody,
 		MaxK:               *maxK,
 		RegistryCapacity:   *registryCap,
-		RegistryShards:     *registryShards,
 		RateLimit:          *rateLimit,
 		TraceCapacity:      *traceCap,
 		SlowQueryThreshold: *slowQuery,
@@ -104,8 +102,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("anykd listening on %s (max-inflight %d, registry %d plans / %d shards)",
-			*addr, *maxInflight, *registryCap, *registryShards)
+		log.Printf("anykd listening on %s (max-inflight %d, registry %d plans)",
+			*addr, *maxInflight, *registryCap)
 		errCh <- hs.ListenAndServe()
 	}()
 

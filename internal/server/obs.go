@@ -99,10 +99,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Plan registry lookups that ran a build.",
 		func() float64 { return float64(s.reg.misses.Load()) })
 	r.CounterFunc("anykd_plan_cache_evictions_total",
-		"Prepared plans dropped by the per-shard LRU bounds.",
-		func() float64 { return float64(s.reg.evictions()) })
+		"Prepared handles dropped by the registry's LRU bound.",
+		func() float64 { return float64(s.reg.evicted.Load()) })
 	r.GaugeFunc("anykd_plan_cache_size",
-		"Prepared plans resident across all registry shards.",
+		"Prepared handles resident in the plan registry (one per query shape over one set of dataset versions).",
 		func() float64 { return float64(s.reg.size()) })
 	r.GaugeFunc("anykd_active_streams",
 		"Handlers currently registered with the stream group (includes drain bookkeeping).",

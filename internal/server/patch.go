@@ -6,13 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro"
 	"repro/internal/catalog"
-	"repro/internal/obs"
 	"repro/internal/relation"
 )
 
@@ -32,10 +30,9 @@ type datasetPatch struct {
 // ones, derives the new snapshot's statistics by sketch merge when the
 // batch is append-only (HLL register max / Misra–Gries counter union —
 // no rescan of the existing rows) and by recollection otherwise, and
-// then patches every compiled plan in the registry that referenced the
-// previous version in place via Prepared.ApplyDelta, re-keying the warm
-// registry entries to the new version so they keep serving with zero
-// preparation.
+// patches every compiled plan in the registry that binds the dataset in
+// place via Prepared.ApplyDelta, moving the warm registry entries to the
+// new version so they keep serving with zero preparation.
 //
 // Bodies are JSON (datasetPatch) or CSV (Content-Type text/csv) with
 // ?mode=append (default; columns follow the upload rules, including
@@ -98,23 +95,32 @@ func (s *Server) handleDatasetPatch(w http.ResponseWriter, r *http.Request) {
 		tuples: tuples, weights: weights, stats: st,
 		statsVersion: old.statsVersion + 1, epoch: old.epoch + 1,
 	}
-	s.mu.Lock()
-	if s.datasets[name] != old {
-		s.mu.Unlock()
+	// Patch first, publish second (registry invariant 4): while the
+	// handles advance, readers still resolve the old version and find
+	// their entry under its old key; the dataset and the patched entries
+	// then move to the new version in one critical section.
+	s.writeMu.Lock()
+	s.mu.RLock()
+	cur := s.datasets[name]
+	s.mu.RUnlock()
+	if cur != old {
+		s.writeMu.Unlock()
 		httpError(w, http.StatusConflict, errConflict, "dataset %s was updated concurrently; retry the delta against the new version", name)
 		return
 	}
+	patched := s.patchPlans(r.Context(), name, deleteT, appendT, appendW)
+	s.mu.Lock()
 	s.datasets[name] = ds
+	s.reg.advance(name, ds.version, patched)
 	s.mu.Unlock()
+	s.writeMu.Unlock()
 	s.met.patches.Inc()
-
-	patched := s.propagateDelta(r.Context(), name, old.version, ds.version, deleteT, appendT, appendW)
-	s.met.plansPatched.Add(int64(patched))
+	s.met.plansPatched.Add(int64(len(patched)))
 	writeJSON(w, map[string]any{
 		"name": name, "rows": len(ds.tuples), "arity": ds.arity, "version": ds.version,
 		"appended": len(appendT), "deleted": removed,
 		"stats": statsHow, "stats_version": ds.statsVersion, "epoch": ds.epoch,
-		"plans_patched": patched,
+		"plans_patched": len(patched),
 	})
 }
 
@@ -220,105 +226,35 @@ func patchTupleKey(t relation.Tuple) string {
 	return string(b)
 }
 
-// propagateDelta patches every compiled handle in the registry whose
-// dataKey binds (dsName, oldVer): the handle's prepared state advances
-// one epoch via ApplyDelta (incremental plan patching), and its
-// registry entries — the compile-level entry plus each warm per-ranking
-// plan entry — move to the new-version key, so requests arriving after
-// the PATCH hit them warm. Handles that fail to patch are dropped and
-// rebuild cold on next use. Returns the number of handles patched in
-// place.
-//
-// Key reachability: requests always derive their dataKey from the
-// *current* dataset versions, so an entry this sweep misses (a racing
-// PATCH, an in-flight build publishing under the old key) is merely
-// unreachable and ages out of the LRU — it can never serve stale data
-// under a live key.
-func (s *Server) propagateDelta(ctx context.Context, dsName string, oldVer, newVer int, deleteT, appendT []relation.Tuple, appendW []float64) int {
-	oldBind := fmt.Sprintf("%s@%d(", dsName, oldVer)
-	patched := 0
-	s.reg.compiles.eachMeta(func(key string, p *repro.Prepared, meta any) {
-		qd, _ := meta.(*queryDef)
-		if qd == nil || !keyHasBind(key, oldBind) {
-			return
-		}
+// patchPlans advances every resident handle that binds dataset name by
+// one delta: the handle's prepared state moves one epoch forward via
+// ApplyDelta (incremental plan patching) while it keeps serving — a
+// concurrent read enumerates either epoch, atomically. Returns the
+// entries patched; a handle that fails to patch is left out, so the
+// registry drops it and the next request compiles cold against the new
+// snapshot. Runs under the server's lifetime (like plan builds) but
+// keeps the PATCH request's trace, so the per-plan apply-delta spans
+// land in it.
+func (s *Server) patchPlans(ctx context.Context, name string, deleteT, appendT []relation.Tuple, appendW []float64) []*planEntry {
+	var patched []*planEntry
+	for _, e := range s.reg.bound(name) {
 		var deltas []repro.Delta
-		for i, a := range qd.atoms {
-			if a.Dataset != dsName {
-				continue
+		for i, a := range e.qd.atoms {
+			if a.Dataset == name {
+				deltas = append(deltas, repro.Delta{
+					Rel:           fmt.Sprintf("%s#%d", a.Dataset, i),
+					Append:        appendT,
+					AppendWeights: appendW,
+					Delete:        deleteT,
+				})
 			}
-			deltas = append(deltas, repro.Delta{
-				Rel:           fmt.Sprintf("%s#%d", a.Dataset, i),
-				Append:        appendT,
-				AppendWeights: appendW,
-				Delete:        deleteT,
-			})
 		}
-		if len(deltas) == 0 {
-			return
+		bctx, cancel := s.detached(ctx)
+		err := e.p.ApplyDelta(deltas, repro.WithContext(bctx))
+		cancel()
+		if err == nil {
+			patched = append(patched, e)
 		}
-		newKey := rewriteDataKey(key, dsName, oldVer, newVer)
-		// Patch under the server's lifetime (like plan builds), but keep
-		// the PATCH request's trace so the per-plan apply-delta spans land
-		// in it.
-		bctx, bcancel := context.WithTimeout(s.baseCtx, s.cfg.MaxTimeout)
-		err := p.ApplyDelta(deltas, repro.WithContext(obs.Adopt(bctx, ctx)))
-		bcancel()
-		if err != nil {
-			// Drop the stale entries outright: the next request under the
-			// new key compiles cold against the new snapshot.
-			s.reg.compiles.take(key)
-			for aggName := range aggByName {
-				s.reg.shard(planKey(key, aggName)).take(planKey(key, aggName))
-			}
-			return
-		}
-		s.reg.rekeyCompile(key, newKey, qd)
-		for aggName := range aggByName {
-			s.reg.rekeyPlan(planKey(key, aggName), planKey(newKey, aggName))
-		}
-		patched++
-	})
+	}
 	return patched
-}
-
-// keyHasBind reports whether a dataKey's binds section contains the
-// given "name@version(" prefix at a bind boundary. Dataset names are
-// nameRe-restricted (no '|', ',', '@', or '('), so boundary-anchored
-// prefix matching is unambiguous.
-func keyHasBind(key, bind string) bool {
-	for i := 0; i+len(bind) <= len(key); i++ {
-		if (i == 0 || key[i-1] == '|' || key[i-1] == ',') && strings.HasPrefix(key[i:], bind) {
-			return true
-		}
-	}
-	return false
-}
-
-// rewriteDataKey rewrites every (dsName, oldVer) bind in a dataKey to
-// newVer and re-sorts the binds section, reproducing exactly the key
-// dataKey() would compute for the new versions — the bind multiset is
-// sorted, and a version bump can change a bind's sort position.
-func rewriteDataKey(key, dsName string, oldVer, newVer int) string {
-	// key = fingerprint | bind,bind,... | outAttrs. Binds and outAttrs
-	// contain no '|' (nameRe), the fingerprint may contain anything, so
-	// split from the right.
-	last := strings.LastIndexByte(key, '|')
-	if last < 0 {
-		return key
-	}
-	mid := strings.LastIndexByte(key[:last], '|')
-	if mid < 0 {
-		return key
-	}
-	binds := strings.Split(key[mid+1:last], ",")
-	oldBind := fmt.Sprintf("%s@%d(", dsName, oldVer)
-	newBind := fmt.Sprintf("%s@%d(", dsName, newVer)
-	for i, b := range binds {
-		if strings.HasPrefix(b, oldBind) {
-			binds[i] = newBind + b[len(oldBind):]
-		}
-	}
-	sort.Strings(binds)
-	return key[:mid+1] + strings.Join(binds, ",") + key[last:]
 }

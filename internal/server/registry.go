@@ -3,7 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,291 +11,218 @@ import (
 	"repro"
 )
 
-// sfCache is a singleflight LRU of prepared handles — the building
-// block both registry layers share. A missing key is built by the first
-// caller while every concurrent caller for the same key blocks on the
-// entry's ready channel and receives the same result; failed (or
-// canceled) builds are removed before ready closes, so they are never
-// cached and the next request retries. The LRU bound evicts only
-// entries whose build finished — in-flight builds are skipped (their
-// builder and waiters hold references, and dropping them would only
-// duplicate work).
-type sfCache struct {
+// registry is the server's one plan cache: a singleflight LRU keyed by
+// dataKey with one entry per *repro.Prepared. The entry owns everything
+// the server knows about its handle — the query it was compiled from,
+// the dataset versions it currently reflects, and the build flights
+// that decide who compiles it and who warms each ranking on it — while
+// the per-ranking artefacts themselves live only in the handle (its
+// per-epoch onceCache). What holds:
+//
+//  1. Every resident handle is reachable under exactly one key, and that
+//     key is dataKey(entry.qd, entry.versions): when a delta advances
+//     the entry, advance recomputes the key from the entry's own version
+//     vector, so two PATCHes on different datasets bound by one handle
+//     compose.
+//  2. A PATCH sweep (bound, then advance) visits every resident handle;
+//     there is no second index a handle could be served from but not
+//     patched through. The capacity therefore bounds handles — the
+//     things that hold memory — and an LRU eviction removes a handle
+//     from serving and from the sweep at once.
+//  3. Hit/miss accounting: of the callers wanting one ranking on one
+//     entry, the one that runs its warm-up is the miss; everyone who
+//     finds it built or joins it in flight is a hit. A new ranking on a
+//     resident handle is a miss that reuses the compile; /sample
+//     compiles but warms (and counts) nothing, so the first /topk after
+//     it is still a miss. Failed or canceled builds are never cached, a
+//     waiter whose own context ends abandons the wait, and builds run
+//     detached on the server context (Server.detached).
+//  4. A read never misses because a PATCH is in flight: writers patch
+//     the bound handles outside every server lock (a Prepared shows
+//     readers its old or its new epoch, atomically), then publish the
+//     dataset and advance the entries under one Server.mu.Lock; readers
+//     resolve versions and look the entry up under one Server.mu.RLock
+//     (resolveQuery) and build outside it. Hence every resident entry
+//     reflects the current version of every dataset it binds. Lock
+//     order: Server.writeMu, Server.mu, registry.mu.
+//  5. One mutex, no shards: the critical section is a map lookup and a
+//     list splice (~100 ns) against ~1 ms requests capped at
+//     MaxInflight, so the lock is idle >99.9 % of the time and hashing
+//     the key to pick a shard would cost more than it saves.
+type registry struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*sfEntry
-	lru     *list.List // front = most recently used; values are *sfEntry
+	entries map[string]*planEntry
+	lru     *list.List // front = most recently used; values are *planEntry
 
+	hits    atomic.Int64 // ranked lookups served without running a build
+	misses  atomic.Int64 // ranked lookups whose caller ran the build
 	evicted atomic.Int64
 }
 
-type sfEntry struct {
-	key   string
-	elem  *list.Element
-	ready chan struct{} // closed when the build finished (either way)
-	built atomic.Bool   // true once ready is closed with err == nil
-	p     *repro.Prepared
-	meta  any // opaque build payload (the compile cache stores the queryDef)
-	err   error
+// planEntry is one handle's cache entry. Fields are guarded by
+// registry.mu, except that p may be read without it once the compile
+// flight is done (built writes it once, before the flight's done closes).
+type planEntry struct {
+	key      string
+	elem     *list.Element
+	qd       *queryDef  // the registration the handle is compiled from (atom names, delta routing)
+	versions []int      // per atom: the dataset version the handle reflects
+	snap     []*dataset // per atom: the snapshot to compile from; nil once compiled
+	p        *repro.Prepared
+	compile  *flight
+	warm     [len(rankings)]*flight // per ranking (index into rankings): its warm-up on p
 }
 
-func newSFCache(capacity int) *sfCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &sfCache{
-		cap:     capacity,
-		entries: make(map[string]*sfEntry),
-		lru:     list.New(),
-	}
+// flight is one deduplicated build: the caller that finds its slot
+// empty runs it, later callers wait on done. A failed flight empties
+// its slot again, so the next caller retries.
+type flight struct {
+	done chan struct{} // closed when the build finished (either way)
+	err  error         // valid once done is closed
 }
 
-// get returns the handle for key, building it with build on a miss;
-// found reports whether the key was already resident (built or
-// in-flight — either way the caller runs zero preparation itself).
-// A waiter's own ctx can abandon the wait, but a finished build is
+func newRegistry(capacity int) *registry {
+	return &registry{cap: max(capacity, 1), entries: make(map[string]*planEntry), lru: list.New()}
+}
+
+// lookup returns the entry under key, creating an empty one (nothing
+// compiled, no flight started) from qd, snap and versions when absent.
+// Server callers hold Server.mu for reading — see invariant 4.
+func (r *registry) lookup(key string, qd *queryDef, snap []*dataset, versions []int) *planEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.entries[key]
+	if ok {
+		r.lru.MoveToFront(e.elem)
+		return e
+	}
+	e = &planEntry{key: key, qd: qd, snap: snap, versions: versions}
+	e.elem = r.lru.PushFront(e)
+	r.entries[key] = e
+	return e
+}
+
+// run executes build as the flight in *slot unless one is already
+// there, in which case it waits for that one; ran reports which. A
+// waiter's own ctx can abandon the wait, but a finished build is
 // preferred over a racing cancellation so a warm hit with an expired
 // context still returns the plan (the run's own Next then reports the
 // cancellation deterministically).
-func (c *sfCache) get(ctx context.Context, key string, build func() (*repro.Prepared, error)) (p *repro.Prepared, found bool, err error) {
-	p, _, found, err = c.getMeta(ctx, key, func() (*repro.Prepared, any, error) {
-		p, err := build()
-		return p, nil, err
-	})
-	return p, found, err
+func (r *registry) run(ctx context.Context, slot **flight, build func() error) (ran bool, err error) {
+	r.mu.Lock()
+	f := *slot
+	if f == nil {
+		f = &flight{done: make(chan struct{})}
+		*slot = f
+		r.mu.Unlock()
+		if f.err = build(); f.err != nil {
+			r.mu.Lock()
+			*slot = nil
+			r.mu.Unlock()
+		}
+		close(f.done)
+		return true, f.err
+	}
+	r.mu.Unlock()
+	select {
+	case <-f.done:
+		return false, f.err
+	default:
+	}
+	select {
+	case <-f.done:
+		return false, f.err
+	case <-ctx.Done():
+		return false, ctx.Err()
+	}
 }
 
-// getMeta is get for callers that attach an opaque payload to the
-// entry alongside the handle (retrievable via eachMeta/take).
-func (c *sfCache) getMeta(ctx context.Context, key string, build func() (*repro.Prepared, any, error)) (p *repro.Prepared, meta any, found bool, err error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-		default:
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, nil, true, ctx.Err()
+// built ends e's compile flight: a failed compile removes the entry, a
+// successful one publishes the handle and enforces the LRU bound,
+// skipping entries whose compile is in flight (their builder and
+// waiters hold them, and dropping them would only duplicate work).
+func (r *registry) built(e *planEntry, p *repro.Prepared, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e.snap = nil
+	if err != nil {
+		r.remove(e)
+		return
+	}
+	e.p = p
+	for el := r.lru.Back(); el != nil && len(r.entries) > r.cap; {
+		ev := el.Value.(*planEntry)
+		el = el.Prev()
+		if ev.p != nil || ev.compile == nil {
+			r.remove(ev)
+			r.evicted.Add(1)
+		}
+	}
+}
+
+// remove drops e from the cache if it is still resident; callers hold
+// r.mu. Whoever already holds e keeps using it unaffected.
+func (r *registry) remove(e *planEntry) {
+	if r.entries[e.key] == e {
+		delete(r.entries, e.key)
+		r.lru.Remove(e.elem)
+	}
+}
+
+// bound lists the compiled entries whose query binds dataset name: the
+// handles a delta to it must patch.
+func (r *registry) bound(name string) []*planEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []*planEntry
+	for _, e := range r.entries {
+		if e.p != nil && e.binds(name) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// binds reports whether e's query binds dataset name.
+func (e *planEntry) binds(name string) bool {
+	return slices.ContainsFunc(e.qd.atoms, func(a atomDef) bool { return a.Dataset == name })
+}
+
+// advance records that dataset name is now at version: the patched
+// entries (whose handles a delta already brought there) move to the key
+// of their new version vector — pointer moves only — and every other
+// entry binding name is dropped, since it holds, or is still compiling,
+// data no request will ask for again (a re-upload passes no patched
+// entries). Callers hold Server.mu for writing.
+func (r *registry) advance(name string, version int, patched []*planEntry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range r.entries {
+		if e.binds(name) && !slices.Contains(patched, e) {
+			r.remove(e)
+		}
+	}
+	for _, e := range patched {
+		if r.entries[e.key] != e {
+			continue // evicted during the sweep
+		}
+		delete(r.entries, e.key)
+		for i, a := range e.qd.atoms {
+			if a.Dataset == name {
+				e.versions[i] = version
 			}
 		}
-		return e.p, e.meta, true, e.err
-	}
-	e := &sfEntry{key: key, ready: make(chan struct{})}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.mu.Unlock()
-
-	e.p, e.meta, e.err = build()
-	if e.err == nil {
-		e.built.Store(true)
-	}
-	close(e.ready)
-	c.mu.Lock()
-	if e.err != nil {
-		if c.entries[key] == e {
-			delete(c.entries, key)
-			c.lru.Remove(e.elem)
-		}
-	} else {
-		for el := c.lru.Back(); el != nil && c.lru.Len() > c.cap; {
-			prev := el.Prev()
-			ev := el.Value.(*sfEntry)
-			if ev.built.Load() {
-				c.lru.Remove(el)
-				delete(c.entries, ev.key)
-				c.evicted.Add(1)
-			}
-			el = prev
-		}
-	}
-	c.mu.Unlock()
-	return e.p, e.meta, false, e.err
-}
-
-// take removes the built entry for key and returns its payload; false
-// when the key is absent or its build is still in flight (an in-flight
-// build cannot be moved — its builder publishes under the old key).
-func (c *sfCache) take(key string) (*repro.Prepared, any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !e.built.Load() {
-		return nil, nil, false
-	}
-	delete(c.entries, key)
-	c.lru.Remove(e.elem)
-	return e.p, e.meta, true
-}
-
-// putBuilt inserts an already-built entry under key, evicting over
-// capacity. When the key is already resident (a concurrent request
-// built it fresh against the same data) the existing entry wins and
-// putBuilt reports false — clobbering an in-flight build would orphan
-// its waiters.
-func (c *sfCache) putBuilt(key string, p *repro.Prepared, meta any) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return false
-	}
-	e := &sfEntry{key: key, ready: make(chan struct{}), p: p, meta: meta}
-	e.built.Store(true)
-	close(e.ready)
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	for el := c.lru.Back(); el != nil && c.lru.Len() > c.cap; {
-		prev := el.Prev()
-		ev := el.Value.(*sfEntry)
-		if ev.built.Load() {
-			c.lru.Remove(el)
-			delete(c.entries, ev.key)
-			c.evicted.Add(1)
-		}
-		el = prev
-	}
-	return true
-}
-
-// len reports the resident entry count.
-func (c *sfCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// each calls f for every built resident entry. The entry list is
-// snapshotted under the lock but f runs outside it, so an expensive
-// callback (PlanStats walks plan structures) never blocks concurrent
-// gets on this cache.
-func (c *sfCache) each(f func(key string, p *repro.Prepared)) {
-	c.eachMeta(func(key string, p *repro.Prepared, _ any) { f(key, p) })
-}
-
-// eachMeta is each with the entry's opaque payload.
-func (c *sfCache) eachMeta(f func(key string, p *repro.Prepared, meta any)) {
-	type kv struct {
-		key  string
-		p    *repro.Prepared
-		meta any
-	}
-	c.mu.Lock()
-	snap := make([]kv, 0, len(c.entries))
-	for key, e := range c.entries {
-		if e.built.Load() {
-			snap = append(snap, kv{key, e.p, e.meta})
-		}
-	}
-	c.mu.Unlock()
-	for _, e := range snap {
-		f(e.key, e.p, e.meta)
+		e.key = dataKey(e.qd, e.versions)
+		r.entries[e.key] = e
 	}
 }
 
-// registry is the sharded prepared-plan cache at the heart of the
-// serving layer. Fully prepared plans are keyed by (query-shape
-// fingerprint, dataset bindings, ranking function) — see planKey — and
-// live in one sfCache per shard, so a warm request does zero
-// preparation and concurrent cold requests for one key run exactly one
-// build, a singleflight on top of the per-handle onceCache the facade
-// already maintains. One level deeper, the compiles cache shares the
-// aggregate-independent repro.Compile across the per-ranking entries
-// of a query (keyed by dataKey alone), so a query served under five
-// rankings plans and reduces its shape once. Sharding by key hash
-// keeps the plan-level lock fine-grained under concurrent load; the
-// LRU bounds resident plans per shard.
-type registry struct {
-	shards   []*sfCache
-	compiles *sfCache
-
-	hits   atomic.Int64 // key found (built or joining an in-flight build)
-	misses atomic.Int64 // key absent: this caller ran the build
-}
-
-// newRegistry creates a registry with `shards` plan shards and a total
-// plan capacity of roughly `capacity`, distributed evenly (each shard
-// holds at least one); the compile cache holds up to `capacity`
-// handles.
-func newRegistry(shards, capacity int) *registry {
-	if shards < 1 {
-		shards = 1
-	}
-	r := &registry{
-		shards:   make([]*sfCache, shards),
-		compiles: newSFCache(capacity),
-	}
-	for i := range r.shards {
-		r.shards[i] = newSFCache(capacity / shards)
-	}
-	return r
-}
-
-func (r *registry) shard(key string) *sfCache {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return r.shards[h.Sum32()%uint32(len(r.shards))]
-}
-
-// get returns the plan for key, building it with build on a miss.
-// A caller that finds the key resident — built or in-flight — and
-// receives the plan counts as a hit, because it did zero preparation;
-// every build attempt counts as a miss. Waiters that abandon the wait
-// or inherit a failed build are not counted, so hits never exceed
-// successfully served zero-preparation requests — the invariant the
-// acceptance tests measure against.
-func (r *registry) get(ctx context.Context, key string, build func() (*repro.Prepared, error)) (p *repro.Prepared, hit bool, err error) {
-	p, hit, err = r.shard(key).get(ctx, key, build)
-	switch {
-	case !hit:
-		r.misses.Add(1)
-	case err == nil:
-		r.hits.Add(1)
-	}
-	return p, hit, err
-}
-
-// rekeyPlan moves a built plan entry from oldKey to newKey (which may
-// hash to a different shard) — how warm per-ranking entries survive a
-// dataset delta: the underlying handle was patched in place by
-// ApplyDelta, so only its registry address changes. Reports whether an
-// entry actually moved. When newKey is already resident (a concurrent
-// request compiled fresh against the patched data), the old entry is
-// simply dropped — both handles serve identical results.
-func (r *registry) rekeyPlan(oldKey, newKey string) bool {
-	p, meta, ok := r.shard(oldKey).take(oldKey)
-	if !ok {
-		return false
-	}
-	return r.shard(newKey).putBuilt(newKey, p, meta)
-}
-
-// rekeyCompile is rekeyPlan for the compile-level cache.
-func (r *registry) rekeyCompile(oldKey, newKey string, meta any) bool {
-	p, _, ok := r.compiles.take(oldKey)
-	if !ok {
-		return false
-	}
-	return r.compiles.putBuilt(newKey, p, meta)
-}
-
-// evictions sums the plans dropped by the per-shard LRU bounds.
-func (r *registry) evictions() int64 {
-	n := int64(0)
-	for _, sh := range r.shards {
-		n += sh.evicted.Load()
-	}
-	return n
-}
-
-// size reports the number of resident plans across all shards.
+// size reports the number of resident entries.
 func (r *registry) size() int {
-	n := 0
-	for _, sh := range r.shards {
-		n += sh.len()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.entries)
 }
 
 // regPlan is one resident plan in a registry snapshot. Recost mirrors
@@ -308,14 +235,25 @@ type regPlan struct {
 	Recost bool            `json:"recost,omitempty"`
 }
 
-// snapshot lists the built resident plans sorted by key, for /v1/stats.
+// snapshot lists the compiled resident plans sorted by key, for
+// /v1/stats. PlanStats walks plan structures, so it runs outside the
+// lock and never blocks concurrent lookups.
 func (r *registry) snapshot() []regPlan {
-	var out []regPlan
-	for _, sh := range r.shards {
-		sh.each(func(key string, p *repro.Prepared) {
-			st := p.PlanStats()
-			out = append(out, regPlan{Key: key, Plan: st, Recost: st.NeedsRecost})
-		})
+	var (
+		out   []regPlan
+		plans []*repro.Prepared
+	)
+	r.mu.Lock()
+	for key, e := range r.entries {
+		if e.p != nil {
+			out = append(out, regPlan{Key: key})
+			plans = append(plans, e.p)
+		}
+	}
+	r.mu.Unlock()
+	for i, p := range plans {
+		out[i].Plan = p.PlanStats()
+		out[i].Recost = out[i].Plan.NeedsRecost
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out

@@ -150,30 +150,3 @@ func TestSampleBudgetExhausted(t *testing.T) {
 		t.Fatalf("trailer = %+v, want zero estimate from positive trials", tr)
 	}
 }
-
-// TestSampleParamErrors covers the addressable client mistakes.
-func TestSampleParamErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxK: 50})
-	registerPath(t, ts.URL)
-	for _, tc := range []struct {
-		url  string
-		code int
-	}{
-		{"/v1/query/paths/sample?n=0", http.StatusBadRequest},
-		{"/v1/query/paths/sample?n=abc", http.StatusBadRequest},
-		{"/v1/query/paths/sample?n=51", http.StatusBadRequest},
-		{"/v1/query/paths/sample?seed=-1", http.StatusBadRequest},
-		{"/v1/query/paths/sample?agg=median", http.StatusBadRequest},
-		{"/v1/query/paths/sample?timeout=never", http.StatusBadRequest},
-		{"/v1/query/nosuch/sample", http.StatusNotFound},
-	} {
-		resp, err := http.Get(ts.URL + tc.url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.code {
-			t.Errorf("%s: status %d, want %d", tc.url, resp.StatusCode, tc.code)
-		}
-	}
-}

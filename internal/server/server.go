@@ -6,10 +6,10 @@
 //
 // The expensive half of every request — hypergraph analysis, T-DP or
 // decomposition planning, per-ranking instantiation — is paid once per
-// (query shape, dataset versions, ranking) and cached in a sharded LRU
-// plan registry with singleflight build deduplication (see registry):
-// under concurrent load a cold key triggers exactly one preparation and
-// every warm request does zero preparation, going straight to the any-k
+// (query shape, dataset versions, ranking) and cached in one LRU plan
+// registry with singleflight build deduplication (see registry): under
+// concurrent load a cold key triggers exactly one preparation and every
+// warm request does zero preparation, going straight to the any-k
 // enumeration whose per-result delay guarantees the streamed NDJSON
 // inherits.
 //
@@ -41,6 +41,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"regexp"
 	"sort"
 	"strconv"
@@ -71,11 +72,10 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxK caps ?k= (0 = unlimited). Default 0.
 	MaxK int
-	// RegistryCapacity bounds resident prepared plans across all
-	// registry shards. Default 128.
+	// RegistryCapacity bounds resident prepared handles (one per query
+	// shape over one set of dataset versions, whatever the number of
+	// rankings warmed on it). Default 128.
 	RegistryCapacity int
-	// RegistryShards is the number of plan-registry shards. Default 8.
-	RegistryShards int
 	// RateLimit is the per-query-name token-bucket rate (requests per
 	// second, bursting to max(1, RateLimit)) applied to /topk and
 	// /sample. 0 disables rate limiting.
@@ -115,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.RegistryCapacity <= 0 {
 		c.RegistryCapacity = 128
 	}
-	if c.RegistryShards <= 0 {
-		c.RegistryShards = 8
-	}
 	if c.TraceCapacity <= 0 {
 		c.TraceCapacity = 64
 	}
@@ -148,6 +145,11 @@ type Server struct {
 	idle       chan struct{}
 	idleClosed bool
 
+	// mu guards datasets and queries, and with them the pairing of
+	// dataset versions and registry keys (registry invariant 4). writeMu
+	// serialises dataset writers (PUT, PATCH) from reading the current
+	// snapshot to publishing the next.
+	writeMu  sync.Mutex
 	mu       sync.RWMutex
 	datasets map[string]*dataset
 	queries  map[string]*queryDef
@@ -171,8 +173,8 @@ type Server struct {
 }
 
 // dataset is an immutable registered relation instance. Re-registering
-// a name installs a fresh dataset with a bumped version; plans compiled
-// against the old version age out of the registry LRU.
+// a name installs a fresh dataset with a bumped version and drops the
+// plans compiled against the old one.
 type dataset struct {
 	name    string
 	version int
@@ -223,7 +225,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
-		reg:        newRegistry(cfg.RegistryShards, cfg.RegistryCapacity),
+		reg:        newRegistry(cfg.RegistryCapacity),
 		sem:        make(chan struct{}, cfg.MaxInflight),
 		baseCtx:    ctx,
 		cancelBase: cancel,
@@ -430,6 +432,7 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		Name: name, Attrs: ds.attrs, Tuples: ds.tuples, Weights: ds.weights,
 	})
 	ds.epoch = 1
+	s.writeMu.Lock()
 	s.mu.Lock()
 	if old, ok := s.datasets[name]; ok {
 		ds.version = old.version + 1
@@ -439,7 +442,11 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		ds.statsVersion = 1
 	}
 	s.datasets[name] = ds
+	// Every handle bound to the replaced snapshot holds a full copy of
+	// data no request will ask for again.
+	s.reg.advance(name, ds.version, nil)
 	s.mu.Unlock()
+	s.writeMu.Unlock()
 	writeJSON(w, map[string]any{
 		"name": name, "rows": len(ds.tuples), "arity": ds.arity, "version": ds.version,
 		"stats_version": ds.statsVersion, "epoch": ds.epoch,
@@ -709,15 +716,21 @@ func (s *Server) handleQueryList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"queries": out})
 }
 
-// aggByName maps the ?agg= parameter to the facade's ranking functions,
-// by their canonical Name().
-var aggByName = map[string]ranking.Aggregate{
-	repro.SumCost.Name():     repro.SumCost,
-	repro.SumBenefit.Name():  repro.SumBenefit,
-	repro.MaxCost.Name():     repro.MaxCost,
-	repro.MinBenefit.Name():  repro.MinBenefit,
-	repro.ProductCost.Name(): repro.ProductCost,
+// rankings are the ranking functions ?agg= selects from. A ranking's
+// position indexes the per-ranking warm-up flights of a plan entry.
+var rankings = [...]ranking.Aggregate{
+	repro.SumCost, repro.SumBenefit, repro.MaxCost, repro.MinBenefit, repro.ProductCost,
 }
+
+// aggByName maps the ?agg= parameter to an index into rankings, by the
+// functions' canonical Name().
+var aggByName = func() map[string]int {
+	m := make(map[string]int, len(rankings))
+	for i, agg := range rankings {
+		m[agg.Name()] = i
+	}
+	return m
+}()
 
 // variantByName maps the ?variant= parameter (case-insensitive) to the
 // any-k algorithm variants.
@@ -729,45 +742,59 @@ var variantByName = func() map[string]repro.Variant {
 	return m
 }()
 
-// dataKey identifies one query shape over exact dataset versions: the
-// shape fingerprint, the sorted multiset of (dataset@version, vars)
-// bindings (variable names are nameRe-validated at registration, so
-// the separators are unambiguous), and the output schema. Two
-// registered query names with the same shape over the same dataset
-// versions share a dataKey — and therefore one compiled handle —
+// dataKey identifies one query shape over exact dataset versions — the
+// plan registry's key: the shape fingerprint, the sorted multiset of
+// (dataset@version, vars) bindings (variable names are nameRe-validated
+// at registration, so the separators are unambiguous), and the output
+// schema. Two registered query names with the same shape over the same
+// dataset versions share a dataKey — and therefore one compiled handle —
 // only when their output column order also matches: for acyclic
 // queries that order follows the join tree, which depends on atom
 // declaration order, so two reorderings of the same atoms can emit
 // differently-ordered tuples and must not alias each other's plans.
-// Re-registering a dataset bumps its version and naturally invalidates
-// by changing the key.
-func dataKey(fp string, atoms []atomDef, versions []int, outAttrs []string) string {
-	binds := make([]string, len(atoms))
-	for i, a := range atoms {
-		binds[i] = fmt.Sprintf("%s@%d(%s)", a.Dataset, versions[i], strings.Join(a.Vars, " "))
+func dataKey(qd *queryDef, versions []int) string {
+	binds := make([]string, len(qd.atoms))
+	for i, a := range qd.atoms {
+		binds[i] = a.Dataset + "@" + strconv.Itoa(versions[i]) + "(" + strings.Join(a.Vars, " ") + ")"
 	}
 	sort.Strings(binds)
-	return fp + "|" + strings.Join(binds, ",") + "|" + strings.Join(outAttrs, " ")
+	return qd.fingerprint + "|" + strings.Join(binds, ",") + "|" + strings.Join(qd.outAttrs, " ")
 }
 
-// planKey is the registry key of one (dataKey, ranking): warm hits on
-// it do zero preparation of any kind. Entries with the same dataKey
-// and different rankings share the underlying Prepared handle through
-// the registry's compileCache.
-func planKey(dk, aggName string) string { return dk + "|" + aggName }
+// queryStream is one admitted, prepared request as its row source sees
+// it.
+type queryStream struct {
+	w     http.ResponseWriter
+	ctx   context.Context // client disconnect + request deadline + server shutdown
+	start time.Time       // request start, the origin of TTF and TT(k)
+	qd    *queryDef
+	agg   int // index into rankings
+	limit int
+	hit   bool
 
-// topkLine is one streamed NDJSON line: a result, then a trailer with
-// done or error set.
-type topkLine struct {
-	Tuple  []any    `json:"tuple,omitempty"`
-	Weight *float64 `json:"weight,omitempty"`
-	Done   bool     `json:"done,omitempty"`
-	Count  *int     `json:"count,omitempty"`
-	Error  string   `json:"error,omitempty"`
+	rc      *http.ResponseController
+	flusher http.Flusher
+	count   int // rows written so far
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	t0 := s.now()
+// serveQuery is the request path GET /v1/query/{name}/topk and
+// .../sample share: draining check, common parameters, query
+// resolution, rate limit, admission, stream accounting, the request
+// context, the timed prepare step and its error mapping. Each endpoint
+// feeds it limitParam, the name of the parameter bounding the rows
+// streamed ("k", "n": a positive integer, default 10, capped by
+// Config.MaxK); params, which parses the endpoint's own parameters (an
+// error is the message of a 400); prepare, which returns e's handle
+// ready for stream and whether this caller ran none of the preparation
+// itself (X-Plan-Cache: hit); and stream, which opens the row source on
+// p, calls q.begin once nothing can fail with an HTTP status any more,
+// then writes rows and trailer.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam string,
+	params func(qry url.Values) error,
+	prepare func(ctx context.Context, e *planEntry, agg int) (p *repro.Prepared, hit bool, err error),
+	stream func(q *queryStream, p *repro.Prepared),
+) {
+	start := s.now()
 	s.met.queryRequests.Inc()
 	if s.isDraining() {
 		httpError(w, http.StatusServiceUnavailable, errUnavailable, "server shutting down")
@@ -776,17 +803,17 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	qry := r.URL.Query()
 
-	k := 10
-	if v := qry.Get("k"); v != "" {
+	limit := 10
+	if v := qry.Get(limitParam); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, errInvalidArgument, "bad k %q", v)
+			httpError(w, http.StatusBadRequest, errInvalidArgument, "bad %s %q", limitParam, v)
 			return
 		}
-		k = n
+		limit = n
 	}
-	if s.cfg.MaxK > 0 && k > s.cfg.MaxK {
-		httpError(w, http.StatusBadRequest, errInvalidArgument, "k %d exceeds maximum %d", k, s.cfg.MaxK)
+	if s.cfg.MaxK > 0 && limit > s.cfg.MaxK {
+		httpError(w, http.StatusBadRequest, errInvalidArgument, "%s %d exceeds maximum %d", limitParam, limit, s.cfg.MaxK)
 		return
 	}
 	aggName := qry.Get("agg")
@@ -798,13 +825,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, errInvalidArgument, "unknown agg %q (sum, sum-desc, max, min-desc, product)", aggName)
 		return
 	}
-	variant := repro.Lazy
-	if v := qry.Get("variant"); v != "" {
-		variant, ok = variantByName[strings.ToLower(v)]
-		if !ok {
-			httpError(w, http.StatusBadRequest, errInvalidArgument, "unknown variant %q", v)
-			return
-		}
+	if err := params(qry); err != nil {
+		httpError(w, http.StatusBadRequest, errInvalidArgument, "%v", err)
+		return
 	}
 	timeout := s.cfg.DefaultTimeout
 	if v := qry.Get("timeout"); v != "" {
@@ -819,14 +842,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		timeout = s.cfg.MaxTimeout
 	}
 
-	qd, snap, versions, ok := s.resolveQuery(w, name)
+	qd, e, ok := s.resolveQuery(w, name)
 	if !ok {
 		return
 	}
 
 	// Per-query rate limit, then global admission control: reject
 	// instead of queueing, so saturation is visible to clients (and
-	// load balancers) immediately.
+	// load balancers) immediately. A rejection walk is cheaper than a
+	// ranked stream but not free, and one shared bound keeps saturation
+	// behaviour predictable.
 	if !s.allowQuery(name) {
 		s.met.rejected.Inc()
 		w.Header().Set("Retry-After", s.rateRetryAfter())
@@ -854,24 +879,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	defer s.met.inflight.Add(-1)
 
 	// Request context: client disconnect + per-request deadline + server
-	// shutdown all funnel into one cancellation the iterator observes.
+	// shutdown all funnel into one cancellation the row source observes.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
-	dk := dataKey(qd.fingerprint, qd.atoms, versions, qd.outAttrs)
 	prepStart := s.now()
-	p, hit, err := s.reg.get(ctx, planKey(dk, aggName), func() (*repro.Prepared, error) {
-		// Build under the server's lifetime (bounded by MaxTimeout), not
-		// this request's context: the winner disconnecting or timing out
-		// must not fail every healthy request waiting on the same build.
-		// Adopt carries this request's trace onto the detached context so
-		// a cold build's compile/prepare spans land in the request trace.
-		bctx, bcancel := context.WithTimeout(s.baseCtx, s.cfg.MaxTimeout)
-		defer bcancel()
-		return s.buildPlan(obs.Adopt(bctx, ctx), dk, qd, snap, agg)
-	})
+	p, hit, err := prepare(ctx, e, agg)
 	if hit {
 		s.met.prepareHit.Observe(s.now().Sub(prepStart).Seconds())
 	} else {
@@ -886,30 +901,204 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	q := &queryStream{
+		w: w, ctx: ctx, start: start, qd: qd, agg: agg, limit: limit, hit: hit,
+		rc: http.NewResponseController(w),
+	}
+	q.flusher, _ = w.(http.Flusher)
+	// Runs after the endpoint's stream returned — for /topk, after its
+	// watchdog joined — so no write deadline leaks onto the next
+	// keep-alive request on this connection.
+	defer q.rc.SetWriteDeadline(time.Time{})
+	defer func() { s.met.rowsStreamed.Add(int64(q.count)) }()
+	stream(q, p)
+}
+
+// begin commits the response to a 200 NDJSON stream. It bounds stalled
+// writes by the request deadline (plus a small grace so the error
+// trailer of an expired request can still flush): a client that stops
+// reading cannot pin the handler (and its admission slot) much past its
+// own timeout.
+func (q *queryStream) begin() {
+	if dl, ok := q.ctx.Deadline(); ok {
+		q.rc.SetWriteDeadline(dl.Add(writeGrace))
+	}
+	h := q.w.Header()
+	h.Set("Content-Type", "application/x-ndjson")
+	h.Set("X-Plan-Cache", map[bool]string{true: "hit", false: "miss"}[q.hit])
+	h.Set("X-Query-Fingerprint", q.qd.fingerprint)
+	h.Set("X-Out-Attrs", strings.Join(q.qd.outAttrs, ","))
+}
+
+func (q *queryStream) flush() {
+	if q.flusher != nil {
+		q.flusher.Flush()
+	}
+}
+
+// resolveQuery snapshots a registered query, the exact dataset versions
+// it binds and the plan entry of that pair under one read lock
+// (registry invariant 4), and re-checks arities (re-registering a
+// dataset may have changed one since the query was validated — surfaced
+// as a client-addressable conflict instead of letting every request fail
+// the compile with a 500). A false return means the response has already
+// been written.
+func (s *Server) resolveQuery(w http.ResponseWriter, name string) (*queryDef, *planEntry, bool) {
+	var (
+		snap     []*dataset
+		versions []int
+		e        *planEntry
+	)
+	conflict := -1
+	s.mu.RLock()
+	qd, ok := s.queries[name]
+	if ok {
+		snap = make([]*dataset, len(qd.atoms))
+		versions = make([]int, len(qd.atoms))
+		for i, a := range qd.atoms {
+			ds := s.datasets[a.Dataset]
+			if ds == nil {
+				ok = false
+				break
+			}
+			snap[i], versions[i] = ds, ds.version
+			if len(a.Vars) != ds.arity && conflict < 0 {
+				conflict = i
+			}
+		}
+	}
+	if ok && conflict < 0 {
+		e = s.reg.lookup(dataKey(qd, versions), qd, snap, versions)
+	}
+	s.mu.RUnlock()
+	if !ok {
+		httpError(w, http.StatusNotFound, errNotFound, "unknown query %q (or a dataset it references was removed)", name)
+		return nil, nil, false
+	}
+	if i := conflict; i >= 0 {
+		httpError(w, http.StatusConflict, errConflict,
+			"query %s atom %d binds %d vars but dataset %s is now version %d with arity %d; re-register the query",
+			name, i, len(qd.atoms[i].Vars), qd.atoms[i].Dataset, snap[i].version, snap[i].arity)
+		return nil, nil, false
+	}
+	return qd, e, true
+}
+
+// detached returns the context plan builds and delta patches run on:
+// the server's lifetime bounded by MaxTimeout rather than the request's
+// context — the caller that happens to run a build disconnecting or
+// timing out must not fail every healthy request waiting on it — with
+// the request's trace adopted, so the build's spans still land in it.
+func (s *Server) detached(ctx context.Context) (context.Context, context.CancelFunc) {
+	bctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.MaxTimeout)
+	return obs.Adopt(bctx, ctx), cancel
+}
+
+// compilePlan returns e's handle, running the aggregate-independent
+// repro.Compile unless a caller already did: /sample's whole prepare
+// step (sampling must not trigger any enumeration or bag
+// materialisation) and the first half of /topk's.
+func (s *Server) compilePlan(ctx context.Context, e *planEntry) (*repro.Prepared, bool, error) {
+	ran, err := s.reg.run(ctx, &e.compile, func() error {
+		bctx, cancel := s.detached(ctx)
+		defer cancel()
+		q := repro.NewQuery()
+		// Hand Compile the registration-time statistics of the exact
+		// dataset snapshot this plan binds to, keyed by atom name. A
+		// re-registered dataset produces a new snapshot (and dataKey)
+		// carrying its own fresh stats, so this catalog can never mix
+		// statistics from a different version of the data.
+		cat := catalog.New()
+		for i, a := range e.qd.atoms {
+			atomName := fmt.Sprintf("%s#%d", a.Dataset, i)
+			q.Rel(atomName, a.Vars, e.snap[i].tuples, e.snap[i].weights)
+			if e.snap[i].stats != nil {
+				cat.Put(atomName, e.snap[i].version, e.snap[i].stats)
+			}
+		}
+		p, err := repro.Compile(q, repro.WithContext(bctx), repro.WithStatistics(cat))
+		s.reg.built(e, p, err)
+		return err
+	})
+	if err != nil {
+		return nil, !ran, err
+	}
+	return e.p, !ran, nil
+}
+
+// warmPlan is /topk's prepare step: on top of compilePlan, one Run with
+// the requested ranking forces that ranking's physical artefacts (T-DP
+// instantiation or bag materialisation) into the handle's own cache —
+// so every later request on this (handle, ranking) — any k, any variant
+// — does zero preparation, and a query served under several rankings
+// still plans and reduces its shape exactly once. Waiters that abandon
+// the wait or inherit a failed build count as neither hit nor miss, so
+// hits never exceed successfully served zero-preparation requests.
+func (s *Server) warmPlan(ctx context.Context, e *planEntry, agg int) (*repro.Prepared, bool, error) {
+	p, hit, err := s.compilePlan(ctx, e)
+	ran := !hit
+	if err == nil {
+		ran, err = s.reg.run(ctx, &e.warm[agg], func() error {
+			bctx, cancel := s.detached(ctx)
+			defer cancel()
+			it, err := p.Run(repro.WithRanking(rankings[agg]), repro.WithContext(bctx), repro.WithK(1))
+			if err == nil {
+				it.Close()
+			}
+			return err
+		})
+	}
+	switch {
+	case ran:
+		s.reg.misses.Add(1)
+	case err == nil:
+		s.reg.hits.Add(1)
+	}
+	return p, !ran, err
+}
+
+// topkLine is one streamed NDJSON line: a result, then a trailer with
+// done or error set.
+type topkLine struct {
+	Tuple  []any    `json:"tuple,omitempty"`
+	Weight *float64 `json:"weight,omitempty"`
+	Done   bool     `json:"done,omitempty"`
+	Count  *int     `json:"count,omitempty"`
+	Error  string   `json:"error,omitempty"`
+}
+
+// handleTopK serves GET /v1/query/{name}/topk?k=&agg=&variant=: the k
+// best answers under the ranking, enumerated by the chosen any-k
+// variant off a handle warmed for that ranking, one flushed NDJSON line
+// per result.
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
+	variant := repro.Lazy
+	s.serveQuery(w, r, "k", func(qry url.Values) error {
+		if v := qry.Get("variant"); v != "" {
+			var ok bool
+			if variant, ok = variantByName[strings.ToLower(v)]; !ok {
+				return fmt.Errorf("unknown variant %q", v)
+			}
+		}
+		return nil
+	}, s.warmPlan, func(q *queryStream, p *repro.Prepared) { s.streamTopK(q, p, variant) })
+}
+
+func (s *Server) streamTopK(q *queryStream, p *repro.Prepared, variant repro.Variant) {
 	it, err := p.Run(
-		repro.WithRanking(agg),
+		repro.WithRanking(rankings[q.agg]),
 		repro.WithVariant(variant),
-		repro.WithK(k),
-		repro.WithContext(ctx),
+		repro.WithK(q.limit),
+		repro.WithContext(q.ctx),
 	)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, errInternal, "run %s: %v", name, err)
+		httpError(q.w, http.StatusInternalServerError, errInternal, "run %s: %v", q.qd.name, err)
 		return
 	}
 	defer it.Close()
-	rc := http.NewResponseController(w)
-	// Bound stalled writes by the request deadline (plus a small grace
-	// so the error trailer of an expired request can still flush): a
-	// client that stops reading cannot pin the handler (and its
-	// admission slot) much past its own timeout. Set before the
-	// watchdog starts so its tighter cancellation deadline always wins,
-	// and cleared on return (after the watchdog joins — LIFO defers) so
-	// no deadline leaks onto the next keep-alive request on this
-	// connection.
-	defer rc.SetWriteDeadline(time.Time{})
-	if dl, ok := ctx.Deadline(); ok {
-		rc.SetWriteDeadline(dl.Add(writeGrace))
-	}
+	// The write deadline is set before the watchdog starts so the
+	// watchdog's tighter cancellation deadline always wins.
+	q.begin()
 	// Watchdog: on disconnect/deadline/shutdown, close the iterator
 	// concurrently with the drain below — the core.Lifecycle audit makes
 	// this safe — so resources and the admission slot free promptly even
@@ -930,50 +1119,40 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer close(watchdogExit)
 		select {
-		case <-ctx.Done():
+		case <-q.ctx.Done():
 			s.met.watchdogCloses.Inc()
 			it.Close()
-			rc.SetWriteDeadline(time.Now().Add(cancelWriteGrace))
+			q.rc.SetWriteDeadline(time.Now().Add(cancelWriteGrace))
 		case <-watchdogDone:
 		}
 	}()
 
-	h := w.Header()
-	h.Set("Content-Type", "application/x-ndjson")
-	h.Set("X-Plan-Cache", map[bool]string{true: "hit", false: "miss"}[hit])
-	h.Set("X-Query-Fingerprint", qd.fingerprint)
-	h.Set("X-Out-Attrs", strings.Join(qd.outAttrs, ","))
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	count := 0
-	defer func() { s.met.rowsStreamed.Add(int64(count)) }()
+	enc := json.NewEncoder(q.w)
+	aggName := rankings[q.agg].Name()
 	ttfH, ttkH := s.met.ttf[aggName], s.met.ttk[aggName]
 	for {
 		res, ok := it.Next()
 		if !ok {
 			break
 		}
-		if count == 0 {
-			ttfH.Observe(s.now().Sub(t0).Seconds())
+		if q.count == 0 {
+			ttfH.Observe(s.now().Sub(q.start).Seconds())
 		}
-		line := topkLine{Tuple: s.decodeTuple(res.Tuple), Weight: &res.Weight}
-		if err := enc.Encode(line); err != nil {
+		if enc.Encode(topkLine{Tuple: s.decodeTuple(res.Tuple), Weight: &res.Weight}) != nil {
 			// Client gone; the deferred Close releases everything.
 			return
 		}
-		count++
-		if count == k {
-			ttkH.Observe(s.now().Sub(t0).Seconds())
+		q.count++
+		if q.count == q.limit {
+			ttkH.Observe(s.now().Sub(q.start).Seconds())
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		q.flush()
 	}
-	trailer := topkLine{Count: &count}
+	trailer := topkLine{Count: &q.count}
 	if err := it.Err(); err != nil {
 		// The watchdog may have closed the iterator a beat before it
 		// observed the cancellation itself; report the root cause.
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, repro.ErrClosed) {
+		if ctxErr := q.ctx.Err(); ctxErr != nil && errors.Is(err, repro.ErrClosed) {
 			err = ctxErr
 		}
 		trailer.Error = err.Error()
@@ -981,103 +1160,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		trailer.Done = true
 	}
 	enc.Encode(trailer)
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// resolveQuery snapshots a registered query and the exact dataset
-// versions it binds under one read lock, so the plan key and the build
-// closure agree on the versions, and re-checks arities (re-registering
-// a dataset may have changed one since the query was validated —
-// surfaced as a client-addressable conflict instead of letting every
-// request fail the compile with a 500). A false return means the
-// response has already been written.
-func (s *Server) resolveQuery(w http.ResponseWriter, name string) (*queryDef, []*dataset, []int, bool) {
-	s.mu.RLock()
-	qd, ok := s.queries[name]
-	var (
-		snap     []*dataset
-		versions []int
-	)
-	if ok {
-		snap = make([]*dataset, len(qd.atoms))
-		versions = make([]int, len(qd.atoms))
-		for i, a := range qd.atoms {
-			ds := s.datasets[a.Dataset]
-			if ds == nil {
-				ok = false
-				break
-			}
-			snap[i], versions[i] = ds, ds.version
-		}
-	}
-	s.mu.RUnlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, errNotFound, "unknown query %q (or a dataset it references was removed)", name)
-		return nil, nil, nil, false
-	}
-	for i, a := range qd.atoms {
-		if len(a.Vars) != snap[i].arity {
-			httpError(w, http.StatusConflict, errConflict,
-				"query %s atom %d binds %d vars but dataset %s is now version %d with arity %d; re-register the query",
-				name, i, len(a.Vars), a.Dataset, snap[i].version, snap[i].arity)
-			return nil, nil, nil, false
-		}
-	}
-	return qd, snap, versions, true
-}
-
-// buildPlan builds one registry entry: the aggregate-independent
-// Compile runs (or is joined) once per dataKey through the registry's
-// compileCache, then one Run with the requested ranking forces that
-// ranking's physical artefacts (T-DP instantiation or bag
-// materialisation) into the shared handle's cache — so every later
-// request on this (dataKey, ranking) — any k, any variant — does zero
-// preparation, and a query served under several rankings still plans
-// and reduces its shape exactly once. A canceled or failed build is
-// never cached (both caches drop it) and the next request retries.
-func (s *Server) buildPlan(ctx context.Context, dk string, qd *queryDef, snap []*dataset, agg ranking.Aggregate) (*repro.Prepared, error) {
-	p, _, err := s.compileSnapshot(ctx, dk, qd, snap)
-	if err != nil {
-		return nil, err
-	}
-	it, err := p.Run(repro.WithRanking(agg), repro.WithContext(ctx), repro.WithK(1))
-	if err != nil {
-		return nil, err
-	}
-	it.Close()
-	return p, nil
-}
-
-// compileSnapshot runs (or joins) the aggregate-independent
-// repro.Compile of one dataKey through the registry's compileCache.
-// /topk warms the result with one ranked Run per aggregate on top of
-// this (buildPlan); /sample uses the compiled handle directly, since
-// sampling must not trigger any enumeration or bag materialisation.
-func (s *Server) compileSnapshot(ctx context.Context, dk string, qd *queryDef, snap []*dataset) (*repro.Prepared, bool, error) {
-	// The queryDef rides along as the entry's meta payload so a dataset
-	// delta can rebuild per-atom Delta batches for every resident handle
-	// (propagateDelta) without a reverse index from keys to queries.
-	p, _, hit, err := s.reg.compiles.getMeta(ctx, dk, func() (*repro.Prepared, any, error) {
-		q := repro.NewQuery()
-		// Hand Compile the registration-time statistics of the exact
-		// dataset snapshot this plan binds to, keyed by atom name. A
-		// re-registered dataset produces a new snapshot (and dataKey)
-		// carrying its own fresh stats, so this catalog can never mix
-		// statistics from a different version of the data.
-		cat := catalog.New()
-		for i, a := range qd.atoms {
-			atomName := fmt.Sprintf("%s#%d", a.Dataset, i)
-			q.Rel(atomName, a.Vars, snap[i].tuples, snap[i].weights)
-			if snap[i].stats != nil {
-				cat.Put(atomName, snap[i].version, snap[i].stats)
-			}
-		}
-		p, err := repro.Compile(q, repro.WithContext(ctx), repro.WithStatistics(cat))
-		return p, qd, err
-	})
-	return p, hit, err
+	q.flush()
 }
 
 // sampleLine is one streamed NDJSON line of /sample: an answer line,
@@ -1108,151 +1191,40 @@ type sampleLine struct {
 // one uniformly chosen witness row per atom under ?agg= (default sum);
 // equal ?seed= values reproduce equal draws.
 func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	s.met.queryRequests.Inc()
-	if s.isDraining() {
-		httpError(w, http.StatusServiceUnavailable, errUnavailable, "server shutting down")
-		return
-	}
-	name := r.PathValue("name")
-	qry := r.URL.Query()
-
-	n := 10
-	if v := qry.Get("n"); v != "" {
-		x, err := strconv.Atoi(v)
-		if err != nil || x < 1 {
-			httpError(w, http.StatusBadRequest, errInvalidArgument, "bad n %q", v)
-			return
-		}
-		n = x
-	}
-	if s.cfg.MaxK > 0 && n > s.cfg.MaxK {
-		httpError(w, http.StatusBadRequest, errInvalidArgument, "n %d exceeds maximum %d", n, s.cfg.MaxK)
-		return
-	}
-	aggName := qry.Get("agg")
-	if aggName == "" {
-		aggName = repro.SumCost.Name()
-	}
-	agg, ok := aggByName[aggName]
-	if !ok {
-		httpError(w, http.StatusBadRequest, errInvalidArgument, "unknown agg %q (sum, sum-desc, max, min-desc, product)", aggName)
-		return
-	}
 	var (
 		seed    uint64
 		seedSet bool
 	)
-	if v := qry.Get("seed"); v != "" {
-		x, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, errInvalidArgument, "bad seed %q", v)
-			return
+	s.serveQuery(w, r, "n", func(qry url.Values) (err error) {
+		if v := qry.Get("seed"); v != "" {
+			if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
+				return fmt.Errorf("bad seed %q", v)
+			}
+			seedSet = true
 		}
-		seed, seedSet = x, true
-	}
-	timeout := s.cfg.DefaultTimeout
-	if v := qry.Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			httpError(w, http.StatusBadRequest, errInvalidArgument, "bad timeout %q", v)
-			return
-		}
-		timeout = d
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
+		return nil
+	}, func(ctx context.Context, e *planEntry, _ int) (*repro.Prepared, bool, error) {
+		return s.compilePlan(ctx, e)
+	}, func(q *queryStream, p *repro.Prepared) { s.streamSample(q, p, seed, seedSet) })
+}
 
-	qd, snap, versions, ok := s.resolveQuery(w, name)
-	if !ok {
-		return
-	}
-
-	// Per-query rate limit first, then the shared enumeration admission
-	// semaphore: a rejection walk is cheaper than a ranked stream but
-	// not free, and one shared bound keeps saturation behaviour
-	// predictable.
-	if !s.allowQuery(name) {
-		s.met.rejected.Inc()
-		w.Header().Set("Retry-After", s.rateRetryAfter())
-		httpError(w, http.StatusTooManyRequests, errRateLimited, "query %s exceeds its rate limit (%g/s)", name, s.cfg.RateLimit)
-		return
-	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.met.rejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, errRateLimited, "too many in-flight enumerations (max %d)", s.cfg.MaxInflight)
-		return
-	}
-	defer func() { <-s.sem }()
-	if !s.acquireStream() {
-		httpError(w, http.StatusServiceUnavailable, errUnavailable, "server shutting down")
-		return
-	}
-	defer s.releaseStream()
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	dk := dataKey(qd.fingerprint, qd.atoms, versions, qd.outAttrs)
-	prepStart := s.now()
-	p, hit, err := func() (*repro.Prepared, bool, error) {
-		// Compile detached from this request (bounded by MaxTimeout) so
-		// the winner disconnecting cannot fail waiters joining the build.
-		// Adopt keeps the request's trace attached to the detached build.
-		bctx, bcancel := context.WithTimeout(s.baseCtx, s.cfg.MaxTimeout)
-		defer bcancel()
-		return s.compileSnapshot(obs.Adopt(bctx, ctx), dk, qd, snap)
-	}()
-	if hit {
-		s.met.prepareHit.Observe(s.now().Sub(prepStart).Seconds())
-	} else {
-		s.met.prepareMiss.Observe(s.now().Sub(prepStart).Seconds())
-	}
-	if err != nil {
-		status, code := http.StatusInternalServerError, errInternal
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			status, code = http.StatusGatewayTimeout, errTimeout
-		}
-		httpError(w, status, code, "prepare %s: %v", name, err)
-		return
-	}
-
-	opts := []repro.RunOption{repro.WithRanking(agg), repro.WithContext(ctx)}
+func (s *Server) streamSample(q *queryStream, p *repro.Prepared, seed uint64, seedSet bool) {
+	opts := []repro.RunOption{repro.WithRanking(rankings[q.agg]), repro.WithContext(q.ctx)}
 	if seedSet {
 		opts = append(opts, repro.WithSeed(seed))
 	}
-	samples, serr := p.Sample(n, opts...)
-
-	rc := http.NewResponseController(w)
-	defer rc.SetWriteDeadline(time.Time{})
-	if dl, ok := ctx.Deadline(); ok {
-		rc.SetWriteDeadline(dl.Add(writeGrace))
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/x-ndjson")
-	h.Set("X-Plan-Cache", map[bool]string{true: "hit", false: "miss"}[hit])
-	h.Set("X-Query-Fingerprint", qd.fingerprint)
-	h.Set("X-Out-Attrs", strings.Join(qd.outAttrs, ","))
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	count := 0
-	defer func() { s.met.rowsStreamed.Add(int64(count)) }()
+	samples, serr := p.Sample(q.limit, opts...)
+	q.begin()
+	enc := json.NewEncoder(q.w)
 	for i := range samples {
-		if err := enc.Encode(sampleLine{Tuple: s.decodeTuple(samples[i].Tuple), Weight: &samples[i].Weight}); err != nil {
+		if enc.Encode(sampleLine{Tuple: s.decodeTuple(samples[i].Tuple), Weight: &samples[i].Weight}) != nil {
 			return
 		}
-		count++
+		q.count++
 	}
 	st := p.PlanStats()
 	trailer := sampleLine{
-		Count:   &count,
+		Count:   &q.count,
 		AGM:     st.AGMBound,
 		EstCard: st.EstCardinality,
 		Trials:  st.SampleTrials,
@@ -1271,9 +1243,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		trailer.Error = serr.Error()
 	}
 	enc.Encode(trailer)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	q.flush()
 }
 
 // decodeTuple renders an output tuple for NDJSON, mapping dictionary
@@ -1302,7 +1272,6 @@ type statsResponse struct {
 		Evictions int64 `json:"evictions"`
 		Size      int   `json:"size"`
 		Capacity  int   `json:"capacity"`
-		Shards    int   `json:"shards"`
 	} `json:"registry"`
 	Requests    int64 `json:"requests"`
 	Rejected    int64 `json:"rejected"`
@@ -1324,10 +1293,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	resp.Registry.Hits = s.reg.hits.Load()
 	resp.Registry.Misses = s.reg.misses.Load()
-	resp.Registry.Evictions = s.reg.evictions()
+	resp.Registry.Evictions = s.reg.evicted.Load()
 	resp.Registry.Size = s.reg.size()
 	resp.Registry.Capacity = s.cfg.RegistryCapacity
-	resp.Registry.Shards = s.cfg.RegistryShards
 	resp.Requests = s.met.queryRequests.Value()
 	resp.Rejected = s.met.rejected.Value()
 	resp.Inflight = s.met.inflight.Value()

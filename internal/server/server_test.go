@@ -298,6 +298,11 @@ func TestDatasetVersioningInvalidatesPlans(t *testing.T) {
 	if s.reg.misses.Load() != 2 {
 		t.Fatalf("misses = %d, want 2 (one per version)", s.reg.misses.Load())
 	}
+	// The re-upload dropped the handle bound to the replaced snapshot —
+	// a full copy of data no request will ask for again.
+	if n := s.reg.size(); n != 1 {
+		t.Fatalf("registry size = %d after re-upload and read, want 1 (orphaned handle not dropped)", n)
+	}
 }
 
 // TestArityChangeConflicts: re-registering a dataset with a different
@@ -353,29 +358,27 @@ func TestSharedPlansAcrossQueryNames(t *testing.T) {
 	}
 }
 
-// TestCompileSharedAcrossRankings: per-ranking registry entries must
-// share one compiled handle — visible because each resident plan's
-// PlanStats lists every warmed ranking, not just its own key's.
+// TestCompileSharedAcrossRankings: a second ranking on a resident
+// handle is a registry miss (its warm-up runs) that reuses the compile:
+// one resident plan, whose PlanStats lists every warmed ranking.
 func TestCompileSharedAcrossRankings(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	registerPath(t, ts.URL)
 	streamTopK(t, ts.URL+"/v1/query/paths/topk?k=1&agg=sum")
 	streamTopK(t, ts.URL+"/v1/query/paths/topk?k=1&agg=max")
 	if m := s.reg.misses.Load(); m != 2 {
-		t.Fatalf("misses = %d, want 2 (one per ranking key)", m)
+		t.Fatalf("misses = %d, want 2 (one per ranking)", m)
 	}
 	plans := s.reg.snapshot()
-	if len(plans) != 2 {
-		t.Fatalf("%d resident plans, want 2", len(plans))
+	if len(plans) != 1 || s.reg.size() != 1 {
+		t.Fatalf("%d resident plans (size %d), want 1 handle for both rankings", len(plans), s.reg.size())
 	}
-	for _, p := range plans {
-		var names []string
-		for _, rk := range p.Plan.Rankings {
-			names = append(names, rk.Ranking)
-		}
-		if len(names) != 2 || names[0] != "max" || names[1] != "sum" {
-			t.Fatalf("plan %s rankings = %v, want the shared handle's [max sum]", p.Key, names)
-		}
+	var names []string
+	for _, rk := range plans[0].Plan.Rankings {
+		names = append(names, rk.Ranking)
+	}
+	if len(names) != 2 || names[0] != "max" || names[1] != "sum" {
+		t.Fatalf("plan %s rankings = %v, want [max sum]", plans[0].Key, names)
 	}
 }
 
@@ -450,21 +453,32 @@ func TestReorderedAtomsStreamTheirOwnSchema(t *testing.T) {
 	}
 }
 
-func TestTopKParamErrors(t *testing.T) {
+// TestQueryParamErrors covers the addressable client mistakes on both
+// streaming endpoints: the parameters the shared request path parses,
+// once per endpoint, and each endpoint's own.
+func TestQueryParamErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxK: 100})
 	registerPath(t, ts.URL)
-	for _, tc := range []struct {
+	type tc struct {
 		url  string
 		code int
-	}{
-		{"/v1/query/nope/topk", 404},
-		{"/v1/query/paths/topk?k=0", 400},
-		{"/v1/query/paths/topk?k=banana", 400},
-		{"/v1/query/paths/topk?k=101", 400},
-		{"/v1/query/paths/topk?agg=median", 400},
-		{"/v1/query/paths/topk?variant=Bogus", 400},
-		{"/v1/query/paths/topk?timeout=fast", 400},
-	} {
+	}
+	var cases []tc
+	for _, ep := range []struct{ path, limit string }{{"topk", "k"}, {"sample", "n"}} {
+		cases = append(cases,
+			tc{"/v1/query/nope/" + ep.path, 404},
+			tc{"/v1/query/paths/" + ep.path + "?" + ep.limit + "=0", 400},
+			tc{"/v1/query/paths/" + ep.path + "?" + ep.limit + "=banana", 400},
+			tc{"/v1/query/paths/" + ep.path + "?" + ep.limit + "=101", 400},
+			tc{"/v1/query/paths/" + ep.path + "?agg=median", 400},
+			tc{"/v1/query/paths/" + ep.path + "?timeout=fast", 400},
+		)
+	}
+	cases = append(cases,
+		tc{"/v1/query/paths/topk?variant=Bogus", 400},
+		tc{"/v1/query/paths/sample?seed=-1", 400},
+	)
+	for _, tc := range cases {
 		resp, err := http.Get(ts.URL + tc.url)
 		if err != nil {
 			t.Fatal(err)
@@ -472,7 +486,7 @@ func TestTopKParamErrors(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.code {
-			t.Fatalf("%s: status %d, want %d", tc.url, resp.StatusCode, tc.code)
+			t.Errorf("%s: status %d, want %d", tc.url, resp.StatusCode, tc.code)
 		}
 	}
 }
@@ -521,6 +535,16 @@ func TestAdmissionControl429(t *testing.T) {
 	}
 	if s.met.rejected.Value() != 1 {
 		t.Fatalf("rejected = %d, want 1", s.met.rejected.Value())
+	}
+	// /sample draws on the same admission slots.
+	resp2, err = http.Get(ts.URL + "/v1/query/big/sample?n=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp2.Body)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusTooManyRequests || resp2.Header.Get("Retry-After") == "" {
+		t.Fatalf("saturated server answered /sample with %d (Retry-After %q), want 429", resp2.StatusCode, resp2.Header.Get("Retry-After"))
 	}
 
 	// Releasing the slot (client disconnect) re-admits requests.
@@ -630,15 +654,17 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("Shutdown took %v", d)
 	}
-	// New streams are refused.
-	resp2, err := http.Get(ts.URL + "/v1/query/big/topk?k=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown status %d, want 503", resp2.StatusCode)
+	// New streams are refused, on either endpoint.
+	for _, path := range []string{"topk?k=1", "sample?n=1"} {
+		resp2, err := http.Get(ts.URL + "/v1/query/big/" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp2.Body)
+		resp2.Body.Close()
+		if resp2.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("post-shutdown %s status %d, want 503", path, resp2.StatusCode)
+		}
 	}
 }
 

@@ -66,20 +66,20 @@ func TestStatsEstimatorFields(t *testing.T) {
 	}
 
 	// Re-register the dataset: the bumped version snapshot carries fresh
-	// statistics, and the next run compiles a second plan against it —
-	// the stale plan is never served for the new data.
+	// statistics, the plan bound to the replaced snapshot is dropped, and
+	// the next run compiles a new plan against the new one — the stale
+	// plan is never served for the new data.
+	oldKey := st.Plans[0].Key
 	putEdges([]any{[]any{5, 6}, []any{6, 7}, []any{7, 5}})
 	streamTopK(t, ts.URL+"/v1/query/tri/topk?k=1")
 	st = stats()
-	if len(st.Plans) != 2 {
-		t.Fatalf("plans after re-registration = %d, want 2 (old snapshot + new)", len(st.Plans))
+	if len(st.Plans) != 1 {
+		t.Fatalf("plans after re-registration = %d, want 1 (the new snapshot's)", len(st.Plans))
 	}
-	for i, rp := range st.Plans {
-		if !rp.Plan.CostBased {
-			t.Fatalf("plan %d lost cost-based planning after re-registration", i)
-		}
+	if !st.Plans[0].Plan.CostBased {
+		t.Fatal("plan lost cost-based planning after re-registration")
 	}
-	if st.Plans[0].Key == st.Plans[1].Key {
+	if st.Plans[0].Key == oldKey {
 		t.Fatal("re-registered dataset reused the old plan key — stale statistics would survive")
 	}
 }
