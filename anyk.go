@@ -48,7 +48,7 @@
 // fractional edge cover over the bags), each bag is materialised with
 // Generic-Join, and the acyclic bag tree feeds the same any-k
 // machinery. See internal/hypergraph.Decompose and internal/decomp
-// PrepareGHD for the width heuristics and per-bag weight charging.
+// PrepareGHDWith for the width heuristics and per-bag weight charging.
 //
 // Execution is observable per phase: when the context passed via
 // WithContext carries an internal/obs trace recorder (the serving
@@ -294,31 +294,12 @@ func (q *Query) TopK(agg ranking.Aggregate, v Variant, k int) ([]Result, error) 
 	return p.TopK(k, WithRanking(agg), WithVariant(v))
 }
 
-// matchCycle detects whether the query is a variable-renaming of the
-// l-cycle R1(A0,A1), ..., Rl(A_{l-1},A0) with edges in *either*
-// orientation, and returns the relations reordered — and, where an edge
-// was declared against the walk direction, column-flipped — to the
-// canonical orientation the cycle decompositions expect.
-func (q *Query) matchCycle() (int, []*relation.Relation, bool) {
-	order, flip, ok := q.matchCycleShape()
-	if !ok {
-		return 0, nil, false
-	}
-	rels := make([]*relation.Relation, len(order))
-	for i, ei := range order {
-		if flip[i] {
-			rels[i] = flipBinary(q.rels[ei])
-		} else {
-			rels[i] = q.rels[ei]
-		}
-	}
-	return len(order), rels, true
-}
-
-// matchCycleShape is the data-free half of matchCycle: it walks the
-// query structure only (so OutAttrs stays cheap on large relations) and
-// reports the edge order around the cycle plus which edges oppose the
-// walk direction.
+// matchCycleShape detects whether the query is a variable-renaming of
+// the l-cycle R1(A0,A1), ..., Rl(A_{l-1},A0) with edges in *either*
+// orientation. It walks the query structure only (so OutAttrs stays
+// cheap on large relations) and reports the edge order around the cycle
+// plus which edges oppose the walk direction; cycleRelsFor derives the
+// canonically oriented relations from them.
 func (q *Query) matchCycleShape() (order []int, flip []bool, ok bool) {
 	l := len(q.edges)
 	if l < 3 {

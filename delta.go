@@ -1,19 +1,13 @@
 package repro
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"strconv"
 	"time"
 
-	"repro/internal/decomp"
-	"repro/internal/dp"
-	"repro/internal/hypergraph"
 	"repro/internal/obs"
-	"repro/internal/ranking"
 	"repro/internal/relation"
-	"repro/internal/yannakakis"
 )
 
 // Delta is one batch of changes to a single query atom (relation).
@@ -36,13 +30,19 @@ type Delta struct {
 }
 
 // ApplyDelta advances the handle to a new data epoch reflecting the
-// given per-relation append/delete batches, patching the prepared
-// artefacts incrementally instead of recompiling: the acyclic join
-// tree re-runs semi-joins, regrouping, and π recomputation only along
-// the paths the delta actually reached (clean subtrees alias the old
-// epoch's reduced relations outright);
-// GHD plans re-materialise only bags with a changed input; the cycle
-// shapes re-derive their canonical relations and re-prepare. Every
+// given per-relation append/delete batches. The new epoch is built by
+// the function that built the first one (buildState), now with the
+// current epoch as its predecessor: the acyclic join tree re-runs
+// semi-joins, regrouping, and π recomputation only along the paths the
+// delta actually reached (clean subtrees alias the old epoch's reduced
+// relations outright), and GHD plans re-materialise only bags with a
+// changed input. The canonical triangle / 4-cycle / fan plans rebuild
+// every bag and keep no memo: not every bag reads every relation (the
+// fan's middle bags and the 4-cycle's W1/W2 do not), but reusing one
+// would mean retaining each bag as materialised, before the bag tree's
+// reduction — the reducer copies rows and weights, so today only
+// unreduced leaf bags stay reachable — about 4 MB on a resident 4-cycle
+// of 1.3·10⁵ bag tuples, for a delta no serving workload sends. Every
 // ranking function that was already built stays built — its patched
 // artefact is seeded into the new epoch — so warm callers never see a
 // cold prepare after a delta. Results after ApplyDelta are
@@ -56,10 +56,9 @@ type Delta struct {
 // Concurrent Runs are safe: they enumerate either entirely the old or
 // entirely the new epoch. ApplyDelta calls serialise with each other.
 func (p *Prepared) ApplyDelta(deltas []Delta, opts ...RunOption) error {
-	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
-	cfg := runConfig{ctx: context.Background()}
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := newRunConfig(opts)
+	if err != nil {
+		return err
 	}
 	p.deltaMu.Lock()
 	defer p.deltaMu.Unlock()
@@ -117,107 +116,28 @@ func (p *Prepared) ApplyDelta(deltas []Delta, opts ...RunOption) error {
 		return nil
 	}
 
-	inputTuples := 0
-	for _, r := range newRels {
-		inputTuples += r.Len()
-	}
-	st := &planState{
-		epoch:   old.epoch + 1,
-		srcRels: newRels,
-	}
-	var bagsReused, bagsRebuilt, nodesReused, nodesRecomputed int64
-
-	switch p.kind {
-	case kindAcyclic:
-		h := hypergraph.New(p.srcEdges...)
-		yq, err := yannakakis.NewQuery(h, newRels)
-		if err != nil {
-			return err
-		}
-		workers := p.prepareWorkers(cfg, inputTuples)
-		plan, dst, err := dp.NewPlanDelta(yq, old.plan, changed, dp.WithContext(cfg.ctx), dp.WithWorkers(workers))
-		if err != nil {
-			return err
-		}
-		st.yq = yq
-		st.plan = plan
-		st.solutions = plan.NumSolutions()
-		st.estTuples = plan.TotalTuples()
-		nodesReused += int64(dst.Nodes - dst.Regrouped)
-		for agg, oldT := range old.tdps.built() {
-			t, rec, err := plan.InstantiateDelta(agg, oldT, dst.Changed, dp.WithContext(cfg.ctx), dp.WithWorkers(workers))
-			if err != nil {
-				return err
-			}
-			st.tdps.seed(agg, t)
-			nodesRecomputed += int64(rec)
-			nodesReused += int64(dst.Nodes - rec)
-		}
-	case kindTriangle, kindFourCycle, kindLongCycle:
-		// The canonical cycle plans are single- (or few-)bag shapes whose
-		// bags all contain every input relation, so any delta invalidates
-		// every bag: re-derive the walk-ordered relations and re-prepare
-		// each built ranking outright.
-		st.cycleRels = cycleRelsFor(newRels, p.cycleOrder, p.cycleFlip)
-		st.solutions = -1
-		st.estTuples = inputTuples
-		workers := p.prepareWorkers(cfg, inputTuples)
-		for agg := range old.decomps.built() {
-			d, err := p.buildDecomp(st, agg, cfg.ctx, workers)
-			if err != nil {
-				return err
-			}
-			st.decomps.seed(agg, d)
-			for _, tree := range d.Stats.BagSizes {
-				bagsRebuilt += int64(len(tree))
-			}
-		}
-	case kindGeneric:
-		st.solutions = -1
-		st.estTuples = inputTuples
-		workers := p.prepareWorkers(cfg, inputTuples)
-		opts := p.decompOpts(cfg.ctx, workers)
-		for agg, oldD := range old.decomps.built() {
-			d, dst, err := decomp.PrepareGHDDelta(oldD, p.srcEdges, newRels, agg, changed, opts...)
-			if err != nil {
-				// The incremental path refuses shapes it cannot diff (e.g. a
-				// plan built before any delta memo existed); fall back to a
-				// cold bag materialisation rather than failing the delta.
-				d, err = p.buildDecomp(st, agg, cfg.ctx, workers)
-				if err != nil {
-					return err
-				}
-				st.decomps.seed(agg, d)
-				for _, tree := range d.Stats.BagSizes {
-					bagsRebuilt += int64(len(tree))
-				}
-				continue
-			}
-			st.decomps.seed(agg, d)
-			bagsRebuilt += int64(dst.BagsRebuilt)
-			bagsReused += int64(dst.Bags - dst.BagsRebuilt)
-			nodesRecomputed += int64(dst.TreeRecomputed)
-			nodesReused += int64(dst.TreeNodes - dst.TreeRecomputed)
-		}
+	st, n, err := p.buildState(cfg, old, newRels, changed)
+	if err != nil {
+		return err
 	}
 
 	if deltaSpan != nil {
 		deltaSpan.SetAttr("epoch", strconv.FormatInt(st.epoch, 10))
 		deltaSpan.SetAttr("appended", strconv.FormatInt(appended, 10))
 		deltaSpan.SetAttr("deleted", strconv.FormatInt(deleted, 10))
-		deltaSpan.SetAttr("bags_reused", strconv.FormatInt(bagsReused, 10))
-		deltaSpan.SetAttr("bags_rebuilt", strconv.FormatInt(bagsRebuilt, 10))
-		deltaSpan.SetAttr("nodes_reused", strconv.FormatInt(nodesReused, 10))
-		deltaSpan.SetAttr("nodes_recomputed", strconv.FormatInt(nodesRecomputed, 10))
+		deltaSpan.SetAttr("bags_reused", strconv.FormatInt(n.bagsReused, 10))
+		deltaSpan.SetAttr("bags_rebuilt", strconv.FormatInt(n.bagsRebuilt, 10))
+		deltaSpan.SetAttr("nodes_reused", strconv.FormatInt(n.nodesReused, 10))
+		deltaSpan.SetAttr("nodes_recomputed", strconv.FormatInt(n.nodesRecomputed, 10))
 	}
 	p.state.Store(st)
 	p.deltasApplied.Add(1)
 	p.deltaAppendedRows.Add(appended)
 	p.deltaDeletedRows.Add(deleted)
-	p.deltaBagsReused.Add(bagsReused)
-	p.deltaBagsRebuilt.Add(bagsRebuilt)
-	p.deltaNodesReused.Add(nodesReused)
-	p.deltaNodesRecomputed.Add(nodesRecomputed)
+	p.deltaBagsReused.Add(n.bagsReused)
+	p.deltaBagsRebuilt.Add(n.bagsRebuilt)
+	p.deltaNodesReused.Add(n.nodesReused)
+	p.deltaNodesRecomputed.Add(n.nodesRecomputed)
 	p.lastDeltaNs.Store(time.Since(start).Nanoseconds())
 	return nil
 }
@@ -267,7 +187,8 @@ func tupleKey(t relation.Tuple) string {
 
 // cycleRelsFor re-derives the canonical walk-ordered (and, where the
 // declaration runs against the walk, column-flipped) cycle relations
-// from fresh data, mirroring what matchCycle produced at Compile time.
+// from an epoch's data, given the walk matchCycleShape found at Compile
+// time.
 func cycleRelsFor(rels []*relation.Relation, order []int, flip []bool) []*relation.Relation {
 	out := make([]*relation.Relation, len(order))
 	for i, ei := range order {
@@ -275,23 +196,6 @@ func cycleRelsFor(rels []*relation.Relation, order []int, flip []bool) []*relati
 			out[i] = flipBinary(rels[ei])
 		} else {
 			out[i] = rels[ei]
-		}
-	}
-	return out
-}
-
-// builtRankings lists the ranking functions whose artefacts are built
-// on the current epoch — the set a delta keeps warm.
-func (p *Prepared) builtRankings() []ranking.Aggregate {
-	s := p.state.Load()
-	var out []ranking.Aggregate
-	if p.kind == kindAcyclic {
-		for agg := range s.tdps.built() {
-			out = append(out, agg)
-		}
-	} else {
-		for agg := range s.decomps.built() {
-			out = append(out, agg)
 		}
 	}
 	return out

@@ -1,16 +1,14 @@
 package decomp
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/ranking"
 	"repro/internal/relation"
 )
 
-// CycleAttrs returns the canonical output schema of CycleSingleTree for
-// an l-cycle: A0, A1, ..., A_{l-1}.
+// CycleAttrs returns the canonical output schema of
+// PrepareCycleSingleTree for an l-cycle: A0, A1, ..., A_{l-1}.
 func CycleAttrs(l int) []string {
 	attrs := make([]string, l)
 	for i := range attrs {
@@ -31,7 +29,7 @@ func CycleAttrs(l int) []string {
 // Every bag is O(n·d) ≤ O(n²) where d is the number of distinct A0
 // values — the Θ(n²) worst case being exactly why §3 calls single-tree
 // plans suboptimal for cycles (submodular width is lower). For l = 3
-// prefer TriangleAnyK and for l = 4 prefer FourCycleSubmodular; this
+// prefer PrepareTriangle and for l = 4 PrepareFourCycleSubmodular; this
 // plan still accepts those shapes for comparison experiments. Output
 // tuples are ordered (A0,...,A_{l-1}).
 func PrepareCycleSingleTree(rels []*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (*Plan, error) {
@@ -55,7 +53,7 @@ func PrepareCycleSingleTree(rels []*relation.Relation, agg ranking.Aggregate, op
 		if err != nil {
 			return nil, err
 		}
-		tp, err := prepareTree([]*relation.Relation{b1, named[2]}, agg, CycleAttrs(3))
+		tp, _, err := prepareTree(cfg, []*relation.Relation{b1, named[2]}, agg, CycleAttrs(3), nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -98,30 +96,11 @@ func PrepareCycleSingleTree(rels []*relation.Relation, agg ranking.Aggregate, op
 		return nil, err
 	}
 
-	tp, err := prepareTree(bags, agg, CycleAttrs(l))
+	tp, _, err := prepareTree(cfg, bags, agg, CycleAttrs(l), nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	st := &Stats{BagSizes: [][]int{make([]int, len(bags))}}
-	for i, b := range bags {
-		st.BagSizes[0][i] = b.Len()
-		st.TotalMaterialized += b.Len()
-	}
-	return &Plan{Stats: st, agg: agg, trees: []*treePlan{tp}}, nil
-}
-
-// CycleSingleTree is the one-shot form of PrepareCycleSingleTree + Run.
-// The context cancels the returned iterator.
-func CycleSingleTree(ctx context.Context, rels []*relation.Relation, agg ranking.Aggregate, v core.Variant, opts ...PrepareOption) (core.Iterator, *Stats, error) {
-	p, err := PrepareCycleSingleTree(rels, agg, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	it, err := p.Run(ctx, v)
-	if err != nil {
-		return nil, nil, err
-	}
-	return it, p.Stats, nil
+	return &Plan{Stats: singleTreeStats(bags), agg: agg, trees: []*treePlan{tp}}, nil
 }
 
 // distinctValues returns the sorted distinct values of one attribute.

@@ -33,11 +33,11 @@ func cycleReference(rels []*relation.Relation) *relation.Relation {
 func checkCycleAgainstReference(t *testing.T, rels []*relation.Relation, v core.Variant) {
 	t.Helper()
 	want := cycleReference(rels)
-	it, _, err := CycleSingleTree(context.Background(), rels, sum, v)
+	p, err := PrepareCycleSingleTree(rels, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := core.Collect(it, 0)
+	got := core.Collect(runPlan(t, p, v), 0)
 	if len(got) != want.Len() {
 		t.Fatalf("l=%d: enumerated %d, reference %d", len(rels), len(got), want.Len())
 	}
@@ -79,11 +79,11 @@ func TestCycleSingleTreeDistinctRelations(t *testing.T) {
 
 func TestCycleSingleTreeValidation(t *testing.T) {
 	g := workload.RandomGraph(5, 10, workload.UniformWeights(), 1)
-	if _, _, err := CycleSingleTree(context.Background(), []*relation.Relation{g.Edges, g.Edges}, sum, core.Lazy); err == nil {
+	if _, err := PrepareCycleSingleTree([]*relation.Relation{g.Edges, g.Edges}, sum); err == nil {
 		t.Error("l=2 should be rejected")
 	}
 	bad := relation.New("bad", "X", "Y", "Z")
-	if _, _, err := CycleSingleTree(context.Background(), []*relation.Relation{g.Edges, g.Edges, bad}, sum, core.Lazy); err == nil {
+	if _, err := PrepareCycleSingleTree([]*relation.Relation{g.Edges, g.Edges, bad}, sum); err == nil {
 		t.Error("arity-3 relation should be rejected")
 	}
 }
@@ -93,11 +93,11 @@ func TestCycleSingleTreeEmptyOutput(t *testing.T) {
 	e.Add(1, 2)
 	e.Add(2, 3) // no cycle
 	rels := []*relation.Relation{e, e, e, e, e}
-	it, _, err := CycleSingleTree(context.Background(), rels, sum, core.Lazy)
+	p, err := PrepareCycleSingleTree(rels, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.Next(); ok {
+	if _, ok := runPlan(t, p, core.Lazy).Next(); ok {
 		t.Error("acyclic edge set should yield no 5-cycles")
 	}
 }
@@ -111,11 +111,11 @@ func TestCycleFanMatchesGJProperty(t *testing.T) {
 			rels[i] = g.Edges
 		}
 		want := cycleReference(rels)
-		it, _, err := CycleSingleTree(context.Background(), rels, sum, core.Take2)
+		p, err := PrepareCycleSingleTree(rels, sum)
 		if err != nil {
 			return false
 		}
-		got := core.Collect(it, 0)
+		got := core.Collect(runPlan(t, p, core.Take2), 0)
 		if len(got) != want.Len() {
 			return false
 		}
@@ -138,12 +138,12 @@ func TestFourCycleFanEqualsSpecialised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	itFan, _, err := CycleSingleTree(context.Background(), rels4[:], sum, core.Lazy)
+	fan, err := PrepareCycleSingleTree(rels4[:], sum)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := core.Collect(itSub, 0)
-	b := core.Collect(itFan, 0)
+	b := core.Collect(runPlan(t, fan, core.Lazy), 0)
 	if len(a) != len(b) {
 		t.Fatalf("submodular %d vs fan %d results", len(a), len(b))
 	}

@@ -2,32 +2,46 @@
 // into acyclic queries over materialised bags, then running any-k over
 // each tree and merging the ranked streams (§3–§4 of the tutorial):
 //
-//   - Triangle: a single bag materialised by Generic-Join in O(n^1.5)
-//     (the AGM bound), enumerated lazily in ranking order.
-//   - FourCycleSingleTree: the fractional-hypertree-width-2 plan — two
-//     bags R1⋈R2 and R3⋈R4, each up to Θ(n²). This is the plan the
+//   - PrepareTriangle: a single bag materialised by Generic-Join in
+//     O(n^1.5) (the AGM bound), enumerated lazily in ranking order.
+//   - PrepareFourCycleSingleTree: the fractional-hypertree-width-2 plan
+//     — two bags R1⋈R2 and R3⋈R4, each up to Θ(n²). This is the plan the
 //     tutorial says is *suboptimal*.
-//   - FourCycleSubmodular: the submodular-width-1.5 plan — three trees
-//     selected by the heaviness of the join values at B and D, with
-//     every bag both sized and *computable* in O(n^1.5) (each bag join
-//     drives from a filtered side and probes an index, so its cost is
-//     input + output). The three cases partition the output, so the
+//   - PrepareFourCycleSubmodular: the submodular-width-1.5 plan — three
+//     trees selected by the heaviness of the join values at B and D,
+//     with every bag both sized and *computable* in O(n^1.5) (each bag
+//     join drives from a filtered side and probes an index, so its cost
+//     is input + output). The three cases partition the output, so the
 //     ranked union needs no deduplication.
+//   - PrepareCycleSingleTree: the fhtw-2 "fan" of l−2 bags for an
+//     l-cycle.
+//   - PrepareGHDWith / PrepareGHDDelta: every other shape, over a
+//     generalized hypertree decomposition whose bags Generic-Join
+//     materialises. The two are one preparer (prepareGHD) without and
+//     with a predecessor plan: given one, only the bags a data delta
+//     reached are re-materialised.
+//
+// Every plan but the triangle's hands its bags to prepareTree, the one
+// place a bag tree is compiled into a T-DP (internal/dp), under the
+// prepare's context. The canonical constructors always build from
+// nothing; only GHD plans keep the memo a later prepare patches from.
 //
 // Every Prepare* constructor accepts PrepareOptions: WithWorkers(n)
 // materialises the plan's mutually independent bags on a bounded
 // worker pool (bag-level fan-out first, leftover workers partitioning
 // the first variable inside each Generic-Join bag via
-// wcoj.MaterializeParallel), and WithContext(ctx) makes the prepare
-// phase cancelable between bag tasks and partitions. Parallel prepares
-// are bit-identical to sequential ones — same bag contents and order,
-// same Stats — see docs/ARCHITECTURE.md for the invariants.
+// wcoj.MaterializeParallel), and WithContext(ctx) makes the whole
+// prepare cancelable — between bag tasks and partitions, and between
+// the node tasks of the bag tree's build. Parallel prepares are
+// bit-identical to sequential ones — same bag contents and order, same
+// Stats — see docs/ARCHITECTURE.md for the invariants.
 package decomp
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/dp"
@@ -67,8 +81,9 @@ func WithWorkers(n int) PrepareOption {
 }
 
 // WithContext attaches a cancellation context to the prepare phase.
-// Cancellation is checked between bag tasks and between intra-bag
-// partitions; a canceled prepare returns ctx.Err() and no plan.
+// Cancellation is checked between bag tasks, between intra-bag
+// partitions and between the node tasks of the bag tree's build; a
+// canceled prepare returns ctx.Err() and no plan.
 func WithContext(ctx context.Context) PrepareOption {
 	return func(c *prepCfg) { c.ctx = ctx }
 }
@@ -131,16 +146,25 @@ func newPrepCfg(opts []PrepareOption) prepCfg {
 	return cfg
 }
 
-// buildBags materialises independent bags across cfg.workers workers.
-// Slot i of the result is task i's bag, so bag order — and everything
-// derived from it: join-tree construction, Stats — is deterministic;
-// sizes must only be read after buildBags returns (the barrier).
+// buildBags materialises independent bags across cfg.workers workers,
+// each under a "materialize" span labelled with the bag's name and row
+// count. Slot i of the result is task i's bag, so bag order — and
+// everything derived from it: join-tree construction, Stats — is
+// deterministic; sizes must only be read after buildBags returns (the
+// barrier).
 func buildBags(cfg prepCfg, tasks ...func() (*relation.Relation, error)) ([]*relation.Relation, error) {
 	bags := make([]*relation.Relation, len(tasks))
 	err := parallel.ForEach(cfg.ctx, cfg.workers, len(tasks), func(i int) error {
+		_, sp := obs.StartSpan(cfg.ctx, "materialize")
+		defer sp.End()
 		b, err := tasks[i]()
+		if err != nil {
+			return err
+		}
+		sp.SetAttr("bag", b.Name)
+		sp.SetAttr("rows", strconv.Itoa(b.Len()))
 		bags[i] = b
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -163,9 +187,9 @@ type Plan struct {
 	// shape unions one or more acyclic trees.
 	bag   *relation.Relation
 	trees []*treePlan
-	// ghd memoises what PrepareGHDWith built so PrepareGHDDelta can
-	// rebuild only the bags whose input relations changed; nil for the
-	// canonical (triangle / 4-cycle / l-cycle) constructors.
+	// ghd memoises what prepareGHD built so the next prepare can rebuild
+	// only the bags whose input relations changed; nil for the canonical
+	// (triangle / 4-cycle / l-cycle) constructors.
 	ghd *ghdMemo
 }
 
@@ -215,7 +239,7 @@ type Stats struct {
 // constructors: the iterators yield tuples ordered (A, B, C, D).
 var FourCycleAttrs = []string{"A", "B", "C", "D"}
 
-// TriangleAttrs is the canonical output schema of TriangleAnyK.
+// TriangleAttrs is the canonical output schema of PrepareTriangle.
 var TriangleAttrs = []string{"A", "B", "C"}
 
 // PrepareTriangle compiles the triangle query R1(A,B) ⋈ R2(B,C) ⋈
@@ -240,21 +264,6 @@ func PrepareTriangle(rels [3]*relation.Relation, agg ranking.Aggregate, opts ...
 	}
 	st := &Stats{BagSizes: [][]int{{out.Len()}}, TotalMaterialized: out.Len()}
 	return &Plan{Stats: st, agg: agg, bag: out}, nil
-}
-
-// TriangleAnyK is the one-shot form of PrepareTriangle + Run. The
-// context cancels both preparation (pass WithContext for finer control)
-// and the returned iterator.
-func TriangleAnyK(ctx context.Context, rels [3]*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (core.Iterator, *Stats, error) {
-	p, err := PrepareTriangle(rels, agg, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	it, err := p.Run(ctx, core.Lazy)
-	if err != nil {
-		return nil, nil, err
-	}
-	return it, p.Stats, nil
 }
 
 // sortedIter enumerates a materialised relation in weight order using an
@@ -316,7 +325,7 @@ func (p *projectIter) Close() error { return p.inner.Close() }
 
 // treePlan is one compiled acyclic tree of a decomposition: its T-DP,
 // the aggregate-independent plan it was instantiated from (kept so a
-// delta prepare can patch instead of rebuild), plus the permutation
+// later prepare can patch instead of rebuild), plus the permutation
 // normalising output tuples to the canonical attribute order.
 type treePlan struct {
 	t    *dp.TDP
@@ -325,25 +334,39 @@ type treePlan struct {
 }
 
 // prepareTree builds the acyclic query over the given bags (GYO finds
-// the join tree) and compiles its T-DP.
-func prepareTree(bags []*relation.Relation, agg ranking.Aggregate, canonAttrs []string) (*treePlan, error) {
+// the join tree) and compiles its T-DP — the one place a bag tree is
+// built. old is the predecessor tree over the same bag layout (nil:
+// none) and changed flags the bags re-materialised since; dp patches
+// from it what the delta did not reach and reports the reuse in the
+// Tree* fields of the returned DeltaStats. Reduction, grouping and the
+// π pass all run under the prepare's context. They run sequentially:
+// the level-parallel sweeps buy nothing on a bag tree of a handful of
+// nodes, so the prepare's workers are spent on the bags alone.
+func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, canonAttrs []string, old *treePlan, changed []bool) (*treePlan, DeltaStats, error) {
+	var ds DeltaStats
 	q, err := bagQuery(bags)
 	if err != nil {
-		return nil, err
+		return nil, ds, err
 	}
-	p, err := dp.NewPlan(q)
-	if err != nil {
-		return nil, err
+	var oldPlan *dp.Plan
+	var oldT *dp.TDP
+	if old != nil {
+		oldPlan, oldT = old.plan, old.t
 	}
-	t, err := p.Instantiate(agg)
+	p, dst, err := dp.NewPlanDelta(q, oldPlan, changed, dp.WithContext(cfg.ctx))
 	if err != nil {
-		return nil, err
+		return nil, ds, err
+	}
+	t, recomputed, err := p.InstantiateDelta(agg, oldT, dst.Changed, dp.WithContext(cfg.ctx))
+	if err != nil {
+		return nil, ds, err
 	}
 	perm, err := canonPerm(t, canonAttrs)
 	if err != nil {
-		return nil, err
+		return nil, ds, err
 	}
-	return &treePlan{t: t, plan: p, perm: perm}, nil
+	ds = DeltaStats{TreeNodes: dst.Nodes, TreeRegrouped: dst.Regrouped, TreeRecomputed: recomputed}
+	return &treePlan{t: t, plan: p, perm: perm}, ds, nil
 }
 
 // bagQuery builds the acyclic query over materialised bags.
@@ -457,13 +480,11 @@ func PrepareFourCycleSingleTree(rels [4]*relation.Relation, agg ranking.Aggregat
 	if err != nil {
 		return nil, err
 	}
-	w1, w2 := bags[0], bags[1]
-	tp, err := prepareTree([]*relation.Relation{w1, w2}, agg, FourCycleAttrs)
+	tp, _, err := prepareTree(cfg, bags, agg, FourCycleAttrs, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	st := &Stats{BagSizes: [][]int{{w1.Len(), w2.Len()}}, TotalMaterialized: w1.Len() + w2.Len()}
-	return &Plan{Stats: st, agg: agg, trees: []*treePlan{tp}}, nil
+	return &Plan{Stats: singleTreeStats(bags), agg: agg, trees: []*treePlan{tp}}, nil
 }
 
 // FourCycleSingleTree is the one-shot form of PrepareFourCycleSingleTree
@@ -565,7 +586,7 @@ func PrepareFourCycleSubmodular(rels [4]*relation.Relation, agg ranking.Aggregat
 	}
 	trees := make([]*treePlan, 3)
 	err = parallel.ForEach(cfg.ctx, cfg.workers, 3, func(ti int) error {
-		tp, err := prepareTree([]*relation.Relation{bags[2*ti], bags[2*ti+1]}, agg, FourCycleAttrs)
+		tp, _, err := prepareTree(cfg, []*relation.Relation{bags[2*ti], bags[2*ti+1]}, agg, FourCycleAttrs, nil, nil)
 		trees[ti] = tp
 		return err
 	})

@@ -193,14 +193,15 @@ func TestSubmodularBagBound(t *testing.T) {
 	}
 }
 
-func TestTriangleAnyKMatchesReference(t *testing.T) {
+func TestTriangleMatchesReference(t *testing.T) {
 	g := workload.RandomGraph(15, 120, workload.UniformWeights(), 5)
 	rels := [3]*relation.Relation{g.Edges, g.Edges, g.Edges}
-	it, st, err := TriangleAnyK(context.Background(), rels, sum)
+	p, err := PrepareTriangle(rels, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := core.Collect(it, 0)
+	st := p.Stats
+	got := core.Collect(runPlan(t, p, core.Lazy), 0)
 
 	atoms := []wcoj.Atom{
 		{Rel: g.Edges, Vars: []string{"A", "B"}},
@@ -225,15 +226,15 @@ func TestTriangleAnyKMatchesReference(t *testing.T) {
 	}
 }
 
-func TestTriangleAnyKEmpty(t *testing.T) {
+func TestTriangleEmpty(t *testing.T) {
 	e := relation.New("E", "src", "dst")
 	e.Add(1, 2)
 	e.Add(2, 3) // no cycle back
-	it, _, err := TriangleAnyK(context.Background(), [3]*relation.Relation{e, e, e}, sum)
+	p, err := PrepareTriangle([3]*relation.Relation{e, e, e}, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := it.Next(); ok {
+	if _, ok := runPlan(t, p, core.Lazy).Next(); ok {
 		t.Fatal("no triangles expected")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -14,35 +13,49 @@ import (
 	"repro/internal/wcoj"
 )
 
-// PrepareGHD compiles an arbitrary full conjunctive query via a
-// generalized hypertree decomposition: search for a low-width
-// decomposition (hypergraph.Decompose), materialise every bag with
-// Generic-Join, and hand the acyclic bag tree to the any-k T-DP
-// machinery. It is the generic fallback behind the facade's canonical
-// triangle/4-cycle/l-cycle fast paths and accepts every query shape.
-//
-// Output tuples use the canonical schema GHDAttrs(edges): all query
-// variables in sorted order.
-func PrepareGHD(edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (*Plan, error) {
-	h := hypergraph.New(edges...)
-	d, err := h.Decompose()
-	if err != nil {
-		return nil, err
-	}
-	return PrepareGHDWith(d, edges, rels, agg, opts...)
-}
-
 // GHDAttrs is the canonical output schema of the GHD plans built from
 // the given edges: the distinct query variables in sorted order.
 func GHDAttrs(edges []hypergraph.Edge) []string {
 	return hypergraph.New(edges...).Vars()
 }
 
-// PrepareGHDWith compiles the query over an already-computed
-// decomposition (so a prepare-once facade can run the structural search
-// a single time and rebuild only the per-aggregate bags).
-//
-// Each bag is materialised by wcoj.Materialize over three kinds of
+// PrepareGHDWith compiles an arbitrary full conjunctive query over an
+// already-computed generalized hypertree decomposition (so a
+// prepare-once facade runs the structural search, hypergraph.Decompose,
+// a single time): every bag is materialised with Generic-Join and the
+// acyclic bag tree is handed to the any-k T-DP machinery. It is the
+// generic planner behind the facade's canonical triangle/4-cycle/
+// l-cycle fast paths and accepts every query shape; it is prepareGHD
+// with no predecessor. Output tuples use the canonical schema
+// GHDAttrs(edges): all query variables in sorted order.
+func PrepareGHDWith(d *hypergraph.Decomposition, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (*Plan, error) {
+	p, _, err := prepareGHD(newPrepCfg(opts), d, edges, rels, agg, nil, nil)
+	return p, err
+}
+
+// PrepareGHDDelta recompiles a GHD plan after some relations received
+// delta batches — prepareGHD with old as the predecessor. old must
+// come from PrepareGHDWith (or a previous PrepareGHDDelta) over the
+// same edges and aggregate; rels are the post-delta relations in edge
+// order and changed flags, per edge index, the ones that differ. The
+// result is bit-identical to a cold PrepareGHDWith over old's
+// decomposition and the new relations.
+func PrepareGHDDelta(old *Plan, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, changed []bool, opts ...PrepareOption) (*Plan, *DeltaStats, error) {
+	if old == nil || old.ghd == nil || len(old.trees) != 1 {
+		return nil, nil, fmt.Errorf("decomp: PrepareGHDDelta needs a plan built by PrepareGHDWith")
+	}
+	if len(changed) != len(edges) {
+		return nil, nil, fmt.Errorf("decomp: %d changed flags for %d hyperedges", len(changed), len(edges))
+	}
+	p, ds, err := prepareGHD(newPrepCfg(opts), old.ghd.dec, edges, rels, agg, old, changed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, &ds, nil
+}
+
+// prepareGHD is the GHD preparer — the only implementation. Each bag is
+// materialised by wcoj.MaterializeParallelHinted over three kinds of
 // atoms:
 //
 //   - charged atoms: relations whose hyperedge is assigned to this bag.
@@ -66,22 +79,53 @@ func GHDAttrs(edges []hypergraph.Edge) []string {
 // final result, so the ranked enumeration over the bag tree is exact.
 //
 // Bags are mutually independent, so WithWorkers(n) materialises them in
-// parallel: the worker budget fans out over bags first and any
-// remainder is spent inside each bag by partitioning the first variable
-// of its Generic-Join order (wcoj.MaterializeParallel). The resulting
-// plan — bag contents and order, join tree, Stats — is bit-identical to
-// the sequential one: each bag lands in its decomposition-order slot
-// and Stats are aggregated only after the barrier.
-func PrepareGHDWith(d *hypergraph.Decomposition, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (*Plan, error) {
-	cfg := newPrepCfg(opts)
+// parallel: the worker budget fans out over the bags on the work list
+// first and any remainder is spent inside each bag by partitioning the
+// first variable of its Generic-Join order.
+//
+// old is the predecessor (nil: none), a plan over the same
+// decomposition whose memo records each bag and the edges its
+// materialisation read; changed flags the edges whose relation differs
+// since. A bag then stays off the work list — and shares the old
+// epoch's relation — iff the edges feeding it (charged, filter,
+// projection source) are the same as before and none of them changed;
+// the dependency set is recomputed under the new sizes because a delta
+// to one relation can steal another bag's projection-source pick. The
+// bag tree is patched the same way (prepareTree).
+//
+// What holds for both inputs:
+//  1. Without a predecessor no comparison work is done: every bag goes
+//     on the work list behind a nil check, and that list is the only
+//     extra allocation.
+//  2. The plan is bit-identical on both inputs, and for any worker
+//     count — bag contents and order, join tree, T-DP, Stats: each bag
+//     lands in its decomposition-order slot and Stats are aggregated
+//     after the barrier. Without a predecessor the DeltaStats report
+//     every bag rebuilt and every tree node redone.
+//  3. With a predecessor the prepare runs under a "ghd-delta" span
+//     (attributes bags_rebuilt, bags_reused); without one its spans
+//     hang off the caller's. Either way each bag on the work list gets
+//     a "materialize" span (bag, rows) › "join-order".
+//  4. Bag tasks, bag-tree reduction and grouping, and the π pass all
+//     run under the prepare's context; cancellation is checked between
+//     bag tasks, intra-bag partitions and tree-node tasks.
+func prepareGHD(cfg prepCfg, d *hypergraph.Decomposition, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, old *Plan, changed []bool) (*Plan, DeltaStats, error) {
+	var ds DeltaStats
 	if len(edges) != len(rels) {
-		return nil, fmt.Errorf("decomp: %d relations for %d hyperedges", len(rels), len(edges))
+		return nil, ds, fmt.Errorf("decomp: %d relations for %d hyperedges", len(rels), len(edges))
 	}
 	for i, e := range edges {
 		if len(e.Vars) != rels[i].Arity() {
-			return nil, fmt.Errorf("decomp: edge %s has %d vars but relation %s arity %d",
+			return nil, ds, fmt.Errorf("decomp: edge %s has %d vars but relation %s arity %d",
 				e.Name, len(e.Vars), rels[i].Name, rels[i].Arity())
 		}
+	}
+	var sp *obs.Span
+	var oldTree *treePlan
+	if old != nil {
+		cfg.ctx, sp = obs.StartSpan(cfg.ctx, "ghd-delta")
+		defer sp.End()
+		oldTree = old.trees[0]
 	}
 
 	// Rename every relation to its query variables.
@@ -104,188 +148,35 @@ func PrepareGHDWith(d *hypergraph.Decomposition, edges []hypergraph.Edge, rels [
 	}
 	for ei, bi := range charged {
 		if bi < 0 {
-			return nil, fmt.Errorf("decomp: edge %s not contained in any bag of %s", edges[ei].Name, d)
+			return nil, ds, fmt.Errorf("decomp: edge %s not contained in any bag of %s", edges[ei].Name, d)
 		}
 	}
 
-	// Fan the worker budget over the independent bags first; leftover
-	// parallelism splits the first variable inside each bag, with the
-	// division remainder handed to the lowest-indexed bags so no
-	// requested worker is dropped (4 workers over 3 bags: intra budgets
-	// 2,1,1). Each task writes only its own slot, and Stats are derived
-	// after the barrier.
-	bagWorkers := cfg.workers
-	if bagWorkers > len(d.Bags) {
-		bagWorkers = len(d.Bags)
-	}
-	intraBase, intraRem := 1, 0
-	if bagWorkers > 0 {
-		intraBase = cfg.workers / bagWorkers
-		intraRem = cfg.workers % bagWorkers
-	}
+	// Each bag's dependency set, and from it the work list.
 	deps := make([][]int, len(d.Bags))
 	bags := make([]*relation.Relation, len(d.Bags))
-	err := parallel.ForEach(cfg.ctx, bagWorkers, len(d.Bags), func(bi int) error {
-		bctx, bsp := obs.StartSpan(cfg.ctx, "materialize")
-		bsp.SetAttr("bag", "G"+strconv.Itoa(bi))
-		defer bsp.End()
-		bagVars := d.Bags[bi]
-		srcs, err := projectionSources(d, bi, bagVars, edges, qrels)
-		if err != nil {
-			return err
-		}
-		deps[bi] = append(append([]int(nil), d.Contains[bi]...), srcs...)
-		atoms, err := bagAtoms(d, bi, bagVars, edges, qrels, charged, srcs, agg)
-		if err != nil {
-			return err
-		}
-		_, osp := obs.StartSpan(bctx, "join-order")
-		order := cfg.chooseOrder(atoms)
-		osp.End()
-		if len(order) != len(bagVars) {
-			return fmt.Errorf("decomp: bag %v atoms cover %d of %d variables", bagVars, len(order), len(bagVars))
-		}
-		intra := intraBase
-		if bi < intraRem {
-			intra++
-		}
-		bag, _, err := wcoj.MaterializeParallelHinted(bctx, atoms, order, agg, intra, cfg.hints)
-		if err != nil {
-			return err
-		}
-		bag.Name = fmt.Sprintf("G%d", bi)
-		bsp.SetAttr("rows", strconv.Itoa(bag.Len()))
-		bags[bi] = bag
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// The GHD plan is one tree with len(bags) bags: one inner BagSizes
-	// slice, one entry per bag in decomposition order.
-	st := ghdStats(bags)
-
-	// GYO arranges the bags into a join tree. The bag set must be
-	// connected (the T-DP layer rejects cartesian tree edges);
-	// hypergraph.Decompose guarantees this by merging one bag per
-	// component of a disconnected query, so hand-built decompositions
-	// passed here must be connected too.
-	tp, err := prepareTree(bags, agg, GHDAttrs(edges))
-	if err != nil {
-		return nil, err
-	}
-	memo := &ghdMemo{dec: d, deps: deps, bags: bags}
-	return &Plan{Stats: st, agg: agg, trees: []*treePlan{tp}, ghd: memo}, nil
-}
-
-// ghdMemo records what PrepareGHDWith built: the decomposition, each
-// bag's relation, and the edge indices each bag's materialisation read
-// (charged relations, filters, and projection sources). PrepareGHDDelta
-// compares the recorded dependencies against the post-delta ones to
-// decide which bags must be re-materialised.
-type ghdMemo struct {
-	dec  *hypergraph.Decomposition
-	deps [][]int
-	bags []*relation.Relation
-}
-
-// DeltaStats reports the reuse a PrepareGHDDelta achieved.
-type DeltaStats struct {
-	// Bags is the decomposition size; BagsRebuilt counts the bags
-	// re-materialised because an input relation changed (or the
-	// size-dependent projection-source choice shifted).
-	Bags, BagsRebuilt int
-	// TreeNodes is the bag-tree size; TreeRegrouped / TreeRecomputed
-	// count the nodes whose candidate grouping / π pass had to rerun.
-	TreeNodes, TreeRegrouped, TreeRecomputed int
-}
-
-func ghdStats(bags []*relation.Relation) *Stats {
-	st := &Stats{BagSizes: [][]int{make([]int, len(bags))}}
-	for i, b := range bags {
-		st.BagSizes[0][i] = b.Len()
-		st.TotalMaterialized += b.Len()
-	}
-	return st
-}
-
-// PrepareGHDDelta recompiles a GHD plan after some relations received
-// delta batches, reusing the old plan wherever possible: a bag is
-// re-materialised only when one of the edges feeding it (charged,
-// filter, or projection source) changed — flagged per edge index in
-// changed — or when the post-delta relation sizes shift its
-// projection-source choice; all other bags share the old epoch's
-// relation. The bag tree is then patched with dp.NewPlanDelta /
-// InstantiateDelta rather than rebuilt. old must come from
-// PrepareGHDWith (or a previous PrepareGHDDelta) over the same
-// decomposition, edges, and aggregate; rels are the post-delta
-// relations in edge order. The result is bit-identical to a cold
-// PrepareGHDWith over the same decomposition and the new relations.
-func PrepareGHDDelta(old *Plan, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, changed []bool, opts ...PrepareOption) (*Plan, *DeltaStats, error) {
-	if old == nil || old.ghd == nil || len(old.trees) != 1 {
-		return nil, nil, fmt.Errorf("decomp: PrepareGHDDelta needs a plan built by PrepareGHDWith")
-	}
-	if len(changed) != len(edges) || len(edges) != len(rels) {
-		return nil, nil, fmt.Errorf("decomp: %d relations / %d changed flags for %d hyperedges", len(rels), len(changed), len(edges))
-	}
-	cfg := newPrepCfg(opts)
-	var sp *obs.Span
-	cfg.ctx, sp = obs.StartSpan(cfg.ctx, "ghd-delta")
-	defer sp.End()
-	d := old.ghd.dec
-	for i, e := range edges {
-		if len(e.Vars) != rels[i].Arity() {
-			return nil, nil, fmt.Errorf("decomp: edge %s has %d vars but relation %s arity %d",
-				e.Name, len(e.Vars), rels[i].Name, rels[i].Arity())
-		}
-	}
-	qrels := make([]*relation.Relation, len(rels))
-	for i, r := range rels {
-		qrels[i] = rename(r, edges[i].Name, edges[i].Vars...)
-	}
-	charged := make([]int, len(edges))
-	for i := range charged {
-		charged[i] = -1
-	}
-	for bi, contained := range d.Contains {
-		for _, ei := range contained {
-			if charged[ei] < 0 {
-				charged[ei] = bi
-			}
-		}
-	}
-
-	// Decide per bag: the dependency set is recomputed under the new
-	// sizes (a delta to one relation can steal another bag's
-	// projection-source pick), then a bag is clean iff its dependencies
-	// are the same edges as before and none of them changed.
-	deps := make([][]int, len(d.Bags))
-	var rebuild []int
+	rebuilt := make([]bool, len(d.Bags))
+	rebuild := make([]int, 0, len(d.Bags))
 	for bi, bagVars := range d.Bags {
 		srcs, err := projectionSources(d, bi, bagVars, edges, qrels)
 		if err != nil {
-			return nil, nil, err
+			return nil, ds, err
 		}
 		deps[bi] = append(append([]int(nil), d.Contains[bi]...), srcs...)
-		clean := equalInts(deps[bi], old.ghd.deps[bi])
-		if clean {
-			for _, ei := range deps[bi] {
-				if changed[ei] {
-					clean = false
-					break
-				}
-			}
+		if old != nil && bagClean(deps[bi], old.ghd.deps[bi], changed) {
+			bags[bi] = old.ghd.bags[bi]
+			continue
 		}
-		if !clean {
-			rebuild = append(rebuild, bi)
-		}
+		rebuilt[bi] = true
+		rebuild = append(rebuild, bi)
 	}
 
-	bags := make([]*relation.Relation, len(d.Bags))
-	for bi := range bags {
-		bags[bi] = old.ghd.bags[bi]
-	}
+	// Fan the worker budget over the bags on the work list first;
+	// leftover parallelism splits the first variable inside each bag,
+	// with the division remainder handed to the first tasks so no
+	// requested worker is dropped (4 workers over 3 bags: intra budgets
+	// 2,1,1). Each task writes only its own slot, and Stats are derived
+	// after the barrier.
 	bagWorkers := cfg.workers
 	if bagWorkers > len(rebuild) {
 		bagWorkers = len(rebuild)
@@ -297,16 +188,18 @@ func PrepareGHDDelta(old *Plan, edges []hypergraph.Edge, rels []*relation.Relati
 	}
 	err := parallel.ForEach(cfg.ctx, bagWorkers, len(rebuild), func(i int) error {
 		bi := rebuild[i]
+		name := "G" + strconv.Itoa(bi)
 		bctx, bsp := obs.StartSpan(cfg.ctx, "materialize")
-		bsp.SetAttr("bag", "G"+strconv.Itoa(bi))
+		bsp.SetAttr("bag", name)
 		defer bsp.End()
 		bagVars := d.Bags[bi]
-		srcs := deps[bi][len(d.Contains[bi]):]
-		atoms, err := bagAtoms(d, bi, bagVars, edges, qrels, charged, srcs, agg)
+		atoms, err := bagAtoms(d, bi, bagVars, edges, qrels, charged, deps[bi][len(d.Contains[bi]):], agg)
 		if err != nil {
 			return err
 		}
+		_, osp := obs.StartSpan(bctx, "join-order")
 		order := cfg.chooseOrder(atoms)
+		osp.End()
 		if len(order) != len(bagVars) {
 			return fmt.Errorf("decomp: bag %v atoms cover %d of %d variables", bagVars, len(order), len(bagVars))
 		}
@@ -318,56 +211,76 @@ func PrepareGHDDelta(old *Plan, edges []hypergraph.Edge, rels []*relation.Relati
 		if err != nil {
 			return err
 		}
-		bag.Name = fmt.Sprintf("G%d", bi)
+		bag.Name = name
 		bsp.SetAttr("rows", strconv.Itoa(bag.Len()))
 		bags[bi] = bag
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, ds, err
 	}
 
-	st := ghdStats(bags)
-	q, err := bagQuery(bags)
+	// GYO arranges the bags into a join tree. The bag set must be
+	// connected (the T-DP layer rejects cartesian tree edges);
+	// hypergraph.Decompose guarantees this by merging one bag per
+	// component of a disconnected query, so hand-built decompositions
+	// passed here must be connected too. A bag is "changed" iff it was
+	// re-materialised; the reducer still proves content-identical
+	// rebuilds clean.
+	tp, ds, err := prepareTree(cfg, bags, agg, GHDAttrs(edges), oldTree, rebuilt)
 	if err != nil {
-		return nil, nil, err
+		return nil, ds, err
 	}
-	dpOpts := []dp.Option{dp.WithContext(cfg.ctx), dp.WithWorkers(cfg.workers)}
-	// A bag is "changed" iff it was re-materialised; the incremental
-	// reducer still proves content-identical rebuilds clean.
-	changedBags := make([]bool, len(bags))
-	for _, bi := range rebuild {
-		changedBags[bi] = true
+	ds.Bags, ds.BagsRebuilt = len(bags), len(rebuild)
+	if old != nil {
+		sp.SetAttr("bags_rebuilt", strconv.Itoa(ds.BagsRebuilt))
+		sp.SetAttr("bags_reused", strconv.Itoa(ds.Bags-ds.BagsRebuilt))
 	}
-	plan, dst, err := dp.NewPlanDelta(q, old.trees[0].plan, changedBags, dpOpts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	t, recomputed, err := plan.InstantiateDelta(agg, old.trees[0].t, dst.Changed, dpOpts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	perm, err := canonPerm(t, GHDAttrs(edges))
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := &DeltaStats{
-		Bags: len(bags), BagsRebuilt: len(rebuild),
-		TreeNodes: dst.Nodes, TreeRegrouped: dst.Regrouped, TreeRecomputed: recomputed,
-	}
-	sp.SetAttr("bags_rebuilt", strconv.Itoa(ds.BagsRebuilt))
-	sp.SetAttr("bags_reused", strconv.Itoa(ds.Bags-ds.BagsRebuilt))
 	memo := &ghdMemo{dec: d, deps: deps, bags: bags}
-	return &Plan{Stats: st, agg: agg, trees: []*treePlan{{t: t, plan: plan, perm: perm}}, ghd: memo}, ds, nil
+	return &Plan{Stats: singleTreeStats(bags), agg: agg, trees: []*treePlan{tp}, ghd: memo}, ds, nil
 }
 
-// equalInts reports element-wise equality.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
+// ghdMemo records what prepareGHD built: the decomposition, each bag's
+// relation, and the edge indices each bag's materialisation read
+// (charged relations, filters, and projection sources) — what the next
+// prepare compares against to decide which bags to re-materialise.
+type ghdMemo struct {
+	dec  *hypergraph.Decomposition
+	deps [][]int
+	bags []*relation.Relation
+}
+
+// DeltaStats reports the reuse a prepare with a predecessor achieved.
+type DeltaStats struct {
+	// Bags is the decomposition size; BagsRebuilt counts the bags
+	// re-materialised because an input relation changed (or the
+	// size-dependent projection-source choice shifted).
+	Bags, BagsRebuilt int
+	// TreeNodes is the bag-tree size; TreeRegrouped / TreeRecomputed
+	// count the nodes whose candidate grouping / π pass had to rerun.
+	TreeNodes, TreeRegrouped, TreeRecomputed int
+}
+
+// singleTreeStats is the Stats of a plan whose bags form one tree: one
+// inner BagSizes slice, one entry per bag in bag order.
+func singleTreeStats(bags []*relation.Relation) *Stats {
+	st := &Stats{BagSizes: [][]int{make([]int, len(bags))}}
+	for i, b := range bags {
+		st.BagSizes[0][i] = b.Len()
+		st.TotalMaterialized += b.Len()
+	}
+	return st
+}
+
+// bagClean reports whether a bag's materialisation would read exactly
+// what the old epoch's did: the same dependency edges, none of them
+// changed.
+func bagClean(deps, oldDeps []int, changed []bool) bool {
+	if len(deps) != len(oldDeps) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, ei := range deps {
+		if ei != oldDeps[i] || changed[ei] {
 			return false
 		}
 	}

@@ -55,14 +55,21 @@ func bruteForce(edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.
 	return weights
 }
 
+// decomposeAndPrepare runs the structural GHD search and compiles the
+// query over the decomposition it finds.
+func decomposeAndPrepare(edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (*Plan, error) {
+	d, err := hypergraph.New(edges...).Decompose()
+	if err != nil {
+		return nil, err
+	}
+	return PrepareGHDWith(d, edges, rels, agg, opts...)
+}
+
 // drain collects every result weight from the plan in order, checking
 // ranking monotonicity along the way.
 func drain(t *testing.T, p *Plan, agg ranking.Aggregate) []float64 {
 	t.Helper()
-	it, err := p.Run(context.Background(), core.Lazy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := runPlan(t, p, core.Lazy)
 	defer it.Close()
 	var out []float64
 	for {
@@ -136,7 +143,7 @@ func TestGHDParityAllShapes(t *testing.T) {
 		edges, rels := graphAtoms(g, pairs)
 		for _, agg := range aggs {
 			want := bruteForce(edges, rels, agg)
-			p, err := PrepareGHD(edges, rels, agg)
+			p, err := decomposeAndPrepare(edges, rels, agg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, agg.Name(), err)
 			}
@@ -165,7 +172,7 @@ func TestGHDParityHigherArity(t *testing.T) {
 	rels := []*relation.Relation{r, s, u}
 	agg := ranking.SumCost{}
 	want := bruteForce(edges, rels, agg)
-	p, err := PrepareGHD(edges, rels, agg)
+	p, err := decomposeAndPrepare(edges, rels, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +196,7 @@ func TestGHDWeightsNotDoubleCounted(t *testing.T) {
 		hypergraph.E("R1", "A", "B"), hypergraph.E("R2", "B", "C"), hypergraph.E("R3", "C", "A"),
 	}
 	rels := []*relation.Relation{mk("R1", 1, 2), mk("R2", 2, 3), mk("R3", 3, 1)}
-	p, err := PrepareGHD(edges, rels, ranking.SumCost{})
+	p, err := decomposeAndPrepare(edges, rels, ranking.SumCost{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +223,7 @@ func TestGHDDuplicateMultiplicity(t *testing.T) {
 	rels := []*relation.Relation{r1, mk("R2", 2, 3, 1), mk("R3", 3, 1, 1)}
 	agg := ranking.SumCost{}
 	want := bruteForce(edges, rels, agg)
-	p, err := PrepareGHD(edges, rels, agg)
+	p, err := decomposeAndPrepare(edges, rels, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +244,7 @@ func TestGHDDisconnectedQuery(t *testing.T) {
 	edges, rels := graphAtoms(g, pairs)
 	agg := ranking.SumCost{}
 	want := bruteForce(edges, rels, agg)
-	p, err := PrepareGHD(edges, rels, agg)
+	p, err := decomposeAndPrepare(edges, rels, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +266,7 @@ func TestGHDOutputSchema(t *testing.T) {
 		return r
 	}
 	rels := []*relation.Relation{mk("R1", 1, 2), mk("R2", 2, 3), mk("R3", 3, 1)}
-	p, err := PrepareGHD(edges, rels, ranking.SumCost{})
+	p, err := decomposeAndPrepare(edges, rels, ranking.SumCost{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +291,7 @@ func TestGHDVariantsAgree(t *testing.T) {
 	g := workload.RandomGraph(8, 40, workload.UniformWeights(), 9)
 	edges, rels := graphAtoms(g, ghdShapes["fused-triangles"])
 	agg := ranking.SumCost{}
-	p, err := PrepareGHD(edges, rels, agg)
+	p, err := decomposeAndPrepare(edges, rels, agg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,23 @@ import (
 	"repro/internal/workload"
 )
 
+// runPlan starts one ranked enumeration over a prepared plan — the
+// tests' one way from a Prepare* result to an iterator.
+func runPlan(t testing.TB, p *Plan, v core.Variant) core.Iterator {
+	t.Helper()
+	it, err := p.Run(context.Background(), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it
+}
+
 // drainResults drains the plan's full enumeration, returning tuples and
 // weights in emission order for exact (not approximate) comparison —
 // the bit-identity contract of parallel preparation.
 func drainResults(t *testing.T, p *Plan) []core.Result {
 	t.Helper()
-	it, err := p.Run(context.Background(), core.Lazy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := runPlan(t, p, core.Lazy)
 	defer it.Close()
 	out := core.Collect(it, 0)
 	if err := it.Err(); err != nil {

@@ -1,15 +1,6 @@
 package dp
 
-import (
-	"fmt"
-	"strconv"
-
-	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/ranking"
-	"repro/internal/relation"
-	"repro/internal/yannakakis"
-)
+import "repro/internal/yannakakis"
 
 // DeltaStats reports how much of an incremental rebuild was reused.
 type DeltaStats struct {
@@ -22,143 +13,6 @@ type DeltaStats struct {
 	// content differs from the old plan — the seed set InstantiateDelta
 	// propagates π recomputation from.
 	Changed []bool
-}
-
-// NewPlanDelta recompiles the aggregate-independent plan for q — the
-// same query shape whose relations received delta batches — reusing the
-// old plan wherever the delta provably didn't reach. changedBase flags,
-// per tree node (hyperedge index), the base relations whose content
-// differs from the ones old was built on; the semi-join sweeps then
-// re-run only along paths through changed relations, stopping as soon
-// as a recomputed result matches the old epoch's (see
-// yannakakis.ReduceDelta). The expensive per-node hash grouping is
-// redone only for nodes whose reduced content changed, or whose
-// parent's did (the parent-row → child-group map hangs off both
-// endpoints). Unchanged nodes share the old plan's relations,
-// groupings, and child maps, so the result is bit-identical to a cold
-// NewPlan on the updated inputs. A nil changedBase (or an old plan
-// whose tree no longer matches q's) falls back to a full reduction
-// with every node treated as changed-unless-content-equal.
-func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Option) (*Plan, *DeltaStats, error) {
-	cfg := newConfig(opts)
-	var sp *obs.Span
-	cfg.ctx, sp = obs.StartSpan(cfg.ctx, "plan-delta")
-	defer sp.End()
-	tree := q.Tree
-	m := len(tree.Order)
-
-	posOf := make([]int, m)
-	for pos, edge := range tree.Order {
-		posOf[edge] = pos
-	}
-
-	match := planMatchesTree(old, q, posOf)
-	var red *yannakakis.Reduction
-	var dirty []bool // by tree node id; nil means diff by content below
-	var err error
-	if match && old.red != nil && len(changedBase) == m {
-		red, dirty, err = q.ReduceDelta(cfg.ctx, cfg.workers, old.red, changedBase)
-	} else {
-		red, err = q.ReduceKeep(cfg.ctx, cfg.workers)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	t := &Plan{nodes: make([]*Node, m), red: red}
-	for pos, edge := range tree.Order {
-		n := &Node{Rel: red.Final[edge], Parent: -1}
-		if p := tree.Parent[edge]; p >= 0 {
-			n.Parent = posOf[p]
-		}
-		for _, c := range tree.Children[edge] {
-			n.Children = append(n.Children, posOf[c])
-		}
-		if len(n.Children) > 0 {
-			n.ChildGroup = make([][]int32, len(n.Children))
-		}
-		t.nodes[pos] = n
-	}
-	for _, lv := range tree.Levels() {
-		poss := make([]int, len(lv))
-		for i, u := range lv {
-			poss[i] = posOf[u]
-		}
-		t.levels = append(t.levels, poss)
-	}
-	seen := make(map[string]bool)
-	for pos, n := range t.nodes {
-		for col, v := range n.Rel.Attrs {
-			if !seen[v] {
-				seen[v] = true
-				t.emits = append(t.emits, emitSpec{node: pos, col: col, outPos: len(t.outAttrs)})
-				t.outAttrs = append(t.outAttrs, v)
-			}
-		}
-	}
-
-	st := &DeltaStats{Nodes: m, Changed: make([]bool, m)}
-	if !match {
-		// No old plan to diff against (or the tree changed shape, which a
-		// pure data delta cannot cause): group everything.
-		for pos := range st.Changed {
-			st.Changed[pos] = true
-		}
-		st.Regrouped = m
-		if err := parallel.ForEach(cfg.ctx, cfg.workers, m, func(pos int) error {
-			return groupNode(t.nodes, pos)
-		}); err != nil {
-			return nil, nil, err
-		}
-		return t, st, nil
-	}
-
-	for pos, edge := range tree.Order {
-		changed := false
-		if dirty != nil {
-			// The incremental reducer already proved clean nodes equal.
-			changed = dirty[edge]
-		} else {
-			changed = !sameRelation(t.nodes[pos].Rel, old.nodes[pos].Rel)
-		}
-		if changed {
-			st.Changed[pos] = true
-		} else {
-			// Identical content: share the old reduced relation so clean
-			// subtrees alias one allocation across epochs.
-			t.nodes[pos].Rel = old.nodes[pos].Rel
-		}
-	}
-
-	var regroup []int
-	for pos, n := range t.nodes {
-		if st.Changed[pos] || (n.Parent >= 0 && st.Changed[n.Parent]) {
-			regroup = append(regroup, pos)
-			continue
-		}
-		on := old.nodes[pos]
-		t.nodes[pos].Groups = on.Groups
-		t.nodes[pos].GroupOfRow = on.GroupOfRow
-		// This node's slot on its parent is reused too: copy it up front
-		// so a concurrent groupNode for a sibling never reads a nil slot.
-		if p := t.nodes[pos].Parent; p >= 0 {
-			for ci, c := range t.nodes[p].Children {
-				if c == pos {
-					t.nodes[p].ChildGroup[ci] = old.nodes[p].ChildGroup[ci]
-					break
-				}
-			}
-		}
-	}
-	st.Regrouped = len(regroup)
-	if err := parallel.ForEach(cfg.ctx, cfg.workers, len(regroup), func(i int) error {
-		return groupNode(t.nodes, regroup[i])
-	}); err != nil {
-		return nil, nil, err
-	}
-	sp.SetAttr("nodes", strconv.Itoa(st.Nodes))
-	sp.SetAttr("regrouped", strconv.Itoa(st.Regrouped))
-	return t, st, nil
 }
 
 // planMatchesTree reports whether old lays out exactly the join tree
@@ -197,100 +51,16 @@ func planMatchesTree(old *Plan, q *yannakakis.Query, posOf []int) bool {
 	return true
 }
 
-// sameRelation reports exact content equality: same attribute order,
-// same tuples in the same row order, bit-equal weights. Row order
-// matters — groupings index rows by position.
-func sameRelation(a, b *relation.Relation) bool {
-	if a.Len() != b.Len() || a.Arity() != b.Arity() {
-		return false
+// reuseGrouping gives node pos the old plan's grouping: its own
+// Groups/GroupOfRow and the ChildGroup slot its parent holds for it.
+// Valid when neither pos's nor its parent's reduced content changed.
+func reuseGrouping(nodes, old []*Node, pos int) {
+	nodes[pos].Groups = old[pos].Groups
+	nodes[pos].GroupOfRow = old[pos].GroupOfRow
+	if p := nodes[pos].Parent; p >= 0 {
+		ci := childIndex(nodes, p, pos)
+		nodes[p].ChildGroup[ci] = old[p].ChildGroup[ci]
 	}
-	for i := range a.Tuples {
-		if a.Weights[i] != b.Weights[i] {
-			return false
-		}
-		bt := b.Tuples[i]
-		for j, v := range a.Tuples[i] {
-			if v != bt[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// InstantiateDelta derives the T-DP for agg the way Instantiate does,
-// but patches the old instantiation instead of recomputing every π
-// array: starting from the nodes whose reduced content changed, the
-// bottom-up level-synchronized pass recomputes π only where needed and
-// stops propagating upward as soon as a recomputed node's per-group
-// bests come out bit-identical to the old epoch's — the parent's π
-// inputs are then provably unchanged. changed must be the Changed
-// vector of the NewPlanDelta call that produced p, and old an
-// instantiation of the plan p was diffed against, for the same
-// aggregate. It returns the new T-DP plus the number of nodes whose π
-// pass actually ran.
-func (p *Plan) InstantiateDelta(agg ranking.Aggregate, old *TDP, changed []bool, opts ...Option) (*TDP, int, error) {
-	if old == nil {
-		t, err := p.Instantiate(agg, opts...)
-		return t, len(p.nodes), err
-	}
-	m := len(p.nodes)
-	if len(old.Nodes) != m || len(changed) != m {
-		return nil, 0, fmt.Errorf("dp: InstantiateDelta shape mismatch (%d plan nodes, %d old, %d changed flags)", m, len(old.Nodes), len(changed))
-	}
-	cfg := newConfig(opts)
-	var sp *obs.Span
-	cfg.ctx, sp = obs.StartSpan(cfg.ctx, "instantiate-delta")
-	sp.SetAttr("ranking", agg.Name())
-	defer sp.End()
-	t := &TDP{Agg: agg, Nodes: make([]*Node, m), OutAttrs: p.outAttrs, emits: p.emits}
-	dirty := make([]bool, m)
-	copy(dirty, changed)
-	bestsChanged := make([]bool, m)
-	recomputed := 0
-
-	for li := len(p.levels) - 1; li >= 0; li-- {
-		lv := p.levels[li]
-		var work []int
-		for _, pos := range lv {
-			for _, c := range p.nodes[pos].Children {
-				if bestsChanged[c] {
-					dirty[pos] = true
-				}
-			}
-			if dirty[pos] {
-				n := &Node{
-					Rel:        p.nodes[pos].Rel,
-					Parent:     p.nodes[pos].Parent,
-					Children:   p.nodes[pos].Children,
-					GroupOfRow: p.nodes[pos].GroupOfRow,
-					ChildGroup: p.nodes[pos].ChildGroup,
-					Groups:     append([]Group(nil), p.nodes[pos].Groups...),
-				}
-				t.Nodes[pos] = n
-				work = append(work, pos)
-			} else {
-				// Clean subtree: the old node (π array, bests, maps) is
-				// immutable after its build and identical to what a
-				// recompute would produce — share it wholesale.
-				t.Nodes[pos] = old.Nodes[pos]
-			}
-		}
-		recomputed += len(work)
-		if err := parallel.ForEach(cfg.ctx, cfg.workers, len(work), func(i int) error {
-			pos := work[i]
-			if err := instantiateNode(t, agg, pos); err != nil {
-				return err
-			}
-			bestsChanged[pos] = groupBestsDiffer(t.Nodes[pos], old.Nodes[pos], changed[pos])
-			return nil
-		}); err != nil {
-			return nil, 0, err
-		}
-	}
-	sp.SetAttr("recomputed", strconv.Itoa(recomputed))
-	sp.SetAttr("reused", strconv.Itoa(m-recomputed))
-	return t, recomputed, nil
 }
 
 // groupBestsDiffer reports whether a recomputed node presents different

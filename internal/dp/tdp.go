@@ -12,11 +12,19 @@
 // weight is the aggregate of all node weights. The top-1 solution falls
 // out of a greedy descent, and the enumeration algorithms in
 // internal/core produce all remaining solutions in weight order.
+//
+// Each of the two build steps has one implementation that takes an
+// optional predecessor — NewPlanDelta (reduce, lay out, group) and
+// Plan.InstantiateDelta (the π pass): given the previous epoch's plan
+// or T-DP they redo only what a data delta reached, given none they
+// build everything. NewPlan, Plan.Instantiate and Build are those
+// functions with no predecessor.
 package dp
 
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -171,22 +179,47 @@ func Build(q *yannakakis.Query, agg ranking.Aggregate) (*TDP, error) {
 	return p.Instantiate(agg)
 }
 
-// NewPlan runs the aggregate-independent compilation: full reduction,
-// preorder layout along the join tree, candidate grouping by parent key,
-// and the parent-row → child-group maps. With WithWorkers(n) the full
-// reducer's semi-join sweeps run level-synchronized and the per-node
-// grouping — independent across nodes: each task hashes its own rows
-// and writes only its own node's Groups/GroupOfRow plus its private
-// ChildGroup slot on the parent — fans out across all nodes at once.
+// NewPlan runs the aggregate-independent compilation from scratch:
+// NewPlanDelta with no predecessor.
 func NewPlan(q *yannakakis.Query, opts ...Option) (*Plan, error) {
+	p, _, err := NewPlanDelta(q, nil, nil, opts...)
+	return p, err
+}
+
+// NewPlanDelta is the aggregate-independent compilation — the only
+// implementation: full reduction, preorder layout along the join tree,
+// candidate grouping by parent key, and the parent-row → child-group
+// maps. The per-node grouping is independent across nodes — each task
+// hashes its own rows and writes only its own node's Groups/GroupOfRow
+// plus its private ChildGroup slot on the parent — so it fans out across
+// all nodes at once.
+//
+// old is the predecessor: a plan for the same query shape whose
+// relations have since received delta batches, with changedBase
+// flagging, per tree node (hyperedge index), the base relations that
+// differ from the ones old was built on. The semi-join sweeps then
+// re-run only along paths through changed relations (see
+// yannakakis.ReduceDelta), and the hash grouping is redone only for
+// nodes whose reduced content changed, or whose parent's did (the
+// parent-row → child-group map hangs off both endpoints); every other
+// node shares the old plan's relation, grouping and child map. A nil
+// old — or one whose tree no longer matches q's, which a pure data
+// delta cannot cause — means no predecessor: changedBase is ignored.
+// With a predecessor, a changedBase of the wrong length is an error.
+//
+// What holds for both inputs:
+//  1. Without a predecessor no comparison work is done and no old plan
+//     is consulted: every node goes on the grouping work list behind a
+//     nil check, and that m-element list is the only extra allocation.
+//  2. The plan is bit-identical on both inputs: reduced relations,
+//     groupings, child maps, levels and schema.
+//  3. Spans are named by the predecessor: "plan-build" › "reduce",
+//     "group" without one; "plan-delta" (attributes nodes, regrouped) ›
+//     "reduce-delta" with one.
+//  4. Reduction and grouping run under the WithContext context, with
+//     cancellation checked between node tasks (parallel.ForEach).
+func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Option) (*Plan, *DeltaStats, error) {
 	cfg := newConfig(opts)
-	var sp *obs.Span
-	cfg.ctx, sp = obs.StartSpan(cfg.ctx, "plan-build")
-	defer sp.End()
-	red, err := q.ReduceKeep(cfg.ctx, cfg.workers)
-	if err != nil {
-		return nil, err
-	}
 	tree := q.Tree
 	m := len(tree.Order)
 
@@ -196,8 +229,29 @@ func NewPlan(q *yannakakis.Query, opts ...Option) (*Plan, error) {
 		posOf[edge] = pos
 	}
 
+	name := "plan-build"
+	var oldRed *yannakakis.Reduction
+	if !planMatchesTree(old, q, posOf) {
+		old = nil
+	} else {
+		if len(changedBase) != m {
+			return nil, nil, fmt.Errorf("dp: NewPlanDelta got %d changed flags for %d tree nodes", len(changedBase), m)
+		}
+		name, oldRed = "plan-delta", old.red
+	}
+	var sp *obs.Span
+	cfg.ctx, sp = obs.StartSpan(cfg.ctx, name)
+	defer sp.End()
+	red, dirty, err := q.ReduceDelta(cfg.ctx, cfg.workers, oldRed, changedBase)
+	if err != nil {
+		return nil, nil, err
+	}
+
 	t := &Plan{nodes: make([]*Node, m), red: red}
+	st := &DeltaStats{Nodes: m, Changed: make([]bool, m)}
 	for pos, edge := range tree.Order {
+		// A clean node's red.Final aliases the old epoch's relation, so
+		// clean subtrees share one allocation across epochs.
 		n := &Node{Rel: red.Final[edge], Parent: -1}
 		if p := tree.Parent[edge]; p >= 0 {
 			n.Parent = posOf[p]
@@ -211,6 +265,7 @@ func NewPlan(q *yannakakis.Query, opts ...Option) (*Plan, error) {
 			n.ChildGroup = make([][]int32, len(n.Children))
 		}
 		t.nodes[pos] = n
+		st.Changed[pos] = dirty[edge]
 	}
 
 	// Depth levels, mapped from tree-node ids to preorder positions
@@ -235,16 +290,35 @@ func NewPlan(q *yannakakis.Query, opts ...Option) (*Plan, error) {
 		}
 	}
 
-	// Group rows by parent key, one independent task per node.
-	gctx, gsp := obs.StartSpan(cfg.ctx, "group")
-	err = parallel.ForEach(gctx, cfg.workers, m, func(pos int) error {
-		return groupNode(t.nodes, pos)
-	})
-	gsp.End()
-	if err != nil {
-		return nil, err
+	// Group rows by parent key, one independent task per node that
+	// cannot take its grouping from the predecessor.
+	regroup := make([]int, 0, m)
+	for pos, n := range t.nodes {
+		if old != nil && !st.Changed[pos] && (n.Parent < 0 || !st.Changed[n.Parent]) {
+			// Reused slots are filled before the fan-out so a concurrent
+			// groupNode for a sibling never reads a nil ChildGroup slot.
+			reuseGrouping(t.nodes, old.nodes, pos)
+			continue
+		}
+		regroup = append(regroup, pos)
 	}
-	return t, nil
+	st.Regrouped = len(regroup)
+	gctx := cfg.ctx
+	if old == nil {
+		var gsp *obs.Span
+		gctx, gsp = obs.StartSpan(cfg.ctx, "group")
+		defer gsp.End()
+	} else {
+		sp.SetAttr("nodes", strconv.Itoa(st.Nodes))
+		sp.SetAttr("regrouped", strconv.Itoa(st.Regrouped))
+	}
+	err = parallel.ForEach(gctx, cfg.workers, len(regroup), func(i int) error {
+		return groupNode(t.nodes, regroup[i])
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, st, nil
 }
 
 // groupNode partitions node pos's rows into candidate groups by their
@@ -307,67 +381,123 @@ func groupNode(nodes []*Node, pos int) error {
 		}
 		cg[row] = gi
 	}
-	// Locate this child's index within the parent's Children.
-	for i, c := range parent.Children {
-		if c == pos {
-			parent.ChildGroup[i] = cg
-			break
-		}
-	}
+	parent.ChildGroup[childIndex(nodes, n.Parent, pos)] = cg
 	return nil
 }
 
-// Instantiate derives the T-DP for one ranking aggregate: it copies the
-// plan's skeleton (sharing the reduced relations, groupings, and child
-// maps) and runs the bottom-up π computation. The cost is linear in the
-// reduced database — no hypergraph analysis, reduction, or hashing is
-// repeated. The plan itself is not modified, so instantiations for
-// different aggregates may proceed from one plan.
-//
-// With WithWorkers(n) the π pass is level-synchronized: the tree is
-// processed bottom-up one depth level at a time, and the nodes of a
-// level — whose π values depend only on deeper levels, already
-// finalised behind a barrier — fan out on the worker pool. Every node's
-// π array and group bests are computed by exactly one task running the
-// unchanged sequential loop, so the result is bit-identical to the
-// sequential instantiation for any worker count and any schedule.
-// WithContext makes the pass cancelable between node tasks; a canceled
-// Instantiate returns ctx.Err() and no TDP.
+// Instantiate derives the T-DP for one ranking aggregate from scratch:
+// InstantiateDelta with no predecessor.
 func (p *Plan) Instantiate(agg ranking.Aggregate, opts ...Option) (*TDP, error) {
+	t, _, err := p.InstantiateDelta(agg, nil, nil, opts...)
+	return t, err
+}
+
+// InstantiateDelta derives the T-DP for one ranking aggregate — the
+// only implementation of the π pass: it copies the plan's skeleton
+// (sharing the reduced relations, groupings, and child maps) and runs
+// the bottom-up π computation, linear in the reduced database. The plan
+// is not modified, so instantiations for different aggregates may
+// proceed from one plan. The pass is level-synchronized: the nodes of a
+// depth level — whose π values depend only on deeper levels, already
+// finalised behind a barrier — fan out on the pool, each computed by
+// exactly one task running the unchanged sequential loop.
+//
+// old is the predecessor: an instantiation, for the same aggregate, of
+// the plan p was diffed against, with changed the Changed vector of the
+// NewPlanDelta call that produced p. The pass then recomputes π only
+// from the nodes whose reduced content changed, and stops propagating
+// upward as soon as a recomputed node's per-group bests come out
+// bit-identical to the old epoch's — the parent's π inputs are then
+// provably unchanged; clean nodes share the old node wholesale. A nil
+// old means no predecessor (changed is ignored); with one, a shape
+// mismatch is an error. The int result counts the nodes whose π pass
+// ran.
+//
+// What holds for both inputs:
+//  1. Without a predecessor no comparison work is done: every level is
+//     its own work list, groupBestsDiffer is never called, and nothing
+//     is allocated beyond the nodes and their π arrays.
+//  2. The T-DP is bit-identical on both inputs: π arrays, group bests
+//     and maps.
+//  3. The span is named by the predecessor: "instantiate" without one,
+//     "instantiate-delta" (attributes recomputed, reused) with one;
+//     both carry the ranking attribute.
+//  4. The pass runs under the WithContext context, with cancellation
+//     checked between node tasks; a canceled pass returns ctx.Err() and
+//     no TDP.
+func (p *Plan) InstantiateDelta(agg ranking.Aggregate, old *TDP, changed []bool, opts ...Option) (*TDP, int, error) {
+	m := len(p.nodes)
+	name := "instantiate"
+	var bestsChanged []bool // per position, read by the parent's level
+	if old != nil {
+		if len(old.Nodes) != m || len(changed) != m {
+			return nil, 0, fmt.Errorf("dp: InstantiateDelta shape mismatch (%d plan nodes, %d old, %d changed flags)", m, len(old.Nodes), len(changed))
+		}
+		name, bestsChanged = "instantiate-delta", make([]bool, m)
+	}
 	cfg := newConfig(opts)
 	var sp *obs.Span
-	cfg.ctx, sp = obs.StartSpan(cfg.ctx, "instantiate")
+	cfg.ctx, sp = obs.StartSpan(cfg.ctx, name)
 	sp.SetAttr("ranking", agg.Name())
 	defer sp.End()
-	m := len(p.nodes)
 	t := &TDP{Agg: agg, Nodes: make([]*Node, m), OutAttrs: p.outAttrs, emits: p.emits}
-	for pos, sn := range p.nodes {
-		n := &Node{
-			Rel:        sn.Rel,
-			Parent:     sn.Parent,
-			Children:   sn.Children,
-			GroupOfRow: sn.GroupOfRow,
-			ChildGroup: sn.ChildGroup,
-			// Groups are value structs: copying the slice shares each
-			// group's Rows but gives this instantiation its own
-			// BestIdx/BestPi fields.
-			Groups: append([]Group(nil), sn.Groups...),
-		}
-		t.Nodes[pos] = n
-	}
+	recomputed := 0
 
-	// Bottom-up π computation, deepest level first (children of a node
-	// always sit exactly one level deeper, so their group bests are
-	// final when the node's level runs).
+	// Deepest level first: children of a node always sit exactly one
+	// level deeper, so their group bests are final when its level runs.
 	for li := len(p.levels) - 1; li >= 0; li-- {
-		lv := p.levels[li]
-		if err := parallel.ForEach(cfg.ctx, cfg.workers, len(lv), func(i int) error {
-			return instantiateNode(t, agg, lv[i])
-		}); err != nil {
-			return nil, err
+		work := p.levels[li]
+		if old != nil {
+			work = nil
+			for _, pos := range p.levels[li] {
+				stale := changed[pos]
+				for _, c := range p.nodes[pos].Children {
+					stale = stale || bestsChanged[c]
+				}
+				if stale {
+					work = append(work, pos)
+				} else {
+					// Clean subtree: the old node (π array, bests, maps) is
+					// immutable after its build and identical to what a
+					// recompute would produce — share it wholesale.
+					t.Nodes[pos] = old.Nodes[pos]
+				}
+			}
+		}
+		for _, pos := range work {
+			sn := p.nodes[pos]
+			t.Nodes[pos] = &Node{
+				Rel:        sn.Rel,
+				Parent:     sn.Parent,
+				Children:   sn.Children,
+				GroupOfRow: sn.GroupOfRow,
+				ChildGroup: sn.ChildGroup,
+				// Groups are value structs: copying the slice shares each
+				// group's Rows but gives this instantiation its own
+				// BestIdx/BestPi fields.
+				Groups: append([]Group(nil), sn.Groups...),
+			}
+		}
+		recomputed += len(work)
+		err := parallel.ForEach(cfg.ctx, cfg.workers, len(work), func(i int) error {
+			pos := work[i]
+			if err := instantiateNode(t, agg, pos); err != nil {
+				return err
+			}
+			if old != nil {
+				bestsChanged[pos] = groupBestsDiffer(t.Nodes[pos], old.Nodes[pos], changed[pos])
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, 0, err
 		}
 	}
-	return t, nil
+	if old != nil {
+		sp.SetAttr("recomputed", strconv.Itoa(recomputed))
+		sp.SetAttr("reused", strconv.Itoa(m-recomputed))
+	}
+	return t, recomputed, nil
 }
 
 // instantiateNode computes node pos's π array and per-group bests. It
@@ -432,8 +562,10 @@ func (t *TDP) GroupFor(pos int, rows []int32) int32 {
 }
 
 // ChildIndex returns the position of child c within parent p's Children.
-func (t *TDP) ChildIndex(p, c int) int {
-	for i, cc := range t.Nodes[p].Children {
+func (t *TDP) ChildIndex(p, c int) int { return childIndex(t.Nodes, p, c) }
+
+func childIndex(nodes []*Node, p, c int) int {
+	for i, cc := range nodes[p].Children {
 		if cc == c {
 			return i
 		}

@@ -6,8 +6,32 @@ import (
 	"testing"
 
 	"repro/internal/hypergraph"
+	"repro/internal/join"
 	"repro/internal/relation"
 )
+
+// textbookReduce is the reference the package's one reducer is checked
+// against: the two semi-join sweeps of the full reducer written as two
+// plain loops over the tree's DFS preorder, with no levels, workers or
+// predecessor.
+func textbookReduce(q *Query) *Reduction {
+	bu := make([]*relation.Relation, len(q.Rels))
+	order := q.Tree.Order
+	for oi := len(order) - 1; oi >= 0; oi-- {
+		u := order[oi]
+		bu[u] = q.queryRel(u)
+		for _, c := range q.Tree.Children[u] {
+			bu[u] = join.SemiJoin(bu[u], bu[c])
+		}
+	}
+	fin := append([]*relation.Relation(nil), bu...)
+	for _, u := range order {
+		if p := q.Tree.Parent[u]; p >= 0 {
+			fin[u] = join.SemiJoin(bu[u], fin[p])
+		}
+	}
+	return &Reduction{BottomUp: bu, Final: fin}
+}
 
 // applyBatch returns rels with a delta applied to relation i: drop
 // rows whose index is in del, then append app rows. The original
@@ -31,10 +55,11 @@ func applyBatch(rels []*relation.Relation, i int, del map[int]bool, app [][2]rel
 }
 
 // TestReduceDeltaMatchesReduceKeep drives random append/delete batches
-// through ReduceDelta and asserts the result is element-wise
-// content-identical to a cold ReduceKeep on the updated relations —
-// including danglers that a batch revives or kills — on path and star
-// trees, sequentially and on a worker pool.
+// through ReduceDelta and asserts that both of its inputs — the old
+// epoch as predecessor, and no predecessor (ReduceKeep) — come out
+// element-wise content-identical to the textbook reducer on the updated
+// relations, including danglers that a batch revives or kills, on path
+// and star trees, sequentially and on a worker pool.
 func TestReduceDeltaMatchesReduceKeep(t *testing.T) {
 	ctx := context.Background()
 	shapes := []struct {
@@ -79,16 +104,20 @@ func TestReduceDeltaMatchesReduceKeep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := q.ReduceKeep(ctx, workers)
+				cold, coldDirty, err := q.ReduceDelta(ctx, workers, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
+				want := textbookReduce(q)
 				for u := 0; u < l; u++ {
+					if !sameContent(cold.BottomUp[u], want.BottomUp[u]) || !sameContent(cold.Final[u], want.Final[u]) || !coldDirty[u] {
+						t.Fatalf("%s workers=%d step %d: reduction of node %d from no predecessor differs from the textbook reducer", sh.name, workers, step, u)
+					}
 					if !sameContent(got.BottomUp[u], want.BottomUp[u]) {
-						t.Fatalf("%s workers=%d step %d: bottom-up relation %d differs from cold reduce", sh.name, workers, step, u)
+						t.Fatalf("%s workers=%d step %d: bottom-up relation %d differs from the textbook reducer", sh.name, workers, step, u)
 					}
 					if !sameContent(got.Final[u], want.Final[u]) {
-						t.Fatalf("%s workers=%d step %d: final relation %d differs from cold reduce", sh.name, workers, step, u)
+						t.Fatalf("%s workers=%d step %d: final relation %d differs from the textbook reducer", sh.name, workers, step, u)
 					}
 					if !dirty[u] && got.Final[u] != old.Final[u] {
 						t.Fatalf("%s workers=%d step %d: clean node %d does not alias the old epoch", sh.name, workers, step, u)
@@ -128,13 +157,10 @@ func TestReduceDeltaStopsCleanPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := q.ReduceKeep(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := textbookReduce(q)
 	for u := 0; u < 4; u++ {
 		if !sameContent(got.Final[u], want.Final[u]) {
-			t.Fatalf("final relation %d differs from cold reduce", u)
+			t.Fatalf("final relation %d differs from the textbook reducer", u)
 		}
 		if u == 0 {
 			// Node 0's own final may keep the dangler (root) or shed it

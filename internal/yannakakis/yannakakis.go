@@ -6,6 +6,12 @@
 // The full reducer leaves the database globally consistent: every tuple
 // that survives participates in at least one result, so the join phase
 // never generates dangling intermediate tuples.
+//
+// The reducer has one implementation, ReduceDelta, which takes an
+// optional predecessor: given the previous epoch's Reduction and the
+// set of changed base relations it redoes only the semi-joins a delta
+// reached; given none it is the full reducer. ReduceKeep, FullReduceWith
+// and FullReduce are that function with no predecessor.
 package yannakakis
 
 import (
@@ -14,7 +20,6 @@ import (
 
 	"repro/internal/hypergraph"
 	"repro/internal/join"
-	"repro/internal/parallel"
 	"repro/internal/ranking"
 	"repro/internal/relation"
 )
@@ -74,51 +79,15 @@ func (q *Query) FullReduce() []*relation.Relation {
 	return red
 }
 
-// FullReduceWith is FullReduce on a bounded worker pool: each semi-join
-// sweep processes the tree one depth level at a time, and the nodes of a
-// level — which are pairwise unrelated, so each reads only relations
-// finalised by an earlier level and writes only its own slot — fan out
-// on at most workers goroutines. The reduced relations are identical to
-// the sequential ones for any worker count (each node's semi-join chain
-// runs unchanged; only the interleaving across nodes varies).
-// Cancellation is checked between nodes; a canceled reduction returns
-// ctx.Err() and no relations.
+// FullReduceWith is FullReduce on a bounded worker pool and under a
+// context: the Final relations of ReduceKeep, which documents the
+// sweeps, their parallelism and their cancellation.
 func (q *Query) FullReduceWith(ctx context.Context, workers int) ([]*relation.Relation, error) {
-	n := len(q.Rels)
-	red := make([]*relation.Relation, n)
-	for i := 0; i < n; i++ {
-		red[i] = q.queryRel(i)
+	red, err := q.ReduceKeep(ctx, workers)
+	if err != nil {
+		return nil, err
 	}
-	levels := q.Tree.Levels()
-	// Bottom-up pass: children reduce parents (deepest level first so
-	// every node's children have already been processed).
-	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
-		err := parallel.ForEach(ctx, workers, len(lv), func(i int) error {
-			u := lv[i]
-			for _, c := range q.Tree.Children[u] {
-				red[u] = join.SemiJoin(red[u], red[c])
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Top-down pass: parents reduce children (root level first).
-	for _, lv := range levels {
-		err := parallel.ForEach(ctx, workers, len(lv), func(i int) error {
-			u := lv[i]
-			if p := q.Tree.Parent[u]; p >= 0 {
-				red[u] = join.SemiJoin(red[u], red[p])
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return red, nil
+	return red.Final, nil
 }
 
 // Evaluate computes the full join result with the Yannakakis algorithm:

@@ -289,28 +289,20 @@ func (c *onceCache[V]) built() map[ranking.Aggregate]V {
 // either path deterministically.
 var prepareParallelThreshold = 8192
 
-// resolveWorkers picks the prepare parallelism for one build:
-// an explicit WithParallelism (set on the Run, else on Compile) always
+// prepareWorkers picks the prepare parallelism for one build: an
+// explicit WithParallelism (on the call in cfg, else on Compile) always
 // wins; otherwise the size threshold decides between GOMAXPROCS and
 // sequential.
-func resolveWorkers(set bool, workers, estTuples int) int {
-	if set {
-		return workers
-	}
-	if estTuples >= prepareParallelThreshold {
+func (p *Prepared) prepareWorkers(cfg runConfig, estTuples int) int {
+	switch {
+	case cfg.workersSet:
+		return cfg.workers
+	case p.workersSet:
+		return p.workers
+	case estTuples >= prepareParallelThreshold:
 		return parallel.Degree(0)
 	}
 	return 1
-}
-
-// prepareWorkers resolves the worker count for a build triggered by a
-// Run with config cfg, layering the per-run override over the handle
-// default over the size threshold.
-func (p *Prepared) prepareWorkers(cfg runConfig, estTuples int) int {
-	if cfg.workersSet {
-		return cfg.workers
-	}
-	return resolveWorkers(p.workersSet, p.workers, estTuples)
 }
 
 // Compile analyses and plans the query once, returning a reusable
@@ -339,7 +331,8 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	if len(q.rels) == 0 {
 		return nil, fmt.Errorf("repro: empty query")
 	}
-	cfg := runConfig{}
+	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
+	cfg := runConfig{ctx: context.Background()}
 	for _, o := range opts {
 		o.applyCompile(&cfg)
 	}
@@ -353,10 +346,6 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	var compileSpan *obs.Span
 	cfg.ctx, compileSpan = obs.StartSpan(cfg.ctx, "compile")
 	defer compileSpan.End()
-	inputTuples := 0
-	for _, r := range q.rels {
-		inputTuples += r.Len()
-	}
 	h := hypergraph.New(q.edges...)
 	// Resolve the cost model: an explicit WithCostModel wins;
 	// WithStatistics(nil) disables cost-based planning entirely;
@@ -369,136 +358,157 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 		cm = catalog.NewCostModel(q.edges, q.rels, cfg.cat)
 	}
 	cmSpan.End()
-	estOutput := 0.0
-	var hints wcoj.SkewHints
+	p := &Prepared{
+		fp:         fp,
+		srcEdges:   q.edges,
+		workers:    cfg.workers,
+		workersSet: cfg.workersSet,
+		costBased:  cm != nil,
+	}
 	if cm != nil {
-		estOutput = cm.EstimateOutput()
-		hints = cm.HeavyValues
+		p.estOutput = cm.EstimateOutput()
+		p.hints = cm.HeavyValues
 	}
 	if h.IsAcyclic() {
 		compileSpan.SetAttr("kind", "acyclic")
-		yq, err := yannakakis.NewQuery(h, q.rels)
-		if err != nil {
-			return nil, err
-		}
-		// The plan build itself (semi-join sweeps + grouping) runs at the
-		// same parallelism a first Run would, estimated from the input
-		// size (the reduced size is not known yet), and under the
-		// caller's context if one was supplied.
-		buildOpts := []dp.Option{dp.WithWorkers(resolveWorkers(cfg.workersSet, cfg.workers, inputTuples))}
-		if cfg.ctx != nil {
-			buildOpts = append(buildOpts, dp.WithContext(cfg.ctx))
-		}
-		plan, err := dp.NewPlan(yq, buildOpts...)
-		if err != nil {
-			return nil, err
-		}
-		p := &Prepared{
-			outAttrs:   plan.OutAttrs(),
-			kind:       kindAcyclic,
-			fp:         fp,
-			srcEdges:   q.edges,
-			hints:      hints,
-			workers:    cfg.workers,
-			workersSet: cfg.workersSet,
-			costBased:  cm != nil,
-			estOutput:  estOutput,
-		}
-		p.state.Store(&planState{
-			epoch:     1,
-			srcRels:   q.rels,
-			yq:        yq,
-			plan:      plan,
-			solutions: plan.NumSolutions(),
-			// Instantiate passes run over the reduced plan, so the
-			// threshold consults the post-reduction size.
-			estTuples: plan.TotalTuples(),
-		})
-		return p, nil
-	}
-	if l, rels, ok := q.matchCycle(); ok {
+		p.kind = kindAcyclic
+	} else if order, flip, ok := q.matchCycleShape(); ok {
 		compileSpan.SetAttr("kind", "cycle")
 		// The engine enumerates the canonical cycle positions; the handle
 		// labels them with the user's variables in walk order (the same
 		// schema Query.OutAttrs reports).
-		order, flip, _ := q.matchCycleShape()
-		p := &Prepared{
-			fp:         fp,
-			outAttrs:   cycleWalkVars(q.edges, order, flip),
-			cycleOrder: order,
-			cycleFlip:  flip,
-			srcEdges:   q.edges,
-			hints:      hints,
-			workers:    cfg.workers,
-			workersSet: cfg.workersSet,
-			costBased:  cm != nil,
-			estOutput:  estOutput,
-		}
-		switch l {
+		p.outAttrs = cycleWalkVars(q.edges, order, flip)
+		p.cycleOrder, p.cycleFlip = order, flip
+		switch len(order) {
 		case 3:
 			p.kind = kindTriangle
 			if cm != nil {
 				// The triangle plan is a single bag holding the full
 				// output, so the output estimate doubles as its bag
 				// estimate.
-				p.estBags = []float64{estOutput}
+				p.estBags = []float64{p.estOutput}
 			}
 		case 4:
 			p.kind = kindFourCycle
 		default:
 			p.kind = kindLongCycle
 		}
-		p.state.Store(&planState{
-			epoch:     1,
-			srcRels:   q.rels,
-			cycleRels: rels,
-			solutions: -1,
-			estTuples: inputTuples,
-		})
-		return p, nil
-	}
-	// Arbitrary cyclic shape: search for a generalized hypertree
-	// decomposition now (structure only — bags materialise lazily per
-	// ranking function on first Run). With a cost model the search ranks
-	// candidates by estimated materialisation cost instead of the purely
-	// structural width criteria. The explicit nil-check matters: an
-	// interface holding a typed nil would not reproduce the structural
-	// path.
-	compileSpan.SetAttr("kind", "ghd")
-	var dec *hypergraph.Decomposition
-	_, decSpan := obs.StartSpan(cfg.ctx, "decompose")
-	if cm != nil {
-		dec, err = h.DecomposeCosted(cm)
 	} else {
-		dec, err = h.Decompose()
+		// Arbitrary cyclic shape: search for a generalized hypertree
+		// decomposition now (structure only — bags materialise lazily per
+		// ranking function on first Run). With a cost model the search
+		// ranks candidates by estimated materialisation cost instead of
+		// the purely structural width criteria. The explicit nil-check
+		// matters: an interface holding a typed nil would not reproduce
+		// the structural path.
+		compileSpan.SetAttr("kind", "ghd")
+		var dec *hypergraph.Decomposition
+		_, decSpan := obs.StartSpan(cfg.ctx, "decompose")
+		if cm != nil {
+			dec, err = h.DecomposeCosted(cm)
+		} else {
+			dec, err = h.Decompose()
+		}
+		decSpan.End()
+		if err != nil {
+			return nil, fmt.Errorf("repro: cyclic query %s: %w", h, err)
+		}
+		if decSpan != nil {
+			decSpan.SetAttr("decomposition", dec.String())
+		}
+		p.kind = kindGeneric
+		p.outAttrs = decomp.GHDAttrs(q.edges)
+		p.ghdDec = dec
+		p.estBags = dec.EstBagSizes
 	}
-	decSpan.End()
+	// The first epoch is a delta from nothing.
+	st, _, err := p.buildState(cfg, nil, q.rels, nil)
 	if err != nil {
-		return nil, fmt.Errorf("repro: cyclic query %s: %w", h, err)
+		return nil, err
 	}
-	if decSpan != nil {
-		decSpan.SetAttr("decomposition", dec.String())
+	if p.kind == kindAcyclic {
+		p.outAttrs = st.plan.OutAttrs()
 	}
-	p := &Prepared{
-		outAttrs:   decomp.GHDAttrs(q.edges),
-		kind:       kindGeneric,
-		fp:         fp,
-		ghdDec:     dec,
-		srcEdges:   q.edges,
-		hints:      hints,
-		workers:    cfg.workers,
-		workersSet: cfg.workersSet,
-		costBased:  cm != nil,
-		estOutput:  estOutput,
-		estBags:    dec.EstBagSizes,
-	}
-	p.state.Store(&planState{
-		epoch:     1,
-		srcRels:   q.rels,
-		solutions: -1,
-		estTuples: inputTuples,
-	})
+	p.state.Store(st)
 	return p, nil
+}
+
+// deltaCounts sums what one buildState reused and redid, in the units
+// PlanStats reports: decomposition bags and join-tree nodes.
+type deltaCounts struct {
+	bagsReused, bagsRebuilt, nodesReused, nodesRecomputed int64
+}
+
+// buildState builds one epoch of prepared state over rels — the only
+// place a planState is constructed. old is the predecessor epoch (nil
+// at Compile) and changed flags, per atom, the relations that differ
+// from old's. The acyclic plan is built at the parallelism a first Run
+// would use, estimated from the input size (the reduced size is not
+// known yet), and under cfg.ctx. Every ranking built on old is rebuilt
+// from its old artefact and seeded into the new state, so warm rankings
+// stay warm; with no predecessor there are none, and the per-ranking
+// artefacts build lazily on first Run (tdpFor, decompFor).
+func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Relation, changed []bool) (*planState, deltaCounts, error) {
+	var n deltaCounts
+	inputTuples := 0
+	for _, r := range rels {
+		inputTuples += r.Len()
+	}
+	st := &planState{epoch: 1, srcRels: rels, solutions: -1, estTuples: inputTuples}
+	if old != nil {
+		st.epoch = old.epoch + 1
+	}
+	workers := p.prepareWorkers(cfg, inputTuples)
+	if p.kind == kindAcyclic {
+		yq, err := yannakakis.NewQuery(hypergraph.New(p.srcEdges...), rels)
+		if err != nil {
+			return nil, n, err
+		}
+		dpOpts := []dp.Option{dp.WithContext(cfg.ctx), dp.WithWorkers(workers)}
+		var oldPlan *dp.Plan
+		if old != nil {
+			oldPlan = old.plan
+		}
+		plan, dst, err := dp.NewPlanDelta(yq, oldPlan, changed, dpOpts...)
+		if err != nil {
+			return nil, n, err
+		}
+		st.yq, st.plan = yq, plan
+		st.solutions = plan.NumSolutions()
+		// Instantiate passes run over the reduced plan, so the threshold
+		// consults the post-reduction size.
+		st.estTuples = plan.TotalTuples()
+		n.nodesReused += int64(dst.Nodes - dst.Regrouped)
+		if old != nil {
+			for agg, oldT := range old.tdps.built() {
+				t, rec, err := plan.InstantiateDelta(agg, oldT, dst.Changed, dpOpts...)
+				if err != nil {
+					return nil, n, err
+				}
+				st.tdps.seed(agg, t)
+				n.nodesRecomputed += int64(rec)
+				n.nodesReused += int64(dst.Nodes - rec)
+			}
+		}
+		return st, n, nil
+	}
+	if p.kind != kindGeneric {
+		st.cycleRels = cycleRelsFor(rels, p.cycleOrder, p.cycleFlip)
+	}
+	if old != nil {
+		for agg, oldD := range old.decomps.built() {
+			d, ds, err := p.buildDecomp(st, agg, oldD, changed, cfg.ctx, workers)
+			if err != nil {
+				return nil, n, err
+			}
+			st.decomps.seed(agg, d)
+			n.bagsRebuilt += int64(ds.BagsRebuilt)
+			n.bagsReused += int64(ds.Bags - ds.BagsRebuilt)
+			n.nodesRecomputed += int64(ds.TreeRecomputed)
+			n.nodesReused += int64(ds.TreeNodes - ds.TreeRecomputed)
+		}
+	}
+	return st, n, nil
 }
 
 // Prepare is Compile as a method on the query builder.
@@ -830,16 +840,30 @@ func WithSeed(seed uint64) RunOption {
 	}
 }
 
+// newRunConfig finalises the options of one Run, Sample or ApplyDelta:
+// the documented defaults, then the caller's options, then the one
+// check every entry point shares.
+func newRunConfig(opts []RunOption) (runConfig, error) {
+	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
+	cfg := runConfig{agg: SumCost, variant: Lazy, ctx: context.Background()}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.agg == nil {
+		return cfg, errors.New("repro: nil ranking function")
+	}
+	return cfg, nil
+}
+
 // Run executes the compiled plan and returns a ranked iterator. Always
 // Close the iterator (idempotent) and check Err after Next reports
 // false. Concurrent Runs on one handle are safe and share the cached
 // per-ranking plan. A Run concurrent with ApplyDelta enumerates either
 // entirely the old or entirely the new epoch.
 func (p *Prepared) Run(opts ...RunOption) (Iterator, error) {
-	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
-	cfg := runConfig{agg: SumCost, variant: Lazy, ctx: context.Background()}
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := newRunConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	st := p.state.Load()
 	// The prepare span covers the first-run physical build (instantiate
@@ -936,6 +960,9 @@ func (p *Prepared) TopK(k int, opts ...RunOption) ([]Result, error) {
 // full cardinality.
 func (p *Prepared) Count(opts ...RunOption) (int, error) {
 	if p.kind == kindAcyclic {
+		if _, err := newRunConfig(opts); err != nil {
+			return 0, err
+		}
 		return p.state.Load().solutions, nil
 	}
 	it, err := p.Run(append(append([]RunOption(nil), opts...), WithK(0))...)
@@ -956,6 +983,9 @@ func (p *Prepared) Count(opts ...RunOption) (int, error) {
 // with early termination.
 func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
 	if p.kind == kindAcyclic {
+		if _, err := newRunConfig(opts); err != nil {
+			return false, err
+		}
 		return p.state.Load().plan.Empty(), nil
 	}
 	it, err := p.Run(opts...)
@@ -995,46 +1025,60 @@ func (p *Prepared) tdpFor(st *planState, agg ranking.Aggregate, ctx context.Cont
 // on which Run won the build.
 func (p *Prepared) decompFor(st *planState, agg ranking.Aggregate, ctx context.Context, workers int) (*decomp.Plan, error) {
 	return st.decomps.get(ctx, agg, func(a ranking.Aggregate) (*decomp.Plan, error) {
-		return p.buildDecomp(st, a, ctx, workers)
+		d, _, err := p.buildDecomp(st, a, nil, nil, ctx, workers)
+		return d, err
 	})
 }
 
-// decompOpts assembles the PrepareOptions every decomposition build of
-// this handle uses (cold and delta alike).
-func (p *Prepared) decompOpts(ctx context.Context, workers int) []decomp.PrepareOption {
+// buildDecomp builds the decomposition plan of epoch st under agg. old
+// is the plan the previous epoch held for agg (nil: none) and changed
+// flags the atoms that differ since. Only GHD plans patch from old
+// (decomp.PrepareGHDDelta); the canonical cycle plans re-prepare — see
+// ApplyDelta for why — and, like any build without a predecessor,
+// report every bag rebuilt.
+func (p *Prepared) buildDecomp(st *planState, agg ranking.Aggregate, old *decomp.Plan, changed []bool, ctx context.Context, workers int) (*decomp.Plan, decomp.DeltaStats, error) {
 	opts := []decomp.PrepareOption{decomp.WithWorkers(workers), decomp.WithContext(ctx)}
 	if p.hints != nil {
 		// Catalog heavy hitters guide the intra-bag heavy/light split;
 		// every shape benefits, and results stay bit-identical.
 		opts = append(opts, decomp.WithSkewHints(p.hints))
 	}
-	if p.costBased && p.kind == kindGeneric {
-		// Cost-based compilations also pick each GHD bag's Generic-Join
-		// variable order from statistics over the bag's actual atoms.
-		// Only the generic planner takes the chooser: the canonical
-		// triangle/4-cycle/fan plans hardwire orders their tests and
-		// golden files pin.
-		opts = append(opts, decomp.WithOrderChooser(catalog.ChooseOrder))
-	}
-	return opts
-}
-
-func (p *Prepared) buildDecomp(st *planState, agg ranking.Aggregate, ctx context.Context, workers int) (*decomp.Plan, error) {
-	opts := p.decompOpts(ctx, workers)
+	var d *decomp.Plan
+	var ds *decomp.DeltaStats
+	var err error
 	switch p.kind {
 	case kindTriangle:
-		var three [3]*relation.Relation
-		copy(three[:], st.cycleRels)
-		return decomp.PrepareTriangle(three, agg, opts...)
+		d, err = decomp.PrepareTriangle([3]*relation.Relation(st.cycleRels), agg, opts...)
 	case kindFourCycle:
-		var four [4]*relation.Relation
-		copy(four[:], st.cycleRels)
-		return decomp.PrepareFourCycleSubmodular(four, agg, opts...)
-	case kindGeneric:
-		return decomp.PrepareGHDWith(p.ghdDec, p.srcEdges, st.srcRels, agg, opts...)
+		d, err = decomp.PrepareFourCycleSubmodular([4]*relation.Relation(st.cycleRels), agg, opts...)
+	case kindLongCycle:
+		d, err = decomp.PrepareCycleSingleTree(st.cycleRels, agg, opts...)
 	default:
-		return decomp.PrepareCycleSingleTree(st.cycleRels, agg, opts...)
+		if p.costBased {
+			// Cost-based compilations also pick each GHD bag's Generic-Join
+			// variable order from statistics over the bag's actual atoms.
+			// Only the generic planner takes the chooser: the canonical
+			// triangle/4-cycle/fan plans hardwire orders their tests and
+			// golden files pin.
+			opts = append(opts, decomp.WithOrderChooser(catalog.ChooseOrder))
+		}
+		if old != nil {
+			d, ds, err = decomp.PrepareGHDDelta(old, p.srcEdges, st.srcRels, agg, changed, opts...)
+		} else {
+			d, err = decomp.PrepareGHDWith(p.ghdDec, p.srcEdges, st.srcRels, agg, opts...)
+		}
 	}
+	if err != nil {
+		return nil, decomp.DeltaStats{}, err
+	}
+	if ds == nil {
+		ds = &decomp.DeltaStats{}
+		for _, tree := range d.Stats.BagSizes {
+			ds.Bags += len(tree)
+		}
+		ds.BagsRebuilt = ds.Bags
+	}
+	return d, *ds, nil
 }
 
 // ErrTrialBudget reports that Sample's rejection walk ran out of trials
@@ -1109,10 +1153,9 @@ func (p *Prepared) samplerFor(st *planState) (*sample.Sampler, []int, error) {
 // budget first: the samples drawn so far return with
 // sample.ErrTrialBudget, and an empty join yields zero samples.
 func (p *Prepared) Sample(n int, opts ...RunOption) ([]Result, error) {
-	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
-	cfg := runConfig{agg: SumCost, ctx: context.Background()}
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := newRunConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	st := p.state.Load()
 	s, perm, err := p.samplerFor(st)

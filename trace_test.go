@@ -130,6 +130,37 @@ func TestTraceSpansCyclic(t *testing.T) {
 	if m := findSpan(j.Spans, "materialize"); m.Attrs["bag"] == "" {
 		t.Errorf("materialize span missing bag label: %+v", m)
 	}
+
+	// A 4-cycle: its bags are hash joins and its three bag trees are
+	// built by the T-DP layer, all under the run's prepare span.
+	ctx, tr = obs.NewTrace(context.Background(), obs.NewID(), time.Now())
+	q = NewQuery().
+		Rel("R", []string{"A", "B"}, e, w).
+		Rel("S", []string{"B", "C"}, e, w).
+		Rel("T", []string{"C", "D"}, e, w).
+		Rel("U", []string{"D", "A"}, e, w)
+	p, err = Compile(q, WithContext(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.TopK(3, WithContext(ctx)); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish(time.Now())
+	prep := findSpan(tr.Snapshot().Spans, "prepare")
+	if prep == nil {
+		t.Fatal("no prepare span in the 4-cycle trace")
+	}
+	names = map[string]int{}
+	collectNames(prep.Children, names)
+	for _, want := range []string{"materialize", "plan-build", "reduce", "group", "instantiate"} {
+		if names[want] == 0 {
+			t.Errorf("missing span %q under prepare in the 4-cycle trace (got %v)", want, names)
+		}
+	}
+	if m := findSpan(prep.Children, "materialize"); m != nil && (m.Attrs["bag"] == "" || m.Attrs["rows"] == "") {
+		t.Errorf("4-cycle materialize span missing bag/rows attributes: %+v", m)
+	}
 }
 
 func TestTraceSpansDelta(t *testing.T) {
