@@ -47,8 +47,9 @@
 // min-fill greedy orders for larger ones, scored by the maximum
 // fractional edge cover over the bags), each bag is materialised with
 // Generic-Join, and the acyclic bag tree feeds the same any-k
-// machinery. See internal/hypergraph.Decompose and internal/decomp
-// PrepareGHDWith for the width heuristics and per-bag weight charging.
+// machinery. See internal/hypergraph.Decompose for the width heuristics
+// and internal/decomp for the one preparer every cyclic shape — the
+// canonical cycles included — goes through, and its weight charging.
 //
 // Execution is observable per phase: when the context passed via
 // WithContext carries an internal/obs trace recorder (the serving
@@ -204,28 +205,10 @@ func (q *Query) OutAttrs() ([]string, error) {
 		}
 		return attrs, nil
 	}
-	if order, flip, ok := q.matchCycleShape(); ok {
-		return cycleWalkVars(q.edges, order, flip), nil
+	if _, walk, ok := q.matchCycleShape(); ok {
+		return walk, nil
 	}
 	return decomp.GHDAttrs(q.edges), nil
-}
-
-// cycleWalkVars names the canonical cycle output positions A0..A_{l-1}
-// with the query's own variables in walk order: position i is the
-// source variable of the i-th edge along the walk matchCycleShape
-// found, which is exactly the column the cycle decompositions emit
-// there — so iterators stream tuples labeled with the user's names
-// instead of the engine's canonical placeholders.
-func cycleWalkVars(edges []hypergraph.Edge, order []int, flip []bool) []string {
-	out := make([]string, len(order))
-	for i, ei := range order {
-		if flip[i] {
-			out[i] = edges[ei].Vars[1]
-		} else {
-			out[i] = edges[ei].Vars[0]
-		}
-	}
-	return out
 }
 
 // Fingerprint returns a stable identifier of the query's *shape*: a
@@ -298,9 +281,11 @@ func (q *Query) TopK(agg ranking.Aggregate, v Variant, k int) ([]Result, error) 
 // the l-cycle R1(A0,A1), ..., Rl(A_{l-1},A0) with edges in *either*
 // orientation. It walks the query structure only (so OutAttrs stays
 // cheap on large relations) and reports the edge order around the cycle
-// plus which edges oppose the walk direction; cycleRelsFor derives the
-// canonically oriented relations from them.
-func (q *Query) matchCycleShape() (order []int, flip []bool, ok bool) {
+// plus the query's variables in walk order, starting from the first
+// declared atom's first variable: walk[i] is the variable order[i] is
+// entered through — the cycle's output schema, labeled with the user's
+// names instead of the engine's canonical placeholders.
+func (q *Query) matchCycleShape() (order []int, walk []string, ok bool) {
 	l := len(q.edges)
 	if l < 3 {
 		return nil, nil, false
@@ -326,25 +311,17 @@ func (q *Query) matchCycleShape() (order []int, flip []bool, ok bool) {
 		}
 	}
 	// Walk the cycle undirected: start at edge 0 as declared, then at
-	// each step take the unused edge containing the current variable,
-	// flipping it when its columns oppose the walk direction.
+	// each step take the unused edge containing the current variable and
+	// leave it through its other one, whichever way round it was declared.
 	used := make([]bool, l)
-	order = []int{0}
-	flip = []bool{false}
+	order, walk = []int{0}, []string{q.edges[0].Vars[0]}
 	used[0] = true
 	cur := q.edges[0].Vars[1]
 	for len(order) < l {
-		found, flipped := -1, false
+		found := -1
 		for i, e := range q.edges {
-			if used[i] {
-				continue
-			}
-			if e.Vars[0] == cur {
-				found, flipped = i, false
-				break
-			}
-			if e.Vars[1] == cur {
-				found, flipped = i, true
+			if !used[i] && (e.Vars[0] == cur || e.Vars[1] == cur) {
+				found = i
 				break
 			}
 		}
@@ -352,30 +329,17 @@ func (q *Query) matchCycleShape() (order []int, flip []bool, ok bool) {
 			return nil, nil, false
 		}
 		used[found] = true
-		order = append(order, found)
-		flip = append(flip, flipped)
-		if flipped {
-			cur = q.edges[found].Vars[0]
+		order, walk = append(order, found), append(walk, cur)
+		if e := q.edges[found]; e.Vars[0] == cur {
+			cur = e.Vars[1]
 		} else {
-			cur = q.edges[found].Vars[1]
+			cur = e.Vars[0]
 		}
 	}
 	if cur != q.edges[0].Vars[0] {
 		return nil, nil, false
 	}
-	return order, flip, true
-}
-
-// flipBinary returns a copy of the binary relation with its two columns
-// (and attribute names) swapped.
-func flipBinary(r *relation.Relation) *relation.Relation {
-	out := relation.New(r.Name, r.Attrs[1], r.Attrs[0])
-	out.Tuples = make([]relation.Tuple, len(r.Tuples))
-	out.Weights = append([]float64(nil), r.Weights...)
-	for i, t := range r.Tuples {
-		out.Tuples[i] = relation.Tuple{t[1], t[0]}
-	}
-	return out
+	return order, walk, true
 }
 
 // Count returns the number of join results without materialising them.

@@ -35,18 +35,17 @@ type Delta struct {
 // current epoch as its predecessor: the acyclic join tree re-runs
 // semi-joins, regrouping, and π recomputation only along the paths the
 // delta actually reached (clean subtrees alias the old epoch's reduced
-// relations outright), and GHD plans re-materialise only bags with a
-// changed input. The canonical triangle / 4-cycle / fan plans rebuild
-// every bag and keep no memo: not every bag reads every relation (the
-// fan's middle bags and the 4-cycle's W1/W2 do not), but reusing one
-// would mean retaining each bag as materialised, before the bag tree's
-// reduction — the reducer copies rows and weights, so today only
-// unreduced leaf bags stay reachable — about 4 MB on a resident 4-cycle
-// of 1.3·10⁵ bag tuples, for a delta no serving workload sends. Every
-// ranking function that was already built stays built — its patched
-// artefact is seeded into the new epoch — so warm callers never see a
-// cold prepare after a delta. Results after ApplyDelta are
-// bit-identical to a cold Compile on the updated data.
+// relations outright), and searched GHD plans re-materialise only the
+// bags with a changed input (a one-bag GHD: its one bag). The canonical
+// triangle / 4-cycle / fan shapes keep no memo and rebuild every bag —
+// the policy is decomp.Shape's, and so is the number behind it: what a
+// memo would retain (each bag as materialised, before the bag tree's
+// reduction copies the surviving rows) is about 2.4·10⁶ tuples, ~150 MB,
+// on the benchmark's resident 5- and 6-cycles, for a delta no serving
+// workload sends. Every ranking function that was already built stays
+// built — its patched artefact is seeded into the new epoch — so warm
+// callers never see a cold prepare after a delta. Results after
+// ApplyDelta are bit-identical to a cold Compile on the updated data.
 //
 // Honors WithContext and WithParallelism for the patch work; other run
 // options are ignored. On error nothing changes: the handle keeps
@@ -183,20 +182,4 @@ func tupleKey(t relation.Tuple) string {
 		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
 	}
 	return string(b)
-}
-
-// cycleRelsFor re-derives the canonical walk-ordered (and, where the
-// declaration runs against the walk, column-flipped) cycle relations
-// from an epoch's data, given the walk matchCycleShape found at Compile
-// time.
-func cycleRelsFor(rels []*relation.Relation, order []int, flip []bool) []*relation.Relation {
-	out := make([]*relation.Relation, len(order))
-	for i, ei := range order {
-		if flip[i] {
-			out[i] = flipBinary(rels[ei])
-		} else {
-			out[i] = rels[ei]
-		}
-	}
-	return out
 }

@@ -132,33 +132,33 @@ func TestGHDFacadeParity(t *testing.T) {
 func TestMatchCycleFlippedOrientation(t *testing.T) {
 	cases := map[string]struct {
 		atoms []atomSpec
-		kind  queryKind
+		kind  string
 	}{
 		"triangle-one-flip": {
 			atoms: []atomSpec{
 				{"R1", []string{"A", "B"}}, {"R2", []string{"C", "B"}}, {"R3", []string{"C", "A"}},
 			},
-			kind: kindTriangle,
+			kind: "triangle",
 		},
 		"triangle-all-flipped": {
 			atoms: []atomSpec{
 				{"R1", []string{"B", "A"}}, {"R2", []string{"C", "B"}}, {"R3", []string{"A", "C"}},
 			},
-			kind: kindTriangle,
+			kind: "triangle",
 		},
 		"four-cycle-flip": {
 			atoms: []atomSpec{
 				{"R1", []string{"A", "B"}}, {"R2", []string{"C", "B"}},
 				{"R3", []string{"C", "D"}}, {"R4", []string{"D", "A"}},
 			},
-			kind: kindFourCycle,
+			kind: "four-cycle",
 		},
 		"five-cycle-flip": {
 			atoms: []atomSpec{
 				{"R1", []string{"A", "B"}}, {"R2", []string{"B", "C"}}, {"R3", []string{"D", "C"}},
 				{"R4", []string{"D", "E"}}, {"R5", []string{"E", "A"}},
 			},
-			kind: kindLongCycle,
+			kind: "cycle",
 		},
 	}
 	g := workload.RandomGraph(10, 50, workload.UniformWeights(), 5)
@@ -167,8 +167,8 @@ func TestMatchCycleFlippedOrientation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
-		if p.kind != tc.kind {
-			t.Errorf("%s: compiled to kind %d, want %d (cycle fast path)", name, p.kind, tc.kind)
+		if kind := p.PlanStats().Kind; kind != tc.kind {
+			t.Errorf("%s: compiled to kind %s, want %s (cycle fast path)", name, kind, tc.kind)
 		}
 		want := bruteWeights(g, tc.atoms, SumCost)
 		got, err := p.TopK(0)
@@ -195,8 +195,8 @@ func TestMatchCycleRejectsBowtie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.kind != kindGeneric {
-		t.Fatalf("bowtie compiled to kind %d, want kindGeneric", p.kind)
+	if kind := p.PlanStats().Kind; kind != "ghd" {
+		t.Fatalf("bowtie compiled to kind %s, want ghd", kind)
 	}
 }
 
@@ -209,7 +209,7 @@ func ghdLifecycleQuery(t *testing.T) *Prepared {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.kind != kindGeneric {
+	if p.PlanStats().Kind != "ghd" {
 		t.Fatal("expected the GHD path")
 	}
 	return p
@@ -227,7 +227,7 @@ func fourCycleLifecycleQuery(t *testing.T) *Prepared {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.kind != kindFourCycle {
+	if p.PlanStats().Kind != "four-cycle" {
 		t.Fatal("expected the 4-cycle path")
 	}
 	return p

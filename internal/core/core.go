@@ -101,8 +101,19 @@ func New(ctx context.Context, t *dp.TDP, v Variant) (Iterator, error) {
 	case Batch:
 		return NewBatch(ctx, t), nil
 	default:
-		return nil, fmt.Errorf("core: unknown variant %q", v)
+		return nil, CheckVariant(v)
 	}
+}
+
+// CheckVariant returns the error New reports for a variant it does not
+// implement, nil for the ones it does — for callers that must reject a
+// bad variant before (or without) reaching New.
+func CheckVariant(v Variant) error {
+	switch v {
+	case Eager, Lazy, Quick, All, Take2, Rec, Batch:
+		return nil
+	}
+	return fmt.Errorf("core: unknown variant %q", v)
 }
 
 // Collect drains up to k results from it (k ≤ 0 collects everything).

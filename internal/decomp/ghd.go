@@ -19,60 +19,182 @@ func GHDAttrs(edges []hypergraph.Edge) []string {
 	return hypergraph.New(edges...).Vars()
 }
 
-// PrepareGHDWith compiles an arbitrary full conjunctive query over an
+// Shape is the data-independent half of a cyclic plan: which trees of
+// bags the query decomposes into and which (filtered) inputs each tree
+// reads — see the package comment for the table of shapes. A Shape is
+// immutable and Prepare may be called concurrently, once per ranking
+// function and data epoch.
+//
+// Two policies ride on the shape. memo: a searched GHD's plan retains
+// its bags as materialised and its bag tree, so the next Prepare patches
+// only what a delta reached. The canonical shapes retain nothing and
+// rebuild every bag: the bag tree's reduction copies the rows that
+// survive it, so nothing else keeps a bag as materialised alive, and
+// retaining them costs about 2.4·10⁶ tuples (~150 MB) on the 5- and
+// 6-cycle fans the cold_prepare benchmark keeps resident — to speed up a
+// delta no serving workload sends to a cycle. chooser: only searched
+// bags consult WithOrderChooser; the canonical shapes keep their
+// structural (triangle: pinned) Generic-Join orders, the ones the
+// benchmark's layer replay runs.
+type Shape struct {
+	// Kind names the shape on the wire (PlanStats.Kind): "triangle",
+	// "four-cycle", "cycle" or "ghd".
+	Kind string
+	// Edges are the query's atoms; Prepare takes its relations in this
+	// order.
+	Edges []hypergraph.Edge
+	// Attrs is the output schema of every plan of this shape.
+	Attrs []string
+	// Decomposition renders the bags of a searched shape and EstBagSizes
+	// carries the cost model's per-bag estimates for them, in
+	// Stats.BagSizes order; both are empty for the canonical shapes, whose
+	// Kind says it all.
+	Decomposition string
+	EstBagSizes   []float64
+
+	trees   []shapeTree
+	splits  []split // heavy/light partitions the trees' selections refer to
+	memo    bool
+	chooser bool
+}
+
+// shapeTree is one tree of a shape: its bags, the filters applied to the
+// inputs its bags read (unlisted edges are read whole), and — for a
+// one-bag tree whose shape fixes it — the bag's Generic-Join order.
+type shapeTree struct {
+	dec  *hypergraph.Decomposition
+	sels []sel
+	pin  []string
+}
+
+// GHDShape is the shape of an arbitrary full conjunctive query over an
 // already-computed generalized hypertree decomposition (so a
 // prepare-once facade runs the structural search, hypergraph.Decompose,
-// a single time): every bag is materialised with Generic-Join and the
-// acyclic bag tree is handed to the any-k T-DP machinery. It is the
-// generic planner behind the facade's canonical triangle/4-cycle/
-// l-cycle fast paths and accepts every query shape; it is prepareGHD
-// with no predecessor. Output tuples use the canonical schema
-// GHDAttrs(edges): all query variables in sorted order.
+// a single time): one tree, whole inputs, memo kept, output schema
+// GHDAttrs(edges). It accepts every query shape; hand-built
+// decompositions must be connected (see prepareGHD).
+func GHDShape(d *hypergraph.Decomposition, edges []hypergraph.Edge) *Shape {
+	return &Shape{Kind: "ghd", Edges: edges, Attrs: GHDAttrs(edges), Decomposition: d.String(), EstBagSizes: d.EstBagSizes,
+		trees: []shapeTree{{dec: d}}, memo: true, chooser: true}
+}
+
+// OneBag reports whether the whole shape is a single bag — the query's
+// full output, materialised by one Generic-Join.
+func (s *Shape) OneBag() bool { return len(s.trees) == 1 && len(s.trees[0].dec.Bags) == 1 }
+
+// Prepare compiles the shape over one epoch's relations (aligned with
+// Edges) under one ranking aggregate: every tree's inputs are selected,
+// its bags materialised and its bag tree built by prepareGHD, in tree
+// order, each tree with the full worker budget. old is the plan a
+// previous Prepare of this shape returned for the same aggregate (nil:
+// none) and changed flags, per edge, the relations that differ since; a
+// shape that keeps a memo re-materialises only the bags the delta
+// reached, every other shape ignores old. The result is bit-identical
+// whichever way it was reached. The DeltaStats sum the trees'.
+func (s *Shape) Prepare(rels []*relation.Relation, agg ranking.Aggregate, old *Plan, changed []bool, opts ...PrepareOption) (*Plan, DeltaStats, error) {
+	var ds DeltaStats
+	cfg := newPrepCfg(opts)
+	if !s.memo {
+		old = nil
+	}
+	if !s.chooser {
+		cfg.order = nil
+	}
+	if len(s.Edges) != len(rels) {
+		return nil, ds, fmt.Errorf("decomp: %d relations for %d hyperedges", len(rels), len(s.Edges))
+	}
+	if old != nil && len(changed) != len(s.Edges) {
+		return nil, ds, fmt.Errorf("decomp: %d changed flags for %d hyperedges", len(changed), len(s.Edges))
+	}
+	// Rename every relation to its query variables.
+	qrels := make([]*relation.Relation, len(rels))
+	for i, e := range s.Edges {
+		if len(e.Vars) != rels[i].Arity() {
+			return nil, ds, fmt.Errorf("decomp: edge %s has %d vars but relation %s arity %d",
+				e.Name, len(e.Vars), rels[i].Name, rels[i].Arity())
+		}
+		qrels[i] = rename(rels[i], e.Name, e.Vars...)
+	}
+	heavy := s.heavyValues(qrels)
+	p := &Plan{Stats: &Stats{}, agg: agg, shape: s}
+	if len(heavy) == 2 {
+		p.Stats.HeavyB, p.Stats.HeavyD = len(heavy[0]), len(heavy[1])
+	}
+	for ti, tr := range s.trees {
+		tp, memo, tds, err := s.prepareGHD(cfg, ti, ds.Bags, s.inputs(tr, qrels, heavy), agg, old, changed)
+		if err != nil {
+			return nil, ds, err
+		}
+		p.trees = append(p.trees, tp)
+		if s.memo {
+			p.ghd = memo
+		}
+		sizes := make([]int, len(memo.bags))
+		for i, b := range memo.bags {
+			sizes[i] = b.Len()
+			p.Stats.TotalMaterialized += b.Len()
+		}
+		p.Stats.BagSizes = append(p.Stats.BagSizes, sizes)
+		ds.Bags += tds.Bags
+		ds.BagsRebuilt += tds.BagsRebuilt
+		ds.TreeNodes += tds.TreeNodes
+		ds.TreeRegrouped += tds.TreeRegrouped
+		ds.TreeRecomputed += tds.TreeRecomputed
+	}
+	return p, ds, nil
+}
+
+// PrepareGHDWith is GHDShape(d, edges).Prepare with no predecessor: every
+// bag is materialised with Generic-Join and the acyclic bag tree is
+// handed to the any-k T-DP machinery. Output tuples use the canonical
+// schema GHDAttrs(edges): all query variables in sorted order.
 func PrepareGHDWith(d *hypergraph.Decomposition, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (*Plan, error) {
-	p, _, err := prepareGHD(newPrepCfg(opts), d, edges, rels, agg, nil, nil)
+	p, _, err := GHDShape(d, edges).Prepare(rels, agg, nil, nil, opts...)
 	return p, err
 }
 
 // PrepareGHDDelta recompiles a GHD plan after some relations received
-// delta batches — prepareGHD with old as the predecessor. old must
-// come from PrepareGHDWith (or a previous PrepareGHDDelta) over the
+// delta batches — its shape's Prepare with old as the predecessor. old
+// must come from PrepareGHDWith (or a previous PrepareGHDDelta) over the
 // same edges and aggregate; rels are the post-delta relations in edge
 // order and changed flags, per edge index, the ones that differ. The
 // result is bit-identical to a cold PrepareGHDWith over old's
 // decomposition and the new relations.
 func PrepareGHDDelta(old *Plan, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, changed []bool, opts ...PrepareOption) (*Plan, *DeltaStats, error) {
-	if old == nil || old.ghd == nil || len(old.trees) != 1 {
+	if old == nil || old.ghd == nil {
 		return nil, nil, fmt.Errorf("decomp: PrepareGHDDelta needs a plan built by PrepareGHDWith")
 	}
-	if len(changed) != len(edges) {
-		return nil, nil, fmt.Errorf("decomp: %d changed flags for %d hyperedges", len(changed), len(edges))
+	if len(edges) != len(old.shape.Edges) {
+		return nil, nil, fmt.Errorf("decomp: %d hyperedges for a plan over %d", len(edges), len(old.shape.Edges))
 	}
-	p, ds, err := prepareGHD(newPrepCfg(opts), old.ghd.dec, edges, rels, agg, old, changed)
+	p, ds, err := old.shape.Prepare(rels, agg, old, changed, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
 	return p, &ds, nil
 }
 
-// prepareGHD is the GHD preparer — the only implementation. Each bag is
-// materialised by wcoj.MaterializeParallelHinted over three kinds of
-// atoms:
+// prepareGHD prepares tree ti of the shape — the only code that
+// materialises a bag. ins are the tree's (selected, renamed) input
+// relations in edge order, and base numbers its first bag among the
+// plan's, so bag names are unique plan-wide. Each bag is materialised by
+// wcoj.MaterializeParallelHinted over three kinds of atoms:
 //
 //   - charged atoms: relations whose hyperedge is assigned to this bag.
 //     Every relation is charged to exactly one bag (the first bag, in
 //     decomposition order, that contains its variables), so its tuple
 //     weights — and, under bag semantics, its duplicate multiplicities —
-//     enter the ranking aggregate exactly once across the whole plan.
+//     enter the ranking aggregate exactly once across the whole tree.
 //   - filter atoms: relations contained in the bag but charged
 //     elsewhere. They join with identity weights and deduplicated
 //     tuples, so they prune the bag without re-counting weight or
-//     multiplicity.
-//   - projection atoms: when a bag variable (typically introduced by a
-//     fill edge of the elimination order) is not covered by any
-//     contained relation, the smallest relation holding that variable
-//     contributes its deduplicated, identity-weighted projection onto
-//     the bag — the same device PrepareCycleSingleTree uses for its
-//     middle bags.
+//     multiplicity. (The canonical cycle shapes have none: each of their
+//     edges lies in exactly one bag of its tree.)
+//   - projection atoms: when a bag variable (introduced by a fill edge
+//     of the elimination order, or the fan's A0 in a middle bag) is not
+//     covered by any contained relation, the smallest relation holding
+//     that variable contributes its deduplicated, identity-weighted
+//     projection onto the bag.
 //
 // Every relation's join predicate is enforced in its charged bag, and
 // the bag tree's running-intersection property propagates it to the
@@ -83,25 +205,24 @@ func PrepareGHDDelta(old *Plan, edges []hypergraph.Edge, rels []*relation.Relati
 // first and any remainder is spent inside each bag by partitioning the
 // first variable of its Generic-Join order.
 //
-// old is the predecessor (nil: none), a plan over the same
-// decomposition whose memo records each bag and the edges its
-// materialisation read; changed flags the edges whose relation differs
-// since. A bag then stays off the work list — and shares the old
-// epoch's relation — iff the edges feeding it (charged, filter,
-// projection source) are the same as before and none of them changed;
-// the dependency set is recomputed under the new sizes because a delta
-// to one relation can steal another bag's projection-source pick. The
-// bag tree is patched the same way (prepareTree).
+// old is the predecessor (nil: none), a plan of the same shape whose
+// memo records each bag and the edges its materialisation read; changed
+// flags the edges whose relation differs since. A bag then stays off the
+// work list — and shares the old epoch's relation — iff the edges
+// feeding it (charged, filter, projection source) are the same as before
+// and none of them changed; the dependency set is recomputed under the
+// new sizes because a delta to one relation can steal another bag's
+// projection-source pick. The bag tree is patched the same way
+// (prepareTree).
 //
 // What holds for both inputs:
 //  1. Without a predecessor no comparison work is done: every bag goes
 //     on the work list behind a nil check, and that list is the only
 //     extra allocation.
-//  2. The plan is bit-identical on both inputs, and for any worker
-//     count — bag contents and order, join tree, T-DP, Stats: each bag
-//     lands in its decomposition-order slot and Stats are aggregated
-//     after the barrier. Without a predecessor the DeltaStats report
-//     every bag rebuilt and every tree node redone.
+//  2. The tree is bit-identical on both inputs, and for any worker
+//     count — bag contents and order, join tree, T-DP: each bag lands in
+//     its decomposition-order slot. Without a predecessor the DeltaStats
+//     report every bag rebuilt and every tree node redone.
 //  3. With a predecessor the prepare runs under a "ghd-delta" span
 //     (attributes bags_rebuilt, bags_reused); without one its spans
 //     hang off the caller's. Either way each bag on the work list gets
@@ -109,29 +230,15 @@ func PrepareGHDDelta(old *Plan, edges []hypergraph.Edge, rels []*relation.Relati
 //  4. Bag tasks, bag-tree reduction and grouping, and the π pass all
 //     run under the prepare's context; cancellation is checked between
 //     bag tasks, intra-bag partitions and tree-node tasks.
-func prepareGHD(cfg prepCfg, d *hypergraph.Decomposition, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, old *Plan, changed []bool) (*Plan, DeltaStats, error) {
+func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, agg ranking.Aggregate, old *Plan, changed []bool) (*treePlan, *ghdMemo, DeltaStats, error) {
 	var ds DeltaStats
-	if len(edges) != len(rels) {
-		return nil, ds, fmt.Errorf("decomp: %d relations for %d hyperedges", len(rels), len(edges))
-	}
-	for i, e := range edges {
-		if len(e.Vars) != rels[i].Arity() {
-			return nil, ds, fmt.Errorf("decomp: edge %s has %d vars but relation %s arity %d",
-				e.Name, len(e.Vars), rels[i].Name, rels[i].Arity())
-		}
-	}
+	d, pin, edges := s.trees[ti].dec, s.trees[ti].pin, s.Edges
 	var sp *obs.Span
 	var oldTree *treePlan
 	if old != nil {
 		cfg.ctx, sp = obs.StartSpan(cfg.ctx, "ghd-delta")
 		defer sp.End()
-		oldTree = old.trees[0]
-	}
-
-	// Rename every relation to its query variables.
-	qrels := make([]*relation.Relation, len(rels))
-	for i, r := range rels {
-		qrels[i] = rename(r, edges[i].Name, edges[i].Vars...)
+		oldTree = old.trees[ti]
 	}
 
 	// Charge each edge to the first bag that contains it.
@@ -148,7 +255,7 @@ func prepareGHD(cfg prepCfg, d *hypergraph.Decomposition, edges []hypergraph.Edg
 	}
 	for ei, bi := range charged {
 		if bi < 0 {
-			return nil, ds, fmt.Errorf("decomp: edge %s not contained in any bag of %s", edges[ei].Name, d)
+			return nil, nil, ds, fmt.Errorf("decomp: edge %s not contained in any bag of %s", edges[ei].Name, d)
 		}
 	}
 
@@ -158,9 +265,9 @@ func prepareGHD(cfg prepCfg, d *hypergraph.Decomposition, edges []hypergraph.Edg
 	rebuilt := make([]bool, len(d.Bags))
 	rebuild := make([]int, 0, len(d.Bags))
 	for bi, bagVars := range d.Bags {
-		srcs, err := projectionSources(d, bi, bagVars, edges, qrels)
+		srcs, err := projectionSources(d, bi, bagVars, edges, ins)
 		if err != nil {
-			return nil, ds, err
+			return nil, nil, ds, err
 		}
 		deps[bi] = append(append([]int(nil), d.Contains[bi]...), srcs...)
 		if old != nil && bagClean(deps[bi], old.ghd.deps[bi], changed) {
@@ -175,7 +282,7 @@ func prepareGHD(cfg prepCfg, d *hypergraph.Decomposition, edges []hypergraph.Edg
 	// leftover parallelism splits the first variable inside each bag,
 	// with the division remainder handed to the first tasks so no
 	// requested worker is dropped (4 workers over 3 bags: intra budgets
-	// 2,1,1). Each task writes only its own slot, and Stats are derived
+	// 2,1,1). Each task writes only its own slot, and sizes are read
 	// after the barrier.
 	bagWorkers := cfg.workers
 	if bagWorkers > len(rebuild) {
@@ -188,17 +295,20 @@ func prepareGHD(cfg prepCfg, d *hypergraph.Decomposition, edges []hypergraph.Edg
 	}
 	err := parallel.ForEach(cfg.ctx, bagWorkers, len(rebuild), func(i int) error {
 		bi := rebuild[i]
-		name := "G" + strconv.Itoa(bi)
+		name := "G" + strconv.Itoa(base+bi)
 		bctx, bsp := obs.StartSpan(cfg.ctx, "materialize")
 		bsp.SetAttr("bag", name)
 		defer bsp.End()
 		bagVars := d.Bags[bi]
-		atoms, err := bagAtoms(d, bi, bagVars, edges, qrels, charged, deps[bi][len(d.Contains[bi]):], agg)
+		atoms, err := bagAtoms(d, bi, bagVars, edges, ins, charged, deps[bi][len(d.Contains[bi]):], agg)
 		if err != nil {
 			return err
 		}
 		_, osp := obs.StartSpan(bctx, "join-order")
-		order := cfg.chooseOrder(atoms)
+		order := pin
+		if order == nil {
+			order = cfg.chooseOrder(atoms)
+		}
 		osp.End()
 		if len(order) != len(bagVars) {
 			return fmt.Errorf("decomp: bag %v atoms cover %d of %d variables", bagVars, len(order), len(bagVars))
@@ -217,7 +327,7 @@ func prepareGHD(cfg prepCfg, d *hypergraph.Decomposition, edges []hypergraph.Edg
 		return nil
 	})
 	if err != nil {
-		return nil, ds, err
+		return nil, nil, ds, err
 	}
 
 	// GYO arranges the bags into a join tree. The bag set must be
@@ -227,30 +337,30 @@ func prepareGHD(cfg prepCfg, d *hypergraph.Decomposition, edges []hypergraph.Edg
 	// passed here must be connected too. A bag is "changed" iff it was
 	// re-materialised; the reducer still proves content-identical
 	// rebuilds clean.
-	tp, ds, err := prepareTree(cfg, bags, agg, GHDAttrs(edges), oldTree, rebuilt)
+	tp, ds, err := prepareTree(cfg, bags, agg, s.Attrs, oldTree, rebuilt)
 	if err != nil {
-		return nil, ds, err
+		return nil, nil, ds, err
 	}
 	ds.Bags, ds.BagsRebuilt = len(bags), len(rebuild)
 	if old != nil {
 		sp.SetAttr("bags_rebuilt", strconv.Itoa(ds.BagsRebuilt))
 		sp.SetAttr("bags_reused", strconv.Itoa(ds.Bags-ds.BagsRebuilt))
 	}
-	memo := &ghdMemo{dec: d, deps: deps, bags: bags}
-	return &Plan{Stats: singleTreeStats(bags), agg: agg, trees: []*treePlan{tp}, ghd: memo}, ds, nil
+	return tp, &ghdMemo{deps: deps, bags: bags}, ds, nil
 }
 
-// ghdMemo records what prepareGHD built: the decomposition, each bag's
-// relation, and the edge indices each bag's materialisation read
+// ghdMemo records what prepareGHD built for one tree: each bag's
+// relation and the edge indices each bag's materialisation read
 // (charged relations, filters, and projection sources) — what the next
 // prepare compares against to decide which bags to re-materialise.
 type ghdMemo struct {
-	dec  *hypergraph.Decomposition
 	deps [][]int
 	bags []*relation.Relation
 }
 
-// DeltaStats reports the reuse a prepare with a predecessor achieved.
+// DeltaStats reports the reuse a prepare with a predecessor achieved,
+// summed over the plan's trees. A one-bag tree reports one bag and one
+// tree node, both redone iff an input relation changed.
 type DeltaStats struct {
 	// Bags is the decomposition size; BagsRebuilt counts the bags
 	// re-materialised because an input relation changed (or the
@@ -259,17 +369,6 @@ type DeltaStats struct {
 	// TreeNodes is the bag-tree size; TreeRegrouped / TreeRecomputed
 	// count the nodes whose candidate grouping / π pass had to rerun.
 	TreeNodes, TreeRegrouped, TreeRecomputed int
-}
-
-// singleTreeStats is the Stats of a plan whose bags form one tree: one
-// inner BagSizes slice, one entry per bag in bag order.
-func singleTreeStats(bags []*relation.Relation) *Stats {
-	st := &Stats{BagSizes: [][]int{make([]int, len(bags))}}
-	for i, b := range bags {
-		st.BagSizes[0][i] = b.Len()
-		st.TotalMaterialized += b.Len()
-	}
-	return st
 }
 
 // bagClean reports whether a bag's materialisation would read exactly

@@ -186,6 +186,14 @@ func (h *Hypergraph) DecomposeCosted(coster BagCoster) (*Decomposition, error) {
 	return best, nil
 }
 
+// FixedDecomposition returns the decomposition with exactly the given
+// bags, in the given order — for shapes whose bags are known in closed
+// form rather than searched. Only Contains is derived; the caller
+// vouches that the bags cover every edge and form a join tree.
+func (h *Hypergraph) FixedDecomposition(bags ...[]string) *Decomposition {
+	return &Decomposition{Bags: bags, Contains: h.containment(bags)}
+}
+
 // better reports whether candidate a beats b: lower width, then fewer
 // bags, then smaller total bag size.
 func better(a, b *Decomposition) bool {

@@ -389,62 +389,3 @@ func TaskShares(atoms []Atom, varOrder []string, workers int, hints SkewHints) (
 	}
 	return maxShare(chunkWorks), maxShare(taskWorks), nil
 }
-
-// MaterializeParallelChunked is the pre-skew-aware parallel strategy:
-// the surviving first-variable values are split into contiguous
-// equal-count chunks, each pinned to one task regardless of subtree
-// size, so one heavy hitter pins most of the work to a single worker —
-// the pathology "Skew Strikes Back" names. It is kept only as the
-// baseline for the worker-imbalance regression benchmark. Results and
-// Instr totals are bit-identical to Materialize, exactly as for
-// MaterializeParallel.
-func MaterializeParallelChunked(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate, workers int) (*relation.Relation, *Instr, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	workers = parallel.Degree(workers)
-	if workers <= 1 || len(varOrder) == 0 {
-		return Materialize(atoms, varOrder, agg)
-	}
-	base, err := newJoin(atoms, varOrder, agg, nil, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	lvl := base.levelValues(0)
-	vals := make([]relation.Value, len(lvl))
-	for i, lv := range lvl {
-		vals[i] = lv.v
-	}
-	chunks := workers * chunkFactor
-	if chunks > len(vals) {
-		chunks = len(vals)
-	}
-	outs := make([]*relation.Relation, chunks)
-	instrs := make([]*Instr, chunks)
-	err = parallel.ForEach(ctx, workers, chunks, func(ci int) error {
-		out := relation.New("GJ", varOrder...)
-		w := base.clone(func(t relation.Tuple, wt float64) bool {
-			out.AddTuple(t, wt)
-			return true
-		})
-		for _, v := range vals[ci*len(vals)/chunks : (ci+1)*len(vals)/chunks] {
-			w.bindUncounted(0, v)
-			w.solve(1)
-		}
-		outs[ci] = out
-		instrs[ci] = w.instr
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := relation.New("GJ", varOrder...)
-	instr := base.instr
-	for ci := range outs {
-		out.Tuples = append(out.Tuples, outs[ci].Tuples...)
-		out.Weights = append(out.Weights, outs[ci].Weights...)
-		instr.Seeks += instrs[ci].Seeks
-		instr.Emits += instrs[ci].Emits
-	}
-	return out, instr, nil
-}

@@ -28,17 +28,6 @@ import (
 // enumeration before it was exhausted.
 var ErrClosed = core.ErrClosed
 
-// queryKind classifies the shape a query compiled to.
-type queryKind int
-
-const (
-	kindAcyclic queryKind = iota
-	kindTriangle
-	kindFourCycle
-	kindLongCycle
-	kindGeneric // arbitrary cyclic shape via the GHD planner
-)
-
 // Prepared is a compiled query: hypergraph analysis, acyclicity/cycle
 // detection, and join-tree or decomposition planning run once at
 // Compile time, and the resulting plan is reused by every Run. The
@@ -63,7 +52,6 @@ const (
 // state to completion.
 type Prepared struct {
 	outAttrs []string
-	kind     queryKind
 	fp       string // Query.Fingerprint, computed once at Compile
 
 	// srcEdges retains the validated query atoms (hyperedges) in
@@ -71,16 +59,12 @@ type Prepared struct {
 	// epoch's planState carries the srcRels aligned with them.
 	srcEdges []hypergraph.Edge
 
-	// Cyclic cycle shapes: the walk order and per-edge flip flags
-	// matchCycleShape derived at Compile time, kept so every epoch can
-	// re-derive its canonical cycle relations from fresh data.
-	cycleOrder []int
-	cycleFlip  []bool
-
-	// Generic cyclic shapes: the decomposition found at compile time
-	// (the structural search runs once; bag materialisation is deferred
-	// to the first Run with each ranking function and patched per epoch).
-	ghdDec *hypergraph.Decomposition
+	// shape is the decomposition a cyclic query compiled to — the
+	// canonical one of its cycle length, or the GHD the structural search
+	// found (it runs once; bag materialisation is deferred to the first
+	// Run with each ranking function and redone or patched per epoch).
+	// nil for acyclic queries, which run on the T-DP directly.
+	shape *decomp.Shape
 
 	// workers is the compile-time default parallelism for the prepare
 	// phase (Instantiate for acyclic queries, bag materialisation for
@@ -95,10 +79,10 @@ type Prepared struct {
 	// costBased records whether a cost model drove this compilation (see
 	// WithStatistics); when it did, estOutput is the model's output-
 	// cardinality estimate, and estBags its per-bag materialisation
-	// estimates for the shapes that expose them (the triangle's single
-	// bag, the GHD planner's costed decomposition) — nil for the
-	// canonical 4-cycle and fan-cycle plans, whose bag structure is
-	// fixed by the shape rather than searched.
+	// estimates for the shapes that expose them (the GHD planner's costed
+	// decomposition; any one-bag shape, whose bag is the output) — nil
+	// for the canonical 4-cycle and fan-cycle plans, whose bag structure
+	// is fixed by the shape rather than searched.
 	costBased bool
 	estOutput float64
 	estBags   []float64
@@ -149,11 +133,6 @@ type planState struct {
 	// plus the aggregate-independent T-DP plan.
 	yq   *yannakakis.Query
 	plan *dp.Plan
-
-	// Cyclic cycle shapes: the relations reordered (and, for edges
-	// declared against the walk direction, column-flipped) to follow the
-	// cycle.
-	cycleRels []*relation.Relation
 
 	// solutions is the exact output cardinality for acyclic handles,
 	// computed once per epoch from the reduced plan's counting pass
@@ -371,27 +350,13 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	}
 	if h.IsAcyclic() {
 		compileSpan.SetAttr("kind", "acyclic")
-		p.kind = kindAcyclic
-	} else if order, flip, ok := q.matchCycleShape(); ok {
+	} else if order, walk, ok := q.matchCycleShape(); ok {
 		compileSpan.SetAttr("kind", "cycle")
-		// The engine enumerates the canonical cycle positions; the handle
-		// labels them with the user's variables in walk order (the same
-		// schema Query.OutAttrs reports).
-		p.outAttrs = cycleWalkVars(q.edges, order, flip)
-		p.cycleOrder, p.cycleFlip = order, flip
-		switch len(order) {
-		case 3:
-			p.kind = kindTriangle
-			if cm != nil {
-				// The triangle plan is a single bag holding the full
-				// output, so the output estimate doubles as its bag
-				// estimate.
-				p.estBags = []float64{p.estOutput}
-			}
-		case 4:
-			p.kind = kindFourCycle
-		default:
-			p.kind = kindLongCycle
+		// The canonical shape of the cycle's length, over the user's own
+		// atoms and variables in walk order (the same schema
+		// Query.OutAttrs reports).
+		if p.shape, err = decomp.CycleShape(q.edges, order, walk); err != nil {
+			return nil, err
 		}
 	} else {
 		// Arbitrary cyclic shape: search for a generalized hypertree
@@ -416,17 +381,23 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 		if decSpan != nil {
 			decSpan.SetAttr("decomposition", dec.String())
 		}
-		p.kind = kindGeneric
-		p.outAttrs = decomp.GHDAttrs(q.edges)
-		p.ghdDec = dec
-		p.estBags = dec.EstBagSizes
+		p.shape = decomp.GHDShape(dec, q.edges)
+	}
+	if p.shape != nil {
+		p.outAttrs = p.shape.Attrs
+		p.estBags = p.shape.EstBagSizes
+		if cm != nil && p.estBags == nil && p.shape.OneBag() {
+			// A one-bag shape's bag holds the full output, so the output
+			// estimate doubles as its bag estimate.
+			p.estBags = []float64{p.estOutput}
+		}
 	}
 	// The first epoch is a delta from nothing.
 	st, _, err := p.buildState(cfg, nil, q.rels, nil)
 	if err != nil {
 		return nil, err
 	}
-	if p.kind == kindAcyclic {
+	if p.shape == nil {
 		p.outAttrs = st.plan.OutAttrs()
 	}
 	p.state.Store(st)
@@ -459,7 +430,7 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 		st.epoch = old.epoch + 1
 	}
 	workers := p.prepareWorkers(cfg, inputTuples)
-	if p.kind == kindAcyclic {
+	if p.shape == nil {
 		yq, err := yannakakis.NewQuery(hypergraph.New(p.srcEdges...), rels)
 		if err != nil {
 			return nil, n, err
@@ -491,9 +462,6 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 			}
 		}
 		return st, n, nil
-	}
-	if p.kind != kindGeneric {
-		st.cycleRels = cycleRelsFor(rels, p.cycleOrder, p.cycleFlip)
 	}
 	if old != nil {
 		for agg, oldD := range old.decomps.built() {
@@ -598,7 +566,7 @@ type PlanStats struct {
 	// DeltaBagsReused/DeltaBagsRebuilt count decomposition bags carried
 	// over vs re-materialised across all deltas (cyclic kinds);
 	// DeltaNodesReused/DeltaNodesRecomputed count join-tree nodes whose
-	// π pass was skipped vs rerun (acyclic plans and GHD bag trees).
+	// π pass was skipped vs rerun (acyclic plans and cyclic bag trees).
 	DeltaBagsReused      int64 `json:"delta_bags_reused,omitempty"`
 	DeltaBagsRebuilt     int64 `json:"delta_bags_rebuilt,omitempty"`
 	DeltaNodesReused     int64 `json:"delta_nodes_reused,omitempty"`
@@ -651,24 +619,14 @@ func (p *Prepared) PlanStats() PlanStats {
 	// the weights differ — so any built entry serves as the actuals the
 	// estimates are compared against.
 	var actualBags []int
-	switch p.kind {
-	case kindAcyclic:
+	if p.shape == nil {
 		st.Kind = "acyclic"
 		for agg := range s.tdps.built() {
 			st.Rankings = append(st.Rankings, RankingStats{Ranking: agg.Name()})
 		}
-	case kindTriangle, kindFourCycle, kindLongCycle, kindGeneric:
-		switch p.kind {
-		case kindTriangle:
-			st.Kind = "triangle"
-		case kindFourCycle:
-			st.Kind = "four-cycle"
-		case kindLongCycle:
-			st.Kind = "cycle"
-		default:
-			st.Kind = "ghd"
-			st.Decomposition = p.ghdDec.String()
-		}
+	} else {
+		st.Kind = p.shape.Kind
+		st.Decomposition = p.shape.Decomposition
 		for agg, d := range s.decomps.built() {
 			st.Rankings = append(st.Rankings, RankingStats{
 				Ranking:           agg.Name(),
@@ -688,7 +646,7 @@ func (p *Prepared) PlanStats() PlanStats {
 		st.EstOutput = p.estOutput
 		st.EstBagSizes = p.estBags
 		switch {
-		case p.kind == kindAcyclic:
+		case p.shape == nil:
 			st.EstimatorError = estRatio(p.estOutput, float64(s.solutions))
 		case len(p.estBags) > 0 && len(actualBags) == len(p.estBags):
 			for i, a := range actualBags {
@@ -760,8 +718,9 @@ func (o compileOption) applyCompile(c *runConfig) { o(c) }
 // shapes, the bag materialisation); later runs reuse it.
 func WithRanking(agg ranking.Aggregate) RunOption { return func(c *runConfig) { c.agg = agg } }
 
-// WithVariant selects the any-k algorithm variant for this run.
-// Triangle queries enumerate a single sorted bag and ignore it.
+// WithVariant selects the any-k algorithm variant for this run; an
+// unknown variant fails the run. Plans of a single bag (triangles,
+// one-bag GHDs) enumerate one sorted relation, whatever the variant.
 func WithVariant(v Variant) RunOption { return func(c *runConfig) { c.variant = v } }
 
 // WithK limits the run to the k best results (k <= 0 means no limit).
@@ -852,7 +811,7 @@ func newRunConfig(opts []RunOption) (runConfig, error) {
 	if cfg.agg == nil {
 		return cfg, errors.New("repro: nil ranking function")
 	}
-	return cfg, nil
+	return cfg, core.CheckVariant(cfg.variant)
 }
 
 // Run executes the compiled plan and returns a ranked iterator. Always
@@ -872,7 +831,7 @@ func (p *Prepared) Run(opts ...RunOption) (Iterator, error) {
 	// cfg.ctx every span call here is a no-op.
 	pctx, prepSpan := obs.StartSpan(cfg.ctx, "prepare")
 	var it Iterator
-	if p.kind == kindAcyclic {
+	if p.shape == nil {
 		t, err := p.tdpFor(st, cfg.agg, pctx, p.prepareWorkers(cfg, st.estTuples))
 		prepSpan.End()
 		if err != nil {
@@ -959,7 +918,7 @@ func (p *Prepared) TopK(k int, opts ...RunOption) ([]Result, error) {
 // WithContext). Any WithK option is ignored — Count always reports the
 // full cardinality.
 func (p *Prepared) Count(opts ...RunOption) (int, error) {
-	if p.kind == kindAcyclic {
+	if p.shape == nil {
 		if _, err := newRunConfig(opts); err != nil {
 			return 0, err
 		}
@@ -982,7 +941,7 @@ func (p *Prepared) Count(opts ...RunOption) (int, error) {
 // IsEmpty answers the Boolean query "does the join have any result?"
 // with early termination.
 func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
-	if p.kind == kindAcyclic {
+	if p.shape == nil {
 		if _, err := newRunConfig(opts); err != nil {
 			return false, err
 		}
@@ -1016,13 +975,10 @@ func (p *Prepared) tdpFor(st *planState, agg ranking.Aggregate, ctx context.Cont
 }
 
 // decompFor returns (building and caching on first use) the epoch's
-// cyclic decomposition plan under agg: a Generic-Join bag for the
-// triangle, the submodular-width union of three trees for the 4-cycle,
-// the fhtw-2 fan plan for longer cycles, and the GHD bag tree for every
-// other cyclic shape. The ctx and worker count only matter to the Run
-// that triggers the build; cache hits ignore them. Parallel builds are
-// bit-identical to sequential ones, so the cached plan does not depend
-// on which Run won the build.
+// plan of the handle's shape under agg. The ctx and worker count only
+// matter to the Run that triggers the build; cache hits ignore them.
+// Parallel builds are bit-identical to sequential ones, so the cached
+// plan does not depend on which Run won the build.
 func (p *Prepared) decompFor(st *planState, agg ranking.Aggregate, ctx context.Context, workers int) (*decomp.Plan, error) {
 	return st.decomps.get(ctx, agg, func(a ranking.Aggregate) (*decomp.Plan, error) {
 		d, _, err := p.buildDecomp(st, a, nil, nil, ctx, workers)
@@ -1032,10 +988,9 @@ func (p *Prepared) decompFor(st *planState, agg ranking.Aggregate, ctx context.C
 
 // buildDecomp builds the decomposition plan of epoch st under agg. old
 // is the plan the previous epoch held for agg (nil: none) and changed
-// flags the atoms that differ since. Only GHD plans patch from old
-// (decomp.PrepareGHDDelta); the canonical cycle plans re-prepare — see
-// ApplyDelta for why — and, like any build without a predecessor,
-// report every bag rebuilt.
+// flags the atoms that differ since; whether the shape patches from old
+// or rebuilds is the shape's policy (decomp.Shape), and either way the
+// DeltaStats say what was redone.
 func (p *Prepared) buildDecomp(st *planState, agg ranking.Aggregate, old *decomp.Plan, changed []bool, ctx context.Context, workers int) (*decomp.Plan, decomp.DeltaStats, error) {
 	opts := []decomp.PrepareOption{decomp.WithWorkers(workers), decomp.WithContext(ctx)}
 	if p.hints != nil {
@@ -1043,42 +998,13 @@ func (p *Prepared) buildDecomp(st *planState, agg ranking.Aggregate, old *decomp
 		// every shape benefits, and results stay bit-identical.
 		opts = append(opts, decomp.WithSkewHints(p.hints))
 	}
-	var d *decomp.Plan
-	var ds *decomp.DeltaStats
-	var err error
-	switch p.kind {
-	case kindTriangle:
-		d, err = decomp.PrepareTriangle([3]*relation.Relation(st.cycleRels), agg, opts...)
-	case kindFourCycle:
-		d, err = decomp.PrepareFourCycleSubmodular([4]*relation.Relation(st.cycleRels), agg, opts...)
-	case kindLongCycle:
-		d, err = decomp.PrepareCycleSingleTree(st.cycleRels, agg, opts...)
-	default:
-		if p.costBased {
-			// Cost-based compilations also pick each GHD bag's Generic-Join
-			// variable order from statistics over the bag's actual atoms.
-			// Only the generic planner takes the chooser: the canonical
-			// triangle/4-cycle/fan plans hardwire orders their tests and
-			// golden files pin.
-			opts = append(opts, decomp.WithOrderChooser(catalog.ChooseOrder))
-		}
-		if old != nil {
-			d, ds, err = decomp.PrepareGHDDelta(old, p.srcEdges, st.srcRels, agg, changed, opts...)
-		} else {
-			d, err = decomp.PrepareGHDWith(p.ghdDec, p.srcEdges, st.srcRels, agg, opts...)
-		}
+	if p.costBased {
+		// Cost-based compilations also pick each searched bag's
+		// Generic-Join variable order from statistics over the bag's
+		// actual atoms; the canonical shapes ignore the chooser.
+		opts = append(opts, decomp.WithOrderChooser(catalog.ChooseOrder))
 	}
-	if err != nil {
-		return nil, decomp.DeltaStats{}, err
-	}
-	if ds == nil {
-		ds = &decomp.DeltaStats{}
-		for _, tree := range d.Stats.BagSizes {
-			ds.Bags += len(tree)
-		}
-		ds.BagsRebuilt = ds.Bags
-	}
-	return d, *ds, nil
+	return p.shape.Prepare(st.srcRels, agg, old, changed, opts...)
 }
 
 // ErrTrialBudget reports that Sample's rejection walk ran out of trials
