@@ -1,8 +1,8 @@
 package repro
 
-// One benchmark per experiment table (E1–E12 in DESIGN.md): running
-// `go test -bench=.` regenerates every measured quantity at benchmark
-// scale. The cmd/anyk-bench binary prints the full tables; these
+// One benchmark per experiment table (E1–E15, indexed in the package
+// comment of internal/experiments): running `go test -bench=.`
+// regenerates every measured quantity at benchmark scale. The cmd/anyk-bench binary prints the full tables; these
 // benchmarks time the same code paths under testing.B so allocations
 // and scaling are tracked by standard tooling.
 

@@ -1,5 +1,5 @@
 // Command anyk-bench regenerates the experiment tables of the
-// reproduction (E1–E12 in DESIGN.md / EXPERIMENTS.md).
+// reproduction (E1–E15, one function each in internal/experiments).
 //
 // Usage:
 //

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 	"time"
@@ -143,43 +142,12 @@ func (p *Prepared) ApplyDelta(deltas []Delta, opts ...RunOption) error {
 
 // applyRelDelta returns r with d applied (deletes, then appends) plus
 // the number of rows the deletes removed. r itself is never mutated —
-// epochs share relations, so updates must copy.
+// epochs share relations, so updates must copy — and the Append rows,
+// which the caller owns, are copied too.
 func applyRelDelta(r *relation.Relation, d Delta) (*relation.Relation, int) {
-	out := relation.New(r.Name, r.Attrs...)
-	removed := 0
-	if len(d.Delete) > 0 {
-		kill := make(map[string]bool, len(d.Delete))
-		for _, t := range d.Delete {
-			kill[tupleKey(t)] = true
-		}
-		for i, t := range r.Tuples {
-			if kill[tupleKey(t)] {
-				removed++
-				continue
-			}
-			out.AddTuple(t, r.Weights[i])
-		}
-	} else {
-		for i, t := range r.Tuples {
-			out.AddTuple(t, r.Weights[i])
-		}
-	}
+	app := make([]relation.Tuple, len(d.Append))
 	for i, t := range d.Append {
-		w := 0.0
-		if d.AppendWeights != nil {
-			w = d.AppendWeights[i]
-		}
-		out.AddTuple(append(Tuple(nil), t...), w)
+		app[i] = append(Tuple(nil), t...)
 	}
-	return out, removed
-}
-
-// tupleKey encodes a tuple's values as a fixed-width byte string for
-// exact-match delete lookups.
-func tupleKey(t relation.Tuple) string {
-	b := make([]byte, 8*len(t))
-	for i, v := range t {
-		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
-	}
-	return string(b)
+	return r.ApplyDelta(d.Delete, app, d.AppendWeights)
 }

@@ -323,7 +323,7 @@ func TestMergeInterleavesByWeight(t *testing.T) {
 	tb := buildTDP(t, instB, sum)
 	ia, _ := New(context.Background(), ta, Lazy)
 	ib, _ := New(context.Background(), tb, Lazy)
-	merged := Collect(Merge(context.Background(), sum, false, ia, ib), 0)
+	merged := Collect(Merge(context.Background(), sum, ia, ib), 0)
 	na := len(Collect(NewBatch(context.Background(), buildTDP(t, instA, sum)), 0))
 	nb := len(Collect(NewBatch(context.Background(), buildTDP(t, instB, sum)), 0))
 	if len(merged) != na+nb {
@@ -333,28 +333,6 @@ func TestMergeInterleavesByWeight(t *testing.T) {
 		if merged[i].Weight < merged[i-1].Weight {
 			t.Fatal("merged sequence not sorted")
 		}
-	}
-}
-
-func TestMergeDedup(t *testing.T) {
-	// The same instance twice with dedup=true yields each tuple once.
-	inst := workload.Path(2, 30, 4, workload.UniformWeights(), 3)
-	t1 := buildTDP(t, inst, sum)
-	t2 := buildTDP(t, inst, sum)
-	i1, _ := New(context.Background(), t1, Lazy)
-	i2, _ := New(context.Background(), t2, Lazy)
-	merged := Collect(Merge(context.Background(), sum, true, i1, i2), 0)
-	single := Collect(NewBatch(context.Background(), buildTDP(t, inst, sum)), 0)
-	// The instance may itself contain duplicate tuples (bag); dedup
-	// collapses those too, so compare against distinct tuples.
-	distinct := make(map[string]bool)
-	var buf []byte
-	for _, r := range single {
-		buf = relation.AppendKey(buf[:0], r.Tuple)
-		distinct[string(buf)] = true
-	}
-	if len(merged) != len(distinct) {
-		t.Fatalf("dedup merge: %d results, want %d distinct", len(merged), len(distinct))
 	}
 }
 

@@ -156,7 +156,7 @@ func TestMergeCloseConcurrentWithNext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := Merge(context.Background(), sum, true, a, b)
+		m := Merge(context.Background(), sum, a, b)
 		mid := make(chan struct{})
 		done := make(chan struct{})
 		go func() {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/heap"
 	"repro/internal/ranking"
-	"repro/internal/relation"
 )
 
 // Merge combines several ranked iterators into one ranked iterator — the
@@ -14,11 +13,8 @@ import (
 // different trees, so their outputs interleave by weight).
 type mergeIter struct {
 	*Lifecycle
-	agg   ranking.Aggregate
-	pq    *heap.Heap[mergeHead]
-	srcs  []Iterator
-	dedup map[string]bool
-	buf   []byte
+	pq   *heap.Heap[mergeHead]
+	srcs []Iterator
 }
 
 type mergeHead struct {
@@ -27,20 +23,16 @@ type mergeHead struct {
 }
 
 // Merge returns an iterator yielding the union of the inputs in ranking
-// order. When dedup is true, results with identical output tuples are
-// emitted once (needed when the union's branches can overlap; the
-// 4-cycle decomposition produces disjoint branches, so it passes false).
-// Closing the merge closes every source; a source error (including
-// cancellation surfaced by a source) is latched and reported from Err.
-func Merge(ctx context.Context, agg ranking.Aggregate, dedup bool, iters ...Iterator) Iterator {
+// order. It is a bag union: the inputs must be disjoint for the output
+// to be duplicate-free, which the heavy/light decompositions guarantee
+// by construction. Closing the merge closes every source; a source error
+// (including cancellation surfaced by a source) is latched and reported
+// from Err.
+func Merge(ctx context.Context, agg ranking.Aggregate, iters ...Iterator) Iterator {
 	m := &mergeIter{
 		Lifecycle: NewLifecycle(ctx),
-		agg:       agg,
 		pq:        heap.New(func(a, b mergeHead) bool { return agg.Less(a.r.Weight, b.r.Weight) }),
 		srcs:      iters,
-	}
-	if dedup {
-		m.dedup = make(map[string]bool)
 	}
 	m.OnRelease(func() { m.pq = nil })
 	for _, it := range iters {
@@ -59,33 +51,18 @@ func (m *mergeIter) Next() (Result, bool) {
 		return Result{}, false
 	}
 	defer m.End()
-	for {
-		head, ok := m.pq.Pop()
-		if !ok {
-			m.Exhaust()
-			return Result{}, false
-		}
-		if r, ok := head.src.Next(); ok {
-			m.pq.Push(mergeHead{r: r, src: head.src})
-		} else if err := head.src.Err(); err != nil {
-			m.Fail(err)
-			return Result{}, false
-		}
-		if m.dedup != nil {
-			m.buf = relation.AppendKey(m.buf[:0], head.r.Tuple)
-			k := string(m.buf)
-			if m.dedup[k] {
-				// Long duplicate runs must still notice a concurrent Close
-				// or cancellation between pops.
-				if m.Interrupted() {
-					return Result{}, false
-				}
-				continue
-			}
-			m.dedup[k] = true
-		}
-		return head.r, true
+	head, ok := m.pq.Pop()
+	if !ok {
+		m.Exhaust()
+		return Result{}, false
 	}
+	if r, ok := head.src.Next(); ok {
+		m.pq.Push(mergeHead{r: r, src: head.src})
+	} else if err := head.src.Err(); err != nil {
+		m.Fail(err)
+		return Result{}, false
+	}
+	return head.r, true
 }
 
 // Close terminates the merge and closes every source iterator. Like all

@@ -127,11 +127,10 @@ func (s *Shape) heavyValues(qrels []*relation.Relation) []map[relation.Value]boo
 		threshold := int(math.Sqrt(float64(r.Len())))
 		heavy[i] = make(map[relation.Value]bool)
 		c := r.AttrIndex(sp.v)
-		deg := make(map[relation.Value]int)
-		for _, t := range r.Tuples {
-			deg[t[c]]++
-			if deg[t[c]] > threshold {
-				heavy[i][t[c]] = true
+		byV := relation.MustIndex(r, sp.v)
+		for g := 0; g < byV.Keys(); g++ {
+			if rows := byV.Rows(g); len(rows) > threshold {
+				heavy[i][r.Tuples[rows[0]][c]] = true
 			}
 		}
 	}

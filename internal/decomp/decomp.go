@@ -187,7 +187,7 @@ func (p *Plan) Run(ctx context.Context, v core.Variant) (core.Iterator, error) {
 	}
 	// The trees partition the output, so the ranked union needs no
 	// deduplication.
-	return core.Merge(ctx, p.agg, false, its...), nil
+	return core.Merge(ctx, p.agg, its...), nil
 }
 
 // Stats reports the decomposition work: what was materialised where.

@@ -139,8 +139,11 @@ type Node struct {
 	Parent int
 	// Children are preorder positions of children.
 	Children []int
-	// Groups partitions Rel's rows by their join key with the parent.
-	// The root has exactly one group holding every row.
+	// Groups partitions Rel's rows by their join key with the parent, in
+	// order of the key's first appearance. The root has exactly one
+	// group holding every row. All Groups[g].Rows of a node are windows
+	// of one array (relation.Index's CSR rows): read them, never append
+	// to or reorder one.
 	Groups []Group
 	// GroupOfRow maps each row to its group index.
 	GroupOfRow []int32
@@ -342,27 +345,16 @@ func groupNode(nodes []*Node, pos int) error {
 	if len(shared) == 0 {
 		return fmt.Errorf("dp: node %d shares no attributes with its parent (tree edge would be a cartesian product)", pos)
 	}
-	selfCols, err := n.Rel.AttrIndexes(shared)
+	// The index is dropped on return: the plan keeps its row arrays,
+	// which do not reference the probe table.
+	ix, err := relation.NewIndex(n.Rel, shared...)
 	if err != nil {
 		return err
 	}
-	groupIndex := make(map[string]int32)
-	n.GroupOfRow = make([]int32, n.Rel.Len())
-	var buf []byte
-	key := make([]relation.Value, len(selfCols))
-	for row, tp := range n.Rel.Tuples {
-		for k, c := range selfCols {
-			key[k] = tp[c]
-		}
-		buf = relation.AppendKey(buf[:0], key)
-		gi, ok := groupIndex[string(buf)]
-		if !ok {
-			gi = int32(len(n.Groups))
-			groupIndex[string(buf)] = gi
-			n.Groups = append(n.Groups, Group{})
-		}
-		n.Groups[gi].Rows = append(n.Groups[gi].Rows, int32(row))
-		n.GroupOfRow[row] = gi
+	n.GroupOfRow = ix.GroupOf()
+	n.Groups = make([]Group, ix.Keys())
+	for g := range n.Groups {
+		n.Groups[g].Rows = ix.Rows(g)
 	}
 	// Parent rows resolve to this node's groups.
 	pCols, err := parent.Rel.AttrIndexes(shared)
@@ -371,15 +363,8 @@ func groupNode(nodes []*Node, pos int) error {
 	}
 	cg := make([]int32, parent.Rel.Len())
 	for row, tp := range parent.Rel.Tuples {
-		for k, c := range pCols {
-			key[k] = tp[c]
-		}
-		buf = relation.AppendKey(buf[:0], key)
-		gi, ok := groupIndex[string(buf)]
-		if !ok {
-			gi = -1 // dangling parent row: impossible after full reduction
-		}
-		cg[row] = gi
+		// -1 is a dangling parent row: impossible after full reduction.
+		cg[row] = int32(ix.FindBy(tp, pCols))
 	}
 	parent.ChildGroup[childIndex(nodes, n.Parent, pos)] = cg
 	return nil

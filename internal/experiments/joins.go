@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md's index (E1–E12), each returning a text
-// table with the same rows/series the paper's claims describe. The
-// cmd/anyk-bench binary and the root-level benchmarks both drive these
-// functions; EXPERIMENTS.md records the measured outcomes.
+// per experiment (E1–E15), each returning a text table with the same
+// rows/series the paper's claims describe. The cmd/anyk-bench binary
+// and the root-level benchmarks both drive these functions; the tables
+// are printed, not recorded — measured outcomes that a change is judged
+// by come from the repository benchmark (bench/, BENCHMARK.json).
 package experiments
 
 import (

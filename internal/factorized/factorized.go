@@ -22,30 +22,11 @@ import (
 
 // DRep is a factorized representation of an acyclic query's result.
 type DRep struct {
-	tree   *treeInfo
-	unions map[unionKey]*unionNode
-	root   *unionNode
+	red  []*relation.Relation // the full-reduced relations, by tree node
+	root *unionNode
 	// OutAttrs is the output schema of Enumerate.
 	OutAttrs []string
 	emits    []emitSpec
-}
-
-type treeInfo struct {
-	red      []*relation.Relation
-	order    []int
-	parent   []int
-	children [][]int
-	// childKeyCols[u][ci] = columns of u's relation forming the join key
-	// with child children[u][ci].
-	childKeyCols [][][]int
-	// selfKeyCols[u] = columns of u's relation forming the key by which
-	// u's tuples group under their parent.
-	selfKeyCols [][]int
-}
-
-type unionKey struct {
-	node int
-	key  string
 }
 
 // unionNode is a union over the tuples of one candidate group; each
@@ -71,78 +52,61 @@ func Build(q *yannakakis.Query) (*DRep, error) {
 	red := q.FullReduce()
 	t := q.Tree
 	n := len(red)
-	info := &treeInfo{
-		red:          red,
-		order:        t.Order,
-		parent:       make([]int, n),
-		children:     make([][]int, n),
-		childKeyCols: make([][][]int, n),
-		selfKeyCols:  make([][]int, n),
-	}
+	// groups[u] groups u's rows by the key they share with u's parent
+	// (the root, which has none, is one group holding every row);
+	// keyCols[u][ci] are u's columns of the key shared with its ci-th child.
+	groups := make([]*relation.Index, n)
+	groups[t.Root] = relation.MustIndex(red[t.Root])
+	keyCols := make([][][]int, n)
 	for u := 0; u < n; u++ {
-		info.parent[u] = t.Parent[u]
-		info.children[u] = t.Children[u]
-	}
-	for u := 0; u < n; u++ {
-		info.childKeyCols[u] = make([][]int, len(info.children[u]))
-		for ci, c := range info.children[u] {
+		keyCols[u] = make([][]int, len(t.Children[u]))
+		for ci, c := range t.Children[u] {
 			shared := red[u].SharedAttrs(red[c])
 			if len(shared) == 0 {
 				return nil, fmt.Errorf("factorized: tree edge %d-%d shares no attributes", u, c)
 			}
-			cols, err := red[u].AttrIndexes(shared)
-			if err != nil {
+			var err error
+			if keyCols[u][ci], err = red[u].AttrIndexes(shared); err != nil {
 				return nil, err
 			}
-			info.childKeyCols[u][ci] = cols
-			selfCols, err := red[c].AttrIndexes(shared)
-			if err != nil {
+			if groups[c], err = relation.NewIndex(red[c], shared...); err != nil {
 				return nil, err
 			}
-			info.selfKeyCols[c] = selfCols
 		}
 	}
-	d := &DRep{tree: info, unions: make(map[unionKey]*unionNode)}
+	d := &DRep{red: red}
 
-	// Group every node's rows by self key so unions can be created by key.
-	groups := make([]map[string][]int32, n)
-	var buf []byte
-	for u := 0; u < n; u++ {
-		groups[u] = make(map[string][]int32)
-		for row, tp := range red[u].Tuples {
-			buf = keyOf(buf[:0], tp, info.selfKeyCols[u])
-			groups[u][string(buf)] = append(groups[u][string(buf)], int32(row))
-		}
-	}
-
-	// Build unions bottom-up (reverse preorder ensures children exist).
-	for oi := len(info.order) - 1; oi >= 0; oi-- {
-		u := info.order[oi]
-		for key, rows := range groups[u] {
+	// One union per (tree node, group), built bottom-up (reverse preorder
+	// ensures children exist).
+	unions := make([][]*unionNode, n)
+	for oi := len(t.Order) - 1; oi >= 0; oi-- {
+		u := t.Order[oi]
+		unions[u] = make([]*unionNode, groups[u].Keys())
+		for g := range unions[u] {
+			rows := groups[u].Rows(g)
 			un := &unionNode{node: u, rows: rows, count: -1}
 			un.childUnions = make([][]*unionNode, len(rows))
 			for i, row := range rows {
-				tp := red[u].Tuples[row]
-				cus := make([]*unionNode, len(info.children[u]))
-				for ci, c := range info.children[u] {
-					buf = keyOf(buf[:0], tp, info.childKeyCols[u][ci])
-					child := d.unions[unionKey{node: c, key: string(buf)}]
-					if child == nil {
+				cus := make([]*unionNode, len(t.Children[u]))
+				for ci, c := range t.Children[u] {
+					cg := groups[c].FindBy(red[u].Tuples[row], keyCols[u][ci])
+					if cg < 0 {
 						return nil, fmt.Errorf("factorized: dangling tuple survived reduction at node %d", u)
 					}
-					cus[ci] = child
+					cus[ci] = unions[c][cg]
 				}
 				un.childUnions[i] = cus
 			}
-			d.unions[unionKey{node: u, key: key}] = un
+			unions[u][g] = un
 		}
 	}
-	root := info.order[0]
-	d.root = d.unions[unionKey{node: root, key: ""}]
+	if root := unions[t.Root]; len(root) > 0 {
+		d.root = root[0]
+	}
 
 	// Output schema (first appearance over preorder).
 	seen := make(map[string]bool)
-	for _, u := range info.order {
+	for _, u := range t.Order {
 		for col, v := range red[u].Attrs {
 			if !seen[v] {
 				seen[v] = true
@@ -152,14 +116,6 @@ func Build(q *yannakakis.Query) (*DRep, error) {
 		}
 	}
 	return d, nil
-}
-
-func keyOf(buf []byte, tp relation.Tuple, cols []int) []byte {
-	key := make([]relation.Value, len(cols))
-	for i, c := range cols {
-		key[i] = tp[c]
-	}
-	return relation.AppendKey(buf, key)
 }
 
 // Count returns the number of flat results, computed over the DAG with
@@ -232,13 +188,13 @@ func (d *DRep) Enumerate(limit int) []relation.Tuple {
 		return nil
 	}
 	var out []relation.Tuple
-	rows := make(map[int]int32, len(d.tree.red))
+	rows := make(map[int]int32, len(d.red))
 	var rec func(stack []*unionNode) bool
 	rec = func(stack []*unionNode) bool {
 		if len(stack) == 0 {
 			tup := make(relation.Tuple, len(d.OutAttrs))
 			for _, sp := range d.emits {
-				tup[sp.outPos] = d.tree.red[sp.node].Tuples[rows[sp.node]][sp.col]
+				tup[sp.outPos] = d.red[sp.node].Tuples[rows[sp.node]][sp.col]
 			}
 			out = append(out, tup)
 			return limit <= 0 || len(out) < limit

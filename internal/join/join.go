@@ -64,12 +64,8 @@ func HashJoin(l, r *relation.Relation, agg ranking.Aggregate, stats *Stats) *rel
 	if err != nil {
 		panic(err) // shared attrs come from l's schema; cannot fail
 	}
-	key := make([]relation.Value, len(lCols))
 	for i, lt := range l.Tuples {
-		for k, c := range lCols {
-			key[k] = lt[c]
-		}
-		rows := rIdx.Lookup(key)
+		rows := rIdx.Rows(rIdx.FindBy(lt, lCols))
 		if stats != nil {
 			stats.ProbeSteps += 1 + len(rows)
 		}
@@ -153,25 +149,15 @@ func emit(out *relation.Relation, lt, rt relation.Tuple, rKeep []int, w float64)
 
 // SemiJoin returns the tuples of l that join with at least one tuple of
 // r on the shared attributes (weights unchanged). With no shared
-// attributes, the result is l itself when r is non-empty, else empty.
+// attributes, the result is l itself when r is non-empty, else empty:
+// r's index on zero attributes has the empty key iff r has a row.
 func SemiJoin(l, r *relation.Relation) *relation.Relation {
 	shared := l.SharedAttrs(r)
 	out := relation.New(l.Name, l.Attrs...)
-	if len(shared) == 0 {
-		if r.Len() > 0 {
-			out.Tuples = append(out.Tuples, l.Tuples...)
-			out.Weights = append(out.Weights, l.Weights...)
-		}
-		return out
-	}
 	rIdx := relation.MustIndex(r, shared...)
 	lCols, _ := l.AttrIndexes(shared)
-	key := make([]relation.Value, len(lCols))
 	for i, lt := range l.Tuples {
-		for k, c := range lCols {
-			key[k] = lt[c]
-		}
-		if len(rIdx.Lookup(key)) > 0 {
+		if rIdx.FindBy(lt, lCols) >= 0 {
 			out.Tuples = append(out.Tuples, lt)
 			out.Weights = append(out.Weights, l.Weights[i])
 		}

@@ -2,69 +2,149 @@ package relation
 
 import (
 	"fmt"
-	"math"
+	"hash/maphash"
+	"math/bits"
 )
 
-// AppendKey appends the binary encoding of vals to buf and returns the
-// extended buffer. The encoding is fixed-width (8 bytes per value,
-// big-endian with the sign bit flipped) so that byte-wise comparison of
-// keys equals lexicographic comparison of value vectors.
-func AppendKey(buf []byte, vals []Value) []byte {
-	for _, v := range vals {
-		u := uint64(v) ^ (1 << 63) // order-preserving for signed values
-		buf = append(buf,
-			byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-			byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
+// processSeed keys every KeyTable's hash. It is drawn once per process:
+// datasets arrive over HTTP, so bucket placement must not be something a
+// client can compute. Nothing observable depends on it — ids are handed
+// out in first-seen order whatever the probe sequence was.
+var processSeed = maphash.Bytes(maphash.MakeSeed(), nil)
+
+// KeyTable maps distinct fixed-width key vectors to dense ids numbered
+// by first insertion. Keys are stored flat, one after another, and found
+// by open addressing (linear probing) over a seeded integer hash of
+// their values: no key is encoded into bytes or allocated on its own.
+// It is the one place that knows how a key is hashed and found.
+type KeyTable struct {
+	width int
+	n     int     // distinct keys; not len(keys)/width, which is 0/0 at width 0
+	keys  []Value // key id is keys[id*width : (id+1)*width]
+	slots []int32 // id+1 of the key placed there, 0 for an empty slot
+	seed  uint64
+}
+
+// NewKeyTable returns an empty table for keys of width values; up to
+// hint keys insert without growing it.
+func NewKeyTable(width, hint int) *KeyTable {
+	size := 8
+	for size < 2*hint {
+		size <<= 1
 	}
-	return buf
+	return &KeyTable{width: width, keys: make([]Value, 0, hint*width), slots: make([]int32, size), seed: processSeed}
 }
 
-// appendFloatKey appends an order-irrelevant encoding of a float64 used
-// only for equality testing.
-func appendFloatKey(buf []byte, f float64) []byte {
-	u := floatBits(f)
-	return append(buf,
-		byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
+// Len is the number of distinct keys; ids run from 0 to Len()-1.
+func (t *KeyTable) Len() int { return t.n }
+
+func (t *KeyTable) key(id int) []Value { return t.keys[id*t.width : (id+1)*t.width] }
+
+// Find returns the id of key, or -1 if it was never inserted. It panics
+// on a key of the wrong width, which is always a programming error.
+func (t *KeyTable) Find(key []Value) int {
+	id, _ := t.probe(key)
+	return id
 }
 
-// Index is a hash index over one or more columns of a relation, mapping
-// each distinct key to the row numbers holding it. A single-column index
-// uses a direct value map (the common case in graph workloads); wider
-// keys use the binary encoding from AppendKey.
+// Insert returns the id of key, adding it with the next free id if it is
+// new (added reports which). The key's values are copied.
+func (t *KeyTable) Insert(key []Value) (id int, added bool) {
+	id, slot := t.probe(key)
+	if id >= 0 {
+		return id, false
+	}
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+		_, slot = t.probe(key)
+	}
+	t.keys = append(t.keys, key...)
+	t.n++
+	t.slots[slot] = int32(t.n)
+	return t.n - 1, true
+}
+
+// probe walks key's probe sequence to its id, or to the empty slot where
+// it would be placed (id -1).
+func (t *KeyTable) probe(key []Value) (id, slot int) {
+	if len(key) != t.width {
+		panic(fmt.Sprintf("key arity %d != %d", len(key), t.width))
+	}
+	h := t.seed
+	for _, v := range key {
+		hi, lo := bits.Mul64(h^uint64(v), 0x9e3779b97f4a7c15)
+		h = hi ^ lo
+	}
+	mask := len(t.slots) - 1
+probing:
+	for slot = int(h) & mask; ; slot = (slot + 1) & mask {
+		s := int(t.slots[slot])
+		if s == 0 {
+			return -1, slot
+		}
+		for j, v := range t.key(s - 1) {
+			if v != key[j] {
+				continue probing
+			}
+		}
+		return s - 1, slot
+	}
+}
+
+// grow doubles the slot array and re-places every key.
+func (t *KeyTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	for id := 0; id < t.n; id++ {
+		_, slot := t.probe(t.key(id))
+		t.slots[slot] = int32(id + 1)
+	}
+}
+
+// Index groups the rows of a relation by the values of some of its
+// columns: a KeyTable of the distinct keys plus the rows in CSR form
+// (the package comment has the contract). The row arrays do not
+// reference the table.
 type Index struct {
-	rel    *Relation
-	cols   []int
-	single map[Value][]int32  // non-nil iff len(cols) == 1
-	multi  map[string][]int32 // non-nil iff len(cols) != 1
+	table   *KeyTable
+	groupOf []int32 // row -> group
+	start   []int32 // group g's rows are rows[start[g]:start[g+1]]
+	rows    []int32
 }
 
-// NewIndex builds a hash index on the given attributes of r in O(|r|).
-// An index on zero attributes maps the empty key to every row.
+// NewIndex groups r's rows on the given attributes in O(|r|). An index
+// on zero attributes is one group holding every row (no group at all on
+// an empty relation).
 func NewIndex(r *Relation, attrs ...string) (*Index, error) {
 	cols, err := r.AttrIndexes(attrs)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{rel: r, cols: cols}
-	if len(cols) == 1 {
-		c := cols[0]
-		ix.single = make(map[Value][]int32, len(r.Tuples))
-		for i, t := range r.Tuples {
-			ix.single[t[c]] = append(ix.single[t[c]], int32(i))
-		}
-		return ix, nil
-	}
-	ix.multi = make(map[string][]int32, len(r.Tuples))
-	var buf []byte
+	n := len(r.Tuples)
+	ix := &Index{table: NewKeyTable(len(cols), n), groupOf: make([]int32, n), rows: make([]int32, n)}
 	key := make([]Value, len(cols))
 	for i, t := range r.Tuples {
 		for j, c := range cols {
 			key[j] = t[c]
 		}
-		buf = AppendKey(buf[:0], key)
-		ix.multi[string(buf)] = append(ix.multi[string(buf)], int32(i))
+		g, _ := ix.table.Insert(key)
+		ix.groupOf[i] = int32(g)
 	}
+	// Counting sort of the rows by group: sizes, then offsets, then a
+	// placing pass that leaves start[g] at g's end, shifted back after.
+	groups := ix.table.Len()
+	ix.start = make([]int32, groups+1)
+	for _, g := range ix.groupOf {
+		ix.start[g+1]++
+	}
+	for g := 1; g < groups; g++ {
+		ix.start[g+1] += ix.start[g]
+	}
+	for i, g := range ix.groupOf {
+		ix.rows[ix.start[g]] = int32(i)
+		ix.start[g]++
+	}
+	copy(ix.start[1:], ix.start[:groups])
+	ix.start[0] = 0
 	return ix, nil
 }
 
@@ -78,70 +158,46 @@ func MustIndex(r *Relation, attrs ...string) *Index {
 	return ix
 }
 
-// Relation returns the indexed relation.
-func (ix *Index) Relation() *Relation { return ix.rel }
+// Find returns the group whose key equals key, or -1. It panics on an
+// arity mismatch.
+func (ix *Index) Find(key []Value) int { return ix.table.Find(key) }
 
-// Cols returns the indexed column positions.
-func (ix *Index) Cols() []int { return ix.cols }
-
-// Lookup returns the rows whose indexed columns equal key. The returned
-// slice is shared; callers must not mutate it.
-func (ix *Index) Lookup(key []Value) []int32 {
-	if len(key) != len(ix.cols) {
-		panic(fmt.Sprintf("index lookup arity %d != %d", len(key), len(ix.cols)))
+// FindBy is Find with the key read off a tuple of another relation:
+// t's values at cols, the positions there of the indexed attributes.
+func (ix *Index) FindBy(t Tuple, cols []int) int {
+	var buf [4]Value // wider keys spill to the heap
+	key := buf[:0]
+	for _, c := range cols {
+		key = append(key, t[c])
 	}
-	if ix.single != nil {
-		return ix.single[key[0]]
-	}
-	var buf [64]byte
-	b := AppendKey(buf[:0], key)
-	return ix.multi[string(b)]
+	return ix.table.Find(key)
 }
 
-// LookupTuple extracts the key columns from t (a tuple of the indexed
-// relation's schema shape is not required: cols are positions in the
-// *indexed* relation, so t must be a tuple of the indexed relation) and
-// returns matching rows.
-func (ix *Index) LookupTuple(t Tuple) []int32 {
-	if ix.single != nil {
-		return ix.single[t[ix.cols[0]]]
+// Lookup returns the rows whose indexed columns equal key: Rows(Find(key)).
+func (ix *Index) Lookup(key []Value) []int32 { return ix.Rows(ix.table.Find(key)) }
+
+// Rows returns group g's rows, ascending — nil for g = -1, the group of
+// an absent key. All groups' slices are windows of one array; callers
+// must not mutate or append to them.
+func (ix *Index) Rows(g int) []int32 {
+	if g < 0 {
+		return nil
 	}
-	var buf [64]byte
-	b := buf[:0]
-	key := make([]Value, len(ix.cols))
-	for j, c := range ix.cols {
-		key[j] = t[c]
-	}
-	b = AppendKey(b, key)
-	return ix.multi[string(b)]
+	return ix.rows[ix.start[g]:ix.start[g+1]:ix.start[g+1]]
 }
 
-// Keys returns the number of distinct keys.
-func (ix *Index) Keys() int {
-	if ix.single != nil {
-		return len(ix.single)
-	}
-	return len(ix.multi)
-}
+// GroupOf maps every row to its group. Shared; callers must not mutate.
+func (ix *Index) GroupOf() []int32 { return ix.groupOf }
+
+// Keys returns the number of distinct keys, i.e. of groups.
+func (ix *Index) Keys() int { return ix.table.Len() }
 
 // MaxFanout returns the largest number of rows sharing one key (the
 // maximum degree), used by heavy/light decompositions and tests.
 func (ix *Index) MaxFanout() int {
-	max := 0
-	if ix.single != nil {
-		for _, rows := range ix.single {
-			if len(rows) > max {
-				max = len(rows)
-			}
-		}
-		return max
+	widest := 0
+	for g := 0; g < ix.Keys(); g++ {
+		widest = max(widest, len(ix.Rows(g)))
 	}
-	for _, rows := range ix.multi {
-		if len(rows) > max {
-			max = len(rows)
-		}
-	}
-	return max
+	return widest
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }

@@ -1,14 +1,38 @@
 // Package relation implements the weighted relational substrate the rest
 // of the library builds on: schemas, tuples over an integer domain,
-// weighted relations, and the hash indexes used by join algorithms.
+// weighted relations, and the one grouping primitive under every join
+// algorithm.
 //
 // Tuples carry a weight (the input to the ranking function); the weight
 // of a join result is the aggregate of the weights of its constituent
 // input tuples, matching the cost model of the tutorial's Part 3.
+//
+// "Group the rows of a stage by their join key" is the O(n) step the
+// T-DP's linear preprocessing rests on, and it is spelled once, in
+// index.go: KeyTable maps distinct k-column keys to dense ids, Index is
+// a KeyTable plus the rows in CSR form, and Dedup, EqualAsSet and
+// ApplyDelta are passes over the table. What callers may rely on:
+//
+//   - Ids are numbered by first appearance and a group's rows ascend,
+//     so everything built from a grouping (plans, Stats, ranked
+//     sequences, tie order) is deterministic.
+//   - The hash is seeded once per process, because datasets arrive over
+//     HTTP; no id, row order or count depends on the seed.
+//   - An index on zero attributes is one group holding every row (no
+//     group on an empty relation); Find returns -1 for an absent key
+//     and panics, like Lookup, on a key of the wrong arity.
+//   - Building an index allocates a fixed number of arrays whatever the
+//     number of groups, and the row arrays (GroupOf, Rows) do not
+//     reference the probe table: dp.Plan keeps them and drops the Index.
+//
+// The sorted-permutation tries of internal/wcoj are an ordered view of
+// the same tuples: a different structure for a different job.
 package relation
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -196,67 +220,82 @@ func (r *Relation) sortBy(less func(i, j int) bool) {
 }
 
 // Dedup removes duplicate tuples, keeping the lightest weight for each
-// distinct tuple. The relation is sorted by columns afterwards.
+// distinct tuple (the earliest row among equally light ones). Distinct
+// tuples stay in order of first appearance.
 func (r *Relation) Dedup() {
-	if len(r.Tuples) == 0 {
-		return
-	}
-	best := make(map[string]int, len(r.Tuples))
-	var buf []byte
-	order := make([]int, 0, len(r.Tuples))
+	seen := NewKeyTable(len(r.Attrs), len(r.Tuples))
+	var best []int // per distinct tuple, its lightest row
 	for i, t := range r.Tuples {
-		buf = AppendKey(buf[:0], t)
-		k := string(buf)
-		if j, ok := best[k]; ok {
-			if r.Weights[i] < r.Weights[j] {
-				best[k] = i
-			}
-		} else {
-			best[k] = i
-			order = append(order, i)
+		if id, added := seen.Insert(t); added {
+			best = append(best, i)
+		} else if r.Weights[i] < r.Weights[best[id]] {
+			best[id] = i
 		}
 	}
-	nt := make([]Tuple, 0, len(best))
-	nw := make([]float64, 0, len(best))
-	for _, first := range order {
-		buf = AppendKey(buf[:0], r.Tuples[first])
-		i := best[string(buf)]
-		nt = append(nt, r.Tuples[i])
-		nw = append(nw, r.Weights[i])
+	nt := make([]Tuple, len(best))
+	nw := make([]float64, len(best))
+	for id, i := range best {
+		nt[id], nw[id] = r.Tuples[i], r.Weights[i]
 	}
 	r.Tuples, r.Weights = nt, nw
 }
 
-// EqualAsSet reports whether two relations contain the same set of
+// EqualAsSet reports whether two relations contain the same multiset of
 // (tuple, weight) pairs, ignoring order and name. Schemas must match.
 func (r *Relation) EqualAsSet(other *Relation) bool {
-	if len(r.Attrs) != len(other.Attrs) {
+	if !slices.Equal(r.Attrs, other.Attrs) || len(r.Tuples) != len(other.Tuples) {
 		return false
 	}
-	for i := range r.Attrs {
-		if r.Attrs[i] != other.Attrs[i] {
-			return false
-		}
-	}
-	if len(r.Tuples) != len(other.Tuples) {
-		return false
-	}
-	count := make(map[string]int, len(r.Tuples))
-	var buf []byte
+	// The weight's bit pattern rides along as one more key column.
+	pairs := NewKeyTable(len(r.Attrs)+1, len(r.Tuples))
+	var count []int
+	var key []Value
 	for i, t := range r.Tuples {
-		buf = AppendKey(buf[:0], t)
-		buf = appendFloatKey(buf, r.Weights[i])
-		count[string(buf)]++
+		key = append(append(key[:0], t...), Value(math.Float64bits(r.Weights[i])))
+		id, added := pairs.Insert(key)
+		if added {
+			count = append(count, 0)
+		}
+		count[id]++
 	}
 	for i, t := range other.Tuples {
-		buf = AppendKey(buf[:0], t)
-		buf = appendFloatKey(buf, other.Weights[i])
-		count[string(buf)]--
-		if count[string(buf)] < 0 {
+		key = append(append(key[:0], t...), Value(math.Float64bits(other.Weights[i])))
+		id := pairs.Find(key)
+		if id < 0 || count[id] == 0 {
 			return false
 		}
+		count[id]--
 	}
 	return true
+}
+
+// ApplyDelta returns a new relation holding r's rows minus every row
+// equal by value to some del tuple (all duplicates; weights are not
+// consulted), followed by the app rows with weights appW (nil means all
+// zero), plus the number of rows removed. Neither r nor its slices are
+// mutated — snapshots and epochs share them — and the app tuples are
+// taken as they are, not copied. Tuples must have r's arity.
+func (r *Relation) ApplyDelta(del, app []Tuple, appW []float64) (*Relation, int) {
+	out := New(r.Name, r.Attrs...)
+	out.Tuples = make([]Tuple, 0, len(r.Tuples)+len(app))
+	out.Weights = make([]float64, 0, len(r.Tuples)+len(app))
+	kill := NewKeyTable(len(r.Attrs), len(del))
+	for _, t := range del {
+		kill.Insert(t)
+	}
+	for i, t := range r.Tuples {
+		if kill.Len() == 0 || kill.Find(t) < 0 {
+			out.Tuples = append(out.Tuples, t)
+			out.Weights = append(out.Weights, r.Weights[i])
+		}
+	}
+	removed := len(r.Tuples) - len(out.Tuples)
+	out.Tuples = append(out.Tuples, app...)
+	if appW == nil {
+		appW = make([]float64, len(app))
+	}
+	out.Weights = append(out.Weights, appW...)
+	return out, removed
 }
 
 // TotalWeight returns the sum of all tuple weights.

@@ -171,28 +171,6 @@ func TestStringTruncates(t *testing.T) {
 	}
 }
 
-func TestAppendKeyOrderPreserving(t *testing.T) {
-	f := func(a, b int64) bool {
-		ka := AppendKey(nil, []Value{a})
-		kb := AppendKey(nil, []Value{b})
-		return (a < b) == (bytes.Compare(ka, kb) < 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAppendKeyInjective(t *testing.T) {
-	f := func(a1, a2, b1, b2 int64) bool {
-		ka := AppendKey(nil, []Value{a1, a2})
-		kb := AppendKey(nil, []Value{b1, b2})
-		return bytes.Equal(ka, kb) == (a1 == b1 && a2 == b2)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIndexSingleColumn(t *testing.T) {
 	r := New("R", "A", "B")
 	r.Add(1, 10)
@@ -229,8 +207,11 @@ func TestIndexMultiColumn(t *testing.T) {
 	if got := len(ix.Lookup([]Value{1, 10})); got != 2 {
 		t.Fatalf("Lookup(1,10) rows = %d, want 2", got)
 	}
-	if got := len(ix.LookupTuple(Tuple{1, 11, 999})); got != 1 {
-		t.Fatalf("LookupTuple rows = %d, want 1", got)
+	if got := ix.Find([]Value{1, 11}); got != 1 {
+		t.Fatalf("Find(1,11) = group %d, want 1", got)
+	}
+	if got := ix.Find([]Value{1, 12}); got != -1 {
+		t.Fatalf("Find of an absent key = %d, want -1", got)
 	}
 	if ix.Keys() != 2 {
 		t.Errorf("Keys = %d, want 2", ix.Keys())

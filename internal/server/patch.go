@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -63,7 +62,11 @@ func (s *Server) handleDatasetPatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tuples, weights, removed := applyDatasetDelta(old, deleteT, appendT, appendW)
+	// The new snapshot's rows, by the function that patches the handles
+	// (Prepared.ApplyDelta), so the two cannot drift. The old slices are
+	// never mutated — snapshots are immutable.
+	snap := &relation.Relation{Name: name, Attrs: old.attrs, Tuples: old.tuples, Weights: old.weights}
+	next, removed := snap.ApplyDelta(deleteT, appendT, appendW)
 	if removed == 0 && len(appendT) == 0 {
 		// Every delete missed: the data is unchanged, so the snapshot,
 		// its version, and every compiled plan stay exactly as they are.
@@ -87,12 +90,12 @@ func (s *Server) handleDatasetPatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if st == nil {
-		st = catalog.Collect(&relation.Relation{Name: name, Attrs: old.attrs, Tuples: tuples, Weights: weights})
+		st = catalog.Collect(next)
 	}
 
 	ds := &dataset{
 		name: name, version: old.version + 1, arity: old.arity, attrs: old.attrs,
-		tuples: tuples, weights: weights, stats: st,
+		tuples: next.Tuples, weights: next.Weights, stats: st,
 		statsVersion: old.statsVersion + 1, epoch: old.epoch + 1,
 	}
 	// Patch first, publish second (registry invariant 4): while the
@@ -187,43 +190,6 @@ func (s *Server) readPatch(ds *dataset, r *http.Request) (appendT []relation.Tup
 		appendW = make([]float64, len(appendT))
 	}
 	return appendT, appendW, deleteT, nil
-}
-
-// applyDatasetDelta builds the new snapshot's rows: current rows minus
-// every row matching a delete tuple (by value), plus the appends. The
-// old slices are never mutated — snapshots are immutable.
-func applyDatasetDelta(old *dataset, deleteT, appendT []relation.Tuple, appendW []float64) ([]relation.Tuple, []float64, int) {
-	tuples := make([]relation.Tuple, 0, len(old.tuples)+len(appendT))
-	weights := make([]float64, 0, len(old.weights)+len(appendT))
-	removed := 0
-	if len(deleteT) > 0 {
-		kill := make(map[string]bool, len(deleteT))
-		for _, t := range deleteT {
-			kill[patchTupleKey(t)] = true
-		}
-		for i, t := range old.tuples {
-			if kill[patchTupleKey(t)] {
-				removed++
-				continue
-			}
-			tuples = append(tuples, t)
-			weights = append(weights, old.weights[i])
-		}
-	} else {
-		tuples = append(tuples, old.tuples...)
-		weights = append(weights, old.weights...)
-	}
-	tuples = append(tuples, appendT...)
-	weights = append(weights, appendW...)
-	return tuples, weights, removed
-}
-
-func patchTupleKey(t relation.Tuple) string {
-	b := make([]byte, 8*len(t))
-	for i, v := range t {
-		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
-	}
-	return string(b)
 }
 
 // patchPlans advances every resident handle that binds dataset name by

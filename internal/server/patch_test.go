@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -255,5 +257,100 @@ func TestErrorEnvelopeAcrossEndpoints(t *testing.T) {
 	mustStatus(t, resp, body, 400)
 	if code := errCode(t, body); code != errInvalidArgument {
 		t.Fatalf("empty dataset code = %q", code)
+	}
+}
+
+// TestDatasetPatchSnapshotMatchesHandles pins that a PATCH leaves one
+// state behind, not two: the dataset snapshot and the handles patched
+// from the same delta are built by one function (Relation.ApplyDelta),
+// so after a delta with a repeated delete tuple, a delete that misses,
+// and a tuple both deleted and re-appended, the snapshot, every patched
+// handle and a cold upload of the expected rows agree row for row.
+func TestDatasetPatchSnapshotMatchesHandles(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	type row struct {
+		a, b int
+		w    float64
+	}
+	upload := func(name string, rows []row) {
+		t.Helper()
+		tuples, weights := make([]any, len(rows)), make([]float64, len(rows))
+		for i, r := range rows {
+			tuples[i], weights[i] = []any{r.a, r.b}, r.w
+		}
+		resp, body := doJSON(t, "POST", ts.URL+"/v1/datasets/"+name, map[string]any{"tuples": tuples, "weights": weights})
+		mustStatus(t, resp, body, 200)
+	}
+	register := func(name string, atoms ...any) {
+		t.Helper()
+		resp, body := doJSON(t, "POST", ts.URL+"/v1/queries/"+name, map[string]any{"atoms": atoms})
+		mustStatus(t, resp, body, 200)
+	}
+	// Weights are distinct, so a ranked read lists a handle's rows in one
+	// determined order; (1,10) is there twice.
+	upload("d", []row{{1, 10, 1}, {2, 20, 2}, {1, 10, 3}, {3, 30, 4}, {4, 40, 5}})
+	want := []row{{2, 20, 2}, {4, 40, 5}, {3, 30, 40}, {5, 50, 50}}
+	upload("cold", want)
+	// eq pairs every B value with itself at weight 0: joining through it
+	// reads d's rows back from a second, two-atom handle.
+	upload("eq", []row{{10, 10, 0}, {20, 20, 0}, {30, 30, 0}, {40, 40, 0}, {50, 50, 0}})
+	register("one", map[string]any{"dataset": "d", "vars": []string{"A", "B"}})
+	register("two", map[string]any{"dataset": "d", "vars": []string{"A", "B"}}, map[string]any{"dataset": "eq", "vars": []string{"B", "C"}})
+	register("coldone", map[string]any{"dataset": "cold", "vars": []string{"A", "B"}})
+
+	// read returns the (A, B, weight) rows a query streams, in rank order.
+	read := func(q, wantCache string) []row {
+		t.Helper()
+		resp, lines := streamTopK(t, ts.URL+"/v1/query/"+q+"/topk?k=100&agg=sum")
+		if got := resp.Header.Get("X-Plan-Cache"); got != wantCache {
+			t.Fatalf("%s: X-Plan-Cache = %q, want %q", q, got, wantCache)
+		}
+		attrs := strings.Split(resp.Header.Get("X-Out-Attrs"), ",")
+		a, b := slices.Index(attrs, "A"), slices.Index(attrs, "B")
+		var out []row
+		for _, l := range lines {
+			if l.Weight != nil {
+				out = append(out, row{int(l.Tuple[a].(float64)), int(l.Tuple[b].(float64)), *l.Weight})
+			}
+		}
+		return out
+	}
+	read("one", "miss")
+	read("two", "miss")
+
+	resp, body := doJSON(t, "PATCH", ts.URL+"/v1/datasets/d", map[string]any{
+		"delete":         []any{[]any{1, 10}, []any{1, 10}, []any{9, 90}, []any{3, 30}},
+		"append":         []any{[]any{3, 30}, []any{5, 50}},
+		"append_weights": []float64{40, 50},
+	})
+	mustStatus(t, resp, body, 200)
+	if body["deleted"] != float64(3) || body["appended"] != float64(2) || body["plans_patched"] != float64(2) {
+		t.Fatalf("patch response = %v, want 3 deleted, 2 appended, 2 plans patched", body)
+	}
+
+	// The snapshot against the cold upload, in stored order.
+	snapshot := func(name string) []row {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		ds := s.datasets[name]
+		out := make([]row, len(ds.tuples))
+		for i, tp := range ds.tuples {
+			out[i] = row{int(tp[0]), int(tp[1]), ds.weights[i]}
+		}
+		return out
+	}
+	if got := snapshot("d"); !slices.Equal(got, want) || !slices.Equal(snapshot("cold"), want) {
+		t.Fatalf("snapshot after PATCH = %v, cold upload = %v, want %v", got, snapshot("cold"), want)
+	}
+	// Both patched handles (warm: a hit means the PATCH advanced them)
+	// against a handle compiled cold on the expected rows.
+	cold := read("coldone", "miss")
+	if !slices.Equal(cold, want) { // want is already in weight order
+		t.Fatalf("cold handle rows = %v, want %v", cold, want)
+	}
+	for _, q := range []string{"one", "two"} {
+		if got := read(q, "hit"); !slices.Equal(got, cold) {
+			t.Fatalf("patched handle %s rows = %v, cold handle rows = %v", q, got, cold)
+		}
 	}
 }

@@ -92,7 +92,10 @@ type HRJN struct {
 	rCols       []int
 	rKeep       []int
 
-	lSeen, rSeen map[string][]scored
+	// The tuples seen so far on each side, by join key: both sides share
+	// one table of keys, and lSeen[id] / rSeen[id] hold key id's tuples.
+	keys         *relation.KeyTable
+	lSeen, rSeen [][]scored
 	firstL       float64
 	firstR       float64
 	startedL     bool
@@ -128,8 +131,7 @@ func NewHRJN(left, right ScoredIterator) *HRJN {
 		left: left, right: right,
 		attrs: attrs, shared: shared,
 		lCols: lCols, rCols: rCols, rKeep: rKeep,
-		lSeen: make(map[string][]scored),
-		rSeen: make(map[string][]scored),
+		keys: relation.NewKeyTable(len(shared), 0),
 	}
 	h.pq = heap.New(func(a, b scored) bool { return a.s > b.s })
 	return h
@@ -162,12 +164,17 @@ func (h *HRJN) Bound() float64 {
 	return t
 }
 
-func (h *HRJN) key(t relation.Tuple, cols []int) string {
+// keyID returns the id of t's join key, new to both sides if unseen.
+func (h *HRJN) keyID(t relation.Tuple, cols []int) int {
 	key := make([]relation.Value, len(cols))
 	for i, c := range cols {
 		key[i] = t[c]
 	}
-	return string(relation.AppendKey(nil, key))
+	id, added := h.keys.Insert(key)
+	if added {
+		h.lSeen, h.rSeen = append(h.lSeen, nil), append(h.rSeen, nil)
+	}
+	return id
 }
 
 // Next implements ScoredIterator: the classic HRJN loop.
@@ -197,7 +204,7 @@ func (h *HRJN) Next() (relation.Tuple, float64, bool) {
 			if !h.startedL {
 				h.startedL, h.firstL = true, s
 			}
-			k := h.key(t, h.lCols)
+			k := h.keyID(t, h.lCols)
 			h.lSeen[k] = append(h.lSeen[k], scored{t: t, s: s})
 			for _, r := range h.rSeen[k] {
 				h.emit(t, s, r.t, r.s)
@@ -211,7 +218,7 @@ func (h *HRJN) Next() (relation.Tuple, float64, bool) {
 			if !h.startedR {
 				h.startedR, h.firstR = true, s
 			}
-			k := h.key(t, h.rCols)
+			k := h.keyID(t, h.rCols)
 			h.rSeen[k] = append(h.rSeen[k], scored{t: t, s: s})
 			for _, l := range h.lSeen[k] {
 				h.emit(l.t, l.s, t, s)

@@ -88,13 +88,9 @@ func (q *Query) AnnotatedEval(s *Semiring, annotate func(node, row int, w float6
 			if err != nil {
 				panic(err)
 			}
-			key := make([]relation.Value, len(uCols))
 			for row, tp := range r.Tuples {
-				for k, col := range uCols {
-					key[k] = tp[col]
-				}
 				sub := s.Zero
-				for _, crow := range idx.Lookup(key) {
+				for _, crow := range idx.Rows(idx.FindBy(tp, uCols)) {
 					sub = s.Add(sub, ann[c][crow])
 				}
 				ann[u][row] = s.Mul(ann[u][row], sub)

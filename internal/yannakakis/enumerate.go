@@ -31,7 +31,6 @@ type Enumerator struct {
 	pos     []int
 	started bool
 	done    bool
-	key     []relation.Value
 }
 
 type emitSpec struct {
@@ -54,7 +53,6 @@ func NewEnumerator(q *Query, agg ranking.Aggregate) *Enumerator {
 		pCols: make([][]int, n),
 		cand:  make([][]int32, len(q.Tree.Order)),
 		pos:   make([]int, len(q.Tree.Order)),
-		key:   make([]relation.Value, 8),
 	}
 	for _, u := range e.order {
 		p := q.Tree.Parent[u]
@@ -118,16 +116,7 @@ func (e *Enumerator) fill(start int) bool {
 			pp := e.orderPosOfParent(opos)
 			parentRel := e.red[e.nodeAt(pp)]
 			parentRow := e.cand[pp][e.pos[pp]]
-			pt := parentRel.Tuples[parentRow]
-			cols := e.pCols[u]
-			if cap(e.key) < len(cols) {
-				e.key = make([]relation.Value, len(cols))
-			}
-			key := e.key[:len(cols)]
-			for k, c := range cols {
-				key[k] = pt[c]
-			}
-			e.cand[opos] = e.idx[u].Lookup(key)
+			e.cand[opos] = e.idx[u].Rows(e.idx[u].FindBy(parentRel.Tuples[parentRow], e.pCols[u]))
 		}
 		if len(e.cand[opos]) == 0 {
 			return false

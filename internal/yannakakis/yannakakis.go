@@ -132,13 +132,9 @@ func (q *Query) Count() int {
 			shared := red[u].SharedAttrs(red[c])
 			idx := relation.MustIndex(red[c], shared...)
 			uCols, _ := red[u].AttrIndexes(shared)
-			key := make([]relation.Value, len(uCols))
 			for j, tp := range red[u].Tuples {
-				for k, col := range uCols {
-					key[k] = tp[col]
-				}
 				sum := 0
-				for _, row := range idx.Lookup(key) {
+				for _, row := range idx.Rows(idx.FindBy(tp, uCols)) {
 					sum += counts[c][row]
 				}
 				counts[u][j] *= sum
