@@ -153,22 +153,21 @@ func (q *Query) Rel(name string, vars []string, tuples []Tuple, weights []float6
 		}
 		seen[v] = true
 	}
-	r := relation.New(name, vars...)
+	if weights != nil && len(weights) != len(tuples) {
+		q.err = fmt.Errorf("repro: relation %s has %d tuples but %d weights", name, len(tuples), len(weights))
+		return q
+	}
 	for i, t := range tuples {
-		w := 0.0
-		if weights != nil {
-			if i >= len(weights) {
-				q.err = fmt.Errorf("repro: relation %s has %d tuples but %d weights", name, len(tuples), len(weights))
-				return q
-			}
-			w = weights[i]
-		}
 		if len(t) != len(vars) {
 			q.err = fmt.Errorf("repro: relation %s tuple %d has arity %d, want %d", name, i, len(t), len(vars))
 			return q
 		}
-		r.AddTuple(t, w)
 	}
+	r := relation.New(name, vars...)
+	r.Tuples = make([]Tuple, len(tuples))
+	r.Weights = make([]float64, len(tuples))
+	copy(r.Tuples, tuples)
+	copy(r.Weights, weights)
 	q.edges = append(q.edges, hypergraph.Edge{Name: name, Vars: vars})
 	q.rels = append(q.rels, r)
 	return q

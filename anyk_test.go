@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -118,6 +119,11 @@ func TestFacadeErrors(t *testing.T) {
 	q2 := NewQuery().Rel("R", []string{"A"}, []Tuple{{1}}, []float64{})
 	if _, err := q2.Ranked(SumCost, Lazy); err == nil {
 		t.Error("weight length mismatch should fail")
+	}
+	// Surplus weights are a mismatch too, not a tail to drop.
+	q3 := NewQuery().Rel("R", []string{"A"}, []Tuple{{1}}, []float64{1, 2})
+	if _, err := q3.Ranked(SumCost, Lazy); err == nil || !strings.Contains(err.Error(), "has 1 tuples but 2 weights") {
+		t.Errorf("surplus weights should fail with the length error, got %v", err)
 	}
 	// Builder validation: duplicate relation names and repeated
 	// variables within one atom are rejected with guidance.

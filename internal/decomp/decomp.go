@@ -85,7 +85,8 @@ func WithWorkers(n int) PrepareOption {
 
 // WithContext attaches a cancellation context to the prepare phase.
 // Cancellation is checked between bag tasks, between intra-bag
-// partitions and between the node tasks of the bag tree's build; a
+// partitions, inside a bag every few thousand results (whatever its
+// worker budget) and between the node tasks of the bag tree's build; a
 // canceled prepare returns ctx.Err() and no plan.
 func WithContext(ctx context.Context) PrepareOption {
 	return func(c *prepCfg) { c.ctx = ctx }

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -229,7 +230,8 @@ func PrepareGHDDelta(old *Plan, edges []hypergraph.Edge, rels []*relation.Relati
 //     a "materialize" span (bag, rows) › "join-order".
 //  4. Bag tasks, bag-tree reduction and grouping, and the π pass all
 //     run under the prepare's context; cancellation is checked between
-//     bag tasks, intra-bag partitions and tree-node tasks.
+//     bag tasks, intra-bag partitions and tree-node tasks, and inside a
+//     bag's Generic-Join wherever its output Builder opens a chunk.
 func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, agg ranking.Aggregate, old *Plan, changed []bool) (*treePlan, *ghdMemo, DeltaStats, error) {
 	var ds DeltaStats
 	d, pin, edges := s.trees[ti].dec, s.trees[ti].pin, s.Edges
@@ -457,7 +459,7 @@ func bagAtoms(d *hypergraph.Decomposition, bi int, bagVars []string, edges []hyp
 func filterCopy(r *relation.Relation, agg ranking.Aggregate) *relation.Relation {
 	out := relation.New(r.Name+"~", r.Attrs...)
 	id := agg.Identity()
-	out.Tuples = append([]relation.Tuple(nil), r.Tuples...)
+	out.Tuples = slices.Clone(r.Tuples)
 	out.Weights = make([]float64, len(r.Tuples))
 	for i := range out.Weights {
 		out.Weights[i] = id

@@ -45,18 +45,19 @@ func outputSchema(l, r *relation.Relation) (attrs []string, rKeep []int) {
 func HashJoin(l, r *relation.Relation, agg ranking.Aggregate, stats *Stats) *relation.Relation {
 	shared := l.SharedAttrs(r)
 	attrs, rKeep := outputSchema(l, r)
-	out := relation.New(l.Name+"⋈"+r.Name, attrs...)
+	name := l.Name + "⋈" + r.Name
+	var out relation.Builder
 
 	if len(shared) == 0 {
 		for i, lt := range l.Tuples {
 			for j, rt := range r.Tuples {
-				emit(out, lt, rt, rKeep, agg.Combine(l.Weights[i], r.Weights[j]))
+				emit(&out, lt, rt, rKeep, agg.Combine(l.Weights[i], r.Weights[j]))
 			}
 		}
 		if stats != nil {
 			stats.ProbeSteps += l.Len() * r.Len()
 		}
-		return out
+		return relation.Concat(name, attrs, &out)
 	}
 
 	rIdx := relation.MustIndex(r, shared...)
@@ -70,10 +71,10 @@ func HashJoin(l, r *relation.Relation, agg ranking.Aggregate, stats *Stats) *rel
 			stats.ProbeSteps += 1 + len(rows)
 		}
 		for _, j := range rows {
-			emit(out, lt, r.Tuples[j], rKeep, agg.Combine(l.Weights[i], r.Weights[j]))
+			emit(&out, lt, r.Tuples[j], rKeep, agg.Combine(l.Weights[i], r.Weights[j]))
 		}
 	}
-	return out
+	return relation.Concat(name, attrs, &out)
 }
 
 // MergeJoin computes the same natural join as HashJoin using sort-merge.
@@ -94,7 +95,7 @@ func MergeJoin(l, r *relation.Relation, agg ranking.Aggregate) *relation.Relatio
 	lCols, _ := ls.AttrIndexes(shared)
 	rCols, _ := rs.AttrIndexes(shared)
 	attrs, rKeep := outputSchema(l, r)
-	out := relation.New(l.Name+"⋈"+r.Name, attrs...)
+	var out relation.Builder
 
 	cmp := func(a relation.Tuple, b relation.Tuple) int {
 		for k := range shared {
@@ -129,39 +130,35 @@ func MergeJoin(l, r *relation.Relation, agg ranking.Aggregate) *relation.Relatio
 			}
 			for a := i; a < iEnd; a++ {
 				for b := j; b < jEnd; b++ {
-					emit(out, ls.Tuples[a], rs.Tuples[b], rKeep, agg.Combine(ls.Weights[a], rs.Weights[b]))
+					emit(&out, ls.Tuples[a], rs.Tuples[b], rKeep, agg.Combine(ls.Weights[a], rs.Weights[b]))
 				}
 			}
 			i, j = iEnd, jEnd
 		}
 	}
-	return out
+	return relation.Concat(l.Name+"⋈"+r.Name, attrs, &out)
 }
 
-func emit(out *relation.Relation, lt, rt relation.Tuple, rKeep []int, w float64) {
+func emit(out *relation.Builder, lt, rt relation.Tuple, rKeep []int, w float64) {
 	t := make(relation.Tuple, 0, len(lt)+len(rKeep))
 	t = append(t, lt...)
 	for _, c := range rKeep {
 		t = append(t, rt[c])
 	}
-	out.AddTuple(t, w)
+	out.Add(t, w)
 }
 
 // SemiJoin returns the tuples of l that join with at least one tuple of
 // r on the shared attributes (weights unchanged). With no shared
 // attributes, the result is l itself when r is non-empty, else empty:
 // r's index on zero attributes has the empty key iff r has a row.
+// The result keeps l's name and is sized exactly (Relation.Select).
 func SemiJoin(l, r *relation.Relation) *relation.Relation {
 	shared := l.SharedAttrs(r)
-	out := relation.New(l.Name, l.Attrs...)
 	rIdx := relation.MustIndex(r, shared...)
 	lCols, _ := l.AttrIndexes(shared)
-	for i, lt := range l.Tuples {
-		if rIdx.FindBy(lt, lCols) >= 0 {
-			out.Tuples = append(out.Tuples, lt)
-			out.Weights = append(out.Weights, l.Weights[i])
-		}
-	}
+	out := l.Select(func(t relation.Tuple, _ float64) bool { return rIdx.FindBy(t, lCols) >= 0 })
+	out.Name = l.Name
 	return out
 }
 

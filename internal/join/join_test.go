@@ -151,6 +151,28 @@ func TestSemiJoin(t *testing.T) {
 	}
 }
 
+// TestSemiJoinAllocationShape: a semi-join allocates the same number of
+// objects whether 10² or 10⁵ rows survive — one row-id vector and two
+// exactly sized arrays, never a chain of append-grown ones.
+func TestSemiJoinAllocationShape(t *testing.T) {
+	s := rel("S", []string{"B"}, [][]relation.Value{{7}}, nil)
+	allocs := func(n int) float64 {
+		r := relation.New("R", "A", "B")
+		for i := 0; i < n; i++ {
+			r.Add(relation.Value(i), 7)
+		}
+		var out *relation.Relation
+		a := testing.AllocsPerRun(5, func() { out = SemiJoin(r, s) })
+		if out.Len() != n || cap(out.Tuples) != n || cap(out.Weights) != n {
+			t.Fatalf("n=%d: %d rows survive, cap(Tuples)=%d cap(Weights)=%d", n, out.Len(), cap(out.Tuples), cap(out.Weights))
+		}
+		return a
+	}
+	if a, b := allocs(100), allocs(100000); a != b {
+		t.Fatalf("SemiJoin allocates %v objects for 10² surviving rows but %v for 10⁵", a, b)
+	}
+}
+
 func TestSemiJoinNoSharedAttrs(t *testing.T) {
 	r := rel("R", []string{"A"}, [][]relation.Value{{1}}, nil)
 	s := rel("S", []string{"B"}, [][]relation.Value{{9}}, nil)

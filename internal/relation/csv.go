@@ -122,6 +122,8 @@ func ReadCSV(r io.Reader, name string, weightCol bool, dict *Dictionary) (*Relat
 		}
 	}
 	rel := New(name, header[:nattrs]...)
+	rel.Tuples = make([]Tuple, len(rows)-1)
+	rel.Weights = make([]float64, len(rows)-1)
 	for ln, row := range rows[1:] {
 		t := make(Tuple, nattrs)
 		for i := 0; i < nattrs; i++ {
@@ -144,14 +146,13 @@ func ReadCSV(r io.Reader, name string, weightCol bool, dict *Dictionary) (*Relat
 				return nil, fmt.Errorf("relation %s line %d: non-numeric value %q without dictionary", name, ln+2, row[i])
 			}
 		}
-		w := 0.0
+		rel.Tuples[ln] = t
 		if weightCol {
-			w, err = strconv.ParseFloat(row[nattrs], 64)
+			rel.Weights[ln], err = strconv.ParseFloat(row[nattrs], 64)
 			if err != nil {
 				return nil, fmt.Errorf("relation %s line %d: bad weight %q: %w", name, ln+2, row[nattrs], err)
 			}
 		}
-		rel.AddTuple(t, w)
 	}
 	return rel, nil
 }

@@ -25,6 +25,13 @@
 //     number of groups, and the row arrays (GroupOf, Rows) do not
 //     reference the probe table: dp.Plan keeps them and drops the Index.
 //
+// No relation array is grown by append. An operator that does not know
+// its output size (a join, bag materialisation) collects rows in a
+// Builder and Concat allocates Tuples and Weights once, at their final
+// length; a row filter (Select, and join.SemiJoin through it) collects
+// surviving row ids first; a caller that knows the length presizes.
+// AddTuple and AddWeighted remain for generators and tests.
+//
 // The sorted-permutation tries of internal/wcoj are an ordered view of
 // the same tuples: a different structure for a different job.
 package relation
@@ -76,7 +83,11 @@ func (r *Relation) AddWeighted(weight float64, vals ...Value) {
 	r.Weights = append(r.Weights, weight)
 }
 
-// AddTuple appends t (without copying) with the given weight.
+// AddTuple appends t (without copying) with the given weight. It is the
+// right call for generators, tests and loops of known length over a
+// presized relation; an operator that does not know how many rows it
+// will produce collects them in a Builder, because growing Tuples and
+// Weights by append allocates about five times their final size.
 func (r *Relation) AddTuple(t Tuple, weight float64) {
 	if len(t) != len(r.Attrs) {
 		panic(fmt.Sprintf("relation %s: tuple arity %d != schema arity %d", r.Name, len(t), len(r.Attrs)))
@@ -166,14 +177,26 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 }
 
 // Select returns a new relation containing the tuples for which keep
-// returns true. Tuples are shared, not copied.
+// returns true, in r's order. Tuples are shared, not copied. It is the
+// right call for any row filter over an existing relation (a semi-join
+// is Select with an index probe as keep): the surviving row ids are
+// collected in one vector sized len(r.Tuples), then Tuples and Weights
+// are allocated at exactly the surviving length.
 func (r *Relation) Select(keep func(t Tuple, w float64) bool) *Relation {
 	out := New(r.Name+"_sel", r.Attrs...)
+	rows := make([]int32, 0, len(r.Tuples))
 	for i, t := range r.Tuples {
 		if keep(t, r.Weights[i]) {
-			out.Tuples = append(out.Tuples, t)
-			out.Weights = append(out.Weights, r.Weights[i])
+			rows = append(rows, int32(i))
 		}
+	}
+	if len(rows) == 0 {
+		return out
+	}
+	out.Tuples = make([]Tuple, len(rows))
+	out.Weights = make([]float64, len(rows))
+	for i, row := range rows {
+		out.Tuples[i], out.Weights[i] = r.Tuples[row], r.Weights[row]
 	}
 	return out
 }

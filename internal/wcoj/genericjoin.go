@@ -1,6 +1,7 @@
 package wcoj
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/ranking"
@@ -236,14 +237,36 @@ func (j *driver) emitAtom(ai int, w float64) {
 }
 
 // Materialize runs GenericJoin and collects the full output relation with
-// schema varOrder.
+// schema varOrder. The output size is not known in advance, so the rows
+// go through a relation.Builder: Tuples and Weights are allocated once,
+// at their final length.
 func Materialize(atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Relation, *Instr, error) {
-	out := relation.New("GJ", varOrder...)
-	instr, err := GenericJoin(atoms, varOrder, agg, func(t relation.Tuple, w float64) bool {
-		out.AddTuple(t, w)
-		return true
-	})
-	return out, instr, err
+	//anykvet:allow ctxplumb -- kept signature without a ctx; the cancelable variant is MaterializeParallelHinted
+	return materialize(context.Background(), atoms, varOrder, agg)
+}
+
+// materialize is Materialize under a context: a done ctx stops the join
+// (see collect) and ctx.Err() is returned with a nil relation.
+func materialize(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Relation, *Instr, error) {
+	var b relation.Builder
+	j, err := newJoin(atoms, varOrder, agg, collect(ctx, &b), false)
+	if err != nil {
+		return nil, nil, err
+	}
+	j.solve(0)
+	if j.stopped {
+		return nil, nil, ctx.Err()
+	}
+	return relation.Concat("GJ", varOrder, &b), j.instr, nil
+}
+
+// collect returns the Emit that adds every result to b. It polls ctx
+// only where b opens a new chunk — at most once per 4 096 results, so an
+// emit costs nothing extra — and stops the driver once ctx is done.
+func collect(ctx context.Context, b *relation.Builder) Emit {
+	return func(t relation.Tuple, w float64) bool {
+		return !b.Add(t, w) || ctx.Err() == nil
+	}
 }
 
 // IsEmpty answers the Boolean query "does the join have any result?"

@@ -254,15 +254,18 @@ func (j *driver) planTasks(vals []lvlVal, chunks int, hints SkewHints) []task {
 // the existing sequential driver on an independent cursor clone.
 //
 // The result is bit-identical to Materialize — same tuples in the same
-// order (task outputs are concatenated by index) and the same Instr
-// totals (the coordinator charges the intersection passes once; workers
-// replay those narrows uncounted and sum their subtree counters after
-// the barrier) — whatever the worker count, hinting, or scheduling.
+// order (each task collects into its own relation.Builder and the
+// builders are concatenated by task index, straight into the final
+// arrays) and the same Instr totals (the coordinator charges the
+// intersection passes once; workers replay those narrows uncounted and
+// sum their subtree counters after the barrier) — whatever the worker
+// count, hinting, or scheduling.
 //
 // workers <= 0 selects GOMAXPROCS; workers == 1 falls back to the
-// sequential Materialize. Cancellation is checked between tasks: when
-// ctx is done mid-materialisation no further tasks start and ctx.Err()
-// is returned with a nil relation.
+// sequential Materialize. Cancellation is checked between tasks and,
+// on either path, wherever an output Builder opens a chunk: when ctx is
+// done mid-materialisation no further tasks start, running ones stop
+// within 4 096 results, and ctx.Err() is returned with a nil relation.
 func MaterializeParallel(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate, workers int) (*relation.Relation, *Instr, error) {
 	return MaterializeParallelHinted(ctx, atoms, varOrder, agg, workers, nil)
 }
@@ -283,7 +286,7 @@ func MaterializeParallelHinted(ctx context.Context, atoms []Atom, varOrder []str
 	}
 	workers = parallel.Degree(workers)
 	if workers <= 1 || len(varOrder) == 0 {
-		return Materialize(atoms, varOrder, agg)
+		return materialize(ctx, atoms, varOrder, agg)
 	}
 	base, err := newJoin(atoms, varOrder, agg, nil, false)
 	if err != nil {
@@ -291,31 +294,27 @@ func MaterializeParallelHinted(ctx context.Context, atoms []Atom, varOrder []str
 	}
 	vals := base.levelValues(0)
 	tasks := base.planTasks(vals, workers*chunkFactor, hints)
-	outs := make([]*relation.Relation, len(tasks))
+	outs := make([]*relation.Builder, len(tasks))
 	instrs := make([]*Instr, len(tasks))
 	err = parallel.ForEach(ctx, workers, len(tasks), func(ti int) error {
-		out := relation.New("GJ", varOrder...)
-		w := base.clone(func(t relation.Tuple, wt float64) bool {
-			out.AddTuple(t, wt)
-			return true
-		})
+		outs[ti] = new(relation.Builder)
+		w := base.clone(collect(ctx, outs[ti]))
 		tasks[ti].run(w)
-		outs[ti] = out
 		instrs[ti] = w.instr
+		if w.stopped {
+			return ctx.Err()
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	out := relation.New("GJ", varOrder...)
 	instr := base.instr
-	for ti := range outs {
-		out.Tuples = append(out.Tuples, outs[ti].Tuples...)
-		out.Weights = append(out.Weights, outs[ti].Weights...)
-		instr.Seeks += instrs[ti].Seeks
-		instr.Emits += instrs[ti].Emits
+	for _, ti := range instrs {
+		instr.Seeks += ti.Seeks
+		instr.Emits += ti.Emits
 	}
-	return out, instr, nil
+	return relation.Concat("GJ", varOrder, outs...), instr, nil
 }
 
 // TaskShares reports the parallel load balance of the two partitioning
