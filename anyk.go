@@ -65,6 +65,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -130,8 +131,21 @@ type Query struct {
 // NewQuery returns an empty query builder.
 func NewQuery() *Query { return &Query{} }
 
+// firstNaN returns the index of the first NaN weight, or -1. NaN is
+// rejected wherever weights enter (here and in ApplyDelta): Less is
+// false both ways on it, which silently breaks every heap's order.
+func firstNaN(weights []float64) int {
+	for i, w := range weights {
+		if math.IsNaN(w) {
+			return i
+		}
+	}
+	return -1
+}
+
 // Rel adds a relation atom. vars names the query variable bound to each
-// column; tuples[i] has weight weights[i] (weights may be nil = all 0).
+// column; tuples[i] has weight weights[i] (weights may be nil = all 0;
+// ±Inf are legal, NaN is an error because it has no rank).
 // Relation names must be unique across the query (self-joins repeat the
 // data under distinct names), and the variables within one atom must be
 // distinct (express R(A,A) by filtering the tuples beforehand).
@@ -162,6 +176,10 @@ func (q *Query) Rel(name string, vars []string, tuples []Tuple, weights []float6
 			q.err = fmt.Errorf("repro: relation %s tuple %d has arity %d, want %d", name, i, len(t), len(vars))
 			return q
 		}
+	}
+	if i := firstNaN(weights); i >= 0 {
+		q.err = fmt.Errorf("repro: relation %s tuple %d has a NaN weight", name, i)
+		return q
 	}
 	r := relation.New(name, vars...)
 	r.Tuples = make([]Tuple, len(tuples))

@@ -137,6 +137,15 @@ func TestFacadeErrors(t *testing.T) {
 	if _, err := rep.Ranked(SumCost, Lazy); err == nil {
 		t.Error("repeated variable within one atom should fail")
 	}
+	// NaN has no rank (Less is false both ways); ±Inf do and stay legal.
+	nan := NewQuery().Rel("R", []string{"A"}, []Tuple{{1}, {2}}, []float64{1, math.NaN()})
+	if _, err := nan.Ranked(SumCost, Lazy); err == nil || !strings.Contains(err.Error(), "relation R tuple 1 has a NaN weight") {
+		t.Errorf("NaN weight should fail naming relation and row, got %v", err)
+	}
+	inf := NewQuery().Rel("R", []string{"A"}, []Tuple{{1}, {2}}, []float64{math.Inf(1), math.Inf(-1)})
+	if got, err := inf.TopK(MaxCost, Lazy, 0); err != nil || len(got) != 2 || !math.IsInf(got[0].Weight, -1) {
+		t.Errorf("±Inf weights should rank, got %v, %v", got, err)
+	}
 }
 
 func TestFacadeFiveCycle(t *testing.T) {

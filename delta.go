@@ -22,7 +22,8 @@ type Delta struct {
 	Rel string
 	// Append rows must match the atom's arity.
 	Append []Tuple
-	// AppendWeights, when non-nil, must have one weight per Append row.
+	// AppendWeights, when non-nil, must have one weight per Append row;
+	// ±Inf are legal, NaN is an error.
 	AppendWeights []float64
 	// Delete rows must match the atom's arity.
 	Delete []Tuple
@@ -84,6 +85,9 @@ func (p *Prepared) ApplyDelta(deltas []Delta, opts ...RunOption) error {
 		}
 		if d.AppendWeights != nil && len(d.AppendWeights) != len(d.Append) {
 			return fmt.Errorf("repro: delta to %s has %d append rows but %d weights", d.Rel, len(d.Append), len(d.AppendWeights))
+		}
+		if j := firstNaN(d.AppendWeights); j >= 0 {
+			return fmt.Errorf("repro: delta append to %s row %d has a NaN weight", d.Rel, j)
 		}
 	}
 

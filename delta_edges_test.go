@@ -1,7 +1,9 @@
 package repro
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -107,5 +109,30 @@ func TestDeltaThroughEmptyRelation(t *testing.T) {
 				t.Fatalf("epoch %d after three effective deltas, want 4", st.Epoch)
 			}
 		})
+	}
+}
+
+// TestDeltaRejectsNaNWeight: a NaN append weight is refused with the
+// relation and row named and the handle keeps its epoch; ±Inf pass.
+func TestDeltaRejectsNaNWeight(t *testing.T) {
+	p, err := Compile(NewQuery().
+		Rel("R", []string{"A", "B"}, []Tuple{{1, 2}}, []float64{1}).
+		Rel("S", []string{"B", "C"}, []Tuple{{2, 3}}, []float64{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.ApplyDelta([]Delta{{Rel: "S", Append: []Tuple{{2, 4}, {2, 5}}, AppendWeights: []float64{7, math.NaN()}}})
+	if err == nil || !strings.Contains(err.Error(), "append to S row 1 has a NaN weight") {
+		t.Fatalf("NaN append weight: got %v", err)
+	}
+	if n, _ := p.Count(); n != 1 || p.Epoch() != 1 {
+		t.Fatalf("a refused delta changed the handle: %d answers, epoch %d", n, p.Epoch())
+	}
+	if err := p.ApplyDelta([]Delta{{Rel: "S", Append: []Tuple{{2, 4}}, AppendWeights: []float64{math.Inf(1)}}}); err != nil {
+		t.Fatalf("+Inf append weight: %v", err)
+	}
+	got, err := p.TopK(0, WithRanking(MaxCost))
+	if err != nil || len(got) != 2 || got[0].Weight != 1 || !math.IsInf(got[1].Weight, 1) {
+		t.Fatalf("after the +Inf append: %v, %v", got, err)
 	}
 }

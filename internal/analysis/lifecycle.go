@@ -58,7 +58,7 @@ func checkLifecycleFunc(pass *Pass, fn *ast.FuncDecl) {
 func checkDroppedLifecycleResult(pass *Pass, call *ast.CallExpr) {
 	for _, t := range callResultTypes(pass, call) {
 		if isLifecycleType(t) {
-			pass.Reportf(call.Pos(), "result of type %s is dropped without Close: the iterator's resources and error state leak; assign it and Close it (directly, deferred, or via OnRelease) or annotate //anykvet:allow lifecycle -- <reason>", types.TypeString(t, types.RelativeTo(pass.Pkg)))
+			pass.Reportf(call.Pos(), "result of type %s is dropped without Close: the enumeration is never ended and its error state is lost; assign it and Close it (directly or deferred) or annotate //anykvet:allow lifecycle -- <reason>", types.TypeString(t, types.RelativeTo(pass.Pkg)))
 			return
 		}
 	}
@@ -88,7 +88,7 @@ func checkLifecycleAssign(pass *Pass, fn *ast.FuncDecl, as *ast.AssignStmt) {
 			continue // field/index destination: stored, owner elsewhere
 		}
 		if id.Name == "_" {
-			pass.Reportf(as.Pos(), "lifecycle value of type %s is assigned to _ without Close: the iterator's resources leak; close it or annotate //anykvet:allow lifecycle -- <reason>", types.TypeString(results[i], types.RelativeTo(pass.Pkg)))
+			pass.Reportf(as.Pos(), "lifecycle value of type %s is assigned to _ without Close: the enumeration is never ended; close it or annotate //anykvet:allow lifecycle -- <reason>", types.TypeString(results[i], types.RelativeTo(pass.Pkg)))
 			continue
 		}
 		obj := pass.ObjectOf(id)
@@ -96,7 +96,7 @@ func checkLifecycleAssign(pass *Pass, fn *ast.FuncDecl, as *ast.AssignStmt) {
 			continue
 		}
 		if !lifecycleDischarged(pass, fn, as, obj) {
-			pass.Reportf(as.Pos(), "iterator %q (type %s) escapes %s without a Close: close it (directly, deferred, or via OnRelease), return it, or annotate //anykvet:allow lifecycle -- <reason>", id.Name, types.TypeString(results[i], types.RelativeTo(pass.Pkg)), fn.Name.Name)
+			pass.Reportf(as.Pos(), "iterator %q (type %s) escapes %s without a Close: close it (directly or deferred), return it, or annotate //anykvet:allow lifecycle -- <reason>", id.Name, types.TypeString(results[i], types.RelativeTo(pass.Pkg)), fn.Name.Name)
 		}
 	}
 }
@@ -105,7 +105,7 @@ func checkLifecycleAssign(pass *Pass, fn *ast.FuncDecl, as *ast.AssignStmt) {
 // discharged somewhere in fn after the assignment: a Close call on it,
 // a return of it, an assignment of it into another variable, field, or
 // index (ownership transfer), or its use as a call argument (handed
-// off, including closures registered with OnRelease).
+// off).
 func lifecycleDischarged(pass *Pass, fn *ast.FuncDecl, as *ast.AssignStmt, obj types.Object) bool {
 	discharged := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {

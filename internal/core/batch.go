@@ -28,7 +28,6 @@ type batchIter struct {
 // context's error from Err.
 func NewBatch(ctx context.Context, t *dp.TDP) Iterator {
 	it := &batchIter{Lifecycle: NewLifecycle(ctx), t: t, m: len(t.Nodes)}
-	it.OnRelease(func() { it.rows, it.weights, it.order = nil, nil, nil })
 	if t.Empty() {
 		return it
 	}
@@ -52,7 +51,7 @@ func NewBatch(ctx context.Context, t *dp.TDP) Iterator {
 	}
 	if fill(0) {
 		for {
-			if len(it.weights)%4096 == 0 && it.Interrupted() {
+			if len(it.weights)%4096 == 0 && !it.Proceed() {
 				it.rows, it.weights = nil, nil
 				return it
 			}
@@ -86,13 +85,12 @@ func NewBatch(ctx context.Context, t *dp.TDP) Iterator {
 }
 
 // Next yields the next solution in sorted order. Close (promoted from
-// Lifecycle, safe to call concurrently) releases the materialised
-// output once no Next body is in flight.
+// Lifecycle, safe to call concurrently) only stops the next call: the
+// materialised output lives as long as the iterator is reachable.
 func (it *batchIter) Next() (Result, bool) {
 	if !it.Proceed() {
 		return Result{}, false
 	}
-	defer it.End()
 	if it.k >= len(it.order) {
 		it.Exhaust()
 		return Result{}, false

@@ -43,8 +43,9 @@ type Result struct {
 // The contract follows database cursors: pull with Next until it reports
 // false, then consult Err to distinguish natural exhaustion (nil) from
 // early termination — ErrClosed after Close, or the context's error
-// after cancellation. Close releases resources, is idempotent, and is
-// safe after exhaustion. Iterators are not safe for concurrent use.
+// after cancellation. Close ends enumeration, is idempotent, and is safe
+// after exhaustion; the iterator's state is reclaimed with the iterator.
+// Next is single-consumer; Close and Err may come from any goroutine.
 type Iterator interface {
 	// Next returns the next-ranked result; ok is false when enumeration
 	// is complete, the iterator was closed, or its context was canceled.
@@ -52,8 +53,8 @@ type Iterator interface {
 	// Err reports why Next returned false before exhaustion (nil after a
 	// full natural drain).
 	Err() error
-	// Close terminates enumeration and releases resources. It always
-	// returns nil and may be called more than once.
+	// Close terminates enumeration. It always returns nil and may be
+	// called more than once.
 	Close() error
 }
 

@@ -3,44 +3,33 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
+	"sync/atomic"
 )
 
 // ErrClosed is reported by Err after Close terminates an iterator before
 // enumeration was exhausted.
 var ErrClosed = errors.New("core: iterator closed")
 
-// Lifecycle is the shared state machine behind the Iterator contract:
-// it tracks whether enumeration is still live, latches the first error
-// (context cancellation or early Close), and provides the Err/Close
-// methods every iterator promotes by embedding it (as a pointer, so one
-// state machine is shared by every copy of the iterator header).
-//
-// All methods are safe for concurrent use. In particular Close (and
-// Err) may be called from any goroutine while another goroutine is
-// inside the iterator's Next — the pattern a server needs when a
-// client disconnects mid-stream and a watchdog closes the iterator the
-// handler is still draining. The iterator contract stays single-
-// consumer: only one goroutine may call Next, but Close can come from
-// anywhere. A Close racing an in-flight Next lets that Next finish (it
-// may still deliver its result); every later Next observes the latch
-// and returns false with Err() == ErrClosed.
-//
-// Iterators bracket each Next body between Proceed and End. The busy
-// window this opens is what makes concurrent Close memory-safe: bulky
-// resources registered with OnRelease are freed only when enumeration
-// has terminated AND no Next body is in flight, so a closing goroutine
-// never yanks a heap or memo table out from under a running Next.
+// exhausted is what the latch holds after a clean drain: no error.
+var exhausted error
+
+// Lifecycle is the latch behind the Iterator contract: enumeration is
+// live until the first of exhaustion, Close, a failure or the context
+// ending; from then on Proceed is false and Err says why. Iterators
+// embed it and open every Next with Proceed. Close and Err may be called
+// from any goroutine while another is inside Next (Next itself stays
+// single-consumer): a Next already past Proceed finishes and may still
+// deliver its result, every later one is false. The latch guards only
+// itself — an iterator's queues and memo tables are never freed under a
+// running Next, they are reclaimed with the iterator by the collector.
 type Lifecycle struct {
 	ctx context.Context
-
-	mu        sync.Mutex
-	err       error
-	stopped   bool // Close was called or an error latched
-	exhausted bool // Next ran out of results naturally
-	busy      bool // a Next body runs between a true Proceed and End
-	release   func()
-	released  bool
+	// done is ctx.Done(), fetched once: polling the channel takes no
+	// lock, which ctx.Err() on a cancelable context does.
+	done <-chan struct{}
+	// end is nil while live and set exactly once, to the address of the
+	// error Err reports (&exhausted after a clean drain).
+	end atomic.Pointer[error]
 }
 
 // NewLifecycle returns a live lifecycle observing ctx (nil means
@@ -50,135 +39,46 @@ func NewLifecycle(ctx context.Context) *Lifecycle {
 		//anykvet:allow ctxplumb -- leaf default for the documented nil-means-uncancelable contract
 		ctx = context.Background()
 	}
-	return &Lifecycle{ctx: ctx}
+	return &Lifecycle{ctx: ctx, done: ctx.Done()}
 }
 
-// OnRelease registers f to free the iterator's bulky resources (queues,
-// memo tables, materialised output). It is called at most once, as soon
-// as enumeration has terminated — by Close, cancellation, or natural
-// exhaustion — and no Next body is in flight. Register it at
-// construction time, before the iterator escapes to other goroutines;
-// f must not call back into the lifecycle.
-func (lc *Lifecycle) OnRelease(f func()) {
-	lc.mu.Lock()
-	lc.release = f
-	lc.maybeReleaseLocked()
-	lc.mu.Unlock()
-}
-
-// Proceed reports whether Next may produce another result. It returns
-// false once the iterator is closed, exhausted, or its context is done
-// (latching the context's error). When it returns true the lifecycle is
-// marked busy and the caller must pair the call with End (typically
-// `defer it.End()`), delimiting the Next body concurrent Closes must
-// not free resources under.
+// Proceed reports whether Next may produce another result: false once
+// the iterator is closed, failed, exhausted, or its context is done
+// (latching the context's error). Constructors that materialise output
+// poll it too.
 func (lc *Lifecycle) Proceed() bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.stopped || lc.exhausted {
+	if lc.end.Load() != nil {
 		return false
 	}
 	select {
-	case <-lc.ctx.Done():
-		lc.failLocked(lc.ctx.Err())
+	case <-lc.done:
+		lc.Fail(lc.ctx.Err())
 		return false
 	default:
-		lc.busy = true
 		return true
-	}
-}
-
-// End closes the busy window a true Proceed opened. If enumeration
-// terminated while the Next body ran (a concurrent Close, cancellation,
-// or the body calling Exhaust/Fail), the pending resource release runs
-// now.
-func (lc *Lifecycle) End() {
-	lc.mu.Lock()
-	lc.busy = false
-	lc.maybeReleaseLocked()
-	lc.mu.Unlock()
-}
-
-// Interrupted polls for termination without opening a busy window:
-// long-running loops (constructors materialising output, merge drains)
-// call it to notice a concurrent Close or cancellation mid-body. Like
-// Proceed it latches the context's error on cancellation.
-func (lc *Lifecycle) Interrupted() bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.stopped {
-		return true
-	}
-	if lc.exhausted {
-		return false
-	}
-	select {
-	case <-lc.ctx.Done():
-		lc.failLocked(lc.ctx.Err())
-		return true
-	default:
-		return false
 	}
 }
 
 // Exhaust marks natural completion: Err stays nil and Close is a no-op.
-func (lc *Lifecycle) Exhaust() {
-	lc.mu.Lock()
-	lc.exhausted = true
-	lc.maybeReleaseLocked()
-	lc.mu.Unlock()
-}
+func (lc *Lifecycle) Exhaust() { lc.end.CompareAndSwap(nil, &exhausted) }
 
-// Fail latches err and stops enumeration.
-func (lc *Lifecycle) Fail(err error) {
-	lc.mu.Lock()
-	lc.failLocked(err)
-	lc.mu.Unlock()
-}
+// Fail latches err and stops enumeration; the first latch wins.
+func (lc *Lifecycle) Fail(err error) { lc.end.CompareAndSwap(nil, &err) }
 
-func (lc *Lifecycle) failLocked(err error) {
-	if !lc.stopped {
-		lc.stopped = true
-		lc.err = err
-	}
-	lc.maybeReleaseLocked()
-}
-
-// Err explains why Next returned false before exhaustion: nil after
-// natural completion, ErrClosed after an early Close, or the context's
+// Err explains why Next returned false: nil after natural completion
+// (and while live), ErrClosed after an early Close, or the context's
 // error after cancellation.
 func (lc *Lifecycle) Err() error {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.err
-}
-
-// Close terminates enumeration. Closing mid-enumeration latches
-// ErrClosed; closing after exhaustion (or twice) is a no-op. It always
-// returns nil so callers can defer it unconditionally, and it may be
-// called concurrently with Next: it never blocks on an in-flight Next
-// body, whose resources are released when that body ends.
-func (lc *Lifecycle) Close() error {
-	lc.mu.Lock()
-	if !lc.stopped && !lc.exhausted {
-		lc.stopped = true
-		lc.err = ErrClosed
+	if end := lc.end.Load(); end != nil {
+		return *end
 	}
-	lc.maybeReleaseLocked()
-	lc.mu.Unlock()
 	return nil
 }
 
-// maybeReleaseLocked runs the registered release hook once enumeration
-// has terminated and no Next body is in flight. Callers hold lc.mu; the
-// hook only writes iterator-private fields, which no other goroutine
-// can touch (Proceed returns false from here on), so running it under
-// the lock is safe and keeps the released latch race-free.
-func (lc *Lifecycle) maybeReleaseLocked() {
-	if (lc.stopped || lc.exhausted) && !lc.busy && !lc.released && lc.release != nil {
-		lc.released = true
-		f := lc.release
-		lc.release = nil
-		f()
-	}
+// Close ends enumeration. Closing mid-enumeration latches ErrClosed;
+// closing after exhaustion (or twice) is a no-op. It always returns nil
+// so callers can defer it unconditionally.
+func (lc *Lifecycle) Close() error {
+	lc.end.CompareAndSwap(nil, &ErrClosed)
+	return nil
 }

@@ -34,7 +34,6 @@ func Merge(ctx context.Context, agg ranking.Aggregate, iters ...Iterator) Iterat
 		pq:        heap.New(func(a, b mergeHead) bool { return agg.Less(a.r.Weight, b.r.Weight) }),
 		srcs:      iters,
 	}
-	m.OnRelease(func() { m.pq = nil })
 	for _, it := range iters {
 		if r, ok := it.Next(); ok {
 			m.pq.Push(mergeHead{r: r, src: it})
@@ -46,11 +45,12 @@ func Merge(ctx context.Context, agg ranking.Aggregate, iters ...Iterator) Iterat
 	return m
 }
 
+// Next pops the lightest head and refills the queue from that head's
+// source; a source that stopped with an error stops the merge with it.
 func (m *mergeIter) Next() (Result, bool) {
 	if !m.Proceed() {
 		return Result{}, false
 	}
-	defer m.End()
 	head, ok := m.pq.Pop()
 	if !ok {
 		m.Exhaust()
@@ -66,9 +66,9 @@ func (m *mergeIter) Next() (Result, bool) {
 }
 
 // Close terminates the merge and closes every source iterator. Like all
-// lifecycle-backed Closes it is safe concurrently with Next: the merge
-// queue is released once no Next body is in flight, and each source's
-// own lifecycle serialises its shutdown.
+// lifecycle-backed Closes it is safe concurrently with Next: a Next in
+// flight finishes, and one that finds its source closed latches the
+// source's ErrClosed, the error this Close latches too.
 func (m *mergeIter) Close() error {
 	for _, s := range m.srcs {
 		s.Close()

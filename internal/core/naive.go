@@ -26,7 +26,6 @@ func NewNaiveLawler(ctx context.Context, t *dp.TDP) Iterator {
 			return t.Agg.Less(a.weight, b.weight)
 		}),
 	}
-	it.OnRelease(func() { it.pq = nil })
 	if t.Empty() {
 		return it
 	}
@@ -140,7 +139,6 @@ func (it *naiveIter) Next() (Result, bool) {
 	if !it.Proceed() {
 		return Result{}, false
 	}
-	defer it.End()
 	item, ok := it.pq.Pop()
 	if !ok {
 		it.Exhaust()

@@ -59,7 +59,6 @@ func NewPart(ctx context.Context, t *dp.TDP, v Variant) (Iterator, error) {
 	for pos, n := range t.Nodes {
 		it.structs[pos] = make([]candStruct, len(n.Groups))
 	}
-	it.OnRelease(func() { it.pq = nil; it.structs = nil })
 	if t.Empty() {
 		return it, nil
 	}
@@ -83,13 +82,12 @@ func (it *partIter) structAt(pos int, group int32) candStruct {
 
 // Next pops the best unseen solution, materialises it, and pushes its
 // Lawler successors. Close (promoted from Lifecycle, safe to call
-// concurrently) releases the queue and successor structures once no
-// Next body is in flight.
+// concurrently) only stops the next call: the queue and successor
+// structures live as long as the iterator is reachable.
 func (it *partIter) Next() (Result, bool) {
 	if !it.Proceed() {
 		return Result{}, false
 	}
-	defer it.End()
 	item, ok := it.pq.Pop()
 	if !ok {
 		it.Exhaust()

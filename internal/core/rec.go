@@ -52,7 +52,6 @@ func NewRec(ctx context.Context, t *dp.TDP) Iterator {
 	for pos, n := range t.Nodes {
 		it.states[pos] = make([]*recState, len(n.Groups))
 	}
-	it.OnRelease(func() { it.states = nil; it.root = nil })
 	if !t.Empty() {
 		it.root = it.stateAt(0, 0)
 	}
@@ -146,13 +145,12 @@ func (it *recIter) expand(s *recState, solIdx int, rows []int32) {
 }
 
 // Next returns the k-th best solution overall. Close (promoted from
-// Lifecycle, safe to call concurrently) releases the memoized states
-// once no Next body is in flight.
+// Lifecycle, safe to call concurrently) only stops the next call: the
+// memoized states live as long as the iterator is reachable.
 func (it *recIter) Next() (Result, bool) {
 	if !it.Proceed() {
 		return Result{}, false
 	}
-	defer it.End()
 	if it.root == nil {
 		it.Exhaust()
 		return Result{}, false

@@ -250,7 +250,6 @@ func (s *sortedIter) Next() (core.Result, bool) {
 	if !s.Proceed() {
 		return core.Result{}, false
 	}
-	defer s.End()
 	row, ok := s.inc.Get(s.k)
 	if !ok {
 		s.Exhaust()

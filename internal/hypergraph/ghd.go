@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"repro/internal/lp"
 )
 
 // Decomposition is a generalized hypertree decomposition of the query
@@ -573,35 +571,7 @@ func (h *Hypergraph) maxBagCover(bags [][]string) (float64, error) {
 // Σ x_e subject to Σ_{e ∋ v} x_e ≥ 1 for every v in vars. It returns
 // the per-edge weights and the cover number.
 func (h *Hypergraph) FractionalCoverOf(vars []string) ([]float64, float64, error) {
-	return h.weightedCoverOf(vars, func(int) float64 { return 1 })
-}
-
-// weightedCoverOf is weightedCover restricted to a subset of variables.
-func (h *Hypergraph) weightedCoverOf(vars []string, cost func(int) float64) ([]float64, float64, error) {
-	n := len(h.Edges)
-	c := make([]float64, n)
-	for i := range c {
-		c[i] = cost(i)
-	}
-	a := make([][]float64, len(vars))
-	b := make([]float64, len(vars))
-	for vi, v := range vars {
-		a[vi] = make([]float64, n)
-		for ei, e := range h.Edges {
-			for _, ev := range e.Vars {
-				if ev == v {
-					a[vi][ei] = 1
-					break
-				}
-			}
-		}
-		b[vi] = 1
-	}
-	sol, err := lp.SolveCovering(c, a, b)
-	if err != nil {
-		return nil, 0, fmt.Errorf("hypergraph %s: %w", h, err)
-	}
-	return sol.X, sol.Value, nil
+	return h.cover(vars, nil)
 }
 
 // containment computes Contains for the given bags.

@@ -245,7 +245,7 @@ func (h *Hypergraph) VerifyRunningIntersection(t *JoinTree) string {
 // FractionalEdgeCover solves the fractional-edge-cover LP with unit costs
 // and returns the per-edge weights and the cover number ρ*.
 func (h *Hypergraph) FractionalEdgeCover() ([]float64, float64, error) {
-	return h.weightedCover(func(int) float64 { return 1 })
+	return h.cover(h.Vars(), nil)
 }
 
 // AGMBound returns the Atserias–Grohe–Marx bound ∏ |R_e|^{x*_e} on the
@@ -266,26 +266,7 @@ func (h *Hypergraph) AGMBound(sizes []float64) (float64, error) {
 // be ≥ 1; a relation of size 0 makes the join empty, reported as a nil
 // cover with bound 0.
 func (h *Hypergraph) AGMCover(sizes []float64) ([]float64, float64, error) {
-	if len(sizes) != len(h.Edges) {
-		return nil, 0, fmt.Errorf("hypergraph: %d sizes for %d edges", len(sizes), len(h.Edges))
-	}
-	for _, s := range sizes {
-		if s == 0 {
-			return nil, 0, nil
-		}
-		if s < 1 {
-			return nil, 0, fmt.Errorf("hypergraph: relation size %g < 1", s)
-		}
-	}
-	x, _, err := h.weightedCover(func(i int) float64 { return math.Log(sizes[i]) })
-	if err != nil {
-		return nil, 0, err
-	}
-	logBound := 0.0
-	for i, xi := range x {
-		logBound += xi * math.Log(sizes[i])
-	}
-	return x, math.Exp(logBound), nil
+	return h.agmCover(h.Vars(), sizes)
 }
 
 // AGMBoundOf is AGMBound restricted to a subset of the variables: the
@@ -293,36 +274,50 @@ func (h *Hypergraph) AGMCover(sizes []float64) ([]float64, float64, error) {
 // x* is the minimum log-weighted fractional cover of vars only. Sizes
 // align with h.Edges and must be ≥ 1 (a size-0 relation reports 0).
 func (h *Hypergraph) AGMBoundOf(vars []string, sizes []float64) (float64, error) {
+	_, bound, err := h.agmCover(vars, sizes)
+	return bound, err
+}
+
+// agmCover validates sizes (one per edge, each ≥ 1, or 0 for an empty
+// join: nil cover, bound 0) and returns the cover of vars minimising
+// Σ x_e·ln|R_e| with the bound ∏ |R_e|^{x_e} it certifies.
+func (h *Hypergraph) agmCover(vars []string, sizes []float64) ([]float64, float64, error) {
 	if len(sizes) != len(h.Edges) {
-		return 0, fmt.Errorf("hypergraph: %d sizes for %d edges", len(sizes), len(h.Edges))
+		return nil, 0, fmt.Errorf("hypergraph: %d sizes for %d edges", len(sizes), len(h.Edges))
 	}
-	for _, s := range sizes {
+	logs := make([]float64, len(sizes))
+	for i, s := range sizes {
 		if s == 0 {
-			return 0, nil
+			return nil, 0, nil
 		}
 		if s < 1 {
-			return 0, fmt.Errorf("hypergraph: relation size %g < 1", s)
+			return nil, 0, fmt.Errorf("hypergraph: relation size %g < 1", s)
 		}
+		logs[i] = math.Log(s)
 	}
-	x, _, err := h.weightedCoverOf(vars, func(i int) float64 { return math.Log(sizes[i]) })
+	x, _, err := h.cover(vars, logs)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	logBound := 0.0
 	for i, xi := range x {
-		logBound += xi * math.Log(sizes[i])
+		logBound += xi * logs[i]
 	}
-	return math.Exp(logBound), nil
+	return x, math.Exp(logBound), nil
 }
 
-// weightedCover minimizes Σ cost(e)·x_e subject to covering every
-// variable.
-func (h *Hypergraph) weightedCover(cost func(int) float64) ([]float64, float64, error) {
-	vars := h.Vars()
+// cover solves the one covering LP of this package: minimise
+// Σ cost[e]·x_e (nil cost: every edge costs 1) subject to
+// Σ_{e∋v} x_e ≥ 1 for each v in vars. An edge covers the variables it
+// contains even when it extends outside vars. Returns x and the optimum.
+func (h *Hypergraph) cover(vars []string, cost []float64) ([]float64, float64, error) {
 	n := len(h.Edges)
 	c := make([]float64, n)
 	for i := range c {
-		c[i] = cost(i)
+		c[i] = 1
+		if cost != nil {
+			c[i] = cost[i]
+		}
 	}
 	a := make([][]float64, len(vars))
 	b := make([]float64, len(vars))

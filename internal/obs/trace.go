@@ -117,8 +117,8 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanCtxKey, s), s
 }
 
-// End closes the span. Idempotent and safe to call concurrently (a
-// stream's watchdog may race its consumer); the first call wins.
+// End closes the span. Idempotent and safe to call concurrently (an
+// iterator's Close may race its consumer's Next); the first call wins.
 func (s *Span) End() {
 	if s == nil || !s.closed.CompareAndSwap(false, true) {
 		return

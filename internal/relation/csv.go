@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -151,6 +152,11 @@ func ReadCSV(r io.Reader, name string, weightCol bool, dict *Dictionary) (*Relat
 			rel.Weights[ln], err = strconv.ParseFloat(row[nattrs], 64)
 			if err != nil {
 				return nil, fmt.Errorf("relation %s line %d: bad weight %q: %w", name, ln+2, row[nattrs], err)
+			}
+			// NaN compares false both ways, so it has no place in any
+			// ranking order; ±Inf do (MaxCost/MinBenefit identities).
+			if math.IsNaN(rel.Weights[ln]) {
+				return nil, fmt.Errorf("relation %s line %d: weight %q is not a number (±Inf are allowed, NaN is not)", name, ln+2, row[nattrs])
 			}
 		}
 	}

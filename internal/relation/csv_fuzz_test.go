@@ -21,6 +21,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("city,pop\nparis,7\nnice,x\n"), false, true)
 	f.Add([]byte("a\n\"unterminated\n"), true, true)
 	f.Add([]byte("a,weight\n1099511627776,1\n"), true, true) // 2^40 collides with dict codes
+	f.Add([]byte("a,weight\n1,NaN\n2,-Inf\n"), true, false)  // NaN has no rank; ±Inf do
 	f.Fuzz(func(t *testing.T, data []byte, weightCol, useDict bool) {
 		var dict *Dictionary
 		if useDict {
@@ -36,6 +37,9 @@ func FuzzReadCSV(f *testing.F) {
 		for i, tp := range rel.Tuples {
 			if len(tp) != len(rel.Attrs) {
 				t.Fatalf("tuple %d has %d values, relation has %d attributes", i, len(tp), len(rel.Attrs))
+			}
+			if math.IsNaN(rel.Weights[i]) {
+				t.Fatalf("tuple %d was accepted with a NaN weight", i)
 			}
 		}
 		if dict != nil {
@@ -55,8 +59,7 @@ func FuzzReadCSV(f *testing.F) {
 			t.Fatalf("round trip changed cardinality: %d -> %d", len(rel.Tuples), len(back.Tuples))
 		}
 		for i := range rel.Tuples {
-			if back.Weights[i] != rel.Weights[i] &&
-				!(math.IsNaN(back.Weights[i]) && math.IsNaN(rel.Weights[i])) {
+			if back.Weights[i] != rel.Weights[i] {
 				t.Fatalf("round trip changed weight %d: %v -> %v", i, rel.Weights[i], back.Weights[i])
 			}
 			for j := range rel.Tuples[i] {

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -399,6 +400,13 @@ func TestCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("w\n1\n"), "R", true, nil); err == nil {
 		t.Error("weight-only schema should fail")
+	}
+	// strconv parses "NaN", but NaN has no rank; ±Inf do.
+	if _, err := ReadCSV(strings.NewReader("a,w\n1,2\n2,NaN\n"), "R", true, nil); err == nil || !strings.Contains(err.Error(), "relation R line 3") {
+		t.Errorf("NaN weight should fail naming relation and line, got %v", err)
+	}
+	if r, err := ReadCSV(strings.NewReader("a,w\n1,+Inf\n2,-Inf\n"), "R", true, nil); err != nil || !math.IsInf(r.Weights[0], 1) || !math.IsInf(r.Weights[1], -1) {
+		t.Errorf("±Inf weights should parse, got %v, %v", r, err)
 	}
 }
 

@@ -66,7 +66,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.rowsStreamed = r.Counter("anykd_rows_streamed_total",
 		"NDJSON result rows streamed to clients.")
 	m.watchdogCloses = r.Counter("anykd_watchdog_closes_total",
-		"Iterators closed by the stream watchdog (disconnect, deadline, shutdown).")
+		"Streams whose write deadline was tightened because the request context ended (disconnect, deadline, shutdown).")
 	m.prepareHit = r.Histogram("anykd_prepare_seconds",
 		"Plan registry lookup+build latency by cache disposition.",
 		obs.DefDurationBuckets, obs.L("cache", "hit"))

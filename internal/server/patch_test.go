@@ -187,6 +187,25 @@ func TestDatasetPatchCSV(t *testing.T) {
 	if code := errCode(t, body3); code != errInvalidArgument {
 		t.Fatalf("bad mode code = %q", code)
 	}
+	// A NaN weight has no rank: refused at ingest, PATCH and POST alike.
+	resp4, body4 := do("", "b,c,w\n10,104,NaN\n")
+	mustStatus(t, resp4, body4, 400)
+	if code := errCode(t, body4); code != errInvalidArgument {
+		t.Fatalf("NaN weight code = %q", code)
+	}
+	req, err := http.NewRequest("POST", ts.URL+"/v1/datasets/r9?weights=true", strings.NewReader("b,c,w\n1,2,nan\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "text/csv")
+	resp5, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp5.Body.Close()
+	if resp5.StatusCode != 400 {
+		t.Fatalf("CSV upload with a NaN weight: status %d, want 400", resp5.StatusCode)
+	}
 }
 
 // TestDatasetPatchErrors pins the PATCH error contract and the unified

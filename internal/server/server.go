@@ -21,11 +21,10 @@
 //     lower — never raise past Config.MaxTimeout — via ?timeout=); the
 //     deadline cancels the iterator mid-stream through the facade's
 //     WithContext plumbing.
-//   - Disconnects: a client going away cancels the request context; a
-//     per-request watchdog additionally calls Iterator.Close
-//     concurrently with the draining handler — safe since
-//     core.Lifecycle serialises Close against Next — so the admission
-//     slot and the iterator's resources are released promptly.
+//   - Disconnects: a client going away cancels the request context,
+//     which stops the iterator at its next Next and tightens the write
+//     deadline, so a handler stalled on the dead connection returns and
+//     the admission slot is released promptly.
 //   - Graceful shutdown: Shutdown stops admitting new streams, lets
 //     in-flight enumerations drain within the caller's context, then
 //     cancels the server base context (cutting any stragglers) and
@@ -341,7 +340,7 @@ const writeGrace = 5 * time.Second
 
 // cancelWriteGrace is the tighter write budget a canceled stream gets:
 // once the request context is done (disconnect, deadline, shutdown)
-// the watchdog shrinks the write deadline so a handler stalled on a
+// streamTopK shrinks the write deadline so a handler stalled on a
 // non-reading client unblocks promptly while a live client can still
 // receive the trailer.
 const cancelWriteGrace = 2 * time.Second
@@ -907,8 +906,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam s
 	}
 	q.flusher, _ = w.(http.Flusher)
 	// Runs after the endpoint's stream returned — for /topk, after its
-	// watchdog joined — so no write deadline leaks onto the next
-	// keep-alive request on this connection.
+	// deadline tightening was stopped or joined — so no write deadline
+	// leaks onto the next keep-alive request on this connection.
 	defer q.rc.SetWriteDeadline(time.Time{})
 	defer func() { s.met.rowsStreamed.Add(int64(q.count)) }()
 	stream(q, p)
@@ -1096,34 +1095,28 @@ func (s *Server) streamTopK(q *queryStream, p *repro.Prepared, variant repro.Var
 		return
 	}
 	defer it.Close()
-	// The write deadline is set before the watchdog starts so the
-	// watchdog's tighter cancellation deadline always wins.
+	// The write deadline is set before the tightening is armed so the
+	// tighter cancellation deadline always wins.
 	q.begin()
-	// Watchdog: on disconnect/deadline/shutdown, close the iterator
-	// concurrently with the drain below — the core.Lifecycle audit makes
-	// this safe — so resources and the admission slot free promptly even
-	// if the handler is blocked writing to a dead connection. The
-	// tightened write deadline additionally unblocks a handler stalled
-	// in a write to a non-reading client (net.Conn deadlines are safe to
-	// set concurrently with writes), which keeps graceful shutdown from
-	// waiting out the full per-request write budget. The handler joins
-	// the watchdog before returning: the ResponseWriter must not be
+	// Disconnect, deadline and shutdown all reach the iterator through
+	// q.ctx, which every Next polls. What the context cannot do is
+	// unblock a handler stalled in a write to a non-reading client, so
+	// its end also tightens the write deadline (net.Conn deadlines are
+	// safe to set concurrently with writes): the slot frees promptly and
+	// graceful shutdown does not wait out the full per-request write
+	// budget. The handler stops the tightening before returning, or
+	// waits for one already running: the ResponseWriter must not be
 	// touched after ServeHTTP returns, or the deadline could land on a
 	// recycled keep-alive connection.
-	watchdogDone := make(chan struct{})
-	watchdogExit := make(chan struct{})
+	tightened := make(chan struct{})
+	stop := context.AfterFunc(q.ctx, func() {
+		defer close(tightened)
+		s.met.watchdogCloses.Inc()
+		q.rc.SetWriteDeadline(time.Now().Add(cancelWriteGrace))
+	})
 	defer func() {
-		close(watchdogDone)
-		<-watchdogExit
-	}()
-	go func() {
-		defer close(watchdogExit)
-		select {
-		case <-q.ctx.Done():
-			s.met.watchdogCloses.Inc()
-			it.Close()
-			q.rc.SetWriteDeadline(time.Now().Add(cancelWriteGrace))
-		case <-watchdogDone:
+		if !stop() {
+			<-tightened
 		}
 	}()
 
@@ -1150,11 +1143,6 @@ func (s *Server) streamTopK(q *queryStream, p *repro.Prepared, variant repro.Var
 	}
 	trailer := topkLine{Count: &q.count}
 	if err := it.Err(); err != nil {
-		// The watchdog may have closed the iterator a beat before it
-		// observed the cancellation itself; report the root cause.
-		if ctxErr := q.ctx.Err(); ctxErr != nil && errors.Is(err, repro.ErrClosed) {
-			err = ctxErr
-		}
 		trailer.Error = err.Error()
 	} else {
 		trailer.Done = true

@@ -721,6 +721,10 @@ func WithRanking(agg ranking.Aggregate) RunOption { return func(c *runConfig) { 
 // WithVariant selects the any-k algorithm variant for this run; an
 // unknown variant fails the run. Plans of a single bag (triangles,
 // one-bag GHDs) enumerate one sorted relation, whatever the variant.
+// Every variant yields the same weight sequence; the order *within* a
+// run of equal weights is the variant's own, so when k cuts through
+// such a run, which of its members fill the last places differs between
+// variants (and may differ across ApplyDelta epochs).
 func WithVariant(v Variant) RunOption { return func(c *runConfig) { c.variant = v } }
 
 // WithK limits the run to the k best results (k <= 0 means no limit).
@@ -865,8 +869,8 @@ func (p *Prepared) Run(opts ...RunOption) (Iterator, error) {
 // traceIter instruments an iterator with the "enumerate" span of a
 // traced run: point events mark the first and the k'th result, and the
 // span ends when enumeration is exhausted or the iterator is closed —
-// whichever comes first (Span.End is idempotent and safe against the
-// serving layer's watchdog Close racing a consumer's Next).
+// whichever comes first (Span.End is idempotent and safe against a
+// Close from another goroutine racing the consumer's Next).
 type traceIter struct {
 	it    Iterator
 	span  *obs.Span
