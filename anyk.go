@@ -116,7 +116,9 @@ var (
 	MaxCost ranking.Aggregate = ranking.MaxCost{}
 	// MinBenefit ranks by descending minimum weight.
 	MinBenefit ranking.Aggregate = ranking.MinBenefit{}
-	// ProductCost ranks by ascending product of positive weights.
+	// ProductCost ranks by ascending product of positive weights; a Run
+	// or ApplyDelta that would rank a weight ≤ 0 under it fails, naming
+	// relation and row.
 	ProductCost ranking.Aggregate = ranking.ProductCost{}
 )
 

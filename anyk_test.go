@@ -146,6 +146,16 @@ func TestFacadeErrors(t *testing.T) {
 	if got, err := inf.TopK(MaxCost, Lazy, 0); err != nil || len(got) != 2 || !math.IsInf(got[0].Weight, -1) {
 		t.Errorf("±Inf weights should rank, got %v, %v", got, err)
 	}
+	// A nil context is the default one, on Compile and on Run alike.
+	//lint:ignore SA1012 the nil context is the case under test
+	p, err := Compile(inf, WithContext(nil))
+	if err != nil {
+		t.Fatalf("Compile(WithContext(nil)): %v", err)
+	}
+	//lint:ignore SA1012 the nil context is the case under test
+	if got, err := p.TopK(0, WithContext(nil)); err != nil || len(got) != 2 {
+		t.Errorf("Run(WithContext(nil)): %v, %v", got, err)
+	}
 }
 
 func TestFacadeFiveCycle(t *testing.T) {

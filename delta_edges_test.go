@@ -136,3 +136,95 @@ func TestDeltaRejectsNaNWeight(t *testing.T) {
 		t.Fatalf("after the +Inf append: %v, %v", got, err)
 	}
 }
+
+// TestProductCostRejectsNonPositiveWeights: product is monotone on
+// positive weights only, so a zero or negative weight under ProductCost
+// fails the Run — naming relation and row — instead of enumerating in an
+// order that depends on the variant. Checked on a join tree, a canonical
+// cycle and a memoised GHD (the three build sites), cold and after a
+// delta that introduces the bad row: with ProductCost warm the delta is
+// refused and the handle keeps its epoch; with it cold the delta lands
+// and only ProductCost fails. The other rankings take the same data.
+func TestProductCostRejectsNonPositiveWeights(t *testing.T) {
+	variants := []Variant{Eager, Lazy, Quick, All, Take2, Rec, Batch}
+	others := []struct {
+		name string
+		opt  RunOption
+	}{{"SumCost", WithRanking(SumCost)}, {"SumBenefit", WithRanking(SumBenefit)}, {"MaxCost", WithRanking(MaxCost)}, {"MinBenefit", WithRanking(MinBenefit)}}
+	edges := []Tuple{{1, 2}, {2, 3}, {3, 1}, {2, 1}, {1, 3}, {3, 2}}
+	positive := []float64{2, 3, 0.5, 4, 1, 7}
+	kinds := map[string][][2]string{
+		"acyclic":    {{"A", "B"}, {"B", "C"}, {"C", "D"}},
+		"four-cycle": {{"A", "B"}, {"B", "C"}, {"C", "D"}, {"D", "A"}},
+		"ghd":        {{"A", "B"}, {"B", "C"}, {"C", "A"}, {"A", "D"}, {"D", "E"}, {"E", "A"}},
+	}
+	build := func(vars [][2]string, badAtom int, bad float64) *Query {
+		q := NewQuery()
+		for i, v := range vars {
+			w := slices.Clone(positive)
+			if i == badAtom {
+				w[4] = bad
+			}
+			q.Rel("R"+string(rune('1'+i)), v[:], edges, w)
+		}
+		return q
+	}
+	mustFail := func(t *testing.T, label string, p *Prepared, want string) {
+		t.Helper()
+		for _, v := range variants {
+			if _, err := p.TopK(0, WithRanking(ProductCost), WithVariant(v)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s %s: ProductCost error = %v, want one naming %q", label, v, err, want)
+			}
+		}
+		for _, o := range others {
+			if got, err := p.TopK(0, o.opt); err != nil || len(got) == 0 {
+				t.Fatalf("%s: %s on the same data: %d results, %v", label, o.name, len(got), err)
+			}
+		}
+	}
+	for kind, vars := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			for _, bad := range []float64{0, -3} {
+				cold, err := Compile(build(vars, 1, bad))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustFail(t, "cold", cold, "relation R2 row 4 has weight")
+			}
+
+			warm, err := Compile(build(vars, -1, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := warm.PlanStats().Kind; got != kind {
+				t.Fatalf("compiled to kind %s, want %s", got, kind)
+			}
+			before, err := warm.TopK(0, WithRanking(ProductCost))
+			if err != nil || len(before) == 0 {
+				t.Fatalf("positive weights: %d results, %v", len(before), err)
+			}
+			badRow := []Delta{{Rel: "R3", Append: []Tuple{{1, 1}}, AppendWeights: []float64{-1}}}
+			if err := warm.ApplyDelta(badRow); err == nil || !strings.Contains(err.Error(), "relation R3 row 6 has weight -1") {
+				t.Fatalf("delta under a warm ProductCost: %v, want an error naming relation R3 row 6", err)
+			}
+			if warm.Epoch() != 1 {
+				t.Fatalf("a refused delta moved the handle to epoch %d", warm.Epoch())
+			}
+			if after, err := warm.TopK(0, WithRanking(ProductCost)); err != nil || !slices.EqualFunc(before, after, func(a, b Result) bool { return a.Weight == b.Weight }) {
+				t.Fatalf("after the refused delta: %v, %v; want the %d results of before", after, err, len(before))
+			}
+
+			lazy, err := Compile(build(vars, -1, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lazy.TopK(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := lazy.ApplyDelta(badRow); err != nil || lazy.Epoch() != 2 {
+				t.Fatalf("delta with only SumCost warm: %v, epoch %d", err, lazy.Epoch())
+			}
+			mustFail(t, "after delta", lazy, "relation R3 row 6 has weight -1")
+		})
+	}
+}

@@ -176,19 +176,6 @@ func (c *Catalog) Get(name string) (*RelationStats, int, bool) {
 	return e.st, e.version, true
 }
 
-// GetVersion returns the statistics for name only if the stored entry
-// matches the requested version — the lookup callers use to reject
-// statistics that predate a dataset re-registration.
-func (c *Catalog) GetVersion(name string, version int) (*RelationStats, bool) {
-	c.mu.RLock()
-	e, ok := c.entries[name]
-	c.mu.RUnlock()
-	if !ok || e.version != version {
-		return nil, false
-	}
-	return e.st, true
-}
-
 // Len returns the number of catalogued relations.
 func (c *Catalog) Len() int {
 	c.mu.RLock()

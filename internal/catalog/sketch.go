@@ -234,13 +234,6 @@ func (m *MisraGries) Merge(o *MisraGries) {
 	}
 }
 
-// K returns the summary's counter budget.
-func (m *MisraGries) K() int { return m.k }
-
-// Count returns the summary's counter for v (0 when v was evicted or
-// never seen) — a lower bound on v's true frequency.
-func (m *MisraGries) Count(v int64) int { return m.counts[v] }
-
 // Entries returns the surviving (value, lower-bound count) pairs sorted
 // by descending count, ties by ascending value.
 func (m *MisraGries) Entries() []HeavyHit {

@@ -8,8 +8,9 @@ import (
 )
 
 // batchIter is the non-any-k baseline of the tutorial's comparison:
-// materialise the entire join output (constant-delay, unordered), sort
-// it by weight, then iterate. Time-to-first is Θ(r log r); time-to-last
+// materialise the entire join output (an odometer over the T-DP's
+// candidate groups: constant delay, unordered), sort it by weight, then
+// iterate. Time-to-first is Θ(r log r); time-to-last
 // is asymptotically optimal but pays the full sort even for k = 1.
 type batchIter struct {
 	*Lifecycle

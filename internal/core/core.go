@@ -10,7 +10,8 @@
 //     Jiménez–Marzal (REA), with per-(node, group) memoized solution
 //     lists shared across prefixes.
 //   - Batch (NewBatch): the non-any-k baseline — materialise the full
-//     output, sort, then iterate.
+//     output with its own constant-delay odometer over the T-DP, sort,
+//     then iterate.
 //
 // Cyclic queries are handled by internal/decomp, which unions several
 // T-DPs and merges their iterators with Merge. Enumeration itself is

@@ -379,33 +379,6 @@ func TestTiedWeights(t *testing.T) {
 	}
 }
 
-func BenchmarkLazyTop10PathL4(b *testing.B) {
-	inst := workload.Path(4, 2000, 200, workload.UniformWeights(), 1)
-	q := mustQ(inst)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tdp, err := dp.Build(q, sum)
-		if err != nil {
-			b.Fatal(err)
-		}
-		it, _ := New(context.Background(), tdp, Lazy)
-		Collect(it, 10)
-	}
-}
-
-func BenchmarkRecTop10PathL4(b *testing.B) {
-	inst := workload.Path(4, 2000, 200, workload.UniformWeights(), 1)
-	q := mustQ(inst)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tdp, err := dp.Build(q, sum)
-		if err != nil {
-			b.Fatal(err)
-		}
-		Collect(NewRec(context.Background(), tdp), 10)
-	}
-}
-
 func TestExhaustionIsStableAcrossVariants(t *testing.T) {
 	inst := workload.Path(2, 10, 3, workload.UniformWeights(), 6)
 	for _, v := range Variants() {

@@ -20,8 +20,6 @@ type candStruct interface {
 	at(idx int32) (row int32, pi float64, ok bool)
 	// successors appends idx's successor positions to buf.
 	successors(idx int32, buf []int32) []int32
-	// len reports the number of candidates.
-	len() int
 }
 
 type rowPi struct {
@@ -93,8 +91,6 @@ func (s *sortedStruct) successors(idx int32, buf []int32) []int32 {
 	return buf
 }
 
-func (s *sortedStruct) len() int { return len(s.ps) }
-
 // lazyStruct: incrementally heap-sorted candidate list (Lazy).
 type lazyStruct struct{ inc *heap.IncSort[rowPi] }
 
@@ -113,8 +109,6 @@ func (s *lazyStruct) successors(idx int32, buf []int32) []int32 {
 	return buf
 }
 
-func (s *lazyStruct) len() int { return s.inc.Total() }
-
 // quickStruct: incrementally quicksorted candidate list (Quick).
 type quickStruct struct{ inc *heap.IncQuick[rowPi] }
 
@@ -132,8 +126,6 @@ func (s *quickStruct) successors(idx int32, buf []int32) []int32 {
 	}
 	return buf
 }
-
-func (s *quickStruct) len() int { return s.inc.Total() }
 
 // heapStruct: heap-ordered candidates; successors are heap children
 // (Take2). The heap property guarantees successors never rank better
@@ -158,8 +150,6 @@ func (s *heapStruct) successors(idx int32, buf []int32) []int32 {
 	return buf
 }
 
-func (s *heapStruct) len() int { return len(s.ps) }
-
 // allStruct: position 0 is the best; all other positions are successors
 // of 0 and have no successors themselves (All).
 type allStruct struct{ ps []rowPi }
@@ -180,5 +170,3 @@ func (s *allStruct) successors(idx int32, buf []int32) []int32 {
 	}
 	return buf
 }
-
-func (s *allStruct) len() int { return len(s.ps) }

@@ -260,16 +260,3 @@ func TestTopKPrefix(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkSubmodularTop10(b *testing.B) {
-	g := workload.SkewedGraph(200, 5000, 1.3, workload.UniformWeights(), 1)
-	rels := fourRels(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it, _, err := FourCycleSubmodular(context.Background(), rels, sum, core.Lazy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		core.Collect(it, 10)
-	}
-}

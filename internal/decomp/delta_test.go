@@ -44,8 +44,8 @@ func assertSameBags(t *testing.T, label string, got, want *Plan) {
 	}
 }
 
-// TestGHDDeltaMatchesCold chains random batches through PrepareGHDDelta
-// on every GHD fixture shape and checks after each step that the
+// TestGHDDeltaMatchesCold chains random batches through Shape.Prepare
+// (with the previous plan as predecessor) on every GHD fixture shape and checks after each step that the
 // patched plan equals PrepareGHDWith on the same relations: bags,
 // Stats, and the full ranked output.
 func TestGHDDeltaMatchesCold(t *testing.T) {
@@ -68,7 +68,7 @@ func TestGHDDeltaMatchesCold(t *testing.T) {
 				changed := make([]bool, len(rels))
 				i := rng.Intn(len(rels))
 				newRels[i], changed[i] = batch(rng, rels[i], 8), true
-				got, ds, err := PrepareGHDDelta(old, edges, newRels, sum, changed, WithWorkers(workers))
+				got, ds, err := old.shape.Prepare(newRels, sum, old, changed, WithWorkers(workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func TestGHDDeltaMatchesCold(t *testing.T) {
 					}
 				}
 				if ds.Bags != len(d.Bags) || ds.Bags-ds.BagsRebuilt != shared || ds.TreeNodes != len(d.Bags) {
-					t.Fatalf("%s: stats %+v, but %d of %d bags are shared with the old plan", label, *ds, shared, len(d.Bags))
+					t.Fatalf("%s: stats %+v, but %d of %d bags are shared with the old plan", label, ds, shared, len(d.Bags))
 				}
 				rels, old = newRels, got
 			}
@@ -131,7 +131,7 @@ func TestGHDDeltaProjectionSourceShift(t *testing.T) {
 		newRels[4].AddTuple(rels[4].Tuples[i], rels[4].Weights[i])
 	}
 	changed := []bool{false, false, false, false, true}
-	got, ds, err := PrepareGHDDelta(old, edges, newRels, sum, changed)
+	got, ds, err := old.shape.Prepare(newRels, sum, old, changed)
 	if err != nil {
 		t.Fatal(err)
 	}

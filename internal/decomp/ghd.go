@@ -154,27 +154,6 @@ func PrepareGHDWith(d *hypergraph.Decomposition, edges []hypergraph.Edge, rels [
 	return p, err
 }
 
-// PrepareGHDDelta recompiles a GHD plan after some relations received
-// delta batches — its shape's Prepare with old as the predecessor. old
-// must come from PrepareGHDWith (or a previous PrepareGHDDelta) over the
-// same edges and aggregate; rels are the post-delta relations in edge
-// order and changed flags, per edge index, the ones that differ. The
-// result is bit-identical to a cold PrepareGHDWith over old's
-// decomposition and the new relations.
-func PrepareGHDDelta(old *Plan, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, changed []bool, opts ...PrepareOption) (*Plan, *DeltaStats, error) {
-	if old == nil || old.ghd == nil {
-		return nil, nil, fmt.Errorf("decomp: PrepareGHDDelta needs a plan built by PrepareGHDWith")
-	}
-	if len(edges) != len(old.shape.Edges) {
-		return nil, nil, fmt.Errorf("decomp: %d hyperedges for a plan over %d", len(edges), len(old.shape.Edges))
-	}
-	p, ds, err := old.shape.Prepare(rels, agg, old, changed, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, &ds, nil
-}
-
 // prepareGHD prepares tree ti of the shape — the only code that
 // materialises a bag. ins are the tree's (selected, renamed) input
 // relations in edge order, and base numbers its first bag among the

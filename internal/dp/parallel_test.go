@@ -211,32 +211,3 @@ func TestTotalTuples(t *testing.T) {
 		t.Fatalf("TotalTuples = %d, want %d (= 4: nothing dangles)", got, want)
 	}
 }
-
-// benchPlan builds the instantiate benchmark's plan once: a wide star
-// whose leaves all sit on one level, so the π pass fans out fully.
-func benchPlan(b *testing.B) *Plan {
-	b.Helper()
-	inst := workload.Star(8, 20000, 400, workload.UniformWeights(), 3)
-	q, err := yannakakis.NewQuery(inst.H, inst.Rels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := NewPlan(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return plan
-}
-
-func benchInstantiate(b *testing.B, workers int) {
-	plan := benchPlan(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Instantiate(ranking.SumCost{}, WithWorkers(workers)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInstantiateSequential(b *testing.B) { benchInstantiate(b, 1) }
-func BenchmarkInstantiateParallel(b *testing.B)   { benchInstantiate(b, 0) }

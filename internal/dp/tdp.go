@@ -546,9 +546,6 @@ func (t *TDP) GroupFor(pos int, rows []int32) int32 {
 	return parent.ChildGroup[ci][rows[n.Parent]]
 }
 
-// ChildIndex returns the position of child c within parent p's Children.
-func (t *TDP) ChildIndex(p, c int) int { return childIndex(t.Nodes, p, c) }
-
 func childIndex(nodes []*Node, p, c int) int {
 	for i, cc := range nodes[p].Children {
 		if cc == c {
@@ -556,17 +553,6 @@ func childIndex(nodes []*Node, p, c int) int {
 		}
 	}
 	panic("dp: not a child")
-}
-
-// GreedyComplete fills rows[from..] with each node's group-best row,
-// descending in preorder. rows[0..from-1] must already be assigned.
-func (t *TDP) GreedyComplete(rows []int32, from int) {
-	for pos := from; pos < len(t.Nodes); pos++ {
-		n := t.Nodes[pos]
-		gi := t.GroupFor(pos, rows)
-		g := &n.Groups[gi]
-		rows[pos] = g.Rows[g.BestIdx]
-	}
 }
 
 // SolutionWeight computes the aggregate weight of a full assignment.
@@ -587,8 +573,8 @@ func (t *TDP) Emit(rows []int32) relation.Tuple {
 	return out
 }
 
-// NumSolutions counts the solutions of the T-DP (for tests and the batch
-// baseline's pre-sizing) by a bottom-up counting pass.
+// NumSolutions counts the solutions of the T-DP by a bottom-up counting
+// pass; tests use it as the oracle for enumeration length.
 func (t *TDP) NumSolutions() int { return countSolutions(t.Nodes) }
 
 func countSolutions(nodes []*Node) int {

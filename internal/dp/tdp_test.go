@@ -86,16 +86,19 @@ func TestTopWeightMaxAggregate(t *testing.T) {
 	}
 }
 
+// Completing a prefix greedily — each node takes the best row of the
+// group its parent's row selects — yields the top solution.
 func TestGreedyCompleteProducesTopSolution(t *testing.T) {
 	rels := pathRels(
 		[][3]float64{{1, 10, 1}, {1, 11, 5}, {2, 10, 2}},
 		[][3]float64{{10, 100, 10}, {10, 101, 1}, {11, 100, 0}},
 	)
 	tdp := mustBuild(t, hypergraph.Path(2), rels, sum)
-	rows := make([]int32, 2)
-	g := &tdp.Nodes[0].Groups[0]
-	rows[0] = g.Rows[g.BestIdx]
-	tdp.GreedyComplete(rows, 1)
+	rows := make([]int32, len(tdp.Nodes))
+	for pos, n := range tdp.Nodes {
+		g := &n.Groups[tdp.GroupFor(pos, rows)]
+		rows[pos] = g.Rows[g.BestIdx]
+	}
 	w := tdp.SolutionWeight(rows)
 	if math.Abs(w-tdp.TopWeight()) > 1e-12 {
 		t.Fatalf("greedy solution weight %g != TopWeight %g", w, tdp.TopWeight())
@@ -251,9 +254,7 @@ func TestEmitAlignsWithOutAttrs(t *testing.T) {
 		[][3]float64{{8, 9, 0}},
 	)
 	tdp := mustBuild(t, hypergraph.Path(2), rels, sum)
-	rows := []int32{0, 0}
-	tdp.GreedyComplete(rows, 1)
-	tup := tdp.Emit(rows)
+	tup := tdp.Emit([]int32{0, 0})
 	vals := map[string]relation.Value{}
 	for i, a := range tdp.OutAttrs {
 		vals[a] = tup[i]

@@ -22,28 +22,20 @@ import (
 
 // DRep is a factorized representation of an acyclic query's result.
 type DRep struct {
-	red  []*relation.Relation // the full-reduced relations, by tree node
 	root *unionNode
-	// OutAttrs is the output schema of Enumerate.
+	// OutAttrs is the schema of the flat result: query variables in
+	// first-appearance order over the tree's preorder.
 	OutAttrs []string
-	emits    []emitSpec
 }
 
 // unionNode is a union over the tuples of one candidate group; each
 // member is implicitly a product of its singleton with the child unions
 // selected by its join keys.
 type unionNode struct {
-	node int
 	rows []int32
 	// childUnions[i][ci] is the union for rows[i]'s ci-th child.
 	childUnions [][]*unionNode
 	count       int // memoized result count of this sub-DAG
-}
-
-type emitSpec struct {
-	node   int
-	col    int
-	outPos int
 }
 
 // Build constructs the d-representation of q's result: full reduction,
@@ -74,7 +66,7 @@ func Build(q *yannakakis.Query) (*DRep, error) {
 			}
 		}
 	}
-	d := &DRep{red: red}
+	d := &DRep{}
 
 	// One union per (tree node, group), built bottom-up (reverse preorder
 	// ensures children exist).
@@ -84,7 +76,7 @@ func Build(q *yannakakis.Query) (*DRep, error) {
 		unions[u] = make([]*unionNode, groups[u].Keys())
 		for g := range unions[u] {
 			rows := groups[u].Rows(g)
-			un := &unionNode{node: u, rows: rows, count: -1}
+			un := &unionNode{rows: rows, count: -1}
 			un.childUnions = make([][]*unionNode, len(rows))
 			for i, row := range rows {
 				cus := make([]*unionNode, len(t.Children[u]))
@@ -107,10 +99,9 @@ func Build(q *yannakakis.Query) (*DRep, error) {
 	// Output schema (first appearance over preorder).
 	seen := make(map[string]bool)
 	for _, u := range t.Order {
-		for col, v := range red[u].Attrs {
+		for _, v := range red[u].Attrs {
 			if !seen[v] {
 				seen[v] = true
-				d.emits = append(d.emits, emitSpec{node: u, col: col, outPos: len(d.OutAttrs)})
 				d.OutAttrs = append(d.OutAttrs, v)
 			}
 		}
@@ -179,37 +170,4 @@ func (d *DRep) CompressionRatio() float64 {
 		return 1
 	}
 	return float64(d.FlatCells()) / float64(s)
-}
-
-// Enumerate materialises up to limit flat results from the DAG
-// (limit ≤ 0 = all), in unspecified order.
-func (d *DRep) Enumerate(limit int) []relation.Tuple {
-	if d.root == nil {
-		return nil
-	}
-	var out []relation.Tuple
-	rows := make(map[int]int32, len(d.red))
-	var rec func(stack []*unionNode) bool
-	rec = func(stack []*unionNode) bool {
-		if len(stack) == 0 {
-			tup := make(relation.Tuple, len(d.OutAttrs))
-			for _, sp := range d.emits {
-				tup[sp.outPos] = d.red[sp.node].Tuples[rows[sp.node]][sp.col]
-			}
-			out = append(out, tup)
-			return limit <= 0 || len(out) < limit
-		}
-		u := stack[0]
-		rest := stack[1:]
-		for i, row := range u.rows {
-			rows[u.node] = row
-			next := append(append([]*unionNode{}, u.childUnions[i]...), rest...)
-			if !rec(next) {
-				return false
-			}
-		}
-		return true
-	}
-	rec([]*unionNode{d.root})
-	return out
 }

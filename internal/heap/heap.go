@@ -1,10 +1,10 @@
 // Package heap provides generic priority-queue machinery used across the
-// library: a comparator-based binary min-heap, a bounded top-k collector,
-// and incremental ("lazy") sorters that expose a sorted prefix of a slice
-// on demand. The standard library's container/heap requires an interface
-// implementation per element type and offers no incremental-sort or
-// bounded-k helpers, so the ranked-enumeration algorithms in this module
-// build on the generic implementations here instead.
+// library: a comparator-based binary min-heap and incremental ("lazy")
+// sorters that expose a sorted prefix of a slice on demand. The standard
+// library's container/heap requires an interface implementation per
+// element type and offers no incremental sort, so the ranked-enumeration
+// algorithms in this module build on the generic implementations here
+// instead.
 package heap
 
 // Heap is a binary min-heap ordered by a user-supplied less function.
@@ -65,15 +65,6 @@ func (h *Heap[T]) Pop() (T, bool) {
 		h.siftDown(0)
 	}
 	return min, true
-}
-
-// Clear removes all elements but keeps the allocated capacity.
-func (h *Heap[T]) Clear() {
-	var zero T
-	for i := range h.data {
-		h.data[i] = zero
-	}
-	h.data = h.data[:0]
 }
 
 // Items returns the underlying slice in heap order (not sorted order).

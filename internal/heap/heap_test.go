@@ -69,20 +69,6 @@ func TestNewFromSlice(t *testing.T) {
 	}
 }
 
-func TestHeapClear(t *testing.T) {
-	h := New(intLess)
-	h.Push(1)
-	h.Push(2)
-	h.Clear()
-	if h.Len() != 0 {
-		t.Fatalf("Len after Clear = %d, want 0", h.Len())
-	}
-	h.Push(3)
-	if v, _ := h.Pop(); v != 3 {
-		t.Fatalf("Pop after Clear = %d, want 3", v)
-	}
-}
-
 func TestHeapDuplicates(t *testing.T) {
 	h := New(intLess)
 	for i := 0; i < 50; i++ {
@@ -146,93 +132,6 @@ func TestHeapAgainstModel(t *testing.T) {
 	}
 }
 
-func TestTopKBasic(t *testing.T) {
-	tk := NewTopK(3, intLess)
-	for _, x := range []int{9, 1, 8, 2, 7, 3} {
-		tk.Add(x)
-	}
-	got := tk.Sorted()
-	want := []int{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("Sorted len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sorted = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestTopKFewerThanK(t *testing.T) {
-	tk := NewTopK(10, intLess)
-	tk.Add(2)
-	tk.Add(1)
-	if _, ok := tk.Threshold(); ok {
-		t.Error("Threshold reported ok with fewer than k elements")
-	}
-	got := tk.Sorted()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Sorted = %v, want [1 2]", got)
-	}
-}
-
-func TestTopKThreshold(t *testing.T) {
-	tk := NewTopK(2, intLess)
-	tk.Add(5)
-	tk.Add(3)
-	if th, ok := tk.Threshold(); !ok || th != 5 {
-		t.Fatalf("Threshold = %d,%v, want 5,true", th, ok)
-	}
-	if kept := tk.Add(4); !kept {
-		t.Error("Add(4) should displace 5")
-	}
-	if th, _ := tk.Threshold(); th != 4 {
-		t.Fatalf("Threshold = %d, want 4", th)
-	}
-	if kept := tk.Add(9); kept {
-		t.Error("Add(9) should be rejected")
-	}
-}
-
-func TestTopKNonPositiveK(t *testing.T) {
-	tk := NewTopK(0, intLess)
-	if tk.Add(1) {
-		t.Error("Add with k=0 kept an element")
-	}
-	if len(tk.Sorted()) != 0 {
-		t.Error("Sorted with k=0 non-empty")
-	}
-}
-
-// Property: TopK(k) over any input equals the first k of the sorted input.
-func TestTopKMatchesSortProperty(t *testing.T) {
-	f := func(in []int16, kRaw uint8) bool {
-		k := int(kRaw)%8 + 1
-		tk := NewTopK(k, func(a, b int16) bool { return a < b })
-		for _, x := range in {
-			tk.Add(x)
-		}
-		got := tk.Sorted()
-		ref := append([]int16(nil), in...)
-		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-		if k > len(ref) {
-			k = len(ref)
-		}
-		if len(got) != k {
-			return false
-		}
-		for i := 0; i < k; i++ {
-			if got[i] != ref[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIncSortBasic(t *testing.T) {
 	s := NewIncSort(intLess, []int{4, 2, 9, 1, 7})
 	for i, want := range []int{1, 2, 4, 7, 9} {
@@ -252,9 +151,6 @@ func TestIncSortRandomAccessIsStable(t *testing.T) {
 		t.Fatalf("Get(3) = %d, want 7", v)
 	}
 	// Earlier ranks must already be materialised and stable.
-	if s.SortedLen() < 4 {
-		t.Fatalf("SortedLen = %d, want >= 4", s.SortedLen())
-	}
 	if v, _ := s.Get(0); v != 1 {
 		t.Fatalf("Get(0) = %d, want 1", v)
 	}
@@ -359,31 +255,5 @@ func TestIncQuickMatchesSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkHeapPushPop(b *testing.B) {
-	h := New(intLess)
-	for i := 0; i < b.N; i++ {
-		h.Push(i * 2654435761 % 1000003)
-		if h.Len() > 1024 {
-			h.Pop()
-		}
-	}
-}
-
-func BenchmarkIncSortFirst10(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	base := make([]int, 100000)
-	for i := range base {
-		base[i] = rng.Int()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cp := append([]int(nil), base...)
-		s := NewIncSort(intLess, cp)
-		for j := 0; j < 10; j++ {
-			s.Get(j)
-		}
 	}
 }

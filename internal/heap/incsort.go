@@ -18,9 +18,6 @@ func NewIncSort[T any](less func(a, b T) bool, items []T) *IncSort[T] {
 // Total reports the total number of elements (sorted and unsorted).
 func (s *IncSort[T]) Total() int { return len(s.sorted) + s.heap.Len() }
 
-// SortedLen reports how many ranks have been materialised so far.
-func (s *IncSort[T]) SortedLen() int { return len(s.sorted) }
-
 // Get returns the element of rank i (0-based). It reports false if
 // i >= Total(). Ranks already materialised are returned in O(1).
 func (s *IncSort[T]) Get(i int) (T, bool) {
@@ -63,9 +60,6 @@ func NewIncQuick[T any](less func(a, b T) bool, items []T) *IncQuick[T] {
 
 // Total reports the total number of elements.
 func (q *IncQuick[T]) Total() int { return len(q.data) }
-
-// SortedLen reports the length of the materialised sorted prefix.
-func (q *IncQuick[T]) SortedLen() int { return q.sortedUpTo }
 
 func (q *IncQuick[T]) next() uint64 {
 	// splitmix64 step for pivot selection.

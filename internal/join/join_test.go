@@ -79,34 +79,6 @@ func TestHashJoinEmptyInput(t *testing.T) {
 	}
 }
 
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
-	r := rel("R", []string{"A", "B"}, [][]relation.Value{{1, 10}, {2, 10}, {3, 20}, {4, 30}}, []float64{1, 2, 3, 4})
-	s := rel("S", []string{"B", "C"}, [][]relation.Value{{10, 1}, {10, 2}, {20, 3}, {40, 4}}, []float64{5, 6, 7, 8})
-	hj := HashJoin(r, s, sum, nil)
-	mj := MergeJoin(r, s, sum)
-	if !hj.EqualAsSet(mj) {
-		t.Fatalf("hash join and merge join differ:\n%v\n%v", hj, mj)
-	}
-}
-
-// Property: hash join and merge join agree on random inputs.
-func TestJoinEquivalenceProperty(t *testing.T) {
-	f := func(rRows, sRows []uint8) bool {
-		r := relation.New("R", "A", "B")
-		for i, v := range rRows {
-			r.AddWeighted(float64(i), relation.Value(v%8), relation.Value(v%5))
-		}
-		s := relation.New("S", "B", "C")
-		for i, v := range sRows {
-			s.AddWeighted(float64(i), relation.Value(v%5), relation.Value(v%7))
-		}
-		return HashJoin(r, s, sum, nil).EqualAsSet(MergeJoin(r, s, sum))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: |R ⋈ S| equals the sum over keys of |R_key|·|S_key|.
 func TestJoinCardinalityProperty(t *testing.T) {
 	f := func(rRows, sRows []uint8) bool {
@@ -229,57 +201,14 @@ func TestTriangleHardInstanceBlowup(t *testing.T) {
 		u.Add(relation.Value(i), 1)
 		u.Add(1, relation.Value(i))
 	}
-	_, stats, _ := BestOfAllOrders(sum, r, s, u)
 	// Every pairwise join contains the (i,1,j) grid of size (n/2)².
 	wantMin := (n / 2) * (n / 2)
-	if stats.MaxIntermediate < wantMin {
-		t.Errorf("best-order max intermediate = %d, want >= %d", stats.MaxIntermediate, wantMin)
-	}
-}
-
-func TestBestOfAllOrdersPrefersGoodOrder(t *testing.T) {
-	// Chain where joining in the given order is cheap but one order is
-	// catastrophic: R tiny, S huge fanout.
-	r := rel("R", []string{"A", "B"}, [][]relation.Value{{1, 1}}, nil)
-	s := relation.New("S", "B", "C")
-	u := relation.New("T", "C", "D")
-	for i := 0; i < 100; i++ {
-		s.Add(relation.Value(i%3), relation.Value(i))
-		u.Add(relation.Value(i), relation.Value(i))
-	}
-	_, stats, order := BestOfAllOrders(sum, r, s, u)
-	if len(order) != 3 {
-		t.Fatalf("order = %v", order)
-	}
-	// Best order starts from the selective R.
-	if order[0] != 0 {
-		t.Errorf("best order = %v, want leading 0", order)
-	}
-	if stats.MaxIntermediate > 40 {
-		t.Errorf("best-order max intermediate = %d, unexpectedly large", stats.MaxIntermediate)
-	}
-}
-
-func TestSortedByWeight(t *testing.T) {
-	r := rel("R", []string{"A"}, [][]relation.Value{{1}, {2}, {3}}, []float64{3, 1, 2})
-	s := SortedByWeight(r)
-	if s.Weights[0] != 1 || s.Weights[2] != 3 {
-		t.Errorf("sorted weights = %v", s.Weights)
-	}
-	if r.Weights[0] != 3 {
-		t.Error("SortedByWeight must not mutate input")
-	}
-}
-
-func TestValidateDisjointSchemas(t *testing.T) {
-	r := relation.New("R", "A")
-	s := relation.New("S", "A")
-	if err := ValidateDisjointSchemas(r, s); err == nil {
-		t.Error("shared attribute should be rejected")
-	}
-	u := relation.New("T", "B")
-	if err := ValidateDisjointSchemas(r, u); err != nil {
-		t.Errorf("disjoint schemas rejected: %v", err)
+	rels := []*relation.Relation{r, s, u}
+	for _, o := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		_, stats := NewPlan(sum, rels[o[0]], rels[o[1]], rels[o[2]]).Execute()
+		if stats.MaxIntermediate < wantMin {
+			t.Errorf("order %v: max intermediate = %d, want >= %d", o, stats.MaxIntermediate, wantMin)
+		}
 	}
 }
 
@@ -289,44 +218,5 @@ func TestMaxCostWeightCombination(t *testing.T) {
 	out := HashJoin(r, s, ranking.MaxCost{}, nil)
 	if out.Weights[0] != 5 {
 		t.Errorf("max-combined weight = %g, want 5", out.Weights[0])
-	}
-}
-
-func BenchmarkHashJoin(b *testing.B) {
-	r := relation.New("R", "A", "B")
-	s := relation.New("S", "B", "C")
-	for i := 0; i < 10000; i++ {
-		r.Add(relation.Value(i), relation.Value(i%100))
-		s.Add(relation.Value(i%100), relation.Value(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		HashJoin(r, s, sum, nil)
-	}
-}
-
-func TestMergeJoinMultiAttrShared(t *testing.T) {
-	r := rel("R", []string{"A", "B", "C"}, [][]relation.Value{
-		{1, 2, 3}, {1, 2, 4}, {5, 6, 7},
-	}, []float64{1, 2, 3})
-	s := rel("S", []string{"B", "C", "D"}, [][]relation.Value{
-		{2, 3, 9}, {2, 4, 8}, {2, 5, 7},
-	}, []float64{4, 5, 6})
-	hj := HashJoin(r, s, sum, nil)
-	mj := MergeJoin(r, s, sum)
-	if hj.Len() != 2 {
-		t.Fatalf("join size = %d, want 2", hj.Len())
-	}
-	if !hj.EqualAsSet(mj) {
-		t.Fatal("hash and merge join disagree on multi-attribute keys")
-	}
-}
-
-func TestMergeJoinDoesNotMutateInputs(t *testing.T) {
-	r := rel("R", []string{"A", "B"}, [][]relation.Value{{3, 1}, {1, 2}}, []float64{0, 0})
-	s := rel("S", []string{"B", "C"}, [][]relation.Value{{2, 5}, {1, 6}}, []float64{0, 0})
-	MergeJoin(r, s, sum)
-	if r.Tuples[0][0] != 3 || s.Tuples[0][0] != 2 {
-		t.Fatal("MergeJoin reordered its inputs")
 	}
 }

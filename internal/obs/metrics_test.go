@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"regexp"
 	"strconv"
@@ -341,28 +340,4 @@ func TestFormatValue(t *testing.T) {
 	if got := formatValue(math.NaN()); got != "NaN" {
 		t.Errorf("formatValue(NaN) = %q", got)
 	}
-}
-
-func BenchmarkCounterInc(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("bench_total", "Bench.")
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-	_ = fmt.Sprint(c.Value())
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(DefDurationBuckets)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			h.Observe(float64(i%1000) / 10000)
-			i++
-		}
-	})
 }

@@ -189,12 +189,3 @@ func TestSnapshotWhileRecording(t *testing.T) {
 	}
 	s.End()
 }
-
-func BenchmarkStartSpanNoTrace(b *testing.B) {
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, s := StartSpan(ctx, "phase")
-		s.End()
-	}
-}

@@ -30,17 +30,3 @@ func (e LexEncoder) Encode(stage int, key int64) float64 {
 	}
 	return w
 }
-
-// MaxExact reports whether the encoder's full range fits in float64's
-// exact integer range (2^53), i.e. whether Encode is collision-free.
-func (e LexEncoder) MaxExact() bool {
-	limit := float64(1 << 53)
-	total := 1.0
-	for s := 0; s < e.Stages; s++ {
-		total *= float64(e.Base)
-		if total >= limit {
-			return false
-		}
-	}
-	return true
-}

@@ -14,7 +14,10 @@
 // the laws; package tests check them with testing/quick.
 package ranking
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Aggregate combines per-tuple weights into a result weight and orders
 // result weights. Implementations must be monotone monoids as described
@@ -78,13 +81,43 @@ func (MinBenefit) Less(a, b float64) bool { return a > b }
 func (MinBenefit) Name() string           { return "min-desc" }
 
 // ProductCost ranks by ascending product of strictly positive weights
-// (e.g. joint probabilities). Weights must be > 0 for monotonicity.
+// (e.g. joint probabilities). Weights must be > 0 for monotonicity;
+// CheckDomain finds the first one that is not.
 type ProductCost struct{}
 
 func (ProductCost) Identity() float64            { return 1 }
 func (ProductCost) Combine(a, b float64) float64 { return a * b }
 func (ProductCost) Less(a, b float64) bool       { return a < b }
 func (ProductCost) Name() string                 { return "product" }
+
+// DomainError reports a tuple weight outside the domain on which an
+// aggregate is monotone. Enumerating over such a weight would not fail
+// but return results in an order that differs between variants.
+type DomainError struct {
+	Agg    string // the aggregate's Name
+	Rel    string
+	Row    int
+	Weight float64
+}
+
+func (e *DomainError) Error() string {
+	return fmt.Sprintf("ranking %s needs positive weights: relation %s row %d has weight %g", e.Agg, e.Rel, e.Row, e.Weight)
+}
+
+// CheckDomain returns a *DomainError for the first of rel's weights on
+// which agg is not monotone, or nil: ProductCost needs weights > 0, the
+// other aggregates take any weight.
+func CheckDomain(agg Aggregate, rel string, weights []float64) error {
+	if _, ok := agg.(ProductCost); !ok {
+		return nil
+	}
+	for row, w := range weights {
+		if !(w > 0) {
+			return &DomainError{Agg: agg.Name(), Rel: rel, Row: row, Weight: w}
+		}
+	}
+	return nil
+}
 
 var (
 	posInf = math.Inf(1)

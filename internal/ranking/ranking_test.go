@@ -160,9 +160,6 @@ func TestProductCostSemantics(t *testing.T) {
 
 func TestLexEncoderOrdersLexicographically(t *testing.T) {
 	enc := LexEncoder{Base: 100, Stages: 3}
-	if !enc.MaxExact() {
-		t.Fatal("encoder range should be exact")
-	}
 	type vec [3]int64
 	vecs := []vec{
 		{0, 0, 0}, {0, 0, 99}, {0, 1, 0}, {1, 0, 0}, {1, 0, 1},
@@ -221,14 +218,5 @@ func TestLexEncoderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLexEncoderMaxExactBoundary(t *testing.T) {
-	if (LexEncoder{Base: 1 << 20, Stages: 3}).MaxExact() {
-		t.Error("2^60 range should not be exact")
-	}
-	if !(LexEncoder{Base: 1 << 10, Stages: 5}).MaxExact() {
-		t.Error("2^50 range should be exact")
 	}
 }

@@ -206,25 +206,6 @@ func (r *Relation) SortByWeight() {
 	r.sortBy(func(i, j int) bool { return r.Weights[i] < r.Weights[j] })
 }
 
-// SortByCols sorts tuples lexicographically by the given attributes,
-// breaking ties by weight.
-func (r *Relation) SortByCols(attrs ...string) error {
-	idx, err := r.AttrIndexes(attrs)
-	if err != nil {
-		return err
-	}
-	r.sortBy(func(i, j int) bool {
-		a, b := r.Tuples[i], r.Tuples[j]
-		for _, c := range idx {
-			if a[c] != b[c] {
-				return a[c] < b[c]
-			}
-		}
-		return r.Weights[i] < r.Weights[j]
-	})
-	return nil
-}
-
 // sortBy sorts tuples and weights together with the given less on row
 // indices.
 func (r *Relation) sortBy(less func(i, j int) bool) {
@@ -319,15 +300,6 @@ func (r *Relation) ApplyDelta(del, app []Tuple, appW []float64) (*Relation, int)
 	}
 	out.Weights = append(out.Weights, appW...)
 	return out, removed
-}
-
-// TotalWeight returns the sum of all tuple weights.
-func (r *Relation) TotalWeight() float64 {
-	var s float64
-	for _, w := range r.Weights {
-		s += w
-	}
-	return s
 }
 
 // String renders the relation as a small table (for tests and examples).

@@ -97,22 +97,6 @@ func TestSortByWeight(t *testing.T) {
 	}
 }
 
-func TestSortByCols(t *testing.T) {
-	r := New("R", "A", "B")
-	r.AddWeighted(1, 2, 9)
-	r.AddWeighted(2, 1, 8)
-	r.AddWeighted(3, 2, 7)
-	if err := r.SortByCols("A", "B"); err != nil {
-		t.Fatal(err)
-	}
-	want := [][2]Value{{1, 8}, {2, 7}, {2, 9}}
-	for i, w := range want {
-		if r.Tuples[i][0] != w[0] || r.Tuples[i][1] != w[1] {
-			t.Fatalf("row %d = %v, want %v", i, r.Tuples[i], w)
-		}
-	}
-}
-
 func TestDedupKeepsLightest(t *testing.T) {
 	r := New("R", "A", "B")
 	r.AddWeighted(5, 1, 1)
@@ -407,38 +391,5 @@ func TestCSVErrors(t *testing.T) {
 	}
 	if r, err := ReadCSV(strings.NewReader("a,w\n1,+Inf\n2,-Inf\n"), "R", true, nil); err != nil || !math.IsInf(r.Weights[0], 1) || !math.IsInf(r.Weights[1], -1) {
 		t.Errorf("±Inf weights should parse, got %v, %v", r, err)
-	}
-}
-
-func TestTotalWeight(t *testing.T) {
-	r := New("R", "A")
-	r.AddWeighted(1, 1)
-	r.AddWeighted(2, 2)
-	if r.TotalWeight() != 3 {
-		t.Errorf("TotalWeight = %g, want 3", r.TotalWeight())
-	}
-}
-
-func BenchmarkIndexBuildSingle(b *testing.B) {
-	r := New("R", "A", "B")
-	for i := 0; i < 100000; i++ {
-		r.Add(Value(i%1000), Value(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MustIndex(r, "A")
-	}
-}
-
-func BenchmarkIndexLookup(b *testing.B) {
-	r := New("R", "A", "B")
-	for i := 0; i < 100000; i++ {
-		r.Add(Value(i%1000), Value(i))
-	}
-	ix := MustIndex(r, "A")
-	key := []Value{500}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Lookup(key)
 	}
 }

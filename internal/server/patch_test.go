@@ -267,6 +267,16 @@ func TestErrorEnvelopeAcrossEndpoints(t *testing.T) {
 	if code := errCode(t, body); code != errInvalidArgument {
 		t.Fatalf("bad n code = %q", code)
 	}
+	// r2 carries a zero weight, on which product is not monotone: the
+	// request is refused with the row named, not streamed in some order.
+	resp, body = doJSON(t, "GET", ts.URL+"/v1/query/paths/topk?agg=product", nil)
+	mustStatus(t, resp, body, 400)
+	if code := errCode(t, body); code != errInvalidArgument {
+		t.Fatalf("agg=product over a zero weight: code = %q", code)
+	}
+	if msg := body["error"].(map[string]any)["message"].(string); !strings.Contains(msg, "relation r2#1 row 2 has weight 0") {
+		t.Fatalf("agg=product over a zero weight: message %q does not name the row", msg)
+	}
 	resp, body = doJSON(t, "POST", ts.URL+"/v1/queries/bad", map[string]any{"atoms": []any{}})
 	mustStatus(t, resp, body, 400)
 	if code := errCode(t, body); code != errInvalidArgument {

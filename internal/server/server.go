@@ -893,8 +893,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam s
 	}
 	if err != nil {
 		status, code := http.StatusInternalServerError, errInternal
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		var domain *ranking.DomainError
+		switch {
+		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			status, code = http.StatusGatewayTimeout, errTimeout
+		case errors.As(err, &domain):
+			// The data is outside ?agg='s domain (a non-positive weight
+			// under product): the request, not the server, is at fault.
+			status, code = http.StatusBadRequest, errInvalidArgument
 		}
 		httpError(w, status, code, "prepare %s: %v", name, err)
 		return

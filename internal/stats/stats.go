@@ -35,23 +35,10 @@ func NewDelayRecorder() *DelayRecorder {
 	return &DelayRecorder{start: time.Now()}
 }
 
-// Reserve pre-allocates capacity for n marks so recording does not skew
-// delays with allocation pauses.
-func (d *DelayRecorder) Reserve(n int) {
-	if cap(d.marks) < n {
-		marks := make([]time.Duration, len(d.marks), n)
-		copy(marks, d.marks)
-		d.marks = marks
-	}
-}
-
 // Mark records that one result was emitted.
 func (d *DelayRecorder) Mark() {
 	d.marks = append(d.marks, time.Since(d.start))
 }
-
-// Count reports the number of results recorded.
-func (d *DelayRecorder) Count() int { return len(d.marks) }
 
 // TTF is the time to the first result (0 if none).
 func (d *DelayRecorder) TTF() time.Duration { return d.TTK(1) }

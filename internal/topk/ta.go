@@ -59,26 +59,6 @@ func (SumAgg) Score(grades []float64) float64 {
 // Name implements ScoreAgg.
 func (SumAgg) Name() string { return "sum" }
 
-// MinAgg scores objects by their minimum grade.
-type MinAgg struct{}
-
-// Score implements ScoreAgg.
-func (MinAgg) Score(grades []float64) float64 {
-	if len(grades) == 0 {
-		return 0
-	}
-	m := grades[0]
-	for _, g := range grades[1:] {
-		if g < m {
-			m = g
-		}
-	}
-	return m
-}
-
-// Name implements ScoreAgg.
-func (MinAgg) Name() string { return "min" }
-
 // Candidate is a scored object.
 type Candidate struct {
 	ID    int
@@ -405,70 +385,4 @@ func BruteForce(lists []*List, k int, agg ScoreAgg) []Candidate {
 		all = all[:k]
 	}
 	return all
-}
-
-// TAApprox is the θ-approximation variant of the Threshold Algorithm
-// from the same Fagin–Lotem–Naor paper (TA_θ): it stops as soon as k
-// buffered objects score at least threshold/θ for θ > 1, trading a
-// θ-approximation guarantee (every returned object's score is within a
-// factor θ of the true top-k scores) for earlier termination. θ = 1
-// degenerates to exact TA.
-func TAApprox(lists []*List, k int, agg ScoreAgg, theta float64) ([]Candidate, *AccessStats) {
-	if theta < 1 {
-		theta = 1
-	}
-	m := len(lists)
-	stats := &AccessStats{}
-	if m == 0 || k <= 0 {
-		return nil, stats
-	}
-	idx := make([]gradeIndex, m)
-	for i, l := range lists {
-		idx[i] = indexList(l)
-	}
-	seen := make(map[int]bool)
-	var top []Candidate
-	last := make([]float64, m)
-	for i := range last {
-		if len(lists[i].Grades) > 0 {
-			last[i] = lists[i].Grades[0]
-		}
-	}
-	grades := make([]float64, m)
-	maxDepth := 0
-	for _, l := range lists {
-		if len(l.IDs) > maxDepth {
-			maxDepth = len(l.IDs)
-		}
-	}
-	for depth := 0; depth < maxDepth; depth++ {
-		for li, l := range lists {
-			if depth >= len(l.IDs) {
-				continue
-			}
-			stats.Sorted++
-			id := l.IDs[depth]
-			last[li] = l.Grades[depth]
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			for gi := range lists {
-				if gi == li {
-					grades[gi] = l.Grades[depth]
-					continue
-				}
-				stats.Random++
-				grades[gi] = idx[gi][id]
-			}
-			insertTop(&top, Candidate{ID: id, Score: agg.Score(grades)}, k)
-		}
-		if len(seen) > stats.Buffered {
-			stats.Buffered = len(seen)
-		}
-		if len(top) == k && top[k-1].Score >= agg.Score(last)/theta {
-			break
-		}
-	}
-	return top, stats
 }

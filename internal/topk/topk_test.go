@@ -101,15 +101,6 @@ func TestNRAMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestTAWithMinAgg(t *testing.T) {
-	lists := toLists(workload.Lists(3, 200, workload.Independent, 3))
-	want := BruteForce(lists, 5, MinAgg{})
-	got, _ := TA(lists, 5, MinAgg{})
-	if !candidatesEqual(got, want) {
-		t.Fatalf("TA(min) %v != brute force %v", got, want)
-	}
-}
-
 // Property: TA equals brute force on random lists.
 func TestTACorrectnessProperty(t *testing.T) {
 	f := func(seed uint16, kRaw, mRaw uint8) bool {
@@ -413,54 +404,5 @@ func TestHRJNEmptyInput(t *testing.T) {
 	op := NewHRJN(NewScan(r), NewScan(s))
 	if res := TopK(op, 5); len(res) != 0 {
 		t.Fatalf("join with empty input yielded %d", len(res))
-	}
-}
-
-func TestTAApproxExactWhenThetaOne(t *testing.T) {
-	lists := toLists(workload.Lists(2, 300, workload.Independent, 15))
-	exact, _ := TA(lists, 5, SumAgg{})
-	approx, _ := TAApprox(lists, 5, SumAgg{}, 1)
-	if !candidatesEqual(exact, approx) {
-		t.Fatal("TAApprox(θ=1) must equal TA")
-	}
-}
-
-func TestTAApproxGuarantee(t *testing.T) {
-	theta := 1.5
-	for _, seed := range []uint64{1, 2, 3, 4} {
-		lists := toLists(workload.Lists(2, 500, workload.AntiCorrelated, seed))
-		k := 10
-		want := BruteForce(lists, k, SumAgg{})
-		got, _ := TAApprox(lists, k, SumAgg{}, theta)
-		if len(got) != k {
-			t.Fatalf("seed %d: %d results", seed, len(got))
-		}
-		// θ-approximation: each returned score ≥ true i-th score / θ.
-		for i := range got {
-			if got[i].Score < want[i].Score/theta-1e-9 {
-				t.Fatalf("seed %d rank %d: score %g below %g/θ", seed, i, got[i].Score, want[i].Score)
-			}
-		}
-	}
-}
-
-func TestTAApproxStopsEarlier(t *testing.T) {
-	lists := toLists(workload.Lists(2, 5000, workload.AntiCorrelated, 9))
-	_, exact := TA(lists, 10, SumAgg{})
-	_, approx := TAApprox(lists, 10, SumAgg{}, 2)
-	if approx.Sorted > exact.Sorted {
-		t.Fatalf("TA_θ sorted accesses %d exceed exact TA's %d", approx.Sorted, exact.Sorted)
-	}
-	if approx.Sorted == exact.Sorted {
-		t.Logf("warning: θ=2 did not stop earlier on this instance (ok but unexpected)")
-	}
-}
-
-func TestTAApproxInvalidTheta(t *testing.T) {
-	lists := toLists(workload.Lists(2, 100, workload.Independent, 3))
-	exact, _ := TA(lists, 3, SumAgg{})
-	got, _ := TAApprox(lists, 3, SumAgg{}, 0.5) // clamped to 1
-	if !candidatesEqual(exact, got) {
-		t.Fatal("θ<1 should clamp to exact TA")
 	}
 }

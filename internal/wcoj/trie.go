@@ -133,13 +133,3 @@ func (st *atomState) nextBlock(d int, r int32) int32 {
 		return st.valueAt(r+int32(i), d) > v
 	}))
 }
-
-// depthOfGlobal returns the atom's depth for global position pos, or -1.
-func (st *atomState) depthOfGlobal(pos int) int {
-	for d, p := range st.globalPos {
-		if p == pos {
-			return d
-		}
-	}
-	return -1
-}

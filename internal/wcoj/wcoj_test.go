@@ -279,22 +279,6 @@ func TestVariableOrderIndependence(t *testing.T) {
 	}
 }
 
-func BenchmarkGenericJoinTriangleHard(b *testing.B) {
-	n := 1000
-	var edges [][2]relation.Value
-	for i := 1; i <= n/2; i++ {
-		edges = append(edges, [2]relation.Value{relation.Value(i), 1})
-		edges = append(edges, [2]relation.Value{1, relation.Value(i)})
-	}
-	atoms := triangleAtoms(edges)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Materialize(atoms, []string{"A", "B", "C"}, sum); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestSuggestOrderCoversAllVars(t *testing.T) {
 	edges := [][2]relation.Value{{1, 2}, {2, 3}, {3, 1}}
 	atoms := triangleAtoms(edges)
@@ -349,102 +333,5 @@ func TestSuggestOrderIsValidForGenericJoin(t *testing.T) {
 	}
 	if !gotAligned.EqualAsSet(want) {
 		t.Error("suggested order changes results")
-	}
-}
-
-func TestNPRRMatchesGenericJoin(t *testing.T) {
-	edges := [][2]relation.Value{
-		{1, 2}, {2, 3}, {3, 1}, {2, 4}, {4, 1}, {3, 4}, {4, 5}, {5, 3}, {1, 5}, {5, 1}, {2, 5}, {5, 2},
-	}
-	atoms := triangleAtoms(edges)
-	want, _, err := Materialize(atoms, []string{"A", "B", "C"}, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := relation.New("NPRR", "A", "B", "C")
-	TriangleNPRR(atoms[0].Rel, atoms[1].Rel, atoms[2].Rel, sum, func(tp relation.Tuple, w float64) bool {
-		got.AddTuple(tp, w)
-		return true
-	})
-	if !got.EqualAsSet(want) {
-		t.Fatalf("NPRR differs from GenericJoin:\n%v\n%v", got, want)
-	}
-}
-
-// Property: NPRR equals GJ on random graphs (exercises both the light
-// and heavy branches via skew).
-func TestNPRREqualsGJProperty(t *testing.T) {
-	f := func(data []uint8, skew bool) bool {
-		var edges [][2]relation.Value
-		for _, v := range data {
-			a := relation.Value(v % 9)
-			if skew && v%3 == 0 {
-				a = 0 // heavy hub
-			}
-			edges = append(edges, [2]relation.Value{a, relation.Value((v / 9) % 9)})
-		}
-		atoms := triangleAtoms(edges)
-		want, _, err := Materialize(atoms, []string{"A", "B", "C"}, sum)
-		if err != nil {
-			return false
-		}
-		got := relation.New("NPRR", "A", "B", "C")
-		TriangleNPRR(atoms[0].Rel, atoms[1].Rel, atoms[2].Rel, sum, func(tp relation.Tuple, w float64) bool {
-			got.AddTuple(tp, w)
-			return true
-		})
-		return got.EqualAsSet(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNPRRHeavyBranch(t *testing.T) {
-	// One hub with fanout far above √n forces the heavy branch.
-	var edges [][2]relation.Value
-	for i := relation.Value(1); i <= 60; i++ {
-		edges = append(edges, [2]relation.Value{0, i}) // hub 0 → i
-		edges = append(edges, [2]relation.Value{i, 0}) // i → hub 0
-	}
-	atoms := triangleAtoms(edges)
-	want, _, err := Materialize(atoms, []string{"A", "B", "C"}, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := relation.New("NPRR", "A", "B", "C")
-	TriangleNPRR(atoms[0].Rel, atoms[1].Rel, atoms[2].Rel, sum, func(tp relation.Tuple, w float64) bool {
-		got.AddTuple(tp, w)
-		return true
-	})
-	if !got.EqualAsSet(want) {
-		t.Fatalf("NPRR heavy branch differs: %d vs %d tuples", got.Len(), want.Len())
-	}
-}
-
-func TestNPRREarlyStop(t *testing.T) {
-	edges := [][2]relation.Value{{1, 2}, {2, 3}, {3, 1}}
-	atoms := triangleAtoms(edges)
-	count := 0
-	instr := TriangleNPRR(atoms[0].Rel, atoms[1].Rel, atoms[2].Rel, sum, func(relation.Tuple, float64) bool {
-		count++
-		return false
-	})
-	if count != 1 || instr.Emits != 1 {
-		t.Fatalf("early stop: count=%d emits=%d, want 1,1", count, instr.Emits)
-	}
-}
-
-func BenchmarkNPRRTriangleHard(b *testing.B) {
-	n := 1000
-	var edges [][2]relation.Value
-	for i := 1; i <= n/2; i++ {
-		edges = append(edges, [2]relation.Value{relation.Value(i), 1})
-		edges = append(edges, [2]relation.Value{1, relation.Value(i)})
-	}
-	atoms := triangleAtoms(edges)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TriangleNPRR(atoms[0].Rel, atoms[1].Rel, atoms[2].Rel, sum, emitNothing)
 	}
 }

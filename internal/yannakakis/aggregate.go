@@ -30,34 +30,12 @@ func CountingSemiring() *Semiring {
 	}
 }
 
-// SumWeightSemiring sums result weights over all results when tuples
-// are annotated with their weights under (⊕,⊗) = (+,×) on the expanded
-// polynomial — note this computes Σ_results Π_tuples w(t), i.e. the
-// product aggregate summed; to sum *additive* result weights use
-// AnnotatedEval with the tropical semiring per result instead.
-func SumWeightSemiring() *Semiring {
-	return &Semiring{
-		Name: "sum-product", Zero: 0, One: 1,
-		Add: func(a, b float64) float64 { return a + b },
-		Mul: func(a, b float64) float64 { return a * b },
-	}
-}
-
 // MinTropicalSemiring computes the minimum additive result weight (the
 // top-1 of SumCost ranking) without enumeration: ⊕ = min, ⊗ = +.
 func MinTropicalSemiring() *Semiring {
 	return &Semiring{
 		Name: "min-sum", Zero: math.Inf(1), One: 0,
 		Add: math.Min,
-		Mul: func(a, b float64) float64 { return a + b },
-	}
-}
-
-// MaxTropicalSemiring computes the maximum additive result weight.
-func MaxTropicalSemiring() *Semiring {
-	return &Semiring{
-		Name: "max-sum", Zero: math.Inf(-1), One: 0,
-		Add: math.Max,
 		Mul: func(a, b float64) float64 { return a + b },
 	}
 }

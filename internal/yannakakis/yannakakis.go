@@ -1,7 +1,8 @@
 // Package yannakakis implements the Yannakakis algorithm for acyclic
 // join queries (§3 of the tutorial): a full reducer built from two
-// semi-join sweeps over a join tree, followed by either full-output
-// evaluation in O(n + r) or constant-delay enumeration of the results.
+// semi-join sweeps over a join tree, followed by full-output evaluation
+// in O(n + r), plus semiring aggregates over the reduced tree in O(n)
+// (AnnotatedEval).
 //
 // The full reducer leaves the database globally consistent: every tuple
 // that survives participates in at least one result, so the join phase
@@ -109,75 +110,4 @@ func (q *Query) Evaluate(agg ranking.Aggregate) *relation.Relation {
 		}
 	}
 	return acc[q.Tree.Root]
-}
-
-// Count returns the number of join results without materialising them,
-// via a bottom-up counting pass over the reduced relations (the standard
-// aggregate-over-join-tree trick).
-func (q *Query) Count() int {
-	red := q.FullReduce()
-	order := q.Tree.Order
-	// counts[u][row] = number of results of u's subtree consistent with
-	// that row of u's reduced relation.
-	counts := make([][]int, len(red))
-	for i, r := range red {
-		counts[i] = make([]int, r.Len())
-		for j := range counts[i] {
-			counts[i][j] = 1
-		}
-	}
-	for oi := len(order) - 1; oi >= 0; oi-- {
-		u := order[oi]
-		for _, c := range q.Tree.Children[u] {
-			shared := red[u].SharedAttrs(red[c])
-			idx := relation.MustIndex(red[c], shared...)
-			uCols, _ := red[u].AttrIndexes(shared)
-			for j, tp := range red[u].Tuples {
-				sum := 0
-				for _, row := range idx.Rows(idx.FindBy(tp, uCols)) {
-					sum += counts[c][row]
-				}
-				counts[u][j] *= sum
-			}
-		}
-	}
-	total := 0
-	for _, v := range counts[q.Tree.Root] {
-		total += v
-	}
-	return total
-}
-
-// IsEmpty reports whether the query has no results, in O(n) after the
-// bottom-up semi-join pass (the Boolean query of §1).
-func (q *Query) IsEmpty() bool {
-	n := len(q.Rels)
-	red := make([]*relation.Relation, n)
-	for i := 0; i < n; i++ {
-		red[i] = q.queryRel(i)
-	}
-	order := q.Tree.Order
-	for oi := len(order) - 1; oi >= 0; oi-- {
-		u := order[oi]
-		for _, c := range q.Tree.Children[u] {
-			red[u] = join.SemiJoin(red[u], red[c])
-		}
-	}
-	return red[q.Tree.Root].Len() == 0
-}
-
-// OutputAttrs returns the output schema: query variables in
-// first-appearance order over the tree's DFS preorder.
-func (q *Query) OutputAttrs() []string {
-	seen := make(map[string]bool)
-	var attrs []string
-	for _, u := range q.Tree.Order {
-		for _, v := range q.H.Edges[u].Vars {
-			if !seen[v] {
-				seen[v] = true
-				attrs = append(attrs, v)
-			}
-		}
-	}
-	return attrs
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/relation"
+	"repro/internal/wcoj"
 	"repro/internal/workload"
 )
 
@@ -139,5 +141,59 @@ func TestCanceledPrepareNotCached(t *testing.T) {
 	}
 	if len(res) == 0 {
 		t.Fatal("run after canceled prepare returned no results")
+	}
+}
+
+// skewAtoms builds triangle atoms over a three-layer rotor graph:
+// hub 0 → every left vertex, complete bipartite left → right, every
+// right vertex → 0. Each triangle is one rotation of (0, left, right),
+// so the join has 3·m·k answers and the single value A=0 owns a full
+// third of all work — far past any per-task budget — while the m+k
+// light values share the rest.
+func skewAtoms(m, k int) []wcoj.Atom {
+	mk := func(name string) *relation.Relation {
+		r := relation.New(name, "src", "dst")
+		add := func(a, b int64) { r.AddWeighted(float64(a)+float64(b)/1000, a, b) }
+		for l := int64(1); l <= int64(m); l++ {
+			add(0, l)
+			for rt := int64(m + 1); rt <= int64(m+k); rt++ {
+				add(l, rt)
+			}
+		}
+		for rt := int64(m + 1); rt <= int64(m+k); rt++ {
+			add(rt, 0)
+		}
+		return r
+	}
+	return []wcoj.Atom{
+		{Rel: mk("R"), Vars: []string{"A", "B"}},
+		{Rel: mk("S"), Vars: []string{"B", "C"}},
+		{Rel: mk("T"), Vars: []string{"C", "A"}},
+	}
+}
+
+// TestSkewTaskShares is the machine-independent skew guardrail:
+// wall-clock on a multi-core box is bounded below by the largest single
+// task's share of the join work, and on the rotor fixture the hub value
+// A=0 owns a third of it. Equal-count first-variable chunking cannot
+// split a single value, so its critical share stays pinned near 1/3
+// whatever the worker count; the skew-aware planner must land well
+// under that. (The benchmark's wcoj.max_task_share.hub_triangle row
+// reads the same quantity on its own fixture.)
+func TestSkewTaskShares(t *testing.T) {
+	atoms := skewAtoms(300, 60)
+	chunked, skewAware, err := wcoj.TaskShares(atoms, []string{"A", "B", "C"}, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 32 chunks over ~361 first-variable values: perfect balance would
+	// be ~0.03 per chunk, but the chunk holding the hub owns over a
+	// quarter of all work (a third of the emits, diluted by the light
+	// values' seek overhead).
+	if chunked < 0.25 {
+		t.Errorf("chunked max task share = %.3f, want >= 0.25 (hub pinned whole)", chunked)
+	}
+	if skewAware >= chunked/2 {
+		t.Errorf("skew-aware max task share = %.3f, want < half of chunked %.3f", skewAware, chunked)
 	}
 }

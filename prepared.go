@@ -260,12 +260,13 @@ func (c *onceCache[V]) built() map[ranking.Aggregate]V {
 // across plan nodes or input relations) above which an unset
 // WithParallelism resolves to GOMAXPROCS instead of sequential. Below
 // it the prepare work is so small that goroutine scheduling costs more
-// than it saves: measured with BenchmarkInstantiate* and
-// BenchmarkPrepare*, parallel prepare breaks even at a few thousand
-// tuples and the fan-out overhead is single-digit microseconds, so
-// 8192 keeps tiny queries on the zero-overhead sequential path while
-// everything benchmark-sized parallelises. Tests override it to force
-// either path deterministically.
+// than it saves: parallel prepare breaks even at a few thousand tuples
+// and the fan-out overhead is single-digit microseconds, so 8192 keeps
+// tiny queries on the zero-overhead sequential path while everything
+// benchmark-sized parallelises (the benchmark's dp.par_speedup,
+// wcoj.par_speedup.hub_triangle and decomp.prepare_ms.* rows measure
+// the parallel side). Tests override it to force either path
+// deterministically.
 var prepareParallelThreshold = 8192
 
 // prepareWorkers picks the prepare parallelism for one build: an
@@ -452,6 +453,9 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 		n.nodesReused += int64(dst.Nodes - dst.Regrouped)
 		if old != nil {
 			for agg, oldT := range old.tdps.built() {
+				if err := p.checkWeights(agg, rels); err != nil {
+					return nil, n, err
+				}
 				t, rec, err := plan.InstantiateDelta(agg, oldT, dst.Changed, dpOpts...)
 				if err != nil {
 					return nil, n, err
@@ -737,8 +741,15 @@ func WithK(k int) RunOption { return func(c *runConfig) { c.k = k } }
 // ranking function triggers (T-DP instantiation for acyclic queries,
 // bag materialisation for cyclic shapes): cancellation there fails the
 // Run with ctx.Err(), and a later Run simply rebuilds — a canceled
-// prepare is never cached.
-func WithContext(ctx context.Context) RunOption { return func(c *runConfig) { c.ctx = ctx } }
+// prepare is never cached. A nil ctx keeps the default,
+// context.Background().
+func WithContext(ctx context.Context) RunOption {
+	return func(c *runConfig) {
+		if ctx != nil {
+			c.ctx = ctx
+		}
+	}
+}
 
 // WithParallelism sets how many workers run the prepare phase (the
 // first Run with each ranking function). For acyclic queries that is
@@ -963,6 +974,23 @@ func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
 	return !ok, nil
 }
 
+// checkWeights rejects an epoch's weights on which agg is not monotone
+// (ranking.CheckDomain: a non-positive weight under ProductCost), naming
+// relation and row. It runs wherever a ranking's artefact is built for
+// an epoch — tdpFor, buildDecomp and buildState's re-seeding of warm
+// T-DPs — as one scan of that epoch's weights, so a Run fails instead of
+// enumerating in an order that depends on the variant, and an ApplyDelta
+// that brings such a row under a warm ranking leaves the handle on its
+// old epoch.
+func (p *Prepared) checkWeights(agg ranking.Aggregate, rels []*relation.Relation) error {
+	for i, r := range rels {
+		if err := ranking.CheckDomain(agg, p.srcEdges[i].Name, r.Weights); err != nil {
+			return fmt.Errorf("repro: %w", err)
+		}
+	}
+	return nil
+}
+
 // tdpFor returns (instantiating and caching on first use) the T-DP of
 // the epoch's acyclic plan under agg. The ctx and worker count only
 // matter to the Run that triggers the build; cache hits ignore them.
@@ -974,6 +1002,9 @@ func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
 // TDP does not depend on which Run won the build.
 func (p *Prepared) tdpFor(st *planState, agg ranking.Aggregate, ctx context.Context, workers int) (*dp.TDP, error) {
 	return st.tdps.get(ctx, agg, func(a ranking.Aggregate) (*dp.TDP, error) {
+		if err := p.checkWeights(a, st.srcRels); err != nil {
+			return nil, err
+		}
 		return st.plan.Instantiate(a, dp.WithContext(ctx), dp.WithWorkers(workers))
 	})
 }
@@ -996,6 +1027,9 @@ func (p *Prepared) decompFor(st *planState, agg ranking.Aggregate, ctx context.C
 // or rebuilds is the shape's policy (decomp.Shape), and either way the
 // DeltaStats say what was redone.
 func (p *Prepared) buildDecomp(st *planState, agg ranking.Aggregate, old *decomp.Plan, changed []bool, ctx context.Context, workers int) (*decomp.Plan, decomp.DeltaStats, error) {
+	if err := p.checkWeights(agg, st.srcRels); err != nil {
+		return nil, decomp.DeltaStats{}, err
+	}
 	opts := []decomp.PrepareOption{decomp.WithWorkers(workers), decomp.WithContext(ctx)}
 	if p.hints != nil {
 		// Catalog heavy hitters guide the intra-bag heavy/light split;
