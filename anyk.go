@@ -35,11 +35,13 @@
 // helpers Ranked, TopK, Count and IsEmpty remain as thin wrappers that
 // compile and execute in one step.
 //
-// Acyclic queries run directly on the tree-based dynamic program.
-// Cyclic cycle queries of any length (in either edge orientation) are
-// decomposed automatically: a Generic-Join bag for the triangle, the
-// submodular-width three-tree union for the 4-cycle, and the generic
-// fhtw-2 fan plan for longer cycles. Every other cyclic shape — K4,
+// Every query compiles to a tree (or a union of trees) of bags that the
+// tree-based dynamic program runs over. An acyclic query is the
+// degenerate case, the join tree of its own atoms: nothing is
+// materialised. Cyclic cycle queries of any length (in either edge
+// orientation) are decomposed automatically: a Generic-Join bag for the
+// triangle, the submodular-width three-tree union for the 4-cycle, and
+// the generic fhtw-2 fan plan for longer cycles. Every other cyclic shape — K4,
 // bowtie, star-with-chord, cliques, fused triangles, arbitrary
 // hypergraphs with higher-arity atoms — compiles through the generic
 // GHD planner: a generalized hypertree decomposition is searched
@@ -48,8 +50,9 @@
 // fractional edge cover over the bags), each bag is materialised with
 // Generic-Join, and the acyclic bag tree feeds the same any-k
 // machinery. See internal/hypergraph.Decompose for the width heuristics
-// and internal/decomp for the one preparer every cyclic shape — the
-// canonical cycles included — goes through, and its weight charging.
+// and internal/decomp for the one preparer every shape — the atom tree
+// and the canonical cycles included — goes through, and its weight
+// charging.
 //
 // Execution is observable per phase: when the context passed via
 // WithContext carries an internal/obs trace recorder (the serving
@@ -195,14 +198,14 @@ func (q *Query) Rel(name string, vars []string, tuples []Tuple, weights []float6
 
 // OutAttrs reports the output schema the iterators of this query will
 // use, computed from the query structure alone (no data is touched, so
-// it is cheap even on large relations): for acyclic queries the query
-// variables in join-tree preorder; for cycle queries of any length the
-// query variables in the order the cycle is walked (starting from the
-// first declared atom's first variable — the positions the canonical
-// cycle decompositions enumerate); and for every other cyclic shape
-// (compiled through the generic GHD planner) the query variables in
-// sorted order. Prepared.OutAttrs reports the same schema from a
-// compiled handle.
+// it is cheap even on large relations) by the shape selection Compile
+// runs: for acyclic queries the query variables in join-tree preorder;
+// for cycle queries of any length the query variables in the order the
+// cycle is walked (starting from the first declared atom's first
+// variable — the positions the canonical cycle decompositions
+// enumerate); and for every other cyclic shape (compiled through the
+// generic GHD planner) the query variables in sorted order.
+// Prepared.OutAttrs reports the same schema from a compiled handle.
 func (q *Query) OutAttrs() ([]string, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -210,24 +213,32 @@ func (q *Query) OutAttrs() ([]string, error) {
 	if len(q.rels) == 0 {
 		return nil, fmt.Errorf("repro: empty query")
 	}
-	h := hypergraph.New(q.edges...)
-	if tree, ok := h.BuildJoinTree(); ok {
-		seen := map[string]bool{}
-		var attrs []string
-		for _, u := range tree.Order {
-			for _, v := range h.Edges[u].Vars {
-				if !seen[v] {
-					seen[v] = true
-					attrs = append(attrs, v)
-				}
-			}
-		}
-		return attrs, nil
+	s, path, err := q.planShape()
+	switch {
+	case err != nil:
+		return nil, err
+	case path == "ghd":
+		return decomp.GHDAttrs(q.edges), nil
 	}
-	if _, walk, ok := q.matchCycleShape(); ok {
-		return walk, nil
+	return s.Attrs, nil
+}
+
+// planShape selects the query's plan shape from its structure alone and
+// names the planner path that chose it: "acyclic", the tree of its
+// atoms; "cycle", the canonical shape of its cycle length; or "ghd",
+// with no shape yet — Compile searches the decomposition, whose schema
+// is decomp.GHDAttrs whatever it finds.
+func (q *Query) planShape() (*decomp.Shape, string, error) {
+	if s, ok := decomp.AcyclicShape(q.edges); ok {
+		return s, "acyclic", nil
 	}
-	return decomp.GHDAttrs(q.edges), nil
+	if order, walk, ok := q.matchCycleShape(); ok {
+		// The canonical shape of the cycle's length, over the user's own
+		// atoms and variables in walk order.
+		s, err := decomp.CycleShape(q.edges, order, walk)
+		return s, "cycle", err
+	}
+	return nil, "ghd", nil
 }
 
 // Fingerprint returns a stable identifier of the query's *shape*: a
@@ -274,11 +285,12 @@ func (q *Query) Fingerprint() (string, error) {
 }
 
 // Ranked compiles the query and returns a ranked-enumeration iterator —
-// the one-shot form of Compile + Run. Acyclic queries use the T-DP
-// any-k machinery directly; triangles, 4-cycles, and longer cycles are
-// decomposed automatically, and every other cyclic shape compiles
-// through the generic GHD planner. For repeated execution over the same
-// data, Compile once and Run many times instead.
+// the one-shot form of Compile + Run. Acyclic queries run the T-DP
+// any-k machinery over the tree of their atoms; triangles, 4-cycles,
+// and longer cycles are decomposed automatically, and every other
+// cyclic shape compiles through the generic GHD planner. For repeated
+// execution over the same data, Compile once and Run many times
+// instead.
 func (q *Query) Ranked(agg ranking.Aggregate, v Variant) (Iterator, error) {
 	p, err := Compile(q)
 	if err != nil {
@@ -361,10 +373,10 @@ func (q *Query) matchCycleShape() (order []int, walk []string, ok bool) {
 	return order, walk, true
 }
 
-// Count returns the number of join results without materialising them.
-// Acyclic queries use the counting pass over the join tree (O(n) after
-// reduction); supported cyclic shapes enumerate through the ranked
-// iterator, which still avoids materialising the full output at once.
+// Count returns the number of join results without enumerating them:
+// the counting pass over the join tree of an acyclic query (O(n) after
+// reduction), the same pass over the bag trees of a cyclic one (linear
+// in the materialised bags); see Prepared.Count.
 func (q *Query) Count() (int, error) {
 	p, err := Compile(q)
 	if err != nil {

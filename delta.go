@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -32,20 +33,17 @@ type Delta struct {
 // ApplyDelta advances the handle to a new data epoch reflecting the
 // given per-relation append/delete batches. The new epoch is built by
 // the function that built the first one (buildState), now with the
-// current epoch as its predecessor: the acyclic join tree re-runs
+// current epoch as its predecessor, and what it redoes is
+// decomp.Shape's policy: an acyclic query's atom tree re-runs
 // semi-joins, regrouping, and π recomputation only along the paths the
 // delta actually reached (clean subtrees alias the old epoch's reduced
-// relations outright), and searched GHD plans re-materialise only the
-// bags with a changed input (a one-bag GHD: its one bag). The canonical
-// triangle / 4-cycle / fan shapes keep no memo and rebuild every bag —
-// the policy is decomp.Shape's, and so is the number behind it: what a
-// memo would retain (each bag as materialised, before the bag tree's
-// reduction copies the surviving rows) is about 2.4·10⁶ tuples, ~150 MB,
-// on the benchmark's resident 5- and 6-cycles, for a delta no serving
-// workload sends. Every ranking function that was already built stays
-// built — its patched artefact is seeded into the new epoch — so warm
-// callers never see a cold prepare after a delta. Results after
-// ApplyDelta are bit-identical to a cold Compile on the updated data.
+// relations outright), searched GHD plans re-materialise only the bags
+// with a changed input (a one-bag GHD: its one bag), and the canonical
+// triangle / 4-cycle / fan shapes keep no memo and rebuild every bag.
+// Every ranking function that was already built stays built — its
+// patched plan is seeded into the new epoch — so warm callers never see
+// a cold prepare after a delta. Results after ApplyDelta are
+// bit-identical to a cold Compile on the updated data.
 //
 // Honors WithContext and WithParallelism for the patch work; other run
 // options are ignored. On error nothing changes: the handle keeps
@@ -110,11 +108,7 @@ func (p *Prepared) ApplyDelta(deltas []Delta, opts ...RunOption) error {
 		appended += int64(len(d.Append))
 		deltaSpan.Event("changed:" + d.Rel)
 	}
-	anyChanged := false
-	for _, c := range changed {
-		anyChanged = anyChanged || c
-	}
-	if !anyChanged {
+	if !slices.Contains(changed, true) {
 		return nil
 	}
 

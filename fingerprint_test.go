@@ -201,7 +201,7 @@ func TestPlanStatsReportsBuiltRankings(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = tp.PlanStats()
-	if st.Kind != "triangle" || st.Solutions != -1 {
+	if st.Kind != "triangle" || st.Solutions != 1 {
 		t.Fatalf("unexpected triangle PlanStats: %+v", st)
 	}
 	if len(st.Rankings) != 1 || st.Rankings[0].TotalMaterialized != 1 {

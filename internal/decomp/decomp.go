@@ -1,11 +1,13 @@
-// Package decomp evaluates *cyclic* join queries the way §3–§4 of the
+// Package decomp plans every full join query the way §3–§4 of the
 // tutorial describe: decompose the query into one *or more* trees of
-// materialised bags, run any-k over each tree, and merge the ranked
-// streams. A Shape is that recipe, fixed before any data is read — a
-// list of trees, each a decomposition (its bags) plus a selection of the
-// input relations it reads:
+// bags, run any-k over each tree, and merge the ranked streams. A Shape
+// is that recipe, fixed before any data is read — a list of trees, each
+// a decomposition (its bags) plus a selection of the input relations it
+// reads. An acyclic query is the degenerate case: one tree whose bags
+// are its atoms, so nothing is materialised.
 //
 //	shape (Kind)   trees  decomposition of each tree         input selection                memo
+//	acyclic        1      the atoms (GYO join tree)          whole relations                —
 //	triangle       1      {A,B,C}                            whole relations                no
 //	four-cycle     3      {A,B,C} {A,C,D}                    R1, R2ˡ, R3, R4ˡ               no
 //	                      {B,C,D} {A,B,D}                    R1ʰ, R2ʰ, R3, R4
@@ -17,29 +19,27 @@
 // light/heavy; the three cases partition the output and every bag is
 // O(n^1.5) — the submodular-width plan (submodularShape), against the
 // Θ(n²) two-bag fan over the whole relations that the tutorial calls
-// suboptimal (PrepareFourCycleSingleTree). CycleShape picks the
-// canonical row for a cycle length, GHDShape wraps a searched
-// decomposition, and the Prepare* constructors are adapters that name
-// one fixed row.
+// suboptimal (PrepareFourCycleSingleTree). AcyclicShape takes the atom
+// tree, CycleShape picks the canonical row for a cycle length, GHDShape
+// wraps a searched decomposition, and the Prepare* constructors are
+// adapters that name one fixed row.
 //
-// Shape.Prepare hands every tree to prepareGHD — the one place a bag is
-// materialised (Generic-Join over the bag's charged, filter and
-// projection atoms) and the only caller of prepareTree, the one place a
-// bag tree is compiled into a T-DP (internal/dp), under the prepare's
-// context. A tree of a single bag needs no T-DP: it is enumerated in
-// sorted order straight off the bag. "memo" is whether a plan retains
-// its bags as materialised, so that a later prepare re-materialises only
-// the bags a data delta reached: only searched GHDs do; the canonical
-// shapes rebuild from nothing (see Shape).
+// A prepare has two steps, split the way internal/dp splits its own:
+// Shape.Build per data epoch, for what no ranking touches (an atom
+// tree's reduction and grouping among it), and Epoch.Instantiate per
+// ranking — an atom tree's π pass, and every other tree handed to
+// prepareGHD, the one place a bag is materialised (its weights folded
+// under the ranking) and the only caller of prepareTree, the one place a
+// bag tree is compiled into a T-DP. A tree of a single materialised bag
+// needs no T-DP: it is enumerated in sorted order straight off the bag.
+// "memo" is whether a plan retains its bags as materialised, so that a
+// later prepare re-materialises only the bags a data delta reached (see
+// Shape).
 //
-// Every prepare accepts PrepareOptions: WithWorkers(n) materialises a
-// tree's mutually independent bags on a bounded worker pool (bag-level
-// fan-out first, leftover workers partitioning the first variable inside
-// each bag via wcoj.MaterializeParallelHinted), and WithContext(ctx)
-// makes the whole prepare cancelable — between bag tasks and partitions,
-// and between the node tasks of the bag tree's build. Parallel prepares
-// are bit-identical to sequential ones — same bag contents and order,
-// same Stats — see docs/ARCHITECTURE.md for the invariants.
+// Every prepare accepts PrepareOptions — WithWorkers(n) for a bounded
+// worker pool, WithContext(ctx) to cancel it — and a parallel prepare is
+// bit-identical to a sequential one: same bag contents and order, same
+// Stats (see docs/ARCHITECTURE.md for the invariants).
 package decomp
 
 import (
@@ -58,8 +58,8 @@ import (
 	"repro/internal/yannakakis"
 )
 
-// prepCfg collects the per-prepare options: how many workers materialise
-// bags, which context can cancel the prepare phase, and an optional
+// prepCfg collects the per-prepare options: how many workers run it,
+// which context can cancel the prepare phase, and an optional
 // data-aware chooser for Generic-Join variable orders.
 type prepCfg struct {
 	ctx     context.Context
@@ -68,15 +68,16 @@ type prepCfg struct {
 	hints   wcoj.SkewHints
 }
 
-// PrepareOption configures one Prepare* call. The defaults are fully
-// sequential materialisation under context.Background().
+// PrepareOption configures one Build, Instantiate or Prepare* call. The
+// defaults are a fully sequential prepare under context.Background().
 type PrepareOption func(*prepCfg)
 
-// WithWorkers sets how many workers materialise the plan's bags: the
-// independent bags of a tree fan out first (one task per bag), and any
-// leftover parallelism is spent inside each bag by partitioning the
-// first variable of its Generic-Join order
-// (wcoj.MaterializeParallelHinted). n <= 0 selects GOMAXPROCS. Whatever the
+// WithWorkers sets how many workers run the prepare: the independent
+// bags of a tree fan out first (one task per bag), and any leftover
+// parallelism is spent inside each bag by partitioning the first
+// variable of its Generic-Join order (wcoj.MaterializeParallelHinted);
+// an atom tree's T-DP build (reduction, grouping, π pass) fans its
+// levels out on the same count. n <= 0 selects GOMAXPROCS. Whatever the
 // worker count, the prepared plan is bit-identical to the sequential
 // one: same bag relations in the same order, same Stats.
 func WithWorkers(n int) PrepareOption {
@@ -86,7 +87,7 @@ func WithWorkers(n int) PrepareOption {
 // WithContext attaches a cancellation context to the prepare phase.
 // Cancellation is checked between bag tasks, between intra-bag
 // partitions, inside a bag every few thousand results (whatever its
-// worker budget) and between the node tasks of the bag tree's build; a
+// worker budget) and between the node tasks of a tree's build; a
 // canceled prepare returns ctx.Err() and no plan.
 func WithContext(ctx context.Context) PrepareOption {
 	return func(c *prepCfg) { c.ctx = ctx }
@@ -142,6 +143,12 @@ func (c *prepCfg) chooseOrder(atoms []wcoj.Atom) []string {
 	return order
 }
 
+// dpOpts hands the prepare's context and workers on to an atom tree's
+// T-DP build.
+func (c *prepCfg) dpOpts() []dp.Option {
+	return []dp.Option{dp.WithContext(c.ctx), dp.WithWorkers(c.workers)}
+}
+
 func newPrepCfg(opts []PrepareOption) prepCfg {
 	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
 	cfg := prepCfg{ctx: context.Background(), workers: 1}
@@ -151,30 +158,36 @@ func newPrepCfg(opts []PrepareOption) prepCfg {
 	return cfg
 }
 
-// Plan is a compiled decomposition: every bag is materialised and every
-// tree's T-DP is built, so Run only has to spin up iterators. A Plan is
-// bound to one ranking aggregate (bag weights combine under it) but is
-// variant-agnostic and safe for concurrent Run calls — the prepared
-// half of the facade's prepare-once / execute-many API.
+// Plan is one epoch's shape compiled under one ranking aggregate: every
+// tree's T-DP is built (its bags materialised first, unless they are
+// the atoms), so Run only has to spin up iterators. A Plan is bound to
+// its aggregate but is variant-agnostic and safe for concurrent Run
+// calls — the per-ranking half of the facade's prepare-once /
+// execute-many API.
 type Plan struct {
 	// Stats reports the decomposition work done at prepare time.
 	Stats *Stats
 
 	agg   ranking.Aggregate
 	shape *Shape
+	epoch *Epoch
 	trees []*treePlan
 	// ghd memoises what prepareGHD built so the next prepare can rebuild
 	// only the bags whose input relations changed; nil for shapes that
-	// keep no memo (the canonical triangle / 4-cycle / l-cycle ones).
+	// keep no memo.
 	ghd *ghdMemo
 }
 
-// Run starts one ranked enumeration over the compiled decomposition.
-// The context cancels the returned iterator (and, for multi-tree plans,
-// the per-tree iterators under the merge). The variant selects the
-// any-k algorithm for trees of two or more bags; a tree of one bag (the
-// triangle, a one-bag GHD) is a single sorted relation and ignores it.
+// Run starts one ranked enumeration over the compiled plan. The context
+// cancels the returned iterator (and, for multi-tree plans, the
+// per-tree iterators under the merge). The variant selects the any-k
+// algorithm for every tree with a T-DP; a tree of one materialised bag
+// (the triangle, a one-bag GHD) is a single sorted relation and ignores
+// it. A one-tree plan returns its tree's iterator itself.
 func (p *Plan) Run(ctx context.Context, v core.Variant) (core.Iterator, error) {
+	if len(p.trees) == 1 {
+		return p.trees[0].run(ctx, p.agg, v)
+	}
 	its := make([]core.Iterator, len(p.trees))
 	for i, tp := range p.trees {
 		it, err := tp.run(ctx, p.agg, v)
@@ -182,9 +195,6 @@ func (p *Plan) Run(ctx context.Context, v core.Variant) (core.Iterator, error) {
 			return nil, err
 		}
 		its[i] = it
-	}
-	if len(its) == 1 {
-		return its[0], nil
 	}
 	// The trees partition the output, so the ranked union needs no
 	// deduplication.
@@ -281,12 +291,12 @@ func (p *projectIter) Next() (core.Result, bool) {
 func (p *projectIter) Err() error   { return p.inner.Err() }
 func (p *projectIter) Close() error { return p.inner.Close() }
 
-// treePlan is one compiled tree of a decomposition. A tree of two or
-// more bags holds its T-DP and the aggregate-independent plan it was
-// instantiated from (kept so a later prepare can patch instead of
-// rebuild); a tree of one bag holds just the bag, which Run enumerates
-// in sorted order. perm normalises output tuples to the canonical
-// attribute order; nil when they already are.
+// treePlan is one compiled tree of a plan. An atom tree, or a tree of
+// two or more bags, holds its T-DP and the aggregate-independent plan it
+// was instantiated from (kept so a later prepare can patch instead of
+// rebuild); a tree of one materialised bag holds just the bag, which
+// Run enumerates in sorted order. perm normalises output tuples to the
+// canonical attribute order; nil when they already are.
 type treePlan struct {
 	bag  *relation.Relation
 	t    *dp.TDP

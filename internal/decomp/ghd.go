@@ -6,12 +6,14 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/ranking"
 	"repro/internal/relation"
 	"repro/internal/wcoj"
+	"repro/internal/yannakakis"
 )
 
 // GHDAttrs is the canonical output schema of the GHD plans built from
@@ -20,35 +22,33 @@ func GHDAttrs(edges []hypergraph.Edge) []string {
 	return hypergraph.New(edges...).Vars()
 }
 
-// Shape is the data-independent half of a cyclic plan: which trees of
-// bags the query decomposes into and which (filtered) inputs each tree
-// reads — see the package comment for the table of shapes. A Shape is
-// immutable and Prepare may be called concurrently, once per ranking
-// function and data epoch.
+// Shape is the data-independent half of a plan: which trees of bags the
+// query decomposes into and which (filtered) inputs each tree reads —
+// see the package comment for the table of shapes. A Shape is immutable.
 //
 // Two policies ride on the shape. memo: a searched GHD's plan retains
-// its bags as materialised and its bag tree, so the next Prepare patches
-// only what a delta reached. The canonical shapes retain nothing and
-// rebuild every bag: the bag tree's reduction copies the rows that
-// survive it, so nothing else keeps a bag as materialised alive, and
-// retaining them costs about 2.4·10⁶ tuples (~150 MB) on the 5- and
-// 6-cycle fans the cold_prepare benchmark keeps resident — to speed up a
-// delta no serving workload sends to a cycle. chooser: only searched
-// bags consult WithOrderChooser; the canonical shapes keep their
-// structural (triangle: pinned) Generic-Join orders, the ones the
+// its bags as materialised and its bag tree, so the next Instantiate
+// patches only what a delta reached. The canonical cycle shapes retain
+// nothing and rebuild every bag: the bag tree's reduction copies the
+// rows that survive it, so nothing else keeps a bag as materialised
+// alive, and retaining them costs about 2.4·10⁶ tuples (~150 MB) on the
+// 5- and 6-cycle fans the cold_prepare benchmark keeps resident — to
+// speed up a delta no serving workload sends to a cycle. chooser: only
+// searched bags consult WithOrderChooser; the canonical shapes keep
+// their structural (triangle: pinned) Generic-Join orders, the ones the
 // benchmark's layer replay runs.
 type Shape struct {
-	// Kind names the shape on the wire (PlanStats.Kind): "triangle",
-	// "four-cycle", "cycle" or "ghd".
+	// Kind names the shape on the wire (PlanStats.Kind): "acyclic",
+	// "triangle", "four-cycle", "cycle" or "ghd".
 	Kind string
-	// Edges are the query's atoms; Prepare takes its relations in this
+	// Edges are the query's atoms; Build takes its relations in this
 	// order.
 	Edges []hypergraph.Edge
 	// Attrs is the output schema of every plan of this shape.
 	Attrs []string
 	// Decomposition renders the bags of a searched shape and EstBagSizes
 	// carries the cost model's per-bag estimates for them, in
-	// Stats.BagSizes order; both are empty for the canonical shapes, whose
+	// Stats.BagSizes order; both are empty for the other shapes, whose
 	// Kind says it all.
 	Decomposition string
 	EstBagSizes   []float64
@@ -59,13 +59,35 @@ type Shape struct {
 	chooser bool
 }
 
-// shapeTree is one tree of a shape: its bags, the filters applied to the
-// inputs its bags read (unlisted edges are read whole), and — for a
+// shapeTree is one tree of a shape: an atom tree's join tree, or a
+// decomposition whose bags are materialised, with the filters applied to
+// the inputs its bags read (unlisted edges are read whole) and — for a
 // one-bag tree whose shape fixes it — the bag's Generic-Join order.
 type shapeTree struct {
+	join *hypergraph.JoinTree
 	dec  *hypergraph.Decomposition
 	sels []sel
 	pin  []string
+}
+
+// AcyclicShape is the shape of an α-acyclic query: one tree whose bags
+// are its atoms, joined as GYO arranges them (hypergraph.BuildJoinTree);
+// its schema is the variables in first appearance over the join tree's
+// preorder, the order the tree's T-DP emits. ok is false if cyclic.
+func AcyclicShape(edges []hypergraph.Edge) (s *Shape, ok bool) {
+	tree, ok := hypergraph.New(edges...).BuildJoinTree()
+	if !ok {
+		return nil, false
+	}
+	var attrs []string
+	for _, u := range tree.Order {
+		for _, v := range edges[u].Vars {
+			if !slices.Contains(attrs, v) {
+				attrs = append(attrs, v)
+			}
+		}
+	}
+	return &Shape{Kind: "acyclic", Edges: edges, Attrs: attrs, trees: []shapeTree{{join: tree}}}, true
 }
 
 // GHDShape is the shape of an arbitrary full conjunctive query over an
@@ -79,50 +101,152 @@ func GHDShape(d *hypergraph.Decomposition, edges []hypergraph.Edge) *Shape {
 		trees: []shapeTree{{dec: d}}, memo: true, chooser: true}
 }
 
-// OneBag reports whether the whole shape is a single bag — the query's
-// full output, materialised by one Generic-Join.
-func (s *Shape) OneBag() bool { return len(s.trees) == 1 && len(s.trees[0].dec.Bags) == 1 }
+// OneBag reports whether the whole shape is a single materialised bag —
+// the query's full output, materialised by one Generic-Join.
+func (s *Shape) OneBag() bool {
+	return len(s.trees) == 1 && s.trees[0].dec != nil && len(s.trees[0].dec.Bags) == 1
+}
 
-// Prepare compiles the shape over one epoch's relations (aligned with
-// Edges) under one ranking aggregate: every tree's inputs are selected,
-// its bags materialised and its bag tree built by prepareGHD, in tree
-// order, each tree with the full worker budget. old is the plan a
-// previous Prepare of this shape returned for the same aggregate (nil:
-// none) and changed flags, per edge, the relations that differ since; a
-// shape that keeps a memo re-materialises only the bags the delta
-// reached, every other shape ignores old. The result is bit-identical
-// whichever way it was reached. The DeltaStats sum the trees'.
-func (s *Shape) Prepare(rels []*relation.Relation, agg ranking.Aggregate, old *Plan, changed []bool, opts ...PrepareOption) (*Plan, DeltaStats, error) {
+// Epoch is what a shape holds for one epoch of data whatever the
+// ranking (Shape.Build). It is immutable; Instantiate may run
+// concurrently.
+type Epoch struct {
+	shape   *Shape
+	rels    []*relation.Relation // renamed to their query variables
+	heavy   []map[relation.Value]bool
+	changed []bool      // per edge, against the predecessor; nil: none
+	atoms   []*atomTree // per tree; nil for a tree that materialises bags
+	tuples  int
+}
+
+// atomTree is an atom tree's plan and its InstantiateDelta seeds.
+type atomTree struct {
+	plan    *dp.Plan
+	changed []bool
+}
+
+// Build does for one epoch of relations (aligned with Edges) what no
+// ranking touches: rename them to their query variables, evaluate the
+// heavy/light splits, and full-reduce and group every atom tree
+// (dp.NewPlanDelta). old is the epoch this one succeeds (nil: none) and
+// changed flags, per edge, the relations that differ since; an atom
+// tree then redoes only the paths they reach. The DeltaStats count the
+// atom trees' nodes and regroupings.
+func (s *Shape) Build(rels []*relation.Relation, old *Epoch, changed []bool, opts ...PrepareOption) (*Epoch, DeltaStats, error) {
 	var ds DeltaStats
-	cfg := newPrepCfg(opts)
-	if !s.memo {
-		old = nil
-	}
-	if !s.chooser {
-		cfg.order = nil
-	}
 	if len(s.Edges) != len(rels) {
 		return nil, ds, fmt.Errorf("decomp: %d relations for %d hyperedges", len(rels), len(s.Edges))
 	}
 	if old != nil && len(changed) != len(s.Edges) {
 		return nil, ds, fmt.Errorf("decomp: %d changed flags for %d hyperedges", len(changed), len(s.Edges))
 	}
-	// Rename every relation to its query variables.
-	qrels := make([]*relation.Relation, len(rels))
-	for i, e := range s.Edges {
-		if len(e.Vars) != rels[i].Arity() {
-			return nil, ds, fmt.Errorf("decomp: edge %s has %d vars but relation %s arity %d",
-				e.Name, len(e.Vars), rels[i].Name, rels[i].Arity())
-		}
-		qrels[i] = rename(rels[i], e.Name, e.Vars...)
+	e := &Epoch{shape: s, rels: make([]*relation.Relation, len(rels)), atoms: make([]*atomTree, len(s.trees))}
+	if old != nil {
+		e.changed = changed
 	}
-	heavy := s.heavyValues(qrels)
-	p := &Plan{Stats: &Stats{}, agg: agg, shape: s}
-	if len(heavy) == 2 {
-		p.Stats.HeavyB, p.Stats.HeavyD = len(heavy[0]), len(heavy[1])
+	for i, edge := range s.Edges {
+		if len(edge.Vars) != rels[i].Arity() {
+			return nil, ds, fmt.Errorf("decomp: edge %s has %d vars but relation %s arity %d",
+				edge.Name, len(edge.Vars), rels[i].Name, rels[i].Arity())
+		}
+		e.rels[i] = rename(rels[i], edge.Name, edge.Vars...)
+	}
+	e.heavy = s.heavyValues(e.rels)
+	cfg := newPrepCfg(opts)
+	for ti, tr := range s.trees {
+		if tr.join == nil {
+			continue
+		}
+		var oldPlan *dp.Plan
+		if old != nil {
+			oldPlan = old.atoms[ti].plan
+		}
+		q := &yannakakis.Query{Rels: s.inputs(tr, e.rels, e.heavy), H: hypergraph.New(s.Edges...), Tree: tr.join}
+		plan, dst, err := dp.NewPlanDelta(q, oldPlan, changed, cfg.dpOpts()...)
+		if err != nil {
+			return nil, ds, err
+		}
+		e.atoms[ti] = &atomTree{plan: plan, changed: dst.Changed}
+		e.tuples += plan.TotalTuples()
+		ds.TreeNodes += dst.Nodes
+		ds.TreeRegrouped += dst.Regrouped
+	}
+	if slices.Contains(e.atoms, nil) {
+		for _, r := range rels {
+			e.tuples += r.Len()
+		}
+	}
+	return e, ds, nil
+}
+
+// Tuples is the input size of one Instantiate: the reduced atoms of the
+// atom trees, plus the epoch's relations when a tree materialises bags.
+func (e *Epoch) Tuples() int { return e.tuples }
+
+// NumSolutions counts the epoch's answers without enumerating them, as
+// the sum over its trees (which partition the output): an atom tree by
+// its reduced plan's counting pass, a tree that materialises bags off
+// p, this epoch's plan under any ranking — its one bag's size, or its
+// T-DP's counting pass. It is -1 when such a tree needs p and p is nil.
+func (e *Epoch) NumSolutions(p *Plan) int {
+	n := 0
+	for ti, at := range e.atoms {
+		switch {
+		case at != nil:
+			n += at.plan.NumSolutions()
+		case p == nil:
+			return -1
+		case p.trees[ti].bag != nil:
+			n += p.trees[ti].bag.Len()
+		default:
+			n += p.trees[ti].plan.NumSolutions()
+		}
+	}
+	return n
+}
+
+// Instantiate builds the epoch's plan under one ranking aggregate, tree
+// by tree, each with the full worker budget: an atom tree's π pass
+// (dp.Plan.InstantiateDelta), every other tree's bags materialised and
+// compiled into a T-DP (prepareGHD). old is the plan the predecessor
+// epoch held for agg (nil: none): atom trees patch π where the delta
+// reached, a shape with a memo re-materialises only the bags it
+// reached, and the rest is rebuilt — bit-identically either way. The
+// DeltaStats sum the trees'.
+func (e *Epoch) Instantiate(agg ranking.Aggregate, old *Plan, opts ...PrepareOption) (*Plan, DeltaStats, error) {
+	var ds DeltaStats
+	s := e.shape
+	cfg := newPrepCfg(opts)
+	if !s.chooser {
+		cfg.order = nil
+	}
+	if e.changed == nil {
+		old = nil // no predecessor to patch from
+	}
+	p := &Plan{Stats: &Stats{}, agg: agg, shape: s, epoch: e}
+	if len(e.heavy) == 2 {
+		p.Stats.HeavyB, p.Stats.HeavyD = len(e.heavy[0]), len(e.heavy[1])
 	}
 	for ti, tr := range s.trees {
-		tp, memo, tds, err := s.prepareGHD(cfg, ti, ds.Bags, s.inputs(tr, qrels, heavy), agg, old, changed)
+		if at := e.atoms[ti]; at != nil {
+			var oldT *dp.TDP
+			if old != nil {
+				oldT = old.trees[ti].t
+			}
+			t, rec, err := at.plan.InstantiateDelta(agg, oldT, at.changed, cfg.dpOpts()...)
+			if err != nil {
+				return nil, ds, err
+			}
+			p.trees = append(p.trees, &treePlan{t: t, plan: at.plan})
+			ds.TreeNodes += len(t.Nodes)
+			ds.TreeRecomputed += rec
+			continue
+		}
+		memoOld := old
+		if !s.memo {
+			memoOld = nil
+		}
+		tp, memo, tds, err := s.prepareGHD(cfg, ti, ds.Bags, s.inputs(tr, e.rels, e.heavy), agg, memoOld, e.changed)
 		if err != nil {
 			return nil, ds, err
 		}
@@ -143,6 +267,23 @@ func (s *Shape) Prepare(rels []*relation.Relation, agg ranking.Aggregate, old *P
 		ds.TreeRecomputed += tds.TreeRecomputed
 	}
 	return p, ds, nil
+}
+
+// Prepare is Build then Instantiate. old is a plan a previous Prepare
+// returned for the same aggregate (nil: none) and changed flags, per
+// edge, the relations that differ since.
+func (s *Shape) Prepare(rels []*relation.Relation, agg ranking.Aggregate, old *Plan, changed []bool, opts ...PrepareOption) (*Plan, DeltaStats, error) {
+	var oldEpoch *Epoch
+	if old != nil {
+		oldEpoch = old.epoch
+	}
+	e, bds, err := s.Build(rels, oldEpoch, changed, opts...)
+	if err != nil {
+		return nil, bds, err
+	}
+	p, ds, err := e.Instantiate(agg, old, opts...)
+	ds.TreeRegrouped += bds.TreeRegrouped
+	return p, ds, err
 }
 
 // PrepareGHDWith is GHDShape(d, edges).Prepare with no predecessor: every

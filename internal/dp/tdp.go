@@ -97,9 +97,6 @@ func newConfig(opts []Option) config {
 	return c
 }
 
-// OutAttrs is the output schema every instantiated TDP will use.
-func (p *Plan) OutAttrs() []string { return p.outAttrs }
-
 // TotalTuples is the number of tuples across all reduced relations of
 // the plan — the input size of one Instantiate pass. The facade's
 // default-parallelism threshold consults it to decide whether fanning
@@ -111,9 +108,6 @@ func (p *Plan) TotalTuples() int {
 	}
 	return total
 }
-
-// Empty reports whether the compiled query has no results.
-func (p *Plan) Empty() bool { return p.nodes[0].Rel.Len() == 0 }
 
 // NumSolutions counts the query's results from the reduced plan alone —
 // no ranking instantiation needed.

@@ -277,13 +277,12 @@ func TestPlanInstantiatePerAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.OutAttrs()) != 3 {
-		t.Fatalf("plan OutAttrs = %v", plan.OutAttrs())
-	}
-
 	tSum, err := plan.Instantiate(ranking.SumCost{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tSum.OutAttrs) != 3 {
+		t.Fatalf("OutAttrs = %v", tSum.OutAttrs)
 	}
 	tMax, err := plan.Instantiate(ranking.MaxCost{})
 	if err != nil {

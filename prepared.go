@@ -13,7 +13,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/decomp"
-	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/sample"
 	"repro/internal/wcoj"
-	"repro/internal/yannakakis"
 )
 
 // ErrClosed is reported by Iterator.Err after Close terminates
@@ -29,13 +27,14 @@ import (
 var ErrClosed = core.ErrClosed
 
 // Prepared is a compiled query: hypergraph analysis, acyclicity/cycle
-// detection, and join-tree or decomposition planning run once at
-// Compile time, and the resulting plan is reused by every Run. The
-// per-ranking physical artefacts — the T-DP instantiation for acyclic
-// queries, the materialised bags for cyclic ones — are built on the
-// first Run with each ranking function and cached on the handle, so
-// thousands of top-k requests with different k, ranking functions, or
-// algorithm variants share one compilation.
+// detection, and the choice of the query's decomposition run once at
+// Compile time, and the resulting plan is reused by every Run. What no
+// ranking touches — the reduced, grouped atoms of an acyclic query — is
+// built per epoch; the per-ranking physical artefacts — π weights, and
+// for cyclic queries the materialised bags they are computed over — are
+// built on the first Run with each ranking function and cached on the
+// handle, so thousands of top-k requests with different k, ranking
+// functions, or algorithm variants share one compilation.
 //
 // A handle is epoch-versioned: ApplyDelta installs a new epoch of
 // prepared state for updated input data, patching the previous epoch's
@@ -51,28 +50,27 @@ var ErrClosed = core.ErrClosed
 // atomically; iterators already running keep enumerating their epoch's
 // state to completion.
 type Prepared struct {
-	outAttrs []string
-	fp       string // Query.Fingerprint, computed once at Compile
+	fp string // Query.Fingerprint, computed once at Compile
 
 	// srcEdges retains the validated query atoms (hyperedges) in
 	// declaration order — the epoch-independent half of the query; each
 	// epoch's planState carries the srcRels aligned with them.
 	srcEdges []hypergraph.Edge
 
-	// shape is the decomposition a cyclic query compiled to — the
-	// canonical one of its cycle length, or the GHD the structural search
-	// found (it runs once; bag materialisation is deferred to the first
-	// Run with each ranking function and redone or patched per epoch).
-	// nil for acyclic queries, which run on the T-DP directly.
+	// shape is the decomposition the query compiled to — the tree of its
+	// atoms if it is acyclic, the canonical shape of its cycle length, or
+	// the GHD the structural search found. It is chosen once; every epoch
+	// builds its ranking-independent half (decomp.Shape.Build) and every
+	// ranking its plan over that (decomp.Epoch.Instantiate).
 	shape *decomp.Shape
 
 	// workers is the compile-time default parallelism for the prepare
-	// phase (Instantiate for acyclic queries, bag materialisation for
-	// cyclic ones); workersSet records whether WithParallelism was passed
-	// to Compile at all. When it was not, the prepare parallelism is
-	// chosen per build: GOMAXPROCS when the estimated input size clears
-	// prepareParallelThreshold, sequential below it. WithParallelism on a
-	// Run overrides both for the build that run triggers.
+	// phase (the epoch build and each ranking's plan); workersSet records
+	// whether WithParallelism was passed to Compile at all. When it was
+	// not, the prepare parallelism is chosen per build: GOMAXPROCS when
+	// the estimated input size clears prepareParallelThreshold,
+	// sequential below it. WithParallelism on a Run overrides both for the
+	// build that run triggers.
 	workers    int
 	workersSet bool
 
@@ -87,10 +85,12 @@ type Prepared struct {
 	estOutput float64
 	estBags   []float64
 
-	// hints carries the cost model's Misra–Gries heavy hitters into the
-	// parallel bag materialisation (wcoj heavy/light partitioning); nil
-	// without a cost model.
-	hints wcoj.SkewHints
+	// costOpts are what a cost model adds to every prepare: its
+	// Misra–Gries heavy hitters guide the intra-bag heavy/light split
+	// (results stay bit-identical), and a searched bag picks its
+	// Generic-Join order from statistics over its atoms (the canonical
+	// shapes ignore the chooser). Empty without a cost model.
+	costOpts []decomp.PrepareOption
 
 	// state points at the current epoch's prepared artefacts. Readers
 	// load it once per call and work against that snapshot; ApplyDelta
@@ -129,24 +129,23 @@ type planState struct {
 	// shape the handle compiled to.
 	srcRels []*relation.Relation
 
-	// Acyclic: the validated query (for Count/IsEmpty counting passes)
-	// plus the aggregate-independent T-DP plan.
-	yq   *yannakakis.Query
-	plan *dp.Plan
+	// structure is the epoch's ranking-independent half of the plan
+	// (decomp.Shape.Build); plans holds, per ranking function, the plan
+	// instantiated over it.
+	structure *decomp.Epoch
+	plans     onceCache[*decomp.Plan]
 
-	// solutions is the exact output cardinality for acyclic handles,
-	// computed once per epoch from the reduced plan's counting pass
-	// (an O(total tuples) DP that must not re-run per Count/PlanStats
-	// call); -1 for cyclic kinds, whose Count enumerates.
-	solutions int
+	// solutions is the exact output cardinality, -1 until known. It is
+	// an O(total tuples) counting pass that must not re-run per
+	// Count/PlanStats call, so it is computed once per epoch: at the
+	// build when no tree materialises bags, otherwise off the first plan
+	// a Count or PlanStats finds (count).
+	solutions atomic.Int64
 
-	// estTuples is the estimated total tuple count the prepare phase
-	// processes (reduced plan nodes for acyclic queries, input relations
-	// for cyclic ones) — the input to the default-parallelism threshold.
+	// estTuples is the estimated total tuple count one plan instantiation
+	// processes (decomp.Epoch.Tuples) — the input to the
+	// default-parallelism threshold.
 	estTuples int
-
-	tdps    onceCache[*dp.TDP]      // acyclic: T-DP per ranking function
-	decomps onceCache[*decomp.Plan] // cyclic: decomposition per ranking function
 
 	// The sampler builds lazily on the first Sample call of the epoch
 	// (it re-sorts every atom into its own tries) and is cached for the
@@ -221,25 +220,6 @@ func (c *onceCache[V]) get(ctx context.Context, agg ranking.Aggregate, build fun
 	}
 }
 
-// seed installs an already-built value for agg — the delta path uses it
-// to carry patched artefacts into the next epoch's cache so rankings
-// that were warm stay warm. No-op for non-comparable aggregates (which
-// are never cached).
-func (c *onceCache[V]) seed(agg ranking.Aggregate, v V) {
-	if !reflect.TypeOf(agg).Comparable() {
-		return
-	}
-	e := &onceEntry[V]{v: v}
-	e.once.Do(func() {}) // consume the once: the entry is pre-built
-	e.done.Store(true)
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[ranking.Aggregate]*onceEntry[V])
-	}
-	c.m[agg] = e
-	c.mu.Unlock()
-}
-
 // built snapshots the successfully built entries: the per-ranking
 // artefacts a monitoring endpoint can report without triggering (or
 // waiting on) any build. Entries still building, failed, or dropped are
@@ -286,24 +266,23 @@ func (p *Prepared) prepareWorkers(cfg runConfig, estTuples int) int {
 }
 
 // Compile analyses and plans the query once, returning a reusable
-// handle. Acyclic queries are planned onto the T-DP join tree; triangle,
-// 4-cycle, and longer cycle queries onto their canonical decompositions
-// (see Ranked for the per-shape plans); every other cyclic shape runs
-// the generalized-hypertree-decomposition search and compiles onto the
-// resulting bag tree.
+// handle. Every query compiles to a decomposition: an acyclic query to
+// the join tree of its atoms, triangle, 4-cycle, and longer cycle
+// queries to their canonical decompositions (see Ranked for the
+// per-shape plans), and every other cyclic shape to the bag tree the
+// generalized-hypertree-decomposition search finds.
 //
 // Compile accepts CompileOptions — which include every RunOption.
-// WithParallelism drives the acyclic plan build (full reduction and
-// grouping) and sets the handle's default prepare parallelism (how many
-// workers run Instantiate or materialise decomposition bags on the
-// first Run with each ranking function); when it is omitted,
-// parallelism defaults to GOMAXPROCS for inputs above a size threshold
-// and sequential below it. WithContext makes the acyclic plan build
-// cancelable (a canceled Compile returns ctx.Err() and no handle); it
-// is not retained by the handle. WithStatistics/WithCostModel — the
-// compile-only options — steer cost-based planning (on by default; see
-// WithStatistics). The remaining run options are per-run and ignored
-// here.
+// WithParallelism drives the first epoch's build (for an acyclic query
+// the full reduction and grouping) and sets the handle's default
+// prepare parallelism (how many workers build a ranking's plan on the
+// first Run with it); when it is omitted, parallelism defaults to
+// GOMAXPROCS for inputs above a size threshold and sequential below
+// it. WithContext makes the epoch build cancelable (a canceled Compile
+// returns ctx.Err() and no handle); it is not retained by the handle.
+// WithStatistics/WithCostModel — the compile-only options — steer
+// cost-based planning (on by default; see WithStatistics). The
+// remaining run options are per-run and ignored here.
 func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -326,7 +305,6 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	var compileSpan *obs.Span
 	cfg.ctx, compileSpan = obs.StartSpan(cfg.ctx, "compile")
 	defer compileSpan.End()
-	h := hypergraph.New(q.edges...)
 	// Resolve the cost model: an explicit WithCostModel wins;
 	// WithStatistics(nil) disables cost-based planning entirely;
 	// otherwise build one from the supplied catalog (statistics for
@@ -347,27 +325,22 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	}
 	if cm != nil {
 		p.estOutput = cm.EstimateOutput()
-		p.hints = cm.HeavyValues
+		p.costOpts = []decomp.PrepareOption{decomp.WithSkewHints(cm.HeavyValues), decomp.WithOrderChooser(catalog.ChooseOrder)}
 	}
-	if h.IsAcyclic() {
-		compileSpan.SetAttr("kind", "acyclic")
-	} else if order, walk, ok := q.matchCycleShape(); ok {
-		compileSpan.SetAttr("kind", "cycle")
-		// The canonical shape of the cycle's length, over the user's own
-		// atoms and variables in walk order (the same schema
-		// Query.OutAttrs reports).
-		if p.shape, err = decomp.CycleShape(q.edges, order, walk); err != nil {
-			return nil, err
-		}
-	} else {
-		// Arbitrary cyclic shape: search for a generalized hypertree
+	shape, path, err := q.planShape()
+	if err != nil {
+		return nil, err
+	}
+	compileSpan.SetAttr("kind", path)
+	if path == "ghd" {
+		// No canonical shape: search for a generalized hypertree
 		// decomposition now (structure only — bags materialise lazily per
 		// ranking function on first Run). With a cost model the search
 		// ranks candidates by estimated materialisation cost instead of
 		// the purely structural width criteria. The explicit nil-check
 		// matters: an interface holding a typed nil would not reproduce
 		// the structural path.
-		compileSpan.SetAttr("kind", "ghd")
+		h := hypergraph.New(q.edges...)
 		var dec *hypergraph.Decomposition
 		_, decSpan := obs.StartSpan(cfg.ctx, "decompose")
 		if cm != nil {
@@ -382,24 +355,18 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 		if decSpan != nil {
 			decSpan.SetAttr("decomposition", dec.String())
 		}
-		p.shape = decomp.GHDShape(dec, q.edges)
+		shape = decomp.GHDShape(dec, q.edges)
 	}
-	if p.shape != nil {
-		p.outAttrs = p.shape.Attrs
-		p.estBags = p.shape.EstBagSizes
-		if cm != nil && p.estBags == nil && p.shape.OneBag() {
-			// A one-bag shape's bag holds the full output, so the output
-			// estimate doubles as its bag estimate.
-			p.estBags = []float64{p.estOutput}
-		}
+	p.shape, p.estBags = shape, shape.EstBagSizes
+	if cm != nil && p.estBags == nil && shape.OneBag() {
+		// A one-bag shape's bag holds the full output, so the output
+		// estimate doubles as its bag estimate.
+		p.estBags = []float64{p.estOutput}
 	}
 	// The first epoch is a delta from nothing.
 	st, _, err := p.buildState(cfg, nil, q.rels, nil)
 	if err != nil {
 		return nil, err
-	}
-	if p.shape == nil {
-		p.outAttrs = st.plan.OutAttrs()
 	}
 	p.state.Store(st)
 	return p, nil
@@ -414,70 +381,45 @@ type deltaCounts struct {
 // buildState builds one epoch of prepared state over rels — the only
 // place a planState is constructed. old is the predecessor epoch (nil
 // at Compile) and changed flags, per atom, the relations that differ
-// from old's. The acyclic plan is built at the parallelism a first Run
-// would use, estimated from the input size (the reduced size is not
+// from old's. The epoch's structure is built at the parallelism a first
+// Run would use, estimated from the input size (the reduced size is not
 // known yet), and under cfg.ctx. Every ranking built on old is rebuilt
-// from its old artefact and seeded into the new state, so warm rankings
-// stay warm; with no predecessor there are none, and the per-ranking
-// artefacts build lazily on first Run (tdpFor, decompFor).
+// from its old plan into the new state's cache, so warm rankings stay
+// warm; with no predecessor there are none, and plans build lazily
+// on first Run (planFor).
 func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Relation, changed []bool) (*planState, deltaCounts, error) {
 	var n deltaCounts
 	inputTuples := 0
 	for _, r := range rels {
 		inputTuples += r.Len()
 	}
-	st := &planState{epoch: 1, srcRels: rels, solutions: -1, estTuples: inputTuples}
+	st := &planState{epoch: 1, srcRels: rels}
+	var oldStructure *decomp.Epoch
 	if old != nil {
-		st.epoch = old.epoch + 1
+		st.epoch, oldStructure = old.epoch+1, old.structure
 	}
 	workers := p.prepareWorkers(cfg, inputTuples)
-	if p.shape == nil {
-		yq, err := yannakakis.NewQuery(hypergraph.New(p.srcEdges...), rels)
-		if err != nil {
-			return nil, n, err
-		}
-		dpOpts := []dp.Option{dp.WithContext(cfg.ctx), dp.WithWorkers(workers)}
-		var oldPlan *dp.Plan
-		if old != nil {
-			oldPlan = old.plan
-		}
-		plan, dst, err := dp.NewPlanDelta(yq, oldPlan, changed, dpOpts...)
-		if err != nil {
-			return nil, n, err
-		}
-		st.yq, st.plan = yq, plan
-		st.solutions = plan.NumSolutions()
-		// Instantiate passes run over the reduced plan, so the threshold
-		// consults the post-reduction size.
-		st.estTuples = plan.TotalTuples()
-		n.nodesReused += int64(dst.Nodes - dst.Regrouped)
-		if old != nil {
-			for agg, oldT := range old.tdps.built() {
-				if err := p.checkWeights(agg, rels); err != nil {
-					return nil, n, err
-				}
-				t, rec, err := plan.InstantiateDelta(agg, oldT, dst.Changed, dpOpts...)
-				if err != nil {
-					return nil, n, err
-				}
-				st.tdps.seed(agg, t)
-				n.nodesRecomputed += int64(rec)
-				n.nodesReused += int64(dst.Nodes - rec)
-			}
-		}
-		return st, n, nil
+	structure, ds, err := p.shape.Build(rels, oldStructure, changed, p.prepareOpts(cfg.ctx, workers)...)
+	if err != nil {
+		return nil, n, err
 	}
+	st.structure, st.estTuples = structure, structure.Tuples()
+	st.solutions.Store(int64(structure.NumSolutions(nil)))
+	n.nodesReused += int64(ds.TreeNodes - ds.TreeRegrouped)
 	if old != nil {
-		for agg, oldD := range old.decomps.built() {
-			d, ds, err := p.buildDecomp(st, agg, oldD, changed, cfg.ctx, workers)
+		for agg, oldPlan := range old.plans.built() {
+			var rds decomp.DeltaStats
+			_, err := st.plans.get(cfg.ctx, agg, func(a ranking.Aggregate) (d *decomp.Plan, err error) {
+				d, rds, err = p.instantiate(st, a, oldPlan, cfg.ctx, workers)
+				return d, err
+			})
 			if err != nil {
 				return nil, n, err
 			}
-			st.decomps.seed(agg, d)
-			n.bagsRebuilt += int64(ds.BagsRebuilt)
-			n.bagsReused += int64(ds.Bags - ds.BagsRebuilt)
-			n.nodesRecomputed += int64(ds.TreeRecomputed)
-			n.nodesReused += int64(ds.TreeNodes - ds.TreeRecomputed)
+			n.bagsRebuilt += int64(rds.BagsRebuilt)
+			n.bagsReused += int64(rds.Bags - rds.BagsRebuilt)
+			n.nodesRecomputed += int64(rds.TreeRecomputed)
+			n.nodesReused += int64(rds.TreeNodes - rds.TreeRecomputed)
 		}
 	}
 	return st, n, nil
@@ -488,7 +430,7 @@ func (q *Query) Prepare(opts ...CompileOption) (*Prepared, error) { return Compi
 
 // OutAttrs returns the output schema every iterator of this handle
 // yields. The returned slice must not be modified.
-func (p *Prepared) OutAttrs() []string { return p.outAttrs }
+func (p *Prepared) OutAttrs() []string { return p.shape.Attrs }
 
 // Fingerprint returns the shape fingerprint of the compiled query (see
 // Query.Fingerprint), computed once at Compile time.
@@ -516,12 +458,15 @@ type PlanStats struct {
 	// EstTuples is the estimated tuple count the prepare phase processes
 	// (the input to the default-parallelism threshold).
 	EstTuples int `json:"est_tuples"`
-	// Solutions is the exact output cardinality for acyclic handles
-	// (known from the compiled plan without enumeration), -1 otherwise.
+	// Solutions is the exact output cardinality, counted without
+	// enumeration; exact once known, for every kind: from Compile (or the
+	// delta) on when no bag is materialised, otherwise from the first
+	// Count or the first PlanStats after some ranking is built. -1 until
+	// then.
 	Solutions int `json:"solutions"`
-	// Rankings lists the ranking functions whose physical artefacts
-	// (T-DP instantiation or materialised decomposition bags) are built
-	// and cached on the handle, sorted by name. A run with any of these
+	// Rankings lists the ranking functions whose plans (π weights, and
+	// the materialised bags of cyclic shapes) are built and cached on
+	// the handle, sorted by name. A run with any of these
 	// rankings does zero preparation.
 	Rankings []RankingStats `json:"rankings"`
 	// CostBased reports whether a cost model (statistics catalog) drove
@@ -540,9 +485,10 @@ type PlanStats struct {
 	EstBagSizes []float64 `json:"est_bag_sizes,omitempty"`
 	// EstimatorError is the estimator's worst per-bag error factor,
 	// max(est+1, actual+1)/min(est+1, actual+1) over the compared sizes:
-	// per materialised bag once some ranking has been built for cyclic
-	// plans, est-vs-exact output for acyclic ones. 0 until actuals are
-	// known (or when the plan is not cost-based).
+	// per materialised bag once some ranking has been built when the
+	// shape has per-bag estimates, est-vs-exact output once Solutions is
+	// known otherwise. 0 until actuals are known (or when the plan is not
+	// cost-based).
 	EstimatorError float64 `json:"estimator_error,omitempty"`
 	// NeedsRecost flags a plan whose EstimatorError exceeds
 	// RecostThreshold — the statistics that planned it misjudged the
@@ -599,8 +545,9 @@ func estRatio(est, actual float64) float64 {
 type RankingStats struct {
 	// Ranking is the aggregate's Name().
 	Ranking string `json:"ranking"`
-	// BagSizes reports the materialised bag sizes of cyclic plans (one
-	// inner slice per tree, one entry per bag); nil for acyclic handles.
+	// BagSizes reports the materialised bag sizes (one inner slice per
+	// tree that materialises bags, one entry per bag); nil for acyclic
+	// handles, whose bags are their atoms.
 	BagSizes [][]int `json:"bag_sizes,omitempty"`
 	// TotalMaterialized sums all bag sizes; 0 for acyclic handles.
 	TotalMaterialized int `json:"total_materialized,omitempty"`
@@ -612,36 +559,32 @@ type RankingStats struct {
 func (p *Prepared) PlanStats() PlanStats {
 	s := p.state.Load()
 	st := PlanStats{
-		Fingerprint: p.fp,
-		OutAttrs:    p.outAttrs,
-		Epoch:       s.epoch,
-		EstTuples:   s.estTuples,
-		Solutions:   s.solutions,
+		Fingerprint:   p.fp,
+		Kind:          p.shape.Kind,
+		Decomposition: p.shape.Decomposition,
+		OutAttrs:      p.shape.Attrs,
+		Epoch:         s.epoch,
+		EstTuples:     s.estTuples,
+		Solutions:     int(s.solutions.Load()),
 	}
 	// actualBags flattens one built ranking's materialised bag sizes.
 	// Bag contents (and so sizes) are identical across rankings — only
-	// the weights differ — so any built entry serves as the actuals the
-	// estimates are compared against.
+	// the weights differ — so any built plan serves as the actuals the
+	// estimates are compared against, and as the one to count off.
 	var actualBags []int
-	if p.shape == nil {
-		st.Kind = "acyclic"
-		for agg := range s.tdps.built() {
-			st.Rankings = append(st.Rankings, RankingStats{Ranking: agg.Name()})
-		}
-	} else {
-		st.Kind = p.shape.Kind
-		st.Decomposition = p.shape.Decomposition
-		for agg, d := range s.decomps.built() {
-			st.Rankings = append(st.Rankings, RankingStats{
-				Ranking:           agg.Name(),
-				BagSizes:          d.Stats.BagSizes,
-				TotalMaterialized: d.Stats.TotalMaterialized,
-			})
-			if actualBags == nil {
-				for _, tree := range d.Stats.BagSizes {
-					actualBags = append(actualBags, tree...)
-				}
+	for agg, d := range s.plans.built() {
+		st.Rankings = append(st.Rankings, RankingStats{
+			Ranking:           agg.Name(),
+			BagSizes:          d.Stats.BagSizes,
+			TotalMaterialized: d.Stats.TotalMaterialized,
+		})
+		if actualBags == nil {
+			for _, tree := range d.Stats.BagSizes {
+				actualBags = append(actualBags, tree...)
 			}
+		}
+		if st.Solutions < 0 {
+			st.Solutions = s.count(d)
 		}
 	}
 	sort.Slice(st.Rankings, func(i, j int) bool { return st.Rankings[i].Ranking < st.Rankings[j].Ranking })
@@ -650,8 +593,8 @@ func (p *Prepared) PlanStats() PlanStats {
 		st.EstOutput = p.estOutput
 		st.EstBagSizes = p.estBags
 		switch {
-		case p.shape == nil:
-			st.EstimatorError = estRatio(p.estOutput, float64(s.solutions))
+		case len(p.estBags) == 0 && st.Solutions >= 0:
+			st.EstimatorError = estRatio(p.estOutput, float64(st.Solutions))
 		case len(p.estBags) > 0 && len(actualBags) == len(p.estBags):
 			for i, a := range actualBags {
 				if r := estRatio(p.estBags[i], float64(a)); r > st.EstimatorError {
@@ -718,8 +661,8 @@ type compileOption func(*runConfig)
 func (o compileOption) applyCompile(c *runConfig) { o(c) }
 
 // WithRanking selects the ranking function for this run. The first run
-// with each ranking function pays one linear pass (and, for cyclic
-// shapes, the bag materialisation); later runs reuse it.
+// with each ranking function pays one linear π pass (over the bags of a
+// cyclic shape, materialised first); later runs reuse it.
 func WithRanking(agg ranking.Aggregate) RunOption { return func(c *runConfig) { c.agg = agg } }
 
 // WithVariant selects the any-k algorithm variant for this run; an
@@ -737,12 +680,10 @@ func WithK(k int) RunOption { return func(c *runConfig) { c.k = k } }
 
 // WithContext attaches a cancellation context to the run: once ctx is
 // done, the iterator's Next returns false and Err reports ctx.Err().
-// The context also covers the prepare work a first Run with a new
-// ranking function triggers (T-DP instantiation for acyclic queries,
-// bag materialisation for cyclic shapes): cancellation there fails the
-// Run with ctx.Err(), and a later Run simply rebuilds — a canceled
-// prepare is never cached. A nil ctx keeps the default,
-// context.Background().
+// The context also covers the plan a first Run with a new ranking
+// function builds: cancellation there fails the Run with ctx.Err(), and
+// a later Run simply rebuilds — a canceled prepare is never cached. A
+// nil ctx keeps the default, context.Background().
 func WithContext(ctx context.Context) RunOption {
 	return func(c *runConfig) {
 		if ctx != nil {
@@ -751,14 +692,12 @@ func WithContext(ctx context.Context) RunOption {
 	}
 }
 
-// WithParallelism sets how many workers run the prepare phase (the
-// first Run with each ranking function). For acyclic queries that is
-// the plan build and the T-DP instantiation: join-tree nodes process
-// level-synchronized, bottom-up, fanning the per-node π/grouping work
-// out across each depth level. For cyclic queries it is bag
-// materialisation: independent bags build concurrently, and leftover
-// workers partition the first join variable inside each Generic-Join
-// bag. n <= 0 selects GOMAXPROCS; n == 1 forces the sequential path.
+// WithParallelism sets how many workers run the prepare phase (an
+// epoch's build, and the first Run with each ranking function):
+// independent bags materialise concurrently, leftover workers partition
+// the first join variable inside each Generic-Join bag, and an acyclic
+// query's reduction, grouping and π pass fan out across each depth
+// level. n <= 0 selects GOMAXPROCS; n == 1 forces the sequential path.
 //
 // When the option is omitted entirely, parallelism is on by default:
 // builds over inputs of at least a few thousand tuples (the measured
@@ -768,8 +707,8 @@ func WithContext(ctx context.Context) RunOption {
 // Parallel preparation is bit-identical to sequential preparation —
 // same π weights, bag contents and order, same Stats — so the only
 // observable difference is latency. Passed to Compile it sets the
-// handle's default (and drives the acyclic plan build itself); passed
-// to Run it overrides the default for the build that run triggers.
+// handle's default (and drives the first epoch's build); passed to Run
+// it overrides the default for the build that run triggers.
 // Enumeration itself is unaffected.
 func WithParallelism(n int) RunOption {
 	return func(c *runConfig) {
@@ -840,32 +779,19 @@ func (p *Prepared) Run(opts ...RunOption) (Iterator, error) {
 		return nil, err
 	}
 	st := p.state.Load()
-	// The prepare span covers the first-run physical build (instantiate
-	// or bag materialisation); on a cache hit it records ~0 duration,
-	// which is itself the signal a dashboard wants. Without a trace on
-	// cfg.ctx every span call here is a no-op.
+	// The prepare span covers the first-run physical build (the π pass,
+	// after bag materialisation for cyclic shapes); on a cache hit it
+	// records ~0 duration, which is itself the signal a dashboard wants.
+	// Without a trace on cfg.ctx every span call here is a no-op.
 	pctx, prepSpan := obs.StartSpan(cfg.ctx, "prepare")
-	var it Iterator
-	if p.shape == nil {
-		t, err := p.tdpFor(st, cfg.agg, pctx, p.prepareWorkers(cfg, st.estTuples))
-		prepSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		it, err = core.New(cfg.ctx, t, cfg.variant)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		d, err := p.decompFor(st, cfg.agg, pctx, p.prepareWorkers(cfg, st.estTuples))
-		prepSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		it, err = d.Run(cfg.ctx, cfg.variant)
-		if err != nil {
-			return nil, err
-		}
+	d, err := p.planFor(st, cfg.agg, pctx, p.prepareWorkers(cfg, st.estTuples))
+	prepSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	it, err := d.Run(cfg.ctx, cfg.variant)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.k > 0 {
 		it = core.Limit(it, cfg.k)
@@ -927,61 +853,58 @@ func (p *Prepared) TopK(k int, opts ...RunOption) ([]Result, error) {
 	return out, err
 }
 
-// Count returns the number of join results without materialising them.
-// Acyclic queries use the counting pass over the compiled (already
-// reduced) plan; cyclic shapes drain a ranked iterator (honoring
-// WithContext). Any WithK option is ignored — Count always reports the
-// full cardinality.
+// Count returns the number of join results without enumerating them:
+// the sum, over the plan's trees, of each tree's count — a one-bag tree
+// counts its bag, every other tree runs the T-DP's counting pass. An
+// acyclic handle counts off its epoch; a cyclic one off any ranking's
+// plan already built, building the SumCost plan (under WithContext)
+// only when none is. Counting does not rank: the ranking, the variant
+// and WithK are validated but do not change the count, and no weight is
+// checked against the ranking's domain. The result is computed once per
+// epoch.
 func (p *Prepared) Count(opts ...RunOption) (int, error) {
-	if p.shape == nil {
-		if _, err := newRunConfig(opts); err != nil {
-			return 0, err
-		}
-		return p.state.Load().solutions, nil
-	}
-	it, err := p.Run(append(append([]RunOption(nil), opts...), WithK(0))...)
+	cfg, err := newRunConfig(opts)
 	if err != nil {
 		return 0, err
 	}
-	defer it.Close()
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			return n, it.Err()
-		}
-		n++
+	st := p.state.Load()
+	if n := st.solutions.Load(); n >= 0 {
+		return int(n), nil
 	}
+	for _, d := range st.plans.built() {
+		return st.count(d), nil
+	}
+	pctx, prepSpan := obs.StartSpan(cfg.ctx, "prepare")
+	d, err := p.planFor(st, SumCost, pctx, p.prepareWorkers(cfg, st.estTuples))
+	prepSpan.End()
+	if err != nil {
+		return 0, err
+	}
+	return st.count(d), nil
 }
 
-// IsEmpty answers the Boolean query "does the join have any result?"
-// with early termination.
+// count records and returns the epoch's answer count, read off one of
+// its plans.
+func (st *planState) count(d *decomp.Plan) int {
+	n := st.structure.NumSolutions(d)
+	st.solutions.Store(int64(n))
+	return n
+}
+
+// IsEmpty answers the Boolean query "does the join have any result?":
+// Count is zero.
 func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
-	if p.shape == nil {
-		if _, err := newRunConfig(opts); err != nil {
-			return false, err
-		}
-		return p.state.Load().plan.Empty(), nil
-	}
-	it, err := p.Run(opts...)
-	if err != nil {
-		return false, err
-	}
-	defer it.Close()
-	_, ok := it.Next()
-	if err := it.Err(); err != nil {
-		return false, err
-	}
-	return !ok, nil
+	n, err := p.Count(opts...)
+	return n == 0, err
 }
 
 // checkWeights rejects an epoch's weights on which agg is not monotone
 // (ranking.CheckDomain: a non-positive weight under ProductCost), naming
-// relation and row. It runs wherever a ranking's artefact is built for
-// an epoch — tdpFor, buildDecomp and buildState's re-seeding of warm
-// T-DPs — as one scan of that epoch's weights, so a Run fails instead of
-// enumerating in an order that depends on the variant, and an ApplyDelta
-// that brings such a row under a warm ranking leaves the handle on its
-// old epoch.
+// relation and row. It runs wherever a ranking's plan is built for an
+// epoch (instantiate), as one scan of that epoch's weights, so a Run
+// fails instead of enumerating in an order that depends on the variant,
+// and an ApplyDelta that brings such a row under a warm ranking leaves
+// the handle on its old epoch.
 func (p *Prepared) checkWeights(agg ranking.Aggregate, rels []*relation.Relation) error {
 	for i, r := range rels {
 		if err := ranking.CheckDomain(agg, p.srcEdges[i].Name, r.Weights); err != nil {
@@ -991,58 +914,35 @@ func (p *Prepared) checkWeights(agg ranking.Aggregate, rels []*relation.Relation
 	return nil
 }
 
-// tdpFor returns (instantiating and caching on first use) the T-DP of
-// the epoch's acyclic plan under agg. The ctx and worker count only
-// matter to the Run that triggers the build; cache hits ignore them.
-// Instantiate is cancelable between node tasks, and a canceled
-// instantiation fails with ctx.Err() and is dropped from the cache (the
-// onceCache retry-on-cancel policy), so one run's cancellation never
-// poisons the per-aggregate entry — the next Run rebuilds. Parallel
-// instantiations are bit-identical to sequential ones, so the cached
-// TDP does not depend on which Run won the build.
-func (p *Prepared) tdpFor(st *planState, agg ranking.Aggregate, ctx context.Context, workers int) (*dp.TDP, error) {
-	return st.tdps.get(ctx, agg, func(a ranking.Aggregate) (*dp.TDP, error) {
-		if err := p.checkWeights(a, st.srcRels); err != nil {
-			return nil, err
-		}
-		return st.plan.Instantiate(a, dp.WithContext(ctx), dp.WithWorkers(workers))
-	})
-}
-
-// decompFor returns (building and caching on first use) the epoch's
-// plan of the handle's shape under agg. The ctx and worker count only
-// matter to the Run that triggers the build; cache hits ignore them.
-// Parallel builds are bit-identical to sequential ones, so the cached
-// plan does not depend on which Run won the build.
-func (p *Prepared) decompFor(st *planState, agg ranking.Aggregate, ctx context.Context, workers int) (*decomp.Plan, error) {
-	return st.decomps.get(ctx, agg, func(a ranking.Aggregate) (*decomp.Plan, error) {
-		d, _, err := p.buildDecomp(st, a, nil, nil, ctx, workers)
+// planFor returns (building and caching on first use) the epoch's plan
+// under agg. The ctx and worker count only matter to the Run that
+// triggers the build; cache hits ignore them. A build is cancelable
+// between node and bag tasks, and a canceled one fails with ctx.Err()
+// and is dropped from the cache (the onceCache retry-on-cancel policy),
+// so one run's cancellation never poisons the per-aggregate entry — the
+// next Run rebuilds. Parallel builds are bit-identical to sequential
+// ones, so the cached plan does not depend on which Run won the build.
+func (p *Prepared) planFor(st *planState, agg ranking.Aggregate, ctx context.Context, workers int) (*decomp.Plan, error) {
+	return st.plans.get(ctx, agg, func(a ranking.Aggregate) (*decomp.Plan, error) {
+		d, _, err := p.instantiate(st, a, nil, ctx, workers)
 		return d, err
 	})
 }
 
-// buildDecomp builds the decomposition plan of epoch st under agg. old
-// is the plan the previous epoch held for agg (nil: none) and changed
-// flags the atoms that differ since; whether the shape patches from old
-// or rebuilds is the shape's policy (decomp.Shape), and either way the
-// DeltaStats say what was redone.
-func (p *Prepared) buildDecomp(st *planState, agg ranking.Aggregate, old *decomp.Plan, changed []bool, ctx context.Context, workers int) (*decomp.Plan, decomp.DeltaStats, error) {
+// instantiate builds the plan of epoch st under agg. old is the plan the
+// previous epoch held for agg (nil: none); what it lets the build patch
+// rather than redo is the shape's policy (decomp.Shape), and either way
+// the DeltaStats say what was redone.
+func (p *Prepared) instantiate(st *planState, agg ranking.Aggregate, old *decomp.Plan, ctx context.Context, workers int) (*decomp.Plan, decomp.DeltaStats, error) {
 	if err := p.checkWeights(agg, st.srcRels); err != nil {
 		return nil, decomp.DeltaStats{}, err
 	}
-	opts := []decomp.PrepareOption{decomp.WithWorkers(workers), decomp.WithContext(ctx)}
-	if p.hints != nil {
-		// Catalog heavy hitters guide the intra-bag heavy/light split;
-		// every shape benefits, and results stay bit-identical.
-		opts = append(opts, decomp.WithSkewHints(p.hints))
-	}
-	if p.costBased {
-		// Cost-based compilations also pick each searched bag's
-		// Generic-Join variable order from statistics over the bag's
-		// actual atoms; the canonical shapes ignore the chooser.
-		opts = append(opts, decomp.WithOrderChooser(catalog.ChooseOrder))
-	}
-	return p.shape.Prepare(st.srcRels, agg, old, changed, opts...)
+	return st.structure.Instantiate(agg, old, p.prepareOpts(ctx, workers)...)
+}
+
+// prepareOpts are the options of one epoch build or plan instantiation.
+func (p *Prepared) prepareOpts(ctx context.Context, workers int) []decomp.PrepareOption {
+	return append([]decomp.PrepareOption{decomp.WithWorkers(workers), decomp.WithContext(ctx)}, p.costOpts...)
 }
 
 // ErrTrialBudget reports that Sample's rejection walk ran out of trials
@@ -1090,8 +990,8 @@ func (p *Prepared) samplerFor(st *planState) (*sample.Sampler, []int, error) {
 		for i, v := range s.Vars() {
 			pos[v] = i
 		}
-		perm := make([]int, len(p.outAttrs))
-		for i, a := range p.outAttrs {
+		perm := make([]int, len(p.shape.Attrs))
+		for i, a := range p.shape.Attrs {
 			j, ok := pos[a]
 			if !ok {
 				return nil, nil, fmt.Errorf("repro: output attribute %s missing from sampler order", a)
