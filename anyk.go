@@ -154,6 +154,11 @@ func firstNaN(weights []float64) int {
 // Relation names must be unique across the query (self-joins repeat the
 // data under distinct names), and the variables within one atom must be
 // distinct (express R(A,A) by filtering the tuples beforehand).
+//
+// Rel keeps tuples and weights (and the tuples they hold) rather than
+// copying them, and so does every handle compiled from the query: the
+// caller must not modify them afterwards. Appending past their length
+// is fine.
 func (q *Query) Rel(name string, vars []string, tuples []Tuple, weights []float64) *Query {
 	if q.err != nil {
 		return q
@@ -186,11 +191,14 @@ func (q *Query) Rel(name string, vars []string, tuples []Tuple, weights []float6
 		q.err = fmt.Errorf("repro: relation %s tuple %d has a NaN weight", name, i)
 		return q
 	}
+	if weights == nil {
+		weights = make([]float64, len(tuples))
+	}
+	// Capped at their length, so an append on either side copies
+	// instead of writing into the other's spare capacity.
 	r := relation.New(name, vars...)
-	r.Tuples = make([]Tuple, len(tuples))
-	r.Weights = make([]float64, len(tuples))
-	copy(r.Tuples, tuples)
-	copy(r.Weights, weights)
+	r.Tuples = tuples[:len(tuples):len(tuples)]
+	r.Weights = weights[:len(weights):len(weights)]
 	q.edges = append(q.edges, hypergraph.Edge{Name: name, Vars: vars})
 	q.rels = append(q.rels, r)
 	return q

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -105,6 +106,92 @@ func TestFacadeCycleDetectionPermuted(t *testing.T) {
 		Rel("E2", []string{"B", "C"}, e, nil)
 	if _, err := q.Ranked(SumCost, Lazy); err != nil {
 		t.Fatalf("permuted 4-cycle not recognised: %v", err)
+	}
+}
+
+var relSink *Query
+
+// TestRelKeepsArguments: Rel keeps the caller's tuples and weights
+// instead of copying them, so what it allocates does not grow with the
+// relation; and it caps them at their length, so a query over slices
+// with spare capacity ranks exactly like one over tight slices — also
+// after the caller appends into that capacity and the handle takes a
+// delta.
+func TestRelKeepsArguments(t *testing.T) {
+	rel := func(n int) ([]Tuple, []float64) {
+		tuples, weights := make([]Tuple, n), make([]float64, n)
+		for i := range tuples {
+			tuples[i], weights[i] = Tuple{Value(i), Value(i % 7)}, float64(i%5)
+		}
+		return tuples, weights
+	}
+	cost := func(n int) (objs, bytes float64) {
+		tuples, weights := rel(n)
+		add := func() { relSink = NewQuery().Rel("R", []string{"A", "B"}, tuples, weights) }
+		objs = testing.AllocsPerRun(20, add)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			add()
+		}
+		runtime.ReadMemStats(&after)
+		return objs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallObjs, smallBytes := cost(10)
+	bigObjs, bigBytes := cost(10000)
+	if smallObjs != bigObjs || bigBytes-smallBytes > 1024 {
+		t.Fatalf("Rel allocates %v objects / %.0f B for 10 tuples but %v / %.0f B for 10 000: it copies its arguments",
+			smallObjs, smallBytes, bigObjs, bigBytes)
+	}
+
+	r, rw := rel(40)
+	s, sw := rel(30)
+	for i := range s {
+		s[i] = Tuple{Value(i % 7), Value(i)}
+	}
+	withSpare := func(ts []Tuple, ws []float64) ([]Tuple, []float64) {
+		return append(make([]Tuple, 0, 2*len(ts)), ts...), append(make([]float64, 0, 2*len(ws)), ws...)
+	}
+	rt, rws := withSpare(r, rw)
+	st, sws := withSpare(s, sw)
+	compile := func(rt []Tuple, rw []float64, st []Tuple, sw []float64) *Prepared {
+		p, err := Compile(NewQuery().
+			Rel("R", []string{"A", "B"}, rt, rw).
+			Rel("S", []string{"B", "C"}, st, sw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	tight, spare := compile(r, rw, s, sw), compile(rt, rws, st, sws)
+	same := func(label string) {
+		t.Helper()
+		want, err := tight.TopK(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := spare.TopK(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, label, got, want)
+	}
+	same("before")
+	junk := Tuple{3, 3}
+	_ = append(rt, junk)
+	_ = append(st, junk)
+	_ = append(rws, -100)
+	_ = append(sws, -100)
+	delta := []Delta{{Rel: "R", Append: []Tuple{{100, 3}}, AppendWeights: []float64{0.5}}}
+	for _, p := range []*Prepared{tight, spare} {
+		if err := p.ApplyDelta(delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("after appends and a delta")
+	if rt[:len(rt)+1][len(rt)][0] != junk[0] || rws[:len(rws)+1][len(rws)] != -100 {
+		t.Fatal("the handle wrote into the caller's spare capacity")
 	}
 }
 

@@ -13,7 +13,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -73,4 +75,77 @@ func FuzzParseJSONTuples(f *testing.F) {
 			t.Fatalf("%d append rows but %d weights", len(appendT), len(appendW))
 		}
 	})
+}
+
+// checkNDJSONRow compares appendRow with encoding/json on the tuple
+// (v, str, v) and weight w. str enters the way every string does, through
+// mergeDict, which assigns its code and quotes it; the reference maps
+// each value by a dictionary lookup — a code the dictionary assigned is
+// its string, any other value (code space included) its integer — and
+// encodes topkLine. A weight encoding/json refuses must take appendRow's
+// error path and leave the buffer as it was.
+func checkNDJSONRow(t *testing.T, v int64, str string, w float64) {
+	t.Helper()
+	s := &Server{dict: relation.NewDictionary()}
+	local := relation.NewDictionary()
+	code := relation.Tuple{local.Code(str)}
+	s.mergeDict(local, []relation.Tuple{code})
+	tuple := relation.Tuple{v, code[0], v}
+	cells := make([]any, len(tuple))
+	for i, c := range tuple {
+		if d, ok := s.dict.Decode(c); ok {
+			cells[i] = d
+		} else {
+			cells[i] = c
+		}
+	}
+	var want bytes.Buffer
+	wantErr := json.NewEncoder(&want).Encode(topkLine{Tuple: cells, Weight: &w})
+	got, err := appendRow([]byte("x"), tuple, w, s.quoted)
+	switch {
+	case wantErr != nil:
+		if err == nil || !strings.Contains(err.Error(), "has no JSON encoding") || string(got) != "x" {
+			t.Fatalf("weight %v: appendRow = %q, %v; encoding/json refuses it (%v)", w, got, err, wantErr)
+		}
+	case err != nil:
+		t.Fatalf("(%d, %q, %v): appendRow failed: %v", v, str, w, err)
+	case !bytes.Equal(got[1:], want.Bytes()):
+		t.Fatalf("(%d, %q, %v):\nappendRow     %s\nencoding/json %s", v, str, w, got[1:], want.Bytes())
+	}
+}
+
+var (
+	ndjsonInts    = []int64{math.MinInt64, math.MaxInt64, int64(relation.DictBase - 1), int64(relation.DictBase), 0, -7}
+	ndjsonStrings = []string{
+		"", "plain", "<>&", `"`, `\`, "\x00\x01\b\f\n\r\t\x1f\x7f",
+		"\u2028\u2029", "\xff\xfe", "a\xc3", "é日本",
+	}
+	ndjsonWeights = []float64{
+		0, math.Copysign(0, -1), 5e-324, 9.99e-7, 1e-6, 1e20, 1e21,
+		math.MaxFloat64, -1e-7, 1.5, -123456.789, 1e308,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+)
+
+// TestNDJSONRowBytes: every combination of the edge values above
+// encodes to encoding/json's exact bytes, and every non-finite weight is
+// refused.
+func TestNDJSONRowBytes(t *testing.T) {
+	for _, v := range ndjsonInts {
+		for _, str := range ndjsonStrings {
+			for _, w := range ndjsonWeights {
+				checkNDJSONRow(t, v, str, w)
+			}
+		}
+	}
+}
+
+// FuzzNDJSONRow widens TestNDJSONRowBytes to arbitrary values.
+//
+//	go test -fuzz FuzzNDJSONRow -fuzztime 30s ./internal/server
+func FuzzNDJSONRow(f *testing.F) {
+	for i, w := range ndjsonWeights {
+		f.Add(ndjsonInts[i%len(ndjsonInts)], ndjsonStrings[i%len(ndjsonStrings)], w)
+	}
+	f.Fuzz(checkNDJSONRow)
 }

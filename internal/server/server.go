@@ -25,6 +25,12 @@
 //     which stops the iterator at its next Next and tightens the write
 //     deadline, so a handler stalled on the dead connection returns and
 //     the admission slot is released promptly.
+//   - Delivery: result lines are appended into one buffer per request.
+//     The first is written and flushed at once, so time to first result
+//     is the engine's; later lines go out once 4 KiB are buffered or
+//     1 ms has passed since the last flush; the trailer always goes out.
+//     A result with no JSON form (a non-finite weight) ends the stream
+//     with an error trailer.
 //   - Graceful shutdown: Shutdown stops admitting new streams, lets
 //     in-flight enumerations drain within the caller's context, then
 //     cancels the server base context (cutting any stragglers) and
@@ -155,6 +161,11 @@ type Server struct {
 
 	dictMu sync.RWMutex
 	dict   *relation.Dictionary // shared across datasets so string joins line up
+	// quoted[i] is dict's code DictBase+i as encoding/json writes the
+	// string, computed once when the code is assigned. Entries never
+	// change once appended, so a stream may keep a snapshot of the slice
+	// (queryStream.row).
+	quoted [][]byte
 
 	// Observability: the metric surface (also backing /v1/stats), the
 	// request-trace ring served by /v1/traces/{id}, the structured
@@ -458,8 +469,8 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 // and dictionary encoding follow ReadCSV's whole-column rules. The
 // body is parsed against a request-local dictionary so a slow, large
 // upload never holds the shared dictionary lock that streaming
-// handlers decode under; the local codes are remapped into the shared
-// dictionary in one short critical section afterwards.
+// handlers read quoted strings under; the local codes are remapped into
+// the shared dictionary in one short critical section afterwards.
 func (s *Server) readCSVDataset(name string, r *http.Request) (*dataset, error) {
 	weightCol := true
 	if v := r.URL.Query().Get("weights"); v != "" {
@@ -495,7 +506,8 @@ func (s *Server) mergeDict(local *relation.Dictionary, tuples []relation.Tuple) 
 	}
 	// Resolve already-known strings under the read lock first; the
 	// write lock covers only genuinely new strings (typically none on a
-	// re-upload), so streaming decodes stall as little as possible.
+	// re-upload), so streams reading quoted strings stall as little as
+	// possible.
 	remap := make([]relation.Value, local.Len())
 	var misses []int
 	s.dictMu.RLock()
@@ -513,6 +525,12 @@ func (s *Server) mergeDict(local *relation.Dictionary, tuples []relation.Tuple) 
 		for _, i := range misses {
 			str, _ := local.Decode(relation.DictBase + relation.Value(i))
 			remap[i] = s.dict.Code(str)
+			if s.dict.Len() > len(s.quoted) {
+				// str got a new code: quote it once, for every row that
+				// will ever stream it.
+				b, _ := json.Marshal(str) // a string always encodes
+				s.quoted = append(s.quoted, b)
+			}
 		}
 		s.dictMu.Unlock()
 	}
@@ -586,7 +604,7 @@ func (s *Server) readJSONDataset(name string, r *http.Request) (*dataset, error)
 	}
 	// Strings encode through a request-local dictionary first (merged
 	// into the shared one afterwards) so parsing a large body never
-	// holds the lock streaming handlers decode under.
+	// holds the lock streaming handlers read quoted strings under.
 	local := relation.NewDictionary()
 	tuples, arity, err := parseJSONTuples(up.RawTuples, -1, local)
 	if err != nil {
@@ -763,6 +781,7 @@ func dataKey(qd *queryDef, versions []int) string {
 // queryStream is one admitted, prepared request as its row source sees
 // it.
 type queryStream struct {
+	s     *Server
 	w     http.ResponseWriter
 	ctx   context.Context // client disconnect + request deadline + server shutdown
 	start time.Time       // request start, the origin of TTF and TT(k)
@@ -773,7 +792,15 @@ type queryStream struct {
 
 	rc      *http.ResponseController
 	flusher http.Flusher
-	count   int // rows written so far
+	count   int // result lines so far
+
+	// The NDJSON writer (ndjson.go): lines not yet sent, when the buffer
+	// was last sent, the stream's snapshot of Server.quoted, and the
+	// first failed write.
+	buf       []byte
+	flushedAt time.Time
+	quoted    [][]byte
+	werr      error
 }
 
 // serveQuery is the request path GET /v1/query/{name}/topk and
@@ -907,7 +934,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam s
 	}
 
 	q := &queryStream{
-		w: w, ctx: ctx, start: start, qd: qd, agg: agg, limit: limit, hit: hit,
+		s: s, w: w, ctx: ctx, start: start, qd: qd, agg: agg, limit: limit, hit: hit,
 		rc: http.NewResponseController(w),
 	}
 	q.flusher, _ = w.(http.Flusher)
@@ -933,12 +960,8 @@ func (q *queryStream) begin() {
 	h.Set("X-Plan-Cache", map[bool]string{true: "hit", false: "miss"}[q.hit])
 	h.Set("X-Query-Fingerprint", q.qd.fingerprint)
 	h.Set("X-Out-Attrs", strings.Join(q.qd.outAttrs, ","))
-}
-
-func (q *queryStream) flush() {
-	if q.flusher != nil {
-		q.flusher.Flush()
-	}
+	// Room for a full buffer plus the line that tips it over.
+	q.buf = make([]byte, 0, flushBytes+512)
 }
 
 // resolveQuery snapshots a registered query, the exact dataset versions
@@ -1063,7 +1086,9 @@ func (s *Server) warmPlan(ctx context.Context, e *planEntry, agg int) (*repro.Pr
 }
 
 // topkLine is one streamed NDJSON line: a result, then a trailer with
-// done or error set.
+// done or error set. Trailers are encoded from it; result lines are
+// appended by appendRow in exactly the bytes encoding/json writes for
+// it.
 type topkLine struct {
 	Tuple  []any    `json:"tuple,omitempty"`
 	Weight *float64 `json:"weight,omitempty"`
@@ -1074,8 +1099,10 @@ type topkLine struct {
 
 // handleTopK serves GET /v1/query/{name}/topk?k=&agg=&variant=: the k
 // best answers under the ranking, enumerated by the chosen any-k
-// variant off a handle warmed for that ranking, one flushed NDJSON line
-// per result.
+// variant off a handle warmed for that ranking, one NDJSON line per
+// result. The first line is flushed as soon as it exists; later ones go
+// out in batches (ndjson.go), and the trailer ends every stream that
+// still has a client.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	variant := repro.Lazy
 	s.serveQuery(w, r, "k", func(qry url.Values) error {
@@ -1126,35 +1153,35 @@ func (s *Server) streamTopK(q *queryStream, p *repro.Prepared, variant repro.Var
 		}
 	}()
 
-	enc := json.NewEncoder(q.w)
 	aggName := rankings[q.agg].Name()
 	ttfH, ttkH := s.met.ttf[aggName], s.met.ttk[aggName]
 	for {
 		res, ok := it.Next()
 		if !ok {
+			err = it.Err()
 			break
 		}
 		if q.count == 0 {
 			ttfH.Observe(s.now().Sub(q.start).Seconds())
 		}
-		if enc.Encode(topkLine{Tuple: s.decodeTuple(res.Tuple), Weight: &res.Weight}) != nil {
-			// Client gone; the deferred Close releases everything.
-			return
+		if err = q.row(res.Tuple, res.Weight); err != nil {
+			break
 		}
-		q.count++
 		if q.count == q.limit {
 			ttkH.Observe(s.now().Sub(q.start).Seconds())
 		}
-		q.flush()
+	}
+	if q.werr != nil {
+		// Client gone; the deferred Close releases everything.
+		return
 	}
 	trailer := topkLine{Count: &q.count}
-	if err := it.Err(); err != nil {
+	if err != nil {
 		trailer.Error = err.Error()
 	} else {
 		trailer.Done = true
 	}
-	enc.Encode(trailer)
-	q.flush()
+	q.end(trailer)
 }
 
 // sampleLine is one streamed NDJSON line of /sample: an answer line,
@@ -1209,12 +1236,14 @@ func (s *Server) streamSample(q *queryStream, p *repro.Prepared, seed uint64, se
 	}
 	samples, serr := p.Sample(q.limit, opts...)
 	q.begin()
-	enc := json.NewEncoder(q.w)
+	var err error
 	for i := range samples {
-		if enc.Encode(sampleLine{Tuple: s.decodeTuple(samples[i].Tuple), Weight: &samples[i].Weight}) != nil {
-			return
+		if err = q.row(samples[i].Tuple, samples[i].Weight); err != nil {
+			break
 		}
-		q.count++
+	}
+	if q.werr != nil {
+		return
 	}
 	st := p.PlanStats()
 	trailer := sampleLine{
@@ -1225,6 +1254,8 @@ func (s *Server) streamSample(q *queryStream, p *repro.Prepared, seed uint64, se
 		Accepts: st.SampleAccepts,
 	}
 	switch {
+	case err != nil:
+		trailer.Error = err.Error()
 	case serr == nil:
 		trailer.Done = true
 	case errors.Is(serr, repro.ErrTrialBudget):
@@ -1236,24 +1267,7 @@ func (s *Server) streamSample(q *queryStream, p *repro.Prepared, seed uint64, se
 	default:
 		trailer.Error = serr.Error()
 	}
-	enc.Encode(trailer)
-	q.flush()
-}
-
-// decodeTuple renders an output tuple for NDJSON, mapping dictionary
-// codes back to the strings the client uploaded.
-func (s *Server) decodeTuple(t relation.Tuple) []any {
-	out := make([]any, len(t))
-	s.dictMu.RLock()
-	for i, v := range t {
-		if str, ok := s.dict.Decode(v); ok {
-			out[i] = str
-		} else {
-			out[i] = v
-		}
-	}
-	s.dictMu.RUnlock()
-	return out
+	q.end(trailer)
 }
 
 // statsResponse is the /v1/stats payload.
