@@ -36,7 +36,6 @@ type Lifecycle struct {
 // context.Background()).
 func NewLifecycle(ctx context.Context) *Lifecycle {
 	if ctx == nil {
-		//anykvet:allow ctxplumb -- leaf default for the documented nil-means-uncancelable contract
 		ctx = context.Background()
 	}
 	return &Lifecycle{ctx: ctx, done: ctx.Done()}

@@ -150,7 +150,6 @@ func (c *prepCfg) dpOpts() []dp.Option {
 }
 
 func newPrepCfg(opts []PrepareOption) prepCfg {
-	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
 	cfg := prepCfg{ctx: context.Background(), workers: 1}
 	for _, o := range opts {
 		o(&cfg)

@@ -89,7 +89,6 @@ func WithContext(ctx context.Context) Option {
 }
 
 func newConfig(opts []Option) config {
-	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
 	c := config{ctx: context.Background(), workers: 1}
 	for _, o := range opts {
 		o(&c)

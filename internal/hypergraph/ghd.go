@@ -411,7 +411,8 @@ func (h *Hypergraph) greedyOrder(minFill bool) []string {
 func fillCount(adj map[string]map[string]bool, v string) int {
 	nbrs := make([]string, 0, len(adj[v]))
 	for u := range adj[v] {
-		//anykvet:allow mapdeterminism -- nbrs only feeds the symmetric missing-edge count below; n is identical for every element order
+		// Map order is harmless: the count below is the same for every
+		// order of nbrs.
 		nbrs = append(nbrs, u)
 	}
 	n := 0

@@ -230,7 +230,6 @@ func New(cfg Config) *Server {
 	// builds run detached on it so a disconnecting winner cannot fail
 	// the waiters sharing the build (bounded by MaxTimeout), and it is
 	// canceled only by Shutdown.
-	//anykvet:allow ctxplumb -- server-lifetime root context; detached-build path, canceled by Shutdown
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -336,7 +335,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close is Shutdown with no grace period.
 func (s *Server) Close() error {
-	//anykvet:allow ctxplumb -- constructs an already-canceled context: zero grace, nothing to plumb
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s.Shutdown(ctx)

@@ -239,9 +239,9 @@ func (j *driver) emitAtom(ai int, w float64) {
 // Materialize runs GenericJoin and collects the full output relation with
 // schema varOrder. The output size is not known in advance, so the rows
 // go through a relation.Builder: Tuples and Weights are allocated once,
-// at their final length.
+// at their final length. It cannot be canceled; MaterializeParallelHinted
+// is the variant that takes a context.
 func Materialize(atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Relation, *Instr, error) {
-	//anykvet:allow ctxplumb -- kept signature without a ctx; the cancelable variant is MaterializeParallelHinted
 	return materialize(context.Background(), atoms, varOrder, agg)
 }
 

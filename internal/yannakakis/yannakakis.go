@@ -70,7 +70,6 @@ func (q *Query) queryRel(i int) *relation.Relation {
 // (renamed to query variables), aligned with tree nodes. The input
 // relations are not modified.
 func (q *Query) FullReduce() []*relation.Relation {
-	//anykvet:allow ctxplumb -- sequential reference path; the cancelable variant is FullReduceWith
 	red, err := q.FullReduceWith(context.Background(), 1)
 	if err != nil {
 		// Unreachable: a background context never cancels and the sweeps

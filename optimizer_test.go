@@ -169,16 +169,9 @@ func TestPlanStatsEstimates(t *testing.T) {
 	if st.EstimatorError < 1 {
 		t.Fatalf("estimator error %g after build, want >= 1", st.EstimatorError)
 	}
-	// The recost flag is the threshold comparison, checked on both sides
-	// by moving the (package-variable) threshold around the plan's error.
-	defer func(old float64) { RecostThreshold = old }(RecostThreshold)
-	RecostThreshold = st.EstimatorError + 1
-	if p.PlanStats().NeedsRecost {
-		t.Fatalf("needs_recost with threshold %g above error %g", RecostThreshold, st.EstimatorError)
-	}
-	RecostThreshold = st.EstimatorError - 0.5
-	if !p.PlanStats().NeedsRecost {
-		t.Fatalf("needs_recost not set with threshold %g below error %g", RecostThreshold, st.EstimatorError)
+	// The recost flag is the comparison against the fixed factor 8.
+	if st.NeedsRecost != (st.EstimatorError > 8) {
+		t.Fatalf("needs_recost %v with estimator error %g", st.NeedsRecost, st.EstimatorError)
 	}
 
 	// Acyclic handles compare the output estimate against the exact
@@ -193,5 +186,8 @@ func TestPlanStatsEstimates(t *testing.T) {
 	sta := pa.PlanStats()
 	if !sta.CostBased || sta.EstimatorError < 1 {
 		t.Fatalf("acyclic estimator stats missing: %+v", sta)
+	}
+	if sta.NeedsRecost != (sta.EstimatorError > 8) {
+		t.Fatalf("acyclic needs_recost %v with estimator error %g", sta.NeedsRecost, sta.EstimatorError)
 	}
 }

@@ -290,7 +290,6 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	if len(q.rels) == 0 {
 		return nil, fmt.Errorf("repro: empty query")
 	}
-	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
 	cfg := runConfig{ctx: context.Background()}
 	for _, o := range opts {
 		o.applyCompile(&cfg)
@@ -490,10 +489,10 @@ type PlanStats struct {
 	// known otherwise. 0 until actuals are known (or when the plan is not
 	// cost-based).
 	EstimatorError float64 `json:"estimator_error,omitempty"`
-	// NeedsRecost flags a plan whose EstimatorError exceeds
-	// RecostThreshold — the statistics that planned it misjudged the
-	// data badly enough that recompiling against fresh statistics is
-	// warranted. The serving registry surfaces it per cached plan.
+	// NeedsRecost flags a plan whose EstimatorError exceeds 8 — the
+	// statistics that planned it misjudged the data badly enough that
+	// recompiling against fresh statistics is warranted. The serving
+	// registry surfaces it per cached plan.
 	NeedsRecost bool `json:"needs_recost,omitempty"`
 	// AGMBound is the worst-case output bound the uniform answer
 	// sampler draws against (sample.Sampler.Bound); set once a Sample
@@ -525,10 +524,9 @@ type PlanStats struct {
 	LastDeltaNs int64 `json:"last_delta_ns,omitempty"`
 }
 
-// RecostThreshold is the EstimatorError factor above which PlanStats
-// sets NeedsRecost. A variable, not a constant, so operators (and
-// tests) can tune how tolerant the flag is.
-var RecostThreshold = 8.0
+// recostThreshold is the EstimatorError factor above which PlanStats
+// sets NeedsRecost.
+const recostThreshold = 8
 
 // estRatio is the symmetric error factor between an estimate and an
 // actual count, add-one smoothed so empty bags compare cleanly.
@@ -602,7 +600,7 @@ func (p *Prepared) PlanStats() PlanStats {
 				}
 			}
 		}
-		st.NeedsRecost = st.EstimatorError > RecostThreshold
+		st.NeedsRecost = st.EstimatorError > recostThreshold
 	}
 	s.samplerMu.Lock()
 	if s.samplerSet && s.sampler != nil {
@@ -757,7 +755,6 @@ func WithSeed(seed uint64) RunOption {
 // the documented defaults, then the caller's options, then the one
 // check every entry point shares.
 func newRunConfig(opts []RunOption) (runConfig, error) {
-	//anykvet:allow ctxplumb -- documented option default; callers attach cancellation via WithContext
 	cfg := runConfig{agg: SumCost, variant: Lazy, ctx: context.Background()}
 	for _, o := range opts {
 		o(&cfg)
