@@ -86,7 +86,10 @@ type Value = relation.Value
 // Tuple is a sequence of values.
 type Tuple = relation.Tuple
 
-// Result is one join result in ranking order.
+// Result is one join result in ranking order. Its Tuple is read-only: a
+// plan whose only tree is one materialised bag (the triangle, a one-bag
+// GHD) returns the bag's own tuple when the bag's schema is the
+// plan's, so writing to it would change the plan's data.
 type Result = core.Result
 
 // Iterator yields join results in ranking order. Pull with Next until

@@ -1,0 +1,46 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/workload"
+)
+
+// TestPartAllocsPerResult pins what a full drain allocates per result,
+// over a doubling sweep of path instances (about n and 2n results). For
+// ANYK-PART the emitted tuple is the one object every result costs: the
+// queue and the assignment arena grow by amortised doubling, and the
+// per-Run tables and candidate structures are shared by all results. So
+// the count stays at most 1.3 and does not grow with n. ANYK-REC adds
+// its ranked sub-solutions' rank vectors, but no assignment buffer.
+func TestPartAllocsPerResult(t *testing.T) {
+	sizes := []struct{ n, domain int }{{160, 16}, {320, 32}}
+	bound := map[Variant]float64{Eager: 1.3, Lazy: 1.3, Quick: 1.3, All: 1.3, Take2: 1.3, Rec: 2.4}
+	for _, v := range []Variant{Eager, Lazy, Quick, All, Take2, Rec} {
+		var per []float64
+		for _, sz := range sizes {
+			tdp := buildTDP(t, workload.Path(3, sz.n, sz.domain, workload.UniformWeights(), 5), sum)
+			results := tdp.NumSolutions()
+			allocs := testing.AllocsPerRun(3, func() {
+				it, err := New(context.Background(), tdp, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for {
+					if _, ok := it.Next(); !ok {
+						break
+					}
+				}
+			})
+			per = append(per, allocs/float64(results))
+			t.Logf("%s: %d results, %.0f objects, %.3f per result", v, results, allocs, allocs/float64(results))
+		}
+		if per[0] > bound[v] || per[1] > bound[v] {
+			t.Errorf("%s: a full drain allocates %.3f / %.3f objects per result, want ≤ %g", v, per[0], per[1], bound[v])
+		}
+		if per[1] > per[0]+0.02 {
+			t.Errorf("%s: objects per result grow with the output: %.3f → %.3f", v, per[0], per[1])
+		}
+	}
+}

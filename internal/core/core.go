@@ -33,7 +33,10 @@ import (
 
 // Result is one join result in ranking order.
 type Result struct {
-	// Tuple is the output tuple, aligned with the T-DP's OutAttrs.
+	// Tuple is the output tuple, aligned with the T-DP's OutAttrs. It is
+	// read-only: the T-DP iterators emit a fresh tuple per result, but a
+	// tree of one materialised bag (internal/decomp) returns the bag's
+	// own tuple, which the plan keeps.
 	Tuple relation.Tuple
 	// Weight is the aggregated weight under the T-DP's ranking function.
 	Weight float64

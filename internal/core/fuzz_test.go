@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dp"
 	"repro/internal/ranking"
+	"repro/internal/relation"
 	"repro/internal/workload"
 	"repro/internal/yannakakis"
 )
@@ -163,4 +164,50 @@ func TestWideStarAllVariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPartVsBatch checks ANYK-PART against the Batch baseline on a
+// seeded random tree query with tie-heavy weights, under a ranking and
+// a PART variant picked by the input: the weight sequence must equal
+// Batch's exactly (integer weights make every aggregate exact), and the
+// (tuple, weight) multiset must too. Inputs whose output exceeds 20 000
+// results are skipped, so every run stays fast.
+//
+//	go test -fuzz FuzzPartVsBatch -fuzztime 40s -run '^$' ./internal/core
+func FuzzPartVsBatch(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(20), uint8(5), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, nRels, tuples, domain, variant, rank uint8) {
+		variants := []Variant{Eager, Lazy, Quick, All, Take2}
+		v := variants[int(variant)%len(variants)]
+		agg := sequenceRankings()[int(rank)%5]
+		inst := workload.RandomTree(1+int(nRels)%5, 1+int(tuples)%24, 2+int(domain)%8, tieWeights(), seed)
+		tdp, err := dp.Build(mustQ(inst), agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tdp.NumSolutions() > 20000 {
+			t.Skip("output too large for one fuzz input")
+		}
+		want := Collect(NewBatch(context.Background(), tdp), 0)
+		it, err := NewPart(context.Background(), tdp, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Collect(it, 0)
+		if len(got) != len(want) {
+			t.Fatalf("%s/%s: %d results, Batch %d", v, agg.Name(), len(got), len(want))
+		}
+		ra := relation.New("part", tdp.OutAttrs...)
+		rb := relation.New("batch", tdp.OutAttrs...)
+		for i := range got {
+			if got[i].Weight != want[i].Weight {
+				t.Fatalf("%s/%s rank %d: weight %g, Batch %g", v, agg.Name(), i, got[i].Weight, want[i].Weight)
+			}
+			ra.AddTuple(got[i].Tuple, got[i].Weight)
+			rb.AddTuple(want[i].Tuple, want[i].Weight)
+		}
+		if !ra.EqualAsSet(rb) {
+			t.Fatalf("%s/%s: (tuple, weight) multiset differs from Batch", v, agg.Name())
+		}
+	})
 }

@@ -2,35 +2,42 @@ package core
 
 import (
 	"context"
+	"math/bits"
 
 	"repro/internal/dp"
 	"repro/internal/heap"
 )
 
-// partItem is one entry of the global priority queue: it represents the
+// partEntry is one entry of the global priority queue: it represents the
 // sub-space of solutions that agree with its parent solution before
 // devPos, pick exactly `row` (structure position candIdx) at devPos, and
 // are free afterwards. Its weight is the weight of the best solution in
 // that sub-space (prefix ⊕ π(row) ⊕ re-optimised open subtrees), so the
 // global queue pops sub-spaces in the order of their champions — the
-// Lawler–Murty invariant.
-type partItem struct {
+// Lawler–Murty invariant. parent is the arena index of the parent's
+// assignment (-1 for the root entry). The entry holds no pointer, so the
+// queue is one flat array the collector never scans.
+type partEntry struct {
 	weight  float64
-	parent  *partItem
+	parent  int32
 	devPos  int32
 	candIdx int32
 	row     int32
-	// rows is the materialised full assignment, filled when popped.
-	rows []int32
 }
 
 // partIter implements ANYK-PART over a T-DP.
 type partIter struct {
 	*Lifecycle
 	t  *dp.TDP
-	pq *heap.Heap[*partItem]
-	// structs[node][group] is the candidate structure, created lazily.
-	structs  [][]candStruct
+	pq *heap.Heap[partEntry]
+	// arena holds every popped assignment; an entry copies its prefix
+	// from its parent's.
+	arena arena
+	// slots[base[node]+group] is 1 + the index into structs of the
+	// group's candidate structure, 0 until it is first touched.
+	slots    []int32
+	base     []int32
+	structs  []candStruct
 	mkStruct makeStructFn
 	m        int
 	// scratch buffers reused across Next calls.
@@ -48,17 +55,21 @@ func NewPart(ctx context.Context, t *dp.TDP, v Variant) (Iterator, error) {
 	it := &partIter{
 		Lifecycle: NewLifecycle(ctx),
 		t:         t,
-		pq:        heap.New(func(a, b *partItem) bool { return t.Agg.Less(a.weight, b.weight) }),
-		structs:   make([][]candStruct, m),
+		pq:        heap.New(func(a, b partEntry) bool { return t.Agg.Less(a.weight, b.weight) }),
+		arena:     arena{m: m},
+		base:      make([]int32, m),
 		mkStruct:  mk,
 		m:         m,
 		prefixW:   make([]float64, m+1),
 		openSum:   make([]float64, m),
 		groupBuf:  make([]int32, m),
 	}
+	groups := 0
 	for pos, n := range t.Nodes {
-		it.structs[pos] = make([]candStruct, len(n.Groups))
+		it.base[pos] = int32(groups)
+		groups += len(n.Groups)
 	}
+	it.slots = make([]int32, groups)
 	if t.Empty() {
 		return it, nil
 	}
@@ -67,45 +78,46 @@ func NewPart(ctx context.Context, t *dp.TDP, v Variant) (Iterator, error) {
 	if !ok {
 		return it, nil
 	}
-	it.pq.Push(&partItem{weight: pi, devPos: 0, candIdx: 0, row: row})
+	it.pq.Push(partEntry{weight: pi, parent: -1, row: row})
 	return it, nil
 }
 
 func (it *partIter) structAt(pos int, group int32) candStruct {
-	s := it.structs[pos][group]
-	if s == nil {
-		s = it.mkStruct(it.t.Nodes[pos], &it.t.Nodes[pos].Groups[group])
-		it.structs[pos][group] = s
+	slot := &it.slots[it.base[pos]+group]
+	if *slot == 0 {
+		it.structs = append(it.structs, it.mkStruct(it.t.Nodes[pos], &it.t.Nodes[pos].Groups[group]))
+		*slot = int32(len(it.structs))
 	}
-	return s
+	return it.structs[*slot-1]
 }
 
 // Next pops the best unseen solution, materialises it, and pushes its
 // Lawler successors. Close (promoted from Lifecycle, safe to call
-// concurrently) only stops the next call: the queue and successor
-// structures live as long as the iterator is reachable.
+// concurrently) only stops the next call: the queue, the assignments and
+// the successor structures live as long as the iterator is reachable.
 func (it *partIter) Next() (Result, bool) {
 	if !it.Proceed() {
 		return Result{}, false
 	}
-	item, ok := it.pq.Pop()
+	e, ok := it.pq.Pop()
 	if !ok {
 		it.Exhaust()
 		return Result{}, false
 	}
 	t := it.t
-	// Materialise: prefix from the parent chain, deviation row, then a
-	// greedy descent using each group's structure-best (position 0).
-	rows := make([]int32, it.m)
-	if item.parent != nil {
-		copy(rows[:item.devPos], item.parent.rows[:item.devPos])
+	// Materialise: prefix from the parent's assignment, deviation row,
+	// then a greedy descent using each group's structure-best (position
+	// 0).
+	idx, rows := it.arena.add()
+	if e.parent >= 0 {
+		copy(rows[:e.devPos], it.arena.row(e.parent)[:e.devPos])
 	}
-	rows[item.devPos] = item.row
+	rows[e.devPos] = e.row
 	groups := it.groupBuf
-	if item.devPos == 0 {
+	if e.devPos == 0 {
 		groups[0] = 0
 	}
-	for pos := int(item.devPos) + 1; pos < it.m; pos++ {
+	for pos := int(e.devPos) + 1; pos < it.m; pos++ {
 		gi := t.GroupFor(pos, rows)
 		groups[pos] = gi
 		st := it.structAt(pos, gi)
@@ -116,10 +128,9 @@ func (it *partIter) Next() (Result, bool) {
 		rows[pos] = row
 	}
 	// Record group ids for prefix positions too (needed by pushes).
-	for pos := 1; pos <= int(item.devPos); pos++ {
+	for pos := 1; pos <= int(e.devPos); pos++ {
 		groups[pos] = t.GroupFor(pos, rows)
 	}
-	item.rows = rows
 
 	// prefixW[j] = ⊕_{i<j} w(rows[i]).
 	it.prefixW[0] = t.Agg.Identity()
@@ -153,13 +164,13 @@ func (it *partIter) Next() (Result, bool) {
 	}
 
 	// Push Lawler successors: at devPos, the candidates following this
-	// item's candIdx; at every later position, the candidates following
+	// entry's candIdx; at every later position, the candidates following
 	// structure position 0.
-	for j := int(item.devPos); j < it.m; j++ {
+	for j := int(e.devPos); j < it.m; j++ {
 		st := it.structAt(j, groups[j])
 		from := int32(0)
-		if j == int(item.devPos) {
-			from = item.candIdx
+		if j == int(e.devPos) {
+			from = e.candIdx
 		}
 		it.sucBuf = st.successors(from, it.sucBuf[:0])
 		for _, sIdx := range it.sucBuf {
@@ -168,14 +179,59 @@ func (it *partIter) Next() (Result, bool) {
 				continue
 			}
 			w := t.Agg.Combine(t.Agg.Combine(it.prefixW[j], pi), it.openSum[j])
-			it.pq.Push(&partItem{
+			it.pq.Push(partEntry{
 				weight:  w,
-				parent:  item,
+				parent:  idx,
 				devPos:  int32(j),
 				candIdx: sIdx,
 				row:     row,
 			})
 		}
 	}
-	return Result{Tuple: t.Emit(rows), Weight: item.weight}, true
+	return Result{Tuple: t.Emit(rows), Weight: e.weight}, true
+}
+
+// Arena chunks double from arenaFirst rows to arenaFirst<<arenaShifts
+// rows and stay at that size after.
+const (
+	arenaFirst  = 16
+	arenaShifts = 6
+)
+
+// arena stores the popped assignments, m int32 per row, in chunks that
+// are never reallocated: a row keeps its place for the iterator's life,
+// and a small enumeration allocates small chunks.
+type arena struct {
+	m      int
+	n      int32
+	chunks [][]int32
+}
+
+// locate maps a row index to its chunk and the row's place in it.
+func locate(i int) (chunk, off int) {
+	const capped = arenaFirst << arenaShifts
+	const doubling = capped - arenaFirst // rows in the doubling chunks
+	if i < doubling {
+		chunk = bits.Len(uint(i/arenaFirst+1)) - 1
+		return chunk, i - arenaFirst*(1<<chunk-1)
+	}
+	i -= doubling
+	return arenaShifts + i/capped, i % capped
+}
+
+// add appends a row and returns its index and its m slots.
+func (a *arena) add() (int32, []int32) {
+	i := a.n
+	c, off := locate(int(i))
+	if c == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]int32, arenaFirst<<min(c, arenaShifts)*a.m))
+	}
+	a.n++
+	return i, a.chunks[c][off*a.m : (off+1)*a.m : (off+1)*a.m]
+}
+
+// row returns the slots of row i.
+func (a *arena) row(i int32) []int32 {
+	c, off := locate(int(i))
+	return a.chunks[c][off*a.m : (off+1)*a.m]
 }

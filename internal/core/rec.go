@@ -44,11 +44,14 @@ type recIter struct {
 	states [][]*recState
 	root   *recState
 	k      int
+	// rows is the assignment expand writes for each result; Emit copies
+	// the values out, so one buffer serves every Next.
+	rows []int32
 }
 
 // NewRec returns the ANYK-REC iterator.
 func NewRec(ctx context.Context, t *dp.TDP) Iterator {
-	it := &recIter{Lifecycle: NewLifecycle(ctx), t: t, states: make([][]*recState, len(t.Nodes))}
+	it := &recIter{Lifecycle: NewLifecycle(ctx), t: t, states: make([][]*recState, len(t.Nodes)), rows: make([]int32, len(t.Nodes))}
 	for pos, n := range t.Nodes {
 		it.states[pos] = make([]*recState, len(n.Groups))
 	}
@@ -159,9 +162,8 @@ func (it *recIter) Next() (Result, bool) {
 		it.Exhaust()
 		return Result{}, false
 	}
-	rows := make([]int32, len(it.t.Nodes))
-	it.expand(it.root, it.k, rows)
+	it.expand(it.root, it.k, it.rows)
 	w := it.root.produced[it.k].weight
 	it.k++
-	return Result{Tuple: it.t.Emit(rows), Weight: w}, true
+	return Result{Tuple: it.t.Emit(it.rows), Weight: w}, true
 }

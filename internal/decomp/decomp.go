@@ -235,15 +235,18 @@ func PrepareTriangle(rels [3]*relation.Relation, agg ranking.Aggregate, opts ...
 }
 
 // sortedIter enumerates a materialised relation in weight order using an
-// incremental heap sort (O(r) build, O(log r) per result).
+// incremental heap sort (O(r) build, O(log r) per result). perm maps the
+// bag's schema onto the plan's (output position i takes the bag's column
+// perm[i]); with none, a result's tuple is the bag's own.
 type sortedIter struct {
 	*core.Lifecycle
-	rel *relation.Relation
-	inc *heap.IncSort[int32]
-	k   int
+	rel  *relation.Relation
+	inc  *heap.IncSort[int32]
+	perm []int
+	k    int
 }
 
-func newSortedIter(ctx context.Context, rel *relation.Relation, agg ranking.Aggregate) core.Iterator {
+func newSortedIter(ctx context.Context, rel *relation.Relation, agg ranking.Aggregate, perm []int) core.Iterator {
 	rows := make([]int32, rel.Len())
 	for i := range rows {
 		rows[i] = int32(i)
@@ -252,6 +255,7 @@ func newSortedIter(ctx context.Context, rel *relation.Relation, agg ranking.Aggr
 		Lifecycle: core.NewLifecycle(ctx),
 		rel:       rel,
 		inc:       heap.NewIncSort(func(a, b int32) bool { return agg.Less(rel.Weights[a], rel.Weights[b]) }, rows),
+		perm:      perm,
 	}
 }
 
@@ -265,37 +269,24 @@ func (s *sortedIter) Next() (core.Result, bool) {
 		return core.Result{}, false
 	}
 	s.k++
-	return core.Result{Tuple: s.rel.Tuples[row], Weight: s.rel.Weights[row]}, true
-}
-
-// projectIter reorders result tuples into a canonical attribute order.
-// Err and Close delegate to the inner iterator.
-type projectIter struct {
-	inner core.Iterator
-	perm  []int // output position i takes inner tuple[perm[i]]
-}
-
-func (p *projectIter) Next() (core.Result, bool) {
-	r, ok := p.inner.Next()
-	if !ok {
-		return core.Result{}, false
+	tuple := s.rel.Tuples[row]
+	if s.perm != nil {
+		out := make(relation.Tuple, len(s.perm))
+		for i, c := range s.perm {
+			out[i] = tuple[c]
+		}
+		tuple = out
 	}
-	out := make(relation.Tuple, len(p.perm))
-	for i, c := range p.perm {
-		out[i] = r.Tuple[c]
-	}
-	return core.Result{Tuple: out, Weight: r.Weight}, true
+	return core.Result{Tuple: tuple, Weight: s.rel.Weights[row]}, true
 }
-
-func (p *projectIter) Err() error   { return p.inner.Err() }
-func (p *projectIter) Close() error { return p.inner.Close() }
 
 // treePlan is one compiled tree of a plan. An atom tree, or a tree of
-// two or more bags, holds its T-DP and the aggregate-independent plan it
-// was instantiated from (kept so a later prepare can patch instead of
-// rebuild); a tree of one materialised bag holds just the bag, which
-// Run enumerates in sorted order. perm normalises output tuples to the
-// canonical attribute order; nil when they already are.
+// two or more bags, holds its T-DP, which emits in the plan's schema, and
+// the aggregate-independent plan it was instantiated from (kept so a
+// later prepare can patch instead of rebuild); a tree of one
+// materialised bag holds just the bag, which Run enumerates in sorted
+// order, and perm, which maps the bag's schema onto the plan's (nil when
+// they agree).
 type treePlan struct {
 	bag  *relation.Relation
 	t    *dp.TDP
@@ -342,12 +333,11 @@ func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, 
 	if err != nil {
 		return nil, ds, err
 	}
-	perm, err := canonPerm(t.OutAttrs, canonAttrs)
-	if err != nil {
+	if err := t.Reorder(canonAttrs); err != nil {
 		return nil, ds, err
 	}
 	ds = DeltaStats{TreeNodes: dst.Nodes, TreeRegrouped: dst.Regrouped, TreeRecomputed: recomputed}
-	return &treePlan{t: t, plan: p, perm: perm}, ds, nil
+	return &treePlan{t: t, plan: p}, ds, nil
 }
 
 // bagQuery builds the acyclic query over materialised bags.
@@ -359,8 +349,8 @@ func bagQuery(bags []*relation.Relation) (*yannakakis.Query, error) {
 	return yannakakis.NewQuery(hypergraph.New(edges...), bags)
 }
 
-// canonPerm maps a tree's output schema onto the canonical one; nil when
-// the two already agree.
+// canonPerm maps a bag's schema onto the canonical one; nil when the two
+// already agree.
 func canonPerm(have, canonAttrs []string) ([]int, error) {
 	perm := make([]int, len(canonAttrs))
 	identity := len(have) == len(canonAttrs)
@@ -379,19 +369,10 @@ func canonPerm(have, canonAttrs []string) ([]int, error) {
 // run starts one enumeration over the tree: any-k over its T-DP, or the
 // sorted scan of its only bag.
 func (tp *treePlan) run(ctx context.Context, agg ranking.Aggregate, v core.Variant) (core.Iterator, error) {
-	var it core.Iterator
 	if tp.bag != nil {
-		it = newSortedIter(ctx, tp.bag, agg)
-	} else {
-		var err error
-		if it, err = core.New(ctx, tp.t, v); err != nil {
-			return nil, err
-		}
+		return newSortedIter(ctx, tp.bag, agg, tp.perm), nil
 	}
-	if tp.perm == nil {
-		return it, nil
-	}
-	return &projectIter{inner: it, perm: tp.perm}, nil
+	return core.New(ctx, tp.t, v)
 }
 
 // rename returns a view of r with attributes renamed (tuples shared).

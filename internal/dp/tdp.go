@@ -24,6 +24,7 @@ package dp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/obs"
@@ -119,7 +120,7 @@ type TDP struct {
 	// precedes it.
 	Nodes []*Node
 	// OutAttrs is the output schema (query variables in first-appearance
-	// order over the preorder).
+	// order over the preorder, unless Reorder set another).
 	OutAttrs []string
 	emits    []emitSpec
 }
@@ -157,10 +158,11 @@ type Group struct {
 	BestPi  float64
 }
 
+// emitSpec names the column col of node's row that one output position
+// takes; the emit map holds output position i's spec at index i.
 type emitSpec struct {
-	node   int
-	col    int
-	outPos int
+	node int
+	col  int
 }
 
 // Build compiles the T-DP for the query with the given ranking aggregate.
@@ -280,7 +282,7 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 		for col, v := range n.Rel.Attrs {
 			if !seen[v] {
 				seen[v] = true
-				t.emits = append(t.emits, emitSpec{node: pos, col: col, outPos: len(t.outAttrs)})
+				t.emits = append(t.emits, emitSpec{node: pos, col: col})
 				t.outAttrs = append(t.outAttrs, v)
 			}
 		}
@@ -557,11 +559,30 @@ func (t *TDP) SolutionWeight(rows []int32) float64 {
 	return w
 }
 
+// Reorder makes t emit its tuples in the schema attrs, each of which must
+// be one of OutAttrs. Only t's own emit map changes: the Plan t was
+// instantiated from, and every other instantiation of it, keep theirs.
+func (t *TDP) Reorder(attrs []string) error {
+	if slices.Equal(attrs, t.OutAttrs) {
+		return nil
+	}
+	emits := make([]emitSpec, len(attrs))
+	for i, a := range attrs {
+		j := slices.Index(t.OutAttrs, a)
+		if j < 0 {
+			return fmt.Errorf("dp: attribute %s missing from the T-DP's output %v", a, t.OutAttrs)
+		}
+		emits[i] = t.emits[j]
+	}
+	t.OutAttrs, t.emits = attrs, emits
+	return nil
+}
+
 // Emit renders a full assignment as an output tuple.
 func (t *TDP) Emit(rows []int32) relation.Tuple {
 	out := make(relation.Tuple, len(t.OutAttrs))
-	for _, sp := range t.emits {
-		out[sp.outPos] = t.Nodes[sp.node].Rel.Tuples[rows[sp.node]][sp.col]
+	for i, sp := range t.emits {
+		out[i] = t.Nodes[sp.node].Rel.Tuples[rows[sp.node]][sp.col]
 	}
 	return out
 }

@@ -257,3 +257,47 @@ func TestIncQuickMatchesSortProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIncSortMatchesHeapPops checks that the in-place IncSort returns
+// the same elements, by identity, as repeated Heap.Pop on the same
+// input: with keys drawn from three values almost every comparison is a
+// tie, so any difference in the comparisons run would reorder ids.
+func TestIncSortMatchesHeapPops(t *testing.T) {
+	type elem struct{ key, id int }
+	less := func(a, b elem) bool { return a.key < b.key }
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 64, 1000} {
+		in := make([]elem, n)
+		for i := range in {
+			in[i] = elem{key: rng.Intn(3), id: i}
+		}
+		h := NewFromSlice(less, append([]elem(nil), in...))
+		s := NewIncSort(less, append([]elem(nil), in...))
+		if s.Total() != n {
+			t.Fatalf("n=%d: Total = %d", n, s.Total())
+		}
+		var want []elem
+		for {
+			x, ok := h.Pop()
+			if !ok {
+				break
+			}
+			want = append(want, x)
+		}
+		// Jump to the middle rank first, then read every rank: ranks
+		// materialised by the jump must come back unchanged.
+		if n > 0 {
+			if got, _ := s.Get(n / 2); got != want[n/2] {
+				t.Fatalf("n=%d rank %d: IncSort %v, Heap.Pop %v", n, n/2, got, want[n/2])
+			}
+		}
+		for i, w := range want {
+			if got, ok := s.Get(i); !ok || got != w {
+				t.Fatalf("n=%d rank %d: IncSort %v, Heap.Pop %v", n, i, got, w)
+			}
+		}
+		if _, ok := s.Get(n); ok {
+			t.Fatalf("n=%d: Get past the end reported ok", n)
+		}
+	}
+}

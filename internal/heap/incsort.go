@@ -1,35 +1,80 @@
 package heap
 
-// IncSort incrementally sorts a slice: Get(i) returns the i-th smallest
-// element, materialising the sorted prefix lazily. Construction is O(n)
-// (heapify); each new rank costs O(log n). This is the data structure
-// behind the "Lazy" ANYK-PART variant: a candidate list only pays sorting
-// cost for the ranks actually visited.
+import "slices"
+
+// IncSort incrementally sorts a slice in place: Get(i) returns the i-th
+// smallest element, materialising the sorted prefix lazily. Construction
+// is O(n) (heapify); each new rank costs O(log n). This is the data
+// structure behind the "Lazy" ANYK-PART variant: a candidate list only
+// pays sorting cost for the ranks actually visited.
+//
+// The sorted prefix sits at the front of the slice and the heap of the
+// rest is mirrored behind it — heap index j lives at data[len-1-j] — so
+// the slot a pop vacates, the heap's last, is exactly the one the popped
+// element belongs in, and no second slice is needed. Ranks come out in
+// the order repeated Heap.Pop on the same input yields, ties included:
+// both run the same comparisons in the same order.
 type IncSort[T any] struct {
-	heap   *Heap[T]
-	sorted []T // sorted prefix popped so far
+	less   func(a, b T) bool
+	data   []T
+	sorted int // length of the sorted prefix
 }
 
 // NewIncSort takes ownership of items and prepares incremental sorting.
 func NewIncSort[T any](less func(a, b T) bool, items []T) *IncSort[T] {
-	return &IncSort[T]{heap: NewFromSlice(less, items)}
+	// Reversed, items[j] sits where heap index j lives, as in
+	// NewFromSlice.
+	slices.Reverse(items)
+	s := &IncSort[T]{less: less, data: items}
+	for i := len(items)/2 - 1; i >= 0; i-- {
+		s.siftDown(i, len(items))
+	}
+	return s
 }
 
 // Total reports the total number of elements (sorted and unsorted).
-func (s *IncSort[T]) Total() int { return len(s.sorted) + s.heap.Len() }
+func (s *IncSort[T]) Total() int { return len(s.data) }
 
 // Get returns the element of rank i (0-based). It reports false if
 // i >= Total(). Ranks already materialised are returned in O(1).
 func (s *IncSort[T]) Get(i int) (T, bool) {
-	for len(s.sorted) <= i {
-		x, ok := s.heap.Pop()
-		if !ok {
-			var zero T
-			return zero, false
-		}
-		s.sorted = append(s.sorted, x)
+	if i >= len(s.data) {
+		var zero T
+		return zero, false
 	}
-	return s.sorted[i], true
+	top := len(s.data) - 1
+	for s.sorted <= i {
+		// Heap.Pop: the root goes, the last element takes its place and
+		// sifts down through the remaining size-1 heap. The last element
+		// sat at data[sorted], which the root then fills.
+		last := s.sorted
+		min := s.data[top]
+		s.data[top] = s.data[last]
+		s.siftDown(0, top-last)
+		s.data[last] = min
+		s.sorted++
+	}
+	return s.data[i], true
+}
+
+// siftDown is Heap.siftDown over the mirrored heap of the given size.
+func (s *IncSort[T]) siftDown(i, size int) {
+	d, top := s.data, len(s.data)-1
+	for {
+		left := 2*i + 1
+		if left >= size {
+			return
+		}
+		smallest := left
+		if right := left + 1; right < size && s.less(d[top-right], d[top-left]) {
+			smallest = right
+		}
+		if !s.less(d[top-smallest], d[top-i]) {
+			return
+		}
+		d[top-i], d[top-smallest] = d[top-smallest], d[top-i]
+		i = smallest
+	}
 }
 
 // IncQuick incrementally sorts a slice using lazy quicksort: the slice is

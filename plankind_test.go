@@ -221,8 +221,9 @@ func TestOutAttrsOneDerivation(t *testing.T) {
 }
 
 // TestAcyclicRunAllocs pins what a warm acyclic Run allocates, with and
-// without a drain, to the counts of the T-DP path it replaced: no
-// schema projection and no per-Run slice of tree iterators.
+// without a drain: no schema projection, no per-Run slice of tree
+// iterators, and no ANYK-PART object per result but the emitted tuple
+// (value queue entries, assignments in a chunked arena).
 func TestAcyclicRunAllocs(t *testing.T) {
 	p, err := Compile(prepCases()["acyclic"]())
 	if err != nil {
@@ -250,12 +251,13 @@ func TestAcyclicRunAllocs(t *testing.T) {
 		}
 		it.Close()
 	}
-	// The T-DP path's counts on this fixture: 21 objects to start a Run,
-	// 10 467 to start one and drain its 3 434 results.
-	if got := testing.AllocsPerRun(20, run); got != 21 {
-		t.Errorf("warm Run allocates %v objects, want 21", got)
+	// On this fixture: 17 objects to start a Run, 3 528 to start one and
+	// drain its 3 434 results — one tuple each, plus the queue's and the
+	// arena's growth and the candidate structures.
+	if got := testing.AllocsPerRun(20, run); got != 17 {
+		t.Errorf("warm Run allocates %v objects, want 17", got)
 	}
-	if got := testing.AllocsPerRun(20, drain); got != 10467 {
-		t.Errorf("warm Run + drain allocates %v objects, want 10467", got)
+	if got := testing.AllocsPerRun(20, drain); got != 3528 {
+		t.Errorf("warm Run + drain allocates %v objects, want 3528", got)
 	}
 }
