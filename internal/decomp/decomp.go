@@ -305,8 +305,12 @@ type treePlan struct {
 // buy nothing on a bag tree of a handful of nodes, so the prepare's
 // workers are spent on the bags alone. A single bag is already the
 // query's full output and needs no reduction, no grouping and no π pass;
-// it is reported as a tree of one node, redone iff the bag was.
-func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, canonAttrs []string, old *treePlan, changed []bool) (*treePlan, DeltaStats, error) {
+// it is reported as a tree of one node, redone iff the bag was. A tree
+// of a shape without memo is never patched (Instantiate hands it no
+// predecessor), so its dp.Plan is sealed: it keeps the fully reduced
+// bags it enumerates and not the reducer's intermediates, which would
+// pin every leaf's whole bag and every dangling bottom-up row.
+func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, canonAttrs []string, old *treePlan, changed []bool, memo bool) (*treePlan, DeltaStats, error) {
 	var ds DeltaStats
 	if len(bags) == 1 {
 		ds.TreeNodes = 1
@@ -335,6 +339,9 @@ func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, 
 	}
 	if err := t.Reorder(canonAttrs); err != nil {
 		return nil, ds, err
+	}
+	if !memo {
+		p.Seal()
 	}
 	ds = DeltaStats{TreeNodes: dst.Nodes, TreeRegrouped: dst.Regrouped, TreeRecomputed: recomputed}
 	return &treePlan{t: t, plan: p}, ds, nil

@@ -27,16 +27,20 @@ func GHDAttrs(edges []hypergraph.Edge) []string {
 // see the package comment for the table of shapes. A Shape is immutable.
 //
 // Two policies ride on the shape. memo: a searched GHD's plan retains
-// its bags as materialised and its bag tree, so the next Instantiate
-// patches only what a delta reached. The canonical cycle shapes retain
-// nothing and rebuild every bag: the bag tree's reduction copies the
-// rows that survive it, so nothing else keeps a bag as materialised
-// alive, and retaining them costs about 2.4·10⁶ tuples (~150 MB) on the
-// 5- and 6-cycle fans the cold_prepare benchmark keeps resident — to
-// speed up a delta no serving workload sends to a cycle. chooser: only
-// searched bags consult WithOrderChooser; the canonical shapes keep
-// their structural (triangle: pinned) Generic-Join orders, the ones the
-// benchmark's layer replay runs.
+// its bags as materialised and its bag tree with the reducer's
+// intermediates, so the next Instantiate patches only what a delta
+// reached. The canonical cycle shapes retain nothing and rebuild every
+// bag: their bag tree's plan is sealed (dp.Plan.Seal), and a semi-join
+// that keeps fewer than half a bag's rows copies them out
+// (relation.Relation.Select), so nothing keeps a bag as materialised
+// alive: a node keeps its fully reduced rows, and of the bag's storage
+// only what a semi-join that kept most rows still shares. Retaining the
+// bags would cost about 2.4·10⁶ tuples (~150 MB) on the 5- and 6-cycle
+// fans the cold_prepare benchmark keeps resident — to speed up a delta
+// no serving workload sends to a cycle. chooser: only searched bags
+// consult WithOrderChooser; the canonical shapes keep their structural
+// (triangle: pinned) Generic-Join orders, the ones the benchmark's layer
+// replay runs.
 type Shape struct {
 	// Kind names the shape on the wire (PlanStats.Kind): "acyclic",
 	// "triangle", "four-cycle", "cycle" or "ghd".
@@ -459,7 +463,7 @@ func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, 
 	// passed here must be connected too. A bag is "changed" iff it was
 	// re-materialised; the reducer still proves content-identical
 	// rebuilds clean.
-	tp, ds, err := prepareTree(cfg, bags, agg, s.Attrs, oldTree, rebuilt)
+	tp, ds, err := prepareTree(cfg, bags, agg, s.Attrs, oldTree, rebuilt, s.memo)
 	if err != nil {
 		return nil, nil, ds, err
 	}

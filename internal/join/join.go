@@ -45,11 +45,12 @@ func HashJoin(l, r *relation.Relation, agg ranking.Aggregate, stats *Stats) *rel
 	attrs, rKeep := outputSchema(l, r)
 	name := l.Name + "⋈" + r.Name
 	var out relation.Builder
+	row := make(relation.Tuple, len(attrs)) // the Builder copies it
 
 	if len(shared) == 0 {
 		for i, lt := range l.Tuples {
 			for j, rt := range r.Tuples {
-				emit(&out, lt, rt, rKeep, agg.Combine(l.Weights[i], r.Weights[j]))
+				emit(&out, row, lt, rt, rKeep, agg.Combine(l.Weights[i], r.Weights[j]))
 			}
 		}
 		if stats != nil {
@@ -69,19 +70,19 @@ func HashJoin(l, r *relation.Relation, agg ranking.Aggregate, stats *Stats) *rel
 			stats.ProbeSteps += 1 + len(rows)
 		}
 		for _, j := range rows {
-			emit(&out, lt, r.Tuples[j], rKeep, agg.Combine(l.Weights[i], r.Weights[j]))
+			emit(&out, row, lt, r.Tuples[j], rKeep, agg.Combine(l.Weights[i], r.Weights[j]))
 		}
 	}
 	return relation.Concat(name, attrs, &out)
 }
 
-func emit(out *relation.Builder, lt, rt relation.Tuple, rKeep []int, w float64) {
-	t := make(relation.Tuple, 0, len(lt)+len(rKeep))
-	t = append(t, lt...)
-	for _, c := range rKeep {
-		t = append(t, rt[c])
+// emit adds the output row of lt and rt to out, assembled in row.
+func emit(out *relation.Builder, row, lt, rt relation.Tuple, rKeep []int, w float64) {
+	n := copy(row, lt)
+	for k, c := range rKeep {
+		row[n+k] = rt[c]
 	}
-	out.Add(t, w)
+	out.Add(row, w)
 }
 
 // SemiJoin returns the tuples of l that join with at least one tuple of

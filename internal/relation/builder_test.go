@@ -31,7 +31,7 @@ func TestBuilderConcat(t *testing.T) {
 			t.Fatalf("%s: cap(Tuples)=%d cap(Weights)=%d, want exactly %d", name, cap(got.Tuples), cap(got.Weights), n)
 		}
 		for i, b := range bs {
-			if b.Len() != 0 || b.full != nil || b.cur != nil {
+			if b.Len() != 0 || b.full != nil || b.cur.vals != nil || b.cur.ws != nil {
 				t.Fatalf("%s: builder %d still holds rows after Concat", name, i)
 			}
 		}

@@ -32,6 +32,16 @@
 // surviving row ids first; a caller that knows the length presizes.
 // AddTuple and AddWeighted remain for generators and tests.
 //
+// A relation an operator builds stores its values in a few large arrays,
+// not one per row: Concat's tuples are views into the Builder's chunks,
+// and Project, Clone and a compacting Select write one array each. Every
+// such view is cap-clipped, so an append to a tuple reallocates instead
+// of writing its neighbour. Tuples are read-only: relations, selections
+// and epochs share them, so a caller that wants to edit one copies it.
+// A Select that keeps fewer than half the rows copies the survivors into
+// a fresh array, so a selection never pins more than twice its own
+// values and the reducer's semi-joins let a bag's dangling rows go.
+//
 // The sorted-permutation tries of internal/wcoj are an ordered view of
 // the same tuples: a different structure for a different job.
 package relation
@@ -141,7 +151,7 @@ func (r *Relation) SharedAttrs(other *Relation) []string {
 	return shared
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, its values in one array.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{
 		Name:    r.Name,
@@ -149,39 +159,58 @@ func (r *Relation) Clone() *Relation {
 		Tuples:  make([]Tuple, len(r.Tuples)),
 		Weights: append([]float64(nil), r.Weights...),
 	}
-	for i, t := range r.Tuples {
-		c.Tuples[i] = append(Tuple(nil), t...)
-	}
+	pack(c.Tuples, r.Tuples)
 	return c
 }
 
+// pack copies the tuples of src into one fresh array and stores in
+// dst[i] a cap-clipped view of src[i]'s copy; dst may be src.
+func pack(dst, src []Tuple) {
+	n := 0
+	for _, t := range src {
+		n += len(t)
+	}
+	vals := make([]Value, n)
+	off := 0
+	for i, t := range src {
+		end := off + copy(vals[off:], t)
+		dst[i] = vals[off:end:end]
+		off = end
+	}
+}
+
 // Project returns a new relation restricted to the given attributes
-// (duplicates preserved; weights carried over).
+// (duplicates preserved; weights carried over). Its values are one
+// array.
 func (r *Relation) Project(attrs ...string) (*Relation, error) {
 	idx, err := r.AttrIndexes(attrs)
 	if err != nil {
 		return nil, err
 	}
 	out := New(r.Name+"_proj", attrs...)
-	out.Tuples = make([]Tuple, 0, len(r.Tuples))
-	out.Weights = make([]float64, 0, len(r.Tuples))
+	a := len(idx)
+	vals := make([]Value, len(r.Tuples)*a)
+	out.Tuples = make([]Tuple, len(r.Tuples))
+	out.Weights = make([]float64, len(r.Tuples))
+	copy(out.Weights, r.Weights)
 	for i, t := range r.Tuples {
-		nt := make(Tuple, len(idx))
+		nt := vals[i*a : (i+1)*a : (i+1)*a]
 		for j, c := range idx {
 			nt[j] = t[c]
 		}
-		out.Tuples = append(out.Tuples, nt)
-		out.Weights = append(out.Weights, r.Weights[i])
+		out.Tuples[i] = nt
 	}
 	return out, nil
 }
 
 // Select returns a new relation containing the tuples for which keep
-// returns true, in r's order. Tuples are shared, not copied. It is the
-// right call for any row filter over an existing relation (a semi-join
-// is Select with an index probe as keep): the surviving row ids are
-// collected in one vector sized len(r.Tuples), then Tuples and Weights
-// are allocated at exactly the surviving length.
+// returns true, in r's order. It is the right call for any row filter
+// over an existing relation (a semi-join is Select with an index probe
+// as keep): the surviving row ids are collected in one vector sized
+// len(r.Tuples), then Tuples and Weights are allocated at exactly the
+// surviving length. Survivors share r's tuples when they are at least
+// half of r's rows; fewer are copied into one fresh array, so the
+// selection does not keep r's values alive.
 func (r *Relation) Select(keep func(t Tuple, w float64) bool) *Relation {
 	out := New(r.Name+"_sel", r.Attrs...)
 	rows := make([]int32, 0, len(r.Tuples))
@@ -197,6 +226,9 @@ func (r *Relation) Select(keep func(t Tuple, w float64) bool) *Relation {
 	out.Weights = make([]float64, len(rows))
 	for i, row := range rows {
 		out.Tuples[i], out.Weights[i] = r.Tuples[row], r.Weights[row]
+	}
+	if 2*len(rows) < len(r.Tuples) {
+		pack(out.Tuples, out.Tuples)
 	}
 	return out
 }

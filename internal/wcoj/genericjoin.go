@@ -17,8 +17,11 @@ type Instr struct {
 }
 
 // Emit receives one join result: the tuple of values aligned with the
-// variable order and its aggregated weight. Returning false stops the
-// join early (used by Boolean queries and top-k cutoffs).
+// variable order and its aggregated weight. The tuple is borrowed: it is
+// the join's own assignment, valid only during the call (like
+// bufio.Scanner.Bytes), so a callback that keeps it copies it —
+// relation.Builder.Add does. Returning false stops the join early (used
+// by Boolean queries and top-k cutoffs).
 type Emit func(t relation.Tuple, w float64) bool
 
 // join is the shared driver for GenericJoin and LeapfrogTriejoin.
@@ -221,9 +224,7 @@ func (j *driver) emitAtom(ai int, w float64) {
 	}
 	if ai == len(j.atoms) {
 		j.instr.Emits++
-		out := make(relation.Tuple, len(j.assigned))
-		copy(out, j.assigned)
-		if !j.emit(out, w) {
+		if !j.emit(j.assigned, w) {
 			j.stopped = true
 		}
 		return
@@ -238,9 +239,11 @@ func (j *driver) emitAtom(ai int, w float64) {
 
 // Materialize runs GenericJoin and collects the full output relation with
 // schema varOrder. The output size is not known in advance, so the rows
-// go through a relation.Builder: Tuples and Weights are allocated once,
-// at their final length. It cannot be canceled; MaterializeParallelHinted
-// is the variant that takes a context.
+// go through a relation.Builder: each result's values are copied straight
+// into its chunks, which become the relation's storage, and Tuples and
+// Weights are allocated once, at their final length. It cannot be
+// canceled; MaterializeParallelHinted is the variant that takes a
+// context.
 func Materialize(atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Relation, *Instr, error) {
 	return materialize(context.Background(), atoms, varOrder, agg)
 }

@@ -63,16 +63,17 @@ func TestMaterializeSequentialHonoursContext(t *testing.T) {
 
 // TestMaterializeBytesPerRow is the allocation guarantee of bag
 // materialisation as a doubling sweep: the bytes allocated per emitted
-// row stay under one constant however large the output — the tuple, one
-// chunk slot and one slot of each final array (24 + 8 B twice), plus a
-// fixed slack for the chunk capacity still unfilled when the join ends
-// (under one doubling) and the driver itself. Growing the arrays by
-// append re-allocates them at every 1.25× step, about five times their
-// final size per row.
+// row stay under one constant however large the output — the row's
+// values and weight in a Builder chunk (arity·8 + 8 B) and one slot of
+// each final array (24 + 8 B), plus a fixed slack for the chunk capacity
+// still unfilled when the join ends (under one doubling), the copy of
+// the last chunk and the driver itself. Growing the arrays by append
+// re-allocates them at every 1.25× step, about five times their final
+// size per row.
 func TestMaterializeBytesPerRow(t *testing.T) {
 	const (
-		tupleBytes = 2 * 8
-		rowArrays  = 2 * (24 + 8)
+		chunkBytes = 2*8 + 8
+		rowArrays  = 24 + 8
 		slack      = 40
 	)
 	for _, side := range []int{1 << 6, 1 << 7, 1 << 8} {
@@ -92,10 +93,40 @@ func TestMaterializeBytesPerRow(t *testing.T) {
 			t.Errorf("n=%d: cap(Tuples)=%d cap(Weights)=%d, want exactly n", n, cap(out.Tuples), cap(out.Weights))
 		}
 		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
-		limit := float64(tupleBytes + rowArrays + slack)
+		limit := float64(chunkBytes + rowArrays + slack)
 		t.Logf("n=%d: %.1f B allocated per emitted row (limit %.0f)", n, perRow, limit)
 		if perRow > limit {
 			t.Errorf("n=%d: %.1f B allocated per emitted row, want ≤ %.0f", n, perRow, limit)
+		}
+	}
+}
+
+// TestMaterializeAllocsPerRow pins that collecting a join's output
+// allocates no object per result, as a doubling sweep on the sequential
+// and the parallel path: emitAtom hands the Builder the driver's own
+// assignment, the Builder copies it into a chunk, and the chunks (two
+// arrays per ≤ 4 096 rows), the final arrays, the tasks and the driver
+// are all a join allocates.
+func TestMaterializeAllocsPerRow(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, side := range []int{1 << 7, 1 << 8, 1 << 9} {
+			atoms, order := crossAtoms(side)
+			var out *relation.Relation
+			objs := testing.AllocsPerRun(2, func() {
+				var err error
+				if out, _, err = MaterializeParallelHinted(context.Background(), atoms, order, sum, workers, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			n := side * side
+			if out.Len() != n {
+				t.Fatalf("workers=%d n=%d: %d rows", workers, n, out.Len())
+			}
+			perRow := objs / float64(n)
+			t.Logf("workers=%d n=%d: %.0f objects, %.4f per emitted row", workers, n, objs, perRow)
+			if perRow > 0.05 {
+				t.Errorf("workers=%d n=%d: %.4f objects per emitted row, want ≤ 0.05", workers, n, perRow)
+			}
 		}
 	}
 }

@@ -104,7 +104,7 @@ func TestPlanTasksSubdividesHeavyValue(t *testing.T) {
 	got := relation.New("GJ", order...)
 	for i := range tasks {
 		w := base.clone(func(tp relation.Tuple, wt float64) bool {
-			got.AddTuple(tp, wt)
+			got.AddWeighted(wt, tp...) // tp is borrowed: copy it
 			return true
 		})
 		tasks[i].run(w)

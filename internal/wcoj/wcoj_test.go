@@ -83,7 +83,7 @@ func TestLeapfrogMatchesGenericJoin(t *testing.T) {
 	}
 	lf := relation.New("LF", "A", "B", "C")
 	if _, err := LeapfrogTriejoin(atoms, []string{"A", "B", "C"}, sum, func(tp relation.Tuple, w float64) bool {
-		lf.AddTuple(tp, w)
+		lf.AddWeighted(w, tp...) // tp is borrowed: copy it
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestLeapfrogEqualsGenericJoinProperty(t *testing.T) {
 		}
 		lf := relation.New("LF", "A", "B", "C")
 		_, err2 := LeapfrogTriejoin(atoms, []string{"A", "B", "C"}, sum, func(tp relation.Tuple, w float64) bool {
-			lf.AddTuple(tp, w)
+			lf.AddWeighted(w, tp...) // tp is borrowed: copy it
 			return true
 		})
 		return err2 == nil && gj.EqualAsSet(lf)
