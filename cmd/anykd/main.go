@@ -11,26 +11,22 @@
 //	    -d '{"atoms":[{"dataset":"edges","vars":["A","B"]},{"dataset":"edges","vars":["B","C"]}]}' \
 //	    http://localhost:8080/v1/queries/hops2
 //	curl 'http://localhost:8080/v1/query/hops2/topk?k=5&agg=sum&variant=Lazy'
-//	curl 'http://localhost:8080/v1/query/hops2/sample?n=5&seed=1'
 //
 // Results stream as NDJSON in ranking order with a trailing
-// {"done":true,"count":N} line. /sample instead streams n uniform
-// random answers (no ranking, no enumeration — an AGM rejection walk
-// over the compiled tries) with a trailer carrying an unbiased
-// est_cardinality; /v1/stats surfaces plan-registry
+// {"done":true,"count":N} line; /v1/stats surfaces plan-registry
 // hit/miss counters, admission state, and per-plan statistics. SIGINT
 // or SIGTERM triggers a graceful shutdown: new streams are refused,
 // in-flight enumerations drain within -grace, stragglers are canceled.
 //
 // Observability: GET /metrics exposes Prometheus text metrics (request
 // counts and latencies, per-ranking TTF/TT(k) histograms, plan-cache
-// and delta counters, Go runtime series); every /topk, /sample, and
-// dataset PATCH records a phase-level trace retrievable via the
-// response's X-Trace-Id header at GET /v1/traces/{id}; -access-log
-// writes one JSON line per request; -slow-query logs any request over
-// the threshold with its trace id. -admin-addr starts a second,
-// operator-only listener with net/http/pprof under /debug/pprof/ plus
-// a /metrics alias — bind it to loopback, never the public address.
+// and delta counters, Go runtime series); every /topk and dataset PATCH
+// records a phase-level trace retrievable via the response's X-Trace-Id
+// header at GET /v1/traces/{id}; -access-log writes one JSON line per
+// request; -slow-query logs any request over the threshold with its
+// trace id. -admin-addr starts a second, operator-only listener with
+// net/http/pprof under /debug/pprof/ plus a /metrics alias — bind it to
+// loopback, never the public address.
 package main
 
 import (
@@ -57,7 +53,6 @@ func main() {
 	registryCap := flag.Int("registry-cap", 128, "max resident prepared plans")
 	grace := flag.Duration("grace", 15*time.Second, "graceful-shutdown drain window")
 	adminAddr := flag.String("admin-addr", "", "operator-only listen address for pprof + /metrics (empty = off; bind to loopback)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-query token-bucket rate for /topk and /sample in requests/second (0 = off)")
 	traceCap := flag.Int("trace-cap", 64, "recorded request traces kept for GET /v1/traces/{id}")
 	slowQuery := flag.Duration("slow-query", 0, "log requests at or above this duration with their trace id (0 = off)")
 	accessLog := flag.Bool("access-log", false, "write one JSON access-log line per request to stderr")
@@ -70,7 +65,6 @@ func main() {
 		MaxBodyBytes:       *maxBody,
 		MaxK:               *maxK,
 		RegistryCapacity:   *registryCap,
-		RateLimit:          *rateLimit,
 		TraceCapacity:      *traceCap,
 		SlowQueryThreshold: *slowQuery,
 		SlowQueryLog:       os.Stderr,

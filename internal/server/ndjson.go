@@ -12,8 +12,7 @@ import (
 
 // The NDJSON row path. A result line is appended into the stream's one
 // buffer in exactly the bytes encoding/json writes for
-// topkLine{Tuple, Weight} (and for sampleLine, whose result lines carry
-// the same two fields), with no reflection and no per-row value:
+// topkLine{Tuple, Weight}, with no reflection and no per-row value:
 // integers by strconv, dictionary strings from the JSON form quoted once
 // when their code was assigned (Server.quoted), weights in
 // encoding/json's float format.
@@ -103,7 +102,7 @@ func (q *queryStream) row(t relation.Tuple, w float64) error {
 }
 
 // end appends the trailer line and sends everything buffered.
-func (q *queryStream) end(trailer any) {
+func (q *queryStream) end(trailer topkLine) {
 	if b, err := json.Marshal(trailer); err == nil {
 		q.buf = append(append(q.buf, b...), '\n')
 	}

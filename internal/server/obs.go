@@ -4,13 +4,10 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"regexp"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -54,11 +51,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r := obs.NewRegistry()
 	m := &serverMetrics{reg: r}
 	m.queryRequests = r.Counter("anykd_query_requests_total",
-		"Query-path requests received (/topk, /sample, dataset PATCH).")
+		"Query-path requests received (/topk, dataset PATCH).")
 	m.rejected = r.Counter("anykd_admission_rejected_total",
-		"Requests refused with 429 by admission control or per-query rate limits.")
+		"Requests refused with 429 by admission control.")
 	m.inflight = r.Gauge("anykd_inflight_enumerations",
-		"Enumerations and sampling walks currently holding an admission slot.")
+		"Enumerations currently holding an admission slot.")
 	m.patches = r.Counter("anykd_dataset_patches_total",
 		"Dataset deltas applied via PATCH /v1/datasets/{name}.")
 	m.plansPatched = r.Counter("anykd_plans_patched_total",
@@ -244,80 +241,6 @@ func (s *Server) wrap(endpoint string, withTrace bool, h http.HandlerFunc) http.
 			)
 		}
 	}
-}
-
-// tokenBucket is one per-query-name rate limiter: cfg.RateLimit tokens
-// per second, bursting to max(1, RateLimit). The bucket's own counters
-// were resolved when the bucket was created, so allow stays off the
-// registry lock.
-type tokenBucket struct {
-	mu       sync.Mutex
-	rate     float64
-	burst    float64
-	tokens   float64
-	last     time.Time
-	accepted *obs.Counter
-	limited  *obs.Counter
-}
-
-func (b *tokenBucket) allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.last.IsZero() {
-		b.last = now
-		b.tokens = b.burst
-	}
-	if el := now.Sub(b.last).Seconds(); el > 0 {
-		b.tokens = math.Min(b.burst, b.tokens+el*b.rate)
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
-}
-
-// allowQuery applies the per-query token bucket to one /topk or
-// /sample request. Buckets are created lazily per registered query
-// name (callers gate on resolveQuery first, so unknown names never
-// grow the map).
-func (s *Server) allowQuery(name string) bool {
-	if s.cfg.RateLimit <= 0 {
-		return true
-	}
-	s.limitMu.Lock()
-	b := s.limiters[name]
-	if b == nil {
-		b = &tokenBucket{
-			rate:  s.cfg.RateLimit,
-			burst: math.Max(1, s.cfg.RateLimit),
-			accepted: s.met.reg.Counter("anykd_ratelimit_accepted_total",
-				"Requests admitted by the per-query rate limiter.", obs.L("query", name)),
-			limited: s.met.reg.Counter("anykd_ratelimit_limited_total",
-				"Requests refused with 429 by the per-query rate limiter.", obs.L("query", name)),
-		}
-		s.limiters[name] = b
-	}
-	s.limitMu.Unlock()
-	if b.allow(s.now()) {
-		b.accepted.Inc()
-		return true
-	}
-	b.limited.Inc()
-	return false
-}
-
-// rateRetryAfter is the Retry-After value for a rate-limited request:
-// roughly one token's refill time, at least one second.
-func (s *Server) rateRetryAfter() string {
-	secs := 1
-	if s.cfg.RateLimit > 0 {
-		if n := int(math.Ceil(1 / s.cfg.RateLimit)); n > secs {
-			secs = n
-		}
-	}
-	return strconv.Itoa(secs)
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition

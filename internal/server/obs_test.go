@@ -49,18 +49,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerPath(t, ts.URL)
 
-	// Cold then warm topk, a sample, and a dataset delta.
+	// Cold then warm topk, a topk under a second ranking, and a dataset
+	// delta.
 	for i := 0; i < 2; i++ {
 		resp, lines := streamTopK(t, ts.URL+"/v1/query/paths/topk?k=3")
 		if resp.StatusCode != 200 || len(lines) != 4 {
 			t.Fatalf("topk run %d: status %d, %d lines", i, resp.StatusCode, len(lines))
 		}
 	}
-	if resp, err := http.Get(ts.URL + "/v1/query/paths/sample?n=2&seed=7"); err != nil {
-		t.Fatal(err)
-	} else {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	if resp, lines := streamTopK(t, ts.URL+"/v1/query/paths/topk?k=2&agg=max"); resp.StatusCode != 200 || len(lines) != 3 {
+		t.Fatalf("topk under max: status %d, %d lines", resp.StatusCode, len(lines))
 	}
 	resp, body := doJSON(t, "PATCH", ts.URL+"/v1/datasets/r1", map[string]any{
 		"append": []any{[]any{3, 10}}, "append_weights": []float64{9},
@@ -78,11 +76,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		`anykd_query_requests_total `,
-		`anykd_http_requests_total{endpoint="topk"} 2`,
-		`anykd_http_responses_total{endpoint="topk",class="2xx"} 2`,
-		`anykd_http_request_duration_seconds_bucket{endpoint="topk",le="+Inf"} 2`,
+		`anykd_http_requests_total{endpoint="topk"} 3`,
+		`anykd_http_responses_total{endpoint="topk",class="2xx"} 3`,
+		`anykd_http_request_duration_seconds_bucket{endpoint="topk",le="+Inf"} 3`,
 		`anykd_ttf_seconds_bucket{agg="sum",le="+Inf"} 2`,
 		`anykd_ttk_seconds_count{agg="sum"} 2`,
+		`anykd_ttf_seconds_bucket{agg="max",le="+Inf"} 1`,
+		`anykd_ttk_seconds_count{agg="max"} 1`,
 		`anykd_prepare_seconds_count{cache="hit"} `,
 		`anykd_prepare_seconds_count{cache="miss"} `,
 		`anykd_plan_cache_hits_total `,
@@ -361,55 +361,6 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no slow-query line; log:\n%s", buf.String())
-	}
-}
-
-// TestRateLimit checks the per-query token bucket: burst 1 at 0.1 qps
-// admits exactly one request, refuses the second with the rate-limit
-// envelope, and counts both outcomes in /metrics.
-func TestRateLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{RateLimit: 0.1})
-	registerPath(t, ts.URL)
-
-	resp, lines := streamTopK(t, ts.URL+"/v1/query/paths/topk?k=1")
-	if resp.StatusCode != 200 || len(lines) != 2 {
-		t.Fatalf("first request: status %d, %d lines", resp.StatusCode, len(lines))
-	}
-	resp2, err := http.Get(ts.URL + "/v1/query/paths/topk?k=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second request: status %d, want 429", resp2.StatusCode)
-	}
-	if ra := resp2.Header.Get("Retry-After"); ra != "10" {
-		t.Errorf("Retry-After = %q, want 10 (1/0.1qps)", ra)
-	}
-	var eb errorBody
-	if err := json.NewDecoder(resp2.Body).Decode(&eb); err != nil || eb.Error.Code != errRateLimited {
-		t.Fatalf("rate-limit envelope = %+v (err %v)", eb, err)
-	}
-
-	// Sampling shares the same bucket.
-	resp3, err := http.Get(ts.URL + "/v1/query/paths/sample?n=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp3.Body)
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("sample under limit: status %d, want 429", resp3.StatusCode)
-	}
-
-	text := scrape(t, ts.URL)
-	for _, want := range []string{
-		`anykd_ratelimit_accepted_total{query="paths"} 1`,
-		`anykd_ratelimit_limited_total{query="paths"} 2`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
 	}
 }
 

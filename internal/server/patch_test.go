@@ -262,11 +262,6 @@ func TestErrorEnvelopeAcrossEndpoints(t *testing.T) {
 	if code := errCode(t, body); code != errInvalidArgument {
 		t.Fatalf("bad k code = %q", code)
 	}
-	resp, body = doJSON(t, "GET", ts.URL+"/v1/query/paths/sample?n=-1", nil)
-	mustStatus(t, resp, body, 400)
-	if code := errCode(t, body); code != errInvalidArgument {
-		t.Fatalf("bad n code = %q", code)
-	}
 	// r2 carries a zero weight, on which product is not monotone: the
 	// request is refused with the row named, not streamed in some order.
 	resp, body = doJSON(t, "GET", ts.URL+"/v1/query/paths/topk?agg=product", nil)

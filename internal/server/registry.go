@@ -32,11 +32,10 @@ import (
 //  3. Hit/miss accounting: of the callers wanting one ranking on one
 //     entry, the one that runs its warm-up is the miss; everyone who
 //     finds it built or joins it in flight is a hit. A new ranking on a
-//     resident handle is a miss that reuses the compile; /sample
-//     compiles but warms (and counts) nothing, so the first /topk after
-//     it is still a miss. Failed or canceled builds are never cached, a
-//     waiter whose own context ends abandons the wait, and builds run
-//     detached on the server context (Server.detached).
+//     resident handle is a miss that reuses the compile. Failed or
+//     canceled builds are never cached, a waiter whose own context ends
+//     abandons the wait, and builds run detached on the server context
+//     (Server.detached).
 //  4. A read never misses because a PATCH is in flight: writers patch
 //     the bound handles outside every server lock (a Prepared shows
 //     readers its old or its new epoch, atomically), then publish the

@@ -46,7 +46,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"regexp"
 	"sort"
 	"strconv"
@@ -81,10 +80,6 @@ type Config struct {
 	// shape over one set of dataset versions, whatever the number of
 	// rankings warmed on it). Default 128.
 	RegistryCapacity int
-	// RateLimit is the per-query-name token-bucket rate (requests per
-	// second, bursting to max(1, RateLimit)) applied to /topk and
-	// /sample. 0 disables rate limiting.
-	RateLimit float64
 	// TraceCapacity bounds the in-memory ring of recorded request
 	// traces served by GET /v1/traces/{id}. Default 64.
 	TraceCapacity int
@@ -168,18 +163,14 @@ type Server struct {
 	quoted [][]byte
 
 	// Observability: the metric surface (also backing /v1/stats), the
-	// request-trace ring served by /v1/traces/{id}, the structured
-	// loggers, and the per-query rate-limit buckets. now is the clock
-	// every duration observation reads — a test seam for the TTF/TT(k)
-	// histograms.
+	// request-trace ring served by /v1/traces/{id}, and the structured
+	// loggers. now is the clock every duration observation reads — a
+	// test seam for the TTF/TT(k) histograms.
 	met    *serverMetrics
 	traces *obs.TraceStore
 	access *slog.Logger
 	slow   *slog.Logger
 	now    func() time.Time
-
-	limitMu  sync.Mutex
-	limiters map[string]*tokenBucket
 }
 
 // dataset is an immutable registered relation instance. Re-registering
@@ -242,7 +233,6 @@ func New(cfg Config) *Server {
 		queries:    make(map[string]*queryDef),
 		dict:       relation.NewDictionary(),
 		now:        time.Now,
-		limiters:   make(map[string]*tokenBucket),
 	}
 	s.met = newServerMetrics(s)
 	s.traces = obs.NewTraceStore(cfg.TraceCapacity)
@@ -263,7 +253,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("PUT /v1/queries/{name}", s.wrap("query_put", false, s.handleQueryPut))
 	s.mux.HandleFunc("GET /v1/queries", s.wrap("query_list", false, s.handleQueryList))
 	s.mux.HandleFunc("GET /v1/query/{name}/topk", s.wrap("topk", true, s.handleTopK))
-	s.mux.HandleFunc("GET /v1/query/{name}/sample", s.wrap("sample", true, s.handleSample))
 	s.mux.HandleFunc("GET /v1/stats", s.wrap("stats", false, s.handleStats))
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -776,8 +765,8 @@ func dataKey(qd *queryDef, versions []int) string {
 	return qd.fingerprint + "|" + strings.Join(binds, ",") + "|" + strings.Join(qd.outAttrs, " ")
 }
 
-// queryStream is one admitted, prepared request as its row source sees
-// it.
+// queryStream is one admitted, prepared /topk request as streamTopK
+// sees it.
 type queryStream struct {
 	s     *Server
 	w     http.ResponseWriter
@@ -801,23 +790,13 @@ type queryStream struct {
 	werr      error
 }
 
-// serveQuery is the request path GET /v1/query/{name}/topk and
-// .../sample share: draining check, common parameters, query
-// resolution, rate limit, admission, stream accounting, the request
-// context, the timed prepare step and its error mapping. Each endpoint
-// feeds it limitParam, the name of the parameter bounding the rows
-// streamed ("k", "n": a positive integer, default 10, capped by
-// Config.MaxK); params, which parses the endpoint's own parameters (an
-// error is the message of a 400); prepare, which returns e's handle
-// ready for stream and whether this caller ran none of the preparation
-// itself (X-Plan-Cache: hit); and stream, which opens the row source on
-// p, calls q.begin once nothing can fail with an HTTP status any more,
-// then writes rows and trailer.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam string,
-	params func(qry url.Values) error,
-	prepare func(ctx context.Context, e *planEntry, agg int) (p *repro.Prepared, hit bool, err error),
-	stream func(q *queryStream, p *repro.Prepared),
-) {
+// handleTopK serves GET /v1/query/{name}/topk?k=&agg=&variant=&timeout=:
+// the k best answers under the ranking, enumerated by the chosen any-k
+// variant off a handle warmed for that ranking, one NDJSON line per
+// result. The first line is flushed as soon as it exists; later ones go
+// out in batches (ndjson.go), and the trailer ends every stream that
+// still has a client.
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
 	s.met.queryRequests.Inc()
 	if s.isDraining() {
@@ -828,16 +807,16 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam s
 	qry := r.URL.Query()
 
 	limit := 10
-	if v := qry.Get(limitParam); v != "" {
+	if v := qry.Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, errInvalidArgument, "bad %s %q", limitParam, v)
+			httpError(w, http.StatusBadRequest, errInvalidArgument, "bad k %q", v)
 			return
 		}
 		limit = n
 	}
 	if s.cfg.MaxK > 0 && limit > s.cfg.MaxK {
-		httpError(w, http.StatusBadRequest, errInvalidArgument, "%s %d exceeds maximum %d", limitParam, limit, s.cfg.MaxK)
+		httpError(w, http.StatusBadRequest, errInvalidArgument, "k %d exceeds maximum %d", limit, s.cfg.MaxK)
 		return
 	}
 	aggName := qry.Get("agg")
@@ -849,9 +828,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam s
 		httpError(w, http.StatusBadRequest, errInvalidArgument, "unknown agg %q (sum, sum-desc, max, min-desc, product)", aggName)
 		return
 	}
-	if err := params(qry); err != nil {
-		httpError(w, http.StatusBadRequest, errInvalidArgument, "%v", err)
-		return
+	variant := repro.Lazy
+	if v := qry.Get("variant"); v != "" {
+		if variant, ok = variantByName[strings.ToLower(v)]; !ok {
+			httpError(w, http.StatusBadRequest, errInvalidArgument, "unknown variant %q", v)
+			return
+		}
 	}
 	timeout := s.cfg.DefaultTimeout
 	if v := qry.Get("timeout"); v != "" {
@@ -871,17 +853,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam s
 		return
 	}
 
-	// Per-query rate limit, then global admission control: reject
-	// instead of queueing, so saturation is visible to clients (and
-	// load balancers) immediately. A rejection walk is cheaper than a
-	// ranked stream but not free, and one shared bound keeps saturation
-	// behaviour predictable.
-	if !s.allowQuery(name) {
-		s.met.rejected.Inc()
-		w.Header().Set("Retry-After", s.rateRetryAfter())
-		httpError(w, http.StatusTooManyRequests, errRateLimited, "query %s exceeds its rate limit (%g/s)", name, s.cfg.RateLimit)
-		return
-	}
+	// Admission control: reject instead of queueing, so saturation is
+	// visible to clients (and load balancers) immediately.
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -903,14 +876,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam s
 	defer s.met.inflight.Add(-1)
 
 	// Request context: client disconnect + per-request deadline + server
-	// shutdown all funnel into one cancellation the row source observes.
+	// shutdown all funnel into one cancellation the iterator observes.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel)
 	defer stop()
 
 	prepStart := s.now()
-	p, hit, err := prepare(ctx, e, agg)
+	p, hit, err := s.warmPlan(ctx, e, agg)
 	if hit {
 		s.met.prepareHit.Observe(s.now().Sub(prepStart).Seconds())
 	} else {
@@ -936,12 +909,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, limitParam s
 		rc: http.NewResponseController(w),
 	}
 	q.flusher, _ = w.(http.Flusher)
-	// Runs after the endpoint's stream returned — for /topk, after its
-	// deadline tightening was stopped or joined — so no write deadline
-	// leaks onto the next keep-alive request on this connection.
+	// Runs after streamTopK returned, its deadline tightening stopped or
+	// joined, so no write deadline leaks onto the next keep-alive request
+	// on this connection.
 	defer q.rc.SetWriteDeadline(time.Time{})
 	defer func() { s.met.rowsStreamed.Add(int64(q.count)) }()
-	stream(q, p)
+	s.streamTopK(q, p, variant)
 }
 
 // begin commits the response to a 200 NDJSON stream. It bounds stalled
@@ -1021,9 +994,9 @@ func (s *Server) detached(ctx context.Context) (context.Context, context.CancelF
 }
 
 // compilePlan returns e's handle, running the aggregate-independent
-// repro.Compile unless a caller already did: /sample's whole prepare
-// step (sampling must not trigger any enumeration or bag
-// materialisation) and the first half of /topk's.
+// repro.Compile unless a caller already did: the first half of
+// warmPlan, in its own flight so every ranking warmed on one handle
+// shares one compile.
 func (s *Server) compilePlan(ctx context.Context, e *planEntry) (*repro.Prepared, bool, error) {
 	ran, err := s.reg.run(ctx, &e.compile, func() error {
 		bctx, cancel := s.detached(ctx)
@@ -1095,25 +1068,7 @@ type topkLine struct {
 	Error  string   `json:"error,omitempty"`
 }
 
-// handleTopK serves GET /v1/query/{name}/topk?k=&agg=&variant=: the k
-// best answers under the ranking, enumerated by the chosen any-k
-// variant off a handle warmed for that ranking, one NDJSON line per
-// result. The first line is flushed as soon as it exists; later ones go
-// out in batches (ndjson.go), and the trailer ends every stream that
-// still has a client.
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	variant := repro.Lazy
-	s.serveQuery(w, r, "k", func(qry url.Values) error {
-		if v := qry.Get("variant"); v != "" {
-			var ok bool
-			if variant, ok = variantByName[strings.ToLower(v)]; !ok {
-				return fmt.Errorf("unknown variant %q", v)
-			}
-		}
-		return nil
-	}, s.warmPlan, func(q *queryStream, p *repro.Prepared) { s.streamTopK(q, p, variant) })
-}
-
+// streamTopK opens the iterator on p and writes its rows and trailer.
 func (s *Server) streamTopK(q *queryStream, p *repro.Prepared, variant repro.Variant) {
 	it, err := p.Run(
 		repro.WithRanking(rankings[q.agg]),
@@ -1178,92 +1133,6 @@ func (s *Server) streamTopK(q *queryStream, p *repro.Prepared, variant repro.Var
 		trailer.Error = err.Error()
 	} else {
 		trailer.Done = true
-	}
-	q.end(trailer)
-}
-
-// sampleLine is one streamed NDJSON line of /sample: an answer line,
-// then a trailer carrying the handle's cumulative unbiased cardinality
-// estimate (acceptance rate × AGM bound, across all sampling on this
-// plan).
-type sampleLine struct {
-	Tuple   []any    `json:"tuple,omitempty"`
-	Weight  *float64 `json:"weight,omitempty"`
-	Done    bool     `json:"done,omitempty"`
-	Count   *int     `json:"count,omitempty"`
-	AGM     float64  `json:"agm_bound,omitempty"`
-	EstCard float64  `json:"est_cardinality,omitempty"`
-	Trials  int64    `json:"trials,omitempty"`
-	Accepts int64    `json:"accepts,omitempty"`
-	// Exhausted marks a short read: the rejection walk spent its trial
-	// budget before drawing n answers (the join is empty or far smaller
-	// than its AGM bound). The lines streamed before the trailer are
-	// still uniform draws.
-	Exhausted bool   `json:"budget_exhausted,omitempty"`
-	Error     string `json:"error,omitempty"`
-}
-
-// handleSample serves GET /v1/query/{name}/sample?n=&seed=&agg=: up to
-// n uniform random answers of the query as NDJSON, drawn by the AGM
-// rejection walk over the compiled handle's tries — no enumeration, no
-// per-ranking preparation, no bag materialisation. Weights aggregate
-// one uniformly chosen witness row per atom under ?agg= (default sum);
-// equal ?seed= values reproduce equal draws.
-func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
-	var (
-		seed    uint64
-		seedSet bool
-	)
-	s.serveQuery(w, r, "n", func(qry url.Values) (err error) {
-		if v := qry.Get("seed"); v != "" {
-			if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-				return fmt.Errorf("bad seed %q", v)
-			}
-			seedSet = true
-		}
-		return nil
-	}, func(ctx context.Context, e *planEntry, _ int) (*repro.Prepared, bool, error) {
-		return s.compilePlan(ctx, e)
-	}, func(q *queryStream, p *repro.Prepared) { s.streamSample(q, p, seed, seedSet) })
-}
-
-func (s *Server) streamSample(q *queryStream, p *repro.Prepared, seed uint64, seedSet bool) {
-	opts := []repro.RunOption{repro.WithRanking(rankings[q.agg]), repro.WithContext(q.ctx)}
-	if seedSet {
-		opts = append(opts, repro.WithSeed(seed))
-	}
-	samples, serr := p.Sample(q.limit, opts...)
-	q.begin()
-	var err error
-	for i := range samples {
-		if err = q.row(samples[i].Tuple, samples[i].Weight); err != nil {
-			break
-		}
-	}
-	if q.werr != nil {
-		return
-	}
-	st := p.PlanStats()
-	trailer := sampleLine{
-		Count:   &q.count,
-		AGM:     st.AGMBound,
-		EstCard: st.EstCardinality,
-		Trials:  st.SampleTrials,
-		Accepts: st.SampleAccepts,
-	}
-	switch {
-	case err != nil:
-		trailer.Error = err.Error()
-	case serr == nil:
-		trailer.Done = true
-	case errors.Is(serr, repro.ErrTrialBudget):
-		// A legitimate completion: the join has fewer answers than asked
-		// for (relative to its bound). The estimate in the trailer says
-		// how small.
-		trailer.Done = true
-		trailer.Exhausted = true
-	default:
-		trailer.Error = serr.Error()
 	}
 	q.end(trailer)
 }

@@ -453,32 +453,25 @@ func TestReorderedAtomsStreamTheirOwnSchema(t *testing.T) {
 	}
 }
 
-// TestQueryParamErrors covers the addressable client mistakes on both
-// streaming endpoints: the parameters the shared request path parses,
-// once per endpoint, and each endpoint's own.
+// TestQueryParamErrors covers the addressable client mistakes /topk
+// answers before it admits a request, and pins that it is the only
+// query endpoint: a registered query's .../sample is not routed.
 func TestQueryParamErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxK: 100})
 	registerPath(t, ts.URL)
-	type tc struct {
+	for _, tc := range []struct {
 		url  string
 		code int
-	}
-	var cases []tc
-	for _, ep := range []struct{ path, limit string }{{"topk", "k"}, {"sample", "n"}} {
-		cases = append(cases,
-			tc{"/v1/query/nope/" + ep.path, 404},
-			tc{"/v1/query/paths/" + ep.path + "?" + ep.limit + "=0", 400},
-			tc{"/v1/query/paths/" + ep.path + "?" + ep.limit + "=banana", 400},
-			tc{"/v1/query/paths/" + ep.path + "?" + ep.limit + "=101", 400},
-			tc{"/v1/query/paths/" + ep.path + "?agg=median", 400},
-			tc{"/v1/query/paths/" + ep.path + "?timeout=fast", 400},
-		)
-	}
-	cases = append(cases,
-		tc{"/v1/query/paths/topk?variant=Bogus", 400},
-		tc{"/v1/query/paths/sample?seed=-1", 400},
-	)
-	for _, tc := range cases {
+	}{
+		{"/v1/query/nope/topk", 404},
+		{"/v1/query/paths/topk?k=0", 400},
+		{"/v1/query/paths/topk?k=banana", 400},
+		{"/v1/query/paths/topk?k=101", 400},
+		{"/v1/query/paths/topk?agg=median", 400},
+		{"/v1/query/paths/topk?timeout=fast", 400},
+		{"/v1/query/paths/topk?variant=Bogus", 400},
+		{"/v1/query/paths/sample?n=1", 404},
+	} {
 		resp, err := http.Get(ts.URL + tc.url)
 		if err != nil {
 			t.Fatal(err)
@@ -525,26 +518,20 @@ func TestAdmissionControl429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp2.Body)
+	var eb errorBody
+	derr := json.NewDecoder(resp2.Body).Decode(&eb)
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated server returned %d, want 429", resp2.StatusCode)
 	}
-	if resp2.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	if ra := resp2.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("429 with Retry-After %q, want 1", ra)
+	}
+	if derr != nil || eb.Error.Code != errRateLimited {
+		t.Fatalf("429 envelope = %+v (err %v), want code %q", eb, derr, errRateLimited)
 	}
 	if s.met.rejected.Value() != 1 {
 		t.Fatalf("rejected = %d, want 1", s.met.rejected.Value())
-	}
-	// /sample draws on the same admission slots.
-	resp2, err = http.Get(ts.URL + "/v1/query/big/sample?n=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusTooManyRequests || resp2.Header.Get("Retry-After") == "" {
-		t.Fatalf("saturated server answered /sample with %d (Retry-After %q), want 429", resp2.StatusCode, resp2.Header.Get("Retry-After"))
 	}
 
 	// Releasing the slot (client disconnect) re-admits requests.
@@ -654,17 +641,15 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("Shutdown took %v", d)
 	}
-	// New streams are refused, on either endpoint.
-	for _, path := range []string{"topk?k=1", "sample?n=1"} {
-		resp2, err := http.Get(ts.URL + "/v1/query/big/" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp2.Body)
-		resp2.Body.Close()
-		if resp2.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("post-shutdown %s status %d, want 503", path, resp2.StatusCode)
-		}
+	// New streams are refused.
+	resp2, err := http.Get(ts.URL + "/v1/query/big/topk?k=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp2.Body)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("post-shutdown topk status %d, want 503", resp2.StatusCode)
 	}
 }
 

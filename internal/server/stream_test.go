@@ -248,9 +248,9 @@ func TestRowPathAllocs(t *testing.T) {
 }
 
 // TestNonFiniteWeightEndsStream: a result whose sum overflows to +Inf
-// has no JSON form. /topk and /sample end their streams with an error
-// trailer that names it, after the rows before it, rather than cutting
-// the stream; under max the same row stays finite and streams.
+// has no JSON form. /topk ends its stream with an error trailer that
+// names it, after the rows before it, rather than cutting the stream;
+// under max the same row stays finite and streams.
 func TestNonFiniteWeightEndsStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, tuples := range map[string][]any{
@@ -280,17 +280,6 @@ func TestNonFiniteWeightEndsStream(t *testing.T) {
 	_, lines = streamTopK(t, ts.URL+"/v1/query/over/topk?k=10&agg=max")
 	if len(lines) != 3 || *lines[0].Weight != 1 || *lines[1].Weight != 1e308 || !lines[2].Done || *lines[2].Count != 2 {
 		t.Fatalf("max: %+v, want both rows and a done trailer", lines)
-	}
-
-	_, slines := streamSample(t, ts.URL+"/v1/query/over/sample?n=50&seed=1")
-	rows, tr := slines[:len(slines)-1], slines[len(slines)-1]
-	for _, l := range rows {
-		if l.Weight == nil || *l.Weight != 2 {
-			t.Fatalf("sample row %+v, want the finite answer", l)
-		}
-	}
-	if want := fmt.Sprintf("result %d: weight +Inf has no JSON encoding", len(rows)+1); tr.Done || tr.Count == nil || *tr.Count != len(rows) || tr.Error != want {
-		t.Fatalf("sample trailer %+v after %d rows, want error %q", tr, len(rows), want)
 	}
 }
 
