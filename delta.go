@@ -37,9 +37,9 @@ type Delta struct {
 // decomp.Shape's policy: an acyclic query's atom tree re-runs
 // semi-joins, regrouping, and π recomputation only along the paths the
 // delta actually reached (clean subtrees alias the old epoch's reduced
-// relations outright), searched GHD plans re-materialise only the bags
-// with a changed input (a one-bag GHD: its one bag), and the canonical
-// triangle / 4-cycle / fan shapes keep no memo and rebuild every bag.
+// relations outright), and every tree of materialised bags — the
+// canonical triangle / 4-cycle / fan shapes and searched GHDs alike —
+// is rebuilt whole.
 // Every ranking function that was already built stays built — its
 // patched plan is seeded into the new epoch — so warm callers never see
 // a cold prepare after a delta. Results after ApplyDelta are
@@ -121,7 +121,6 @@ func (p *Prepared) ApplyDelta(deltas []Delta, opts ...RunOption) error {
 		deltaSpan.SetAttr("epoch", strconv.FormatInt(st.epoch, 10))
 		deltaSpan.SetAttr("appended", strconv.FormatInt(appended, 10))
 		deltaSpan.SetAttr("deleted", strconv.FormatInt(deleted, 10))
-		deltaSpan.SetAttr("bags_reused", strconv.FormatInt(n.bagsReused, 10))
 		deltaSpan.SetAttr("bags_rebuilt", strconv.FormatInt(n.bagsRebuilt, 10))
 		deltaSpan.SetAttr("nodes_reused", strconv.FormatInt(n.nodesReused, 10))
 		deltaSpan.SetAttr("nodes_recomputed", strconv.FormatInt(n.nodesRecomputed, 10))
@@ -130,7 +129,6 @@ func (p *Prepared) ApplyDelta(deltas []Delta, opts ...RunOption) error {
 	p.deltasApplied.Add(1)
 	p.deltaAppendedRows.Add(appended)
 	p.deltaDeletedRows.Add(deleted)
-	p.deltaBagsReused.Add(n.bagsReused)
 	p.deltaBagsRebuilt.Add(n.bagsRebuilt)
 	p.deltaNodesReused.Add(n.nodesReused)
 	p.deltaNodesRecomputed.Add(n.nodesRecomputed)

@@ -141,7 +141,7 @@ func TestDeltaRejectsNaNWeight(t *testing.T) {
 // positive weights only, so a zero or negative weight under ProductCost
 // fails the Run — naming relation and row — instead of enumerating in an
 // order that depends on the variant. Checked on a join tree, a canonical
-// cycle and a memoised GHD (the three build sites), cold and after a
+// cycle and a searched GHD (the three build sites), cold and after a
 // delta that introduces the bad row: with ProductCost warm the delta is
 // refused and the handle keeps its epoch; with it cold the delta lands
 // and only ProductCost fails. The other rankings take the same data.

@@ -172,6 +172,5 @@ func prepareCycle(build func([]hypergraph.Edge, []int, []string) (*Shape, error)
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := s.Prepare(rels, agg, nil, nil, opts...)
-	return p, err
+	return s.Prepare(rels, agg, opts...)
 }

@@ -6,14 +6,14 @@
 // reads. An acyclic query is the degenerate case: one tree whose bags
 // are its atoms, so nothing is materialised.
 //
-//	shape (Kind)   trees  decomposition of each tree         input selection                memo
-//	acyclic        1      the atoms (GYO join tree)          whole relations                —
-//	triangle       1      {A,B,C}                            whole relations                no
-//	four-cycle     3      {A,B,C} {A,C,D}                    R1, R2ˡ, R3, R4ˡ               no
+//	shape (Kind)   trees  decomposition of each tree         input selection
+//	acyclic        1      the atoms (GYO join tree)          whole relations
+//	triangle       1      {A,B,C}                            whole relations
+//	four-cycle     3      {A,B,C} {A,C,D}                    R1, R2ˡ, R3, R4ˡ
 //	                      {B,C,D} {A,B,D}                    R1ʰ, R2ʰ, R3, R4
 //	                      {A,B,D} {B,C,D}                    R1ˡ, R2ˡ, R3ʰ, R4ʰ
-//	cycle (fan)    1      {A0,A_i,A_{i+1}}, i = 1..ℓ−2       whole relations                no
-//	ghd            1      searched (hypergraph.Decompose)    whole relations                yes
+//	cycle (fan)    1      {A0,A_i,A_{i+1}}, i = 1..ℓ−2       whole relations
+//	ghd            1      searched (hypergraph.Decompose)    whole relations
 //
 // ˡ/ʰ keep the rows whose B value (R1, R2) or D value (R3, R4) is
 // light/heavy; the three cases partition the output and every bag is
@@ -32,9 +32,9 @@
 // under the ranking) and the only caller of prepareTree, the one place a
 // bag tree is compiled into a T-DP. A tree of a single materialised bag
 // needs no T-DP: it is enumerated in sorted order straight off the bag.
-// "memo" is whether a plan retains its bags as materialised, so that a
-// later prepare re-materialises only the bags a data delta reached (see
-// Shape).
+// A data delta patches an atom tree where it reached (dp.NewPlanDelta,
+// dp.Plan.InstantiateDelta) and rebuilds every tree of materialised
+// bags; a plan keeps of such a tree only what Run enumerates.
 //
 // Every prepare accepts PrepareOptions — WithWorkers(n) for a bounded
 // worker pool, WithContext(ctx) to cancel it — and a parallel prepare is
@@ -168,13 +168,7 @@ type Plan struct {
 	Stats *Stats
 
 	agg   ranking.Aggregate
-	shape *Shape
-	epoch *Epoch
 	trees []*treePlan
-	// ghd memoises what prepareGHD built so the next prepare can rebuild
-	// only the bags whose input relations changed; nil for shapes that
-	// keep no memo.
-	ghd *ghdMemo
 }
 
 // Run starts one ranked enumeration over the compiled plan. The context
@@ -281,70 +275,47 @@ func (s *sortedIter) Next() (core.Result, bool) {
 }
 
 // treePlan is one compiled tree of a plan. An atom tree, or a tree of
-// two or more bags, holds its T-DP, which emits in the plan's schema, and
-// the aggregate-independent plan it was instantiated from (kept so a
-// later prepare can patch instead of rebuild); a tree of one
-// materialised bag holds just the bag, which Run enumerates in sorted
-// order, and perm, which maps the bag's schema onto the plan's (nil when
-// they agree).
+// two or more bags, holds its T-DP, which emits in the plan's schema; a
+// tree of one materialised bag holds just the bag, which Run enumerates
+// in sorted order, and perm, which maps the bag's schema onto the plan's
+// (nil when they agree).
 type treePlan struct {
 	bag  *relation.Relation
 	t    *dp.TDP
-	plan *dp.Plan
 	perm []int
 }
 
 // prepareTree compiles one tree of materialised bags — the one place a
 // bag tree is built. Two or more bags become the acyclic query over them
-// (GYO finds the join tree) and its T-DP. old is the predecessor tree
-// over the same bag layout (nil: none) and changed flags the bags
-// re-materialised since; dp patches from it what the delta did not
-// reach and reports the reuse in the Tree* fields of the returned
-// DeltaStats. Reduction, grouping and the π pass all run under the
-// prepare's context. They run sequentially: the level-parallel sweeps
-// buy nothing on a bag tree of a handful of nodes, so the prepare's
-// workers are spent on the bags alone. A single bag is already the
-// query's full output and needs no reduction, no grouping and no π pass;
-// it is reported as a tree of one node, redone iff the bag was. A tree
-// of a shape without memo is never patched (Instantiate hands it no
-// predecessor), so its dp.Plan is sealed: it keeps the fully reduced
-// bags it enumerates and not the reducer's intermediates, which would
-// pin every leaf's whole bag and every dangling bottom-up row.
-func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, canonAttrs []string, old *treePlan, changed []bool, memo bool) (*treePlan, DeltaStats, error) {
-	var ds DeltaStats
+// (GYO finds the join tree) and its T-DP; the dp.Plan it is instantiated
+// from is dropped, so the reducer's intermediates (a leaf's whole bag,
+// every dangling bottom-up row) do not stay resident. Reduction,
+// grouping and the π pass all run under the prepare's context. They run
+// sequentially: the level-parallel sweeps buy nothing on a bag tree of a
+// handful of nodes, so the prepare's workers are spent on the bags
+// alone. A single bag is already the query's full output and needs no
+// reduction, no grouping and no π pass.
+func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, canonAttrs []string) (*treePlan, error) {
 	if len(bags) == 1 {
-		ds.TreeNodes = 1
-		if old == nil || changed[0] {
-			ds.TreeRegrouped, ds.TreeRecomputed = 1, 1
-		}
 		perm, err := canonPerm(bags[0].Attrs, canonAttrs)
-		return &treePlan{bag: bags[0], perm: perm}, ds, err
+		return &treePlan{bag: bags[0], perm: perm}, err
 	}
 	q, err := bagQuery(bags)
 	if err != nil {
-		return nil, ds, err
+		return nil, err
 	}
-	var oldPlan *dp.Plan
-	var oldT *dp.TDP
-	if old != nil {
-		oldPlan, oldT = old.plan, old.t
-	}
-	p, dst, err := dp.NewPlanDelta(q, oldPlan, changed, dp.WithContext(cfg.ctx))
+	p, err := dp.NewPlan(q, dp.WithContext(cfg.ctx))
 	if err != nil {
-		return nil, ds, err
+		return nil, err
 	}
-	t, recomputed, err := p.InstantiateDelta(agg, oldT, dst.Changed, dp.WithContext(cfg.ctx))
+	t, err := p.Instantiate(agg, dp.WithContext(cfg.ctx))
 	if err != nil {
-		return nil, ds, err
+		return nil, err
 	}
 	if err := t.Reorder(canonAttrs); err != nil {
-		return nil, ds, err
+		return nil, err
 	}
-	if !memo {
-		p.Seal()
-	}
-	ds = DeltaStats{TreeNodes: dst.Nodes, TreeRegrouped: dst.Regrouped, TreeRecomputed: recomputed}
-	return &treePlan{t: t, plan: p}, ds, nil
+	return &treePlan{t: t}, nil
 }
 
 // bagQuery builds the acyclic query over materialised bags.

@@ -26,21 +26,9 @@ func GHDAttrs(edges []hypergraph.Edge) []string {
 // query decomposes into and which (filtered) inputs each tree reads —
 // see the package comment for the table of shapes. A Shape is immutable.
 //
-// Two policies ride on the shape. memo: a searched GHD's plan retains
-// its bags as materialised and its bag tree with the reducer's
-// intermediates, so the next Instantiate patches only what a delta
-// reached. The canonical cycle shapes retain nothing and rebuild every
-// bag: their bag tree's plan is sealed (dp.Plan.Seal), and a semi-join
-// that keeps fewer than half a bag's rows copies them out
-// (relation.Relation.Select), so nothing keeps a bag as materialised
-// alive: a node keeps its fully reduced rows, and of the bag's storage
-// only what a semi-join that kept most rows still shares. Retaining the
-// bags would cost about 2.4·10⁶ tuples (~150 MB) on the 5- and 6-cycle
-// fans the cold_prepare benchmark keeps resident — to speed up a delta
-// no serving workload sends to a cycle. chooser: only searched bags
-// consult WithOrderChooser; the canonical shapes keep their structural
-// (triangle: pinned) Generic-Join orders, the ones the benchmark's layer
-// replay runs.
+// Only searched bags consult WithOrderChooser (chooser); the canonical
+// shapes keep their structural (triangle: pinned) Generic-Join orders,
+// the ones the benchmark's layer replay runs.
 type Shape struct {
 	// Kind names the shape on the wire (PlanStats.Kind): "acyclic",
 	// "triangle", "four-cycle", "cycle" or "ghd".
@@ -59,7 +47,6 @@ type Shape struct {
 
 	trees   []shapeTree
 	splits  []split // heavy/light partitions the trees' selections refer to
-	memo    bool
 	chooser bool
 }
 
@@ -97,12 +84,12 @@ func AcyclicShape(edges []hypergraph.Edge) (s *Shape, ok bool) {
 // GHDShape is the shape of an arbitrary full conjunctive query over an
 // already-computed generalized hypertree decomposition (so a
 // prepare-once facade runs the structural search, hypergraph.Decompose,
-// a single time): one tree, whole inputs, memo kept, output schema
+// a single time): one tree, whole inputs, output schema
 // GHDAttrs(edges). It accepts every query shape; hand-built
 // decompositions must be connected (see prepareGHD).
 func GHDShape(d *hypergraph.Decomposition, edges []hypergraph.Edge) *Shape {
 	return &Shape{Kind: "ghd", Edges: edges, Attrs: GHDAttrs(edges), Decomposition: d.String(), EstBagSizes: d.EstBagSizes,
-		trees: []shapeTree{{dec: d}}, memo: true, chooser: true}
+		trees: []shapeTree{{dec: d}}, chooser: true}
 }
 
 // OneBag reports whether the whole shape is a single materialised bag —
@@ -115,12 +102,12 @@ func (s *Shape) OneBag() bool {
 // ranking (Shape.Build). It is immutable; Instantiate may run
 // concurrently.
 type Epoch struct {
-	shape   *Shape
-	rels    []*relation.Relation // renamed to their query variables
-	heavy   []map[relation.Value]bool
-	changed []bool      // per edge, against the predecessor; nil: none
-	atoms   []*atomTree // per tree; nil for a tree that materialises bags
-	tuples  int
+	shape  *Shape
+	rels   []*relation.Relation // renamed to their query variables
+	heavy  []map[relation.Value]bool
+	delta  bool        // built from a predecessor, so its atom trees may patch
+	atoms  []*atomTree // per tree; nil for a tree that materialises bags
+	tuples int
 }
 
 // atomTree is an atom tree's plan and its InstantiateDelta seeds.
@@ -144,10 +131,7 @@ func (s *Shape) Build(rels []*relation.Relation, old *Epoch, changed []bool, opt
 	if old != nil && len(changed) != len(s.Edges) {
 		return nil, ds, fmt.Errorf("decomp: %d changed flags for %d hyperedges", len(changed), len(s.Edges))
 	}
-	e := &Epoch{shape: s, rels: make([]*relation.Relation, len(rels)), atoms: make([]*atomTree, len(s.trees))}
-	if old != nil {
-		e.changed = changed
-	}
+	e := &Epoch{shape: s, rels: make([]*relation.Relation, len(rels)), delta: old != nil, atoms: make([]*atomTree, len(s.trees))}
 	for i, edge := range s.Edges {
 		if len(edge.Vars) != rels[i].Arity() {
 			return nil, ds, fmt.Errorf("decomp: edge %s has %d vars but relation %s arity %d",
@@ -203,7 +187,7 @@ func (e *Epoch) NumSolutions(p *Plan) int {
 		case p.trees[ti].bag != nil:
 			n += p.trees[ti].bag.Len()
 		default:
-			n += p.trees[ti].plan.NumSolutions()
+			n += p.trees[ti].t.NumSolutions()
 		}
 	}
 	return n
@@ -214,9 +198,9 @@ func (e *Epoch) NumSolutions(p *Plan) int {
 // (dp.Plan.InstantiateDelta), every other tree's bags materialised and
 // compiled into a T-DP (prepareGHD). old is the plan the predecessor
 // epoch held for agg (nil: none): atom trees patch π where the delta
-// reached, a shape with a memo re-materialises only the bags it
-// reached, and the rest is rebuilt — bit-identically either way. The
-// DeltaStats sum the trees'.
+// reached, and every tree that materialises bags is rebuilt whole —
+// bit-identically either way. The DeltaStats sum the trees'; a rebuilt
+// tree reports each of its bags rebuilt and each node redone.
 func (e *Epoch) Instantiate(agg ranking.Aggregate, old *Plan, opts ...PrepareOption) (*Plan, DeltaStats, error) {
 	var ds DeltaStats
 	s := e.shape
@@ -224,10 +208,10 @@ func (e *Epoch) Instantiate(agg ranking.Aggregate, old *Plan, opts ...PrepareOpt
 	if !s.chooser {
 		cfg.order = nil
 	}
-	if e.changed == nil {
+	if !e.delta {
 		old = nil // no predecessor to patch from
 	}
-	p := &Plan{Stats: &Stats{}, agg: agg, shape: s, epoch: e}
+	p := &Plan{Stats: &Stats{}, agg: agg}
 	if len(e.heavy) == 2 {
 		p.Stats.HeavyB, p.Stats.HeavyD = len(e.heavy[0]), len(e.heavy[1])
 	}
@@ -241,62 +225,47 @@ func (e *Epoch) Instantiate(agg ranking.Aggregate, old *Plan, opts ...PrepareOpt
 			if err != nil {
 				return nil, ds, err
 			}
-			p.trees = append(p.trees, &treePlan{t: t, plan: at.plan})
+			p.trees = append(p.trees, &treePlan{t: t})
 			ds.TreeNodes += len(t.Nodes)
 			ds.TreeRecomputed += rec
 			continue
 		}
-		memoOld := old
-		if !s.memo {
-			memoOld = nil
-		}
-		tp, memo, tds, err := s.prepareGHD(cfg, ti, ds.Bags, s.inputs(tr, e.rels, e.heavy), agg, memoOld, e.changed)
+		// The bags of the trees before this one number this tree's, so
+		// bag names are unique plan-wide.
+		tp, bags, err := s.prepareGHD(cfg, ti, ds.BagsRebuilt, s.inputs(tr, e.rels, e.heavy), agg)
 		if err != nil {
 			return nil, ds, err
 		}
 		p.trees = append(p.trees, tp)
-		if s.memo {
-			p.ghd = memo
-		}
-		sizes := make([]int, len(memo.bags))
-		for i, b := range memo.bags {
+		sizes := make([]int, len(bags))
+		for i, b := range bags {
 			sizes[i] = b.Len()
 			p.Stats.TotalMaterialized += b.Len()
 		}
 		p.Stats.BagSizes = append(p.Stats.BagSizes, sizes)
-		ds.Bags += tds.Bags
-		ds.BagsRebuilt += tds.BagsRebuilt
-		ds.TreeNodes += tds.TreeNodes
-		ds.TreeRegrouped += tds.TreeRegrouped
-		ds.TreeRecomputed += tds.TreeRecomputed
+		ds.BagsRebuilt += len(bags)
+		ds.TreeNodes += len(bags)
+		ds.TreeRecomputed += len(bags)
 	}
 	return p, ds, nil
 }
 
-// Prepare is Build then Instantiate. old is a plan a previous Prepare
-// returned for the same aggregate (nil: none) and changed flags, per
-// edge, the relations that differ since.
-func (s *Shape) Prepare(rels []*relation.Relation, agg ranking.Aggregate, old *Plan, changed []bool, opts ...PrepareOption) (*Plan, DeltaStats, error) {
-	var oldEpoch *Epoch
-	if old != nil {
-		oldEpoch = old.epoch
-	}
-	e, bds, err := s.Build(rels, oldEpoch, changed, opts...)
+// Prepare is Build then Instantiate, from nothing.
+func (s *Shape) Prepare(rels []*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (*Plan, error) {
+	e, _, err := s.Build(rels, nil, nil, opts...)
 	if err != nil {
-		return nil, bds, err
+		return nil, err
 	}
-	p, ds, err := e.Instantiate(agg, old, opts...)
-	ds.TreeRegrouped += bds.TreeRegrouped
-	return p, ds, err
+	p, _, err := e.Instantiate(agg, nil, opts...)
+	return p, err
 }
 
-// PrepareGHDWith is GHDShape(d, edges).Prepare with no predecessor: every
-// bag is materialised with Generic-Join and the acyclic bag tree is
-// handed to the any-k T-DP machinery. Output tuples use the canonical
-// schema GHDAttrs(edges): all query variables in sorted order.
+// PrepareGHDWith is GHDShape(d, edges).Prepare: every bag is
+// materialised with Generic-Join and the acyclic bag tree is handed to
+// the any-k T-DP machinery. Output tuples use the canonical schema
+// GHDAttrs(edges): all query variables in sorted order.
 func PrepareGHDWith(d *hypergraph.Decomposition, edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (*Plan, error) {
-	p, _, err := GHDShape(d, edges).Prepare(rels, agg, nil, nil, opts...)
-	return p, err
+	return GHDShape(d, edges).Prepare(rels, agg, opts...)
 }
 
 // prepareGHD prepares tree ti of the shape — the only code that
@@ -326,46 +295,24 @@ func PrepareGHDWith(d *hypergraph.Decomposition, edges []hypergraph.Edge, rels [
 // final result, so the ranked enumeration over the bag tree is exact.
 //
 // Bags are mutually independent, so WithWorkers(n) materialises them in
-// parallel: the worker budget fans out over the bags on the work list
-// first and any remainder is spent inside each bag by partitioning the
-// first variable of its Generic-Join order.
+// parallel: the worker budget fans out over the bags first and any
+// remainder is spent inside each bag by partitioning the first variable
+// of its Generic-Join order.
 //
-// old is the predecessor (nil: none), a plan of the same shape whose
-// memo records each bag and the edges its materialisation read; changed
-// flags the edges whose relation differs since. A bag then stays off the
-// work list — and shares the old epoch's relation — iff the edges
-// feeding it (charged, filter, projection source) are the same as before
-// and none of them changed; the dependency set is recomputed under the
-// new sizes because a delta to one relation can steal another bag's
-// projection-source pick. The bag tree is patched the same way
-// (prepareTree).
-//
-// What holds for both inputs:
-//  1. Without a predecessor no comparison work is done: every bag goes
-//     on the work list behind a nil check, and that list is the only
-//     extra allocation.
-//  2. The tree is bit-identical on both inputs, and for any worker
-//     count — bag contents and order, join tree, T-DP: each bag lands in
-//     its decomposition-order slot. Without a predecessor the DeltaStats
-//     report every bag rebuilt and every tree node redone.
-//  3. With a predecessor the prepare runs under a "ghd-delta" span
-//     (attributes bags_rebuilt, bags_reused); without one its spans
-//     hang off the caller's. Either way each bag on the work list gets
-//     a "materialize" span (bag, rows) › "join-order".
-//  4. Bag tasks, bag-tree reduction and grouping, and the π pass all
+// What holds:
+//  1. The tree is bit-identical for any worker count — bag contents and
+//     order, join tree, T-DP: each bag lands in its decomposition-order
+//     slot.
+//  2. Each bag gets a "materialize" span (bag, rows) › "join-order",
+//     under the caller's span.
+//  3. Bag tasks, bag-tree reduction and grouping, and the π pass all
 //     run under the prepare's context; cancellation is checked between
 //     bag tasks, intra-bag partitions and tree-node tasks, and inside a
 //     bag's Generic-Join wherever its output Builder opens a chunk.
-func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, agg ranking.Aggregate, old *Plan, changed []bool) (*treePlan, *ghdMemo, DeltaStats, error) {
-	var ds DeltaStats
+//
+// It returns the compiled tree and its bags in decomposition order.
+func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, agg ranking.Aggregate) (*treePlan, []*relation.Relation, error) {
 	d, pin, edges := s.trees[ti].dec, s.trees[ti].pin, s.Edges
-	var sp *obs.Span
-	var oldTree *treePlan
-	if old != nil {
-		cfg.ctx, sp = obs.StartSpan(cfg.ctx, "ghd-delta")
-		defer sp.End()
-		oldTree = old.trees[ti]
-	}
 
 	// Charge each edge to the first bag that contains it.
 	charged := make([]int, len(edges))
@@ -381,52 +328,28 @@ func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, 
 	}
 	for ei, bi := range charged {
 		if bi < 0 {
-			return nil, nil, ds, fmt.Errorf("decomp: edge %s not contained in any bag of %s", edges[ei].Name, d)
+			return nil, nil, fmt.Errorf("decomp: edge %s not contained in any bag of %s", edges[ei].Name, d)
 		}
 	}
 
-	// Each bag's dependency set, and from it the work list.
-	deps := make([][]int, len(d.Bags))
+	// Fan the worker budget over the bags first; leftover parallelism
+	// splits the first variable inside each bag, with the division
+	// remainder handed to the first tasks so no requested worker is
+	// dropped (4 workers over 3 bags: intra budgets 2,1,1). Each task
+	// writes only its own slot, and sizes are read after the barrier.
 	bags := make([]*relation.Relation, len(d.Bags))
-	rebuilt := make([]bool, len(d.Bags))
-	rebuild := make([]int, 0, len(d.Bags))
-	for bi, bagVars := range d.Bags {
-		srcs, err := projectionSources(d, bi, bagVars, edges, ins)
-		if err != nil {
-			return nil, nil, ds, err
-		}
-		deps[bi] = append(append([]int(nil), d.Contains[bi]...), srcs...)
-		if old != nil && bagClean(deps[bi], old.ghd.deps[bi], changed) {
-			bags[bi] = old.ghd.bags[bi]
-			continue
-		}
-		rebuilt[bi] = true
-		rebuild = append(rebuild, bi)
-	}
-
-	// Fan the worker budget over the bags on the work list first;
-	// leftover parallelism splits the first variable inside each bag,
-	// with the division remainder handed to the first tasks so no
-	// requested worker is dropped (4 workers over 3 bags: intra budgets
-	// 2,1,1). Each task writes only its own slot, and sizes are read
-	// after the barrier.
-	bagWorkers := cfg.workers
-	if bagWorkers > len(rebuild) {
-		bagWorkers = len(rebuild)
-	}
+	bagWorkers := min(cfg.workers, len(bags))
 	intraBase, intraRem := 1, 0
 	if bagWorkers > 0 {
-		intraBase = cfg.workers / bagWorkers
-		intraRem = cfg.workers % bagWorkers
+		intraBase, intraRem = cfg.workers/bagWorkers, cfg.workers%bagWorkers
 	}
-	err := parallel.ForEach(cfg.ctx, bagWorkers, len(rebuild), func(i int) error {
-		bi := rebuild[i]
+	err := parallel.ForEach(cfg.ctx, bagWorkers, len(bags), func(bi int) error {
 		name := "G" + strconv.Itoa(base+bi)
 		bctx, bsp := obs.StartSpan(cfg.ctx, "materialize")
 		bsp.SetAttr("bag", name)
 		defer bsp.End()
 		bagVars := d.Bags[bi]
-		atoms, err := bagAtoms(d, bi, bagVars, edges, ins, charged, deps[bi][len(d.Contains[bi]):], agg)
+		atoms, err := bagAtoms(d, bi, bagVars, edges, ins, charged, agg)
 		if err != nil {
 			return err
 		}
@@ -440,7 +363,7 @@ func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, 
 			return fmt.Errorf("decomp: bag %v atoms cover %d of %d variables", bagVars, len(order), len(bagVars))
 		}
 		intra := intraBase
-		if i < intraRem {
+		if bi < intraRem {
 			intra++
 		}
 		bag, _, err := wcoj.MaterializeParallelHinted(bctx, atoms, order, agg, intra, cfg.hints)
@@ -453,70 +376,37 @@ func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, 
 		return nil
 	})
 	if err != nil {
-		return nil, nil, ds, err
+		return nil, nil, err
 	}
 
 	// GYO arranges the bags into a join tree. The bag set must be
 	// connected (the T-DP layer rejects cartesian tree edges);
 	// hypergraph.Decompose guarantees this by merging one bag per
 	// component of a disconnected query, so hand-built decompositions
-	// passed here must be connected too. A bag is "changed" iff it was
-	// re-materialised; the reducer still proves content-identical
-	// rebuilds clean.
-	tp, ds, err := prepareTree(cfg, bags, agg, s.Attrs, oldTree, rebuilt, s.memo)
+	// passed here must be connected too.
+	tp, err := prepareTree(cfg, bags, agg, s.Attrs)
 	if err != nil {
-		return nil, nil, ds, err
+		return nil, nil, err
 	}
-	ds.Bags, ds.BagsRebuilt = len(bags), len(rebuild)
-	if old != nil {
-		sp.SetAttr("bags_rebuilt", strconv.Itoa(ds.BagsRebuilt))
-		sp.SetAttr("bags_reused", strconv.Itoa(ds.Bags-ds.BagsRebuilt))
-	}
-	return tp, &ghdMemo{deps: deps, bags: bags}, ds, nil
+	return tp, bags, nil
 }
 
-// ghdMemo records what prepareGHD built for one tree: each bag's
-// relation and the edge indices each bag's materialisation read
-// (charged relations, filters, and projection sources) — what the next
-// prepare compares against to decide which bags to re-materialise.
-type ghdMemo struct {
-	deps [][]int
-	bags []*relation.Relation
-}
-
-// DeltaStats reports the reuse a prepare with a predecessor achieved,
-// summed over the plan's trees. A one-bag tree reports one bag and one
-// tree node, both redone iff an input relation changed.
+// DeltaStats reports what a Build or Instantiate with a predecessor
+// redid, summed over the trees it built: Build's atom trees, or every
+// tree of an Instantiate. A tree that materialises bags is always
+// rebuilt whole, every bag and every node of it.
 type DeltaStats struct {
-	// Bags is the decomposition size; BagsRebuilt counts the bags
-	// re-materialised because an input relation changed (or the
-	// size-dependent projection-source choice shifted).
-	Bags, BagsRebuilt int
-	// TreeNodes is the bag-tree size; TreeRegrouped / TreeRecomputed
-	// count the nodes whose candidate grouping / π pass had to rerun.
+	// BagsRebuilt counts the bags materialised (Instantiate).
+	BagsRebuilt int
+	// TreeNodes is the trees' size; TreeRegrouped (Build) and
+	// TreeRecomputed (Instantiate) count the nodes whose candidate
+	// grouping and π pass had to rerun.
 	TreeNodes, TreeRegrouped, TreeRecomputed int
-}
-
-// bagClean reports whether a bag's materialisation would read exactly
-// what the old epoch's did: the same dependency edges, none of them
-// changed.
-func bagClean(deps, oldDeps []int, changed []bool) bool {
-	if len(deps) != len(oldDeps) {
-		return false
-	}
-	for i, ei := range deps {
-		if ei != oldDeps[i] || changed[ei] {
-			return false
-		}
-	}
-	return true
 }
 
 // projectionSources picks, for every bag variable not covered by a
 // contained relation, the smallest relation holding it (ties broken by
-// edge index). The choice depends only on the post-rename relation
-// sizes, so the delta path can recompute it cheaply and compare against
-// the recorded dependency set.
+// edge index).
 func projectionSources(d *hypergraph.Decomposition, bi int, bagVars []string, edges []hypergraph.Edge, qrels []*relation.Relation) ([]int, error) {
 	covered := make(map[string]bool, len(bagVars))
 	for _, ei := range d.Contains[bi] {
@@ -554,10 +444,14 @@ func projectionSources(d *hypergraph.Decomposition, bi int, bagVars []string, ed
 }
 
 // bagAtoms assembles the Generic-Join atoms for one bag: charged
-// relations, contained filters, and — for the precomputed projection
-// sources (projectionSources, in order) — deduplicated identity-weight
+// relations, contained filters, and — for the projection sources
+// (projectionSources, in order) — deduplicated identity-weight
 // projections covering the otherwise-uncovered bag variables.
-func bagAtoms(d *hypergraph.Decomposition, bi int, bagVars []string, edges []hypergraph.Edge, qrels []*relation.Relation, charged []int, srcs []int, agg ranking.Aggregate) ([]wcoj.Atom, error) {
+func bagAtoms(d *hypergraph.Decomposition, bi int, bagVars []string, edges []hypergraph.Edge, qrels []*relation.Relation, charged []int, agg ranking.Aggregate) ([]wcoj.Atom, error) {
+	srcs, err := projectionSources(d, bi, bagVars, edges, qrels)
+	if err != nil {
+		return nil, err
+	}
 	var atoms []wcoj.Atom
 	for _, ei := range d.Contains[bi] {
 		if charged[ei] == bi {

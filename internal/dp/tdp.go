@@ -61,22 +61,9 @@ type Plan struct {
 	levels [][]int
 	// red keeps the reducer's bottom-up intermediates (aligned with
 	// tree node ids, not preorder positions) so NewPlanDelta can re-run
-	// semi-joins only along the paths a delta reached; nil once Seal
-	// dropped them.
+	// semi-joins only along the paths a delta reached.
 	red *yannakakis.Reduction
 }
-
-// Seal drops what only NewPlanDelta reads, the reducer's intermediates,
-// from a plan no later epoch will patch: a leaf's whole input and every
-// row the bottom-up sweep kept but the top-down one removed then stop
-// being resident, and the plan keeps just what Instantiate and counting
-// read, its nodes. NewPlanDelta treats a sealed predecessor as none.
-// Call it before the plan is shared.
-func (p *Plan) Seal() { p.red = nil }
-
-// Patchable reports whether NewPlanDelta can patch from p, which it can
-// unless p is sealed.
-func (p *Plan) Patchable() bool { return p.red != nil }
 
 // config collects the per-call options of NewPlan and Instantiate.
 type config struct {
@@ -214,9 +201,8 @@ func NewPlan(q *yannakakis.Query, opts ...Option) (*Plan, error) {
 // nodes whose reduced content changed, or whose parent's did (the
 // parent-row → child-group map hangs off both endpoints); every other
 // node shares the old plan's relation, grouping and child map. A nil
-// old — or a sealed one, or one whose tree no longer matches q's, which
-// a pure data delta cannot cause — means no predecessor: changedBase is
-// ignored.
+// old — or one whose tree no longer matches q's, which a pure data delta
+// cannot cause — means no predecessor: changedBase is ignored.
 // With a predecessor, a changedBase of the wrong length is an error.
 //
 // What holds for both inputs:
@@ -243,7 +229,7 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 
 	name := "plan-build"
 	var oldRed *yannakakis.Reduction
-	if !planMatchesTree(old, q, posOf) || !old.Patchable() {
+	if !planMatchesTree(old, q, posOf) {
 		old = nil
 	} else {
 		if len(changedBase) != m {

@@ -224,14 +224,10 @@ func (r *registry) size() int {
 	return len(r.entries)
 }
 
-// regPlan is one resident plan in a registry snapshot. Recost mirrors
-// the plan's NeedsRecost flag at the top level so operators scanning
-// /v1/stats spot misestimated plans without digging into each plan's
-// estimator fields.
+// regPlan is one resident plan in a registry snapshot.
 type regPlan struct {
-	Key    string          `json:"key"`
-	Plan   repro.PlanStats `json:"plan"`
-	Recost bool            `json:"recost,omitempty"`
+	Key  string          `json:"key"`
+	Plan repro.PlanStats `json:"plan"`
 }
 
 // snapshot lists the compiled resident plans sorted by key, for
@@ -252,7 +248,6 @@ func (r *registry) snapshot() []regPlan {
 	r.mu.Unlock()
 	for i, p := range plans {
 		out[i].Plan = p.PlanStats()
-		out[i].Recost = out[i].Plan.NeedsRecost
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out

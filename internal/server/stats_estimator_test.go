@@ -61,9 +61,6 @@ func TestStatsEstimatorFields(t *testing.T) {
 	if p.EstimatorError < 1 {
 		t.Fatalf("estimator_error = %g after a built ranking, want >= 1", p.EstimatorError)
 	}
-	if st.Plans[0].Recost != p.NeedsRecost {
-		t.Fatalf("registry recost flag %v does not mirror plan needs_recost %v", st.Plans[0].Recost, p.NeedsRecost)
-	}
 
 	// Re-register the dataset: the bumped version snapshot carries fresh
 	// statistics, the plan bound to the replaced snapshot is dropped, and

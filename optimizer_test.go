@@ -149,7 +149,7 @@ func sameResults(a, b []Result) error {
 }
 
 // TestPlanStatsEstimates covers the estimator surface: estimated vs
-// actual bag sizes, the error factor, and the recost flag.
+// actual bag sizes and the error factor.
 func TestPlanStatsEstimates(t *testing.T) {
 	p, err := Compile(instanceQuery(chordedInstance()))
 	if err != nil {
@@ -169,10 +169,6 @@ func TestPlanStatsEstimates(t *testing.T) {
 	if st.EstimatorError < 1 {
 		t.Fatalf("estimator error %g after build, want >= 1", st.EstimatorError)
 	}
-	// The recost flag is the comparison against the fixed factor 8.
-	if st.NeedsRecost != (st.EstimatorError > 8) {
-		t.Fatalf("needs_recost %v with estimator error %g", st.NeedsRecost, st.EstimatorError)
-	}
 
 	// Acyclic handles compare the output estimate against the exact
 	// solution count known at compile time.
@@ -186,8 +182,5 @@ func TestPlanStatsEstimates(t *testing.T) {
 	sta := pa.PlanStats()
 	if !sta.CostBased || sta.EstimatorError < 1 {
 		t.Fatalf("acyclic estimator stats missing: %+v", sta)
-	}
-	if sta.NeedsRecost != (sta.EstimatorError > 8) {
-		t.Fatalf("acyclic needs_recost %v with estimator error %g", sta.NeedsRecost, sta.EstimatorError)
 	}
 }

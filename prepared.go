@@ -107,7 +107,6 @@ type Prepared struct {
 	deltasApplied        atomic.Int64
 	deltaAppendedRows    atomic.Int64
 	deltaDeletedRows     atomic.Int64
-	deltaBagsReused      atomic.Int64
 	deltaBagsRebuilt     atomic.Int64
 	deltaNodesReused     atomic.Int64
 	deltaNodesRecomputed atomic.Int64
@@ -374,7 +373,7 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 // deltaCounts sums what one buildState reused and redid, in the units
 // PlanStats reports: decomposition bags and join-tree nodes.
 type deltaCounts struct {
-	bagsReused, bagsRebuilt, nodesReused, nodesRecomputed int64
+	bagsRebuilt, nodesReused, nodesRecomputed int64
 }
 
 // buildState builds one epoch of prepared state over rels — the only
@@ -416,7 +415,6 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 				return nil, n, err
 			}
 			n.bagsRebuilt += int64(rds.BagsRebuilt)
-			n.bagsReused += int64(rds.Bags - rds.BagsRebuilt)
 			n.nodesRecomputed += int64(rds.TreeRecomputed)
 			n.nodesReused += int64(rds.TreeNodes - rds.TreeRecomputed)
 		}
@@ -489,11 +487,6 @@ type PlanStats struct {
 	// known otherwise. 0 until actuals are known (or when the plan is not
 	// cost-based).
 	EstimatorError float64 `json:"estimator_error,omitempty"`
-	// NeedsRecost flags a plan whose EstimatorError exceeds 8 — the
-	// statistics that planned it misjudged the data badly enough that
-	// recompiling against fresh statistics is warranted. The serving
-	// registry surfaces it per cached plan.
-	NeedsRecost bool `json:"needs_recost,omitempty"`
 	// AGMBound is the worst-case output bound the uniform answer
 	// sampler draws against (sample.Sampler.Bound); set once a Sample
 	// call has built the sampler for the current epoch.
@@ -512,21 +505,18 @@ type PlanStats struct {
 	DeltasApplied     int64 `json:"deltas_applied,omitempty"`
 	DeltaAppendedRows int64 `json:"delta_appended_rows,omitempty"`
 	DeltaDeletedRows  int64 `json:"delta_deleted_rows,omitempty"`
-	// DeltaBagsReused/DeltaBagsRebuilt count decomposition bags carried
-	// over vs re-materialised across all deltas (cyclic kinds);
-	// DeltaNodesReused/DeltaNodesRecomputed count join-tree nodes whose
-	// π pass was skipped vs rerun (acyclic plans and cyclic bag trees).
-	DeltaBagsReused      int64 `json:"delta_bags_reused,omitempty"`
+	// DeltaBagsRebuilt counts the decomposition bags re-materialised
+	// across all deltas: a delta rebuilds every bag of every built
+	// ranking's plan (cyclic kinds). DeltaNodesReused/
+	// DeltaNodesRecomputed count join-tree nodes whose π pass was skipped
+	// vs rerun: an atom tree patches where the delta reached, a bag tree
+	// reruns every node.
 	DeltaBagsRebuilt     int64 `json:"delta_bags_rebuilt,omitempty"`
 	DeltaNodesReused     int64 `json:"delta_nodes_reused,omitempty"`
 	DeltaNodesRecomputed int64 `json:"delta_nodes_recomputed,omitempty"`
 	// LastDeltaNs is the wall time of the most recent ApplyDelta.
 	LastDeltaNs int64 `json:"last_delta_ns,omitempty"`
 }
-
-// recostThreshold is the EstimatorError factor above which PlanStats
-// sets NeedsRecost.
-const recostThreshold = 8
 
 // estRatio is the symmetric error factor between an estimate and an
 // actual count, add-one smoothed so empty bags compare cleanly.
@@ -600,7 +590,6 @@ func (p *Prepared) PlanStats() PlanStats {
 				}
 			}
 		}
-		st.NeedsRecost = st.EstimatorError > recostThreshold
 	}
 	s.samplerMu.Lock()
 	if s.samplerSet && s.sampler != nil {
@@ -611,7 +600,6 @@ func (p *Prepared) PlanStats() PlanStats {
 	st.DeltasApplied = p.deltasApplied.Load()
 	st.DeltaAppendedRows = p.deltaAppendedRows.Load()
 	st.DeltaDeletedRows = p.deltaDeletedRows.Load()
-	st.DeltaBagsReused = p.deltaBagsReused.Load()
 	st.DeltaBagsRebuilt = p.deltaBagsRebuilt.Load()
 	st.DeltaNodesReused = p.deltaNodesReused.Load()
 	st.DeltaNodesRecomputed = p.deltaNodesRecomputed.Load()
@@ -927,9 +915,9 @@ func (p *Prepared) planFor(st *planState, agg ranking.Aggregate, ctx context.Con
 }
 
 // instantiate builds the plan of epoch st under agg. old is the plan the
-// previous epoch held for agg (nil: none); what it lets the build patch
-// rather than redo is the shape's policy (decomp.Shape), and either way
-// the DeltaStats say what was redone.
+// previous epoch held for agg (nil: none): an atom tree patches its π
+// pass from it, a tree of materialised bags is rebuilt whole
+// (decomp.Epoch.Instantiate), and the DeltaStats say what was redone.
 func (p *Prepared) instantiate(st *planState, agg ranking.Aggregate, old *decomp.Plan, ctx context.Context, workers int) (*decomp.Plan, decomp.DeltaStats, error) {
 	if err := p.checkWeights(agg, st.srcRels); err != nil {
 		return nil, decomp.DeltaStats{}, err

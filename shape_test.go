@@ -1,12 +1,15 @@
 package repro
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/hypergraph"
+	"repro/internal/ranking"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -117,6 +120,75 @@ func TestCyclesDeclaredAgainstTheWalk(t *testing.T) {
 	}
 }
 
+// TestGHDDeltaRebuildsEveryBag pins the one delta policy for
+// materialised bags: a delta to one relation of a bowtie GHD rebuilds
+// every bag of every warm ranking's plan — the untouched triangle's bag
+// included — and reruns every node of the bag tree, and both rankings
+// stay bit-identical to a cold Compile on the updated data.
+func TestGHDDeltaRebuildsEveryBag(t *testing.T) {
+	g := workload.RandomGraph(10, 40, workload.UniformWeights(), 17)
+	pairs := [][2]string{{"A", "B"}, {"B", "C"}, {"C", "A"}, {"A", "D"}, {"D", "E"}, {"E", "A"}}
+	mirrors := make([]*dataMirror, len(pairs))
+	for i := range mirrors {
+		mirrors[i] = &dataMirror{tuples: slices.Clone(g.Edges.Tuples), weights: slices.Clone(g.Edges.Weights)}
+	}
+	// Structural planning pins one decomposition on both sides.
+	compile := func() *Prepared {
+		q := NewQuery()
+		for i, v := range pairs {
+			q.Rel(fmt.Sprintf("R%d", i+1), v[:], mirrors[i].tuples, mirrors[i].weights)
+		}
+		p, err := Compile(q, WithStatistics(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p := compile()
+	aggs := []ranking.Aggregate{SumCost, MaxCost}
+	for _, a := range aggs {
+		if _, err := p.TopK(1, WithRanking(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := p.PlanStats()
+	bags := 0
+	for _, tree := range st.Rankings[0].BagSizes {
+		bags += len(tree)
+	}
+	if st.Kind != "ghd" || bags < 2 {
+		t.Fatalf("fixture drifted: want a ghd bag tree, got kind %s bags %v", st.Kind, st.Rankings[0].BagSizes)
+	}
+
+	// R1(A,B) loses the row under the best max answer and gains two.
+	top, err := p.TopK(1, WithRanking(MaxCost))
+	if err != nil || len(top) == 0 {
+		t.Fatalf("no answer to delete under: %v", err)
+	}
+	delta := Delta{Rel: "R1", Append: []Tuple{{1, 2}, {3, 4}}, AppendWeights: []float64{0.25, 0.75}, Delete: []Tuple{top[0].Tuple[:2]}}
+	if err := p.ApplyDelta([]Delta{delta}); err != nil {
+		t.Fatal(err)
+	}
+	mirrors[0].apply(delta)
+	st = p.PlanStats()
+	if want := int64(len(aggs) * bags); st.DeltaBagsRebuilt != want || st.DeltaNodesRecomputed != want || st.DeltaNodesReused != 0 {
+		t.Fatalf("delta report: %d bags rebuilt, %d nodes recomputed, %d reused; want %d, %d, 0",
+			st.DeltaBagsRebuilt, st.DeltaNodesRecomputed, st.DeltaNodesReused, want, want)
+	}
+	cold := compile()
+	for _, a := range aggs {
+		got, err := p.TopK(0, WithRanking(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.TopK(0, WithRanking(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, a.Name(), got, want)
+	}
+}
+
 // TestOneBagGHDDelta: a GHD of a single bag has no T-DP — Run sorts the
 // bag — and still survives ApplyDelta bit-identical to a cold Compile.
 // Its delta report is one bag and one tree node per warm ranking, both
@@ -161,7 +233,7 @@ func TestOneBagGHDDelta(t *testing.T) {
 		assertBitIdentical(t, a.name, got, want)
 	}
 	st := p.PlanStats()
-	if st.Epoch != 2 || st.DeltaBagsRebuilt != 2 || st.DeltaBagsReused != 0 || st.DeltaNodesRecomputed != 2 || st.DeltaNodesReused != 0 {
+	if st.Epoch != 2 || st.DeltaBagsRebuilt != 2 || st.DeltaNodesRecomputed != 2 || st.DeltaNodesReused != 0 {
 		t.Errorf("delta report %+v, want epoch 2 with 2 bags and 2 nodes redone (one per warm ranking), none reused", st)
 	}
 }
