@@ -112,20 +112,21 @@ const (
 	Batch = core.Batch
 )
 
-// Ranking functions.
+// Ranking functions. A Run or ApplyDelta that would rank a weight
+// outside a function's domain fails, naming relation and row: a weight
+// ≤ 0 under ProductCost, or +Inf in one atom beside −Inf in another
+// under SumCost or SumBenefit.
 var (
 	// SumCost ranks by ascending sum of weights (lightest first).
-	SumCost ranking.Aggregate = ranking.SumCost{}
+	SumCost ranking.Aggregate = ranking.SumCost
 	// SumBenefit ranks by descending sum of weights (heaviest first).
-	SumBenefit ranking.Aggregate = ranking.SumBenefit{}
+	SumBenefit ranking.Aggregate = ranking.SumBenefit
 	// MaxCost ranks by ascending maximum weight (bottleneck).
-	MaxCost ranking.Aggregate = ranking.MaxCost{}
+	MaxCost ranking.Aggregate = ranking.MaxCost
 	// MinBenefit ranks by descending minimum weight.
-	MinBenefit ranking.Aggregate = ranking.MinBenefit{}
-	// ProductCost ranks by ascending product of positive weights; a Run
-	// or ApplyDelta that would rank a weight ≤ 0 under it fails, naming
-	// relation and row.
-	ProductCost ranking.Aggregate = ranking.ProductCost{}
+	MinBenefit ranking.Aggregate = ranking.MinBenefit
+	// ProductCost ranks by ascending product of positive weights.
+	ProductCost ranking.Aggregate = ranking.ProductCost
 )
 
 // Query is a join query under construction: one atom per relation, each

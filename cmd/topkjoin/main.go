@@ -52,7 +52,11 @@ func run(args []string, out io.Writer) error {
 	var rels relFlag
 	fs.Var(&rels, "rel", "atom spec NAME:VAR1,VAR2,...:FILE.csv (repeatable)")
 	k := fs.Int("k", 10, "number of results (0 = all)")
-	rank := fs.String("rank", "sum", "ranking: sum, sum-desc, max, min-desc, product")
+	rankNames := make([]string, len(ranking.All))
+	for i, a := range ranking.All {
+		rankNames[i] = a.Name()
+	}
+	rank := fs.String("rank", ranking.SumCost.Name(), "ranking: "+strings.Join(rankNames, ", "))
 	variant := fs.String("variant", "Lazy", "algorithm: Eager, Lazy, Quick, All, Take2, Rec, Batch")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,7 +65,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("at least one -rel is required")
 	}
 
-	agg, err := aggByName(*rank)
+	agg, err := ranking.Parse(*rank)
 	if err != nil {
 		return err
 	}
@@ -153,20 +157,4 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "(no results)")
 	}
 	return nil
-}
-
-func aggByName(name string) (ranking.Aggregate, error) {
-	switch name {
-	case "sum":
-		return ranking.SumCost{}, nil
-	case "sum-desc":
-		return ranking.SumBenefit{}, nil
-	case "max":
-		return ranking.MaxCost{}, nil
-	case "min-desc":
-		return ranking.MinBenefit{}, nil
-	case "product":
-		return ranking.ProductCost{}, nil
-	}
-	return nil, fmt.Errorf("unknown ranking %q", name)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ranking"
 	"repro/internal/workload"
 )
 
@@ -135,6 +136,66 @@ func TestDeltaRejectsNaNWeight(t *testing.T) {
 	if err != nil || len(got) != 2 || got[0].Weight != 1 || !math.IsInf(got[1].Weight, 1) {
 		t.Fatalf("after the +Inf append: %v, %v", got, err)
 	}
+}
+
+// TestSumRejectsOppositeInfinities: +Inf in one atom and −Inf in
+// another add up to NaN, which no variant ranks alike, so under a sum
+// every variant fails the Run, naming both rows, while the bottleneck
+// rankings take the same data; an ApplyDelta that brings −Inf under a
+// warm sum is refused and the handle keeps its epoch.
+func TestSumRejectsOppositeInfinities(t *testing.T) {
+	inf := math.Inf(1)
+	r := func(ws []float64) *Query {
+		return NewQuery().
+			Rel("R", []string{"A", "B"}, []Tuple{{1, 1}, {2, 1}, {3, 2}, {4, 2}}, []float64{inf, 5, 1, 3}).
+			Rel("S", []string{"B", "C"}, []Tuple{{1, 7}, {1, 8}, {2, 9}}, ws)
+	}
+	p, err := Compile(r([]float64{-inf, 2, 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "cannot add +Inf and -Inf: relation S row 0 has weight -Inf and relation R row 0 has weight +Inf"
+	for _, v := range []Variant{Eager, Lazy, Quick, All, Take2, Rec, Batch} {
+		for _, agg := range []ranking.Aggregate{SumCost, SumBenefit} {
+			if _, err := p.Run(WithRanking(agg), WithVariant(v)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %s: Run = %v, want an error containing %q", agg.Name(), v, err, want)
+			}
+		}
+		for agg, ws := range map[ranking.Aggregate][]float64{MaxCost: {4, 4, 5, 5, inf, inf}, MinBenefit: {3, 2, 2, 1, -inf, -inf}} {
+			got, err := p.TopK(0, WithRanking(agg), WithVariant(v))
+			if err != nil || !slices.Equal(weightsOf(got), ws) {
+				t.Errorf("%s %s: %v, %v; want weights %v", agg.Name(), v, weightsOf(got), err, ws)
+			}
+		}
+	}
+
+	warm, err := Compile(r([]float64{1, 2, 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := warm.TopK(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = warm.ApplyDelta([]Delta{{Rel: "S", Append: []Tuple{{1, 9}}, AppendWeights: []float64{-inf}}})
+	if err == nil || !strings.Contains(err.Error(), "relation S row 3 has weight -Inf") {
+		t.Fatalf("delta under a warm sum: %v, want an error naming relation S row 3", err)
+	}
+	if warm.Epoch() != 1 {
+		t.Fatalf("a refused delta moved the handle to epoch %d", warm.Epoch())
+	}
+	if after, err := warm.TopK(0); err != nil || !slices.Equal(weightsOf(after), weightsOf(before)) {
+		t.Fatalf("after the refused delta: %v, %v; want %v", weightsOf(after), err, weightsOf(before))
+	}
+}
+
+// weightsOf is the weight sequence of rs.
+func weightsOf(rs []Result) []float64 {
+	ws := make([]float64, len(rs))
+	for i, r := range rs {
+		ws[i] = r.Weight
+	}
+	return ws
 }
 
 // TestProductCostRejectsNonPositiveWeights: product is monotone on

@@ -33,7 +33,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		t, err := dp.Build(q, ranking.SumCost{})
+		t, err := dp.Build(q, ranking.SumCost)
 		if err != nil {
 			panic(err)
 		}
@@ -56,7 +56,7 @@ func main() {
 
 	// Show the top-3 results for one variant, proving the interface.
 	q, _ := yannakakis.NewQuery(inst.H, inst.Rels)
-	t, _ := dp.Build(q, ranking.SumCost{})
+	t, _ := dp.Build(q, ranking.SumCost)
 	it, _ := core.New(context.Background(), t, core.Lazy)
 	defer it.Close()
 	fmt.Println("three best join results (lightest paths):")

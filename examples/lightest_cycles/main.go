@@ -35,7 +35,7 @@ func main() {
 	for i := range rels {
 		rels[i] = g.Edges
 	}
-	agg := ranking.SumCost{}
+	agg := ranking.SumCost
 
 	start := time.Now()
 	it, st, err := decomp.FourCycleSubmodular(context.Background(), rels, agg, core.Lazy)

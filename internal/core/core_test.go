@@ -14,7 +14,7 @@ import (
 	"repro/internal/yannakakis"
 )
 
-var sum = ranking.SumCost{}
+var sum = ranking.SumCost
 
 func buildTDP(t *testing.T, inst *workload.Instance, agg ranking.Aggregate) *dp.TDP {
 	t.Helper()
@@ -207,7 +207,7 @@ func TestVariantsWithMaxCostAggregate(t *testing.T) {
 		if v == Batch {
 			continue
 		}
-		checkVariantAgainstBatch(t, inst, v, ranking.MaxCost{})
+		checkVariantAgainstBatch(t, inst, v, ranking.MaxCost)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestVariantsWithDescendingAggregate(t *testing.T) {
 		if v == Batch {
 			continue
 		}
-		checkVariantAgainstBatch(t, inst, v, ranking.SumBenefit{})
+		checkVariantAgainstBatch(t, inst, v, ranking.SumBenefit)
 	}
 }
 

@@ -179,7 +179,7 @@ func FuzzPartVsBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, nRels, tuples, domain, variant, rank uint8) {
 		variants := []Variant{Eager, Lazy, Quick, All, Take2}
 		v := variants[int(variant)%len(variants)]
-		agg := sequenceRankings()[int(rank)%5]
+		agg := ranking.All[int(rank)%len(ranking.All)]
 		inst := workload.RandomTree(1+int(nRels)%5, 1+int(tuples)%24, 2+int(domain)%8, tieWeights(), seed)
 		tdp, err := dp.Build(mustQ(inst), agg)
 		if err != nil {

@@ -68,8 +68,8 @@ func TestNaiveLawlerEmpty(t *testing.T) {
 
 func TestNaiveLawlerMaxAggregate(t *testing.T) {
 	inst := workload.Path(3, 30, 5, workload.UniformWeights(), 4)
-	ref := Collect(NewBatch(context.Background(), buildTDP(t, inst, ranking.MaxCost{})), 0)
-	got := Collect(NewNaiveLawler(context.Background(), buildTDP(t, inst, ranking.MaxCost{})), 0)
+	ref := Collect(NewBatch(context.Background(), buildTDP(t, inst, ranking.MaxCost)), 0)
+	got := Collect(NewNaiveLawler(context.Background(), buildTDP(t, inst, ranking.MaxCost)), 0)
 	if len(got) != len(ref) {
 		t.Fatalf("%d vs %d", len(got), len(ref))
 	}

@@ -34,10 +34,6 @@ func sequenceInstances() []struct {
 	}
 }
 
-func sequenceRankings() []ranking.Aggregate {
-	return []ranking.Aggregate{ranking.SumCost{}, ranking.SumBenefit{}, ranking.MaxCost{}, ranking.MinBenefit{}, ranking.ProductCost{}}
-}
-
 // sequenceHash is the FNV-64a of a result sequence: every tuple value
 // and the bits of every weight, in enumeration order.
 func sequenceHash(rs []Result) uint64 {
@@ -163,7 +159,7 @@ var sequenceGoldens = map[string]struct {
 func TestEnumerationSequenceUnchanged(t *testing.T) {
 	maxChunks := 0
 	for _, c := range sequenceInstances() {
-		for _, agg := range sequenceRankings() {
+		for _, agg := range ranking.All {
 			tdp := buildTDP(t, c.inst, agg)
 			for _, v := range []Variant{Eager, Lazy, Quick, All, Take2, Rec} {
 				key := fmt.Sprintf("%s/%s/%s", c.name, v, agg.Name())

@@ -14,7 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-var sum = ranking.SumCost{}
+var sum = ranking.SumCost
 
 // fourCycleReference materialises the 4-cycle output with Generic-Join
 // (an independent implementation) and returns it sorted by weight.

@@ -136,8 +136,8 @@ var ghdShapes = map[string][][2]string{
 func TestGHDParityAllShapes(t *testing.T) {
 	g := workload.RandomGraph(8, 40, workload.UniformWeights(), 7)
 	aggs := []ranking.Aggregate{
-		ranking.SumCost{}, ranking.SumBenefit{}, ranking.MaxCost{},
-		ranking.MinBenefit{}, ranking.ProductCost{},
+		ranking.SumCost, ranking.SumBenefit, ranking.MaxCost,
+		ranking.MinBenefit, ranking.ProductCost,
 	}
 	for name, pairs := range ghdShapes {
 		edges, rels := graphAtoms(g, pairs)
@@ -170,7 +170,7 @@ func TestGHDParityHigherArity(t *testing.T) {
 		hypergraph.E("T", "D", "A"),
 	}
 	rels := []*relation.Relation{r, s, u}
-	agg := ranking.SumCost{}
+	agg := ranking.SumCost
 	want := bruteForce(edges, rels, agg)
 	p, err := decomposeAndPrepare(edges, rels, agg)
 	if err != nil {
@@ -196,11 +196,11 @@ func TestGHDWeightsNotDoubleCounted(t *testing.T) {
 		hypergraph.E("R1", "A", "B"), hypergraph.E("R2", "B", "C"), hypergraph.E("R3", "C", "A"),
 	}
 	rels := []*relation.Relation{mk("R1", 1, 2), mk("R2", 2, 3), mk("R3", 3, 1)}
-	p, err := decomposeAndPrepare(edges, rels, ranking.SumCost{})
+	p, err := decomposeAndPrepare(edges, rels, ranking.SumCost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := drain(t, p, ranking.SumCost{})
+	got := drain(t, p, ranking.SumCost)
 	if len(got) != 1 || math.Abs(got[0]-3) > 1e-9 {
 		t.Fatalf("triangle weights = %v, want [3]", got)
 	}
@@ -221,7 +221,7 @@ func TestGHDDuplicateMultiplicity(t *testing.T) {
 		hypergraph.E("R1", "A", "B"), hypergraph.E("R2", "B", "C"), hypergraph.E("R3", "C", "A"),
 	}
 	rels := []*relation.Relation{r1, mk("R2", 2, 3, 1), mk("R3", 3, 1, 1)}
-	agg := ranking.SumCost{}
+	agg := ranking.SumCost
 	want := bruteForce(edges, rels, agg)
 	p, err := decomposeAndPrepare(edges, rels, agg)
 	if err != nil {
@@ -242,7 +242,7 @@ func TestGHDDisconnectedQuery(t *testing.T) {
 		{"X", "Y"}, {"Y", "Z"}, {"Z", "X"},
 	}
 	edges, rels := graphAtoms(g, pairs)
-	agg := ranking.SumCost{}
+	agg := ranking.SumCost
 	want := bruteForce(edges, rels, agg)
 	p, err := decomposeAndPrepare(edges, rels, agg)
 	if err != nil {
@@ -266,7 +266,7 @@ func TestGHDOutputSchema(t *testing.T) {
 		return r
 	}
 	rels := []*relation.Relation{mk("R1", 1, 2), mk("R2", 2, 3), mk("R3", 3, 1)}
-	p, err := decomposeAndPrepare(edges, rels, ranking.SumCost{})
+	p, err := decomposeAndPrepare(edges, rels, ranking.SumCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestGHDOutputSchema(t *testing.T) {
 func TestGHDVariantsAgree(t *testing.T) {
 	g := workload.RandomGraph(8, 40, workload.UniformWeights(), 9)
 	edges, rels := graphAtoms(g, ghdShapes["fused-triangles"])
-	agg := ranking.SumCost{}
+	agg := ranking.SumCost
 	p, err := decomposeAndPrepare(edges, rels, agg)
 	if err != nil {
 		t.Fatal(err)

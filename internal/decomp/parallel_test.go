@@ -272,7 +272,7 @@ func TestParallelDeterminismAllAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, agg := range []ranking.Aggregate{ranking.SumCost{}, ranking.SumBenefit{}, ranking.MaxCost{}, ranking.MinBenefit{}, ranking.ProductCost{}} {
+	for _, agg := range ranking.All {
 		seq, err := PrepareGHDWith(d, edges, rels, agg)
 		if err != nil {
 			t.Fatalf("%s: %v", agg.Name(), err)

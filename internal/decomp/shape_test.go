@@ -107,7 +107,7 @@ func cycleOutput(t *testing.T, f shapeFixture, agg ranking.Aggregate) *relation.
 // aggregate and variant, and prepares the same plan for any worker
 // count.
 func TestCanonicalShapesPinned(t *testing.T) {
-	aggs := []ranking.Aggregate{ranking.SumCost{}, ranking.SumBenefit{}, ranking.MaxCost{}, ranking.MinBenefit{}, ranking.ProductCost{}}
+	aggs := []ranking.Aggregate{ranking.SumCost, ranking.SumBenefit, ranking.MaxCost, ranking.MinBenefit, ranking.ProductCost}
 	for _, f := range shapeFixtures() {
 		t.Run(f.name, func(t *testing.T) {
 			seq, err := f.prepare(f.rels, sum)

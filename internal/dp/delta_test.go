@@ -92,8 +92,8 @@ func assertSamePlanFields(t *testing.T, label string, got, want *Plan) {
 // with the old epoch.
 func TestDeltaMatchesCold(t *testing.T) {
 	aggs := []ranking.Aggregate{
-		ranking.SumCost{}, ranking.SumBenefit{}, ranking.MaxCost{},
-		ranking.MinBenefit{}, ranking.ProductCost{},
+		ranking.SumCost, ranking.SumBenefit, ranking.MaxCost,
+		ranking.MinBenefit, ranking.ProductCost,
 	}
 	for name, inst := range deltaInstances() {
 		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {

@@ -76,8 +76,8 @@ func assertSameTDP(t *testing.T, label string, got, want *TDP) {
 // counts {1, 2, GOMAXPROCS} under every ranking aggregate.
 func TestInstantiateParallelBitIdentical(t *testing.T) {
 	aggs := []ranking.Aggregate{
-		ranking.SumCost{}, ranking.SumBenefit{}, ranking.MaxCost{},
-		ranking.MinBenefit{}, ranking.ProductCost{},
+		ranking.SumCost, ranking.SumBenefit, ranking.MaxCost,
+		ranking.MinBenefit, ranking.ProductCost,
 	}
 	for name, plan := range planFixtures(t) {
 		for _, agg := range aggs {
@@ -167,7 +167,7 @@ func TestInstantiateCancellation(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		if _, err := plan.Instantiate(ranking.SumCost{}, WithContext(canceled), WithWorkers(workers)); !errors.Is(err, context.Canceled) {
+		if _, err := plan.Instantiate(ranking.SumCost, WithContext(canceled), WithWorkers(workers)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("pre-canceled Instantiate (w=%d): got %v, want context.Canceled", workers, err)
 		}
 		if _, err := NewPlan(q, WithContext(canceled), WithWorkers(workers)); !errors.Is(err, context.Canceled) {
@@ -177,7 +177,7 @@ func TestInstantiateCancellation(t *testing.T) {
 		// Mid-pass: allow a few checks, then cancel between node tasks.
 		mid := &countdownCtx{Context: context.Background()}
 		mid.remaining.Store(3)
-		if _, err := plan.Instantiate(ranking.SumCost{}, WithContext(mid), WithWorkers(workers)); !errors.Is(err, context.Canceled) {
+		if _, err := plan.Instantiate(ranking.SumCost, WithContext(mid), WithWorkers(workers)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("mid-pass Instantiate cancel (w=%d): got %v, want context.Canceled", workers, err)
 		}
 		mid = &countdownCtx{Context: context.Background()}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/yannakakis"
 )
 
-var sum = ranking.SumCost{}
+var sum = ranking.SumCost
 
 func mustBuild(t *testing.T, h *hypergraph.Hypergraph, rels []*relation.Relation, agg ranking.Aggregate) *TDP {
 	t.Helper()
@@ -80,7 +80,7 @@ func TestTopWeightMaxAggregate(t *testing.T) {
 		[][3]float64{{1, 10, 1}, {1, 11, 0.5}},
 		[][3]float64{{10, 101, 1}, {11, 100, 3}},
 	)
-	tdp := mustBuild(t, hypergraph.Path(2), rels, ranking.MaxCost{})
+	tdp := mustBuild(t, hypergraph.Path(2), rels, ranking.MaxCost)
 	if got := tdp.TopWeight(); got != 1 {
 		t.Fatalf("TopWeight(max) = %g, want 1", got)
 	}
@@ -277,14 +277,14 @@ func TestPlanInstantiatePerAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tSum, err := plan.Instantiate(ranking.SumCost{})
+	tSum, err := plan.Instantiate(ranking.SumCost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tSum.OutAttrs) != 3 {
 		t.Fatalf("OutAttrs = %v", tSum.OutAttrs)
 	}
-	tMax, err := plan.Instantiate(ranking.MaxCost{})
+	tMax, err := plan.Instantiate(ranking.MaxCost)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,7 +177,7 @@ func E11(ctx context.Context, n int, ks []int) *stats.Table {
 func E12(ctx context.Context, n int) *stats.Table {
 	t := stats.NewTable("E12: ranking functions on path query (l=4) — Lazy",
 		"ranking", "results", "TTF", "TTK(100)", "TTL")
-	aggs := []ranking.Aggregate{ranking.SumCost{}, ranking.MaxCost{}, ranking.SumBenefit{}, ranking.ProductCost{}}
+	aggs := []ranking.Aggregate{ranking.SumCost, ranking.MaxCost, ranking.SumBenefit, ranking.ProductCost}
 	inst := workload.Path(4, n, n/5+1, workload.UniformWeights(), 9)
 	for _, agg := range aggs {
 		rec, count := runVariant(ctx, inst, agg, core.Lazy, 0)
@@ -194,7 +194,7 @@ func E12(ctx context.Context, n int) *stats.Table {
 		}
 		lexInst.Rels[si] = c
 	}
-	rec, count := runVariant(ctx, lexInst, ranking.SumCost{}, core.Lazy, 0)
+	rec, count := runVariant(ctx, lexInst, ranking.SumCost, core.Lazy, 0)
 	t.Add("lexicographic", count, rec.TTF(), rec.TTK(100), rec.TTL())
 	return t
 }

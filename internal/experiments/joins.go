@@ -19,7 +19,7 @@ import (
 	"repro/internal/yannakakis"
 )
 
-var sum = ranking.SumCost{}
+var sum = ranking.SumCost
 
 // E1 — §3's headline separation: on the AGM-hard triangle instance,
 // every binary join plan materialises Θ(n²) intermediate tuples, while

@@ -11,7 +11,7 @@ import (
 	"repro/internal/yannakakis"
 )
 
-var sum = ranking.SumCost{}
+var sum = ranking.SumCost
 
 func mustDRep(t *testing.T, inst *workload.Instance) (*DRep, *yannakakis.Query) {
 	t.Helper()

@@ -8,7 +8,7 @@ import (
 	"repro/internal/relation"
 )
 
-var sum = ranking.SumCost{}
+var sum = ranking.SumCost
 
 func rel(name string, attrs []string, rows [][]relation.Value, weights []float64) *relation.Relation {
 	r := relation.New(name, attrs...)
@@ -215,7 +215,7 @@ func TestTriangleHardInstanceBlowup(t *testing.T) {
 func TestMaxCostWeightCombination(t *testing.T) {
 	r := rel("R", []string{"A", "B"}, [][]relation.Value{{1, 2}}, []float64{5})
 	s := rel("S", []string{"B", "C"}, [][]relation.Value{{2, 3}}, []float64{3})
-	out := HashJoin(r, s, ranking.MaxCost{}, nil)
+	out := HashJoin(r, s, ranking.MaxCost, nil)
 	if out.Weights[0] != 5 {
 		t.Errorf("max-combined weight = %g, want 5", out.Weights[0])
 	}

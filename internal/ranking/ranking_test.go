@@ -3,13 +3,10 @@ package ranking
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func allAggregates() []Aggregate {
-	return []Aggregate{SumCost{}, SumBenefit{}, MaxCost{}, MinBenefit{}, ProductCost{}}
-}
 
 // normalise maps arbitrary float64s into a safe positive range so that
 // product stays monotone and finite.
@@ -21,7 +18,7 @@ func normalise(x float64) float64 {
 }
 
 func TestIdentityLaw(t *testing.T) {
-	for _, agg := range allAggregates() {
+	for _, agg := range All {
 		agg := agg
 		f := func(x float64) bool {
 			v := normalise(x)
@@ -35,7 +32,7 @@ func TestIdentityLaw(t *testing.T) {
 }
 
 func TestCommutativity(t *testing.T) {
-	for _, agg := range allAggregates() {
+	for _, agg := range All {
 		agg := agg
 		f := func(x, y float64) bool {
 			a, b := normalise(x), normalise(y)
@@ -48,7 +45,7 @@ func TestCommutativity(t *testing.T) {
 }
 
 func TestAssociativityUpToULP(t *testing.T) {
-	for _, agg := range allAggregates() {
+	for _, agg := range All {
 		agg := agg
 		f := func(x, y, z float64) bool {
 			a, b, c := normalise(x), normalise(y), normalise(z)
@@ -70,7 +67,7 @@ func TestAssociativityUpToULP(t *testing.T) {
 // Monotonicity: if a is better than b then combining both with the same c
 // never makes a worse than b.
 func TestMonotonicity(t *testing.T) {
-	for _, agg := range allAggregates() {
+	for _, agg := range All {
 		agg := agg
 		f := func(x, y, z float64) bool {
 			a, b, c := normalise(x), normalise(y), normalise(z)
@@ -89,7 +86,7 @@ func TestMonotonicity(t *testing.T) {
 }
 
 func TestLessIsStrictTotalOrder(t *testing.T) {
-	for _, agg := range allAggregates() {
+	for _, agg := range All {
 		agg := agg
 		f := func(x, y float64) bool {
 			a, b := normalise(x), normalise(y)
@@ -112,7 +109,7 @@ func TestLessIsStrictTotalOrder(t *testing.T) {
 }
 
 func TestSumCostSemantics(t *testing.T) {
-	agg := SumCost{}
+	agg := SumCost
 	if got := agg.Combine(1.5, 2.5); got != 4.0 {
 		t.Errorf("Combine = %v, want 4.0", got)
 	}
@@ -122,14 +119,14 @@ func TestSumCostSemantics(t *testing.T) {
 }
 
 func TestSumBenefitSemantics(t *testing.T) {
-	agg := SumBenefit{}
+	agg := SumBenefit
 	if !agg.Less(5, 2) {
 		t.Error("SumBenefit should rank larger sums earlier")
 	}
 }
 
 func TestMaxCostSemantics(t *testing.T) {
-	agg := MaxCost{}
+	agg := MaxCost
 	if got := agg.Combine(3, 7); got != 7 {
 		t.Errorf("Combine = %v, want 7", got)
 	}
@@ -139,7 +136,7 @@ func TestMaxCostSemantics(t *testing.T) {
 }
 
 func TestMinBenefitSemantics(t *testing.T) {
-	agg := MinBenefit{}
+	agg := MinBenefit
 	if got := agg.Combine(3, 7); got != 3 {
 		t.Errorf("Combine = %v, want 3", got)
 	}
@@ -149,12 +146,101 @@ func TestMinBenefitSemantics(t *testing.T) {
 }
 
 func TestProductCostSemantics(t *testing.T) {
-	agg := ProductCost{}
+	agg := ProductCost
 	if got := agg.Combine(2, 3); got != 6 {
 		t.Errorf("Combine = %v, want 6", got)
 	}
 	if got := agg.Combine(agg.Identity(), 9); got != 9 {
 		t.Errorf("identity combine = %v, want 9", got)
+	}
+}
+
+func TestZeroValueIsSumCost(t *testing.T) {
+	var zero Aggregate
+	if zero != SumCost || zero.Name() != "sum" {
+		t.Fatalf("zero Aggregate is %q, want SumCost", zero.Name())
+	}
+}
+
+func TestParse(t *testing.T) {
+	want := []string{"sum", "sum-desc", "max", "min-desc", "product"}
+	for i, a := range All {
+		if a.Name() != want[i] {
+			t.Errorf("All[%d] is %q, want %q", i, a.Name(), want[i])
+		}
+		if got, err := Parse(a.Name()); err != nil || got != a {
+			t.Errorf("Parse(%q) = %q, %v", a.Name(), got.Name(), err)
+		}
+	}
+	_, err := Parse("median")
+	if err == nil || !strings.Contains(err.Error(), `"median"`) {
+		t.Fatalf("Parse(median) = %v, want an error naming it", err)
+	}
+	for _, name := range want {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("Parse error %q does not list %q", err, name)
+		}
+	}
+}
+
+// TestCombineSignedZero pins the branch forms of the max and min
+// combines: on equal arguments they return the second, so a +0 and a −0
+// combine to the sign of the later one (math.Max would always give +0).
+// The sign reaches the output: encoding/json prints −0 as -0.
+func TestCombineSignedZero(t *testing.T) {
+	pos, neg := 0.0, math.Copysign(0, -1)
+	for _, agg := range []Aggregate{MaxCost, MinBenefit} {
+		if got := agg.Combine(pos, neg); !math.Signbit(got) {
+			t.Errorf("%s: Combine(+0, -0) = +0, want -0", agg.Name())
+		}
+		if got := agg.Combine(neg, pos); math.Signbit(got) {
+			t.Errorf("%s: Combine(-0, +0) = -0, want +0", agg.Name())
+		}
+	}
+	if got := SumBenefit.Combine(1, -1); math.Signbit(got) {
+		t.Errorf("sum-desc: 1 + -1 = -0, want +0")
+	}
+}
+
+func TestCheckDomain(t *testing.T) {
+	inf := math.Inf(1)
+	rels := []string{"R", "S", "T"}
+	cases := []struct {
+		name    string
+		weights [][]float64
+		// sum is the error of SumCost and SumBenefit, product that of
+		// ProductCost ("" for none). MaxCost and MinBenefit take all.
+		sum, product string
+	}{
+		{"finite", [][]float64{{1, 2}, {3}, {4}}, "", ""},
+		{"one sign", [][]float64{{1, inf}, {inf}, {2}}, "", ""},
+		{"both in one atom", [][]float64{{inf, -inf}, {1}, {2}}, "",
+			"relation R row 1 has weight -Inf"},
+		{"opposite atoms", [][]float64{{inf, 5}, {1, -inf}, {2}},
+			"relation S row 1 has weight -Inf and relation R row 0 has weight +Inf",
+			"relation S row 1 has weight -Inf"},
+		{"both then one", [][]float64{{-inf, inf}, {3}, {4, inf}},
+			"relation T row 1 has weight +Inf and relation R row 0 has weight -Inf",
+			"relation R row 0 has weight -Inf"},
+	}
+	for _, tc := range cases {
+		for _, agg := range All {
+			var want string
+			switch {
+			case (agg == SumCost || agg == SumBenefit) && tc.sum != "":
+				want = "ranking " + agg.Name() + " cannot add +Inf and -Inf: " + tc.sum
+			case agg == ProductCost && tc.product != "":
+				want = "ranking product needs positive weights: " + tc.product
+			}
+			err := agg.CheckDomain(rels, tc.weights)
+			if (err == nil) != (want == "") || err != nil && err.Error() != want {
+				t.Errorf("%s/%s: %v, want %q", tc.name, agg.Name(), err, want)
+			}
+		}
+	}
+	err := ProductCost.CheckDomain(rels, [][]float64{{1}, {2, 0}, {3}})
+	if de, ok := err.(*DomainError); !ok || de.Rel != "S" || de.Row != 1 || de.Weight != 0 {
+		t.Fatalf("product over a zero: %v", err)
 	}
 }
 

@@ -75,7 +75,7 @@ func completeDigraph(name string, n int) *relation.Relation {
 // witness weight.
 func chiSquared(t *testing.T, s *Sampler, answers map[string]float64, draws int, seed uint64) float64 {
 	t.Helper()
-	got, err := s.Sample(context.Background(), draws, seed, ranking.SumCost{})
+	got, err := s.Sample(context.Background(), draws, seed, ranking.SumCost)
 	if err != nil {
 		t.Fatalf("Sample: %v", err)
 	}
@@ -114,7 +114,7 @@ func TestUniformityTriangle(t *testing.T) {
 	}
 	vars := [][]string{{"A", "B"}, {"B", "C"}, {"C", "A"}}
 	s, atoms, order := buildSampler(t, rels, vars)
-	answers := answerSet(t, atoms, order, ranking.SumCost{})
+	answers := answerSet(t, atoms, order, ranking.SumCost)
 	if len(answers) != 120 {
 		t.Fatalf("fixture has %d answers, want 120", len(answers))
 	}
@@ -141,7 +141,7 @@ func TestUniformityAcyclicPath(t *testing.T) {
 	}
 	vars := [][]string{{"A", "B"}, {"B", "C"}}
 	s, atoms, order := buildSampler(t, []*relation.Relation{r, sRel}, vars)
-	answers := answerSet(t, atoms, order, ranking.SumCost{})
+	answers := answerSet(t, atoms, order, ranking.SumCost)
 	if len(answers) != 68 {
 		t.Fatalf("fixture has %d answers, want 68", len(answers))
 	}
@@ -169,9 +169,9 @@ func TestEstimatorConfidenceSkewed(t *testing.T) {
 	}
 	vars := [][]string{{"A", "B"}, {"B", "C"}}
 	s, atoms, order := buildSampler(t, []*relation.Relation{r, sRel}, vars)
-	truth := float64(len(answerSet(t, atoms, order, ranking.SumCost{})))
+	truth := float64(len(answerSet(t, atoms, order, ranking.SumCost)))
 	s.MaxTrials = 200000
-	if _, err := s.Sample(context.Background(), 1<<30, 3, ranking.SumCost{}); err != nil && !errors.Is(err, ErrTrialBudget) {
+	if _, err := s.Sample(context.Background(), 1<<30, 3, ranking.SumCost); err != nil && !errors.Is(err, ErrTrialBudget) {
 		t.Fatalf("Sample: %v", err)
 	}
 	est, trials, accepts := s.Estimate()
@@ -193,7 +193,7 @@ func TestEmptyInputRelation(t *testing.T) {
 	if s.Bound() != 0 {
 		t.Fatalf("Bound() = %g, want 0 for an empty input", s.Bound())
 	}
-	got, err := s.Sample(context.Background(), 5, 1, ranking.SumCost{})
+	got, err := s.Sample(context.Background(), 5, 1, ranking.SumCost)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("Sample on empty join: got %d answers, err %v", len(got), err)
 	}
@@ -214,7 +214,7 @@ func TestBudgetOnEmptyIntersection(t *testing.T) {
 	}
 	s, _, _ := buildSampler(t, []*relation.Relation{r, sRel}, [][]string{{"A", "B"}, {"B", "C"}})
 	s.MaxTrials = 100
-	got, err := s.Sample(context.Background(), 3, 1, ranking.SumCost{})
+	got, err := s.Sample(context.Background(), 3, 1, ranking.SumCost)
 	if !errors.Is(err, ErrTrialBudget) {
 		t.Fatalf("err = %v, want ErrTrialBudget", err)
 	}
@@ -231,7 +231,7 @@ func TestContextCancellation(t *testing.T) {
 	s, _, _ := buildSampler(t, []*relation.Relation{r}, [][]string{{"A", "B"}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Sample(ctx, 10, 1, ranking.SumCost{}); !errors.Is(err, context.Canceled) {
+	if _, err := s.Sample(ctx, 10, 1, ranking.SumCost); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -269,18 +269,18 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 	vars := [][]string{{"A", "B"}, {"B", "C"}, {"C", "A"}}
 	s, _, _ := buildSampler(t, rels, vars)
-	a, err := s.Sample(context.Background(), 40, 99, ranking.SumCost{})
+	a, err := s.Sample(context.Background(), 40, 99, ranking.SumCost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Sample(context.Background(), 40, 99, ranking.SumCost{})
+	b, err := s.Sample(context.Background(), 40, 99, ranking.SumCost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatal("equal seeds drew different samples")
 	}
-	c, err := s.Sample(context.Background(), 40, 100, ranking.SumCost{})
+	c, err := s.Sample(context.Background(), 40, 100, ranking.SumCost)
 	if err != nil {
 		t.Fatal(err)
 	}

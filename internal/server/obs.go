@@ -7,10 +7,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"regexp"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ranking"
 )
 
 // serverMetrics is the server's Prometheus surface: every counter,
@@ -38,11 +38,10 @@ type serverMetrics struct {
 
 	// The paper's latency metrics, per ranking function: time from
 	// request start to the first streamed result (TTF) and to the k'th
-	// (TT(k), observed only on streams that reach k results). Keyed by
-	// aggregate name; read-only after construction, so lookups are
-	// lock-free.
-	ttf map[string]*obs.Histogram
-	ttk map[string]*obs.Histogram
+	// (TT(k), observed only on streams that reach k results).
+	// Read-only after construction, so lookups are lock-free.
+	ttf map[ranking.Aggregate]*obs.Histogram
+	ttk map[ranking.Aggregate]*obs.Histogram
 }
 
 // newServerMetrics builds the metric surface against s (whose registry
@@ -71,20 +70,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Plan registry lookup+build latency by cache disposition.",
 		obs.DefDurationBuckets, obs.L("cache", "miss"))
 
-	m.ttf = make(map[string]*obs.Histogram, len(aggByName))
-	m.ttk = make(map[string]*obs.Histogram, len(aggByName))
-	aggs := make([]string, 0, len(aggByName))
-	for name := range aggByName {
-		aggs = append(aggs, name)
-	}
-	sort.Strings(aggs)
-	for _, name := range aggs {
-		m.ttf[name] = r.Histogram("anykd_ttf_seconds",
+	m.ttf = make(map[ranking.Aggregate]*obs.Histogram, len(ranking.All))
+	m.ttk = make(map[ranking.Aggregate]*obs.Histogram, len(ranking.All))
+	for _, agg := range ranking.All {
+		m.ttf[agg] = r.Histogram("anykd_ttf_seconds",
 			"Time from request start to the first streamed result (TTF).",
-			obs.DefDurationBuckets, obs.L("agg", name))
-		m.ttk[name] = r.Histogram("anykd_ttk_seconds",
+			obs.DefDurationBuckets, obs.L("agg", agg.Name()))
+		m.ttk[agg] = r.Histogram("anykd_ttk_seconds",
 			"Time from request start to the k'th streamed result (TT(k)).",
-			obs.DefDurationBuckets, obs.L("agg", name))
+			obs.DefDurationBuckets, obs.L("agg", agg.Name()))
 	}
 
 	// Plan-registry series read the registry's own atomics at scrape

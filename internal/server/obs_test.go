@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ranking"
 )
 
 // scrape fetches /metrics and returns the body, failing on transport or
@@ -394,7 +395,7 @@ func TestTTFTTKFakeClock(t *testing.T) {
 	if resp.StatusCode != 200 || len(lines) != 4 {
 		t.Fatalf("status %d, %d lines", resp.StatusCode, len(lines))
 	}
-	ttf, ttk := s.met.ttf["sum"], s.met.ttk["sum"]
+	ttf, ttk := s.met.ttf[ranking.SumCost], s.met.ttk[ranking.SumCost]
 	if ttf.Count() != 1 || ttk.Count() != 1 {
 		t.Fatalf("ttf count %d, ttk count %d, want 1,1", ttf.Count(), ttk.Count())
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro"
+	"repro/internal/ranking"
 )
 
 // registry is the server's one plan cache: a singleflight LRU keyed by
@@ -70,7 +71,7 @@ type planEntry struct {
 	snap     []*dataset // per atom: the snapshot to compile from; nil once compiled
 	p        *repro.Prepared
 	compile  *flight
-	warm     [len(rankings)]*flight // per ranking (index into rankings): its warm-up on p
+	warm     [len(ranking.All)]*flight // per ranking, in ranking.All's order: its warm-up on p
 }
 
 // flight is one deduplicated build: the caller that finds its slot

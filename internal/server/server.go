@@ -47,6 +47,7 @@ import (
 	"log/slog"
 	"net/http"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -720,22 +721,6 @@ func (s *Server) handleQueryList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"queries": out})
 }
 
-// rankings are the ranking functions ?agg= selects from. A ranking's
-// position indexes the per-ranking warm-up flights of a plan entry.
-var rankings = [...]ranking.Aggregate{
-	repro.SumCost, repro.SumBenefit, repro.MaxCost, repro.MinBenefit, repro.ProductCost,
-}
-
-// aggByName maps the ?agg= parameter to an index into rankings, by the
-// functions' canonical Name().
-var aggByName = func() map[string]int {
-	m := make(map[string]int, len(rankings))
-	for i, agg := range rankings {
-		m[agg.Name()] = i
-	}
-	return m
-}()
-
 // variantByName maps the ?variant= parameter (case-insensitive) to the
 // any-k algorithm variants.
 var variantByName = func() map[string]repro.Variant {
@@ -773,7 +758,7 @@ type queryStream struct {
 	ctx   context.Context // client disconnect + request deadline + server shutdown
 	start time.Time       // request start, the origin of TTF and TT(k)
 	qd    *queryDef
-	agg   int // index into rankings
+	agg   ranking.Aggregate
 	limit int
 	hit   bool
 
@@ -819,17 +804,17 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, errInvalidArgument, "k %d exceeds maximum %d", limit, s.cfg.MaxK)
 		return
 	}
-	aggName := qry.Get("agg")
-	if aggName == "" {
-		aggName = repro.SumCost.Name()
-	}
-	agg, ok := aggByName[aggName]
-	if !ok {
-		httpError(w, http.StatusBadRequest, errInvalidArgument, "unknown agg %q (sum, sum-desc, max, min-desc, product)", aggName)
-		return
+	var agg ranking.Aggregate
+	if v := qry.Get("agg"); v != "" {
+		var err error
+		if agg, err = ranking.Parse(v); err != nil {
+			httpError(w, http.StatusBadRequest, errInvalidArgument, "bad agg: %v", err)
+			return
+		}
 	}
 	variant := repro.Lazy
 	if v := qry.Get("variant"); v != "" {
+		var ok bool
 		if variant, ok = variantByName[strings.ToLower(v)]; !ok {
 			httpError(w, http.StatusBadRequest, errInvalidArgument, "unknown variant %q", v)
 			return
@@ -897,7 +882,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			status, code = http.StatusGatewayTimeout, errTimeout
 		case errors.As(err, &domain):
 			// The data is outside ?agg='s domain (a non-positive weight
-			// under product): the request, not the server, is at fault.
+			// under product, opposite infinities under a sum): the
+			// request, not the server, is at fault.
 			status, code = http.StatusBadRequest, errInvalidArgument
 		}
 		httpError(w, status, code, "prepare %s: %v", name, err)
@@ -1033,14 +1019,14 @@ func (s *Server) compilePlan(ctx context.Context, e *planEntry) (*repro.Prepared
 // still plans and reduces its shape exactly once. Waiters that abandon
 // the wait or inherit a failed build count as neither hit nor miss, so
 // hits never exceed successfully served zero-preparation requests.
-func (s *Server) warmPlan(ctx context.Context, e *planEntry, agg int) (*repro.Prepared, bool, error) {
+func (s *Server) warmPlan(ctx context.Context, e *planEntry, agg ranking.Aggregate) (*repro.Prepared, bool, error) {
 	p, hit, err := s.compilePlan(ctx, e)
 	ran := !hit
 	if err == nil {
-		ran, err = s.reg.run(ctx, &e.warm[agg], func() error {
+		ran, err = s.reg.run(ctx, &e.warm[slices.Index(ranking.All[:], agg)], func() error {
 			bctx, cancel := s.detached(ctx)
 			defer cancel()
-			it, err := p.Run(repro.WithRanking(rankings[agg]), repro.WithContext(bctx), repro.WithK(1))
+			it, err := p.Run(repro.WithRanking(agg), repro.WithContext(bctx), repro.WithK(1))
 			if err == nil {
 				it.Close()
 			}
@@ -1071,7 +1057,7 @@ type topkLine struct {
 // streamTopK opens the iterator on p and writes its rows and trailer.
 func (s *Server) streamTopK(q *queryStream, p *repro.Prepared, variant repro.Variant) {
 	it, err := p.Run(
-		repro.WithRanking(rankings[q.agg]),
+		repro.WithRanking(q.agg),
 		repro.WithVariant(variant),
 		repro.WithK(q.limit),
 		repro.WithContext(q.ctx),
@@ -1106,8 +1092,7 @@ func (s *Server) streamTopK(q *queryStream, p *repro.Prepared, variant repro.Var
 		}
 	}()
 
-	aggName := rankings[q.agg].Name()
-	ttfH, ttkH := s.met.ttf[aggName], s.met.ttk[aggName]
+	ttfH, ttkH := s.met.ttf[q.agg], s.met.ttk[q.agg]
 	for {
 		res, ok := it.Next()
 		if !ok {

@@ -283,6 +283,44 @@ func TestNonFiniteWeightEndsStream(t *testing.T) {
 	}
 }
 
+// TestOppositeInfinitiesRefusedUnderSum: +Inf in one atom beside −Inf
+// in another sums to NaN, so /topk?agg=sum answers 400 before any row,
+// naming the two rows, like product over a non-positive weight.
+func TestOppositeInfinitiesRefusedUnderSum(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for name, csv := range map[string]string{
+		"ir": "a,b,w\n1,1,+Inf\n2,1,5\n3,2,1\n4,2,3\n",
+		"is": "b,c,w\n1,7,-Inf\n1,8,2\n2,9,4\n",
+	} {
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/datasets/"+name, strings.NewReader(csv))
+		req.Header.Set("Content-Type", "text/csv")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("CSV upload of %s: status %d", name, resp.StatusCode)
+		}
+	}
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/queries/inf", map[string]any{
+		"atoms": []any{
+			map[string]any{"dataset": "ir", "vars": []string{"A", "B"}},
+			map[string]any{"dataset": "is", "vars": []string{"B", "C"}},
+		},
+	})
+	mustStatus(t, resp, body, 200)
+	resp, body = doJSON(t, "GET", ts.URL+"/v1/query/inf/topk?agg=sum", nil)
+	mustStatus(t, resp, body, 400)
+	if code := errCode(t, body); code != errInvalidArgument {
+		t.Fatalf("agg=sum over opposite infinities: code %q", code)
+	}
+	const want = "cannot add +Inf and -Inf: relation is#1 row 0 has weight -Inf and relation ir#0 row 0 has weight +Inf"
+	if msg := body["error"].(map[string]any)["message"].(string); !strings.Contains(msg, want) {
+		t.Fatalf("agg=sum over opposite infinities: message %q, want one containing %q", msg, want)
+	}
+}
+
 // TestQuotedStringsUnderConcurrentPatches: readers take snapshots of
 // the quoted dictionary while a writer keeps PATCHing rows with new
 // strings into the dataset they read, so the table grows under them.

@@ -41,7 +41,6 @@ func NewList(ids []int, grades []float64) (*List, error) {
 // monotone: increasing any grade must not decrease the score.
 type ScoreAgg interface {
 	Score(grades []float64) float64
-	Name() string
 }
 
 // SumAgg scores objects by the sum of grades.
@@ -55,9 +54,6 @@ func (SumAgg) Score(grades []float64) float64 {
 	}
 	return s
 }
-
-// Name implements ScoreAgg.
-func (SumAgg) Name() string { return "sum" }
 
 // Candidate is a scored object.
 type Candidate struct {

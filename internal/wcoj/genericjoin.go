@@ -276,7 +276,7 @@ func collect(ctx context.Context, b *relation.Builder) Emit {
 // with early termination at the first witness.
 func IsEmpty(atoms []Atom, varOrder []string) (bool, *Instr, error) {
 	found := false
-	instr, err := GenericJoin(atoms, varOrder, ranking.SumCost{}, func(relation.Tuple, float64) bool {
+	instr, err := GenericJoin(atoms, varOrder, ranking.SumCost, func(relation.Tuple, float64) bool {
 		found = true
 		return false
 	})

@@ -23,18 +23,19 @@ func crossAtoms(side int) ([]Atom, []string) {
 	return []Atom{{Rel: r, Vars: []string{"A"}}, {Rel: s, Vars: []string{"B"}}}, []string{"A", "B"}
 }
 
-// cancelOnCombine is SumCost that cancels a context at its first
-// Combine — from inside the join's first emit — and counts the calls.
-type cancelOnCombine struct {
-	ranking.SumCost
-	cancel   context.CancelFunc
-	combines *int
+// cancelAfterPolls is a context that reports Canceled from its
+// (after+1)'th Err call on, and counts the calls.
+type cancelAfterPolls struct {
+	context.Context
+	after, polls int
 }
 
-func (a cancelOnCombine) Combine(x, y float64) float64 {
-	*a.combines++
-	a.cancel()
-	return a.SumCost.Combine(x, y)
+func (c *cancelAfterPolls) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestMaterializeSequentialHonoursContext: with one worker the
@@ -42,12 +43,12 @@ func (a cancelOnCombine) Combine(x, y float64) float64 {
 // when ctx is done mid-join — decomp hands every bag a one-worker budget
 // whenever there are at least as many bags as workers.
 func TestMaterializeSequentialHonoursContext(t *testing.T) {
-	const side = 320 // 102 400 output rows, two Combines each
+	const side = 320 // 102 400 output rows, about 30 Builder chunks
 	atoms, order := crossAtoms(side)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	combines := 0
-	out, _, err := MaterializeParallelHinted(ctx, atoms, order, cancelOnCombine{cancel: cancel, combines: &combines}, 1, nil)
+	// The first poll is the entry check, the second the one at the first
+	// chunk; the context is done from then on.
+	ctx := &cancelAfterPolls{Context: context.Background(), after: 2}
+	out, _, err := MaterializeParallelHinted(ctx, atoms, order, ranking.SumCost, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -55,9 +56,10 @@ func TestMaterializeSequentialHonoursContext(t *testing.T) {
 		t.Fatal("canceled materialisation must not return a partial relation")
 	}
 	// The poll sits where the output Builder opens a chunk, so the join
-	// runs on for at most one chunk (4 096 emits) after the cancel.
-	if emits := combines / 2; emits > 2*4096 {
-		t.Fatalf("join ran %d of %d emits after ctx was canceled in the first", emits, side*side)
+	// runs on for at most one chunk after the cancel: one poll sees it
+	// and stops the join, one more reports it.
+	if after := ctx.polls - ctx.after; after > 2 {
+		t.Fatalf("%d polls after ctx was canceled, want the join to stop at the next chunk", after)
 	}
 }
 

@@ -352,7 +352,7 @@ func TaskShares(atoms []Atom, varOrder []string, workers int, hints SkewHints) (
 		return max / total
 	}
 
-	base, jerr := newJoin(atoms, varOrder, ranking.SumCost{}, func(relation.Tuple, float64) bool { return true }, false)
+	base, jerr := newJoin(atoms, varOrder, ranking.SumCost, func(relation.Tuple, float64) bool { return true }, false)
 	if jerr != nil {
 		return 0, 0, jerr
 	}
@@ -377,7 +377,7 @@ func TaskShares(atoms []Atom, varOrder []string, workers int, hints SkewHints) (
 		})
 	}
 
-	planBase, jerr := newJoin(atoms, varOrder, ranking.SumCost{}, func(relation.Tuple, float64) bool { return true }, false)
+	planBase, jerr := newJoin(atoms, varOrder, ranking.SumCost, func(relation.Tuple, float64) bool { return true }, false)
 	if jerr != nil {
 		return 0, 0, jerr
 	}

@@ -110,7 +110,7 @@ func assertSameRelation(t *testing.T, name string, got, want *relation.Relation)
 func TestMaterializeParallelAggregates(t *testing.T) {
 	atoms := triangleAtoms(randomEdges(200, 20, 13))
 	order := []string{"A", "B", "C"}
-	for _, agg := range []ranking.Aggregate{ranking.SumCost{}, ranking.SumBenefit{}, ranking.MaxCost{}, ranking.MinBenefit{}, ranking.ProductCost{}} {
+	for _, agg := range ranking.All {
 		want, wantInstr, err := Materialize(atoms, order, agg)
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/relation"
 )
 
-var sum = ranking.SumCost{}
+var sum = ranking.SumCost
 
 func edgeRel(name string, edges [][2]relation.Value) *relation.Relation {
 	r := relation.New(name, "src", "dst")

@@ -11,7 +11,7 @@ import (
 	"repro/internal/relation"
 )
 
-var sum = ranking.SumCost{}
+var sum = ranking.SumCost
 
 // pathData builds relations for Path(l) with the given edge lists.
 func pathData(l int, edges [][][2]relation.Value) []*relation.Relation {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -160,8 +159,6 @@ type planState struct {
 // onceCache memoizes one value per ranking function. The mutex guards
 // only the map; each entry builds under its own sync.Once, so a cold
 // build for one ranking function never blocks cache hits for another.
-// Aggregates whose dynamic type is not comparable (and so cannot be a
-// map key) are built fresh on every call.
 type onceCache[V any] struct {
 	mu sync.Mutex
 	m  map[ranking.Aggregate]*onceEntry[V]
@@ -184,9 +181,6 @@ type onceEntry[V any] struct {
 // run's cancellation can never fail a concurrent run that supplied a
 // healthy context.
 func (c *onceCache[V]) get(ctx context.Context, agg ranking.Aggregate, build func(ranking.Aggregate) (V, error)) (V, error) {
-	if !reflect.TypeOf(agg).Comparable() {
-		return build(agg)
-	}
 	for {
 		c.mu.Lock()
 		if c.m == nil {
@@ -743,12 +737,9 @@ func WithSeed(seed uint64) RunOption {
 // the documented defaults, then the caller's options, then the one
 // check every entry point shares.
 func newRunConfig(opts []RunOption) (runConfig, error) {
-	cfg := runConfig{agg: SumCost, variant: Lazy, ctx: context.Background()}
+	cfg := runConfig{variant: Lazy, ctx: context.Background()}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.agg == nil {
-		return cfg, errors.New("repro: nil ranking function")
 	}
 	return cfg, core.CheckVariant(cfg.variant)
 }
@@ -883,22 +874,6 @@ func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
 	return n == 0, err
 }
 
-// checkWeights rejects an epoch's weights on which agg is not monotone
-// (ranking.CheckDomain: a non-positive weight under ProductCost), naming
-// relation and row. It runs wherever a ranking's plan is built for an
-// epoch (instantiate), as one scan of that epoch's weights, so a Run
-// fails instead of enumerating in an order that depends on the variant,
-// and an ApplyDelta that brings such a row under a warm ranking leaves
-// the handle on its old epoch.
-func (p *Prepared) checkWeights(agg ranking.Aggregate, rels []*relation.Relation) error {
-	for i, r := range rels {
-		if err := ranking.CheckDomain(agg, p.srcEdges[i].Name, r.Weights); err != nil {
-			return fmt.Errorf("repro: %w", err)
-		}
-	}
-	return nil
-}
-
 // planFor returns (building and caching on first use) the epoch's plan
 // under agg. The ctx and worker count only matter to the Run that
 // triggers the build; cache hits ignore them. A build is cancelable
@@ -918,9 +893,19 @@ func (p *Prepared) planFor(st *planState, agg ranking.Aggregate, ctx context.Con
 // previous epoch held for agg (nil: none): an atom tree patches its π
 // pass from it, a tree of materialised bags is rebuilt whole
 // (decomp.Epoch.Instantiate), and the DeltaStats say what was redone.
+// It first scans the epoch's weights once for one on which agg is not
+// monotone (ranking.Aggregate.CheckDomain: ≤ 0 under ProductCost, +Inf
+// in one atom beside −Inf in another under a sum) and fails naming
+// relation and row, so a Run fails instead of enumerating in an order
+// that depends on the variant, and an ApplyDelta that brings such a row
+// under a warm ranking leaves the handle on its old epoch.
 func (p *Prepared) instantiate(st *planState, agg ranking.Aggregate, old *decomp.Plan, ctx context.Context, workers int) (*decomp.Plan, decomp.DeltaStats, error) {
-	if err := p.checkWeights(agg, st.srcRels); err != nil {
-		return nil, decomp.DeltaStats{}, err
+	names, weights := make([]string, len(st.srcRels)), make([][]float64, len(st.srcRels))
+	for i, r := range st.srcRels {
+		names[i], weights[i] = p.srcEdges[i].Name, r.Weights
+	}
+	if err := agg.CheckDomain(names, weights); err != nil {
+		return nil, decomp.DeltaStats{}, fmt.Errorf("repro: %w", err)
 	}
 	return st.structure.Instantiate(agg, old, p.prepareOpts(ctx, workers)...)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ranking"
 	"repro/internal/workload"
 )
 
@@ -77,20 +78,15 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestPreparedRankingSwitch runs one handle under several ranking
-// functions and checks each against the one-shot path.
+// TestPreparedRankingSwitch runs one handle under every ranking
+// function and checks each against the one-shot path.
 func TestPreparedRankingSwitch(t *testing.T) {
 	mk := prepCases()["acyclic"]
 	p, err := Compile(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, agg := range []interface {
-		Identity() float64
-		Combine(a, b float64) float64
-		Less(a, b float64) bool
-		Name() string
-	}{SumCost, MaxCost, SumBenefit} {
+	for _, agg := range ranking.All {
 		want, err := mk().TopK(agg, Lazy, 10)
 		if err != nil {
 			t.Fatal(err)
@@ -322,36 +318,5 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := p.Run(WithVariant(Variant("Nope"))); err == nil {
 		t.Error("unknown variant should fail at Run")
-	}
-}
-
-// TestNilRankingRejected checks that every entry point taking run
-// options rejects WithRanking(nil) with an error instead of panicking,
-// on acyclic and cyclic handles alike.
-func TestNilRankingRejected(t *testing.T) {
-	for name, mk := range prepCases() {
-		p, err := Compile(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := p.srcEdges[0].Name
-		calls := map[string]func() error{
-			"Run":     func() error { _, err := p.Run(WithRanking(nil)); return err },
-			"TopK":    func() error { _, err := p.TopK(3, WithRanking(nil)); return err },
-			"Count":   func() error { _, err := p.Count(WithRanking(nil)); return err },
-			"IsEmpty": func() error { _, err := p.IsEmpty(WithRanking(nil)); return err },
-			"Sample":  func() error { _, err := p.Sample(1, WithRanking(nil)); return err },
-			"ApplyDelta": func() error {
-				return p.ApplyDelta([]Delta{{Rel: rel, Append: []Tuple{{1, 2}}}}, WithRanking(nil))
-			},
-		}
-		for call, f := range calls {
-			if err := f(); err == nil || err.Error() != "repro: nil ranking function" {
-				t.Errorf("%s/%s with a nil ranking: got %v, want \"repro: nil ranking function\"", name, call, err)
-			}
-		}
-		if p.Epoch() != 1 {
-			t.Errorf("%s: a rejected ApplyDelta advanced the epoch to %d", name, p.Epoch())
-		}
 	}
 }

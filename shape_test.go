@@ -37,9 +37,11 @@ func oneBagGHD(t *testing.T) (*workload.Instance, *catalog.CostModel, *Prepared)
 }
 
 // TestUnknownVariantRejected: a variant the engine does not implement
-// fails every entry point on every plan kind — including the plans that
-// never consult it because they enumerate one sorted bag (the triangle
-// row accepted "bogus" before the check moved into newRunConfig).
+// fails every entry point taking run options, ApplyDelta included, on
+// every plan kind — including the plans that never consult it because
+// they enumerate one sorted bag (the triangle row accepted "bogus"
+// before the check moved into newRunConfig) — and a rejected ApplyDelta
+// leaves the handle on its epoch.
 func TestUnknownVariantRejected(t *testing.T) {
 	g := workload.RandomGraph(8, 40, workload.UniformWeights(), 7)
 	compile := func(atoms ...atomSpec) *Prepared {
@@ -63,10 +65,15 @@ func TestUnknownVariantRejected(t *testing.T) {
 		_, topErr := p.TopK(3, bogus)
 		_, countErr := p.Count(bogus)
 		_, emptyErr := p.IsEmpty(bogus)
-		for call, err := range map[string]error{"Run": runErr, "TopK": topErr, "Count": countErr, "IsEmpty": emptyErr} {
+		_, sampleErr := p.Sample(1, bogus)
+		deltaErr := p.ApplyDelta([]Delta{{Rel: p.srcEdges[0].Name, Append: []Tuple{{1, 2}}}}, bogus)
+		for call, err := range map[string]error{"Run": runErr, "TopK": topErr, "Count": countErr, "IsEmpty": emptyErr, "Sample": sampleErr, "ApplyDelta": deltaErr} {
 			if err == nil || !strings.Contains(err.Error(), `unknown variant "bogus"`) {
 				t.Errorf("%s: %s(WithVariant(bogus)) = %v, want an unknown-variant error", name, call, err)
 			}
+		}
+		if p.Epoch() != 1 {
+			t.Errorf("%s: a rejected ApplyDelta advanced the epoch to %d", name, p.Epoch())
 		}
 		if _, err := p.TopK(3, WithVariant(Rec)); err != nil {
 			t.Errorf("%s: a known variant failed: %v", name, err)
