@@ -46,13 +46,13 @@
 // hypergraphs with higher-arity atoms — compiles through the generic
 // GHD planner: a generalized hypertree decomposition is searched
 // (exhaustive vertex-elimination orders for small queries, min-degree /
-// min-fill greedy orders for larger ones, scored by the maximum
-// fractional edge cover over the bags), each bag is materialised with
-// Generic-Join, and the acyclic bag tree feeds the same any-k
-// machinery. See internal/hypergraph.Decompose for the width heuristics
-// and internal/decomp for the one preparer every shape — the atom tree
-// and the canonical cycles included — goes through, and its weight
-// charging.
+// min-fill greedy orders for larger ones, scored by the cost model's
+// estimate of the tuples its bags materialise), each bag is
+// materialised with Generic-Join, and the acyclic bag tree feeds the
+// same any-k machinery. See internal/hypergraph.DecomposeCosted for the
+// search and internal/decomp for the one preparer every shape — the
+// atom tree and the canonical cycles included — goes through, and its
+// weight charging.
 //
 // Execution is observable per phase: when the context passed via
 // WithContext carries an internal/obs trace recorder (the serving

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/ranking"
 	"repro/internal/workload"
 )
@@ -18,18 +19,14 @@ import (
 // one bag). After each step the warm handle is bit-identical to a cold
 // Compile on the same data.
 func TestDeltaThroughEmptyRelation(t *testing.T) {
-	ghdInst, cm, _ := oneBagGHD(t)
+	ghdInst, _, _ := oneBagGHD(t)
 	cases := []struct {
 		kind string
 		inst *workload.Instance
-		opt  CompileOption
 	}{
-		// Structural planning pins one plan on both sides of each
-		// comparison (see deltaParityCase); the GHD needs its cost model
-		// to be the one-bag plan at all.
-		{"acyclic", workload.Path(3, 40, 6, workload.UniformWeights(), 11), WithStatistics(nil)},
-		{"triangle", workload.Cycle(3, 40, 7, workload.UniformWeights(), 12), WithStatistics(nil)},
-		{"ghd", ghdInst, WithCostModel(cm)},
+		{"acyclic", workload.Path(3, 40, 6, workload.UniformWeights(), 11)},
+		{"triangle", workload.Cycle(3, 40, 7, workload.UniformWeights(), 12)},
+		{"ghd", ghdInst},
 	}
 	for _, tc := range cases {
 		t.Run(tc.kind, func(t *testing.T) {
@@ -37,7 +34,10 @@ func TestDeltaThroughEmptyRelation(t *testing.T) {
 			for i, r := range tc.inst.Rels {
 				mirrors[i] = &dataMirror{tuples: r.Tuples, weights: r.Weights}
 			}
-			p, err := Compile(mirrorQuery(tc.inst, mirrors), tc.opt)
+			// The initial data's cost model pins one plan on both sides of
+			// each comparison (see deltaParityCase).
+			pin := withCostModel(catalog.NewCostModel(tc.inst.H.Edges, tc.inst.Rels, nil))
+			p, err := Compile(mirrorQuery(tc.inst, mirrors), pin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestDeltaThroughEmptyRelation(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				mirrors[edgeIndex(tc.inst, d.Rel)].apply(d)
-				cold, err := Compile(mirrorQuery(tc.inst, mirrors), tc.opt)
+				cold, err := Compile(mirrorQuery(tc.inst, mirrors), pin)
 				if err != nil {
 					t.Fatalf("%s: cold compile: %v", label, err)
 				}

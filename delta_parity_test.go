@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/workload"
 )
 
@@ -134,15 +135,15 @@ func deltaParityCase(t *testing.T, inst *workload.Instance, seed int64, rounds i
 		}
 		mirrors[i] = m
 	}
-	// Both handles plan structurally (WithStatistics(nil)): cost-based
-	// planning would re-search the GHD from each side's statistics, and
-	// a different — equally correct — bag structure accumulates the
+	// Both handles plan with the initial data's cost model: a cold
+	// Compile would re-search the GHD from its own statistics, and a
+	// different — equally correct — bag structure accumulates the
 	// floating-point weights in a different order, breaking exact
-	// bit-identity in the last ulp. The structural planner is a pure
-	// function of the (delta-invariant) query shape, so it pins one plan
-	// structure on both sides; cost-based delta correctness is covered by
-	// the tolerance-based brute-force corpus in parity_test.go.
-	p, err := Compile(mirrorQuery(inst, mirrors), WithStatistics(nil))
+	// bit-identity in the last ulp. One pinned model pins one plan
+	// structure on both sides; delta correctness under each side's own
+	// statistics is TestDeltaCostBasedParity's, within a tolerance.
+	pin := withCostModel(catalog.NewCostModel(inst.H.Edges, inst.Rels, nil))
+	p, err := Compile(mirrorQuery(inst, mirrors), pin)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -164,7 +165,7 @@ func deltaParityCase(t *testing.T, inst *workload.Instance, seed int64, rounds i
 		for i := range batch {
 			mirrors[edgeIndex(inst, batch[i].Rel)].apply(batch[i])
 		}
-		cold, err := Compile(mirrorQuery(inst, mirrors), WithStatistics(nil))
+		cold, err := Compile(mirrorQuery(inst, mirrors), pin)
 		if err != nil {
 			t.Fatalf("round %d cold compile: %v", round, err)
 		}

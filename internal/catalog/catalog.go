@@ -1,4 +1,4 @@
-// Package catalog is the statistics catalog and cost model behind
+// Package catalog holds the statistics and cost model behind
 // cost-based planning. It collects cheap per-relation/per-column
 // statistics — cardinalities, distinct counts (exact below a threshold,
 // HyperLogLog beyond), min/max ranges, and Misra–Gries heavy-hitter
@@ -6,19 +6,18 @@
 // joining any subset of the query variables from those statistics,
 // capped by the AGM bound. The decomposition search
 // (hypergraph.DecomposeCosted) and the Generic-Join variable-order
-// search (ChooseOrder) consume the model through small interfaces, and
-// the facade's Compile wires it in by default via WithStatistics.
+// search (ChooseOrder) consume the model through small interfaces.
+// The statistics of a query's relations are collected in one place,
+// the facade's Compile, which builds one model from them and keeps
+// only its derived numbers, no sketch; ChooseOrder collects its own
+// over the atoms of the bag it orders, each time the bag is built.
 //
 // Not to be confused with internal/stats, which measures experiment
 // *runs* (timers, delay recorders, result tables); this package
 // summarises the *data*.
 package catalog
 
-import (
-	"sync"
-
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // heavyK is the Misra–Gries counter budget per column: values with
 // frequency above rows/heavyK are guaranteed to appear in the summary.
@@ -39,14 +38,6 @@ type ColumnStats struct {
 	// HeavyTotal/heavyK. HeavyTotal is the scanned row count.
 	Heavy      []HeavyHit
 	HeavyTotal int
-
-	// dc/mg are the live sketches the derived fields above were read
-	// from. Collect retains them so statistics for append deltas merge
-	// (HLL register max, Misra–Gries counter union) instead of forcing a
-	// rescan; they are nil for hand-constructed ColumnStats, in which
-	// case MergeAppend reports that a recollection is required.
-	dc *DistinctCounter
-	mg *MisraGries
 }
 
 // RelationStats summarises one relation: its cardinality plus per-column
@@ -75,110 +66,12 @@ func Collect(r *relation.Relation) *RelationStats {
 			DistinctExact: dc.Exact(),
 			Heavy:         mg.Entries(),
 			HeavyTotal:    mg.Total(),
-			dc:            dc,
-			mg:            mg,
 		}
 	}
 	return st
 }
 
-// Mergeable reports whether s retains live sketches in every column, so
-// MergeAppend with it can succeed. Statistics from Collect are
-// mergeable; hand-constructed ones are not.
-func (s *RelationStats) Mergeable() bool {
-	for i := range s.Cols {
-		if s.Cols[i].dc == nil || s.Cols[i].mg == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// MergeAppend returns new statistics describing s's relation after
-// appending the rows summarised by delta: row counts add, min/max
-// ranges widen, distinct counters and heavy-hitter summaries merge
-// sketch-wise (HLL register max / Misra–Gries counter union). Neither
-// input is mutated. It reports false — and the caller must Collect from
-// scratch — when the arities differ or either side lacks live sketches
-// (hand-constructed stats). Deletions cannot be merged at all: sketches
-// are insert-only, so delta statistics apply to appends only.
-func (s *RelationStats) MergeAppend(delta *RelationStats) (*RelationStats, bool) {
-	if len(s.Cols) != len(delta.Cols) || !s.Mergeable() || !delta.Mergeable() {
-		return nil, false
-	}
-	out := &RelationStats{Rows: s.Rows + delta.Rows, Cols: make([]ColumnStats, len(s.Cols))}
-	for c := range s.Cols {
-		a, b := &s.Cols[c], &delta.Cols[c]
-		dc := a.dc.Clone()
-		dc.Merge(b.dc)
-		mg := a.mg.Clone()
-		mg.Merge(b.mg)
-		col := ColumnStats{
-			Min:           a.Min,
-			Max:           a.Max,
-			NonEmpty:      a.NonEmpty || b.NonEmpty,
-			Distinct:      dc.Estimate(),
-			DistinctExact: dc.Exact(),
-			Heavy:         mg.Entries(),
-			HeavyTotal:    mg.Total(),
-			dc:            dc,
-			mg:            mg,
-		}
-		if !a.NonEmpty {
-			col.Min, col.Max = b.Min, b.Max
-		} else if b.NonEmpty {
-			if b.Min < col.Min {
-				col.Min = b.Min
-			}
-			if b.Max > col.Max {
-				col.Max = b.Max
-			}
-		}
-		out.Cols[c] = col
-	}
-	return out, true
-}
-
-// Catalog maps relation (dataset) names to versioned statistics. Putting
-// a name at any version replaces the previous entry, so re-registering a
-// dataset at a bumped version invalidates its stale statistics
-// atomically. Safe for concurrent use.
-type Catalog struct {
-	mu      sync.RWMutex
-	entries map[string]catEntry
-}
-
-type catEntry struct {
-	version int
-	st      *RelationStats
-}
-
-// New returns an empty catalog.
-func New() *Catalog {
-	return &Catalog{entries: make(map[string]catEntry)}
-}
-
-// Put stores (replacing any prior version) the statistics for name.
-func (c *Catalog) Put(name string, version int, st *RelationStats) {
-	c.mu.Lock()
-	c.entries[name] = catEntry{version: version, st: st}
-	c.mu.Unlock()
-}
-
-// Get returns the current statistics and version for name.
-func (c *Catalog) Get(name string) (*RelationStats, int, bool) {
-	c.mu.RLock()
-	e, ok := c.entries[name]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, 0, false
-	}
-	return e.st, e.version, true
-}
-
-// Len returns the number of catalogued relations.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
+// Catalog maps relation names to statistics collected beforehand.
+// NewCostModel reads an atom's entry from it in place of collecting one;
+// a nil Catalog holds no entries.
+type Catalog map[string]*RelationStats

@@ -115,34 +115,6 @@ func TestDistinctCounterErrorBounds(t *testing.T) {
 	}
 }
 
-// TestCatalogVersioning pins the invalidation contract: Put replaces
-// and Get returns the current entry with its version (how the server's
-// versioned snapshots shut out stale statistics).
-func TestCatalogVersioning(t *testing.T) {
-	c := New()
-	r1 := relation.New("R", "X", "Y")
-	r1.Add(1, 2)
-	st1 := Collect(r1)
-	c.Put("R", 1, st1)
-
-	if got, v, ok := c.Get("R"); !ok || v != 1 || got != st1 {
-		t.Fatalf("Get after first Put = (%v, %d, %v)", got, v, ok)
-	}
-
-	// Re-registration at a bumped version replaces the entry.
-	r2 := relation.New("R", "X", "Y")
-	r2.Add(1, 2)
-	r2.Add(3, 4)
-	st2 := Collect(r2)
-	c.Put("R", 2, st2)
-	if got, v, _ := c.Get("R"); v != 2 || got != st2 {
-		t.Fatalf("Get after re-registration = (%v, %d), want version-2 stats", got, v)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after replacing one name", c.Len())
-	}
-}
-
 // TestCollectStats sanity-checks one Collect pass end to end.
 func TestCollectStats(t *testing.T) {
 	r := relation.New("R", "X", "Y")

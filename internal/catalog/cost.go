@@ -28,13 +28,12 @@ type CostModel struct {
 }
 
 // NewCostModel builds a cost model for the query given by edges, whose
-// relations align with rels. Statistics come from the catalog when it
-// holds an entry under the edge's name with matching arity; otherwise
-// they are collected on the spot from the aligned relation. When some
-// edge has neither (no catalog entry and a nil relation), no model can
-// be built and NewCostModel returns nil — callers fall back to the
-// structural heuristics.
-func NewCostModel(edges []hypergraph.Edge, rels []*relation.Relation, cat *Catalog) *CostModel {
+// relations align with rels. Statistics come from cat when it holds an
+// entry under the edge's name with matching arity; otherwise they are
+// collected on the spot from the aligned relation. When some edge has
+// neither (no entry and a nil relation), no model can be built and
+// NewCostModel returns nil.
+func NewCostModel(edges []hypergraph.Edge, rels []*relation.Relation, cat Catalog) *CostModel {
 	m := &CostModel{
 		h:     hypergraph.New(edges...),
 		edges: edges,
@@ -42,11 +41,9 @@ func NewCostModel(edges []hypergraph.Edge, rels []*relation.Relation, cat *Catal
 		sizes: make([]float64, len(edges)),
 	}
 	for i, e := range edges {
-		var st *RelationStats
-		if cat != nil {
-			if s, _, ok := cat.Get(e.Name); ok && len(s.Cols) == len(e.Vars) {
-				st = s
-			}
+		st := cat[e.Name]
+		if st != nil && len(st.Cols) != len(e.Vars) {
+			st = nil
 		}
 		if st == nil && i < len(rels) && rels[i] != nil {
 			st = Collect(rels[i])

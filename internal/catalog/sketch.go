@@ -60,51 +60,6 @@ func (d *DistinctCounter) observe(h uint64) {
 // Exact reports whether Estimate is an exact count.
 func (d *DistinctCounter) Exact() bool { return d.exact != nil }
 
-// Clone returns an independent copy of the counter.
-func (d *DistinctCounter) Clone() *DistinctCounter {
-	c := &DistinctCounter{}
-	if d.exact != nil {
-		c.exact = make(map[int64]struct{}, len(d.exact))
-		for v := range d.exact {
-			c.exact[v] = struct{}{}
-		}
-	}
-	if d.regs != nil {
-		c.regs = make([]uint8, len(d.regs))
-		copy(c.regs, d.regs)
-	}
-	return c
-}
-
-// Merge folds another counter into d so that d estimates the distinct
-// count of the union of both streams. Exact sets union (degrading past
-// the limit exactly as Add does); HyperLogLog registers merge by
-// taking the per-register maximum, which is lossless for HLL. Merging
-// is destructive on d and leaves o untouched.
-func (d *DistinctCounter) Merge(o *DistinctCounter) {
-	if o.exact != nil {
-		// Replaying o's exact values through Add handles every receiver
-		// state: set union while d is exact, HLL observation after.
-		for v := range o.exact {
-			d.Add(v)
-		}
-		return
-	}
-	if d.exact != nil {
-		// Degrade d to HLL registers so the register-wise max applies.
-		d.regs = make([]uint8, 1<<hllP)
-		for v := range d.exact {
-			d.observe(hash64(uint64(v)))
-		}
-		d.exact = nil
-	}
-	for i, r := range o.regs {
-		if r > d.regs[i] {
-			d.regs[i] = r
-		}
-	}
-}
-
 // Estimate returns the distinct count: exact below the limit, the
 // HyperLogLog estimate (with the standard linear-counting small-range
 // correction) beyond it.
@@ -192,47 +147,6 @@ func (m *MisraGries) Add(v int64) {
 
 // Total returns the observed stream length.
 func (m *MisraGries) Total() int { return m.n }
-
-// Clone returns an independent copy of the summary.
-func (m *MisraGries) Clone() *MisraGries {
-	c := &MisraGries{k: m.k, n: m.n, counts: make(map[int64]int, len(m.counts))}
-	for v, cnt := range m.counts {
-		c.counts[v] = cnt
-	}
-	return c
-}
-
-// Merge folds another summary into m using the standard mergeable-
-// summaries construction (Agarwal et al.): counters for the same value
-// add, then if more than k-1 counters survive, every counter is reduced
-// by the k-th largest count and non-positive counters are dropped. The
-// merged summary keeps the Misra–Gries guarantee (undercount at most
-// Total()/k) for the combined stream. Destructive on m; o is untouched.
-func (m *MisraGries) Merge(o *MisraGries) {
-	for v, c := range o.counts {
-		m.counts[v] += c
-	}
-	m.n += o.n
-	if len(m.counts) <= m.k-1 {
-		return
-	}
-	all := make([]int, 0, len(m.counts))
-	for _, c := range m.counts {
-		all = append(all, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(all)))
-	// Subtracting a uniform threshold keeps the survivor set independent
-	// of map iteration order: exactly the counters strictly above the
-	// k-th largest count remain.
-	t := all[m.k-1]
-	for v, c := range m.counts {
-		if c-t <= 0 {
-			delete(m.counts, v)
-		} else {
-			m.counts[v] = c - t
-		}
-	}
-}
 
 // Entries returns the surviving (value, lower-bound count) pairs sorted
 // by descending count, ties by ascending value.

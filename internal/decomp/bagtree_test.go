@@ -43,7 +43,7 @@ func TestBagTreeKeepsReducedRows(t *testing.T) {
 	for i := 3; i < 6; i++ {
 		rels[i] = other
 	}
-	d, err := hypergraph.New(edges...).Decompose()
+	d, err := hypergraph.New(edges...).DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestEpochCountsMatchRun(t *testing.T) {
 		t.Fatal("path is cyclic")
 	}
 	bowtie, _ := graphAtoms(g, ghdShapes["bowtie"])
-	d, err := hypergraph.New(bowtie...).Decompose()
+	d, err := hypergraph.New(bowtie...).DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 //	                      {B,C,D} {A,B,D}                    R1ʰ, R2ʰ, R3, R4
 //	                      {A,B,D} {B,C,D}                    R1ˡ, R2ˡ, R3ʰ, R4ʰ
 //	cycle (fan)    1      {A0,A_i,A_{i+1}}, i = 1..ℓ−2       whole relations
-//	ghd            1      searched (hypergraph.Decompose)    whole relations
+//	ghd            1      searched (DecomposeCosted)         whole relations
 //
 // ˡ/ʰ keep the rows whose B value (R1, R2) or D value (R3, R4) is
 // light/heavy; the three cases partition the output and every bag is

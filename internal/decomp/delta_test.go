@@ -49,7 +49,7 @@ func TestPrepareCancelsBagTree(t *testing.T) {
 		rels6[i] = g.Edges
 	}
 	edges, rels := graphAtoms(g, ghdShapes["bowtie"])
-	d, err := hypergraph.New(edges...).Decompose()
+	d, err := hypergraph.New(edges...).DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,10 +83,10 @@ func AcyclicShape(edges []hypergraph.Edge) (s *Shape, ok bool) {
 
 // GHDShape is the shape of an arbitrary full conjunctive query over an
 // already-computed generalized hypertree decomposition (so a
-// prepare-once facade runs the structural search, hypergraph.Decompose,
-// a single time): one tree, whole inputs, output schema
-// GHDAttrs(edges). It accepts every query shape; hand-built
-// decompositions must be connected (see prepareGHD).
+// prepare-once facade runs the costed search,
+// hypergraph.DecomposeCosted, a single time): one tree, whole inputs,
+// output schema GHDAttrs(edges). It accepts every query shape;
+// hand-built decompositions must be connected (see prepareGHD).
 func GHDShape(d *hypergraph.Decomposition, edges []hypergraph.Edge) *Shape {
 	return &Shape{Kind: "ghd", Edges: edges, Attrs: GHDAttrs(edges), Decomposition: d.String(), EstBagSizes: d.EstBagSizes,
 		trees: []shapeTree{{dec: d}}, chooser: true}
@@ -381,7 +381,7 @@ func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, 
 
 	// GYO arranges the bags into a join tree. The bag set must be
 	// connected (the T-DP layer rejects cartesian tree edges);
-	// hypergraph.Decompose guarantees this by merging one bag per
+	// hypergraph.DecomposeCosted guarantees this by merging one bag per
 	// component of a disconnected query, so hand-built decompositions
 	// passed here must be connected too.
 	tp, err := prepareTree(cfg, bags, agg, s.Attrs)

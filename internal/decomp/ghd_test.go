@@ -58,7 +58,7 @@ func bruteForce(edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.
 // decomposeAndPrepare runs the structural GHD search and compiles the
 // query over the decomposition it finds.
 func decomposeAndPrepare(edges []hypergraph.Edge, rels []*relation.Relation, agg ranking.Aggregate, opts ...PrepareOption) (*Plan, error) {
-	d, err := hypergraph.New(edges...).Decompose()
+	d, err := hypergraph.New(edges...).DecomposeCosted(nil)
 	if err != nil {
 		return nil, err
 	}

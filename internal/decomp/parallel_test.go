@@ -69,7 +69,7 @@ func TestPrepareGHDWithParallelDeterminism(t *testing.T) {
 	g := workload.RandomGraph(9, 45, workload.UniformWeights(), 11)
 	for name, pairs := range ghdShapes {
 		edges, rels := graphAtoms(g, pairs)
-		d, err := hypergraph.New(edges...).Decompose()
+		d, err := hypergraph.New(edges...).DecomposeCosted(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -154,7 +154,7 @@ func TestParallelDeterminismGOMAXPROCS1(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	g := workload.RandomGraph(10, 60, workload.UniformWeights(), 19)
 	edges, rels := graphAtoms(g, ghdShapes["bowtie"])
-	d, err := hypergraph.New(edges...).Decompose()
+	d, err := hypergraph.New(edges...).DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestPrepareCancellation(t *testing.T) {
 	cancel()
 
 	edges, rels := graphAtoms(g, ghdShapes["bowtie"])
-	d, err := hypergraph.New(edges...).Decompose()
+	d, err := hypergraph.New(edges...).DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestPrepareCancellation(t *testing.T) {
 func TestParallelDeterminismAllAggregates(t *testing.T) {
 	g := workload.RandomGraph(9, 50, workload.UniformWeights(), 31)
 	edges, rels := graphAtoms(g, ghdShapes["fused-triangles"])
-	d, err := hypergraph.New(edges...).Decompose()
+	d, err := hypergraph.New(edges...).DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

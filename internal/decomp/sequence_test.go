@@ -116,7 +116,7 @@ func TestPlanSequenceUnchanged(t *testing.T) {
 			return PrepareCycleSingleTree(cycle(5), agg)
 		}},
 		{"bowtie", func(agg ranking.Aggregate) (*Plan, error) {
-			d, err := hypergraph.New(bowtie...).Decompose()
+			d, err := hypergraph.New(bowtie...).DecomposeCosted(nil)
 			if err != nil {
 				return nil, err
 			}

@@ -28,7 +28,7 @@ type Decomposition struct {
 	Width float64
 	// EstBagSizes holds the coster's per-bag materialization estimates,
 	// aligned with Bags. Nil when the decomposition was chosen purely
-	// structurally (DecomposeCosted with a nil coster / Decompose).
+	// structurally (DecomposeCosted with a nil coster).
 	EstBagSizes []float64
 	// EstCost is the total estimated materialization cost (the sum of
 	// EstBagSizes); 0 when the decomposition was chosen structurally.
@@ -59,31 +59,27 @@ func (d *Decomposition) String() string {
 // are deduplicated before the width LP runs).
 const maxExhaustiveVars = 7
 
-// Decompose searches for a low-width generalized hypertree decomposition
-// of the hypergraph. Candidate decompositions come from vertex
-// elimination orders — every permutation for small queries, min-degree
-// and min-fill greedy orders for larger ones — scored by the maximum
-// fractional edge cover over their bags; ties prefer fewer bags, then
-// smaller bags. The trivial single-bag decomposition (all variables in
-// one bag, evaluated by one Generic-Join) is always a candidate, so
-// Decompose succeeds for every connected or disconnected query shape.
-func (h *Hypergraph) Decompose() (*Decomposition, error) {
-	return h.DecomposeCosted(nil)
-}
-
 // decompBeamWidth bounds the costed beam search over elimination orders
 // used by DecomposeCosted on queries too large for exhaustive
 // enumeration.
 const decompBeamWidth = 4
 
-// DecomposeCosted is Decompose with an optional data-aware bag coster.
-// A nil coster reproduces the structural search exactly. With a coster,
-// candidates are ranked by total estimated bag materialization cost
-// (Σ coster.BagCost(bag)) — the structural criteria only break
-// near-ties — and, for queries beyond the exhaustive range, a beam
-// search over elimination orders guided by the coster contributes extra
-// candidates. The winning decomposition then carries the coster's
-// per-bag estimates in EstBagSizes/EstCost.
+// DecomposeCosted searches for a low-width generalized hypertree
+// decomposition of the hypergraph. Candidate decompositions come from
+// vertex elimination orders — every permutation for small queries,
+// min-degree and min-fill greedy orders for larger ones. The trivial
+// single-bag decomposition (all variables in one bag, evaluated by one
+// Generic-Join) is always a candidate, so the search succeeds for every
+// connected or disconnected query shape.
+//
+// A nil coster scores candidates purely structurally: by the maximum
+// fractional edge cover over their bags, ties preferring fewer bags,
+// then smaller bags. With a coster, candidates are ranked by total
+// estimated bag materialization cost (Σ coster.BagCost(bag)) — the
+// structural criteria only break near-ties — and, for queries beyond
+// the exhaustive range, a beam search over elimination orders guided by
+// the coster contributes extra candidates. The winning decomposition
+// then carries the coster's per-bag estimates in EstBagSizes/EstCost.
 func (h *Hypergraph) DecomposeCosted(coster BagCoster) (*Decomposition, error) {
 	if len(h.Edges) == 0 {
 		return nil, fmt.Errorf("hypergraph: cannot decompose an empty hypergraph")

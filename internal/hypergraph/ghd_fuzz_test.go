@@ -50,9 +50,9 @@ func FuzzDecompose(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		edges := fuzzEdges(data)
 		h := New(edges...)
-		d, err := h.Decompose()
+		d, err := h.DecomposeCosted(nil)
 		if err != nil {
-			t.Fatalf("Decompose failed on non-empty hypergraph %v: %v", h, err)
+			t.Fatalf("DecomposeCosted failed on non-empty hypergraph %v: %v", h, err)
 		}
 		if len(d.Bags) == 0 || len(d.Contains) != len(d.Bags) {
 			t.Fatalf("malformed decomposition %v for %v", d, h)
@@ -95,7 +95,7 @@ func FuzzDecompose(f *testing.F) {
 		}
 		// Same hypergraph, same decomposition: the search must be
 		// deterministic for plan caching to be sound.
-		d2, err := New(edges...).Decompose()
+		d2, err := New(edges...).DecomposeCosted(nil)
 		if err != nil || !reflect.DeepEqual(d, d2) {
 			t.Fatalf("Decompose is nondeterministic:\n%v\nvs\n%v (err %v)", d, d2, err)
 		}

@@ -49,7 +49,7 @@ func checkDecomposition(t *testing.T, h *Hypergraph, d *Decomposition) {
 
 func TestDecomposeTriangle(t *testing.T) {
 	h := Cycle(3)
-	d, err := h.Decompose()
+	d, err := h.DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDecomposeTriangle(t *testing.T) {
 func TestDecomposeCycles(t *testing.T) {
 	for l := 4; l <= 8; l++ {
 		h := Cycle(l)
-		d, err := h.Decompose()
+		d, err := h.DecomposeCosted(nil)
 		if err != nil {
 			t.Fatalf("C%d: %v", l, err)
 		}
@@ -83,7 +83,7 @@ func TestDecomposeClique(t *testing.T) {
 		E("R1", "A", "B"), E("R2", "A", "C"), E("R3", "A", "D"),
 		E("R4", "B", "C"), E("R5", "B", "D"), E("R6", "C", "D"),
 	)
-	d, err := h.Decompose()
+	d, err := h.DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDecomposeBowtie(t *testing.T) {
 		E("R1", "A", "B"), E("R2", "B", "C"), E("R3", "C", "A"),
 		E("R4", "A", "D"), E("R5", "D", "E"), E("R6", "E", "A"),
 	)
-	d, err := h.Decompose()
+	d, err := h.DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDecomposeBowtie(t *testing.T) {
 func TestDecomposeStarWithChord(t *testing.T) {
 	// Star A-B, A-C, A-D plus chord B-C: triangle {A,B,C} + bag {A,D}.
 	h := New(E("R1", "A", "B"), E("R2", "A", "C"), E("R3", "A", "D"), E("R4", "B", "C"))
-	d, err := h.Decompose()
+	d, err := h.DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestDecomposeStarWithChord(t *testing.T) {
 }
 
 func TestDecomposeAcyclic(t *testing.T) {
-	// Decompose also works on acyclic shapes (the facade never calls it
+	// DecomposeCosted also works on acyclic shapes (the facade never calls it
 	// for them, but the invariants must hold).
 	h := Path(4)
-	d, err := h.Decompose()
+	d, err := h.DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDecomposeLargeFallsBackToGreedy(t *testing.T) {
 	// A 10-cycle has more vars than the exhaustive cap; greedy orders
 	// must still find a width-2 decomposition.
 	h := Cycle(10)
-	d, err := h.Decompose()
+	d, err := h.DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDecomposeDisconnected(t *testing.T) {
 		E("R1", "A", "B"), E("R2", "B", "C"), E("R3", "C", "A"),
 		E("S1", "X", "Y"), E("S2", "Y", "Z"), E("S3", "Z", "X"),
 	)
-	d, err := h.Decompose()
+	d, err := h.DecomposeCosted(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,11 @@
 // acyclicity test with join-tree extraction, running-intersection
 // verification, the fractional-edge-cover LP behind the AGM bound
 // (Part 3 of the tutorial, PAPER.md), and the generalized-hypertree-
-// decomposition search (Decompose) that the facade's generic cyclic
-// planner compiles through: vertex-elimination orders scored by the
-// maximum fractional edge cover over the bags, exhaustive for small
-// queries and min-degree/min-fill greedy beyond.
+// decomposition search (DecomposeCosted) that the facade's generic cyclic
+// planner compiles through: vertex-elimination orders scored by a
+// coster's estimated bag sizes, or by the maximum fractional edge cover
+// over the bags when there is no coster, exhaustive for small queries
+// and min-degree/min-fill greedy beyond.
 package hypergraph
 
 import (

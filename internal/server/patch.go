@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/catalog"
 	"repro/internal/relation"
 )
 
@@ -26,12 +25,11 @@ type datasetPatch struct {
 // handleDatasetPatch is the incremental-update endpoint: it installs a
 // new immutable snapshot of the dataset (bumped version) built from the
 // current one by removing the deleted rows and adding the appended
-// ones, derives the new snapshot's statistics by sketch merge when the
-// batch is append-only (HLL register max / Misra–Gries counter union —
-// no rescan of the existing rows) and by recollection otherwise, and
-// patches every compiled plan in the registry that binds the dataset in
-// place via Prepared.ApplyDelta, moving the warm registry entries to the
-// new version so they keep serving with zero preparation.
+// ones, and patches every compiled plan in the registry that binds the
+// dataset in place via Prepared.ApplyDelta, moving the warm registry
+// entries to the new version so they keep serving with zero
+// preparation. The server keeps no statistics of its own: a plan
+// compiled later collects them from the snapshot it binds to.
 //
 // Bodies are JSON (datasetPatch) or CSV (Content-Type text/csv) with
 // ?mode=append (default; columns follow the upload rules, including
@@ -72,31 +70,14 @@ func (s *Server) handleDatasetPatch(w http.ResponseWriter, r *http.Request) {
 		// its version, and every compiled plan stay exactly as they are.
 		writeJSON(w, map[string]any{
 			"name": name, "rows": len(old.tuples), "arity": old.arity, "version": old.version,
-			"appended": 0, "deleted": 0,
-			"stats_version": old.statsVersion, "epoch": old.epoch, "plans_patched": 0,
+			"appended": 0, "deleted": 0, "epoch": old.epoch, "plans_patched": 0,
 		})
 		return
 	}
 
-	// Statistics: append-only batches merge into the previous snapshot's
-	// sketches without rescanning existing rows; anything with an
-	// effective delete recollects (sketches are insert-only).
-	statsHow := "recollected"
-	var st *catalog.RelationStats
-	if removed == 0 && old.stats != nil {
-		deltaStats := catalog.Collect(&relation.Relation{Name: name, Attrs: old.attrs, Tuples: appendT, Weights: appendW})
-		if merged, ok := old.stats.MergeAppend(deltaStats); ok {
-			st, statsHow = merged, "merged"
-		}
-	}
-	if st == nil {
-		st = catalog.Collect(next)
-	}
-
 	ds := &dataset{
 		name: name, version: old.version + 1, arity: old.arity, attrs: old.attrs,
-		tuples: next.Tuples, weights: next.Weights, stats: st,
-		statsVersion: old.statsVersion + 1, epoch: old.epoch + 1,
+		tuples: next.Tuples, weights: next.Weights, epoch: old.epoch + 1,
 	}
 	// Patch first, publish second (registry invariant 4): while the
 	// handles advance, readers still resolve the old version and find
@@ -121,8 +102,7 @@ func (s *Server) handleDatasetPatch(w http.ResponseWriter, r *http.Request) {
 	s.met.plansPatched.Add(int64(len(patched)))
 	writeJSON(w, map[string]any{
 		"name": name, "rows": len(ds.tuples), "arity": ds.arity, "version": ds.version,
-		"appended": len(appendT), "deleted": removed,
-		"stats": statsHow, "stats_version": ds.statsVersion, "epoch": ds.epoch,
+		"appended": len(appendT), "deleted": removed, "epoch": ds.epoch,
 		"plans_patched": len(patched),
 	})
 }

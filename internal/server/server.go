@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/ranking"
@@ -184,18 +183,6 @@ type dataset struct {
 	attrs   []string // informational (CSV header or c0..cN-1)
 	tuples  []relation.Tuple
 	weights []float64
-	// stats are the per-column statistics collected at registration (or
-	// derived from the previous snapshot on a delta) and handed to every
-	// Compile over this snapshot via the catalog. Like the rest of the
-	// struct they are immutable: every update builds a fresh dataset
-	// (bumped version) with its own statistics, so stale stats can never
-	// plan a new snapshot.
-	stats *catalog.RelationStats
-	// statsVersion is the statistics generation for this name: bumped on
-	// every registration and every delta, whether the stats were merged
-	// sketch-wise (append-only delta) or recollected from scratch
-	// (deletes, or unmergeable inputs).
-	statsVersion int
 	// epoch counts updates to this name since its last full upload: 1
 	// at registration, +1 per applied PATCH delta.
 	epoch int
@@ -424,20 +411,12 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, errInvalidArgument, "dataset %s: %v", name, err)
 		return
 	}
-	// Collect planner statistics once per upload, outside the lock (one
-	// linear scan per column; sketches keep it constant-memory).
-	ds.stats = catalog.Collect(&relation.Relation{
-		Name: name, Attrs: ds.attrs, Tuples: ds.tuples, Weights: ds.weights,
-	})
 	ds.epoch = 1
 	s.writeMu.Lock()
 	s.mu.Lock()
+	ds.version = 1
 	if old, ok := s.datasets[name]; ok {
 		ds.version = old.version + 1
-		ds.statsVersion = old.statsVersion + 1
-	} else {
-		ds.version = 1
-		ds.statsVersion = 1
 	}
 	s.datasets[name] = ds
 	// Every handle bound to the replaced snapshot holds a full copy of
@@ -447,7 +426,7 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	s.writeMu.Unlock()
 	writeJSON(w, map[string]any{
 		"name": name, "rows": len(ds.tuples), "arity": ds.arity, "version": ds.version,
-		"stats_version": ds.statsVersion, "epoch": ds.epoch,
+		"epoch": ds.epoch,
 	})
 }
 
@@ -622,17 +601,14 @@ func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
 		Rows    int    `json:"rows"`
 		Arity   int    `json:"arity"`
 		Version int    `json:"version"`
-		// StatsVersion is the statistics generation (bumped on every
-		// upload and every delta); Epoch is the last-update epoch: 1 at
-		// registration, +1 per applied PATCH delta.
-		StatsVersion int `json:"stats_version"`
-		Epoch        int `json:"epoch"`
+		// Epoch is the last-update epoch: 1 at registration, +1 per
+		// applied PATCH delta.
+		Epoch int `json:"epoch"`
 	}
 	out := make([]dsInfo, 0, len(s.datasets))
 	for _, ds := range s.datasets {
 		out = append(out, dsInfo{
-			Name: ds.name, Rows: len(ds.tuples), Arity: ds.arity, Version: ds.version,
-			StatsVersion: ds.statsVersion, Epoch: ds.epoch,
+			Name: ds.name, Rows: len(ds.tuples), Arity: ds.arity, Version: ds.version, Epoch: ds.epoch,
 		})
 	}
 	s.mu.RUnlock()
@@ -988,20 +964,10 @@ func (s *Server) compilePlan(ctx context.Context, e *planEntry) (*repro.Prepared
 		bctx, cancel := s.detached(ctx)
 		defer cancel()
 		q := repro.NewQuery()
-		// Hand Compile the registration-time statistics of the exact
-		// dataset snapshot this plan binds to, keyed by atom name. A
-		// re-registered dataset produces a new snapshot (and dataKey)
-		// carrying its own fresh stats, so this catalog can never mix
-		// statistics from a different version of the data.
-		cat := catalog.New()
 		for i, a := range e.qd.atoms {
-			atomName := fmt.Sprintf("%s#%d", a.Dataset, i)
-			q.Rel(atomName, a.Vars, e.snap[i].tuples, e.snap[i].weights)
-			if e.snap[i].stats != nil {
-				cat.Put(atomName, e.snap[i].version, e.snap[i].stats)
-			}
+			q.Rel(fmt.Sprintf("%s#%d", a.Dataset, i), a.Vars, e.snap[i].tuples, e.snap[i].weights)
 		}
-		p, err := repro.Compile(q, repro.WithContext(bctx), repro.WithStatistics(cat))
+		p, err := repro.Compile(q, repro.WithContext(bctx))
 		s.reg.built(e, p, err)
 		return err
 	})

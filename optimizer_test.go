@@ -1,11 +1,15 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/decomp"
+	"repro/internal/hypergraph"
 	"repro/internal/ranking"
 	"repro/internal/workload"
 )
@@ -20,13 +24,30 @@ func instanceQuery(inst *workload.Instance) *Query {
 }
 
 // chordedInstance is the pinned Zipf-skewed chorded 5-cycle the
-// optimizer demonstrations run on (the same shape cmd/anyk-bench
-// benchmarks, at a test-sized scale).
+// optimizer demonstrations run on (the shape of the benchmark's
+// chorded5 fixture, at a test-sized scale).
 func chordedInstance() *workload.Instance {
 	return workload.SkewedChordedCycle(400, 100, 5, 1.1, workload.UniformWeights(), 42)
 }
 
 var optimizerAggs = []ranking.Aggregate{SumCost, SumBenefit, MaxCost, MinBenefit, ProductCost}
+
+// structuralPlan is the plan the decomposition search picks for q
+// without statistics: DecomposeCosted(nil)'s structural width criteria,
+// every bag materialised in Generic-Join's default variable order. It
+// is the reference the cost-based plans are measured against.
+func structuralPlan(t *testing.T, q *Query, agg ranking.Aggregate) (*hypergraph.Decomposition, *decomp.Plan) {
+	t.Helper()
+	dec, err := hypergraph.New(q.edges...).DecomposeCosted(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := decomp.PrepareGHDWith(dec, q.edges, q.rels, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec, d
+}
 
 // TestOptimizerChordedCycleCheaper pins the tentpole's demonstration:
 // on the Zipf-skewed chorded 5-cycle, cost-based planning picks a
@@ -34,44 +55,32 @@ var optimizerAggs = []ranking.Aggregate{SumCost, SumBenefit, MaxCost, MinBenefit
 // materialises strictly fewer tuples for it.
 func TestOptimizerChordedCycleCheaper(t *testing.T) {
 	inst := chordedInstance()
-	ph, err := Compile(instanceQuery(inst), WithStatistics(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dh, ph := structuralPlan(t, instanceQuery(inst), SumCost)
 	po, err := Compile(instanceQuery(inst))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ph.TopK(1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := po.TopK(1); err != nil {
 		t.Fatal(err)
 	}
-	sh, so := ph.PlanStats(), po.PlanStats()
-	if sh.CostBased {
-		t.Fatalf("WithStatistics(nil) compile reports cost_based")
+	so := po.PlanStats()
+	if dh.String() == so.Decomposition {
+		t.Fatalf("optimizer picked the heuristic decomposition %s — the skewed fixture no longer separates them", dh)
 	}
-	if !so.CostBased {
-		t.Fatalf("default compile does not report cost_based")
-	}
-	if sh.Decomposition == so.Decomposition {
-		t.Fatalf("optimizer picked the heuristic decomposition %s — the skewed fixture no longer separates them", sh.Decomposition)
-	}
-	th, to := sh.Rankings[0].TotalMaterialized, so.Rankings[0].TotalMaterialized
+	th, to := ph.Stats.TotalMaterialized, so.Rankings[0].TotalMaterialized
 	if to >= th {
 		t.Fatalf("optimized plan %s materialises %d tuples, heuristic %s only %d",
-			so.Decomposition, to, sh.Decomposition, th)
+			so.Decomposition, to, dh, th)
 	}
 	t.Logf("heuristic %s total=%d; optimized %s total=%d (%.1fx less)",
-		sh.Decomposition, th, so.Decomposition, to, float64(th)/float64(to))
+		dh, th, so.Decomposition, to, float64(th)/float64(to))
 }
 
-// TestOptimizerParity confirms optimizer-chosen plans return identical
-// results to heuristic plans across all five aggregates, on the skewed
-// chorded cycle, a 4-clique, an acyclic path, and a triangle (the
-// shapes covering the generic GHD, acyclic, and fast-path compile
-// kinds).
+// TestOptimizerParity confirms the facade's cost-based plans return
+// identical results to the structural GHD plan across all five
+// aggregates, on the skewed chorded cycle, a 4-clique, an acyclic path,
+// and a triangle (the shapes covering the generic GHD, acyclic, and
+// fast-path compile kinds).
 func TestOptimizerParity(t *testing.T) {
 	g := workload.RandomGraph(8, 40, workload.UniformWeights(), 7)
 	shapes := []struct {
@@ -97,19 +106,12 @@ func TestOptimizerParity(t *testing.T) {
 		}},
 	}
 	for _, sh := range shapes {
-		ph, err := Compile(sh.q(), WithStatistics(nil))
-		if err != nil {
-			t.Fatalf("%s: heuristic compile: %v", sh.name, err)
-		}
 		po, err := Compile(sh.q())
 		if err != nil {
 			t.Fatalf("%s: optimized compile: %v", sh.name, err)
 		}
 		for _, agg := range optimizerAggs {
-			rh, err := ph.TopK(0, WithRanking(agg))
-			if err != nil {
-				t.Fatalf("%s/%s: heuristic run: %v", sh.name, agg.Name(), err)
-			}
+			rh := structuralTopK(t, sh.q(), agg, po.OutAttrs())
 			ro, err := po.TopK(0, WithRanking(agg))
 			if err != nil {
 				t.Fatalf("%s/%s: optimized run: %v", sh.name, agg.Name(), err)
@@ -119,6 +121,31 @@ func TestOptimizerParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// structuralTopK drains structuralPlan(q, agg), with each tuple
+// reordered from the GHD's canonical schema to attrs.
+func structuralTopK(t *testing.T, q *Query, agg ranking.Aggregate, attrs []string) []Result {
+	t.Helper()
+	_, d := structuralPlan(t, q, agg)
+	canon := decomp.GHDAttrs(q.edges)
+	it, err := d.Run(context.Background(), Lazy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var out []Result
+	for r, ok := it.Next(); ok; r, ok = it.Next() {
+		tup := make(Tuple, len(attrs))
+		for i, a := range attrs {
+			tup[i] = r.Tuple[slices.Index(canon, a)]
+		}
+		out = append(out, Result{Tuple: tup, Weight: r.Weight})
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // sameResults checks two ranked result sets are identical: equal weight
@@ -156,8 +183,8 @@ func TestPlanStatsEstimates(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.PlanStats()
-	if !st.CostBased || st.EstOutput <= 0 || len(st.EstBagSizes) == 0 {
-		t.Fatalf("cost-based compile missing estimates: %+v", st)
+	if st.EstOutput <= 0 || len(st.EstBagSizes) == 0 {
+		t.Fatalf("compile missing estimates: %+v", st)
 	}
 	if st.EstimatorError != 0 {
 		t.Fatalf("estimator error %g before any ranking was built", st.EstimatorError)
@@ -180,7 +207,7 @@ func TestPlanStatsEstimates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sta := pa.PlanStats()
-	if !sta.CostBased || sta.EstimatorError < 1 {
+	if sta.EstimatorError < 1 {
 		t.Fatalf("acyclic estimator stats missing: %+v", sta)
 	}
 }

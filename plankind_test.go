@@ -39,7 +39,7 @@ func countCases(t *testing.T) map[string]*Prepared {
 		out[name] = p
 	}
 	inst, cm, _ := oneBagGHD(t)
-	p, err := Compile(instanceQuery(inst), WithCostModel(cm))
+	p, err := Compile(instanceQuery(inst), withCostModel(cm))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,22 +73,20 @@ type Prepared struct {
 	workers    int
 	workersSet bool
 
-	// costBased records whether a cost model drove this compilation (see
-	// WithStatistics); when it did, estOutput is the model's output-
-	// cardinality estimate, and estBags its per-bag materialisation
-	// estimates for the shapes that expose them (the GHD planner's costed
-	// decomposition; any one-bag shape, whose bag is the output) — nil
-	// for the canonical 4-cycle and fan-cycle plans, whose bag structure
-	// is fixed by the shape rather than searched.
-	costBased bool
+	// estOutput is the cost model's output-cardinality estimate, and
+	// estBags its per-bag materialisation estimates for the shapes that
+	// expose them (the GHD planner's costed decomposition; any one-bag
+	// shape, whose bag is the output) — nil for the canonical 4-cycle and
+	// fan-cycle plans, whose bag structure is fixed by the shape rather
+	// than searched.
 	estOutput float64
 	estBags   []float64
 
-	// costOpts are what a cost model adds to every prepare: its
+	// costOpts are what the cost model adds to every prepare: its
 	// Misra–Gries heavy hitters guide the intra-bag heavy/light split
 	// (results stay bit-identical), and a searched bag picks its
 	// Generic-Join order from statistics over its atoms (the canonical
-	// shapes ignore the chooser). Empty without a cost model.
+	// shapes ignore the chooser).
 	costOpts []decomp.PrepareOption
 
 	// state points at the current epoch's prepared artefacts. Readers
@@ -265,18 +263,25 @@ func (p *Prepared) prepareWorkers(cfg runConfig, estTuples int) int {
 // per-shape plans), and every other cyclic shape to the bag tree the
 // generalized-hypertree-decomposition search finds.
 //
-// Compile accepts CompileOptions — which include every RunOption.
-// WithParallelism drives the first epoch's build (for an acyclic query
-// the full reduction and grouping) and sets the handle's default
-// prepare parallelism (how many workers build a ranking's plan on the
-// first Run with it); when it is omitted, parallelism defaults to
-// GOMAXPROCS for inputs above a size threshold and sequential below
-// it. WithContext makes the epoch build cancelable (a canceled Compile
-// returns ctx.Err() and no handle); it is not retained by the handle.
-// WithStatistics/WithCostModel — the compile-only options — steer
-// cost-based planning (on by default; see WithStatistics). The
-// remaining run options are per-run and ignored here.
-func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
+// Planning is cost-based: Compile collects per-column statistics
+// (distinct counts, heavy hitters) from the query's relations — the
+// one place a query's statistics come from — and the cost model built
+// from them picks a searched decomposition. The handle keeps the
+// model's derived numbers (its estimates, reported by PlanStats, and
+// the heavy hitters that guide bag builds), never the sketches they
+// were read from; a delta keeps the decomposition and estimates chosen
+// here.
+//
+// Of the RunOptions, Compile consults two. WithParallelism drives the
+// first epoch's build (for an acyclic query the full reduction and
+// grouping) and sets the handle's default prepare parallelism (how
+// many workers build a ranking's plan on the first Run with it); when
+// it is omitted, parallelism defaults to GOMAXPROCS for inputs above a
+// size threshold and sequential below it. WithContext makes the epoch
+// build cancelable (a canceled Compile returns ctx.Err() and no
+// handle); it is not retained by the handle. The remaining options are
+// per-run and ignored here.
+func Compile(q *Query, opts ...RunOption) (*Prepared, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
@@ -285,7 +290,7 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	}
 	cfg := runConfig{ctx: context.Background()}
 	for _, o := range opts {
-		o.applyCompile(&cfg)
+		o(&cfg)
 	}
 	fp, err := q.Fingerprint()
 	if err != nil {
@@ -297,15 +302,10 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	var compileSpan *obs.Span
 	cfg.ctx, compileSpan = obs.StartSpan(cfg.ctx, "compile")
 	defer compileSpan.End()
-	// Resolve the cost model: an explicit WithCostModel wins;
-	// WithStatistics(nil) disables cost-based planning entirely;
-	// otherwise build one from the supplied catalog (statistics for
-	// atoms it misses are collected from the query's relations on the
-	// spot — the default-on path when no option was passed at all).
 	_, cmSpan := obs.StartSpan(cfg.ctx, "cost-model")
 	cm := cfg.cm
-	if cm == nil && !(cfg.catSet && cfg.cat == nil) {
-		cm = catalog.NewCostModel(q.edges, q.rels, cfg.cat)
+	if cm == nil {
+		cm = catalog.NewCostModel(q.edges, q.rels, nil)
 	}
 	cmSpan.End()
 	p := &Prepared{
@@ -313,11 +313,8 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 		srcEdges:   q.edges,
 		workers:    cfg.workers,
 		workersSet: cfg.workersSet,
-		costBased:  cm != nil,
-	}
-	if cm != nil {
-		p.estOutput = cm.EstimateOutput()
-		p.costOpts = []decomp.PrepareOption{decomp.WithSkewHints(cm.HeavyValues), decomp.WithOrderChooser(catalog.ChooseOrder)}
+		estOutput:  cm.EstimateOutput(),
+		costOpts:   []decomp.PrepareOption{decomp.WithSkewHints(cm.HeavyValues), decomp.WithOrderChooser(catalog.ChooseOrder)},
 	}
 	shape, path, err := q.planShape()
 	if err != nil {
@@ -327,19 +324,11 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 	if path == "ghd" {
 		// No canonical shape: search for a generalized hypertree
 		// decomposition now (structure only — bags materialise lazily per
-		// ranking function on first Run). With a cost model the search
-		// ranks candidates by estimated materialisation cost instead of
-		// the purely structural width criteria. The explicit nil-check
-		// matters: an interface holding a typed nil would not reproduce
-		// the structural path.
+		// ranking function on first Run), ranking candidates by the cost
+		// model's estimated materialisation cost.
 		h := hypergraph.New(q.edges...)
-		var dec *hypergraph.Decomposition
 		_, decSpan := obs.StartSpan(cfg.ctx, "decompose")
-		if cm != nil {
-			dec, err = h.DecomposeCosted(cm)
-		} else {
-			dec, err = h.Decompose()
-		}
+		dec, err := h.DecomposeCosted(cm)
 		decSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("repro: cyclic query %s: %w", h, err)
@@ -350,7 +339,7 @@ func Compile(q *Query, opts ...CompileOption) (*Prepared, error) {
 		shape = decomp.GHDShape(dec, q.edges)
 	}
 	p.shape, p.estBags = shape, shape.EstBagSizes
-	if cm != nil && p.estBags == nil && shape.OneBag() {
+	if p.estBags == nil && shape.OneBag() {
 		// A one-bag shape's bag holds the full output, so the output
 		// estimate doubles as its bag estimate.
 		p.estBags = []float64{p.estOutput}
@@ -417,7 +406,7 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 }
 
 // Prepare is Compile as a method on the query builder.
-func (q *Query) Prepare(opts ...CompileOption) (*Prepared, error) { return Compile(q, opts...) }
+func (q *Query) Prepare(opts ...RunOption) (*Prepared, error) { return Compile(q, opts...) }
 
 // OutAttrs returns the output schema every iterator of this handle
 // yields. The returned slice must not be modified.
@@ -460,15 +449,10 @@ type PlanStats struct {
 	// the handle, sorted by name. A run with any of these
 	// rankings does zero preparation.
 	Rankings []RankingStats `json:"rankings"`
-	// CostBased reports whether a cost model (statistics catalog) drove
-	// this compilation; false means the purely structural heuristics
-	// planned it.
-	CostBased bool `json:"cost_based"`
 	// Decomposition renders the chosen bag decomposition of "ghd" plans
 	// (hypergraph.Decomposition.String); empty for other kinds.
 	Decomposition string `json:"decomposition,omitempty"`
-	// EstOutput is the cost model's output-cardinality estimate; 0 when
-	// the plan is not cost-based.
+	// EstOutput is the cost model's output-cardinality estimate.
 	EstOutput float64 `json:"est_output,omitempty"`
 	// EstBagSizes are the cost model's per-bag materialisation estimates
 	// for shapes that expose them (triangle, ghd), aligned with the
@@ -478,8 +462,7 @@ type PlanStats struct {
 	// max(est+1, actual+1)/min(est+1, actual+1) over the compared sizes:
 	// per materialised bag once some ranking has been built when the
 	// shape has per-bag estimates, est-vs-exact output once Solutions is
-	// known otherwise. 0 until actuals are known (or when the plan is not
-	// cost-based).
+	// known otherwise. 0 until actuals are known.
 	EstimatorError float64 `json:"estimator_error,omitempty"`
 	// AGMBound is the worst-case output bound the uniform answer
 	// sampler draws against (sample.Sampler.Bound); set once a Sample
@@ -570,18 +553,15 @@ func (p *Prepared) PlanStats() PlanStats {
 		}
 	}
 	sort.Slice(st.Rankings, func(i, j int) bool { return st.Rankings[i].Ranking < st.Rankings[j].Ranking })
-	st.CostBased = p.costBased
-	if p.costBased {
-		st.EstOutput = p.estOutput
-		st.EstBagSizes = p.estBags
-		switch {
-		case len(p.estBags) == 0 && st.Solutions >= 0:
-			st.EstimatorError = estRatio(p.estOutput, float64(st.Solutions))
-		case len(p.estBags) > 0 && len(actualBags) == len(p.estBags):
-			for i, a := range actualBags {
-				if r := estRatio(p.estBags[i], float64(a)); r > st.EstimatorError {
-					st.EstimatorError = r
-				}
+	st.EstOutput = p.estOutput
+	st.EstBagSizes = p.estBags
+	switch {
+	case len(p.estBags) == 0 && st.Solutions >= 0:
+		st.EstimatorError = estRatio(p.estOutput, float64(st.Solutions))
+	case len(p.estBags) > 0 && len(actualBags) == len(p.estBags):
+		for i, a := range actualBags {
+			if r := estRatio(p.estBags[i], float64(a)); r > st.EstimatorError {
+				st.EstimatorError = r
 			}
 		}
 	}
@@ -601,8 +581,7 @@ func (p *Prepared) PlanStats() PlanStats {
 	return st
 }
 
-// runConfig collects the per-execution options of one Run (and, for the
-// compile-only options, one Compile).
+// runConfig collects the options of one Run (or Compile).
 type runConfig struct {
 	agg        ranking.Aggregate
 	variant    Variant
@@ -610,35 +589,16 @@ type runConfig struct {
 	ctx        context.Context
 	workers    int
 	workersSet bool
-	cat        *catalog.Catalog
-	catSet     bool
-	cm         *catalog.CostModel
+	cm         *catalog.CostModel // withCostModel; nil collects statistics
 	seed       uint64
 	seedSet    bool
 }
 
-// CompileOption configures one Compile (or Query.Prepare) call. Every
-// RunOption is also a CompileOption — Compile consults WithParallelism
-// and WithContext and ignores the rest — while the compile-only options
-// (WithStatistics, WithCostModel) are *not* RunOptions: passing them to
-// Run is a compile-time error rather than a silent no-op.
-type CompileOption interface {
-	applyCompile(*runConfig)
-}
-
 // RunOption configures one execution of a Prepared query. The defaults
 // are WithRanking(SumCost), WithVariant(Lazy), no k limit, and
-// context.Background(). Every RunOption may also be passed to Compile
-// (it implements CompileOption).
+// context.Background(). Compile and Query.Prepare take the same
+// options and consult WithParallelism and WithContext.
 type RunOption func(*runConfig)
-
-// applyCompile lets every RunOption double as a CompileOption.
-func (o RunOption) applyCompile(c *runConfig) { o(c) }
-
-// compileOption is the concrete type of the compile-only options.
-type compileOption func(*runConfig)
-
-func (o compileOption) applyCompile(c *runConfig) { o(c) }
 
 // WithRanking selects the ranking function for this run. The first run
 // with each ranking function pays one linear π pass (over the bags of a
@@ -697,28 +657,11 @@ func WithParallelism(n int) RunOption {
 	}
 }
 
-// WithStatistics supplies the statistics catalog cost-based planning
-// reads at Compile time. Atoms the catalog has no entry for (or whose
-// entry's arity does not match) fall back to statistics collected
-// directly from the query's relations. When the option is omitted
-// entirely, cost-based planning is still on by default — Compile
-// collects statistics from the relations on the spot. Passing a nil
-// catalog disables cost-based planning altogether, reproducing the
-// purely structural plans (min-degree/min-fill decomposition search,
-// wcoj.SuggestOrder variable orders) bit for bit. A compile-only
-// option: the type system rejects it on Run.
-func WithStatistics(c *catalog.Catalog) CompileOption {
-	return compileOption(func(cfg *runConfig) {
-		cfg.cat = c
-		cfg.catSet = true
-	})
-}
-
-// WithCostModel supplies a pre-built cost model, overriding both
-// WithStatistics and the default statistics collection. A compile-only
-// option: the type system rejects it on Run.
-func WithCostModel(m *catalog.CostModel) CompileOption {
-	return compileOption(func(cfg *runConfig) { cfg.cm = m })
+// withCostModel makes Compile plan with m instead of collecting
+// statistics from the query's relations. Tests pin one plan on both
+// sides of a delta-versus-cold comparison with it.
+func withCostModel(m *catalog.CostModel) RunOption {
+	return func(cfg *runConfig) { cfg.cm = m }
 }
 
 // WithSeed fixes the RNG seed of a Sample call, making its draws

@@ -22,7 +22,7 @@ func oneBagGHD(t *testing.T) (*workload.Instance, *catalog.CostModel, *Prepared)
 	t.Helper()
 	inst := workload.SkewedChordedCycle(12, 8, 5, 1.1, workload.UniformWeights(), 3)
 	cm := catalog.NewCostModel(inst.H.Edges, inst.Rels, nil)
-	p, err := Compile(instanceQuery(inst), WithCostModel(cm))
+	p, err := Compile(instanceQuery(inst), withCostModel(cm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +139,18 @@ func TestGHDDeltaRebuildsEveryBag(t *testing.T) {
 	for i := range mirrors {
 		mirrors[i] = &dataMirror{tuples: slices.Clone(g.Edges.Tuples), weights: slices.Clone(g.Edges.Weights)}
 	}
-	// Structural planning pins one decomposition on both sides.
-	compile := func() *Prepared {
+	query := func() *Query {
 		q := NewQuery()
 		for i, v := range pairs {
 			q.Rel(fmt.Sprintf("R%d", i+1), v[:], mirrors[i].tuples, mirrors[i].weights)
 		}
-		p, err := Compile(q, WithStatistics(nil))
+		return q
+	}
+	// The initial data's cost model pins one decomposition on both sides.
+	q0 := query()
+	pin := withCostModel(catalog.NewCostModel(q0.edges, q0.rels, nil))
+	compile := func() *Prepared {
+		p, err := Compile(query(), pin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +226,7 @@ func TestOneBagGHDDelta(t *testing.T) {
 		mirrors[i] = &dataMirror{tuples: r.Tuples, weights: r.Weights}
 	}
 	mirrors[2].apply(delta)
-	cold, err := Compile(mirrorQuery(inst, mirrors), WithCostModel(cm))
+	cold, err := Compile(mirrorQuery(inst, mirrors), withCostModel(cm))
 	if err != nil {
 		t.Fatal(err)
 	}
