@@ -86,16 +86,17 @@ type Value = relation.Value
 // Tuple is a sequence of values.
 type Tuple = relation.Tuple
 
-// Result is one join result in ranking order. Its Tuple is read-only: a
-// plan whose only tree is one materialised bag (the triangle, a one-bag
-// GHD) returns the bag's own tuple when the bag's schema is the
-// plan's, so writing to it would change the plan's data.
+// Result is one join result in ranking order. A Result from Next
+// borrows its Tuple: it is valid until the next Next or Close and must
+// not be written; slices.Clone it to keep it. TopK returns copies.
 type Result = core.Result
 
 // Iterator yields join results in ranking order. Pull with Next until
 // it reports false, then check Err: nil after a clean drain, ErrClosed
 // after an early Close, or the context's error after cancellation.
-// Always Close iterators you do not drain; Close is idempotent.
+// Always Close iterators you do not drain; Close is idempotent. Each
+// result's Tuple is valid until the next Next or Close; slices.Clone
+// it to keep it, or use TopK, which returns copies.
 type Iterator = core.Iterator
 
 // Variant selects the enumeration algorithm.

@@ -20,6 +20,7 @@ type batchIter struct {
 	order   []int32
 	m       int
 	k       int
+	out     rowBuf
 }
 
 // NewBatch materialises and sorts the full result set eagerly (at
@@ -99,7 +100,7 @@ func (it *batchIter) Next() (Result, bool) {
 	idx := it.order[it.k]
 	it.k++
 	sol := it.rows[int(idx)*it.m : (int(idx)+1)*it.m]
-	return Result{Tuple: it.t.Emit(sol), Weight: it.weights[idx]}, true
+	return Result{Tuple: it.out.emit(it.t, sol), Weight: it.weights[idx]}, true
 }
 
 // Size reports the number of materialised solutions (for tests).

@@ -26,6 +26,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/dp"
 	"repro/internal/relation"
@@ -34,9 +35,8 @@ import (
 // Result is one join result in ranking order.
 type Result struct {
 	// Tuple is the output tuple, aligned with the T-DP's OutAttrs. It is
-	// read-only: the T-DP iterators emit a fresh tuple per result, but a
-	// tree of one materialised bag (internal/decomp) returns the bag's
-	// own tuple, which the plan keeps.
+	// borrowed: valid until the iterator's next Next or Close, and not
+	// to be written. slices.Clone it to keep it; Collect returns copies.
 	Tuple relation.Tuple
 	// Weight is the aggregated weight under the T-DP's ranking function.
 	Weight float64
@@ -50,9 +50,13 @@ type Result struct {
 // after cancellation. Close ends enumeration, is idempotent, and is safe
 // after exhaustion; the iterator's state is reclaimed with the iterator.
 // Next is single-consumer; Close and Err may come from any goroutine.
+// Every iterator emits its rows into one buffer it owns, so a drain
+// allocates nothing per result and a result's Tuple is valid until the
+// next Next or Close.
 type Iterator interface {
 	// Next returns the next-ranked result; ok is false when enumeration
 	// is complete, the iterator was closed, or its context was canceled.
+	// The result's Tuple is valid until the next Next or Close.
 	Next() (r Result, ok bool)
 	// Err reports why Next returned false before exhaustion (nil after a
 	// full natural drain).
@@ -121,7 +125,8 @@ func CheckVariant(v Variant) error {
 	return fmt.Errorf("core: unknown variant %q", v)
 }
 
-// Collect drains up to k results from it (k ≤ 0 collects everything).
+// Collect drains up to k results from it (k ≤ 0 collects everything),
+// copying each tuple: the results belong to the caller.
 func Collect(it Iterator, k int) []Result {
 	var out []Result
 	for {
@@ -129,9 +134,23 @@ func Collect(it Iterator, k int) []Result {
 		if !ok {
 			return out
 		}
-		out = append(out, r)
+		out = append(out, Result{Tuple: slices.Clone(r.Tuple), Weight: r.Weight})
 		if k > 0 && len(out) >= k {
 			return out
 		}
 	}
+}
+
+// rowBuf is the one tuple a T-DP iterator emits every result into,
+// allocated on the first result: a Run that is never pulled pays
+// nothing for it.
+type rowBuf struct{ tuple relation.Tuple }
+
+// emit renders rows into the buffer and returns it.
+func (b *rowBuf) emit(t *dp.TDP, rows []int32) relation.Tuple {
+	if b.tuple == nil {
+		b.tuple = make(relation.Tuple, len(t.OutAttrs))
+	}
+	t.EmitInto(b.tuple, rows)
+	return b.tuple
 }

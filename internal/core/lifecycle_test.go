@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
@@ -213,5 +215,96 @@ func TestReleaseAfterExhaustion(t *testing.T) {
 		if _, ok := it.Next(); ok {
 			t.Fatalf("%s: Next yielded after exhaustion", v)
 		}
+	}
+}
+
+// sliceIter yields fixed results, writing each into one reused tuple as
+// every real iterator does, and then fails with err (or, when err is
+// nil, is exhausted). pulls counts the Next calls that got past the
+// lifecycle.
+type sliceIter struct {
+	*Lifecycle
+	rs    []Result
+	err   error
+	out   relation.Tuple
+	pulls int
+}
+
+func newSliceIter(err error, rs ...Result) *sliceIter {
+	return &sliceIter{Lifecycle: NewLifecycle(context.Background()), rs: rs, err: err}
+}
+
+func (s *sliceIter) Next() (Result, bool) {
+	if !s.Proceed() {
+		return Result{}, false
+	}
+	s.pulls++
+	if len(s.rs) == 0 {
+		if s.err != nil {
+			s.Fail(s.err)
+		} else {
+			s.Exhaust()
+		}
+		return Result{}, false
+	}
+	r := s.rs[0]
+	s.rs = s.rs[1:]
+	s.out = append(s.out[:0], r.Tuple...)
+	return Result{Tuple: s.out, Weight: r.Weight}, true
+}
+
+// TestMergeDeliversHeadBeforeSourceError: a source that fails after its
+// first result still has that result delivered, in order, with its own
+// row; the error stops the merge on the following call.
+func TestMergeDeliversHeadBeforeSourceError(t *testing.T) {
+	boom := errors.New("source failed")
+	bad := newSliceIter(boom, Result{Tuple: relation.Tuple{1}, Weight: 1})
+	good := newSliceIter(nil, Result{Tuple: relation.Tuple{2}, Weight: 2}, Result{Tuple: relation.Tuple{3}, Weight: 3})
+	m := Merge(context.Background(), sum, bad, good)
+	r, ok := m.Next()
+	if !ok || r.Weight != 1 || !slices.Equal(r.Tuple, relation.Tuple{1}) {
+		t.Fatalf("first result = %v, %v; want [1] weight 1 (err %v)", r, ok, m.Err())
+	}
+	if r, ok := m.Next(); ok {
+		t.Fatalf("merge yielded %v past its failed source", r)
+	}
+	if err := m.Err(); !errors.Is(err, boom) {
+		t.Fatalf("Err() = %v, want the source's error", err)
+	}
+}
+
+// TestMergeStopsAtOnce: after Close, or after its context is canceled,
+// the merge's next Next is false and pulls no source, even though the
+// source of the last head still waits to be refilled.
+func TestMergeStopsAtOnce(t *testing.T) {
+	results := func() []Result {
+		return []Result{{Tuple: relation.Tuple{1}, Weight: 1}, {Tuple: relation.Tuple{2}, Weight: 2}}
+	}
+	for _, stop := range []struct {
+		name string
+		want error
+		do   func(m Iterator, cancel context.CancelFunc)
+	}{
+		{"close", ErrClosed, func(m Iterator, _ context.CancelFunc) { m.Close() }},
+		{"cancel", context.Canceled, func(_ Iterator, cancel context.CancelFunc) { cancel() }},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		a, b := newSliceIter(nil, results()...), newSliceIter(nil, results()...)
+		m := Merge(ctx, sum, a, b)
+		if _, ok := m.Next(); !ok {
+			t.Fatalf("%s: no first result", stop.name)
+		}
+		pulls := a.pulls + b.pulls
+		stop.do(m, cancel)
+		if r, ok := m.Next(); ok {
+			t.Fatalf("%s: merge yielded %v after it was stopped", stop.name, r)
+		}
+		if got := a.pulls + b.pulls; got != pulls {
+			t.Errorf("%s: the stopped merge pulled its sources %d more times", stop.name, got-pulls)
+		}
+		if err := m.Err(); !errors.Is(err, stop.want) {
+			t.Errorf("%s: Err() = %v, want %v", stop.name, err, stop.want)
+		}
+		cancel()
 	}
 }

@@ -15,6 +15,10 @@ type mergeIter struct {
 	*Lifecycle
 	pq   *heap.Heap[mergeHead]
 	srcs []Iterator
+	// last is the source of the head Next returned last. Its row is
+	// borrowed from that source, so the source is refilled only on the
+	// following Next; every other source's row waits, unread, in pq.
+	last Iterator
 }
 
 type mergeHead struct {
@@ -45,23 +49,28 @@ func Merge(ctx context.Context, agg ranking.Aggregate, iters ...Iterator) Iterat
 	return m
 }
 
-// Next pops the lightest head and refills the queue from that head's
-// source; a source that stopped with an error stops the merge with it.
+// Next refills the queue from the source of the head it returned last,
+// then pops the lightest head. A source that stopped with an error stops
+// the merge with it, after the head it had already delivered.
 func (m *mergeIter) Next() (Result, bool) {
 	if !m.Proceed() {
 		return Result{}, false
+	}
+	if src := m.last; src != nil {
+		m.last = nil
+		if r, ok := src.Next(); ok {
+			m.pq.Push(mergeHead{r: r, src: src})
+		} else if err := src.Err(); err != nil {
+			m.Fail(err)
+			return Result{}, false
+		}
 	}
 	head, ok := m.pq.Pop()
 	if !ok {
 		m.Exhaust()
 		return Result{}, false
 	}
-	if r, ok := head.src.Next(); ok {
-		m.pq.Push(mergeHead{r: r, src: head.src})
-	} else if err := head.src.Err(); err != nil {
-		m.Fail(err)
-		return Result{}, false
-	}
+	m.last = head.src
 	return head.r, true
 }
 

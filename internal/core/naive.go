@@ -47,8 +47,9 @@ type naiveItem struct {
 
 type naiveIter struct {
 	*Lifecycle
-	t  *dp.TDP
-	pq *heap.Heap[*naiveItem]
+	t   *dp.TDP
+	pq  *heap.Heap[*naiveItem]
+	out rowBuf
 }
 
 // champion finds the best solution with rows[0..devPos) fixed to prefix
@@ -157,5 +158,5 @@ func (it *naiveIter) Next() (Result, bool) {
 			it.pq.Push(child)
 		}
 	}
-	return Result{Tuple: it.t.Emit(item.rows), Weight: item.weight}, true
+	return Result{Tuple: it.out.emit(it.t, item.rows), Weight: item.weight}, true
 }

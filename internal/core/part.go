@@ -45,6 +45,7 @@ type partIter struct {
 	prefixW  []float64
 	openSum  []float64
 	groupBuf []int32
+	out      rowBuf
 }
 
 // NewPart returns the ANYK-PART iterator with the given successor
@@ -188,7 +189,7 @@ func (it *partIter) Next() (Result, bool) {
 			})
 		}
 	}
-	return Result{Tuple: t.Emit(rows), Weight: e.weight}, true
+	return Result{Tuple: it.out.emit(t, rows), Weight: e.weight}, true
 }
 
 // Arena chunks double from arenaFirst rows to arenaFirst<<arenaShifts

@@ -8,25 +8,28 @@ import (
 )
 
 // recSol is the j-th best subtree solution of one (node, group) state:
-// the node picks `row` and each child subtree uses its childRanks[ci]-th
-// best solution. Solutions are expanded to full assignments only when a
+// the node picks `row` and child subtree ci uses its ranks[ci]-th best
+// solution, where ranks is the vector at index `ranks` of the node's
+// rank arena. Solutions are expanded to full assignments only when a
 // top-level result is emitted, so ranked suffixes are shared across
 // every prefix that reaches the same state — the factorised
 // representation that gives ANYK-REC its time-to-last advantage.
 type recSol struct {
-	row        int32
-	childRanks []int32
-	weight     float64
+	row    int32
+	ranks  int32
+	weight float64
 }
 
 // recCand is a frontier candidate of one state's lattice. frozen is the
 // child index that produced it; only children ≥ frozen may advance,
-// which enumerates each rank vector exactly once.
+// which enumerates each rank vector exactly once. Like recSol it holds
+// no pointer, so a state's queue is one flat array the collector never
+// scans.
 type recCand struct {
-	row        int32
-	childRanks []int32
-	frozen     int32
-	weight     float64
+	row    int32
+	ranks  int32
+	frozen int32
+	weight float64
 }
 
 // recState enumerates the ranked subtree solutions of one (node, group).
@@ -44,16 +47,24 @@ type recIter struct {
 	states [][]*recState
 	root   *recState
 	k      int
-	// rows is the assignment expand writes for each result; Emit copies
-	// the values out, so one buffer serves every Next.
+	// ranks[node] holds the child-rank vectors of every solution and
+	// candidate of the node's states, len(Children) int32 each. Its row 0
+	// is all zeros, the vector of every seed candidate; a successor
+	// writes a fresh row.
+	ranks []arena
+	// rows is the assignment expand writes for each result, and out the
+	// tuple it is emitted into: one of each serves every Next.
 	rows []int32
+	out  rowBuf
 }
 
 // NewRec returns the ANYK-REC iterator.
 func NewRec(ctx context.Context, t *dp.TDP) Iterator {
-	it := &recIter{Lifecycle: NewLifecycle(ctx), t: t, states: make([][]*recState, len(t.Nodes)), rows: make([]int32, len(t.Nodes))}
+	m := len(t.Nodes)
+	it := &recIter{Lifecycle: NewLifecycle(ctx), t: t, states: make([][]*recState, m), ranks: make([]arena, m), rows: make([]int32, m)}
 	for pos, n := range t.Nodes {
 		it.states[pos] = make([]*recState, len(n.Groups))
+		it.ranks[pos].m = len(n.Children)
 	}
 	if !t.Empty() {
 		it.root = it.stateAt(0, 0)
@@ -72,14 +83,12 @@ func (it *recIter) stateAt(pos int, group int32) *recState {
 	t := it.t
 	n := t.Nodes[pos]
 	g := &n.Groups[group]
+	if a := &it.ranks[pos]; a.m > 0 && a.n == 0 {
+		a.add() // row 0: the seeds' all-zero vector
+	}
 	cands := make([]recCand, len(g.Rows))
-	nc := len(n.Children)
 	for i, row := range g.Rows {
-		var ranks []int32
-		if nc > 0 {
-			ranks = make([]int32, nc)
-		}
-		cands[i] = recCand{row: row, childRanks: ranks, weight: n.Pi[row]}
+		cands[i] = recCand{row: row, weight: n.Pi[row]}
 	}
 	s := &recState{
 		pos: pos,
@@ -94,42 +103,47 @@ func (it *recIter) stateAt(pos int, group int32) *recState {
 func (it *recIter) ensure(s *recState, j int) bool {
 	t := it.t
 	n := t.Nodes[s.pos]
+	a := &it.ranks[s.pos]
 	for len(s.produced) <= j {
 		cand, ok := s.pq.Pop()
 		if !ok {
 			return false
 		}
-		s.produced = append(s.produced, recSol{row: cand.row, childRanks: cand.childRanks, weight: cand.weight})
+		s.produced = append(s.produced, recSol{row: cand.row, ranks: cand.ranks, weight: cand.weight})
 		// Successors: advance one child rank, children ≥ frozen only.
+		// An arena's chunks never move, so ranks stays valid while a.add
+		// and the recursive ensure calls grow the arenas.
+		var ranks []int32
+		if len(n.Children) > 0 {
+			ranks = a.row(cand.ranks)
+		}
 		for ci := int(cand.frozen); ci < len(n.Children); ci++ {
-			child := n.Children[ci]
-			cg := n.ChildGroup[ci][cand.row]
-			cs := it.stateAt(child, cg)
-			nextRank := int(cand.childRanks[ci]) + 1
-			if !it.ensure(cs, nextRank) {
-				continue
-			}
-			ranks := make([]int32, len(cand.childRanks))
-			copy(ranks, cand.childRanks)
-			ranks[ci] = int32(nextRank)
-			// Weight: node weight ⊕ every child's chosen solution weight.
-			// Sibling ranks come from cand, but their solutions may not be
-			// materialised yet when cand was seeded directly from π, so
-			// ensure each (rank 0 is always available after reduction).
+			// Weight: node weight ⊕ every child's chosen solution weight,
+			// with child ci one rank further. Sibling ranks come from cand,
+			// but their solutions may not be materialised yet when cand was
+			// seeded directly from π, so ensure each (rank 0 is always
+			// available after reduction).
 			w := n.Rel.Weights[cand.row]
 			feasible := true
 			for cj := range n.Children {
+				rank := ranks[cj]
+				if cj == ci {
+					rank++
+				}
 				ccs := it.stateAt(n.Children[cj], n.ChildGroup[cj][cand.row])
-				if !it.ensure(ccs, int(ranks[cj])) {
+				if !it.ensure(ccs, int(rank)) {
 					feasible = false
 					break
 				}
-				w = t.Agg.Combine(w, ccs.produced[ranks[cj]].weight)
+				w = t.Agg.Combine(w, ccs.produced[rank].weight)
 			}
 			if !feasible {
 				continue
 			}
-			s.pq.Push(recCand{row: cand.row, childRanks: ranks, frozen: int32(ci), weight: w})
+			idx, next := a.add()
+			copy(next, ranks)
+			next[ci]++
+			s.pq.Push(recCand{row: cand.row, ranks: idx, frozen: int32(ci), weight: w})
 		}
 	}
 	return true
@@ -141,9 +155,13 @@ func (it *recIter) expand(s *recState, solIdx int, rows []int32) {
 	sol := s.produced[solIdx]
 	rows[s.pos] = sol.row
 	n := it.t.Nodes[s.pos]
+	if len(n.Children) == 0 {
+		return
+	}
+	ranks := it.ranks[s.pos].row(sol.ranks)
 	for ci, child := range n.Children {
 		cs := it.stateAt(child, n.ChildGroup[ci][sol.row])
-		it.expand(cs, int(sol.childRanks[ci]), rows)
+		it.expand(cs, int(ranks[ci]), rows)
 	}
 }
 
@@ -165,5 +183,5 @@ func (it *recIter) Next() (Result, bool) {
 	it.expand(it.root, it.k, it.rows)
 	w := it.root.produced[it.k].weight
 	it.k++
-	return Result{Tuple: it.t.Emit(it.rows), Weight: w}, true
+	return Result{Tuple: it.out.emit(it.t, it.rows), Weight: w}, true
 }

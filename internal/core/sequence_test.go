@@ -155,9 +155,10 @@ var sequenceGoldens = map[string]struct {
 // and ANYK-REC under all five rankings on a path, a star and a random
 // tree. At least one sequence must spread its assignments over more
 // than three arena chunks, so children whose parent sits in an earlier
-// chunk, of a different size, are covered.
+// chunk, of a different size, are covered; likewise one REC sequence
+// its rank vectors.
 func TestEnumerationSequenceUnchanged(t *testing.T) {
-	maxChunks := 0
+	maxChunks, maxRankChunks := 0, 0
 	for _, c := range sequenceInstances() {
 		for _, agg := range ranking.All {
 			tdp := buildTDP(t, c.inst, agg)
@@ -168,8 +169,13 @@ func TestEnumerationSequenceUnchanged(t *testing.T) {
 					t.Fatal(err)
 				}
 				rs := Collect(it, 0)
-				if p, ok := it.(*partIter); ok {
-					maxChunks = max(maxChunks, len(p.arena.chunks))
+				switch it := it.(type) {
+				case *partIter:
+					maxChunks = max(maxChunks, len(it.arena.chunks))
+				case *recIter:
+					for _, a := range it.ranks {
+						maxRankChunks = max(maxRankChunks, len(a.chunks))
+					}
 				}
 				want, ok := sequenceGoldens[key]
 				if !ok {
@@ -183,5 +189,8 @@ func TestEnumerationSequenceUnchanged(t *testing.T) {
 	}
 	if maxChunks <= 3 {
 		t.Errorf("the longest sequence used %d arena chunks, want more than 3", maxChunks)
+	}
+	if maxRankChunks <= 3 {
+		t.Errorf("the longest REC sequence used %d chunks of one rank arena, want more than 3", maxRankChunks)
 	}
 }

@@ -231,12 +231,14 @@ func PrepareTriangle(rels [3]*relation.Relation, agg ranking.Aggregate, opts ...
 // sortedIter enumerates a materialised relation in weight order using an
 // incremental heap sort (O(r) build, O(log r) per result). perm maps the
 // bag's schema onto the plan's (output position i takes the bag's column
-// perm[i]); with none, a result's tuple is the bag's own.
+// perm[i]) and each result is permuted into out; with no perm, a
+// result's tuple is the bag's own.
 type sortedIter struct {
 	*core.Lifecycle
 	rel  *relation.Relation
 	inc  *heap.IncSort[int32]
 	perm []int
+	out  relation.Tuple
 	k    int
 }
 
@@ -265,11 +267,13 @@ func (s *sortedIter) Next() (core.Result, bool) {
 	s.k++
 	tuple := s.rel.Tuples[row]
 	if s.perm != nil {
-		out := make(relation.Tuple, len(s.perm))
-		for i, c := range s.perm {
-			out[i] = tuple[c]
+		if s.out == nil {
+			s.out = make(relation.Tuple, len(s.perm))
 		}
-		tuple = out
+		for i, c := range s.perm {
+			s.out[i] = tuple[c]
+		}
+		tuple = s.out
 	}
 	return core.Result{Tuple: tuple, Weight: s.rel.Weights[row]}, true
 }

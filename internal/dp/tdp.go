@@ -578,13 +578,12 @@ func (t *TDP) Reorder(attrs []string) error {
 	return nil
 }
 
-// Emit renders a full assignment as an output tuple.
-func (t *TDP) Emit(rows []int32) relation.Tuple {
-	out := make(relation.Tuple, len(t.OutAttrs))
+// EmitInto renders a full assignment as an output tuple into dst, which
+// holds len(OutAttrs) values and belongs to the caller.
+func (t *TDP) EmitInto(dst relation.Tuple, rows []int32) {
 	for i, sp := range t.emits {
-		out[i] = t.Nodes[sp.node].Rel.Tuples[rows[sp.node]][sp.col]
+		dst[i] = t.Nodes[sp.node].Rel.Tuples[rows[sp.node]][sp.col]
 	}
-	return out
 }
 
 // NumSolutions counts the solutions of the T-DP by a bottom-up counting

@@ -254,13 +254,14 @@ func TestEmitAlignsWithOutAttrs(t *testing.T) {
 		[][3]float64{{8, 9, 0}},
 	)
 	tdp := mustBuild(t, hypergraph.Path(2), rels, sum)
-	tup := tdp.Emit([]int32{0, 0})
+	tup := make(relation.Tuple, len(tdp.OutAttrs))
+	tdp.EmitInto(tup, []int32{0, 0})
 	vals := map[string]relation.Value{}
 	for i, a := range tdp.OutAttrs {
 		vals[a] = tup[i]
 	}
 	if vals["A0"] != 7 || vals["A1"] != 8 || vals["A2"] != 9 {
-		t.Fatalf("Emit = %v with attrs %v", tup, tdp.OutAttrs)
+		t.Fatalf("EmitInto = %v with attrs %v", tup, tdp.OutAttrs)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/workload"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -380,4 +381,62 @@ func TestQuotedStringsUnderConcurrentPatches(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestConcurrentStreamsOfOneQuery: two clients streaming one 4-cycle
+// query at once share its warm plan, but each Run emits its rows into
+// its own buffer while its handler encodes them. Both bodies must equal
+// the body one client reads alone.
+func TestConcurrentStreamsOfOneQuery(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	g := workload.RandomGraph(16, 120, workload.UniformWeights(), 3)
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/datasets/e", map[string]any{"tuples": g.Edges.Tuples, "weights": g.Edges.Weights})
+	mustStatus(t, resp, body, 200)
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/queries/c4", map[string]any{
+		"atoms": []any{
+			map[string]any{"dataset": "e", "vars": []string{"A", "B"}},
+			map[string]any{"dataset": "e", "vars": []string{"B", "C"}},
+			map[string]any{"dataset": "e", "vars": []string{"C", "D"}},
+			map[string]any{"dataset": "e", "vars": []string{"D", "A"}},
+		},
+	})
+	mustStatus(t, resp, body, 200)
+	url := ts.URL + "/v1/query/c4/topk?k=1000"
+	get := func() ([]byte, error) {
+		resp, err := http.Get(url)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return io.ReadAll(resp.Body)
+	}
+	alone, err := get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(alone, []byte("\n")); n != 1001 {
+		t.Fatalf("one client read %d lines, want 1000 rows and the trailer", n)
+	}
+	var wg sync.WaitGroup
+	bodies := make([][]byte, 2)
+	errs := make([]error, 2)
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[i], errs[i] = get()
+		}()
+	}
+	wg.Wait()
+	for i, b := range bodies {
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(b, alone) {
+			t.Errorf("client %d read a body of %d bytes that differs from the single client's %d", i, len(b), len(alone))
+		}
+	}
 }

@@ -759,7 +759,8 @@ func (t *traceIter) Close() error {
 }
 
 // TopK runs the plan and collects the k best results (k <= 0 collects
-// everything). The iterator is closed before returning; a cancellation
+// everything), each tuple a copy the caller owns. The iterator is
+// closed before returning; a cancellation
 // error is returned alongside the results collected so far.
 func (p *Prepared) TopK(k int, opts ...RunOption) ([]Result, error) {
 	it, err := p.Run(append(append([]RunOption(nil), opts...), WithK(k))...)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -210,6 +211,65 @@ func TestPreparedWithK(t *testing.T) {
 	}
 	if len(all) <= 3 {
 		t.Fatalf("instance too small for the limit to bite: %d results", len(all))
+	}
+}
+
+// TestTopKResultsBelongToCaller: TopK copies every row it keeps, so a
+// caller may write to its results. Overwriting every tuple of one TopK
+// must leave a second TopK and a Run drain bit-identical to a copy of
+// the first — on a triangle and a one-bag GHD, whose rows are the
+// plan's own bag tuples, on the 4-cycle's union and on an acyclic path.
+func TestTopKResultsBelongToCaller(t *testing.T) {
+	cases := map[string]*Prepared{}
+	for _, name := range []string{"triangle", "fourcycle", "acyclic"} {
+		p, err := Compile(prepCases()[name]())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = p
+	}
+	_, _, cases["one-bag ghd"] = oneBagGHD(t)
+	same := func(a, b []Result) bool {
+		return slices.EqualFunc(a, b, func(x, y Result) bool {
+			return slices.Equal(x.Tuple, y.Tuple) && math.Float64bits(x.Weight) == math.Float64bits(y.Weight)
+		})
+	}
+	for name, p := range cases {
+		first, err := p.TopK(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(first) == 0 {
+			t.Fatalf("%s: no results", name)
+		}
+		want := make([]Result, len(first))
+		for i, r := range first {
+			want[i] = Result{Tuple: slices.Clone(r.Tuple), Weight: r.Weight}
+			for j := range r.Tuple {
+				r.Tuple[j] = -1
+			}
+		}
+		again, err := p.TopK(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(again, want) {
+			t.Errorf("%s: writing to one TopK's results changed the next TopK", name)
+		}
+		it, err := p.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var drained []Result
+		for r, ok := it.Next(); ok; r, ok = it.Next() {
+			drained = append(drained, Result{Tuple: slices.Clone(r.Tuple), Weight: r.Weight})
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !same(drained, want) {
+			t.Errorf("%s: writing to one TopK's results changed a Run's rows", name)
+		}
 	}
 }
 
