@@ -41,7 +41,9 @@
 // materialised. Cyclic cycle queries of any length (in either edge
 // orientation) are decomposed automatically: a Generic-Join bag for the
 // triangle, the submodular-width three-tree union for the 4-cycle, and
-// the generic fhtw-2 fan plan for longer cycles. Every other cyclic shape — K4,
+// for a longer cycle the cheaper, by the cost model's bag estimates, of
+// the fhtw-2 fan and one Generic-Join bag over the whole cycle (a tie
+// keeps the fan). Every other cyclic shape — K4,
 // bowtie, star-with-chord, cliques, fused triangles, arbitrary
 // hypergraphs with higher-arity atoms — compiles through the generic
 // GHD planner: a generalized hypertree decomposition is searched
@@ -226,7 +228,7 @@ func (q *Query) OutAttrs() ([]string, error) {
 	if len(q.rels) == 0 {
 		return nil, fmt.Errorf("repro: empty query")
 	}
-	s, path, err := q.planShape()
+	s, path, err := q.planShape(nil)
 	switch {
 	case err != nil:
 		return nil, err
@@ -236,19 +238,20 @@ func (q *Query) OutAttrs() ([]string, error) {
 	return s.Attrs, nil
 }
 
-// planShape selects the query's plan shape from its structure alone and
-// names the planner path that chose it: "acyclic", the tree of its
-// atoms; "cycle", the canonical shape of its cycle length; or "ghd",
-// with no shape yet — Compile searches the decomposition, whose schema
-// is decomp.GHDAttrs whatever it finds.
-func (q *Query) planShape() (*decomp.Shape, string, error) {
+// planShape selects the query's plan shape and names the planner path
+// that chose it: "acyclic", the tree of its atoms; "cycle", a closed-form
+// shape for its cycle length — for ℓ ≥ 5 the fan or one bag, whichever
+// coster prices cheaper, the fan when coster is nil; or "ghd", with no
+// shape yet — Compile searches the decomposition, whose schema is
+// decomp.GHDAttrs whatever it finds. The schema never depends on coster.
+func (q *Query) planShape(coster hypergraph.BagCoster) (*decomp.Shape, string, error) {
 	if s, ok := decomp.AcyclicShape(q.edges); ok {
 		return s, "acyclic", nil
 	}
 	if order, walk, ok := q.matchCycleShape(); ok {
-		// The canonical shape of the cycle's length, over the user's own
-		// atoms and variables in walk order.
-		s, err := decomp.CycleShape(q.edges, order, walk)
+		// A shape for the cycle's length, over the user's own atoms and
+		// variables in walk order.
+		s, err := decomp.CycleShape(q.edges, order, walk, coster)
 		return s, "cycle", err
 	}
 	return nil, "ghd", nil

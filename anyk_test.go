@@ -246,8 +246,9 @@ func TestFacadeErrors(t *testing.T) {
 }
 
 func TestFacadeFiveCycle(t *testing.T) {
-	// 5-cycles are handled by the generic fhtw-2 fan decomposition.
-	// Build a graph with exactly one directed 5-cycle 1→2→3→4→5→1.
+	// 5-cycles compile to the fhtw-2 fan or one Generic-Join bag,
+	// whichever the cost model prices cheaper. Build a graph with
+	// exactly one directed 5-cycle 1→2→3→4→5→1.
 	e := []Tuple{{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 1}, {2, 9}, {9, 4}}
 	w := []float64{1, 2, 3, 4, 5, 100, 100}
 	q := NewQuery().

@@ -38,8 +38,8 @@ type Delta struct {
 // semi-joins, regrouping, and π recomputation only along the paths the
 // delta actually reached (clean subtrees alias the old epoch's reduced
 // relations outright), and every tree of materialised bags — the
-// canonical triangle / 4-cycle / fan shapes and searched GHDs alike —
-// is rebuilt whole.
+// canonical triangle / 4-cycle / long-cycle shapes and searched GHDs
+// alike — is rebuilt whole, a long cycle keeping the plan Compile chose.
 // Every ranking function that was already built stays built — its
 // patched plan is seeded into the new epoch — so warm callers never see
 // a cold prepare after a delta. Results after ApplyDelta are

@@ -9,15 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
-// cycleShape is CycleShape over the l-cycle R1(A0,A1) ⋈ ... ⋈
-// Rl(A_{l-1},A0).
+// cycleShape is CycleShape with no coster (the fan for l ≥ 5) over
+// the l-cycle R1(A0,A1) ⋈ ... ⋈ Rl(A_{l-1},A0).
 func cycleShape(t *testing.T, l int) *Shape {
 	t.Helper()
 	edges, order, attrs := make([]hypergraph.Edge, l), make([]int, l), CycleAttrs(l)
 	for i := range edges {
 		edges[i], order[i] = hypergraph.E(nameFor(i), attrs[i], attrs[(i+1)%l]), i
 	}
-	s, err := CycleShape(edges, order, attrs)
+	s, err := CycleShape(edges, order, attrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,19 +19,58 @@ func CycleAttrs(l int) []string {
 	return attrs
 }
 
-// CycleShape returns the canonical shape of an l-cycle query. edges are
-// the query's binary atoms as declared, order lists them along the cycle
+// CycleShape returns the shape of an l-cycle query. edges are the
+// query's binary atoms as declared, order lists them along the cycle
 // (order[i] is the atom joining attrs[i] and attrs[i+1 mod l], its two
 // columns in either orientation — Generic-Join binds columns to
 // variables by name, so no relation is ever flipped), and attrs names
 // the variables in walk order; attrs is also the output schema. The
-// triangle is one bag, the 4-cycle the submodular union of three trees,
-// and every longer cycle the fan.
-func CycleShape(edges []hypergraph.Edge, order []int, attrs []string) (*Shape, error) {
-	if len(order) == 4 {
+// triangle is one bag and the 4-cycle the submodular union of three
+// trees. A longer cycle is the fan, unless coster prices one bag over
+// the whole walk strictly cheaper than the fan's bags together (see
+// costedCycle); with a nil coster it is always the fan.
+func CycleShape(edges []hypergraph.Edge, order []int, attrs []string, coster hypergraph.BagCoster) (*Shape, error) {
+	switch {
+	case len(order) == 4:
 		return submodularShape(edges, order, attrs)
+	case len(order) < 5 || coster == nil:
+		return fanShape(edges, order, attrs)
 	}
-	return fanShape(edges, order, attrs)
+	return costedCycle(edges, order, attrs, coster)
+}
+
+// costedCycle ranks the two closed-form plans of an l-cycle, l ≥ 5, by
+// estimated materialisation: the fan, priced at the sum of
+// coster.BagCost over its l−2 bags, and one bag over all l walk
+// variables, priced at coster.BagCost(attrs). The fan's middle bags are
+// R × π_{A0} whatever the output, while one Generic-Join over the
+// whole cycle is worst-case optimal: it costs at most the AGM bound
+// (n^{l/2}) and tracks the output when that is small. The strictly
+// cheaper plan wins, so a tie keeps the fan. The one bag is the
+// triangle's construction generalised — its Generic-Join order pinned
+// to the walk — and keeps Kind "cycle". Either way the shape carries
+// its bags and their estimates (Decomposition, EstBagSizes); the widths
+// are closed-form too: 2 for the fan, l/2 (the fractional edge cover of
+// an l-cycle) for the one bag.
+func costedCycle(edges []hypergraph.Edge, order []int, attrs []string, coster hypergraph.BagCoster) (*Shape, error) {
+	s, err := fanShape(edges, order, attrs)
+	if err != nil {
+		return nil, err
+	}
+	tr := &s.trees[0]
+	est, fanCost := make([]float64, len(tr.dec.Bags)), 0.0
+	for i, b := range tr.dec.Bags {
+		est[i] = coster.BagCost(b)
+		fanCost += est[i]
+	}
+	if one := coster.BagCost(attrs); one < fanCost {
+		tr.dec, tr.pin, est = hypergraph.New(edges...).FixedDecomposition(attrs), attrs, []float64{one}
+		tr.dec.Width = float64(len(attrs)) / 2
+	} else {
+		tr.dec.Width = 2
+	}
+	s.Decomposition, s.EstBagSizes = tr.dec.String(), est
+	return s, nil
 }
 
 // fanShape is the textbook fractional-hypertree-width-2 "fan" of an

@@ -12,17 +12,22 @@
 //	four-cycle     3      {A,B,C} {A,C,D}                    R1, R2ˡ, R3, R4ˡ
 //	                      {B,C,D} {A,B,D}                    R1ʰ, R2ʰ, R3, R4
 //	                      {A,B,D} {B,C,D}                    R1ˡ, R2ˡ, R3ʰ, R4ʰ
-//	cycle (fan)    1      {A0,A_i,A_{i+1}}, i = 1..ℓ−2       whole relations
+//	cycle (ℓ ≥ 5)  1      fan {A0,A_i,A_{i+1}}, i = 1..ℓ−2   whole relations
+//	                      or one bag {A0,...,A_{ℓ−1}}
 //	ghd            1      searched (DecomposeCosted)         whole relations
 //
 // ˡ/ʰ keep the rows whose B value (R1, R2) or D value (R3, R4) is
 // light/heavy; the three cases partition the output and every bag is
 // O(n^1.5) — the submodular-width plan (submodularShape), against the
 // Θ(n²) two-bag fan over the whole relations that the tutorial calls
-// suboptimal (PrepareFourCycleSingleTree). AcyclicShape takes the atom
-// tree, CycleShape picks the canonical row for a cycle length, GHDShape
-// wraps a searched decomposition, and the Prepare* constructors are
-// adapters that name one fixed row.
+// suboptimal (PrepareFourCycleSingleTree). A longer cycle's two rows
+// are priced by a BagCoster: the fan at the sum of its bags' costs, the
+// one bag — the triangle's construction generalised, its Generic-Join
+// order pinned to the walk — at its own, and the strictly cheaper wins.
+// AcyclicShape takes the atom tree, CycleShape picks the row for a cycle
+// length (the fan for ℓ ≥ 5 when it has no coster), GHDShape wraps a
+// searched decomposition, and the Prepare* constructors are adapters
+// that name one fixed row.
 //
 // A prepare has two steps, split the way internal/dp splits its own:
 // Shape.Build per data epoch, for what no ranking touches (an atom

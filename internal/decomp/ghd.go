@@ -38,10 +38,10 @@ type Shape struct {
 	Edges []hypergraph.Edge
 	// Attrs is the output schema of every plan of this shape.
 	Attrs []string
-	// Decomposition renders the bags of a searched shape and EstBagSizes
-	// carries the cost model's per-bag estimates for them, in
-	// Stats.BagSizes order; both are empty for the other shapes, whose
-	// Kind says it all.
+	// Decomposition renders the bags of a searched shape, or of the
+	// cycle plan a coster chose (CycleShape), and EstBagSizes carries the
+	// cost model's per-bag estimates for them, in Stats.BagSizes order;
+	// both are empty for the other shapes, whose Kind says it all.
 	Decomposition string
 	EstBagSizes   []float64
 

@@ -18,7 +18,7 @@ import (
 
 // countCases are queries of every plan kind: workload.RandomCQ seeds
 // (join trees, pure cycles, chorded cycles), the four-cycle's
-// three-tree heavy/light union, a long cycle's fan, and a one-bag GHD,
+// three-tree heavy/light union, a long cycle, and a one-bag GHD,
 // each compiled fresh so Count runs before any ranking is built.
 func countCases(t *testing.T) map[string]*Prepared {
 	t.Helper()

@@ -57,10 +57,12 @@ type Prepared struct {
 	srcEdges []hypergraph.Edge
 
 	// shape is the decomposition the query compiled to — the tree of its
-	// atoms if it is acyclic, the canonical shape of its cycle length, or
-	// the GHD the structural search found. It is chosen once; every epoch
-	// builds its ranking-independent half (decomp.Shape.Build) and every
-	// ranking its plan over that (decomp.Epoch.Instantiate).
+	// atoms if it is acyclic, a closed-form shape for its cycle length
+	// (for ℓ ≥ 5 the fan or one bag, whichever the cost model prices
+	// cheaper), or the GHD the costed search found. It is chosen once;
+	// every epoch builds its ranking-independent half
+	// (decomp.Shape.Build) and every ranking its plan over that
+	// (decomp.Epoch.Instantiate).
 	shape *decomp.Shape
 
 	// workers is the compile-time default parallelism for the prepare
@@ -75,10 +77,11 @@ type Prepared struct {
 
 	// estOutput is the cost model's output-cardinality estimate, and
 	// estBags its per-bag materialisation estimates for the shapes that
-	// expose them (the GHD planner's costed decomposition; any one-bag
-	// shape, whose bag is the output) — nil for the canonical 4-cycle and
-	// fan-cycle plans, whose bag structure is fixed by the shape rather
-	// than searched.
+	// expose them (the GHD planner's costed decomposition; a long
+	// cycle's fan or one bag, whichever the cost model chose; any other
+	// one-bag shape, whose bag is the output) — nil for the 4-cycle's
+	// heavy/light union, whose filtered inputs the cost model does not
+	// price.
 	estOutput float64
 	estBags   []float64
 
@@ -316,7 +319,7 @@ func Compile(q *Query, opts ...RunOption) (*Prepared, error) {
 		estOutput:  cm.EstimateOutput(),
 		costOpts:   []decomp.PrepareOption{decomp.WithSkewHints(cm.HeavyValues), decomp.WithOrderChooser(catalog.ChooseOrder)},
 	}
-	shape, path, err := q.planShape()
+	shape, path, err := q.planShape(cm)
 	if err != nil {
 		return nil, err
 	}
@@ -449,13 +452,15 @@ type PlanStats struct {
 	// the handle, sorted by name. A run with any of these
 	// rankings does zero preparation.
 	Rankings []RankingStats `json:"rankings"`
-	// Decomposition renders the chosen bag decomposition of "ghd" plans
-	// (hypergraph.Decomposition.String); empty for other kinds.
+	// Decomposition renders the chosen bag decomposition
+	// (hypergraph.Decomposition.String) of "ghd" plans and of "cycle"
+	// plans, whose bags say whether the fan or one bag won; empty for
+	// other kinds.
 	Decomposition string `json:"decomposition,omitempty"`
 	// EstOutput is the cost model's output-cardinality estimate.
 	EstOutput float64 `json:"est_output,omitempty"`
 	// EstBagSizes are the cost model's per-bag materialisation estimates
-	// for shapes that expose them (triangle, ghd), aligned with the
+	// for shapes that expose them (triangle, cycle, ghd), aligned with the
 	// flattened actual bag sizes of any built ranking.
 	EstBagSizes []float64 `json:"est_bag_sizes,omitempty"`
 	// EstimatorError is the estimator's worst per-bag error factor,
