@@ -1,7 +1,8 @@
 package catalog
 
 import (
-	"math"
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/hypergraph"
@@ -10,108 +11,71 @@ import (
 	"repro/internal/workload"
 )
 
-// TestMisraGriesNoFalseNegatives pins the summary's guarantee: every
-// value whose true frequency exceeds n/k survives, and its counter
-// undercounts by at most n/k. Exercised on a Zipf-skewed stream where
-// a handful of hubs dominate.
-func TestMisraGriesNoFalseNegatives(t *testing.T) {
+// TestCollectExact: Distinct and every Heavy count equal a brute-force
+// count, on a Zipf stream whose hubs dominate and on a column with far
+// more than 4 096 distinct values; Heavy holds, sorted, the heavyK−1
+// entries that come first by descending count and ascending value, in
+// a slice of exactly their length.
+func TestCollectExact(t *testing.T) {
 	rng := workload.NewRand(11)
 	z := workload.NewZipf(rng, 1.2, 10000)
-	mg := NewMisraGries(heavyK)
-	truth := make(map[int64]int)
+	r := relation.New("R", "Z", "W")
 	for i := 0; i < 200000; i++ {
-		v := int64(z.Next())
-		truth[v]++
-		mg.Add(v)
+		r.Add(relation.Value(z.Next()), relation.Value(rng.Intn(20000)))
 	}
-	if mg.Total() != 200000 {
-		t.Fatalf("Total = %d, want 200000", mg.Total())
-	}
-	slack := mg.Total() / heavyK
-	heavies := 0
-	for v, f := range truth {
-		c := mg.counts[v]
-		if c > f {
-			t.Fatalf("counter for %d overcounts: %d > true %d", v, c, f)
+	st := Collect(r)
+	for c, name := range r.Attrs {
+		truth := make(map[int64]int)
+		for _, tup := range r.Tuples {
+			truth[tup[c]]++
 		}
-		if f > slack {
-			heavies++
-			if c == 0 {
-				t.Fatalf("false negative: value %d has frequency %d > n/k = %d but no counter", v, f, slack)
-			}
-			if f-c > slack {
-				t.Fatalf("counter for %d undercounts by %d, bound is %d", v, f-c, slack)
-			}
+		want := make([]HeavyHit, 0, len(truth))
+		for v, n := range truth {
+			want = append(want, HeavyHit{Value: v, Count: n})
 		}
-	}
-	if heavies == 0 {
-		t.Fatal("stream produced no heavy hitters — the test exercises nothing")
-	}
-	// Entries are sorted by descending count and mirror the counters.
-	entries := mg.Entries()
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Count > entries[i-1].Count {
-			t.Fatalf("Entries not sorted: %v before %v", entries[i-1], entries[i])
+		// Descending count, then ascending value.
+		slices.SortFunc(want, func(a, b HeavyHit) int {
+			if a.Count != b.Count {
+				return b.Count - a.Count
+			}
+			return cmp.Compare(a.Value, b.Value)
+		})
+		want = want[:heavyK-1]
+
+		cs := st.Cols[c]
+		if cs.Distinct != float64(len(truth)) {
+			t.Fatalf("%s: Distinct = %g, want %d", name, cs.Distinct, len(truth))
+		}
+		if len(truth) <= 4096 && name == "W" {
+			t.Fatalf("%s: only %d distinct values, the test needs more than 4096", name, len(truth))
+		}
+		if !slices.Equal(cs.Heavy, want) {
+			t.Fatalf("%s: Heavy = %v, want %v", name, cs.Heavy, want)
+		}
+		if cap(cs.Heavy) > heavyK-1 {
+			t.Fatalf("%s: cap(Heavy) = %d > %d", name, cap(cs.Heavy), heavyK-1)
 		}
 	}
 }
 
-// TestDistinctCounterExactSmall: below the conversion threshold the
-// counter is exact, whatever the duplication pattern.
-func TestDistinctCounterExactSmall(t *testing.T) {
-	d := NewDistinctCounter()
-	for round := 0; round < 50; round++ { // duplicate-heavy: 50 copies each
-		for v := int64(0); v < 1000; v++ {
-			d.Add(v)
+// TestHeavyValuesThreshold: a value whose count is exactly rows/heavyK
+// is a skew hint, one with a single row fewer is not.
+func TestHeavyValuesThreshold(t *testing.T) {
+	const rows = 100 * heavyK
+	r := relation.New("R", "X", "Y")
+	add := func(v relation.Value, n int) {
+		for i := 0; i < n; i++ {
+			r.Add(v, 0)
 		}
 	}
-	if !d.Exact() {
-		t.Fatal("counter degraded below the exact threshold")
+	add(-1, rows/heavyK)
+	add(-2, rows/heavyK-1)
+	for v := 0; r.Len() < rows; v++ {
+		add(relation.Value(v), 1)
 	}
-	if got := d.Estimate(); got != 1000 {
-		t.Fatalf("Estimate = %g, want exactly 1000", got)
-	}
-}
-
-// TestDistinctCounterErrorBounds drives the counter past the exact
-// threshold on adversarial inputs — sequential values (worst case for
-// weak hashes), duplicate-heavy streams, and huge sparse values — and
-// checks the estimate stays within 5% (3× the theoretical 1.6%
-// standard error at 4096 registers).
-func TestDistinctCounterErrorBounds(t *testing.T) {
-	cases := []struct {
-		name string
-		feed func(d *DistinctCounter)
-		want float64
-	}{
-		{"sequential", func(d *DistinctCounter) {
-			for v := int64(0); v < 100000; v++ {
-				d.Add(v)
-			}
-		}, 100000},
-		{"duplicate-heavy", func(d *DistinctCounter) {
-			for round := 0; round < 20; round++ {
-				for v := int64(0); v < 30000; v++ {
-					d.Add(v)
-				}
-			}
-		}, 30000},
-		{"sparse-huge", func(d *DistinctCounter) {
-			for v := int64(0); v < 50000; v++ {
-				d.Add(v * 1000003)
-			}
-		}, 50000},
-	}
-	for _, tc := range cases {
-		d := NewDistinctCounter()
-		tc.feed(d)
-		if d.Exact() {
-			t.Fatalf("%s: counter did not degrade past %d values", tc.name, exactDistinctLimit)
-		}
-		got := d.Estimate()
-		if rel := math.Abs(got-tc.want) / tc.want; rel > 0.05 {
-			t.Fatalf("%s: estimate %g for %g distinct, relative error %.3f > 0.05", tc.name, got, tc.want, rel)
-		}
+	cm := NewCostModel([]hypergraph.Edge{hypergraph.E("R", "X", "Y")}, []*relation.Relation{r}, nil)
+	if got := cm.HeavyValues("X"); !slices.Equal(got, []int64{-1}) {
+		t.Fatalf("HeavyValues(X) = %v, want [-1]", got)
 	}
 }
 
@@ -126,10 +90,10 @@ func TestCollectStats(t *testing.T) {
 		t.Fatalf("Rows/Cols = %d/%d", st.Rows, len(st.Cols))
 	}
 	x, y := st.Cols[0], st.Cols[1]
-	if !x.DistinctExact || x.Distinct != 10 || x.Min != 0 || x.Max != 9 {
+	if x.Distinct != 10 || len(x.Heavy) != 10 || x.Heavy[0] != (HeavyHit{Value: 0, Count: 10}) {
 		t.Fatalf("X stats: %+v", x)
 	}
-	if y.Distinct != 1 || y.Min != 7 || y.Max != 7 {
+	if y.Distinct != 1 {
 		t.Fatalf("Y stats: %+v", y)
 	}
 	if len(y.Heavy) != 1 || y.Heavy[0].Value != 7 || y.Heavy[0].Count != 100 {

@@ -66,10 +66,10 @@ func NewCostModel(edges []hypergraph.Edge, rels []*relation.Relation, cat Catalo
 // the product of the projected columns' distinct counts), times a
 // selectivity per shared variable. The per-variable selectivity is
 // distinct-count based (keep the smallest side, divide by the rest);
-// for a variable shared by exactly two atoms the Misra–Gries summaries
-// refine it, crediting heavy×heavy matches explicitly — on skewed data
-// this is where the estimate diverges from the uniform assumption and
-// the optimizer earns its keep.
+// for a variable shared by exactly two atoms the columns' most frequent
+// values refine it, crediting heavy×heavy matches explicitly — on
+// skewed data this is where the estimate diverges from the uniform
+// assumption and the optimizer earns its keep.
 func (m *CostModel) EstimateVars(vars []string) float64 {
 	if len(vars) == 0 {
 		return 1
@@ -141,11 +141,11 @@ func (m *CostModel) EstimateVars(vars []string) float64 {
 }
 
 // pairSelectivity estimates the join selectivity of one variable shared
-// by exactly two atoms. With heavy-hitter summaries on both sides the
-// expected match count is computed piecewise — heavy×heavy pairs
-// exactly (lower-bound counts), heavy×residual at the residual mean
-// frequency, residual×residual uniformly — otherwise it falls back to
-// the uniform 1/max(d1,d2).
+// by exactly two atoms. The expected match count is computed piecewise
+// over each side's most frequent values (ColumnStats.Heavy) — heavy×heavy
+// pairs exactly, heavy×residual at the residual mean frequency,
+// residual×residual uniformly; with no heavy values on a side (an empty
+// column) it falls back to the uniform 1/max(d1,d2).
 func (m *CostModel) pairSelectivity(e1, c1, e2, c2 int) float64 {
 	s1, s2 := &m.stats[e1].Cols[c1], &m.stats[e2].Cols[c2]
 	r1, r2 := float64(m.stats[e1].Rows), float64(m.stats[e2].Rows)
@@ -211,11 +211,10 @@ func (m *CostModel) EstimateOutput() float64 {
 // HeavyValues returns the heavy-hitter values recorded for variable x
 // across the relations containing x, for use as skew hints by the
 // parallel executor (wcoj.SkewHints): a value frequent in any base
-// relation tends to own a disproportionate join subtree. Only sketch
-// entries whose surviving count still clears the Misra–Gries guarantee
-// threshold (rows/heavyK) qualify — entries below it may be noise from
-// the counter pool. The result is sorted ascending and deduplicated;
-// it is empty when no column of x shows qualifying hitters.
+// relation tends to own a disproportionate join subtree. A value
+// qualifies when its exact count reaches rows/heavyK in some column of
+// x. The result is sorted ascending and deduplicated; it is empty when
+// no column of x has such a value.
 func (m *CostModel) HeavyValues(x string) []int64 {
 	var vals []int64
 	for ei, e := range m.edges {
@@ -223,9 +222,9 @@ func (m *CostModel) HeavyValues(x string) []int64 {
 			if v != x {
 				continue
 			}
-			cs := &m.stats[ei].Cols[ci]
-			for _, hh := range cs.Heavy {
-				if hh.Count*heavyK >= cs.HeavyTotal {
+			st := m.stats[ei]
+			for _, hh := range st.Cols[ci].Heavy {
+				if hh.Count*heavyK >= st.Rows {
 					vals = append(vals, hh.Value)
 				}
 			}

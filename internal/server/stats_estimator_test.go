@@ -84,8 +84,9 @@ func TestStatsEstimatorFields(t *testing.T) {
 // planned from the rows the server holds, not from the history of how
 // they arrived, so its estimates equal those of repro.Compile over the
 // same tuples. The join column takes more distinct values than a
-// Misra–Gries summary has counters, so summaries of the upload and the
-// append merged into one would not be the summary of the data.
+// column's statistics keep frequent values (63), so the frequent values
+// of the upload and of the append, put together, would not be those of
+// the data.
 func TestPlanStatisticsFollowTheData(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	rng := rand.New(rand.NewSource(7))

@@ -19,7 +19,7 @@ import (
 const chunkFactor = 4
 
 // SkewHints reports externally known heavy-hitter values for a query
-// variable — typically the catalog's Misra–Gries sketch entries for the
+// variable — typically the values the catalog counts as heavy in the
 // columns bound to that variable. The planner treats hinted values as
 // heavy at a lower local-weight threshold than unhinted ones, since a
 // value that is frequent in the base data tends to own a deep join

@@ -45,10 +45,11 @@ func ZipfRelation(name string, n, domain int, sX, sY float64, w WeightFn, seed u
 // tuples against n everywhere else. The shape's generalized hypertree
 // decompositions tie on width, so the structural search falls back to
 // its fewer-bags tie-break — which happens to charge the heavy,
-// high-fanout B values into one large bag. The per-column heavy-hitter
-// sketches see the skew and steer the costed search to a decomposition
-// whose bags stay small, making this the canonical workload for the
-// optimizer-on/off comparison (cmd/anyk-bench, CI).
+// high-fanout B values into one large bag. The exact counts of each
+// column's most frequent values see the skew and steer the costed
+// search to a decomposition whose bags stay small, making this the
+// canonical workload for the optimizer-on/off comparison
+// (cmd/anyk-bench, CI).
 func SkewedChordedCycle(n, domain, fanout int, s float64, w WeightFn, seed uint64) *Instance {
 	h := hypergraph.New(
 		hypergraph.E("R1", "A", "B"),

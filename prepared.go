@@ -85,8 +85,8 @@ type Prepared struct {
 	estOutput float64
 	estBags   []float64
 
-	// costOpts are what the cost model adds to every prepare: its
-	// Misra–Gries heavy hitters guide the intra-bag heavy/light split
+	// costOpts are what the cost model adds to every prepare: the
+	// values it counts as heavy guide the intra-bag heavy/light split
 	// (results stay bit-identical), and a searched bag picks its
 	// Generic-Join order from statistics over its atoms (the canonical
 	// shapes ignore the chooser).
@@ -266,14 +266,13 @@ func (p *Prepared) prepareWorkers(cfg runConfig, estTuples int) int {
 // per-shape plans), and every other cyclic shape to the bag tree the
 // generalized-hypertree-decomposition search finds.
 //
-// Planning is cost-based: Compile collects per-column statistics
-// (distinct counts, heavy hitters) from the query's relations — the
-// one place a query's statistics come from — and the cost model built
-// from them picks a searched decomposition. The handle keeps the
-// model's derived numbers (its estimates, reported by PlanStats, and
-// the heavy hitters that guide bag builds), never the sketches they
-// were read from; a delta keeps the decomposition and estimates chosen
-// here.
+// Planning is cost-based: Compile counts per-column statistics
+// (exact distinct counts and the most frequent values) from the
+// query's relations — the one place a query's statistics come from —
+// and the cost model built from them picks a searched decomposition.
+// The handle keeps the model's estimates (reported by PlanStats) and
+// the heavy values that guide bag builds, not the model; a delta keeps
+// the decomposition and estimates chosen here and counts nothing again.
 //
 // Of the RunOptions, Compile consults two. WithParallelism drives the
 // first epoch's build (for an acyclic query the full reduction and
@@ -317,7 +316,7 @@ func Compile(q *Query, opts ...RunOption) (*Prepared, error) {
 		workers:    cfg.workers,
 		workersSet: cfg.workersSet,
 		estOutput:  cm.EstimateOutput(),
-		costOpts:   []decomp.PrepareOption{decomp.WithSkewHints(cm.HeavyValues), decomp.WithOrderChooser(catalog.ChooseOrder)},
+		costOpts:   []decomp.PrepareOption{decomp.WithSkewHints(skewHints(cm, q.edges)), decomp.WithOrderChooser(catalog.ChooseOrder)},
 	}
 	shape, path, err := q.planShape(cm)
 	if err != nil {
@@ -660,6 +659,21 @@ func WithParallelism(n int) RunOption {
 		c.workers = parallel.Degree(n)
 		c.workersSet = true
 	}
+}
+
+// skewHints reads the model's heavy values of every query variable
+// once, so a handle keeps those few values rather than the model, whose
+// per-column statistics only Compile reads.
+func skewHints(cm *catalog.CostModel, edges []hypergraph.Edge) wcoj.SkewHints {
+	heavy := make(map[string][]relation.Value)
+	for _, e := range edges {
+		for _, v := range e.Vars {
+			if _, done := heavy[v]; !done {
+				heavy[v] = cm.HeavyValues(v)
+			}
+		}
+	}
+	return func(v string) []relation.Value { return heavy[v] }
 }
 
 // withCostModel makes Compile plan with m instead of collecting
