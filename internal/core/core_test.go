@@ -269,10 +269,13 @@ func mustQ(inst *workload.Instance) *yannakakis.Query {
 func TestNumSolutionsMatchesEnumeration(t *testing.T) {
 	inst := workload.Path(3, 80, 9, workload.UniformWeights(), 3)
 	tdp := buildTDP(t, inst, sum)
-	n := tdp.NumSolutions()
+	c, err := tdp.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := Collect(NewBatch(context.Background(), tdp), 0)
-	if len(got) != n {
-		t.Fatalf("NumSolutions = %d, batch enumerated %d", n, len(got))
+	if int64(len(got)) != c.Total {
+		t.Fatalf("Count = %d, batch enumerated %d", c.Total, len(got))
 	}
 }
 

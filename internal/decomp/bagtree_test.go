@@ -120,7 +120,11 @@ func TestEpochCountsMatchRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, drained := e.NumSolutions(p), len(drainResults(t, p))
+		n, err := e.NumSolutions(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained := len(drainResults(t, p))
 		t.Logf("%s over %d atoms: %d results", s.Kind, len(s.Edges), drained)
 		if n != drained || n == 0 {
 			t.Errorf("%s over %d atoms: NumSolutions %d, Run drained %d", s.Kind, len(s.Edges), n, drained)

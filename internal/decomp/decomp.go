@@ -50,7 +50,10 @@ package decomp
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dp"
@@ -174,6 +177,14 @@ type Plan struct {
 
 	agg   ranking.Aggregate
 	trees []*treePlan
+	width int // the arity of the plan's schema
+
+	// counts are the trees' exact result counts Sample descends; the
+	// first Sample builds them.
+	countOnce sync.Once
+	counts    []*dp.Counts // per tree; nil for a one-bag tree
+	cum       []int64      // inclusive prefix sums of the trees' totals
+	countErr  error
 }
 
 // Run starts one ranked enumeration over the compiled plan. The context
@@ -197,6 +208,86 @@ func (p *Plan) Run(ctx context.Context, v core.Variant) (core.Iterator, error) {
 	// The trees partition the output, so the ranked union needs no
 	// deduplication.
 	return core.Merge(ctx, p.agg, its...), nil
+}
+
+// Sample draws n results uniformly at random, with replacement, from the
+// results Run enumerates (bag semantics: a result is one combination of
+// rows), each with its tuple in the plan's schema — one the caller owns
+// — and its weight under the plan's ranking. It picks a tree in
+// proportion to its count, then a row of a one-bag tree uniformly, or a
+// solution of a T-DP by exact-count descent (dp.TDP.Draw), so no draw
+// is rejected. The first call counts the trees' results and keeps the
+// counts; a count that overflows an int64 fails every call with
+// dp.ErrCountOverflow. An empty plan draws nothing, and a canceled ctx
+// returns the draws so far with ctx.Err().
+func (p *Plan) Sample(ctx context.Context, n int, r *rand.Rand) ([]core.Result, error) {
+	p.countOnce.Do(p.count)
+	if p.countErr != nil {
+		return nil, p.countErr
+	}
+	if n <= 0 || p.cum[len(p.cum)-1] == 0 {
+		return nil, nil
+	}
+	width, rows := p.width, []int32(nil)
+	buf := make([]relation.Value, n*width)
+	out := make([]core.Result, 0, n)
+	for i := 0; i < n; i++ {
+		if i%512 == 0 {
+			if err := ctx.Err(); err != nil {
+				return out, err
+			}
+		}
+		// Result x of the plan lies in the first tree whose prefix
+		// exceeds x.
+		x := r.Int64N(p.cum[len(p.cum)-1])
+		ti, _ := slices.BinarySearch(p.cum, x+1)
+		tp, tuple := p.trees[ti], relation.Tuple(buf[i*width:(i+1)*width:(i+1)*width])
+		var w float64
+		if tp.t != nil {
+			if len(rows) < len(tp.t.Nodes) {
+				rows = make([]int32, len(tp.t.Nodes))
+			}
+			tp.t.Draw(p.counts[ti], r, rows)
+			tp.t.EmitInto(tuple, rows)
+			w = tp.t.SolutionWeight(rows)
+		} else {
+			// x less the earlier trees' results is uniform over the bag.
+			row := x
+			if ti > 0 {
+				row -= p.cum[ti-1]
+			}
+			src := tp.bag.Tuples[row]
+			if tp.perm == nil {
+				copy(tuple, src)
+			} else {
+				for j, c := range tp.perm {
+					tuple[j] = src[c]
+				}
+			}
+			w = tp.bag.Weights[row]
+		}
+		out = append(out, core.Result{Tuple: tuple, Weight: w})
+	}
+	return out, nil
+}
+
+// count builds the counts Sample descends: each tree's counting pass,
+// and the prefix sums of the trees' totals.
+func (p *Plan) count() {
+	p.counts, p.cum = make([]*dp.Counts, len(p.trees)), make([]int64, len(p.trees))
+	total := int64(0)
+	for ti, tp := range p.trees {
+		c, n, err := tp.count()
+		if err == nil && n > math.MaxInt64-total {
+			err = dp.ErrCountOverflow
+		}
+		if err != nil {
+			p.countErr = err
+			return
+		}
+		total += n
+		p.counts[ti], p.cum[ti] = c, total
+	}
 }
 
 // Stats reports the decomposition work: what was materialised where.
@@ -351,6 +442,19 @@ func canonPerm(have, canonAttrs []string) ([]int, error) {
 		return nil, nil
 	}
 	return perm, nil
+}
+
+// count runs the tree's counting pass (dp.TDP.Count) and returns its
+// result count; a one-bag tree counts its bag and has no Counts.
+func (tp *treePlan) count() (*dp.Counts, int64, error) {
+	if tp.t == nil {
+		return nil, int64(tp.bag.Len()), nil
+	}
+	c, err := tp.t.Count()
+	if err != nil {
+		return nil, 0, err
+	}
+	return c, c.Total, nil
 }
 
 // run starts one enumeration over the tree: any-k over its T-DP, or the

@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -175,22 +176,32 @@ func (e *Epoch) Tuples() int { return e.tuples }
 // the sum over its trees (which partition the output): an atom tree by
 // its reduced plan's counting pass, a tree that materialises bags off
 // p, this epoch's plan under any ranking — its one bag's size, or its
-// T-DP's counting pass. It is -1 when such a tree needs p and p is nil.
-func (e *Epoch) NumSolutions(p *Plan) int {
-	n := 0
+// T-DP's counting pass. It is -1 when such a tree needs p and p is nil,
+// and fails with dp.ErrCountOverflow when the sum does not fit an int64.
+func (e *Epoch) NumSolutions(p *Plan) (int, error) {
+	total := int64(0)
 	for ti, at := range e.atoms {
+		var n int64
+		var err error
 		switch {
 		case at != nil:
-			n += at.plan.NumSolutions()
+			var c int
+			c, err = at.plan.NumSolutions()
+			n = int64(c)
 		case p == nil:
-			return -1
-		case p.trees[ti].bag != nil:
-			n += p.trees[ti].bag.Len()
+			return -1, nil
 		default:
-			n += p.trees[ti].t.NumSolutions()
+			_, n, err = p.trees[ti].count()
 		}
+		if err == nil && n > math.MaxInt64-total {
+			err = dp.ErrCountOverflow
+		}
+		if err != nil {
+			return -1, err
+		}
+		total += n
 	}
-	return n
+	return int(total), nil
 }
 
 // Instantiate builds the epoch's plan under one ranking aggregate, tree
@@ -211,7 +222,7 @@ func (e *Epoch) Instantiate(agg ranking.Aggregate, old *Plan, opts ...PrepareOpt
 	if !e.delta {
 		old = nil // no predecessor to patch from
 	}
-	p := &Plan{Stats: &Stats{}, agg: agg}
+	p := &Plan{Stats: &Stats{}, agg: agg, width: len(s.Attrs)}
 	if len(e.heavy) == 2 {
 		p.Stats.HeavyB, p.Stats.HeavyD = len(e.heavy[0]), len(e.heavy[1])
 	}

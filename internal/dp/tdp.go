@@ -23,8 +23,13 @@ package dp
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"math/rand/v2"
 	"slices"
+	"sort"
 	"strconv"
 
 	"repro/internal/obs"
@@ -110,8 +115,15 @@ func (p *Plan) TotalTuples() int {
 }
 
 // NumSolutions counts the query's results from the reduced plan alone —
-// no ranking instantiation needed.
-func (p *Plan) NumSolutions() int { return countSolutions(p.nodes) }
+// no ranking instantiation needed — by the counting pass (TDP.Count). It
+// fails with ErrCountOverflow when the count does not fit an int64.
+func (p *Plan) NumSolutions() (int, error) {
+	c, err := count(p.nodes)
+	if err != nil {
+		return -1, err
+	}
+	return int(c.Total), nil
+}
 
 // TDP is the compiled dynamic program for one acyclic query instance.
 type TDP struct {
@@ -586,32 +598,92 @@ func (t *TDP) EmitInto(dst relation.Tuple, rows []int32) {
 	}
 }
 
-// NumSolutions counts the solutions of the T-DP by a bottom-up counting
-// pass; tests use it as the oracle for enumeration length.
-func (t *TDP) NumSolutions() int { return countSolutions(t.Nodes) }
+// ErrCountOverflow reports a solution count that does not fit an int64.
+var ErrCountOverflow = errors.New("dp: solution count overflows int64")
 
-func countSolutions(nodes []*Node) int {
-	m := len(nodes)
-	counts := make([][]int, m)
-	for pos := m - 1; pos >= 0; pos-- {
+// Counts is the result of the counting pass over a T-DP: for every node
+// row, the number of solutions of the subtree rooted at that node that
+// pick the row, kept as an inclusive prefix sum along the row's group
+// (Group.Rows order). A group's last prefix is its total, so the root
+// group's is the number of solutions, and a row is drawn in proportion
+// to its count by binary search (TDP.Draw).
+type Counts struct {
+	cum   [][]int64 // per preorder position, indexed by row
+	Total int64     // the number of solutions
+}
+
+// groupTotal is the number of solutions below one group of a node.
+func groupTotal(cum []int64, g Group) int64 {
+	if len(g.Rows) == 0 {
+		return 0
+	}
+	return cum[g.Rows[len(g.Rows)-1]]
+}
+
+// Count runs the counting pass over the T-DP's nodes.
+func (t *TDP) Count() (*Counts, error) { return count(t.Nodes) }
+
+// count is the one counting pass, bottom-up in one int64 per node row: a
+// row's count is the product of the totals of the child groups it
+// selects, and every product and sum is checked against overflow. It is
+// linear in the nodes' rows.
+func count(nodes []*Node) (*Counts, error) {
+	c := &Counts{cum: make([][]int64, len(nodes))}
+	for pos := len(nodes) - 1; pos >= 0; pos-- {
 		n := nodes[pos]
-		counts[pos] = make([]int, n.Rel.Len())
-		for row := range n.Rel.Tuples {
-			c := 1
+		cum := make([]int64, n.Rel.Len())
+		for row := range cum {
+			v := int64(1)
 			for ci, child := range n.Children {
-				gi := n.ChildGroup[ci][row]
-				sub := 0
-				for _, r := range nodes[child].Groups[gi].Rows {
-					sub += counts[child][r]
+				var ok bool
+				g := nodes[child].Groups[n.ChildGroup[ci][row]]
+				if v, ok = mulChecked(v, groupTotal(c.cum[child], g)); !ok {
+					return nil, ErrCountOverflow
 				}
-				c *= sub
 			}
-			counts[pos][row] = c
+			cum[row] = v
 		}
+		for _, g := range n.Groups {
+			sum := int64(0)
+			for _, r := range g.Rows {
+				var ok bool
+				if sum, ok = addChecked(sum, cum[r]); !ok {
+					return nil, ErrCountOverflow
+				}
+				cum[r] = sum
+			}
+		}
+		c.cum[pos] = cum
 	}
-	total := 0
-	for _, c := range counts[0] {
-		total += c
+	if len(nodes) > 0 && len(nodes[0].Groups) > 0 {
+		c.Total = groupTotal(c.cum[0], nodes[0].Groups[0])
 	}
-	return total
+	return c, nil
+}
+
+// mulChecked and addChecked combine two non-negative counts, reporting
+// false when the result does not fit an int64.
+func mulChecked(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	return int64(lo), hi == 0 && lo <= math.MaxInt64
+}
+
+func addChecked(a, b int64) (int64, bool) {
+	s := uint64(a) + uint64(b)
+	return int64(s), s <= math.MaxInt64
+}
+
+// Draw fills rows (one entry per node, in preorder) with a solution
+// drawn uniformly at random from the solutions c counts, which must be
+// t's counts and non-zero: walking the nodes in preorder, each picks a
+// row of the group its parent's row selects with probability
+// proportional to the row's count. A solution's probability telescopes
+// to 1/Total, and a draw costs O(ℓ log n).
+func (t *TDP) Draw(c *Counts, r *rand.Rand, rows []int32) {
+	for pos, n := range t.Nodes {
+		g := n.Groups[t.GroupFor(pos, rows)]
+		cum := c.cum[pos]
+		x := r.Int64N(groupTotal(cum, g))
+		rows[pos] = g.Rows[sort.Search(len(g.Rows), func(i int) bool { return cum[g.Rows[i]] > x })]
+	}
 }

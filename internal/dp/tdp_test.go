@@ -114,8 +114,8 @@ func TestEmptyTDP(t *testing.T) {
 	if !tdp.Empty() {
 		t.Error("disconnected instance should be empty")
 	}
-	if tdp.NumSolutions() != 0 {
-		t.Error("NumSolutions should be 0")
+	if c, err := tdp.Count(); err != nil || c.Total != 0 {
+		t.Errorf("Count = %v, %v; want 0", c, err)
 	}
 }
 

@@ -261,11 +261,9 @@ func (h *Hypergraph) AGMBound(sizes []float64) (float64, error) {
 // AGMCover returns the fractional edge cover x* minimizing the AGM
 // bound ∏ |R_e|^{x_e} for the given relation sizes (aligned with
 // h.Edges), together with the bound itself. The weights satisfy
-// Σ_{e∋v} x_e ≥ 1 for every variable v, which is what the sampling
-// random walk (internal/sample) needs for its per-prefix upper bounds
-// to telescope via the generalized Hölder inequality. Every size must
-// be ≥ 1; a relation of size 0 makes the join empty, reported as a nil
-// cover with bound 0.
+// Σ_{e∋v} x_e ≥ 1 for every variable v. Every size must be ≥ 1; a
+// relation of size 0 makes the join empty, reported as a nil cover with
+// bound 0.
 func (h *Hypergraph) AGMCover(sizes []float64) ([]float64, float64, error) {
 	return h.agmCover(h.Vars(), sizes)
 }

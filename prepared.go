@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,12 +12,12 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/decomp"
+	"repro/internal/dp"
 	"repro/internal/hypergraph"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/ranking"
 	"repro/internal/relation"
-	"repro/internal/sample"
 	"repro/internal/wcoj"
 )
 
@@ -123,9 +123,9 @@ type planState struct {
 	// epoch numbers the state: 1 after Compile, +1 per applied delta.
 	epoch int64
 
-	// srcRels are the epoch's relations aligned with Prepared.srcEdges —
-	// the uniform answer sampler walks these directly, whatever plan
-	// shape the handle compiled to.
+	// srcRels are the epoch's relations aligned with Prepared.srcEdges,
+	// whose weights a ranking's first plan checks against its domain
+	// (instantiate).
 	srcRels []*relation.Relation
 
 	// structure is the epoch's ranking-independent half of the plan
@@ -134,7 +134,8 @@ type planState struct {
 	structure *decomp.Epoch
 	plans     onceCache[*decomp.Plan]
 
-	// solutions is the exact output cardinality, -1 until known. It is
+	// solutions is the exact output cardinality, -1 until known and
+	// countOverflows once counting found it does not fit an int64. It is
 	// an O(total tuples) counting pass that must not re-run per
 	// Count/PlanStats call, so it is computed once per epoch: at the
 	// build when no tree materialises bags, otherwise off the first plan
@@ -146,16 +147,13 @@ type planState struct {
 	// default-parallelism threshold.
 	estTuples int
 
-	// The sampler builds lazily on the first Sample call of the epoch
-	// (it re-sorts every atom into its own tries) and is cached for the
-	// epoch's lifetime; samplePerm maps outAttrs positions to sampler
-	// variable positions.
-	samplerMu  sync.Mutex
-	sampler    *sample.Sampler
-	samplerErr error
-	samplerSet bool
-	samplePerm []int
+	// sampled counts the results Sample drew on the epoch.
+	sampled atomic.Int64
 }
+
+// countOverflows is planState.solutions once the count is known not to
+// fit an int64.
+const countOverflows = -2
 
 // onceCache memoizes one value per ranking function. The mutex guards
 // only the map; each entry builds under its own sync.Once, so a cold
@@ -387,7 +385,9 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 		return nil, n, err
 	}
 	st.structure, st.estTuples = structure, structure.Tuples()
-	st.solutions.Store(int64(structure.NumSolutions(nil)))
+	// Counted now unless a tree needs a ranking's plan (Count, PlanStats).
+	st.solutions.Store(-1)
+	st.count(nil)
 	n.nodesReused += int64(ds.TreeNodes - ds.TreeRegrouped)
 	if old != nil {
 		for agg, oldPlan := range old.plans.built() {
@@ -444,7 +444,7 @@ type PlanStats struct {
 	// enumeration; exact once known, for every kind: from Compile (or the
 	// delta) on when no bag is materialised, otherwise from the first
 	// Count or the first PlanStats after some ranking is built. -1 until
-	// then.
+	// then, and for good when the count does not fit an int64.
 	Solutions int `json:"solutions"`
 	// Rankings lists the ranking functions whose plans (π weights, and
 	// the materialised bags of cyclic shapes) are built and cached on
@@ -468,17 +468,10 @@ type PlanStats struct {
 	// shape has per-bag estimates, est-vs-exact output once Solutions is
 	// known otherwise. 0 until actuals are known.
 	EstimatorError float64 `json:"estimator_error,omitempty"`
-	// AGMBound is the worst-case output bound the uniform answer
-	// sampler draws against (sample.Sampler.Bound); set once a Sample
-	// call has built the sampler for the current epoch.
-	AGMBound float64 `json:"agm_bound,omitempty"`
-	// SampleTrials/SampleAccepts are the sampler's cumulative rejection
-	// walk counters across every Sample call on the current epoch.
+	// SampleTrials and SampleAccepts both count the results Sample drew
+	// on the current epoch: a draw is never rejected.
 	SampleTrials  int64 `json:"sample_trials,omitempty"`
 	SampleAccepts int64 `json:"sample_accepts,omitempty"`
-	// EstCardinality is the unbiased estimate of the number of distinct
-	// answers implied by those counters: acceptance rate × AGMBound.
-	EstCardinality float64 `json:"est_cardinality,omitempty"`
 
 	// DeltasApplied counts the ApplyDelta batches that advanced the
 	// epoch; DeltaAppendedRows/DeltaDeletedRows sum the rows they
@@ -534,7 +527,9 @@ func (p *Prepared) PlanStats() PlanStats {
 		OutAttrs:      p.shape.Attrs,
 		Epoch:         s.epoch,
 		EstTuples:     s.estTuples,
-		Solutions:     int(s.solutions.Load()),
+		Solutions:     max(-1, int(s.solutions.Load())),
+		SampleTrials:  s.sampled.Load(),
+		SampleAccepts: s.sampled.Load(),
 	}
 	// actualBags flattens one built ranking's materialised bag sizes.
 	// Bag contents (and so sizes) are identical across rankings — only
@@ -552,8 +547,8 @@ func (p *Prepared) PlanStats() PlanStats {
 				actualBags = append(actualBags, tree...)
 			}
 		}
-		if st.Solutions < 0 {
-			st.Solutions = s.count(d)
+		if st.Solutions < 0 && s.solutions.Load() != countOverflows {
+			st.Solutions, _ = s.count(d)
 		}
 	}
 	sort.Slice(st.Rankings, func(i, j int) bool { return st.Rankings[i].Ranking < st.Rankings[j].Ranking })
@@ -569,12 +564,6 @@ func (p *Prepared) PlanStats() PlanStats {
 			}
 		}
 	}
-	s.samplerMu.Lock()
-	if s.samplerSet && s.sampler != nil {
-		st.AGMBound = s.sampler.Bound()
-		st.EstCardinality, st.SampleTrials, st.SampleAccepts = s.sampler.Estimate()
-	}
-	s.samplerMu.Unlock()
 	st.DeltasApplied = p.deltasApplied.Load()
 	st.DeltaAppendedRows = p.deltaAppendedRows.Load()
 	st.DeltaDeletedRows = p.deltaDeletedRows.Load()
@@ -684,7 +673,7 @@ func withCostModel(m *catalog.CostModel) RunOption {
 }
 
 // WithSeed fixes the RNG seed of a Sample call, making its draws
-// reproducible (equal seeds on equal handles draw equal answers). When
+// reproducible (equal seeds on equal data draw equal results). When
 // omitted, each Sample call takes the next seed from a process-wide
 // sequence, so repeated calls explore different draws. Ignored by
 // Run/TopK/Count — ranked enumeration is deterministic already.
@@ -716,14 +705,7 @@ func (p *Prepared) Run(opts ...RunOption) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := p.state.Load()
-	// The prepare span covers the first-run physical build (the π pass,
-	// after bag materialisation for cyclic shapes); on a cache hit it
-	// records ~0 duration, which is itself the signal a dashboard wants.
-	// Without a trace on cfg.ctx every span call here is a no-op.
-	pctx, prepSpan := obs.StartSpan(cfg.ctx, "prepare")
-	d, err := p.planFor(st, cfg.agg, pctx, p.prepareWorkers(cfg, st.estTuples))
-	prepSpan.End()
+	d, err := p.planFor(cfg, p.state.Load(), cfg.agg)
 	if err != nil {
 		return nil, err
 	}
@@ -800,52 +782,74 @@ func (p *Prepared) TopK(k int, opts ...RunOption) ([]Result, error) {
 // only when none is. Counting does not rank: the ranking, the variant
 // and WithK are validated but do not change the count, and no weight is
 // checked against the ranking's domain. The result is computed once per
-// epoch.
+// epoch. A count that does not fit an int64 is an error, never a
+// wrapped number.
 func (p *Prepared) Count(opts ...RunOption) (int, error) {
 	cfg, err := newRunConfig(opts)
 	if err != nil {
 		return 0, err
 	}
 	st := p.state.Load()
-	if n := st.solutions.Load(); n >= 0 {
+	switch n := st.solutions.Load(); {
+	case n >= 0:
 		return int(n), nil
+	case n == countOverflows:
+		return 0, errCountOverflow
 	}
 	for _, d := range st.plans.built() {
-		return st.count(d), nil
+		return st.count(d)
 	}
-	pctx, prepSpan := obs.StartSpan(cfg.ctx, "prepare")
-	d, err := p.planFor(st, SumCost, pctx, p.prepareWorkers(cfg, st.estTuples))
-	prepSpan.End()
+	d, err := p.planFor(cfg, st, SumCost)
 	if err != nil {
 		return 0, err
 	}
-	return st.count(d), nil
+	return st.count(d)
 }
 
+// errCountOverflow is Count's and Sample's error for a result count
+// that does not fit an int64.
+var errCountOverflow = fmt.Errorf("repro: %w", dp.ErrCountOverflow)
+
 // count records and returns the epoch's answer count, read off one of
-// its plans.
-func (st *planState) count(d *decomp.Plan) int {
-	n := st.structure.NumSolutions(d)
-	st.solutions.Store(int64(n))
-	return n
+// its plans (nil: off the epoch alone, -1 if a tree needs a plan).
+func (st *planState) count(d *decomp.Plan) (int, error) {
+	n, err := st.structure.NumSolutions(d)
+	switch {
+	case err != nil:
+		st.solutions.Store(countOverflows)
+		return 0, errCountOverflow
+	case n >= 0:
+		st.solutions.Store(int64(n))
+	}
+	return n, nil
 }
 
 // IsEmpty answers the Boolean query "does the join have any result?":
-// Count is zero.
+// Count is zero. A count too large for an int64 is not empty.
 func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
 	n, err := p.Count(opts...)
+	if errors.Is(err, dp.ErrCountOverflow) {
+		return false, nil
+	}
 	return n == 0, err
 }
 
 // planFor returns (building and caching on first use) the epoch's plan
-// under agg. The ctx and worker count only matter to the Run that
-// triggers the build; cache hits ignore them. A build is cancelable
-// between node and bag tasks, and a canceled one fails with ctx.Err()
-// and is dropped from the cache (the onceCache retry-on-cancel policy),
-// so one run's cancellation never poisons the per-aggregate entry — the
-// next Run rebuilds. Parallel builds are bit-identical to sequential
-// ones, so the cached plan does not depend on which Run won the build.
-func (p *Prepared) planFor(st *planState, agg ranking.Aggregate, ctx context.Context, workers int) (*decomp.Plan, error) {
+// under agg, for a Run, Count or Sample with options cfg. Its context
+// and parallelism only matter to the call that triggers the build; cache
+// hits ignore them. A build is cancelable between node and bag tasks,
+// and a canceled one fails with ctx.Err() and is dropped from the cache
+// (the onceCache retry-on-cancel policy), so one run's cancellation
+// never poisons the per-aggregate entry — the next Run rebuilds.
+// Parallel builds are bit-identical to sequential ones, so the cached
+// plan does not depend on which Run won the build. The "prepare" span
+// covers the build (the π pass, after bag materialisation for cyclic
+// shapes); on a cache hit it records ~0 duration, which is itself the
+// signal a dashboard wants.
+func (p *Prepared) planFor(cfg runConfig, st *planState, agg ranking.Aggregate) (*decomp.Plan, error) {
+	ctx, sp := obs.StartSpan(cfg.ctx, "prepare")
+	defer sp.End()
+	workers := p.prepareWorkers(cfg, st.estTuples)
 	return st.plans.get(ctx, agg, func(a ranking.Aggregate) (*decomp.Plan, error) {
 		d, _, err := p.instantiate(st, a, nil, ctx, workers)
 		return d, err
@@ -878,84 +882,32 @@ func (p *Prepared) prepareOpts(ctx context.Context, workers int) []decomp.Prepar
 	return append([]decomp.PrepareOption{decomp.WithWorkers(workers), decomp.WithContext(ctx)}, p.costOpts...)
 }
 
-// ErrTrialBudget reports that Sample's rejection walk ran out of trials
-// before drawing the requested number of samples — expected when the
-// join is empty or its answer count sits far below its AGM bound. The
-// samples drawn so far are still returned, and they are still uniform.
-var ErrTrialBudget = sample.ErrTrialBudget
+// ErrTrialBudget reports that Sample drew nothing because the join has
+// no results.
+var ErrTrialBudget = errors.New("repro: no results to sample")
 
 // sampleSeq feeds default seeds to Sample calls that pass no WithSeed.
 var sampleSeq atomic.Uint64
 
-// samplerFor returns the epoch's uniform answer sampler, building and
-// caching it on first use: the query atoms are sorted into fresh tries
-// and the AGM-optimal fractional edge cover (hypergraph.AGMCover)
-// supplies the walk's per-prefix bounds. The build is independent of
-// ranking functions and plan shape — it walks the original atoms — and
-// costs one sort per atom, never a bag materialisation. Each epoch
-// builds its own sampler over its own relations, so fixed-seed draws
-// after a delta equal those of a cold handle on the same data.
-func (p *Prepared) samplerFor(st *planState) (*sample.Sampler, []int, error) {
-	st.samplerMu.Lock()
-	defer st.samplerMu.Unlock()
-	if st.samplerSet {
-		return st.sampler, st.samplePerm, st.samplerErr
-	}
-	build := func() (*sample.Sampler, []int, error) {
-		h := hypergraph.New(p.srcEdges...)
-		atoms := make([]wcoj.Atom, len(p.srcEdges))
-		sizes := make([]float64, len(p.srcEdges))
-		for i, e := range p.srcEdges {
-			atoms[i] = wcoj.Atom{Rel: st.srcRels[i], Vars: e.Vars}
-			// Clamp empties to 1: the cover LP needs positive sizes, and
-			// the sampler itself reports an empty relation as bound 0.
-			sizes[i] = math.Max(1, float64(st.srcRels[i].Len()))
-		}
-		lambda, _, err := h.AGMCover(sizes)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := sample.New(atoms, wcoj.SuggestOrder(atoms), lambda)
-		if err != nil {
-			return nil, nil, err
-		}
-		pos := make(map[string]int, len(s.Vars()))
-		for i, v := range s.Vars() {
-			pos[v] = i
-		}
-		perm := make([]int, len(p.shape.Attrs))
-		for i, a := range p.shape.Attrs {
-			j, ok := pos[a]
-			if !ok {
-				return nil, nil, fmt.Errorf("repro: output attribute %s missing from sampler order", a)
-			}
-			perm[i] = j
-		}
-		return s, perm, nil
-	}
-	st.sampler, st.samplePerm, st.samplerErr = build()
-	st.samplerSet = true
-	return st.sampler, st.samplePerm, st.samplerErr
-}
-
-// Sample draws up to n uniform random samples from the query's answer
-// set without enumerating it (internal/sample's AGM rejection walk over
-// the original atoms). Sampling is uniform over distinct variable
-// assignments; each comes back as a Result in OutAttrs order whose
-// weight aggregates one uniformly chosen witness row per atom under the
-// run's ranking function — samples are not ranked. Honors WithContext,
-// WithRanking and WithSeed; every call also advances the handle's
-// cumulative cardinality estimate (PlanStats.EstCardinality). A join
-// whose answer count is far below its AGM bound can exhaust the trial
-// budget first: the samples drawn so far return with
-// sample.ErrTrialBudget, and an empty join yields zero samples.
+// Sample draws n results uniformly at random, with replacement, from
+// those Run enumerates under the run's ranking, without enumerating
+// them: each is a Result in OutAttrs order with the weight enumeration
+// gives it, and a tuple the caller owns. Samples are not ranked. It
+// builds the ranking's plan as Run would (so a first Sample on a cyclic
+// handle materialises its bags and checks the ranking's domain), counts
+// the plan's results once, and descends those exact counts
+// (decomp.Plan.Sample), so no draw is rejected. Sampling follows bag
+// semantics: a result repeated in the inputs is as likely as its copies
+// are many. Honors WithContext, WithRanking and WithSeed. An empty join
+// yields zero samples and ErrTrialBudget; a join whose count does not
+// fit an int64 fails as Count does.
 func (p *Prepared) Sample(n int, opts ...RunOption) ([]Result, error) {
 	cfg, err := newRunConfig(opts)
 	if err != nil {
 		return nil, err
 	}
 	st := p.state.Load()
-	s, perm, err := p.samplerFor(st)
+	d, err := p.planFor(cfg, st, cfg.agg)
 	if err != nil {
 		return nil, err
 	}
@@ -964,15 +916,14 @@ func (p *Prepared) Sample(n int, opts ...RunOption) ([]Result, error) {
 		seed = sampleSeq.Add(1)
 	}
 	sctx, sampleSpan := obs.StartSpan(cfg.ctx, "sample")
-	ans, err := s.Sample(sctx, n, seed, cfg.agg)
+	out, err := d.Sample(sctx, n, rand.New(rand.NewPCG(seed, 0)))
 	sampleSpan.End()
-	out := make([]Result, len(ans))
-	for i, a := range ans {
-		t := make(relation.Tuple, len(perm))
-		for j, sp := range perm {
-			t[j] = a.Tuple[sp]
-		}
-		out[i] = Result{Tuple: t, Weight: a.Weight}
+	st.sampled.Add(int64(len(out)))
+	switch {
+	case errors.Is(err, dp.ErrCountOverflow):
+		return nil, errCountOverflow
+	case err == nil && n > 0 && len(out) == 0:
+		return nil, ErrTrialBudget
 	}
 	return out, err
 }

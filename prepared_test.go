@@ -3,8 +3,10 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -340,6 +342,53 @@ func TestPreparedCountAndIsEmpty(t *testing.T) {
 				t.Fatalf("IsEmpty = %v with %d results", empty, want)
 			}
 		})
+	}
+}
+
+// TestCountOverflowStar: on an 8-atom star whose atoms each hold 300
+// rows on the centre value, the count 300^8 does not fit an int64.
+// Compile still succeeds; Count and Sample refuse with an error naming
+// the overflow instead of a wrapped number, IsEmpty answers false, and
+// PlanStats keeps Solutions unknown. Seven atoms fit and count exactly.
+func TestCountOverflowStar(t *testing.T) {
+	star := func(atoms int) *Query {
+		tuples, weights := make([]Tuple, 300), make([]float64, 300)
+		for j := range tuples {
+			tuples[j], weights[j] = Tuple{0, int64(j)}, float64(j)
+		}
+		q := NewQuery()
+		for i := 0; i < atoms; i++ {
+			q.Rel(fmt.Sprintf("R%d", i), []string{"X", fmt.Sprintf("Y%d", i)}, tuples, weights)
+		}
+		return q
+	}
+	p, err := Compile(star(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the second Count reads the epoch's cached verdict
+		if n, err := p.Count(); err == nil || !strings.Contains(err.Error(), "overflow") {
+			t.Fatalf("Count = %d, %v; want an overflow error", n, err)
+		}
+	}
+	if empty, err := p.IsEmpty(); empty || err != nil {
+		t.Fatalf("IsEmpty = %v, %v; want false, nil", empty, err)
+	}
+	if _, err := p.Sample(1); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("Sample err = %v, want the overflow error", err)
+	}
+	if top, err := p.TopK(1); err != nil || len(top) != 1 {
+		t.Fatalf("TopK(1) = %v, %v", top, err)
+	}
+	if n := p.PlanStats().Solutions; n != -1 {
+		t.Fatalf("PlanStats.Solutions = %d, want -1", n)
+	}
+	p, err = Compile(star(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.Count(); err != nil || n != 218_700_000_000_000_000 {
+		t.Fatalf("7 atoms: Count = %d, %v; want 300^7", n, err)
 	}
 }
 
