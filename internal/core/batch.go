@@ -66,7 +66,7 @@ func NewBatch(ctx context.Context, t *dp.TDP) Iterator {
 					pos[p]++
 					rows[p] = cand[p][pos[p]]
 					if !fill(p + 1) {
-						panic("core: refill failed after full reduction")
+						panic("core: refill failed after the bottom-up sweep")
 					}
 					break
 				}

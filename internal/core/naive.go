@@ -11,7 +11,7 @@ import (
 // ranked enumerator: the Lawler–Murty procedure implemented the way
 // pre-any-k systems did (Kimelfeld–Sagiv style, [61] in the tutorial) —
 // every partition's champion is found by recomputing the bottom-up
-// dynamic program from scratch over the full reduced database, instead
+// dynamic program from scratch over the whole reduced database, instead
 // of reusing suffix-optimal weights through incremental successor
 // structures. Each emitted result therefore costs O(|D|·|Q|) instead of
 // O(log) — exactly the gap §4 of the tutorial highlights ("a delay that

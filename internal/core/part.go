@@ -124,7 +124,7 @@ func (it *partIter) Next() (Result, bool) {
 		st := it.structAt(pos, gi)
 		row, _, ok := st.at(0)
 		if !ok {
-			panic("core: empty candidate group after full reduction")
+			panic("core: empty candidate group after the bottom-up sweep")
 		}
 		rows[pos] = row
 	}

@@ -2,11 +2,13 @@ package decomp
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/hypergraph"
 	"repro/internal/relation"
 	"repro/internal/workload"
+	"repro/internal/yannakakis"
 )
 
 // cycleShape is CycleShape with no coster (the fan for l ≥ 5) over
@@ -73,24 +75,76 @@ func TestBagTreeKeepsReducedRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			red, err := q.ReduceKeep(context.Background(), 1)
+			bu, err := q.ReduceKeep(context.Background(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin, err := q.FullReduceWith(context.Background(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			nodes := p.trees[0].t.Nodes
 			bottomUp, final := 0, 0
 			for pos, edge := range q.Tree.Order {
-				if got, want := nodes[pos].Rel.Len(), red.Final[edge].Len(); got != want {
+				if got, want := nodes[pos].Rel.Len(), fin[edge].Len(); got != want {
 					t.Errorf("node %d holds %d rows, the full reducer keeps %d", pos, got, want)
 				}
-				bottomUp += red.BottomUp[edge].Len()
-				final += red.Final[edge].Len()
+				bottomUp += bu[edge].Len()
+				final += fin[edge].Len()
 			}
 			t.Logf("%s bag rows: %d materialised, %d after the bottom-up sweep, %d fully reduced", c.name, p.Stats.TotalMaterialized, bottomUp, final)
 			if bottomUp <= final {
 				t.Fatalf("fixture leaves no dangling bottom-up rows (%d vs %d): the check proves nothing", bottomUp, final)
 			}
 		})
+	}
+}
+
+// TestAtomTreeKeepsBottomUpRows: an atom tree's T-DP nodes hold exactly
+// the rows of the bottom-up sweep over the tree's inputs — row for row,
+// weights included — and not the fully reduced ones: atom trees are
+// patched by delta, and the bottom-up rows are the next delta's
+// predecessor. The fixture is a 3-path over three different graphs, so
+// the top-down sweep would drop rows.
+func TestAtomTreeKeepsBottomUpRows(t *testing.T) {
+	edges, rels := graphAtoms(workload.RandomGraph(12, 30, workload.UniformWeights(), 3), [][2]string{{"A", "B"}, {"B", "C"}, {"C", "D"}})
+	for i := 1; i < len(rels); i++ {
+		rels[i] = workload.RandomGraph(12, 30, workload.UniformWeights(), uint64(3+i)).Edges
+	}
+	s, ok := AcyclicShape(edges)
+	if !ok {
+		t.Fatal("path is cyclic")
+	}
+	e, _, err := s.Build(rels, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := e.Instantiate(sum, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &yannakakis.Query{Rels: e.rels, H: hypergraph.New(edges...), Tree: s.trees[0].join}
+	bu, err := q.ReduceKeep(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := q.FullReduceWith(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := p.trees[0].t.Nodes
+	bottomUp, final := 0, 0
+	for pos, edge := range q.Tree.Order {
+		got, want := nodes[pos].Rel, bu[edge]
+		if !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Weights, want.Weights) {
+			t.Errorf("node %d holds %d rows that differ from the bottom-up sweep's %d", pos, got.Len(), want.Len())
+		}
+		bottomUp += want.Len()
+		final += fin[edge].Len()
+	}
+	t.Logf("path rows: %d after the bottom-up sweep, %d fully reduced", bottomUp, final)
+	if bottomUp <= final {
+		t.Fatalf("fixture leaves no dangling bottom-up rows (%d vs %d): the check proves nothing", bottomUp, final)
 	}
 }
 

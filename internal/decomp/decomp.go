@@ -387,14 +387,17 @@ type treePlan struct {
 
 // prepareTree compiles one tree of materialised bags — the one place a
 // bag tree is built. Two or more bags become the acyclic query over them
-// (GYO finds the join tree) and its T-DP; the dp.Plan it is instantiated
-// from is dropped, so the reducer's intermediates (a leaf's whole bag,
-// every dangling bottom-up row) do not stay resident. Reduction,
-// grouping and the π pass all run under the prepare's context. They run
-// sequentially: the level-parallel sweeps buy nothing on a bag tree of a
-// handful of nodes, so the prepare's workers are spent on the bags
-// alone. A single bag is already the query's full output and needs no
-// reduction, no grouping and no π pass.
+// (GYO finds the join tree), which is fully reduced before its T-DP is
+// built on the reduced bags: a bag tree is never patched, so it has no
+// use for the bottom-up rows an atom tree keeps as its next delta's
+// predecessor, and rows the top-down sweep removes (a leaf bag is often
+// mostly dangling) do not stay resident. The dp.Plan the T-DP is
+// instantiated from is dropped too. Reduction, grouping and the π pass
+// all run under the prepare's context. They run sequentially: the
+// level-parallel sweeps buy nothing on a bag tree of a handful of nodes,
+// so the prepare's workers are spent on the bags alone. A single bag is
+// already the query's full output and needs no reduction, no grouping
+// and no π pass.
 func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, canonAttrs []string) (*treePlan, error) {
 	if len(bags) == 1 {
 		perm, err := canonPerm(bags[0].Attrs, canonAttrs)
@@ -404,6 +407,11 @@ func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, 
 	if err != nil {
 		return nil, err
 	}
+	reduced, err := q.FullReduceWith(cfg.ctx, 1)
+	if err != nil {
+		return nil, err
+	}
+	q.Rels = reduced
 	p, err := dp.NewPlan(q, dp.WithContext(cfg.ctx))
 	if err != nil {
 		return nil, err

@@ -119,7 +119,7 @@ type atomTree struct {
 
 // Build does for one epoch of relations (aligned with Edges) what no
 // ranking touches: rename them to their query variables, evaluate the
-// heavy/light splits, and full-reduce and group every atom tree
+// heavy/light splits, and reduce (bottom-up) and group every atom tree
 // (dp.NewPlanDelta). old is the epoch this one succeeds (nil: none) and
 // changed flags, per edge, the relations that differ since; an atom
 // tree then redoes only the paths they reach. The DeltaStats count the

@@ -9,7 +9,7 @@ type DeltaStats struct {
 	// plan's groupings and reduced relations).
 	Nodes     int
 	Regrouped int
-	// Changed flags, per preorder position, the nodes whose full-reduced
+	// Changed flags, per preorder position, the nodes whose reduced
 	// content differs from the old plan — the seed set InstantiateDelta
 	// propagates π recomputation from.
 	Changed []bool
@@ -18,7 +18,7 @@ type DeltaStats struct {
 // planMatchesTree reports whether old lays out exactly the join tree
 // of q (same preorder positions, parent/child wiring, and attribute
 // names) — the precondition for position-wise delta comparison and for
-// reusing old's reduction intermediates.
+// reusing old's node relations as the bottom-up sweep's predecessor.
 func planMatchesTree(old *Plan, q *yannakakis.Query, posOf []int) bool {
 	tree := q.Tree
 	if old == nil || len(old.nodes) != len(tree.Order) {

@@ -208,21 +208,30 @@ func TestDeltaPinnedCounts(t *testing.T) {
 	}
 
 	t.Run("dangling append", func(t *testing.T) {
-		// Value 99 occurs nowhere else: the row never survives reduction.
+		// Value 99 occurs nowhere else: the row joins nothing. The leaf
+		// keeps it (the bottom-up sweep reduces a node by its subtree
+		// alone), so only the leaf changes and is regrouped; its parent's
+		// relation is unchanged, so the π pass recomputes the leaf and
+		// the parent, finds the parent's group bests unchanged and stops.
 		newRels, changed := appendRow(rels, leafEdge, 1, 99, 99)
 		p, st, err := NewPlanDelta(mustQuery(t, h, newRels), old, changed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Regrouped != 0 {
-			t.Errorf("regrouped %d nodes, want 0", st.Regrouped)
+		for pos, c := range st.Changed {
+			if c != (pos == leaf) {
+				t.Errorf("node %d: changed=%v, want only the leaf %d changed", pos, c, leaf)
+			}
+		}
+		if st.Regrouped != 1 {
+			t.Errorf("regrouped %d nodes, want 1", st.Regrouped)
 		}
 		_, rec, err := p.InstantiateDelta(sum, oldT, st.Changed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec != 0 {
-			t.Errorf("recomputed %d nodes, want 0", rec)
+		if rec != 2 {
+			t.Errorf("recomputed %d nodes, want 2 (the leaf and its parent)", rec)
 		}
 	})
 

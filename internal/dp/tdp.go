@@ -1,9 +1,10 @@
 // Package dp builds the tree-based dynamic program (T-DP) that underlies
 // the any-k algorithms of Part 3 of the tutorial. Given an acyclic join
-// query, the relations are full-reduced and arranged along the join tree
-// in DFS preorder. Each tree node's tuples are partitioned into
-// *candidate groups* by their join key with the parent; every group
-// carries the suffix-optimal weight π of its best member, where
+// query, the relations are reduced by the bottom-up semi-join sweep and
+// arranged along the join tree in DFS preorder. Each tree node's tuples
+// are partitioned into *candidate groups* by their join key with the
+// parent; every group carries the suffix-optimal weight π of its best
+// member, where
 //
 //	π(u, t) = w(t) ⊕ Σ_{c ∈ children(u)} bestπ(group of c selected by t)
 //
@@ -12,6 +13,12 @@
 // weight is the aggregate of all node weights. The top-1 solution falls
 // out of a greedy descent, and the enumeration algorithms in
 // internal/core produce all remaining solutions in weight order.
+//
+// The bottom-up sweep alone suffices: every row it keeps joins some row
+// of each child group it selects, so every descent from the root
+// completes, and a row the top-down sweep would remove sits in a group
+// that no parent row selects — never visited by enumeration, counting
+// or sampling.
 //
 // Each of the two build steps has one implementation that takes an
 // optional predecessor — NewPlanDelta (reduce, lay out, group) and
@@ -40,12 +47,12 @@ import (
 )
 
 // Plan is the aggregate-independent part of the compiled dynamic
-// program: the full-reduced relations arranged along the join tree, the
-// candidate grouping, and the parent→child group maps. Building it is
-// the expensive step (semi-join sweeps plus hash grouping); Instantiate
-// then derives a TDP for any ranking aggregate with a single bottom-up
-// π pass. A Plan is immutable after NewPlan and safe to share across
-// goroutines and instantiations.
+// program: the bottom-up-reduced relations arranged along the join
+// tree, the candidate grouping, and the parent→child group maps.
+// Building it is the expensive step (the semi-join sweep plus hash
+// grouping); Instantiate then derives a TDP for any ranking aggregate
+// with a single bottom-up π pass. A Plan is immutable after NewPlan and
+// safe to share across goroutines and instantiations.
 //
 // Both steps accept Options: WithWorkers(n) fans the per-node work out
 // on a bounded pool (the grouping of NewPlan across all nodes at once;
@@ -64,10 +71,6 @@ type Plan struct {
 	// level-synchronized sweep only reads π state finalised by deeper
 	// levels — the invariant the parallel Instantiate relies on.
 	levels [][]int
-	// red keeps the reducer's bottom-up intermediates (aligned with
-	// tree node ids, not preorder positions) so NewPlanDelta can re-run
-	// semi-joins only along the paths a delta reached.
-	red *yannakakis.Reduction
 }
 
 // config collects the per-call options of NewPlan and Instantiate.
@@ -102,7 +105,7 @@ func newConfig(opts []Option) config {
 	return c
 }
 
-// TotalTuples is the number of tuples across all reduced relations of
+// TotalTuples is the number of tuples across all node relations of
 // the plan — the input size of one Instantiate pass. The facade's
 // default-parallelism threshold consults it to decide whether fanning
 // the π computation out is worth the scheduling overhead.
@@ -139,7 +142,7 @@ type TDP struct {
 
 // Node is one join-tree node of the T-DP.
 type Node struct {
-	// Rel is the full-reduced relation, renamed to query variables.
+	// Rel is the bottom-up-reduced relation, renamed to query variables.
 	Rel *relation.Relation
 	// Parent is the preorder position of the parent (-1 for the root).
 	Parent int
@@ -154,7 +157,8 @@ type Node struct {
 	// GroupOfRow maps each row to its group index.
 	GroupOfRow []int32
 	// ChildGroup[ci][row] is the group index in child Children[ci]
-	// selected by this node's row (-1 never occurs after full reduction).
+	// selected by this node's row (-1 never occurs: the bottom-up sweep
+	// keeps only rows that join every child).
 	ChildGroup [][]int32
 	// Pi[row] is the suffix-optimal weight of the subtree rooted here
 	// when this node picks row.
@@ -197,19 +201,20 @@ func NewPlan(q *yannakakis.Query, opts ...Option) (*Plan, error) {
 }
 
 // NewPlanDelta is the aggregate-independent compilation — the only
-// implementation: full reduction, preorder layout along the join tree,
-// candidate grouping by parent key, and the parent-row → child-group
-// maps. The per-node grouping is independent across nodes — each task
-// hashes its own rows and writes only its own node's Groups/GroupOfRow
-// plus its private ChildGroup slot on the parent — so it fans out across
-// all nodes at once.
+// implementation: the bottom-up sweep, preorder layout along the join
+// tree, candidate grouping by parent key, and the parent-row →
+// child-group maps. The per-node grouping is independent across nodes —
+// each task hashes its own rows and writes only its own node's
+// Groups/GroupOfRow plus its private ChildGroup slot on the parent — so
+// it fans out across all nodes at once.
 //
 // old is the predecessor: a plan for the same query shape whose
 // relations have since received delta batches, with changedBase
 // flagging, per tree node (hyperedge index), the base relations that
-// differ from the ones old was built on. The semi-join sweeps then
-// re-run only along paths through changed relations (see
-// yannakakis.ReduceDelta), and the hash grouping is redone only for
+// differ from the ones old was built on. The bottom-up sweep then
+// re-runs only along paths through changed relations (see
+// yannakakis.ReduceDelta), reading its predecessor off old's node
+// relations, and the hash grouping is redone only for
 // nodes whose reduced content changed, or whose parent's did (the
 // parent-row → child-group map hangs off both endpoints); every other
 // node shares the old plan's relation, grouping and child map. A nil
@@ -226,7 +231,7 @@ func NewPlan(q *yannakakis.Query, opts ...Option) (*Plan, error) {
 //  3. Spans are named by the predecessor: "plan-build" › "reduce",
 //     "group" without one; "plan-delta" (attributes nodes, regrouped) ›
 //     "reduce-delta" with one.
-//  4. Reduction and grouping run under the WithContext context, with
+//  4. The sweep and grouping run under the WithContext context, with
 //     cancellation checked between node tasks (parallel.ForEach).
 func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Option) (*Plan, *DeltaStats, error) {
 	cfg := newConfig(opts)
@@ -240,29 +245,32 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 	}
 
 	name := "plan-build"
-	var oldRed *yannakakis.Reduction
+	var oldBU []*relation.Relation // old's node relations by tree node id
 	if !planMatchesTree(old, q, posOf) {
 		old = nil
 	} else {
 		if len(changedBase) != m {
 			return nil, nil, fmt.Errorf("dp: NewPlanDelta got %d changed flags for %d tree nodes", len(changedBase), m)
 		}
-		name, oldRed = "plan-delta", old.red
+		name, oldBU = "plan-delta", make([]*relation.Relation, m)
+		for pos, edge := range tree.Order {
+			oldBU[edge] = old.nodes[pos].Rel
+		}
 	}
 	var sp *obs.Span
 	cfg.ctx, sp = obs.StartSpan(cfg.ctx, name)
 	defer sp.End()
-	red, dirty, err := q.ReduceDelta(cfg.ctx, cfg.workers, oldRed, changedBase)
+	bu, dirty, err := q.ReduceDelta(cfg.ctx, cfg.workers, oldBU, changedBase)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	t := &Plan{nodes: make([]*Node, m), red: red}
+	t := &Plan{nodes: make([]*Node, m)}
 	st := &DeltaStats{Nodes: m, Changed: make([]bool, m)}
 	for pos, edge := range tree.Order {
-		// A clean node's red.Final aliases the old epoch's relation, so
-		// clean subtrees share one allocation across epochs.
-		n := &Node{Rel: red.Final[edge], Parent: -1}
+		// A clean node's bu aliases the old epoch's relation, so clean
+		// subtrees share one allocation across epochs.
+		n := &Node{Rel: bu[edge], Parent: -1}
 		if p := tree.Parent[edge]; p >= 0 {
 			n.Parent = posOf[p]
 		}
@@ -370,7 +378,8 @@ func groupNode(nodes []*Node, pos int) error {
 	}
 	cg := make([]int32, parent.Rel.Len())
 	for row, tp := range parent.Rel.Tuples {
-		// -1 is a dangling parent row: impossible after full reduction.
+		// -1 is a dangling parent row: impossible after the bottom-up
+		// sweep.
 		cg[row] = int32(ix.FindBy(tp, pCols))
 	}
 	parent.ChildGroup[childIndex(nodes, n.Parent, pos)] = cg
@@ -386,8 +395,8 @@ func (p *Plan) Instantiate(agg ranking.Aggregate, opts ...Option) (*TDP, error) 
 
 // InstantiateDelta derives the T-DP for one ranking aggregate — the
 // only implementation of the π pass: it copies the plan's skeleton
-// (sharing the reduced relations, groupings, and child maps) and runs
-// the bottom-up π computation, linear in the reduced database. The plan
+// (sharing the node relations, groupings, and child maps) and runs
+// the bottom-up π computation, linear in the node relations. The plan
 // is not modified, so instantiations for different aggregates may
 // proceed from one plan. The pass is level-synchronized: the nodes of a
 // depth level — whose π values depend only on deeper levels, already
@@ -504,7 +513,7 @@ func instantiateNode(t *TDP, agg ranking.Aggregate, pos int) error {
 		for ci, c := range n.Children {
 			gi := n.ChildGroup[ci][row]
 			if gi < 0 {
-				return fmt.Errorf("dp: dangling row survived full reduction at node %d", pos)
+				return fmt.Errorf("dp: dangling row survived the bottom-up sweep at node %d", pos)
 			}
 			pi = agg.Combine(pi, t.Nodes[c].Groups[gi].BestPi)
 		}

@@ -1,6 +1,7 @@
 package yannakakis
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/relation"
@@ -42,13 +43,17 @@ func MinTropicalSemiring() *Semiring {
 
 // AnnotatedEval evaluates the semiring aggregate over all join results,
 // annotating each input tuple with annotate(nodeIndex, row, weight).
-// Passing nil annotates every tuple with its weight. Runs one full
-// reduction plus one bottom-up pass: O(n) data complexity.
+// Passing nil annotates every tuple with its weight. Runs the bottom-up
+// semi-join sweep plus one bottom-up annotation pass: O(n) data
+// complexity. The top-down sweep would only drop rows the root's
+// aggregate never reaches, so it is skipped.
 func (q *Query) AnnotatedEval(s *Semiring, annotate func(node, row int, w float64) float64) float64 {
 	if annotate == nil {
 		annotate = func(_, _ int, w float64) float64 { return w }
 	}
-	red := q.FullReduce()
+	// A background context never cancels, and the sweep reports no
+	// other error.
+	red, _ := q.ReduceKeep(context.Background(), 1)
 	order := q.Tree.Order
 	// ann[u][row] aggregates the subtree rooted at u for that row.
 	ann := make([][]float64, len(red))

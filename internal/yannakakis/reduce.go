@@ -10,89 +10,73 @@ import (
 	"repro/internal/relation"
 )
 
-// Reduction is the full reducer's output with the bottom-up
-// intermediates kept, both aligned with tree node ids. Keeping the
-// intermediates is what makes incremental re-reduction possible:
-// BottomUp[u] depends only on u's base relation and its children's
-// BottomUp values, and Final[u] only on BottomUp[u] and the parent's
-// Final, so a delta to one base relation invalidates exactly the
-// nodes on paths through it — everything else aliases the old epoch.
-type Reduction struct {
-	// BottomUp[u] is node u's relation after the bottom-up semi-join
-	// sweep (reduced by its subtree, not yet by its ancestors).
-	BottomUp []*relation.Relation
-	// Final[u] is node u's fully reduced relation.
-	Final []*relation.Relation
+// ReduceKeep is the bottom-up semi-join sweep from scratch: ReduceDelta
+// with no predecessor.
+func (q *Query) ReduceKeep(ctx context.Context, workers int) ([]*relation.Relation, error) {
+	bu, _, err := q.ReduceDelta(ctx, workers, nil, nil)
+	return bu, err
 }
 
-// ReduceKeep is the full reducer keeping the bottom-up intermediates:
-// ReduceDelta from no predecessor.
-func (q *Query) ReduceKeep(ctx context.Context, workers int) (*Reduction, error) {
-	red, _, err := q.ReduceDelta(ctx, workers, nil, nil)
-	return red, err
-}
-
-// ReduceDelta is the full reducer — the only implementation of the two
-// semi-join sweeps. Each sweep processes the tree one depth level at a
-// time, and the nodes of a level — which are pairwise unrelated, so
-// each reads only relations finalised by an earlier level and writes
-// only its own slot — fan out on at most workers goroutines; the
-// result is identical for any worker count.
+// ReduceDelta is the bottom-up semi-join sweep — the only
+// implementation of it, and all a T-DP is built on (package dp says
+// why): children reduce parents, deepest level first, so node u's
+// result (aligned with tree node ids) is its relation reduced by its
+// subtree, not yet by its ancestors; the root's is fully reduced. The
+// nodes of a level — which are pairwise unrelated, so each reads only
+// results of a deeper level and writes only its own slot — fan out on
+// at most workers goroutines; the result is identical for any worker
+// count.
 //
 // With old == nil it reduces from scratch (changedBase is ignored).
-// Otherwise old must come from ReduceKeep or ReduceDelta over the same
-// join tree and changedBase flags, per tree node, the base relations
-// whose content differs from the run that produced old. The bottom-up
+// Otherwise old must be the result of ReduceKeep or ReduceDelta over
+// the same join tree and changedBase flags, per tree node, the base
+// relations whose content differs from the run that produced old. The
 // sweep then recomputes a node only when its base changed or a child's
-// bottom-up result changed, and stops propagating upward as soon as a
-// recomputed result comes out content-identical to the old one
-// (appends that dangle, deletes of dangling rows, changes absorbed by a
-// child's semi-join); the top-down sweep mirrors that from the root.
-// Everything untouched aliases the old epoch's relations.
+// result changed, and stops propagating upward as soon as a recomputed
+// result comes out content-identical to the old one (appends that
+// dangle, deletes of dangling rows, changes absorbed by a child's
+// semi-join). Everything untouched aliases old's relations. Since a
+// node's result depends only on its base relation and its children's
+// results, this is exact.
 //
-// The returned dirty vector flags the nodes whose Final content differs
-// from old.Final — the seed set for downstream incremental
-// recomputation; without a predecessor it is all true.
+// The returned dirty vector flags the nodes whose result differs from
+// old — the seed set for downstream incremental recomputation; without
+// a predecessor it is all true.
 //
 // What holds for both inputs:
 //  1. Without a predecessor no comparison work is done: every level is
-//     its own work list, sameContent is never called, and the two
-//     n-element flag vectors are the only extra allocations.
-//  2. The output is bit-identical on both inputs, element by element,
-//     in BottomUp and Final.
+//     its own work list, sameContent is never called, and the n-element
+//     dirty vector is the only extra allocation.
+//  2. The output is bit-identical on both inputs, element by element.
 //  3. The span is named by the predecessor: "reduce" without one,
 //     "reduce-delta" with one.
 //  4. Every node task runs under ctx: cancellation is checked between
 //     node tasks (parallel.ForEach), and a canceled reduction returns
 //     ctx.Err() and no relations.
-func (q *Query) ReduceDelta(ctx context.Context, workers int, old *Reduction, changedBase []bool) (*Reduction, []bool, error) {
+func (q *Query) ReduceDelta(ctx context.Context, workers int, old []*relation.Relation, changedBase []bool) ([]*relation.Relation, []bool, error) {
 	n := len(q.Rels)
 	name := "reduce"
-	var oldBU, oldFinal []*relation.Relation
 	if old != nil {
-		if len(old.BottomUp) != n || len(old.Final) != n || len(changedBase) != n {
-			return nil, nil, fmt.Errorf("yannakakis: ReduceDelta shape mismatch (%d nodes, old %d/%d, %d changed flags)",
-				n, len(old.BottomUp), len(old.Final), len(changedBase))
+		if len(old) != n || len(changedBase) != n {
+			return nil, nil, fmt.Errorf("yannakakis: ReduceDelta shape mismatch (%d nodes, old %d, %d changed flags)",
+				n, len(old), len(changedBase))
 		}
-		name, oldBU, oldFinal = "reduce-delta", old.BottomUp, old.Final
+		name = "reduce-delta"
 	}
 	ctx, sp := obs.StartSpan(ctx, name)
 	defer sp.End()
 	tree := q.Tree
 	levels := tree.Levels()
-
-	// Bottom-up: children reduce parents, deepest level first so every
-	// node's children are final when its level runs.
 	bu := make([]*relation.Relation, n)
-	buDirty := make([]bool, n)
-	buStale := func(u int) bool {
-		stale := changedBase[u]
+	dirty := make([]bool, n)
+	stale := func(u int) bool {
+		s := changedBase[u]
 		for _, c := range tree.Children[u] {
-			stale = stale || buDirty[c]
+			s = s || dirty[c]
 		}
-		return stale
+		return s
 	}
-	buCompute := func(u int) *relation.Relation {
+	compute := func(u int) *relation.Relation {
 		r := q.queryRel(u)
 		for _, c := range tree.Children[u] {
 			r = join.SemiJoin(r, bu[c])
@@ -100,30 +84,11 @@ func (q *Query) ReduceDelta(ctx context.Context, workers int, old *Reduction, ch
 		return r
 	}
 	for li := len(levels) - 1; li >= 0; li-- {
-		if err := sweepLevel(ctx, workers, levels[li], bu, oldBU, buDirty, buStale, buCompute); err != nil {
+		if err := sweepLevel(ctx, workers, levels[li], bu, old, dirty, stale, compute); err != nil {
 			return nil, nil, err
 		}
 	}
-
-	// Top-down: parents reduce children, root level first.
-	fin := make([]*relation.Relation, n)
-	dirty := make([]bool, n)
-	finStale := func(u int) bool {
-		p := tree.Parent[u]
-		return buDirty[u] || (p >= 0 && dirty[p])
-	}
-	finCompute := func(u int) *relation.Relation {
-		if p := tree.Parent[u]; p >= 0 {
-			return join.SemiJoin(bu[u], fin[p])
-		}
-		return bu[u]
-	}
-	for _, lv := range levels {
-		if err := sweepLevel(ctx, workers, lv, fin, oldFinal, dirty, finStale, finCompute); err != nil {
-			return nil, nil, err
-		}
-	}
-	return &Reduction{BottomUp: bu, Final: fin}, dirty, nil
+	return bu, dirty, nil
 }
 
 // sweepLevel runs one level of one semi-join sweep: out[u] = compute(u)
@@ -132,7 +97,7 @@ func (q *Query) ReduceDelta(ctx context.Context, workers int, old *Reduction, ch
 // nil) a node whose inputs are not stale aliases prev[u] without being
 // computed, and a computed node whose result comes out content-equal
 // to prev[u] aliases it too; only the rest are flagged dirty. Without
-// one, every node is computed and flagged.
+// one, every node is computed and flagged (dirty may then be nil).
 func sweepLevel(ctx context.Context, workers int, level []int, out, prev []*relation.Relation, dirty []bool,
 	stale func(u int) bool, compute func(u int) *relation.Relation) error {
 	work := level
@@ -151,7 +116,7 @@ func sweepLevel(ctx context.Context, workers int, level []int, out, prev []*rela
 		r := compute(u)
 		if prev != nil && sameContent(r, prev[u]) {
 			r = prev[u]
-		} else {
+		} else if dirty != nil {
 			dirty[u] = true
 		}
 		out[u] = r

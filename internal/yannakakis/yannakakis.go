@@ -1,18 +1,21 @@
 // Package yannakakis implements the Yannakakis algorithm for acyclic
 // join queries (§3 of the tutorial): a full reducer built from two
 // semi-join sweeps over a join tree, followed by full-output evaluation
-// in O(n + r), plus semiring aggregates over the reduced tree in O(n)
+// in O(n + r), plus semiring aggregates over the tree in O(n)
 // (AnnotatedEval).
 //
 // The full reducer leaves the database globally consistent: every tuple
 // that survives participates in at least one result, so the join phase
 // never generates dangling intermediate tuples.
 //
-// The reducer has one implementation, ReduceDelta, which takes an
-// optional predecessor: given the previous epoch's Reduction and the
-// set of changed base relations it redoes only the semi-joins a delta
-// reached; given none it is the full reducer. ReduceKeep, FullReduceWith
-// and FullReduce are that function with no predecessor.
+// The bottom-up sweep has one implementation, ReduceDelta, which takes
+// an optional predecessor: given the previous epoch's bottom-up
+// relations and the set of changed base relations it redoes only the
+// semi-joins a delta reached; given none it sweeps from scratch
+// (ReduceKeep). A T-DP is built on that sweep alone. FullReduceWith
+// and FullReduce add one top-down sweep from scratch for the callers
+// that need every surviving tuple to join: Evaluate, the factorized
+// representation and materialised bag trees.
 package yannakakis
 
 import (
@@ -80,14 +83,27 @@ func (q *Query) FullReduce() []*relation.Relation {
 }
 
 // FullReduceWith is FullReduce on a bounded worker pool and under a
-// context: the Final relations of ReduceKeep, which documents the
-// sweeps, their parallelism and their cancellation.
+// context: ReduceKeep's bottom-up sweep, which documents the
+// parallelism and the cancellation, followed by one top-down sweep from
+// scratch — parents reduce children, root level first.
 func (q *Query) FullReduceWith(ctx context.Context, workers int) ([]*relation.Relation, error) {
-	red, err := q.ReduceKeep(ctx, workers)
+	bu, err := q.ReduceKeep(ctx, workers)
 	if err != nil {
 		return nil, err
 	}
-	return red.Final, nil
+	fin := make([]*relation.Relation, len(bu))
+	compute := func(u int) *relation.Relation {
+		if p := q.Tree.Parent[u]; p >= 0 {
+			return join.SemiJoin(bu[u], fin[p])
+		}
+		return bu[u]
+	}
+	for _, lv := range q.Tree.Levels() {
+		if err := sweepLevel(ctx, workers, lv, fin, nil, nil, nil, compute); err != nil {
+			return nil, err
+		}
+	}
+	return fin, nil
 }
 
 // Evaluate computes the full join result with the Yannakakis algorithm:

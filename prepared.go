@@ -273,7 +273,7 @@ func (p *Prepared) prepareWorkers(cfg runConfig, estTuples int) int {
 // the decomposition and estimates chosen here and counts nothing again.
 //
 // Of the RunOptions, Compile consults two. WithParallelism drives the
-// first epoch's build (for an acyclic query the full reduction and
+// first epoch's build (for an acyclic query the bottom-up sweep and
 // grouping) and sets the handle's default prepare parallelism (how
 // many workers build a ranking's plan on the first Run with it); when
 // it is omitted, parallelism defaults to GOMAXPROCS for inputs above a
