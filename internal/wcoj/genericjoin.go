@@ -10,7 +10,10 @@ import (
 
 // Instr counts the RAM-model work a join performed.
 type Instr struct {
-	// Seeks counts trie narrowing/seek operations (each O(log n)).
+	// Seeks counts trie narrow, seekGE and nextBlock calls, one per call.
+	// A narrow binary-searches its first row, O(log n); the end of a
+	// block and a leapfrog seek are found by galloping, O(log d) in the
+	// distance d the cursor moves.
 	Seeks int
 	// Emits counts produced results.
 	Emits int
@@ -36,7 +39,10 @@ type driver struct {
 	instr    *Instr
 	assigned relation.Tuple
 	leapfrog bool
-	stopped  bool
+	// cursors[pos] is leapfrogVar's row buffer at variable position pos,
+	// one slot per participant (leapfrog drivers only).
+	cursors [][]int32
+	stopped bool
 }
 
 type atomDepth struct {
@@ -78,7 +84,25 @@ func newJoin(atoms []Atom, varOrder []string, agg ranking.Aggregate, emit Emit, 
 			return nil, fmt.Errorf("wcoj: variable %s not covered by any atom", varOrder[pos])
 		}
 	}
+	if leapfrog {
+		j.allocCursors()
+	}
 	return j, nil
+}
+
+// allocCursors gives leapfrogVar one row slot per participant at every
+// variable position, from one array, so the join allocates nothing per
+// bound prefix.
+func (j *driver) allocCursors() {
+	n := 0
+	for _, parts := range j.byVar {
+		n += len(parts)
+	}
+	flat := make([]int32, n)
+	j.cursors = make([][]int32, len(j.byVar))
+	for pos, parts := range j.byVar {
+		j.cursors[pos], flat = flat[:len(parts):len(parts)], flat[len(parts):]
+	}
 }
 
 // GenericJoin runs the Generic-Join algorithm of Ngo, Ré and Rudra over
@@ -128,9 +152,10 @@ func (j *driver) solve(pos int) {
 			driver, size = p, s
 		}
 	}
+	col := driver.atom.keys[driver.depth]
 	lo, hi := driver.atom.iv[driver.depth][0], driver.atom.iv[driver.depth][1]
 	for r := lo; r < hi; {
-		v := driver.atom.valueAt(r, driver.depth)
+		v := col[r]
 		ok := true
 		for _, p := range parts {
 			j.instr.Seeks++
@@ -155,7 +180,7 @@ func (j *driver) solve(pos int) {
 // by leapfrogging.
 func (j *driver) leapfrogVar(pos int, parts []atomDepth) {
 	// cursors[i] is participant i's current row within its interval.
-	cursors := make([]int32, len(parts))
+	cursors := j.cursors[pos]
 	for i, p := range parts {
 		cursors[i] = p.atom.iv[p.depth][0]
 		if cursors[i] >= p.atom.iv[p.depth][1] {
@@ -164,10 +189,10 @@ func (j *driver) leapfrogVar(pos int, parts []atomDepth) {
 	}
 	for {
 		// Find the maximum current value.
-		maxV := parts[0].atom.valueAt(cursors[0], parts[0].depth)
+		maxV := parts[0].atom.keys[parts[0].depth][cursors[0]]
 		argMax := 0
 		for i := 1; i < len(parts); i++ {
-			if v := parts[i].atom.valueAt(cursors[i], parts[i].depth); v > maxV {
+			if v := parts[i].atom.keys[parts[i].depth][cursors[i]]; v > maxV {
 				maxV, argMax = v, i
 			}
 		}
@@ -177,13 +202,13 @@ func (j *driver) leapfrogVar(pos int, parts []atomDepth) {
 			if i == argMax {
 				continue
 			}
-			if p.atom.valueAt(cursors[i], p.depth) < maxV {
+			if p.atom.keys[p.depth][cursors[i]] < maxV {
 				cursors[i] = p.atom.seekGE(p.depth, cursors[i], maxV)
 				j.instr.Seeks++
 				if cursors[i] >= p.atom.iv[p.depth][1] {
 					return
 				}
-				if p.atom.valueAt(cursors[i], p.depth) != maxV {
+				if p.atom.keys[p.depth][cursors[i]] != maxV {
 					agree = false
 				}
 			}
@@ -230,7 +255,7 @@ func (j *driver) emitAtom(ai int, w float64) {
 		return
 	}
 	st := j.atoms[ai]
-	d := len(st.cols)
+	d := len(st.keys)
 	lo, hi := st.iv[d][0], st.iv[d][1]
 	for r := lo; r < hi; r++ {
 		j.emitAtom(ai+1, j.agg.Combine(w, st.rel.Weights[st.rows[r]]))

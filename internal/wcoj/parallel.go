@@ -29,13 +29,12 @@ const chunkFactor = 4
 type SkewHints func(variable string) []relation.Value
 
 // clone returns an independent trie cursor over the same sorted atom
-// data: the sorted row order, column mapping, and global positions are
-// immutable after newAtomState and shared; only the mutable interval
-// stack is fresh.
+// data: the sorted rows, key columns and global positions are immutable
+// after newAtomState and shared read-only; only the interval stack and
+// the seek hints are fresh.
 func (st *atomState) clone() *atomState {
-	c := &atomState{rel: st.rel, cols: st.cols, rows: st.rows, globalPos: st.globalPos}
-	c.iv = make([][2]int32, len(st.iv))
-	c.iv[0] = st.iv[0]
+	c := &atomState{rel: st.rel, rows: st.rows, keys: st.keys, globalPos: st.globalPos}
+	c.initCursor()
 	return c
 }
 
@@ -62,6 +61,9 @@ func (j *driver) clone(emit Emit) *driver {
 		for _, p := range parts {
 			c.byVar[pos] = append(c.byVar[pos], atomDepth{atom: clones[p.atom], depth: p.depth})
 		}
+	}
+	if c.leapfrog {
+		c.allocCursors()
 	}
 	return c
 }
@@ -96,7 +98,7 @@ func (j *driver) levelValues(pos int) []lvlVal {
 	var vals []lvlVal
 	lo, hi := drv.atom.iv[drv.depth][0], drv.atom.iv[drv.depth][1]
 	for r := lo; r < hi; {
-		v := drv.atom.valueAt(r, drv.depth)
+		v := drv.atom.keys[drv.depth][r]
 		ok := true
 		w := 1.0
 		for _, p := range parts {

@@ -5,9 +5,14 @@
 // relation containing that variable — which is what bounds their
 // running time by the AGM bound of the query.
 //
-// Relations are accessed through implicit tries: each atom's tuples are
-// sorted lexicographically by its variables in the global variable
-// order, and a trie node is an interval of that sorted array.
+// Relations are accessed through implicit tries over sorted key
+// columns: each atom's tuples are sorted lexicographically by its
+// variables in the global variable order, and the values are gathered
+// into one flat array in that order, column by column, so the
+// depth-d key of sorted row r is keys[d][r]. A trie node is an interval
+// of rows. Seeks are plain searches over one column: a lower bound by
+// binary search, the end of a block by galloping from its first row, so
+// a short block costs O(log block) rather than O(log interval).
 //
 // Because Generic-Join decomposes over the first variable's domain
 // (the observation behind the skew analysis of "Skew Strikes Back",
@@ -20,6 +25,7 @@ package wcoj
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/relation"
@@ -33,20 +39,31 @@ type Atom struct {
 	Vars []string
 }
 
-// atomState is the per-atom trie cursor used during the join.
+// atomState is the per-atom trie cursor used during the join. rows,
+// keys and globalPos are immutable after newAtomState, and cursor
+// clones share them; iv and hint are each cursor's own.
 type atomState struct {
-	rel  *relation.Relation
-	cols []int // relation columns ordered by global variable order
+	rel *relation.Relation
+	// rows is the sorted row order: sorted row r is rel's row rows[r].
+	// Only emitAtom reads it, for the weights.
 	rows []int32
+	// keys[d][r] is the value of the atom's depth-d variable in sorted
+	// row r: a view into one flat array holding the columns back to back.
+	keys [][]relation.Value
 	// iv[d] is the row interval after this atom's first d variables have
 	// been bound; iv[0] = [0, len).
 	iv [][2]int32
+	// hint[d] is the row where the last depth-d narrow stopped. Every row
+	// before it holds a value below the one that narrow sought, so the
+	// next narrow for a larger value may start there.
+	hint []int32
 	// globalPos[d] is the global variable position of the atom's d-th
 	// variable (strictly increasing).
 	globalPos []int
 }
 
-// newAtomState sorts the atom's tuples by its variables in global order.
+// newAtomState sorts the atom's tuples by its variables in global order
+// and gathers their values into sorted key columns.
 func newAtomState(a Atom, orderIndex map[string]int) (*atomState, error) {
 	if len(a.Vars) != a.Rel.Arity() {
 		return nil, fmt.Errorf("wcoj: atom %s has %d vars for arity %d", a.Rel.Name, len(a.Vars), a.Rel.Arity())
@@ -69,67 +86,124 @@ func newAtomState(a Atom, orderIndex map[string]int) (*atomState, error) {
 		cvs = append(cvs, cv{col: col, pos: pos})
 	}
 	sort.Slice(cvs, func(i, j int) bool { return cvs[i].pos < cvs[j].pos })
-	st := &atomState{rel: a.Rel}
-	for _, x := range cvs {
-		st.cols = append(st.cols, x.col)
-		st.globalPos = append(st.globalPos, x.pos)
+	cols := make([]int, len(cvs))
+	st := &atomState{rel: a.Rel, globalPos: make([]int, len(cvs))}
+	for d, x := range cvs {
+		cols[d], st.globalPos[d] = x.col, x.pos
 	}
-	st.rows = make([]int32, a.Rel.Len())
+	n := a.Rel.Len()
+	st.rows = make([]int32, n)
 	for i := range st.rows {
 		st.rows[i] = int32(i)
 	}
-	sort.Slice(st.rows, func(i, j int) bool {
-		ti, tj := a.Rel.Tuples[st.rows[i]], a.Rel.Tuples[st.rows[j]]
-		for _, c := range st.cols {
+	// Equal rows keep pdqsort's order (sort.Slice gives the same): it is
+	// the emit order of duplicate tuples, which the result-sequence
+	// goldens pin, so a stable or another sort would reorder results.
+	slices.SortFunc(st.rows, func(i, j int32) int {
+		ti, tj := a.Rel.Tuples[i], a.Rel.Tuples[j]
+		for _, c := range cols {
 			if ti[c] != tj[c] {
-				return ti[c] < tj[c]
+				if ti[c] < tj[c] {
+					return -1
+				}
+				return 1
 			}
 		}
-		return false
+		return 0
 	})
-	st.iv = make([][2]int32, len(st.cols)+1)
-	st.iv[0] = [2]int32{0, int32(len(st.rows))}
+	flat := make([]relation.Value, n*len(cols))
+	st.keys = make([][]relation.Value, len(cols))
+	for d, c := range cols {
+		col := flat[d*n : (d+1)*n : (d+1)*n]
+		for r, row := range st.rows {
+			col[r] = a.Rel.Tuples[row][c]
+		}
+		st.keys[d] = col
+	}
+	st.initCursor()
 	return st, nil
 }
 
-// valueAt returns the value of the atom's depth-d variable in sorted row r.
-func (st *atomState) valueAt(r int32, d int) relation.Value {
-	return st.rel.Tuples[st.rows[r]][st.cols[d]]
+// initCursor gives the cursor a fresh interval stack and hints, at the
+// root of the trie.
+func (st *atomState) initCursor() {
+	st.iv = make([][2]int32, len(st.keys)+1)
+	st.iv[0] = [2]int32{0, int32(len(st.rows))}
+	st.hint = make([]int32, len(st.keys))
 }
 
 // narrow binds the atom's depth-d variable to v within the current
 // interval, returning false if no rows match.
 func (st *atomState) narrow(d int, v relation.Value) bool {
+	col := st.keys[d]
 	lo, hi := st.iv[d][0], st.iv[d][1]
-	// Binary search for the [first, last) block with value v at depth d.
-	first := lo + int32(sort.Search(int(hi-lo), func(i int) bool {
-		return st.valueAt(lo+int32(i), d) >= v
-	}))
-	if first == hi || st.valueAt(first, d) != v {
+	// The hint holds for any interval it falls in: the check is what
+	// makes it safe after the parent interval moved, or when narrows
+	// arrive out of order.
+	if h := st.hint[d]; lo < h && h <= hi && col[h-1] < v {
+		lo = h
+	}
+	first := lowerBound(col, lo, hi, v)
+	if first == hi || col[first] != v {
+		st.hint[d] = first
 		return false
 	}
-	last := lo + int32(sort.Search(int(hi-lo), func(i int) bool {
-		return st.valueAt(lo+int32(i), d) > v
-	}))
+	last := gallop(col, first, hi, v, false)
 	st.iv[d+1] = [2]int32{first, last}
+	st.hint[d] = last
 	return true
 }
 
 // seekGE positions within the current depth-d interval at the first row
-// whose value is ≥ v, returning that row or hi when exhausted.
+// at or after from whose value is ≥ v, returning that row or hi when
+// exhausted.
 func (st *atomState) seekGE(d int, from int32, v relation.Value) int32 {
-	hi := st.iv[d][1]
-	return from + int32(sort.Search(int(hi-from), func(i int) bool {
-		return st.valueAt(from+int32(i), d) >= v
-	}))
+	return gallop(st.keys[d], from, st.iv[d][1], v, true)
 }
 
 // nextBlock returns the first row after the block of rows sharing the
 // depth-d value of row r.
 func (st *atomState) nextBlock(d int, r int32) int32 {
-	v := st.valueAt(r, d)
-	hi := st.iv[d][1]
-	return r + int32(sort.Search(int(hi-r), func(i int) bool {
-		return st.valueAt(r+int32(i), d) > v
-	}))
+	col := st.keys[d]
+	return gallop(col, r, st.iv[d][1], col[r], false)
+}
+
+// lowerBound returns the first row in [lo, hi) of the sorted column col
+// whose value is ≥ v, or hi if there is none.
+func lowerBound(col []relation.Value, lo, hi int32, v relation.Value) int32 {
+	for lo < hi {
+		m := int32(uint32(lo+hi) >> 1)
+		if col[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// gallop returns the first row in [lo, hi) of the sorted column col
+// whose value is > v — or ≥ v when ge is set — or hi if there is none.
+// It probes lo, lo+1, lo+3, lo+7, … and binary-searches the last gap,
+// so it costs O(log(result−lo)) comparisons however long the interval.
+func gallop(col []relation.Value, lo, hi int32, v relation.Value, ge bool) int32 {
+	before := func(x relation.Value) bool { return x < v || !ge && x == v }
+	if lo < hi && before(col[lo]) {
+		for step := int32(1); ; step <<= 1 {
+			if step >= hi-lo || !before(col[lo+step]) {
+				lo, hi = lo+1, min(lo+step, hi)
+				break
+			}
+			lo += step
+		}
+	}
+	for lo < hi {
+		m := int32(uint32(lo+hi) >> 1)
+		if before(col[m]) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }

@@ -335,3 +335,24 @@ func TestSuggestOrderIsValidForGenericJoin(t *testing.T) {
 		t.Error("suggested order changes results")
 	}
 }
+
+// TestLeapfrogAllocsPerJoin pins that Leapfrog Triejoin allocates a
+// fixed number of objects per join, whatever the input: the cursor
+// buffers leapfrogVar works in are allocated once with the driver, not
+// once per bound prefix. The count is what newJoin and newAtomState
+// allocate once per join.
+func TestLeapfrogAllocsPerJoin(t *testing.T) {
+	const want = 52
+	for _, n := range []int{100, 400, 1600} {
+		atoms := triangleAtoms(randomEdges(n, n/8, 5))
+		order := []string{"A", "B", "C"}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := LeapfrogTriejoin(atoms, order, sum, emitNothing); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want {
+			t.Errorf("n=%d: %.0f allocations per join, want %d", n, allocs, want)
+		}
+	}
+}
