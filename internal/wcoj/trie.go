@@ -143,8 +143,9 @@ func (st *atomState) narrow(d int, v relation.Value) bool {
 	if h := st.hint[d]; lo < h && h <= hi && col[h-1] < v {
 		lo = h
 	}
-	first := lowerBound(col, lo, hi, v)
-	if first == hi || col[first] != v {
+	i, found := slices.BinarySearch(col[lo:hi], v)
+	first := lo + int32(i)
+	if !found {
 		st.hint[d] = first
 		return false
 	}
@@ -166,20 +167,6 @@ func (st *atomState) seekGE(d int, from int32, v relation.Value) int32 {
 func (st *atomState) nextBlock(d int, r int32) int32 {
 	col := st.keys[d]
 	return gallop(col, r, st.iv[d][1], col[r], false)
-}
-
-// lowerBound returns the first row in [lo, hi) of the sorted column col
-// whose value is ≥ v, or hi if there is none.
-func lowerBound(col []relation.Value, lo, hi int32, v relation.Value) int32 {
-	for lo < hi {
-		m := int32(uint32(lo+hi) >> 1)
-		if col[m] < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }
 
 // gallop returns the first row in [lo, hi) of the sorted column col
