@@ -22,11 +22,10 @@ func TestPartAllocsPerResult(t *testing.T) {
 		var per []float64
 		for _, sz := range sizes {
 			tdp := buildTDP(t, workload.Path(3, sz.n, sz.domain, workload.UniformWeights(), 5), sum)
-			c, err := tdp.Count()
+			results, err := tdp.NumSolutions()
 			if err != nil {
 				t.Fatal(err)
 			}
-			results := int(c.Total)
 			allocs := testing.AllocsPerRun(3, func() {
 				it, err := New(context.Background(), tdp, v)
 				if err != nil {

@@ -53,7 +53,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dp"
@@ -178,13 +177,6 @@ type Plan struct {
 	agg   ranking.Aggregate
 	trees []*treePlan
 	width int // the arity of the plan's schema
-
-	// counts are the trees' exact result counts Sample descends; the
-	// first Sample builds them.
-	countOnce sync.Once
-	counts    []*dp.Counts // per tree; nil for a one-bag tree
-	cum       []int64      // inclusive prefix sums of the trees' totals
-	countErr  error
 }
 
 // Run starts one ranked enumeration over the compiled plan. The context
@@ -216,16 +208,16 @@ func (p *Plan) Run(ctx context.Context, v core.Variant) (core.Iterator, error) {
 // — and its weight under the plan's ranking. It picks a tree in
 // proportion to its count, then a row of a one-bag tree uniformly, or a
 // solution of a T-DP by exact-count descent (dp.TDP.Draw), so no draw
-// is rejected. The first call counts the trees' results and keeps the
-// counts; a count that overflows an int64 fails every call with
-// dp.ErrCountOverflow. An empty plan draws nothing, and a canceled ctx
-// returns the draws so far with ctx.Err().
+// is rejected. The counts are built by their first reader; one that
+// overflows an int64 fails every call with dp.ErrCountOverflow. An empty
+// plan draws nothing, and a canceled ctx returns the draws so far with
+// ctx.Err().
 func (p *Plan) Sample(ctx context.Context, n int, r *rand.Rand) ([]core.Result, error) {
-	p.countOnce.Do(p.count)
-	if p.countErr != nil {
-		return nil, p.countErr
+	cum, err := sumCounts(len(p.trees), func(ti int) (int, error) { return p.trees[ti].numSolutions() })
+	if err != nil {
+		return nil, err
 	}
-	if n <= 0 || p.cum[len(p.cum)-1] == 0 {
+	if n <= 0 || cum[len(cum)-1] == 0 {
 		return nil, nil
 	}
 	width, rows := p.width, []int32(nil)
@@ -239,22 +231,22 @@ func (p *Plan) Sample(ctx context.Context, n int, r *rand.Rand) ([]core.Result, 
 		}
 		// Result x of the plan lies in the first tree whose prefix
 		// exceeds x.
-		x := r.Int64N(p.cum[len(p.cum)-1])
-		ti, _ := slices.BinarySearch(p.cum, x+1)
+		x := r.Int64N(cum[len(cum)-1])
+		ti, _ := slices.BinarySearch(cum, x+1)
 		tp, tuple := p.trees[ti], relation.Tuple(buf[i*width:(i+1)*width:(i+1)*width])
 		var w float64
 		if tp.t != nil {
 			if len(rows) < len(tp.t.Nodes) {
 				rows = make([]int32, len(tp.t.Nodes))
 			}
-			tp.t.Draw(p.counts[ti], r, rows)
+			tp.t.Draw(r, rows)
 			tp.t.EmitInto(tuple, rows)
 			w = tp.t.SolutionWeight(rows)
 		} else {
 			// x less the earlier trees' results is uniform over the bag.
 			row := x
 			if ti > 0 {
-				row -= p.cum[ti-1]
+				row -= cum[ti-1]
 			}
 			src := tp.bag.Tuples[row]
 			if tp.perm == nil {
@@ -271,23 +263,24 @@ func (p *Plan) Sample(ctx context.Context, n int, r *rand.Rand) ([]core.Result, 
 	return out, nil
 }
 
-// count builds the counts Sample descends: each tree's counting pass,
-// and the prefix sums of the trees' totals.
-func (p *Plan) count() {
-	p.counts, p.cum = make([]*dp.Counts, len(p.trees)), make([]int64, len(p.trees))
+// sumCounts returns the inclusive prefix sums of n counts, count(i)
+// the i'th, failing with dp.ErrCountOverflow when their sum does not
+// fit an int64.
+func sumCounts(n int, count func(i int) (int, error)) ([]int64, error) {
+	cum := make([]int64, n)
 	total := int64(0)
-	for ti, tp := range p.trees {
-		c, n, err := tp.count()
-		if err == nil && n > math.MaxInt64-total {
+	for i := range cum {
+		c, err := count(i)
+		if err == nil && int64(c) > math.MaxInt64-total {
 			err = dp.ErrCountOverflow
 		}
 		if err != nil {
-			p.countErr = err
-			return
+			return nil, err
 		}
-		total += n
-		p.counts[ti], p.cum[ti] = c, total
+		total += int64(c)
+		cum[i] = total
 	}
+	return cum, nil
 }
 
 // Stats reports the decomposition work: what was materialised where.
@@ -452,17 +445,12 @@ func canonPerm(have, canonAttrs []string) ([]int, error) {
 	return perm, nil
 }
 
-// count runs the tree's counting pass (dp.TDP.Count) and returns its
-// result count; a one-bag tree counts its bag and has no Counts.
-func (tp *treePlan) count() (*dp.Counts, int64, error) {
+// numSolutions is the tree's result count: its bag's size, or its T-DP's.
+func (tp *treePlan) numSolutions() (int, error) {
 	if tp.t == nil {
-		return nil, int64(tp.bag.Len()), nil
+		return tp.bag.Len(), nil
 	}
-	c, err := tp.t.Count()
-	if err != nil {
-		return nil, 0, err
-	}
-	return c, c.Total, nil
+	return tp.t.NumSolutions()
 }
 
 // run starts one enumeration over the tree: any-k over its T-DP, or the

@@ -2,7 +2,6 @@ package decomp
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -173,35 +172,26 @@ func (s *Shape) Build(rels []*relation.Relation, old *Epoch, changed []bool, opt
 func (e *Epoch) Tuples() int { return e.tuples }
 
 // NumSolutions counts the epoch's answers without enumerating them, as
-// the sum over its trees (which partition the output): an atom tree by
-// its reduced plan's counting pass, a tree that materialises bags off
-// p, this epoch's plan under any ranking — its one bag's size, or its
-// T-DP's counting pass. It is -1 when such a tree needs p and p is nil,
-// and fails with dp.ErrCountOverflow when the sum does not fit an int64.
+// the sum over its trees (which partition the output): an atom tree
+// off its reduced plan's counts, one artefact per epoch that every
+// ranking shares (dp.Plan.NumSolutions); a tree that materialises bags
+// off p, this epoch's plan under some ranking. It is -1 when such a
+// tree needs p and p is nil, and fails with dp.ErrCountOverflow when the
+// sum does not fit an int64.
 func (e *Epoch) NumSolutions(p *Plan) (int, error) {
-	total := int64(0)
-	for ti, at := range e.atoms {
-		var n int64
-		var err error
-		switch {
-		case at != nil:
-			var c int
-			c, err = at.plan.NumSolutions()
-			n = int64(c)
-		case p == nil:
-			return -1, nil
-		default:
-			_, n, err = p.trees[ti].count()
-		}
-		if err == nil && n > math.MaxInt64-total {
-			err = dp.ErrCountOverflow
-		}
-		if err != nil {
-			return -1, err
-		}
-		total += n
+	if p == nil && slices.Contains(e.atoms, nil) {
+		return -1, nil
 	}
-	return int(total), nil
+	cum, err := sumCounts(len(e.atoms), func(ti int) (int, error) {
+		if p != nil {
+			return p.trees[ti].numSolutions()
+		}
+		return e.atoms[ti].plan.NumSolutions()
+	})
+	if err != nil {
+		return -1, err
+	}
+	return int(cum[len(cum)-1]), nil
 }
 
 // Instantiate builds the epoch's plan under one ranking aggregate, tree

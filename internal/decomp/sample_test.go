@@ -149,7 +149,7 @@ func bigTree(t *testing.T) *treePlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, n, err := p.trees[0].count(); err != nil || n != 1<<62 {
+	if n, err := p.trees[0].numSolutions(); err != nil || n != 1<<62 {
 		t.Fatalf("star counts %d, %v; want 2^62", n, err)
 	}
 	return p.trees[0]

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/hypergraph"
+	"repro/internal/ranking"
 	"repro/internal/relation"
 	"repro/internal/workload"
 	"repro/internal/yannakakis"
@@ -42,12 +43,12 @@ func TestCountMatchesEnumeration(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		inst := workload.RandomTree(1+int(seed)%6, 12, 4, workload.UniformWeights(), seed)
 		tdp := mustBuild(t, inst.H, inst.Rels, sum)
-		c, err := tdp.Count()
+		n, err := tdp.NumSolutions()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := len(solutions(tdp)); c.Total != int64(want) {
-			t.Fatalf("seed %d: Count %d, enumeration %d", seed, c.Total, want)
+		if want := len(solutions(tdp)); n != want {
+			t.Fatalf("seed %d: NumSolutions %d, enumeration %d", seed, n, want)
 		}
 	}
 }
@@ -59,8 +60,7 @@ func TestDrawUniform(t *testing.T) {
 	inst := workload.RandomTree(5, 10, 3, workload.UniformWeights(), 4)
 	tdp := mustBuild(t, inst.H, inst.Rels, sum)
 	all := solutions(tdp)
-	c, err := tdp.Count()
-	if err != nil {
+	if _, err := tdp.NumSolutions(); err != nil {
 		t.Fatal(err)
 	}
 	if len(all) < 50 {
@@ -74,7 +74,7 @@ func TestDrawUniform(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 0))
 	rows := make([]int32, len(tdp.Nodes))
 	for range draws {
-		tdp.Draw(c, r, rows)
+		tdp.Draw(r, rows)
 		key := fmt.Sprint(rows)
 		if _, ok := seen[key]; !ok {
 			t.Fatalf("drew %v, not a solution", rows)
@@ -133,5 +133,49 @@ func TestCountOverflow(t *testing.T) {
 	}
 	if _, ok := mulChecked(1<<32, 1<<31); ok {
 		t.Fatal("2^63 reported as fitting")
+	}
+}
+
+// TestCountsOncePerPlan: a plan's counts are built by their first
+// reader, not by NewPlan, Instantiate or a NewPlanDelta whose
+// predecessor holds none, and every instantiation reads the one
+// artefact.
+func TestCountsOncePerPlan(t *testing.T) {
+	inst := workload.RandomTree(4, 12, 4, workload.UniformWeights(), 3)
+	q := mustQuery(t, inst.H, inst.Rels)
+	p, err := NewPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, st, err := NewPlanDelta(q, p, make([]bool, len(inst.Rels)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Recounted != 0 || next.counts.done.Load() {
+		t.Fatalf("a delta from an uncounted plan recounted %d nodes", st.Recounted)
+	}
+	byMax, err := p.Instantiate(ranking.MaxCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bySum, err := p.Instantiate(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.counts.done.Load() {
+		t.Fatal("NewPlan or Instantiate built the counts")
+	}
+	if byMax.counts != p.counts || bySum.counts != p.counts {
+		t.Fatal("an instantiation has counts of its own")
+	}
+	n, err := byMax.NumSolutions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cum := mustBuiltCounts(t, "after the first reader", p)
+	for _, read := range []func() (int, error){bySum.NumSolutions, p.NumSolutions} {
+		if m, err := read(); err != nil || m != n || &p.counts.cum[0] != &cum[0] {
+			t.Fatalf("a later reader read %d, %v (want %d) or rebuilt the counts", m, err, n)
+		}
 	}
 }

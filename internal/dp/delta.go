@@ -1,6 +1,10 @@
 package dp
 
-import "repro/internal/yannakakis"
+import (
+	"slices"
+
+	"repro/internal/yannakakis"
+)
 
 // DeltaStats reports how much of an incremental rebuild was reused.
 type DeltaStats struct {
@@ -13,6 +17,9 @@ type DeltaStats struct {
 	// content differs from the old plan — the seed set InstantiateDelta
 	// propagates π recomputation from.
 	Changed []bool
+	// Recounted counts the nodes whose exact counts were recomputed when
+	// the old plan held counts to carry forward; 0 when it held none.
+	Recounted int
 }
 
 // planMatchesTree reports whether old lays out exactly the join tree
@@ -52,11 +59,10 @@ func planMatchesTree(old *Plan, q *yannakakis.Query, posOf []int) bool {
 }
 
 // reuseGrouping gives node pos the old plan's grouping: its own
-// Groups/GroupOfRow and the ChildGroup slot its parent holds for it.
+// Groups and the ChildGroup slot its parent holds for it.
 // Valid when neither pos's nor its parent's reduced content changed.
 func reuseGrouping(nodes, old []*Node, pos int) {
 	nodes[pos].Groups = old[pos].Groups
-	nodes[pos].GroupOfRow = old[pos].GroupOfRow
 	if p := nodes[pos].Parent; p >= 0 {
 		ci := childIndex(nodes, p, pos)
 		nodes[p].ChildGroup[ci] = old[p].ChildGroup[ci]
@@ -69,13 +75,5 @@ func reuseGrouping(nodes, old []*Node, pos int) {
 // parent must recompute regardless; otherwise group indices align and
 // only the per-group BestPi values matter.
 func groupBestsDiffer(fresh, old *Node, contentChanged bool) bool {
-	if contentChanged || len(fresh.Groups) != len(old.Groups) {
-		return true
-	}
-	for gi := range fresh.Groups {
-		if fresh.Groups[gi].BestPi != old.Groups[gi].BestPi {
-			return true
-		}
-	}
-	return false
+	return contentChanged || !slices.EqualFunc(fresh.Groups, old.Groups, func(a, b Group) bool { return a.BestPi == b.BestPi })
 }

@@ -78,18 +78,18 @@ func assertSamePlanFields(t *testing.T, label string, got, want *Plan) {
 		if !reflect.DeepEqual(g.Rel.Attrs, w.Rel.Attrs) || !reflect.DeepEqual(g.Rel.Tuples, w.Rel.Tuples) || !reflect.DeepEqual(g.Rel.Weights, w.Rel.Weights) {
 			t.Fatalf("%s: node %d reduced relation differs", label, pos)
 		}
-		if !reflect.DeepEqual(g.Groups, w.Groups) || !reflect.DeepEqual(g.GroupOfRow, w.GroupOfRow) || !reflect.DeepEqual(g.ChildGroup, w.ChildGroup) {
+		if !reflect.DeepEqual(g.Groups, w.Groups) || !reflect.DeepEqual(g.ChildGroup, w.ChildGroup) {
 			t.Fatalf("%s: node %d grouping differs", label, pos)
 		}
 	}
 }
 
 // TestDeltaMatchesCold chains random batches through NewPlanDelta and
-// InstantiateDelta and checks, after every step, that the patched plan
-// and every patched T-DP equal the ones built from no predecessor on
-// the same relations — for every tree shape, ranking aggregate and
-// worker count — and that what the stats call clean really is shared
-// with the old epoch.
+// InstantiateDelta and checks, after every step, that the patched plan,
+// the counts it carries forward and every patched T-DP equal the ones
+// built from no predecessor on the same relations — for every tree
+// shape, ranking aggregate and worker count — and that what the stats
+// call clean really is shared with the old epoch.
 func TestDeltaMatchesCold(t *testing.T) {
 	aggs := []ranking.Aggregate{
 		ranking.SumCost, ranking.SumBenefit, ranking.MaxCost,
@@ -101,6 +101,11 @@ func TestDeltaMatchesCold(t *testing.T) {
 			rels := inst.Rels
 			old, err := NewPlan(mustQuery(t, inst.H, rels), WithWorkers(workers))
 			if err != nil {
+				t.Fatal(err)
+			}
+			// Counted once here, the counts are carried forward by every
+			// step below.
+			if _, err := old.NumSolutions(); err != nil {
 				t.Fatal(err)
 			}
 			oldT := make([]*TDP, len(aggs))
@@ -129,6 +134,23 @@ func TestDeltaMatchesCold(t *testing.T) {
 					if !c && got.nodes[pos].Rel != old.nodes[pos].Rel {
 						t.Fatalf("%s: clean node %d does not share the old reduced relation", label, pos)
 					}
+				}
+				gotC, oldC := mustBuiltCounts(t, label, got), mustBuiltCounts(t, label, old)
+				wantC, err := want.counts.get(want.nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotC, wantC) {
+					t.Fatalf("%s: carried-forward counts differ from a cold plan's", label)
+				}
+				fresh := 0
+				for pos := range gotC {
+					if !sharedCount(gotC[pos], oldC[pos]) {
+						fresh++
+					}
+				}
+				if st.Recounted != fresh {
+					t.Fatalf("%s: %d nodes reported recounted, %d do not share the old counts", label, st.Recounted, fresh)
 				}
 				for ai, agg := range aggs {
 					gotT, rec, err := got.InstantiateDelta(agg, oldT[ai], st.Changed, WithWorkers(workers))
@@ -182,7 +204,22 @@ func appendRow(rels []*relation.Relation, i int, w float64, vals ...relation.Val
 	return out, changed
 }
 
-// TestDeltaPinnedCounts pins three counts on a 4-path.
+// mustBuiltCounts returns p's prefix sums, failing the test unless
+// they are built.
+func mustBuiltCounts(t *testing.T, label string, p *Plan) [][]int64 {
+	t.Helper()
+	if !p.counts.done.Load() {
+		t.Fatalf("%s: the plan holds no counts", label)
+	}
+	return p.counts.cum
+}
+
+// sharedCount reports whether two count arrays are one allocation.
+func sharedCount(a, b []int64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// TestDeltaPinnedCounts pins the nodes a delta recomputes on a 4-path,
+// for the π pass and for the counts the old plan holds, and the count
+// arrays a leaf delta on a star shares.
 func TestDeltaPinnedCounts(t *testing.T) {
 	h := hypergraph.Path(4)
 	rels := diagonalPath4()
@@ -195,6 +232,12 @@ func TestDeltaPinnedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Reading the counts builds them, so every delta below carries them
+	// forward.
+	if _, err := oldT.NumSolutions(); err != nil {
+		t.Fatal(err)
+	}
+	oldC := mustBuiltCounts(t, "old plan", old)
 	// The deepest preorder position is a leaf; its ancestors up to the
 	// root are the leaf-to-root path.
 	leaf := len(old.nodes) - 1
@@ -233,6 +276,14 @@ func TestDeltaPinnedCounts(t *testing.T) {
 		if rec != 2 {
 			t.Errorf("recomputed %d nodes, want 2 (the leaf and its parent)", rec)
 		}
+		// The dangling row counts one solution of the leaf's subtree, in
+		// a group no parent row selects: the parent's totals stand.
+		if st.Recounted != 2 {
+			t.Errorf("recounted %d nodes, want 2 (the leaf and its parent)", st.Recounted)
+		}
+		if n, err := p.NumSolutions(); err != nil || n != 10 {
+			t.Errorf("NumSolutions = %d, %v; want 10", n, err)
+		}
 	})
 
 	t.Run("append at the leaf end", func(t *testing.T) {
@@ -259,8 +310,82 @@ func TestDeltaPinnedCounts(t *testing.T) {
 				t.Errorf("node %d: recomputed=%v, on the leaf-to-root path=%v", pos, fresh, onPath[pos])
 			}
 		}
+		if st.Recounted != len(onPath) {
+			t.Errorf("recounted %d nodes, want the %d on the leaf-to-root path", st.Recounted, len(onPath))
+		}
+		c := mustBuiltCounts(t, "delta plan", p)
+		for pos := range c {
+			if fresh := !sharedCount(c[pos], oldC[pos]); fresh != onPath[pos] {
+				t.Errorf("node %d: recounted=%v, on the leaf-to-root path=%v", pos, fresh, onPath[pos])
+			}
+		}
 		if got.TopWeight() >= oldT.TopWeight() {
 			t.Errorf("top weight %g did not improve on %g", got.TopWeight(), oldT.TopWeight())
+		}
+	})
+
+	t.Run("leaf delta on a star", func(t *testing.T) {
+		// A centre C(X1..X4) of one row with a leaf Li(Xi, Yi) of four
+		// rows on each of its variables: 4^4 solutions, and leaves that
+		// are siblings whichever atom GYO makes the root.
+		edges := []hypergraph.Edge{hypergraph.E("C", "X1", "X2", "X3", "X4")}
+		centre := relation.New("C", "X1", "X2", "X3", "X4")
+		centre.Add(0, 0, 0, 0)
+		srels := []*relation.Relation{centre}
+		for i := 1; i <= 4; i++ {
+			x, y := fmt.Sprintf("X%d", i), fmt.Sprintf("Y%d", i)
+			edges = append(edges, hypergraph.E(fmt.Sprintf("L%d", i), x, y))
+			r := relation.New(fmt.Sprintf("L%d", i), x, y)
+			for j := relation.Value(0); j < 4; j++ {
+				r.Add(0, j)
+			}
+			srels = append(srels, r)
+		}
+		sh := hypergraph.New(edges...)
+		sq := mustQuery(t, sh, srels)
+		old, err := NewPlan(sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := old.NumSolutions(); err != nil || n != 4*4*4*4 {
+			t.Fatalf("star: NumSolutions = %d, %v; want 4^4", n, err)
+		}
+		oldC := mustBuiltCounts(t, "old star", old)
+		// The deepest preorder position is a leaf; its parent has leaf
+		// siblings of it below.
+		leaf := len(old.nodes) - 1
+		parent := old.nodes[leaf].Parent
+		if len(old.nodes[parent].Children) < 2 {
+			t.Fatalf("leaf %d has no siblings in the join tree", leaf)
+		}
+		onPath := map[int]bool{}
+		for pos := leaf; pos >= 0; pos = old.nodes[pos].Parent {
+			onPath[pos] = true
+		}
+		newRels, changed := appendRow(srels, sq.Tree.Order[leaf], 1, 0, 99)
+		p, st, err := NewPlanDelta(mustQuery(t, sh, newRels), old, changed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Recounted != len(onPath) {
+			t.Errorf("recounted %d nodes, want the %d on the leaf-to-root path", st.Recounted, len(onPath))
+		}
+		c := mustBuiltCounts(t, "delta star", p)
+		siblings := 0
+		for _, pos := range old.nodes[parent].Children {
+			if pos == leaf {
+				continue
+			}
+			siblings++
+			if !sharedCount(c[pos], oldC[pos]) {
+				t.Errorf("sibling leaf %d does not share the old count array", pos)
+			}
+		}
+		if siblings == 0 {
+			t.Fatal("no sibling leaf checked")
+		}
+		if n, err := p.NumSolutions(); err != nil || n != 4*4*4*5 {
+			t.Errorf("NumSolutions = %d, %v; want 4^3·5", n, err)
 		}
 	})
 

@@ -56,7 +56,7 @@ func assertSameTDP(t *testing.T, label string, got, want *TDP) {
 		if !reflect.DeepEqual(g.Groups, w.Groups) {
 			t.Fatalf("%s: node %d Groups (Rows/BestIdx/BestPi) differ", label, pos)
 		}
-		if !reflect.DeepEqual(g.GroupOfRow, w.GroupOfRow) || !reflect.DeepEqual(g.ChildGroup, w.ChildGroup) {
+		if !reflect.DeepEqual(g.ChildGroup, w.ChildGroup) {
 			t.Fatalf("%s: node %d grouping maps differ", label, pos)
 		}
 	}
@@ -65,8 +65,8 @@ func assertSameTDP(t *testing.T, label string, got, want *TDP) {
 			t.Fatalf("%s: TopWeight %g != %g", label, got.TopWeight(), want.TopWeight())
 		}
 	}
-	gc, gerr := got.Count()
-	wc, werr := want.Count()
+	gc, gerr := got.counts.get(got.Nodes)
+	wc, werr := want.counts.get(want.Nodes)
 	if gerr != nil || werr != nil || !reflect.DeepEqual(gc, wc) {
 		t.Fatalf("%s: counts differ (%v, %v)", label, gerr, werr)
 	}
@@ -129,9 +129,7 @@ func TestNewPlanParallelBitIdentical(t *testing.T) {
 					!reflect.DeepEqual(g.Rel.Weights, w.Rel.Weights) {
 					t.Fatalf("%s/w=%d: node %d reduced relation differs", name, workers, pos)
 				}
-				if !reflect.DeepEqual(g.Groups, w.Groups) ||
-					!reflect.DeepEqual(g.GroupOfRow, w.GroupOfRow) ||
-					!reflect.DeepEqual(g.ChildGroup, w.ChildGroup) {
+				if !reflect.DeepEqual(g.Groups, w.Groups) || !reflect.DeepEqual(g.ChildGroup, w.ChildGroup) {
 					t.Fatalf("%s/w=%d: node %d grouping differs", name, workers, pos)
 				}
 			}

@@ -20,6 +20,14 @@
 // that no parent row selects — never visited by enumeration, counting
 // or sampling.
 //
+// Every pass over the T-DP runs on one bottom-up driver (sweep), level
+// by level and, given a predecessor, only where a data delta reached.
+// Three per-node kernels run on it: π (Plan.InstantiateDelta), exact
+// counts, which uniform sampling descends (TDP.Draw), and a semiring
+// fold (Plan.Eval). A plan's counts are one artefact, built by their
+// first reader and shared by every T-DP instantiated from the plan;
+// NewPlanDelta carries a predecessor's forward along the dirty path.
+//
 // Each of the two build steps has one implementation that takes an
 // optional predecessor — NewPlanDelta (reduce, lay out, group) and
 // Plan.InstantiateDelta (the π pass): given the previous epoch's plan
@@ -32,11 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
-	"math/rand/v2"
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/obs"
@@ -51,7 +55,8 @@ import (
 // tree, the candidate grouping, and the parent→child group maps.
 // Building it is the expensive step (the semi-join sweep plus hash
 // grouping); Instantiate then derives a TDP for any ranking aggregate
-// with a single bottom-up π pass. A Plan is immutable after NewPlan and
+// with a single bottom-up π pass. A Plan is immutable after NewPlan —
+// but for its count memo, which fills once under its own lock — and
 // safe to share across goroutines and instantiations.
 //
 // Both steps accept Options: WithWorkers(n) fans the per-node work out
@@ -68,9 +73,13 @@ type Plan struct {
 	emits    []emitSpec
 	// levels partitions preorder positions by tree depth (levels[0] is
 	// the root). Nodes of one level are pairwise unrelated, so a
-	// level-synchronized sweep only reads π state finalised by deeper
-	// levels — the invariant the parallel Instantiate relies on.
+	// level-synchronized sweep only reads state finalised by deeper
+	// levels — the invariant the parallel driver (sweep) relies on.
 	levels [][]int
+	// counts is the plan's exact-count artefact, built at most once: by
+	// its first reader, or by NewPlanDelta carrying a predecessor's
+	// forward.
+	counts *counts
 }
 
 // config collects the per-call options of NewPlan and Instantiate.
@@ -117,16 +126,12 @@ func (p *Plan) TotalTuples() int {
 	return total
 }
 
-// NumSolutions counts the query's results from the reduced plan alone —
-// no ranking instantiation needed — by the counting pass (TDP.Count). It
-// fails with ErrCountOverflow when the count does not fit an int64.
-func (p *Plan) NumSolutions() (int, error) {
-	c, err := count(p.nodes)
-	if err != nil {
-		return -1, err
-	}
-	return int(c.Total), nil
-}
+// NumSolutions is the number of the query's results, read off the
+// plan's count memo (see Plan): the first reader of the plan or of any
+// TDP instantiated from it builds the counts, every later one reads
+// them. No ranking is instantiated. It fails with ErrCountOverflow when
+// the count does not fit an int64.
+func (p *Plan) NumSolutions() (int, error) { return p.counts.total(p.nodes) }
 
 // TDP is the compiled dynamic program for one acyclic query instance.
 type TDP struct {
@@ -138,6 +143,7 @@ type TDP struct {
 	// order over the preorder, unless Reorder set another).
 	OutAttrs []string
 	emits    []emitSpec
+	counts   *counts // the plan's, shared by all its instantiations
 }
 
 // Node is one join-tree node of the T-DP.
@@ -154,8 +160,6 @@ type Node struct {
 	// of one array (relation.Index's CSR rows): read them, never append
 	// to or reorder one.
 	Groups []Group
-	// GroupOfRow maps each row to its group index.
-	GroupOfRow []int32
 	// ChildGroup[ci][row] is the group index in child Children[ci]
 	// selected by this node's row (-1 never occurs: the bottom-up sweep
 	// keeps only rows that join every child).
@@ -205,7 +209,7 @@ func NewPlan(q *yannakakis.Query, opts ...Option) (*Plan, error) {
 // tree, candidate grouping by parent key, and the parent-row →
 // child-group maps. The per-node grouping is independent across nodes —
 // each task hashes its own rows and writes only its own node's
-// Groups/GroupOfRow plus its private ChildGroup slot on the parent — so
+// Groups plus its private ChildGroup slot on the parent — so
 // it fans out across all nodes at once.
 //
 // old is the predecessor: a plan for the same query shape whose
@@ -336,12 +340,20 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 	if err != nil {
 		return nil, nil, err
 	}
+	t.counts = &counts{levels: t.levels}
+	if old != nil && old.counts.done.Load() {
+		// Someone read the predecessor's counts, so this plan's will be
+		// read too: carry them forward along the dirty path.
+		if st.Recounted, err = t.counts.count(cfg, t.nodes, old.counts, st.Changed); err != nil && !errors.Is(err, ErrCountOverflow) {
+			return nil, nil, err
+		}
+	}
 	return t, st, nil
 }
 
 // groupNode partitions node pos's rows into candidate groups by their
 // join key with the parent and resolves the parent's rows to those
-// groups. It writes only pos's own Groups/GroupOfRow and the
+// groups. It writes only pos's own Groups and the
 // ChildGroup slot the parent reserves for pos, so tasks for different
 // nodes never touch the same memory.
 func groupNode(nodes []*Node, pos int) error {
@@ -352,7 +364,6 @@ func groupNode(nodes []*Node, pos int) error {
 			rows[i] = int32(i)
 		}
 		n.Groups = []Group{{Rows: rows}}
-		n.GroupOfRow = make([]int32, n.Rel.Len())
 		return nil
 	}
 	parent := nodes[n.Parent]
@@ -366,7 +377,6 @@ func groupNode(nodes []*Node, pos int) error {
 	if err != nil {
 		return err
 	}
-	n.GroupOfRow = ix.GroupOf()
 	n.Groups = make([]Group, ix.Keys())
 	for g := range n.Groups {
 		n.Groups[g].Rows = ix.Rows(g)
@@ -394,105 +404,56 @@ func (p *Plan) Instantiate(agg ranking.Aggregate, opts ...Option) (*TDP, error) 
 }
 
 // InstantiateDelta derives the T-DP for one ranking aggregate — the
-// only implementation of the π pass: it copies the plan's skeleton
-// (sharing the node relations, groupings, and child maps) and runs
-// the bottom-up π computation, linear in the node relations. The plan
-// is not modified, so instantiations for different aggregates may
-// proceed from one plan. The pass is level-synchronized: the nodes of a
-// depth level — whose π values depend only on deeper levels, already
-// finalised behind a barrier — fan out on the pool, each computed by
-// exactly one task running the unchanged sequential loop.
+// only implementation of the π pass: the π kernel (instantiateNode) on
+// the plan's driver (sweep), linear in the node relations. The plan is
+// not modified, so instantiations for different aggregates may proceed
+// from one plan, and all of them read the plan's counts.
 //
 // old is the predecessor: an instantiation, for the same aggregate, of
 // the plan p was diffed against, with changed the Changed vector of the
-// NewPlanDelta call that produced p. The pass then recomputes π only
-// from the nodes whose reduced content changed, and stops propagating
-// upward as soon as a recomputed node's per-group bests come out
-// bit-identical to the old epoch's — the parent's π inputs are then
-// provably unchanged; clean nodes share the old node wholesale. A nil
-// old means no predecessor (changed is ignored); with one, a shape
-// mismatch is an error. The int result counts the nodes whose π pass
-// ran.
+// NewPlanDelta call that produced p. π is then recomputed only from the
+// nodes whose reduced content changed, up to where a recomputed node's
+// group bests come out bit-identical to the old epoch's; clean nodes
+// share the old node wholesale. A nil old means no predecessor (changed
+// is ignored); with one, a shape mismatch is an error. The int result
+// counts the nodes whose π pass ran.
 //
 // What holds for both inputs:
-//  1. Without a predecessor no comparison work is done: every level is
-//     its own work list, groupBestsDiffer is never called, and nothing
-//     is allocated beyond the nodes and their π arrays.
-//  2. The T-DP is bit-identical on both inputs: π arrays, group bests
-//     and maps.
-//  3. The span is named by the predecessor: "instantiate" without one,
+//  1. The T-DP is bit-identical on both: π arrays, group bests and maps.
+//  2. The span is named by the predecessor: "instantiate" without one,
 //     "instantiate-delta" (attributes recomputed, reused) with one;
 //     both carry the ranking attribute.
-//  4. The pass runs under the WithContext context, with cancellation
-//     checked between node tasks; a canceled pass returns ctx.Err() and
+//  3. A canceled pass returns ctx.Err() of the WithContext context and
 //     no TDP.
 func (p *Plan) InstantiateDelta(agg ranking.Aggregate, old *TDP, changed []bool, opts ...Option) (*TDP, int, error) {
 	m := len(p.nodes)
 	name := "instantiate"
-	var bestsChanged []bool // per position, read by the parent's level
 	if old != nil {
 		if len(old.Nodes) != m || len(changed) != m {
 			return nil, 0, fmt.Errorf("dp: InstantiateDelta shape mismatch (%d plan nodes, %d old, %d changed flags)", m, len(old.Nodes), len(changed))
 		}
-		name, bestsChanged = "instantiate-delta", make([]bool, m)
+		name = "instantiate-delta"
 	}
 	cfg := newConfig(opts)
 	var sp *obs.Span
 	cfg.ctx, sp = obs.StartSpan(cfg.ctx, name)
 	sp.SetAttr("ranking", agg.Name())
 	defer sp.End()
-	t := &TDP{Agg: agg, Nodes: make([]*Node, m), OutAttrs: p.outAttrs, emits: p.emits}
-	recomputed := 0
-
-	// Deepest level first: children of a node always sit exactly one
-	// level deeper, so their group bests are final when its level runs.
-	for li := len(p.levels) - 1; li >= 0; li-- {
-		work := p.levels[li]
-		if old != nil {
-			work = nil
-			for _, pos := range p.levels[li] {
-				stale := changed[pos]
-				for _, c := range p.nodes[pos].Children {
-					stale = stale || bestsChanged[c]
-				}
-				if stale {
-					work = append(work, pos)
-				} else {
-					// Clean subtree: the old node (π array, bests, maps) is
-					// immutable after its build and identical to what a
-					// recompute would produce — share it wholesale.
-					t.Nodes[pos] = old.Nodes[pos]
-				}
-			}
+	t := &TDP{Agg: agg, Nodes: make([]*Node, m), OutAttrs: p.outAttrs, emits: p.emits, counts: p.counts}
+	var pred *predecessor
+	if old != nil {
+		pred = &predecessor{
+			changed: changed,
+			// A clean node is immutable and what a recompute would give.
+			keep: func(pos int) { t.Nodes[pos] = old.Nodes[pos] },
+			differs: func(pos int, contentChanged bool) bool {
+				return groupBestsDiffer(t.Nodes[pos], old.Nodes[pos], contentChanged)
+			},
 		}
-		for _, pos := range work {
-			sn := p.nodes[pos]
-			t.Nodes[pos] = &Node{
-				Rel:        sn.Rel,
-				Parent:     sn.Parent,
-				Children:   sn.Children,
-				GroupOfRow: sn.GroupOfRow,
-				ChildGroup: sn.ChildGroup,
-				// Groups are value structs: copying the slice shares each
-				// group's Rows but gives this instantiation its own
-				// BestIdx/BestPi fields.
-				Groups: append([]Group(nil), sn.Groups...),
-			}
-		}
-		recomputed += len(work)
-		err := parallel.ForEach(cfg.ctx, cfg.workers, len(work), func(i int) error {
-			pos := work[i]
-			if err := instantiateNode(t, agg, pos); err != nil {
-				return err
-			}
-			if old != nil {
-				bestsChanged[pos] = groupBestsDiffer(t.Nodes[pos], old.Nodes[pos], changed[pos])
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
+	}
+	recomputed, err := sweep(cfg, p.levels, p.nodes, func(pos int) error { return p.instantiateNode(t, pos) }, pred)
+	if err != nil {
+		return nil, 0, err
 	}
 	if old != nil {
 		sp.SetAttr("recomputed", strconv.Itoa(recomputed))
@@ -501,13 +462,23 @@ func (p *Plan) InstantiateDelta(agg ranking.Aggregate, old *TDP, changed []bool,
 	return t, recomputed, nil
 }
 
-// instantiateNode computes node pos's π array and per-group bests. It
-// reads only the group bests of pos's children (one level deeper,
-// finalised behind the previous level's barrier) and writes only pos's
-// own state.
-func instantiateNode(t *TDP, agg ranking.Aggregate, pos int) error {
-	n := t.Nodes[pos]
-	n.Pi = make([]float64, n.Rel.Len())
+// instantiateNode is the π kernel: it gives node pos of t a copy of the
+// plan's skeleton and computes its π array and per-group bests. It reads
+// only the group bests of pos's children (one level deeper, finalised
+// behind the previous level's barrier) and writes only pos's own state.
+func (p *Plan) instantiateNode(t *TDP, pos int) error {
+	sn, agg := p.nodes[pos], t.Agg
+	n := &Node{
+		Rel:        sn.Rel,
+		Parent:     sn.Parent,
+		Children:   sn.Children,
+		ChildGroup: sn.ChildGroup,
+		// Groups are value structs: copying the slice shares each group's
+		// Rows but gives this instantiation its own BestIdx/BestPi fields.
+		Groups: append([]Group(nil), sn.Groups...),
+		Pi:     make([]float64, sn.Rel.Len()),
+	}
+	t.Nodes[pos] = n
 	for row := range n.Rel.Tuples {
 		pi := n.Rel.Weights[row]
 		for ci, c := range n.Children {
@@ -551,15 +522,7 @@ func (t *TDP) GroupFor(pos int, rows []int32) int32 {
 	if n.Parent < 0 {
 		return 0
 	}
-	parent := t.Nodes[n.Parent]
-	ci := 0
-	for i, c := range parent.Children {
-		if c == pos {
-			ci = i
-			break
-		}
-	}
-	return parent.ChildGroup[ci][rows[n.Parent]]
+	return t.Nodes[n.Parent].ChildGroup[childIndex(t.Nodes, n.Parent, pos)][rows[n.Parent]]
 }
 
 func childIndex(nodes []*Node, p, c int) int {
@@ -604,95 +567,5 @@ func (t *TDP) Reorder(attrs []string) error {
 func (t *TDP) EmitInto(dst relation.Tuple, rows []int32) {
 	for i, sp := range t.emits {
 		dst[i] = t.Nodes[sp.node].Rel.Tuples[rows[sp.node]][sp.col]
-	}
-}
-
-// ErrCountOverflow reports a solution count that does not fit an int64.
-var ErrCountOverflow = errors.New("dp: solution count overflows int64")
-
-// Counts is the result of the counting pass over a T-DP: for every node
-// row, the number of solutions of the subtree rooted at that node that
-// pick the row, kept as an inclusive prefix sum along the row's group
-// (Group.Rows order). A group's last prefix is its total, so the root
-// group's is the number of solutions, and a row is drawn in proportion
-// to its count by binary search (TDP.Draw).
-type Counts struct {
-	cum   [][]int64 // per preorder position, indexed by row
-	Total int64     // the number of solutions
-}
-
-// groupTotal is the number of solutions below one group of a node.
-func groupTotal(cum []int64, g Group) int64 {
-	if len(g.Rows) == 0 {
-		return 0
-	}
-	return cum[g.Rows[len(g.Rows)-1]]
-}
-
-// Count runs the counting pass over the T-DP's nodes.
-func (t *TDP) Count() (*Counts, error) { return count(t.Nodes) }
-
-// count is the one counting pass, bottom-up in one int64 per node row: a
-// row's count is the product of the totals of the child groups it
-// selects, and every product and sum is checked against overflow. It is
-// linear in the nodes' rows.
-func count(nodes []*Node) (*Counts, error) {
-	c := &Counts{cum: make([][]int64, len(nodes))}
-	for pos := len(nodes) - 1; pos >= 0; pos-- {
-		n := nodes[pos]
-		cum := make([]int64, n.Rel.Len())
-		for row := range cum {
-			v := int64(1)
-			for ci, child := range n.Children {
-				var ok bool
-				g := nodes[child].Groups[n.ChildGroup[ci][row]]
-				if v, ok = mulChecked(v, groupTotal(c.cum[child], g)); !ok {
-					return nil, ErrCountOverflow
-				}
-			}
-			cum[row] = v
-		}
-		for _, g := range n.Groups {
-			sum := int64(0)
-			for _, r := range g.Rows {
-				var ok bool
-				if sum, ok = addChecked(sum, cum[r]); !ok {
-					return nil, ErrCountOverflow
-				}
-				cum[r] = sum
-			}
-		}
-		c.cum[pos] = cum
-	}
-	if len(nodes) > 0 && len(nodes[0].Groups) > 0 {
-		c.Total = groupTotal(c.cum[0], nodes[0].Groups[0])
-	}
-	return c, nil
-}
-
-// mulChecked and addChecked combine two non-negative counts, reporting
-// false when the result does not fit an int64.
-func mulChecked(a, b int64) (int64, bool) {
-	hi, lo := bits.Mul64(uint64(a), uint64(b))
-	return int64(lo), hi == 0 && lo <= math.MaxInt64
-}
-
-func addChecked(a, b int64) (int64, bool) {
-	s := uint64(a) + uint64(b)
-	return int64(s), s <= math.MaxInt64
-}
-
-// Draw fills rows (one entry per node, in preorder) with a solution
-// drawn uniformly at random from the solutions c counts, which must be
-// t's counts and non-zero: walking the nodes in preorder, each picks a
-// row of the group its parent's row selects with probability
-// proportional to the row's count. A solution's probability telescopes
-// to 1/Total, and a draw costs O(ℓ log n).
-func (t *TDP) Draw(c *Counts, r *rand.Rand, rows []int32) {
-	for pos, n := range t.Nodes {
-		g := n.Groups[t.GroupFor(pos, rows)]
-		cum := c.cum[pos]
-		x := r.Int64N(groupTotal(cum, g))
-		rows[pos] = g.Rows[sort.Search(len(g.Rows), func(i int) bool { return cum[g.Rows[i]] > x })]
 	}
 }

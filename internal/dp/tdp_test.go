@@ -114,8 +114,8 @@ func TestEmptyTDP(t *testing.T) {
 	if !tdp.Empty() {
 		t.Error("disconnected instance should be empty")
 	}
-	if c, err := tdp.Count(); err != nil || c.Total != 0 {
-		t.Errorf("Count = %v, %v; want 0", c, err)
+	if n, err := tdp.NumSolutions(); err != nil || n != 0 {
+		t.Errorf("NumSolutions = %d, %v; want 0", n, err)
 	}
 }
 
@@ -128,15 +128,12 @@ func TestGroupsPartitionRows(t *testing.T) {
 	for pos, n := range tdp.Nodes {
 		seen := make(map[int32]bool)
 		total := 0
-		for gi, g := range n.Groups {
+		for _, g := range n.Groups {
 			for _, r := range g.Rows {
 				if seen[r] {
 					t.Fatalf("node %d: row %d in two groups", pos, r)
 				}
 				seen[r] = true
-				if n.GroupOfRow[r] != int32(gi) {
-					t.Fatalf("node %d: GroupOfRow mismatch", pos)
-				}
 				total++
 			}
 		}

@@ -105,10 +105,9 @@ func (t *KeyTable) grow() {
 // (the package comment has the contract). The row arrays do not
 // reference the table.
 type Index struct {
-	table   *KeyTable
-	groupOf []int32 // row -> group
-	start   []int32 // group g's rows are rows[start[g]:start[g+1]]
-	rows    []int32
+	table *KeyTable
+	start []int32 // group g's rows are rows[start[g]:start[g+1]]
+	rows  []int32
 }
 
 // NewIndex groups r's rows on the given attributes in O(|r|). An index
@@ -120,26 +119,27 @@ func NewIndex(r *Relation, attrs ...string) (*Index, error) {
 		return nil, err
 	}
 	n := len(r.Tuples)
-	ix := &Index{table: NewKeyTable(len(cols), n), groupOf: make([]int32, n), rows: make([]int32, n)}
+	ix := &Index{table: NewKeyTable(len(cols), n), rows: make([]int32, n)}
+	groupOf := make([]int32, n) // row -> group
 	key := make([]Value, len(cols))
 	for i, t := range r.Tuples {
 		for j, c := range cols {
 			key[j] = t[c]
 		}
 		g, _ := ix.table.Insert(key)
-		ix.groupOf[i] = int32(g)
+		groupOf[i] = int32(g)
 	}
 	// Counting sort of the rows by group: sizes, then offsets, then a
 	// placing pass that leaves start[g] at g's end, shifted back after.
 	groups := ix.table.Len()
 	ix.start = make([]int32, groups+1)
-	for _, g := range ix.groupOf {
+	for _, g := range groupOf {
 		ix.start[g+1]++
 	}
 	for g := 1; g < groups; g++ {
 		ix.start[g+1] += ix.start[g]
 	}
-	for i, g := range ix.groupOf {
+	for i, g := range groupOf {
 		ix.rows[ix.start[g]] = int32(i)
 		ix.start[g]++
 	}
@@ -185,9 +185,6 @@ func (ix *Index) Rows(g int) []int32 {
 	}
 	return ix.rows[ix.start[g]:ix.start[g+1]:ix.start[g+1]]
 }
-
-// GroupOf maps every row to its group. Shared; callers must not mutate.
-func (ix *Index) GroupOf() []int32 { return ix.groupOf }
 
 // Keys returns the number of distinct keys, i.e. of groups.
 func (ix *Index) Keys() int { return ix.table.Len() }

@@ -73,11 +73,6 @@ func FuzzIndex(f *testing.F) {
 			if got := ix.Rows(g); !slices.Equal(got, rows) {
 				t.Fatalf("Rows(%d) = %v, want %v", g, got, rows)
 			}
-			for _, row := range rows {
-				if ix.GroupOf()[row] != int32(g) {
-					t.Fatalf("GroupOf[%d] = %d, want %d", row, ix.GroupOf()[row], g)
-				}
-			}
 		}
 		if ix.MaxFanout() != widest {
 			t.Fatalf("MaxFanout = %d, want %d", ix.MaxFanout(), widest)
@@ -133,7 +128,7 @@ func TestIndexIndependentOfSeed(t *testing.T) {
 	if slices.Equal(a.table.slots, b.table.slots) {
 		t.Fatal("the two seeds placed every key in the same slot: the seed is not used")
 	}
-	if !slices.Equal(a.groupOf, b.groupOf) || !slices.Equal(a.start, b.start) || !slices.Equal(a.rows, b.rows) ||
+	if !slices.Equal(a.start, b.start) || !slices.Equal(a.rows, b.rows) ||
 		!slices.Equal(a.table.keys, b.table.keys) {
 		t.Fatal("index contents depend on the hash seed")
 	}

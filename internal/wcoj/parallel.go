@@ -379,14 +379,12 @@ func TaskShares(atoms []Atom, varOrder []string, workers int, hints SkewHints) (
 		})
 	}
 
-	planBase, jerr := newJoin(atoms, varOrder, ranking.SumCost, func(relation.Tuple, float64) bool { return true }, false)
-	if jerr != nil {
-		return 0, 0, jerr
-	}
-	tasks := planBase.planTasks(planBase.levelValues(0), chunks, hints)
+	// The chunked tasks ran on clones, so base's cursors still stand
+	// where levelValues(0) left them, as planTasks expects.
+	tasks := base.planTasks(vals, chunks, hints)
 	taskWorks := make([]float64, len(tasks))
 	for ti := range tasks {
-		taskWorks[ti] = taskWork(planBase, func(w *driver) { tasks[ti].run(w) })
+		taskWorks[ti] = taskWork(base, func(w *driver) { tasks[ti].run(w) })
 	}
 	return maxShare(chunkWorks), maxShare(taskWorks), nil
 }

@@ -1,8 +1,7 @@
 // Package yannakakis implements the Yannakakis algorithm for acyclic
 // join queries (§3 of the tutorial): a full reducer built from two
 // semi-join sweeps over a join tree, followed by full-output evaluation
-// in O(n + r), plus semiring aggregates over the tree in O(n)
-// (AnnotatedEval).
+// in O(n + r).
 //
 // The full reducer leaves the database globally consistent: every tuple
 // that survives participates in at least one result, so the join phase

@@ -196,4 +196,10 @@ func TestSkewTaskShares(t *testing.T) {
 	if skewAware >= chunked/2 {
 		t.Errorf("skew-aware max task share = %.3f, want < half of chunked %.3f", skewAware, chunked)
 	}
+	// Both shares are exact work counts over one deterministic fixture,
+	// so they are pinned bit for bit: how TaskShares measures them may
+	// change, what it measures may not.
+	if chunked != 0.28441788401947765 || skewAware != 0.043526537863646457 {
+		t.Errorf("shares (chunked, skew-aware) = (%.17g, %.17g), want (0.28441788401947765, 0.043526537863646457)", chunked, skewAware)
+	}
 }

@@ -134,14 +134,6 @@ type planState struct {
 	structure *decomp.Epoch
 	plans     onceCache[*decomp.Plan]
 
-	// solutions is the exact output cardinality, -1 until known and
-	// countOverflows once counting found it does not fit an int64. It is
-	// an O(total tuples) counting pass that must not re-run per
-	// Count/PlanStats call, so it is computed once per epoch: at the
-	// build when no tree materialises bags, otherwise off the first plan
-	// a Count or PlanStats finds (count).
-	solutions atomic.Int64
-
 	// estTuples is the estimated total tuple count one plan instantiation
 	// processes (decomp.Epoch.Tuples) — the input to the
 	// default-parallelism threshold.
@@ -150,10 +142,6 @@ type planState struct {
 	// sampled counts the results Sample drew on the epoch.
 	sampled atomic.Int64
 }
-
-// countOverflows is planState.solutions once the count is known not to
-// fit an int64.
-const countOverflows = -2
 
 // onceCache memoizes one value per ranking function. The mutex guards
 // only the map; each entry builds under its own sync.Once, so a cold
@@ -385,9 +373,6 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 		return nil, n, err
 	}
 	st.structure, st.estTuples = structure, structure.Tuples()
-	// Counted now unless a tree needs a ranking's plan (Count, PlanStats).
-	st.solutions.Store(-1)
-	st.count(nil)
 	n.nodesReused += int64(ds.TreeNodes - ds.TreeRegrouped)
 	if old != nil {
 		for agg, oldPlan := range old.plans.built() {
@@ -441,9 +426,9 @@ type PlanStats struct {
 	// (the input to the default-parallelism threshold).
 	EstTuples int `json:"est_tuples"`
 	// Solutions is the exact output cardinality, counted without
-	// enumeration; exact once known, for every kind: from Compile (or the
-	// delta) on when no bag is materialised, otherwise from the first
-	// Count or the first PlanStats after some ranking is built. -1 until
+	// enumeration by the epoch's first PlanStats, Count or Sample, for
+	// every kind. A kind that materialises bags counts off a ranking's
+	// plan, so PlanStats reports it once some ranking is built. -1 until
 	// then, and for good when the count does not fit an int64.
 	Solutions int `json:"solutions"`
 	// Rankings lists the ranking functions whose plans (π weights, and
@@ -516,8 +501,9 @@ type RankingStats struct {
 }
 
 // PlanStats snapshots the handle without triggering or waiting on any
-// build: rankings mid-build are simply not listed yet. Safe to call
-// concurrently with Runs and ApplyDelta.
+// plan build: rankings mid-build are simply not listed yet. It counts
+// the epoch's answers if no call has yet. Safe to call concurrently with
+// Runs and ApplyDelta.
 func (p *Prepared) PlanStats() PlanStats {
 	s := p.state.Load()
 	st := PlanStats{
@@ -527,14 +513,17 @@ func (p *Prepared) PlanStats() PlanStats {
 		OutAttrs:      p.shape.Attrs,
 		Epoch:         s.epoch,
 		EstTuples:     s.estTuples,
-		Solutions:     max(-1, int(s.solutions.Load())),
+		Solutions:     -1,
 		SampleTrials:  s.sampled.Load(),
 		SampleAccepts: s.sampled.Load(),
+	}
+	if n, err := s.solutions(); err == nil {
+		st.Solutions = n
 	}
 	// actualBags flattens one built ranking's materialised bag sizes.
 	// Bag contents (and so sizes) are identical across rankings — only
 	// the weights differ — so any built plan serves as the actuals the
-	// estimates are compared against, and as the one to count off.
+	// estimates are compared against.
 	var actualBags []int
 	for agg, d := range s.plans.built() {
 		st.Rankings = append(st.Rankings, RankingStats{
@@ -546,9 +535,6 @@ func (p *Prepared) PlanStats() PlanStats {
 			for _, tree := range d.Stats.BagSizes {
 				actualBags = append(actualBags, tree...)
 			}
-		}
-		if st.Solutions < 0 && s.solutions.Load() != countOverflows {
-			st.Solutions, _ = s.count(d)
 		}
 	}
 	sort.Slice(st.Rankings, func(i, j int) bool { return st.Rankings[i].Ranking < st.Rankings[j].Ranking })
@@ -774,54 +760,51 @@ func (p *Prepared) TopK(k int, opts ...RunOption) ([]Result, error) {
 	return out, err
 }
 
-// Count returns the number of join results without enumerating them:
-// the sum, over the plan's trees, of each tree's count — a one-bag tree
-// counts its bag, every other tree runs the T-DP's counting pass. An
-// acyclic handle counts off its epoch; a cyclic one off any ranking's
-// plan already built, building the SumCost plan (under WithContext)
-// only when none is. Counting does not rank: the ranking, the variant
-// and WithK are validated but do not change the count, and no weight is
-// checked against the ranking's domain. The result is computed once per
-// epoch. A count that does not fit an int64 is an error, never a
-// wrapped number.
+// Count returns the number of join results without enumerating them,
+// summed over the plan's trees: a one-bag tree counts its bag, every
+// other tree reads its dynamic program's counts, which the epoch's first
+// PlanStats, Count or Sample builds. A cyclic handle counts off a
+// ranking's plan already built, or builds the MaxCost plan (under
+// WithContext), whose domain admits every weight. Counting does not
+// rank: the ranking, the variant and WithK are validated but change
+// nothing. A count that does not fit an int64 is an error.
 func (p *Prepared) Count(opts ...RunOption) (int, error) {
 	cfg, err := newRunConfig(opts)
 	if err != nil {
 		return 0, err
 	}
 	st := p.state.Load()
-	switch n := st.solutions.Load(); {
-	case n >= 0:
-		return int(n), nil
-	case n == countOverflows:
+	n, err := st.solutions()
+	if n < 0 && err == nil {
+		var d *decomp.Plan
+		if d, err = p.planFor(cfg, st, MaxCost); err != nil {
+			return 0, err
+		}
+		n, err = st.structure.NumSolutions(d)
+	}
+	if errors.Is(err, dp.ErrCountOverflow) {
 		return 0, errCountOverflow
 	}
-	for _, d := range st.plans.built() {
-		return st.count(d)
-	}
-	d, err := p.planFor(cfg, st, SumCost)
-	if err != nil {
-		return 0, err
-	}
-	return st.count(d)
+	return n, err
 }
 
 // errCountOverflow is Count's and Sample's error for a result count
 // that does not fit an int64.
 var errCountOverflow = fmt.Errorf("repro: %w", dp.ErrCountOverflow)
 
-// count records and returns the epoch's answer count, read off one of
-// its plans (nil: off the epoch alone, -1 if a tree needs a plan).
-func (st *planState) count(d *decomp.Plan) (int, error) {
-	n, err := st.structure.NumSolutions(d)
-	switch {
-	case err != nil:
-		st.solutions.Store(countOverflows)
-		return 0, errCountOverflow
-	case n >= 0:
-		st.solutions.Store(int64(n))
+// solutions is the epoch's answer count, read off count memos
+// (decomp.Epoch.NumSolutions): off the epoch alone when no tree
+// materialises bags, otherwise off the built plan whose ranking sorts
+// first, so repeated counts read one memo, and -1 when none is built.
+func (st *planState) solutions() (int, error) {
+	var first *decomp.Plan
+	name := ""
+	for agg, d := range st.plans.built() {
+		if first == nil || agg.Name() < name {
+			first, name = d, agg.Name()
+		}
 	}
-	return n, nil
+	return st.structure.NumSolutions(first)
 }
 
 // IsEmpty answers the Boolean query "does the join have any result?":

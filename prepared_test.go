@@ -390,6 +390,96 @@ func TestCountOverflowStar(t *testing.T) {
 	if n, err := p.Count(); err != nil || n != 218_700_000_000_000_000 {
 		t.Fatalf("7 atoms: Count = %d, %v; want 300^7", n, err)
 	}
+
+	// The same eight pendants on a one-row triangle: a cyclic handle that
+	// counts off a ranking's plan. Its first PlanStats after a run, like
+	// every later one, reports the overflow as -1.
+	tri := star(8).
+		Rel("R", []string{"X", "Y"}, []Tuple{{0, 1}}, nil).
+		Rel("S", []string{"Y", "Z"}, []Tuple{{1, 2}}, nil).
+		Rel("T", []string{"Z", "X"}, []Tuple{{2, 0}}, nil)
+	p, err = Compile(tri)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind := p.PlanStats().Kind; kind != "ghd" {
+		t.Fatalf("kind %s, want ghd", kind)
+	}
+	if top, err := p.TopK(1); err != nil || len(top) != 1 {
+		t.Fatalf("triangle: TopK(1) = %v, %v", top, err)
+	}
+	for i := 0; i < 2; i++ {
+		if n := p.PlanStats().Solutions; n != -1 {
+			t.Fatalf("triangle: PlanStats #%d Solutions = %d, want -1", i+1, n)
+		}
+	}
+	if n, err := p.Count(); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("triangle: Count = %d, %v; want an overflow error", n, err)
+	}
+}
+
+// TestCompileCountsNothing: Compile builds no count arrays on an atom
+// tree. The epoch's first Count allocates one per join-tree node, so it
+// costs at least that many allocations more than Compile alone; later
+// Counts read the memo and allocate fewer than that.
+func TestCompileCountsNothing(t *testing.T) {
+	const atoms = 8
+	tuples := make([]Tuple, 50)
+	for j := range tuples {
+		tuples[j] = Tuple{0, int64(j)}
+	}
+	q := NewQuery()
+	for i := 0; i < atoms; i++ {
+		q.Rel(fmt.Sprintf("R%d", i), []string{"X", fmt.Sprintf("Y%d", i)}, tuples, nil)
+	}
+	compile := func() *Prepared {
+		p, err := Compile(q, WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	alone := testing.AllocsPerRun(10, func() { compile() })
+	first := testing.AllocsPerRun(10, func() {
+		if _, err := compile().Count(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if first-alone < atoms {
+		t.Errorf("the first Count allocated %.0f times beyond Compile's %.0f, want at least %d: Compile counted already", first-alone, alone, atoms)
+	}
+	p := compile()
+	p.Count()
+	if again := testing.AllocsPerRun(10, func() { p.Count() }); again >= atoms {
+		t.Errorf("a second Count allocated %.0f times, want fewer than %d: the counts were rebuilt", again, atoms)
+	}
+}
+
+// TestCountIgnoresDomain: Count checks no weight against a ranking's
+// domain, cyclic handles included — +Inf in one atom beside −Inf in
+// another, which SumCost refuses, counts as a path and as a triangle
+// with no plan built yet.
+func TestCountIgnoresDomain(t *testing.T) {
+	inf := math.Inf(1)
+	path := NewQuery().
+		Rel("R", []string{"A", "B"}, []Tuple{{1, 2}}, []float64{inf}).
+		Rel("S", []string{"B", "C"}, []Tuple{{2, 3}}, []float64{-inf})
+	tri := NewQuery().
+		Rel("R", []string{"A", "B"}, []Tuple{{1, 2}}, []float64{inf}).
+		Rel("S", []string{"B", "C"}, []Tuple{{2, 3}}, []float64{-inf}).
+		Rel("T", []string{"C", "A"}, []Tuple{{3, 1}}, nil)
+	for name, q := range map[string]*Query{"path": path, "triangle": tri} {
+		p, err := Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := p.Count(); err != nil || n != 1 {
+			t.Errorf("%s: Count = %d, %v; want 1, nil", name, n, err)
+		}
+		if _, err := p.TopK(1); err == nil {
+			t.Errorf("%s: a SumCost run over +Inf beside -Inf succeeded", name)
+		}
+	}
 }
 
 // TestCompileErrors checks builder and shape errors surface at compile
