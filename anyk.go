@@ -402,7 +402,9 @@ func (q *Query) Count() (int, error) {
 }
 
 // IsEmpty answers the Boolean query "does the join have any result?"
-// with early termination (§1 of the tutorial).
+// (§1 of the tutorial): it compiles the query and asks the handle
+// (Prepared.IsEmpty), which reads the reduced roots of an acyclic query
+// and, for a cyclic one, the bags of a plan it builds, counting nothing.
 func (q *Query) IsEmpty() (bool, error) {
 	p, err := Compile(q)
 	if err != nil {

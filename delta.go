@@ -112,27 +112,24 @@ func (p *Prepared) ApplyDelta(deltas []Delta, opts ...RunOption) error {
 		return nil
 	}
 
-	st, n, err := p.buildState(cfg, old, newRels, changed)
+	st, err := p.buildState(cfg, old, newRels, changed)
 	if err != nil {
 		return err
 	}
-
+	d, was := &st.deltas, old.deltas
+	d.DeltasApplied++
+	d.DeltaAppendedRows += appended
+	d.DeltaDeletedRows += deleted
+	d.LastDeltaNs = time.Since(start).Nanoseconds()
 	if deltaSpan != nil {
 		deltaSpan.SetAttr("epoch", strconv.FormatInt(st.epoch, 10))
 		deltaSpan.SetAttr("appended", strconv.FormatInt(appended, 10))
 		deltaSpan.SetAttr("deleted", strconv.FormatInt(deleted, 10))
-		deltaSpan.SetAttr("bags_rebuilt", strconv.FormatInt(n.bagsRebuilt, 10))
-		deltaSpan.SetAttr("nodes_reused", strconv.FormatInt(n.nodesReused, 10))
-		deltaSpan.SetAttr("nodes_recomputed", strconv.FormatInt(n.nodesRecomputed, 10))
+		deltaSpan.SetAttr("bags_rebuilt", strconv.FormatInt(d.DeltaBagsRebuilt-was.DeltaBagsRebuilt, 10))
+		deltaSpan.SetAttr("nodes_reused", strconv.FormatInt(d.DeltaNodesReused-was.DeltaNodesReused, 10))
+		deltaSpan.SetAttr("nodes_recomputed", strconv.FormatInt(d.DeltaNodesRecomputed-was.DeltaNodesRecomputed, 10))
 	}
 	p.state.Store(st)
-	p.deltasApplied.Add(1)
-	p.deltaAppendedRows.Add(appended)
-	p.deltaDeletedRows.Add(deleted)
-	p.deltaBagsRebuilt.Add(n.bagsRebuilt)
-	p.deltaNodesReused.Add(n.nodesReused)
-	p.deltaNodesRecomputed.Add(n.nodesRecomputed)
-	p.lastDeltaNs.Store(time.Since(start).Nanoseconds())
 	return nil
 }
 

@@ -445,6 +445,15 @@ func canonPerm(have, canonAttrs []string) ([]int, error) {
 	return perm, nil
 }
 
+// empty reports whether the tree has no result: its bag, or its T-DP's
+// reduced root, has no rows.
+func (tp *treePlan) empty() bool {
+	if tp.t == nil {
+		return tp.bag.Len() == 0
+	}
+	return tp.t.Empty()
+}
+
 // numSolutions is the tree's result count: its bag's size, or its T-DP's.
 func (tp *treePlan) numSolutions() (int, error) {
 	if tp.t == nil {

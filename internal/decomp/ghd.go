@@ -194,6 +194,24 @@ func (e *Epoch) NumSolutions(p *Plan) (int, error) {
 	return int(cum[len(cum)-1]), nil
 }
 
+// IsEmpty reports whether the epoch has no answers, which holds iff no
+// tree has one, without counting: an atom tree has none when its reduced
+// root has no rows, a tree that materialises bags when p, this epoch's
+// plan under some ranking, holds an empty bag or reduced root for it.
+// known is false when such a tree decides and p is nil.
+func (e *Epoch) IsEmpty(p *Plan) (empty, known bool) {
+	undecided := false
+	for ti, a := range e.atoms {
+		switch {
+		case a == nil && p == nil:
+			undecided = true
+		case a != nil && !a.plan.Empty(), a == nil && !p.trees[ti].empty():
+			return false, true
+		}
+	}
+	return !undecided, !undecided
+}
+
 // Instantiate builds the epoch's plan under one ranking aggregate, tree
 // by tree, each with the full worker budget: an atom tree's π pass
 // (dp.Plan.InstantiateDelta), every other tree's bags materialised and

@@ -9,64 +9,35 @@ import (
 // DeltaStats reports how much of an incremental rebuild was reused.
 type DeltaStats struct {
 	// Nodes is the join-tree size; Regrouped counts the nodes whose
-	// candidate grouping had to be rebuilt (the rest share the old
-	// plan's groupings and reduced relations).
+	// candidate groups were rebuilt, which are the Changed ones (the
+	// rest share the old plan's groups and reduced relations).
 	Nodes     int
 	Regrouped int
 	// Changed flags, per preorder position, the nodes whose reduced
 	// content differs from the old plan — the seed set InstantiateDelta
-	// propagates π recomputation from.
+	// propagates π recomputation from. Without a predecessor every node
+	// is flagged.
 	Changed []bool
 	// Recounted counts the nodes whose exact counts were recomputed when
 	// the old plan held counts to carry forward; 0 when it held none.
 	Recounted int
 }
 
-// planMatchesTree reports whether old lays out exactly the join tree
+// sameTree reports whether old lays out the join tree of t, the layout
 // of q (same preorder positions, parent/child wiring, and attribute
 // names) — the precondition for position-wise delta comparison and for
-// reusing old's node relations as the bottom-up sweep's predecessor.
-func planMatchesTree(old *Plan, q *yannakakis.Query, posOf []int) bool {
-	tree := q.Tree
-	if old == nil || len(old.nodes) != len(tree.Order) {
+// sharing old's nodes with t.
+func (t *Plan) sameTree(old *Plan, q *yannakakis.Query) bool {
+	if old == nil || len(old.nodes) != len(t.nodes) {
 		return false
 	}
-	for pos, edge := range tree.Order {
-		n := old.nodes[pos]
-		wantParent := -1
-		if p := tree.Parent[edge]; p >= 0 {
-			wantParent = posOf[p]
-		}
-		if n.Parent != wantParent || len(n.Children) != len(tree.Children[edge]) {
+	for pos, n := range t.nodes {
+		o := old.nodes[pos]
+		if o.Parent != n.Parent || !slices.Equal(o.Children, n.Children) || !slices.Equal(o.Rel.Attrs, q.H.Edges[q.Tree.Order[pos]].Vars) {
 			return false
-		}
-		for i, c := range tree.Children[edge] {
-			if n.Children[i] != posOf[c] {
-				return false
-			}
-		}
-		vars := q.H.Edges[edge].Vars
-		if len(n.Rel.Attrs) != len(vars) {
-			return false
-		}
-		for i, v := range vars {
-			if n.Rel.Attrs[i] != v {
-				return false
-			}
 		}
 	}
 	return true
-}
-
-// reuseGrouping gives node pos the old plan's grouping: its own
-// Groups and the ChildGroup slot its parent holds for it.
-// Valid when neither pos's nor its parent's reduced content changed.
-func reuseGrouping(nodes, old []*Node, pos int) {
-	nodes[pos].Groups = old[pos].Groups
-	if p := nodes[pos].Parent; p >= 0 {
-		ci := childIndex(nodes, p, pos)
-		nodes[p].ChildGroup[ci] = old[p].ChildGroup[ci]
-	}
 }
 
 // groupBestsDiffer reports whether a recomputed node presents different

@@ -87,7 +87,8 @@ func assertSamePlanFields(t *testing.T, label string, got, want *Plan) {
 // TestDeltaMatchesCold chains random batches through NewPlanDelta and
 // InstantiateDelta and checks, after every step, that the patched plan,
 // the counts it carries forward and every patched T-DP equal the ones
-// built from no predecessor on the same relations — for every tree
+// built from no predecessor on the same relations, and that plan the
+// two-pass reference (referencePlan) — for every tree
 // shape, ranking aggregate and worker count — and that what the stats
 // call clean really is shared with the old epoch.
 func TestDeltaMatchesCold(t *testing.T) {
@@ -127,6 +128,7 @@ func TestDeltaMatchesCold(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertSamePlanFields(t, label, got, want)
+				assertMatchesReference(t, label, want, referencePlan(t, q))
 				if st.Nodes != len(got.nodes) || st.Regrouped > st.Nodes {
 					t.Fatalf("%s: stats %+v for %d nodes", label, st, len(got.nodes))
 				}
@@ -283,6 +285,36 @@ func TestDeltaPinnedCounts(t *testing.T) {
 		}
 		if n, err := p.NumSolutions(); err != nil || n != 10 {
 			t.Errorf("NumSolutions = %d, %v; want 10", n, err)
+		}
+	})
+
+	t.Run("append at the root", func(t *testing.T) {
+		// A second (5, 5) at the root joins every child, so only the
+		// root's rows change. Its children keep their rows and groups —
+		// the new row maps into them — and are the old nodes, shared:
+		// one node regroups. (The two-pass build regrouped the root's
+		// child too, 2 nodes, since a parent-row → group map hangs off
+		// both ends.)
+		newRels, changed := appendRow(rels, q.Tree.Order[0], 0, 5, 5)
+		p, st, err := NewPlanDelta(mustQuery(t, h, newRels), old, changed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos, c := range st.Changed {
+			if c != (pos == 0) {
+				t.Errorf("node %d: changed=%v, want only the root changed", pos, c)
+			}
+		}
+		if st.Regrouped != 1 {
+			t.Errorf("regrouped %d nodes, want 1 (the root)", st.Regrouped)
+		}
+		for _, c := range p.nodes[0].Children {
+			if p.nodes[c] != old.nodes[c] {
+				t.Errorf("the root's child %d is not the old node", c)
+			}
+		}
+		if n, err := p.NumSolutions(); err != nil || n != 11 {
+			t.Errorf("NumSolutions = %d, %v; want 11", n, err)
 		}
 	})
 

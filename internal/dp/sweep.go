@@ -13,22 +13,24 @@ import (
 	"repro/internal/parallel"
 )
 
-// predecessor is a sweep's predecessor: the nodes whose content changed,
-// how a kernel gives a clean node the predecessor's result, and whether
-// a recomputed node shows its parent other inputs than before.
+// predecessor is a sweep's predecessor: the nodes whose own input
+// changed, how a kernel gives a clean node the predecessor's result, and
+// whether a recomputed node shows its parent other inputs than before.
 type predecessor struct {
 	changed []bool
 	keep    func(pos int)
 	differs func(pos int, contentChanged bool) bool
 }
 
-// sweep is the one bottom-up driver of the T-DP, shared by the π pass,
-// the exact count and the semiring fold. It runs kernel once per node,
-// deepest level first, so a node's kernel reads only its children's
-// results, which the previous level's barrier finalised; the nodes of a
-// level fan out on cfg's pool, cancellation checked between node tasks.
-// Each kernel loops over its node's rows and writes only its own state.
-// With a predecessor, a node runs only if its content changed or a
+// sweep is the one bottom-up driver of the T-DP, shared by the plan
+// build, the π pass, the exact count and the semiring fold. It runs
+// kernel once per node, deepest level first, so a node's kernel reads
+// only its children's results, which the previous level's barrier
+// finalised; the nodes of a level fan out on cfg's pool, cancellation
+// checked between node tasks. Each kernel loops over its node's rows and
+// writes only its own state (the build's also its children's groups,
+// which no other node writes).
+// With a predecessor, a node runs only if its input changed or a
 // child's result differs; the others keep the predecessor's, so clean
 // subtrees are shared and the sweep stops where a recomputed node shows
 // its parent the same inputs as before. It returns how many nodes ran.

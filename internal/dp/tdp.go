@@ -1,7 +1,7 @@
 // Package dp builds the tree-based dynamic program (T-DP) that underlies
 // the any-k algorithms of Part 3 of the tutorial. Given an acyclic join
-// query, the relations are reduced by the bottom-up semi-join sweep and
-// arranged along the join tree in DFS preorder. Each tree node's tuples
+// query, the relations are arranged along the join tree in DFS preorder
+// and reduced by the bottom-up semi-join sweep. Each tree node's tuples
 // are partitioned into *candidate groups* by their join key with the
 // parent; every group carries the suffix-optimal weight π of its best
 // member, where
@@ -18,22 +18,26 @@
 // of each child group it selects, so every descent from the root
 // completes, and a row the top-down sweep would remove sits in a group
 // that no parent row selects — never visited by enumeration, counting
-// or sampling.
+// or sampling. The grouping is that sweep with the match kept: one index
+// of a child's rows on its key with the parent decides which parent rows
+// survive, and its groups are the child's candidate groups.
 //
 // Every pass over the T-DP runs on one bottom-up driver (sweep), level
 // by level and, given a predecessor, only where a data delta reached.
-// Three per-node kernels run on it: π (Plan.InstantiateDelta), exact
-// counts, which uniform sampling descends (TDP.Draw), and a semiring
-// fold (Plan.Eval). A plan's counts are one artefact, built by their
-// first reader and shared by every T-DP instantiated from the plan;
-// NewPlanDelta carries a predecessor's forward along the dirty path.
+// Four per-node kernels run on it: the build (linkNode, which reduces a
+// node by its children and links its rows to their groups), π
+// (Plan.InstantiateDelta), exact counts, which uniform sampling descends
+// (TDP.Draw), and a semiring fold (Plan.Eval). A plan's counts are one
+// artefact, built by their first reader and shared by every T-DP
+// instantiated from the plan; NewPlanDelta carries a predecessor's
+// forward along the dirty path.
 //
 // Each of the two build steps has one implementation that takes an
-// optional predecessor — NewPlanDelta (reduce, lay out, group) and
-// Plan.InstantiateDelta (the π pass): given the previous epoch's plan
-// or T-DP they redo only what a data delta reached, given none they
-// build everything. NewPlan, Plan.Instantiate and Build are those
-// functions with no predecessor.
+// optional predecessor — NewPlanDelta (lay out, then reduce and group in
+// one pass) and Plan.InstantiateDelta (the π pass): given the previous
+// epoch's plan or T-DP they redo only what a data delta reached, given
+// none they build everything. NewPlan, Plan.Instantiate and Build are
+// those functions with no predecessor.
 package dp
 
 import (
@@ -53,18 +57,18 @@ import (
 // Plan is the aggregate-independent part of the compiled dynamic
 // program: the bottom-up-reduced relations arranged along the join
 // tree, the candidate grouping, and the parent→child group maps.
-// Building it is the expensive step (the semi-join sweep plus hash
-// grouping); Instantiate then derives a TDP for any ranking aggregate
-// with a single bottom-up π pass. A Plan is immutable after NewPlan —
-// but for its count memo, which fills once under its own lock — and
-// safe to share across goroutines and instantiations.
+// Building it is the expensive step (one bottom-up pass that semi-joins
+// and groups on one index per tree edge); Instantiate then derives a TDP
+// for any ranking aggregate with a single bottom-up π pass. A Plan is
+// immutable after NewPlan — but for its count memo, which fills once
+// under its own lock — and safe to share across goroutines and
+// instantiations.
 //
 // Both steps accept Options: WithWorkers(n) fans the per-node work out
-// on a bounded pool (the grouping of NewPlan across all nodes at once;
-// the π pass of Instantiate one depth level at a time), and
-// WithContext(ctx) makes them cancelable between node tasks. Parallel
-// builds are bit-identical to sequential ones — each node's computation
-// runs unchanged on exactly one goroutine, only the interleaving across
+// on a bounded pool, one depth level at a time, and WithContext(ctx)
+// makes them cancelable between node tasks. Parallel builds are
+// bit-identical to sequential ones — each node's computation runs
+// unchanged on exactly one goroutine, only the interleaving across
 // nodes varies — so π arrays, group bests, and every downstream
 // enumeration are the same for any worker count.
 type Plan struct {
@@ -125,6 +129,10 @@ func (p *Plan) TotalTuples() int {
 	}
 	return total
 }
+
+// Empty reports whether the query has no results: the reduced root has
+// no rows. No count is built.
+func (p *Plan) Empty() bool { return p.nodes[0].Rel.Len() == 0 }
 
 // NumSolutions is the number of the query's results, read off the
 // plan's count memo (see Plan): the first reader of the plan or of any
@@ -205,38 +213,31 @@ func NewPlan(q *yannakakis.Query, opts ...Option) (*Plan, error) {
 }
 
 // NewPlanDelta is the aggregate-independent compilation — the only
-// implementation: the bottom-up sweep, preorder layout along the join
-// tree, candidate grouping by parent key, and the parent-row →
-// child-group maps. The per-node grouping is independent across nodes —
-// each task hashes its own rows and writes only its own node's
-// Groups plus its private ChildGroup slot on the parent — so
-// it fans out across all nodes at once.
+// implementation: preorder layout along the join tree, then one
+// bottom-up pass of the build kernel (linkNode) on the plan's driver
+// (sweep).
 //
 // old is the predecessor: a plan for the same query shape whose
 // relations have since received delta batches, with changedBase
 // flagging, per tree node (hyperedge index), the base relations that
-// differ from the ones old was built on. The bottom-up sweep then
-// re-runs only along paths through changed relations (see
-// yannakakis.ReduceDelta), reading its predecessor off old's node
-// relations, and the hash grouping is redone only for
-// nodes whose reduced content changed, or whose parent's did (the
-// parent-row → child-group map hangs off both endpoints); every other
-// node shares the old plan's relation, grouping and child map. A nil
+// differ from the ones old was built on. A node then reruns only if its
+// base changed or a child's reduced rows differ, and the pass stops
+// where a rerun node's rows come out as before (appends that dangle,
+// deletes of dangling rows); every other node is old's, shared whole,
+// and a child's groups are rebuilt only when its own rows changed. A nil
 // old — or one whose tree no longer matches q's, which a pure data delta
-// cannot cause — means no predecessor: changedBase is ignored.
-// With a predecessor, a changedBase of the wrong length is an error.
+// cannot cause — means no predecessor: changedBase is ignored. With a
+// predecessor, a changedBase of the wrong length is an error.
 //
 // What holds for both inputs:
 //  1. Without a predecessor no comparison work is done and no old plan
-//     is consulted: every node goes on the grouping work list behind a
-//     nil check, and that m-element list is the only extra allocation.
-//  2. The plan is bit-identical on both inputs: reduced relations,
-//     groupings, child maps, levels and schema.
-//  3. Spans are named by the predecessor: "plan-build" › "reduce",
-//     "group" without one; "plan-delta" (attributes nodes, regrouped) ›
+//     is consulted: every node runs and is flagged Changed.
+//  2. The plan is bit-identical on both inputs.
+//  3. Spans are named by the predecessor: "plan-build" › "reduce"
+//     without one; "plan-delta" (attributes nodes, regrouped) ›
 //     "reduce-delta" with one.
-//  4. The sweep and grouping run under the WithContext context, with
-//     cancellation checked between node tasks (parallel.ForEach).
+//  4. Cancellation of the WithContext context is checked between node
+//     tasks.
 func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Option) (*Plan, *DeltaStats, error) {
 	cfg := newConfig(opts)
 	tree := q.Tree
@@ -247,34 +248,10 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 	for pos, edge := range tree.Order {
 		posOf[edge] = pos
 	}
-
-	name := "plan-build"
-	var oldBU []*relation.Relation // old's node relations by tree node id
-	if !planMatchesTree(old, q, posOf) {
-		old = nil
-	} else {
-		if len(changedBase) != m {
-			return nil, nil, fmt.Errorf("dp: NewPlanDelta got %d changed flags for %d tree nodes", len(changedBase), m)
-		}
-		name, oldBU = "plan-delta", make([]*relation.Relation, m)
-		for pos, edge := range tree.Order {
-			oldBU[edge] = old.nodes[pos].Rel
-		}
-	}
-	var sp *obs.Span
-	cfg.ctx, sp = obs.StartSpan(cfg.ctx, name)
-	defer sp.End()
-	bu, dirty, err := q.ReduceDelta(cfg.ctx, cfg.workers, oldBU, changedBase)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	t := &Plan{nodes: make([]*Node, m)}
-	st := &DeltaStats{Nodes: m, Changed: make([]bool, m)}
+	seen := make(map[string]bool)
 	for pos, edge := range tree.Order {
-		// A clean node's bu aliases the old epoch's relation, so clean
-		// subtrees share one allocation across epochs.
-		n := &Node{Rel: bu[edge], Parent: -1}
+		n := &Node{Parent: -1}
 		if p := tree.Parent[edge]; p >= 0 {
 			n.Parent = posOf[p]
 		}
@@ -282,28 +259,11 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 			n.Children = append(n.Children, posOf[c])
 		}
 		if len(n.Children) > 0 {
-			// Preallocated so concurrent grouping tasks write disjoint
-			// ChildGroup slots without racing on the slice header.
 			n.ChildGroup = make([][]int32, len(n.Children))
 		}
 		t.nodes[pos] = n
-		st.Changed[pos] = dirty[edge]
-	}
-
-	// Depth levels, mapped from tree-node ids to preorder positions
-	// (each level stays in preorder sequence, i.e. ascending positions).
-	for _, lv := range tree.Levels() {
-		poss := make([]int, len(lv))
-		for i, u := range lv {
-			poss[i] = posOf[u]
-		}
-		t.levels = append(t.levels, poss)
-	}
-
-	// Output schema and emit map.
-	seen := make(map[string]bool)
-	for pos, n := range t.nodes {
-		for col, v := range n.Rel.Attrs {
+		// Output schema and emit map.
+		for col, v := range q.H.Edges[edge].Vars {
 			if !seen[v] {
 				seen[v] = true
 				t.emits = append(t.emits, emitSpec{node: pos, col: col})
@@ -311,34 +271,67 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 			}
 		}
 	}
-
-	// Group rows by parent key, one independent task per node that
-	// cannot take its grouping from the predecessor.
-	regroup := make([]int, 0, m)
-	for pos, n := range t.nodes {
-		if old != nil && !st.Changed[pos] && (n.Parent < 0 || !st.Changed[n.Parent]) {
-			// Reused slots are filled before the fan-out so a concurrent
-			// groupNode for a sibling never reads a nil ChildGroup slot.
-			reuseGrouping(t.nodes, old.nodes, pos)
-			continue
+	// Depth levels, mapped in place from tree-node ids to preorder
+	// positions (each level stays in preorder sequence, i.e. ascending).
+	t.levels = tree.Levels()
+	for _, lv := range t.levels {
+		for i, u := range lv {
+			lv[i] = posOf[u]
 		}
-		regroup = append(regroup, pos)
 	}
-	st.Regrouped = len(regroup)
-	gctx := cfg.ctx
-	if old == nil {
-		var gsp *obs.Span
-		gctx, gsp = obs.StartSpan(cfg.ctx, "group")
-		defer gsp.End()
-	} else {
-		sp.SetAttr("nodes", strconv.Itoa(st.Nodes))
-		sp.SetAttr("regrouped", strconv.Itoa(st.Regrouped))
+
+	st := &DeltaStats{Nodes: m, Changed: make([]bool, m)}
+	name, reduce := "plan-build", "reduce"
+	var pred *predecessor
+	switch {
+	case !t.sameTree(old, q):
+		old = nil
+		for pos := range st.Changed {
+			st.Changed[pos] = true
+		}
+	case len(changedBase) != m:
+		return nil, nil, fmt.Errorf("dp: NewPlanDelta got %d changed flags for %d tree nodes", len(changedBase), m)
+	default:
+		name, reduce = "plan-delta", "reduce-delta"
+		pred = &predecessor{
+			changed: make([]bool, m),
+			keep:    func(pos int) { t.nodes[pos] = old.nodes[pos] },
+			differs: func(pos int, _ bool) bool {
+				n, o := t.nodes[pos], old.nodes[pos]
+				if st.Changed[pos] = !relation.SameContent(n.Rel, o.Rel); !st.Changed[pos] {
+					n.Rel, n.Groups = o.Rel, o.Groups
+				}
+				return st.Changed[pos]
+			},
+		}
+		for pos, edge := range tree.Order {
+			pred.changed[pos] = changedBase[edge]
+		}
 	}
-	err = parallel.ForEach(gctx, cfg.workers, len(regroup), func(i int) error {
-		return groupNode(t.nodes, regroup[i])
-	})
+	var sp *obs.Span
+	cfg.ctx, sp = obs.StartSpan(cfg.ctx, name)
+	defer sp.End()
+	rctx, rsp := obs.StartSpan(cfg.ctx, reduce)
+	_, err := sweep(config{ctx: rctx, workers: cfg.workers}, t.levels, t.nodes, func(pos int) error { return linkNode(q, t.nodes, st.Changed, pos) }, pred)
+	rsp.End()
 	if err != nil {
 		return nil, nil, err
+	}
+	if root := t.nodes[0]; root.Groups == nil {
+		rows := make([]int32, root.Rel.Len())
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		root.Groups = []Group{{Rows: rows}}
+	}
+	for _, c := range st.Changed {
+		if c {
+			st.Regrouped++
+		}
+	}
+	if old != nil {
+		sp.SetAttr("nodes", strconv.Itoa(st.Nodes))
+		sp.SetAttr("regrouped", strconv.Itoa(st.Regrouped))
 	}
 	t.counts = &counts{levels: t.levels}
 	if old != nil && old.counts.done.Load() {
@@ -351,48 +344,74 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 	return t, st, nil
 }
 
-// groupNode partitions node pos's rows into candidate groups by their
-// join key with the parent and resolves the parent's rows to those
-// groups. It writes only pos's own Groups and the
-// ChildGroup slot the parent reserves for pos, so tasks for different
-// nodes never touch the same memory.
-func groupNode(nodes []*Node, pos int) error {
-	n := nodes[pos]
-	if n.Parent < 0 {
-		rows := make([]int32, n.Rel.Len())
-		for i := range rows {
-			rows[i] = int32(i)
-		}
-		n.Groups = []Group{{Rows: rows}}
+// linkNode is the build kernel: the bottom-up semi-join with the match
+// kept. Per child it builds one index, on the attributes the child
+// shares with node pos, whose groups become the child's Groups when the
+// child's rows are new (fresh); each row of pos's input is probed once
+// per child, kept if it finds every child, and mapped to the groups it
+// found. A node that drops no row keeps its input relation, uncopied.
+// It writes only pos's Rel and ChildGroup and its children's Groups.
+func linkNode(q *yannakakis.Query, nodes []*Node, fresh []bool, pos int) error {
+	n, in := nodes[pos], q.Atom(q.Tree.Order[pos])
+	rows := in.Len()
+	n.Rel = in
+	if rows == 0 {
+		n.Rel = in.Subset(nil) // every empty node has the same nil arrays
+	}
+	k := len(n.Children)
+	if k == 0 {
 		return nil
 	}
-	parent := nodes[n.Parent]
-	shared := parent.Rel.SharedAttrs(n.Rel)
-	if len(shared) == 0 {
-		return fmt.Errorf("dp: node %d shares no attributes with its parent (tree edge would be a cartesian product)", pos)
+	ixs, cols := make([]*relation.Index, k), make([][]int, k)
+	for ci, c := range n.Children {
+		child := nodes[c]
+		shared := in.SharedAttrs(child.Rel)
+		if len(shared) == 0 {
+			return fmt.Errorf("dp: node %d shares no attributes with its parent (tree edge would be a cartesian product)", c)
+		}
+		// The index is dropped on return: the plan keeps its row arrays,
+		// which do not reference the probe table. shared are attributes
+		// of both relations, so neither lookup fails.
+		ixs[ci] = relation.MustIndex(child.Rel, shared...)
+		cols[ci], _ = in.AttrIndexes(shared)
+		if fresh[c] {
+			child.Groups = make([]Group, ixs[ci].Keys())
+			for g := range child.Groups {
+				child.Groups[g].Rows = ixs[ci].Rows(g)
+			}
+		}
 	}
-	// The index is dropped on return: the plan keeps its row arrays,
-	// which do not reference the probe table.
-	ix, err := relation.NewIndex(n.Rel, shared...)
-	if err != nil {
-		return err
+	// cg[ci*rows+j] is the group of child ci that the j-th kept row
+	// selects; a row that misses some child is overwritten by the next.
+	cg := make([]int32, k*rows)
+	kept := make([]int32, 0, rows)
+probe:
+	for row, tp := range in.Tuples {
+		for ci, ix := range ixs {
+			g := ix.FindBy(tp, cols[ci])
+			if g < 0 {
+				continue probe
+			}
+			cg[ci*rows+len(kept)] = int32(g)
+		}
+		kept = append(kept, int32(row))
 	}
-	n.Groups = make([]Group, ix.Keys())
-	for g := range n.Groups {
-		n.Groups[g].Rows = ix.Rows(g)
+	s := len(kept)
+	if s < rows {
+		n.Rel = in.Subset(kept)
 	}
-	// Parent rows resolve to this node's groups.
-	pCols, err := parent.Rel.AttrIndexes(shared)
-	if err != nil {
-		return err
+	if 2*s < rows {
+		// Few rows kept: copy their maps out rather than pin an array
+		// sized by the input.
+		packed := make([]int32, k*s)
+		for ci := range k {
+			copy(packed[ci*s:], cg[ci*rows:ci*rows+s])
+		}
+		cg, rows = packed, s
 	}
-	cg := make([]int32, parent.Rel.Len())
-	for row, tp := range parent.Rel.Tuples {
-		// -1 is a dangling parent row: impossible after the bottom-up
-		// sweep.
-		cg[row] = int32(ix.FindBy(tp, pCols))
+	for ci := range n.ChildGroup {
+		n.ChildGroup[ci] = cg[ci*rows : ci*rows+s : ci*rows+s]
 	}
-	parent.ChildGroup[childIndex(nodes, n.Parent, pos)] = cg
 	return nil
 }
 

@@ -29,7 +29,8 @@
 // its output size (a join, bag materialisation) collects rows in a
 // Builder and Concat allocates Tuples and Weights once, at their final
 // length; a row filter (Select, and join.SemiJoin through it) collects
-// surviving row ids first; a caller that knows the length presizes.
+// surviving row ids first and Subset builds the result off them; a
+// caller that knows the length presizes.
 // AddTuple and AddWeighted remain for generators and tests.
 //
 // A relation an operator builds stores its values in a few large arrays,
@@ -212,13 +213,23 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 // half of r's rows; fewer are copied into one fresh array, so the
 // selection does not keep r's values alive.
 func (r *Relation) Select(keep func(t Tuple, w float64) bool) *Relation {
-	out := New(r.Name+"_sel", r.Attrs...)
 	rows := make([]int32, 0, len(r.Tuples))
 	for i, t := range r.Tuples {
 		if keep(t, r.Weights[i]) {
 			rows = append(rows, int32(i))
 		}
 	}
+	out := r.Subset(rows)
+	out.Name = r.Name + "_sel"
+	return out
+}
+
+// Subset returns the relation of r's rows at the ascending positions
+// rows, under r's name, with Tuples and Weights allocated at exactly
+// that length (nil for no row). It is Select once the surviving rows are
+// known, and shares r's tuples or copies them by the same rule.
+func (r *Relation) Subset(rows []int32) *Relation {
+	out := New(r.Name, r.Attrs...)
 	if len(rows) == 0 {
 		return out
 	}
@@ -231,6 +242,15 @@ func (r *Relation) Select(keep func(t Tuple, w float64) bool) *Relation {
 		pack(out.Tuples, out.Tuples)
 	}
 	return out
+}
+
+// SameContent reports exact content equality — same tuples in the same
+// row order, bit-equal weights. It is how an incremental sweep decides
+// that a recomputed node came out as before: a semi-join keeps its left
+// input's row order, so equal inputs reproduce the old output verbatim.
+func SameContent(a, b *Relation) bool {
+	return a == b || a.Arity() == b.Arity() && slices.Equal(a.Weights, b.Weights) &&
+		slices.EqualFunc(a.Tuples, b.Tuples, slices.Equal[[]Value])
 }
 
 // SortByWeight sorts tuples by ascending weight (stable).

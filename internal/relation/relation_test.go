@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -391,5 +392,42 @@ func TestCSVErrors(t *testing.T) {
 	}
 	if r, err := ReadCSV(strings.NewReader("a,w\n1,+Inf\n2,-Inf\n"), "R", true, nil); err != nil || !math.IsInf(r.Weights[0], 1) || !math.IsInf(r.Weights[1], -1) {
 		t.Errorf("±Inf weights should parse, got %v, %v", r, err)
+	}
+}
+
+// TestSubsetAndSameContent: Subset keeps r's name, attributes and the
+// given rows in order, and is nil arrays for no row; SameContent
+// compares rows in order and weights bit for bit, whatever the name or
+// the arrays holding them.
+func TestSubsetAndSameContent(t *testing.T) {
+	r := New("R", "A", "B")
+	for i := Value(0); i < 6; i++ {
+		r.AddWeighted(float64(i), i, i%2)
+	}
+	s := r.Subset([]int32{1, 3, 4})
+	if s.Name != "R" || s.Len() != 3 || !slices.Equal(s.Tuples[1], Tuple{3, 1}) || s.Weights[2] != 4 {
+		t.Fatalf("Subset(1, 3, 4) = %v", s)
+	}
+	if e := r.Subset(nil); e.Tuples != nil || e.Weights != nil || !slices.Equal(e.Attrs, r.Attrs) {
+		t.Fatalf("Subset(nil) = %#v", e)
+	}
+	c := r.Clone()
+	c.Name = "other"
+	if !SameContent(r, c) || !SameContent(s, r.Subset([]int32{1, 3, 4})) || !SameContent(New("E", "A"), New("F", "B")) {
+		t.Error("equal rows in other arrays compare unequal")
+	}
+	swapped := r.Clone()
+	swapped.Tuples[0], swapped.Tuples[1] = swapped.Tuples[1], swapped.Tuples[0]
+	reweighted := r.Clone()
+	reweighted.Weights[2] = 9
+	for name, other := range map[string]*Relation{
+		"row order": swapped, "a weight": reweighted, "a row fewer": r.Subset([]int32{0, 1, 2, 3, 4}),
+	} {
+		if SameContent(r, other) {
+			t.Errorf("relations that differ in %s compare equal", name)
+		}
+	}
+	if SameContent(New("E", "A"), New("E", "A", "B")) {
+		t.Error("empty relations of different arity compare equal")
 	}
 }

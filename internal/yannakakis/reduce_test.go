@@ -21,7 +21,7 @@ func textbookReduce(q *Query) (bu, fin []*relation.Relation) {
 	order := q.Tree.Order
 	for oi := len(order) - 1; oi >= 0; oi-- {
 		u := order[oi]
-		bu[u] = q.queryRel(u)
+		bu[u] = q.Atom(u)
 		for _, c := range q.Tree.Children[u] {
 			bu[u] = join.SemiJoin(bu[u], bu[c])
 		}
@@ -113,16 +113,16 @@ func TestReduceDeltaMatchesReduceKeep(t *testing.T) {
 				}
 				want, _ := textbookReduce(q)
 				for u := 0; u < l; u++ {
-					if !sameContent(cold[u], want[u]) || !coldDirty[u] {
+					if !relation.SameContent(cold[u], want[u]) || !coldDirty[u] {
 						t.Fatalf("%s workers=%d step %d: reduction of node %d from no predecessor differs from the textbook reducer", sh.name, workers, step, u)
 					}
-					if !sameContent(got[u], want[u]) {
+					if !relation.SameContent(got[u], want[u]) {
 						t.Fatalf("%s workers=%d step %d: bottom-up relation %d differs from the textbook reducer", sh.name, workers, step, u)
 					}
 					if !dirty[u] && got[u] != old[u] {
 						t.Fatalf("%s workers=%d step %d: clean node %d does not alias the old epoch", sh.name, workers, step, u)
 					}
-					if dirty[u] && sameContent(got[u], old[u]) {
+					if dirty[u] && relation.SameContent(got[u], old[u]) {
 						t.Fatalf("%s workers=%d step %d: node %d flagged dirty but content is unchanged", sh.name, workers, step, u)
 					}
 				}
@@ -159,14 +159,14 @@ func TestReduceDeltaStopsCleanPaths(t *testing.T) {
 	}
 	want, _ := textbookReduce(q)
 	for u := 0; u < 4; u++ {
-		if !sameContent(got[u], want[u]) {
+		if !relation.SameContent(got[u], want[u]) {
 			t.Fatalf("bottom-up relation %d differs from the textbook reducer", u)
 		}
 		if u == 0 {
 			// Node 0's own relation keeps the dangler (a leaf) or sheds
 			// it (a node with children); either way the dirty flag must
 			// agree.
-			if dirty[u] != !sameContent(got[u], old[u]) {
+			if dirty[u] != !relation.SameContent(got[u], old[u]) {
 				t.Error("appended node's dirty flag disagrees with its content")
 			}
 			continue
@@ -210,7 +210,7 @@ func TestFullReduceWithMatchesTextbook(t *testing.T) {
 				t.Fatal(err)
 			}
 			for u := range want {
-				if !sameContent(got[u], want[u]) {
+				if !relation.SameContent(got[u], want[u]) {
 					t.Errorf("%s workers=%d: fully reduced relation %d differs from the textbook reducer", h, workers, u)
 				}
 			}

@@ -7,19 +7,21 @@
 // that survives participates in at least one result, so the join phase
 // never generates dangling intermediate tuples.
 //
-// The bottom-up sweep has one implementation, ReduceDelta, which takes
-// an optional predecessor: given the previous epoch's bottom-up
-// relations and the set of changed base relations it redoes only the
-// semi-joins a delta reached; given none it sweeps from scratch
-// (ReduceKeep). A T-DP is built on that sweep alone. FullReduceWith
+// The bottom-up sweep here is ReduceDelta, which takes an optional
+// predecessor: given the previous epoch's bottom-up relations and the
+// set of changed base relations it redoes only the semi-joins a delta
+// reached; given none it sweeps from scratch (ReduceKeep). FullReduceWith
 // and FullReduce add one top-down sweep from scratch for the callers
 // that need every surviving tuple to join: Evaluate, the factorized
-// representation and materialised bag trees.
+// representation and materialised bag trees. A T-DP over a tree of
+// atoms needs the bottom-up sweep alone, and internal/dp runs it fused
+// with its grouping, one index per tree edge serving both.
 package yannakakis
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/hypergraph"
 	"repro/internal/join"
@@ -55,13 +57,16 @@ func NewQuery(h *hypergraph.Hypergraph, rels []*relation.Relation) (*Query, erro
 	return &Query{Rels: rels, H: h, Tree: tree}, nil
 }
 
-// queryRel returns the relation for tree node i with its attributes
-// renamed to the hypergraph's variables, so joins are by query variable
-// rather than by the relation's own attribute names. The tuples are
-// shared with the input relation.
-func (q *Query) queryRel(i int) *relation.Relation {
-	e := q.H.Edges[i]
-	r := q.Rels[i]
+// Atom returns the relation of tree node i with its attributes named by
+// the hypergraph's variables, so joins are by query variable rather
+// than by the relation's own attribute names: the input relation itself
+// when its attributes already are those, else a header sharing its
+// tuples.
+func (q *Query) Atom(i int) *relation.Relation {
+	e, r := q.H.Edges[i], q.Rels[i]
+	if slices.Equal(r.Attrs, e.Vars) {
+		return r
+	}
 	out := relation.New(r.Name, e.Vars...)
 	out.Tuples = r.Tuples
 	out.Weights = r.Weights

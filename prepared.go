@@ -101,16 +101,6 @@ type Prepared struct {
 	// deltaMu serialises ApplyDelta calls (concurrent deltas would race
 	// to build successor epochs from the same base).
 	deltaMu sync.Mutex
-
-	// Cumulative delta counters across the handle's lifetime, surfaced
-	// by PlanStats.
-	deltasApplied        atomic.Int64
-	deltaAppendedRows    atomic.Int64
-	deltaDeletedRows     atomic.Int64
-	deltaBagsRebuilt     atomic.Int64
-	deltaNodesReused     atomic.Int64
-	deltaNodesRecomputed atomic.Int64
-	lastDeltaNs          atomic.Int64
 }
 
 // planState is one epoch of a handle's prepared state: the input
@@ -141,6 +131,12 @@ type planState struct {
 
 	// sampled counts the results Sample drew on the epoch.
 	sampled atomic.Int64
+
+	// deltas holds PlanStats' delta totals (Delta*, LastDeltaNs) as of
+	// this epoch, so PlanStats reads them off the same snapshot as the
+	// epoch: an epoch starts from its predecessor's, and the buildState
+	// and ApplyDelta that make it add what they did.
+	deltas PlanStats
 }
 
 // onceCache memoizes one value per ranking function. The mutex guards
@@ -333,7 +329,7 @@ func Compile(q *Query, opts ...RunOption) (*Prepared, error) {
 		p.estBags = []float64{p.estOutput}
 	}
 	// The first epoch is a delta from nothing.
-	st, _, err := p.buildState(cfg, nil, q.rels, nil)
+	st, err := p.buildState(cfg, nil, q.rels, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -341,23 +337,17 @@ func Compile(q *Query, opts ...RunOption) (*Prepared, error) {
 	return p, nil
 }
 
-// deltaCounts sums what one buildState reused and redid, in the units
-// PlanStats reports: decomposition bags and join-tree nodes.
-type deltaCounts struct {
-	bagsRebuilt, nodesReused, nodesRecomputed int64
-}
-
 // buildState builds one epoch of prepared state over rels — the only
 // place a planState is constructed. old is the predecessor epoch (nil
 // at Compile) and changed flags, per atom, the relations that differ
-// from old's. The epoch's structure is built at the parallelism a first
+// from old's; the bags and nodes it reuses and redoes are added to the
+// delta totals it carries over from old. The epoch's structure is built at the parallelism a first
 // Run would use, estimated from the input size (the reduced size is not
 // known yet), and under cfg.ctx. Every ranking built on old is rebuilt
 // from its old plan into the new state's cache, so warm rankings stay
 // warm; with no predecessor there are none, and plans build lazily
 // on first Run (planFor).
-func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Relation, changed []bool) (*planState, deltaCounts, error) {
-	var n deltaCounts
+func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Relation, changed []bool) (*planState, error) {
 	inputTuples := 0
 	for _, r := range rels {
 		inputTuples += r.Len()
@@ -365,15 +355,16 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 	st := &planState{epoch: 1, srcRels: rels}
 	var oldStructure *decomp.Epoch
 	if old != nil {
-		st.epoch, oldStructure = old.epoch+1, old.structure
+		st.epoch, st.deltas, oldStructure = old.epoch+1, old.deltas, old.structure
 	}
 	workers := p.prepareWorkers(cfg, inputTuples)
 	structure, ds, err := p.shape.Build(rels, oldStructure, changed, p.prepareOpts(cfg.ctx, workers)...)
 	if err != nil {
-		return nil, n, err
+		return nil, err
 	}
 	st.structure, st.estTuples = structure, structure.Tuples()
-	n.nodesReused += int64(ds.TreeNodes - ds.TreeRegrouped)
+	n := &st.deltas
+	n.DeltaNodesReused += int64(ds.TreeNodes - ds.TreeRegrouped)
 	if old != nil {
 		for agg, oldPlan := range old.plans.built() {
 			var rds decomp.DeltaStats
@@ -382,14 +373,14 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 				return d, err
 			})
 			if err != nil {
-				return nil, n, err
+				return nil, err
 			}
-			n.bagsRebuilt += int64(rds.BagsRebuilt)
-			n.nodesRecomputed += int64(rds.TreeRecomputed)
-			n.nodesReused += int64(rds.TreeNodes - rds.TreeRecomputed)
+			n.DeltaBagsRebuilt += int64(rds.BagsRebuilt)
+			n.DeltaNodesRecomputed += int64(rds.TreeRecomputed)
+			n.DeltaNodesReused += int64(rds.TreeNodes - rds.TreeRecomputed)
 		}
 	}
-	return st, n, nil
+	return st, nil
 }
 
 // Prepare is Compile as a method on the query builder.
@@ -503,21 +494,15 @@ type RankingStats struct {
 // PlanStats snapshots the handle without triggering or waiting on any
 // plan build: rankings mid-build are simply not listed yet. It counts
 // the epoch's answers if no call has yet. Safe to call concurrently with
-// Runs and ApplyDelta.
+// Runs and ApplyDelta; every field describes one epoch, whose delta
+// totals are those of the deltas that produced it.
 func (p *Prepared) PlanStats() PlanStats {
 	s := p.state.Load()
-	st := PlanStats{
-		Fingerprint:   p.fp,
-		Kind:          p.shape.Kind,
-		Decomposition: p.shape.Decomposition,
-		OutAttrs:      p.shape.Attrs,
-		Epoch:         s.epoch,
-		EstTuples:     s.estTuples,
-		Solutions:     -1,
-		SampleTrials:  s.sampled.Load(),
-		SampleAccepts: s.sampled.Load(),
-	}
-	if n, err := s.solutions(); err == nil {
+	st := s.deltas
+	st.Fingerprint, st.Kind, st.Decomposition, st.OutAttrs = p.fp, p.shape.Kind, p.shape.Decomposition, p.shape.Attrs
+	st.Epoch, st.EstTuples, st.Solutions = s.epoch, s.estTuples, -1
+	st.SampleTrials, st.SampleAccepts = s.sampled.Load(), s.sampled.Load()
+	if n, err := s.structure.NumSolutions(s.firstPlan()); err == nil {
 		st.Solutions = n
 	}
 	// actualBags flattens one built ranking's materialised bag sizes.
@@ -550,13 +535,6 @@ func (p *Prepared) PlanStats() PlanStats {
 			}
 		}
 	}
-	st.DeltasApplied = p.deltasApplied.Load()
-	st.DeltaAppendedRows = p.deltaAppendedRows.Load()
-	st.DeltaDeletedRows = p.deltaDeletedRows.Load()
-	st.DeltaBagsRebuilt = p.deltaBagsRebuilt.Load()
-	st.DeltaNodesReused = p.deltaNodesReused.Load()
-	st.DeltaNodesRecomputed = p.deltaNodesRecomputed.Load()
-	st.LastDeltaNs = p.lastDeltaNs.Load()
 	return st
 }
 
@@ -774,7 +752,7 @@ func (p *Prepared) Count(opts ...RunOption) (int, error) {
 		return 0, err
 	}
 	st := p.state.Load()
-	n, err := st.solutions()
+	n, err := st.structure.NumSolutions(st.firstPlan())
 	if n < 0 && err == nil {
 		var d *decomp.Plan
 		if d, err = p.planFor(cfg, st, MaxCost); err != nil {
@@ -792,11 +770,10 @@ func (p *Prepared) Count(opts ...RunOption) (int, error) {
 // that does not fit an int64.
 var errCountOverflow = fmt.Errorf("repro: %w", dp.ErrCountOverflow)
 
-// solutions is the epoch's answer count, read off count memos
-// (decomp.Epoch.NumSolutions): off the epoch alone when no tree
-// materialises bags, otherwise off the built plan whose ranking sorts
-// first, so repeated counts read one memo, and -1 when none is built.
-func (st *planState) solutions() (int, error) {
+// firstPlan is the epoch's built plan whose ranking sorts first, nil
+// when none is built: the plan a count reads (decomp.Epoch.NumSolutions)
+// when a tree materialises bags, so repeated counts read one memo.
+func (st *planState) firstPlan() *decomp.Plan {
 	var first *decomp.Plan
 	name := ""
 	for agg, d := range st.plans.built() {
@@ -804,17 +781,28 @@ func (st *planState) solutions() (int, error) {
 			first, name = d, agg.Name()
 		}
 	}
-	return st.structure.NumSolutions(first)
+	return first
 }
 
-// IsEmpty answers the Boolean query "does the join have any result?":
-// Count is zero. A count too large for an int64 is not empty.
+// IsEmpty answers the Boolean query "does the join have any result?"
+// without counting (decomp.Epoch.IsEmpty): a tree of atoms answers off
+// its reduced root, and a tree of materialised bags off the plan Count
+// would read, built as Count builds it when there is none.
 func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
-	n, err := p.Count(opts...)
-	if errors.Is(err, dp.ErrCountOverflow) {
-		return false, nil
+	cfg, err := newRunConfig(opts)
+	if err != nil {
+		return false, err
 	}
-	return n == 0, err
+	st := p.state.Load()
+	empty, known := st.structure.IsEmpty(st.firstPlan())
+	if !known {
+		d, err := p.planFor(cfg, st, MaxCost)
+		if err != nil {
+			return false, err
+		}
+		empty, _ = st.structure.IsEmpty(d)
+	}
+	return empty, nil
 }
 
 // planFor returns (building and caching on first use) the epoch's plan

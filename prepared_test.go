@@ -519,3 +519,120 @@ func TestCompileErrors(t *testing.T) {
 		t.Error("unknown variant should fail at Run")
 	}
 }
+
+// TestPlanStatsReadsOneEpoch: PlanStats read beside a run of ApplyDelta
+// calls describes one epoch on every read — its delta totals are those
+// of the deltas that produced it, each of which appends one row.
+func TestPlanStatsReadsOneEpoch(t *testing.T) {
+	q := NewQuery().
+		Rel("R", []string{"A", "B"}, []Tuple{{1, 2}}, nil).
+		Rel("S", []string{"B", "C"}, []Tuple{{2, 3}}, nil)
+	p, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deltas = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < deltas; i++ {
+			if err := p.ApplyDelta([]Delta{{Rel: "R", Append: []Tuple{{int64(10 + i), 2}}}}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for {
+		s := p.PlanStats()
+		if s.Epoch != 1+s.DeltasApplied || s.DeltaAppendedRows != s.DeltasApplied {
+			t.Errorf("PlanStats mixes epochs: epoch %d, %d deltas applied, %d rows appended", s.Epoch, s.DeltasApplied, s.DeltaAppendedRows)
+			break
+		}
+		if s.Epoch == 1+deltas {
+			break
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if s := p.PlanStats(); s.DeltasApplied != deltas || s.DeltaAppendedRows != deltas {
+		t.Errorf("after %d deltas: %d applied, %d rows appended", deltas, s.DeltasApplied, s.DeltaAppendedRows)
+	}
+}
+
+// TestIsEmptyCountsNothing: on an atom tree IsEmpty reads the reduced
+// root and builds no count arrays, so Compile plus IsEmpty allocates at
+// most two objects more than Compile alone (the first Count allocates
+// one array per join-tree node; TestCompileCountsNothing).
+func TestIsEmptyCountsNothing(t *testing.T) {
+	const atoms = 8
+	tuples := make([]Tuple, 50)
+	for j := range tuples {
+		tuples[j] = Tuple{0, int64(j)}
+	}
+	q := NewQuery()
+	for i := 0; i < atoms; i++ {
+		q.Rel(fmt.Sprintf("R%d", i), []string{"X", fmt.Sprintf("Y%d", i)}, tuples, nil)
+	}
+	compile := func() *Prepared {
+		p, err := Compile(q, WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	alone := testing.AllocsPerRun(10, func() { compile() })
+	withEmpty := testing.AllocsPerRun(10, func() {
+		if empty, err := compile().IsEmpty(); err != nil || empty {
+			t.Fatalf("IsEmpty = %v, %v; want false, nil", empty, err)
+		}
+	})
+	if withEmpty-alone > 2 {
+		t.Errorf("IsEmpty allocated %.0f times beyond Compile's %.0f, want at most 2: it counted", withEmpty-alone, alone)
+	}
+}
+
+// TestIsEmptyPerShape: IsEmpty agrees with Count on an acyclic query, a
+// triangle (one bag) and a 4-cycle, empty and not. The non-empty
+// 4-cycle's only answer has a heavy B, so the first of its three
+// heavy/light trees is empty and a later one decides.
+func TestIsEmptyPerShape(t *testing.T) {
+	e := func(rows ...Tuple) []Tuple { return rows }
+	for _, c := range []struct {
+		name  string
+		attrs [][]string
+		rels  [][]Tuple
+		empty bool
+	}{
+		{"path", [][]string{{"A", "B"}, {"B", "C"}}, [][]Tuple{e(Tuple{1, 2}), e(Tuple{2, 3})}, false},
+		{"path empty", [][]string{{"A", "B"}, {"B", "C"}}, [][]Tuple{e(Tuple{1, 2}), e(Tuple{5, 3})}, true},
+		{"triangle", [][]string{{"A", "B"}, {"B", "C"}, {"C", "A"}}, [][]Tuple{e(Tuple{1, 2}), e(Tuple{2, 3}), e(Tuple{3, 1})}, false},
+		{"triangle empty", [][]string{{"A", "B"}, {"B", "C"}, {"C", "A"}}, [][]Tuple{e(Tuple{1, 2}), e(Tuple{2, 3}), e(Tuple{3, 9})}, true},
+		{"4-cycle", [][]string{{"A", "B"}, {"B", "C"}, {"C", "D"}, {"D", "A"}},
+			[][]Tuple{e(Tuple{1, 2}), e(Tuple{2, 3}, Tuple{2, 5}), e(Tuple{3, 4}), e(Tuple{4, 1})}, false},
+		{"4-cycle empty", [][]string{{"A", "B"}, {"B", "C"}, {"C", "D"}, {"D", "A"}},
+			[][]Tuple{e(Tuple{1, 2}), e(Tuple{2, 3}, Tuple{2, 5}), e(Tuple{3, 4}), e(Tuple{4, 9})}, true},
+	} {
+		q := NewQuery()
+		for i, rows := range c.rels {
+			q.Rel(fmt.Sprintf("R%d", i+1), c.attrs[i], rows, nil)
+		}
+		p, err := Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if empty, err := p.IsEmpty(); err != nil || empty != c.empty {
+			t.Errorf("%s: IsEmpty = %v, %v; want %v", c.name, empty, err, c.empty)
+		}
+		if n, err := p.Count(); err != nil || (n == 0) != c.empty {
+			t.Errorf("%s: Count = %d, %v beside IsEmpty %v", c.name, n, err, c.empty)
+		}
+		if c.name == "4-cycle" {
+			bags := p.PlanStats().Rankings[0].BagSizes
+			// A tree is empty iff one of its bags is.
+			if len(bags) != 3 || slices.Min(bags[0]) != 0 || slices.Min(bags[1]) == 0 && slices.Min(bags[2]) == 0 {
+				t.Errorf("4-cycle bag sizes %v, want three trees, the first empty and a later one not", bags)
+			}
+		}
+	}
+}

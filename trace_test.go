@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +28,19 @@ func findSpan(spans []*obs.SpanJSON, name string) *obs.SpanJSON {
 		}
 	}
 	return nil
+}
+
+// spanShape renders a span tree as name(children...), children in
+// start order, so a test can pin which span sits under which.
+func spanShape(s *obs.SpanJSON) string {
+	if len(s.Children) == 0 {
+		return s.Name
+	}
+	kids := make([]string, len(s.Children))
+	for i, c := range s.Children {
+		kids[i] = spanShape(c)
+	}
+	return s.Name + "(" + strings.Join(kids, " ") + ")"
 }
 
 func TestTraceSpansAcyclic(t *testing.T) {
@@ -58,13 +72,19 @@ func TestTraceSpansAcyclic(t *testing.T) {
 	j := tr.Snapshot()
 	names := map[string]int{}
 	collectNames(j.Spans, names)
-	for _, want := range []string{"compile", "cost-model", "plan-build", "reduce", "group", "prepare", "instantiate", "enumerate"} {
+	for _, want := range []string{"compile", "cost-model", "plan-build", "reduce", "prepare", "instantiate", "enumerate"} {
 		if names[want] == 0 {
 			t.Errorf("missing span %q in acyclic trace (got %v)", want, names)
 		}
 	}
-	if c := findSpan(j.Spans, "compile"); c == nil || c.Attrs["kind"] != "acyclic" {
-		t.Errorf("compile span kind attr wrong: %+v", c)
+	c := findSpan(j.Spans, "compile")
+	if c == nil || c.Attrs["kind"] != "acyclic" {
+		t.Fatalf("compile span kind attr wrong: %+v", c)
+	}
+	// The atom tree is built in one pass: reduce under plan-build, and
+	// no grouping span of its own.
+	if got, want := spanShape(c), "compile(cost-model plan-build(reduce))"; got != want {
+		t.Errorf("compile span tree = %s, want %s", got, want)
 	}
 	enum := findSpan(j.Spans, "enumerate")
 	if enum == nil {
@@ -153,9 +173,18 @@ func TestTraceSpansCyclic(t *testing.T) {
 	}
 	names = map[string]int{}
 	collectNames(prep.Children, names)
-	for _, want := range []string{"materialize", "plan-build", "reduce", "group", "instantiate"} {
+	for _, want := range []string{"materialize", "plan-build", "reduce", "instantiate"} {
 		if names[want] == 0 {
 			t.Errorf("missing span %q under prepare in the 4-cycle trace (got %v)", want, names)
+		}
+	}
+	// Each bag tree is fully reduced, then built in one pass.
+	if names["group"] != 0 || names["plan-build"] != 3 || names["reduce"] != 6 {
+		t.Errorf("4-cycle prepare spans %v, want 3 plan-build, 6 reduce and no group", names)
+	}
+	for _, s := range prep.Children {
+		if s.Name == "plan-build" && spanShape(s) != "plan-build(reduce)" {
+			t.Errorf("4-cycle bag tree build = %s, want plan-build(reduce)", spanShape(s))
 		}
 	}
 	if m := findSpan(prep.Children, "materialize"); m != nil && (m.Attrs["bag"] == "" || m.Attrs["rows"] == "") {
@@ -189,6 +218,9 @@ func TestTraceSpansDelta(t *testing.T) {
 		if names[want] == 0 {
 			t.Errorf("missing span %q in delta trace (got %v)", want, names)
 		}
+	}
+	if pd := findSpan(j.Spans, "plan-delta"); spanShape(pd) != "plan-delta(reduce-delta)" {
+		t.Errorf("plan-delta span tree = %s, want plan-delta(reduce-delta)", spanShape(pd))
 	}
 	ad := findSpan(j.Spans, "apply-delta")
 	if ad.Attrs["epoch"] != "2" || ad.Attrs["appended"] != "1" {
