@@ -86,17 +86,25 @@ func emit(out *relation.Builder, row, lt, rt relation.Tuple, rKeep []int, w floa
 }
 
 // SemiJoin returns the tuples of l that join with at least one tuple of
-// r on the shared attributes (weights unchanged). With no shared
-// attributes, the result is l itself when r is non-empty, else empty:
-// r's index on zero attributes has the empty key iff r has a row.
-// The result keeps l's name and is sized exactly (Relation.Select).
+// r on the shared attributes (weights unchanged). When every row of l
+// joins — with no shared attributes, whenever r is non-empty: r's index
+// on zero attributes has the empty key iff r has a row — the result is
+// l itself, not a copy. Otherwise it is a new relation under l's name,
+// sized exactly (Relation.Subset).
 func SemiJoin(l, r *relation.Relation) *relation.Relation {
 	shared := l.SharedAttrs(r)
 	rIdx := relation.MustIndex(r, shared...)
 	lCols, _ := l.AttrIndexes(shared)
-	out := l.Select(func(t relation.Tuple, _ float64) bool { return rIdx.FindBy(t, lCols) >= 0 })
-	out.Name = l.Name
-	return out
+	rows := make([]int32, 0, l.Len())
+	for i, t := range l.Tuples {
+		if rIdx.FindBy(t, lCols) >= 0 {
+			rows = append(rows, int32(i))
+		}
+	}
+	if len(rows) == l.Len() {
+		return l
+	}
+	return l.Subset(rows)
 }
 
 // Plan is a left-deep binary join plan: ((R1 ⋈ R2) ⋈ R3) ⋈ ...

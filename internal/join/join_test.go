@@ -123,9 +123,10 @@ func TestSemiJoin(t *testing.T) {
 	}
 }
 
-// TestSemiJoinAllocationShape: a semi-join allocates the same number of
-// objects whether 10² or 10⁵ rows survive — one row-id vector and two
-// exactly sized arrays, never a chain of append-grown ones.
+// TestSemiJoinAllocationShape: a semi-join that drops a row allocates
+// the same number of objects whether 10² or 10⁵ rows survive — one
+// row-id vector and two exactly sized arrays, never a chain of
+// append-grown ones — and one that drops none returns its input itself.
 func TestSemiJoinAllocationShape(t *testing.T) {
 	s := rel("S", []string{"B"}, [][]relation.Value{{7}}, nil)
 	allocs := func(n int) float64 {
@@ -133,10 +134,14 @@ func TestSemiJoinAllocationShape(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r.Add(relation.Value(i), 7)
 		}
+		if out := SemiJoin(r, s); out != r {
+			t.Fatalf("n=%d: every row survives, but SemiJoin did not return its input", n)
+		}
+		r.Add(relation.Value(n), 8)
 		var out *relation.Relation
 		a := testing.AllocsPerRun(5, func() { out = SemiJoin(r, s) })
-		if out.Len() != n || cap(out.Tuples) != n || cap(out.Weights) != n {
-			t.Fatalf("n=%d: %d rows survive, cap(Tuples)=%d cap(Weights)=%d", n, out.Len(), cap(out.Tuples), cap(out.Weights))
+		if out.Len() != n || cap(out.Tuples) != n || cap(out.Weights) != n || out.Name != "R" {
+			t.Fatalf("n=%d: %d rows survive, cap(Tuples)=%d cap(Weights)=%d, name %q", n, out.Len(), cap(out.Tuples), cap(out.Weights), out.Name)
 		}
 		return a
 	}

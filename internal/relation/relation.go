@@ -28,9 +28,9 @@
 // No relation array is grown by append. An operator that does not know
 // its output size (a join, bag materialisation) collects rows in a
 // Builder and Concat allocates Tuples and Weights once, at their final
-// length; a row filter (Select, and join.SemiJoin through it) collects
-// surviving row ids first and Subset builds the result off them; a
-// caller that knows the length presizes.
+// length; a row filter (Select, join.SemiJoin) collects surviving row
+// ids first and Subset builds the result off them; a caller that knows
+// the length presizes.
 // AddTuple and AddWeighted remain for generators and tests.
 //
 // A relation an operator builds stores its values in a few large arrays,

@@ -3,12 +3,20 @@ package wcoj
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // benchCycle returns the n-cycle query E0(V0,V1), …, E{n-1}(V{n-1},V0)
 // over n copies of one random edge list, in the order V0, …, V{n-1}.
-func benchCycle(n, edges, domain int) ([]Atom, []string) {
+// Vertex ids are multiplied by scale: order-preserving, so the join does
+// the same seeks, while a large scale makes the key columns sparse.
+func benchCycle(n, edges, domain int, scale relation.Value) ([]Atom, []string) {
 	list := randomEdges(edges, domain, 42)
+	for i := range list {
+		list[i][0] *= scale
+		list[i][1] *= scale
+	}
 	vars := make([]string, n)
 	for i := range vars {
 		vars[i] = fmt.Sprintf("V%d", i)
@@ -37,11 +45,19 @@ func benchMaterialize(b *testing.B, atoms []Atom, order []string) {
 }
 
 func BenchmarkMaterializeTriangle(b *testing.B) {
-	atoms, order := benchCycle(3, 20000, 1500)
+	atoms, order := benchCycle(3, 20000, 1500, 1)
+	benchMaterialize(b, atoms, order)
+}
+
+// BenchmarkMaterializeTriangleSparse is BenchmarkMaterializeTriangle with
+// vertex ids 2²⁰ apart, so no depth-0 column is dense enough to address
+// directly and every seek searches its column.
+func BenchmarkMaterializeTriangleSparse(b *testing.B) {
+	atoms, order := benchCycle(3, 20000, 1500, 1<<20)
 	benchMaterialize(b, atoms, order)
 }
 
 func BenchmarkMaterializeCycle6(b *testing.B) {
-	atoms, order := benchCycle(6, 4000, 1500)
+	atoms, order := benchCycle(6, 4000, 1500, 1)
 	benchMaterialize(b, atoms, order)
 }

@@ -3,7 +3,9 @@ package wcoj
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"repro/internal/parallel"
 	"repro/internal/ranking"
 	"repro/internal/relation"
 )
@@ -13,7 +15,9 @@ type Instr struct {
 	// Seeks counts trie narrow, seekGE and nextBlock calls, one per call.
 	// A narrow binary-searches its first row, O(log n); the end of a
 	// block and a leapfrog seek are found by galloping, O(log d) in the
-	// distance d the cursor moves.
+	// distance d the cursor moves. On an atom whose first variable's
+	// column is dense, a narrow or nextBlock of that variable reads its
+	// offsets instead, O(1), and still counts one seek.
 	Seeks int
 	// Emits counts produced results.
 	Emits int
@@ -50,16 +54,18 @@ type atomDepth struct {
 	depth int
 }
 
-func newJoin(atoms []Atom, varOrder []string, agg ranking.Aggregate, emit Emit, leapfrog bool) (*driver, error) {
-	orderIndex := make(map[string]int, len(varOrder))
+// newJoin sorts every atom into its trie and lays out the driver. With
+// workers > 1 the atoms are sorted on that many goroutines, and the
+// error is the lowest-indexed atom's, as the sequential loop reports.
+func newJoin(ctx context.Context, workers int, atoms []Atom, varOrder []string, agg ranking.Aggregate, emit Emit, leapfrog bool) (*driver, error) {
 	for i, v := range varOrder {
-		if _, dup := orderIndex[v]; dup {
+		if slices.Contains(varOrder[:i], v) {
 			return nil, fmt.Errorf("wcoj: duplicate variable %s in order", v)
 		}
-		orderIndex[v] = i
 	}
 	j := &driver{
 		varOrder: varOrder,
+		atoms:    make([]*atomState, len(atoms)),
 		byVar:    make([][]atomDepth, len(varOrder)),
 		agg:      agg,
 		emit:     emit,
@@ -67,13 +73,25 @@ func newJoin(atoms []Atom, varOrder []string, agg ranking.Aggregate, emit Emit, 
 		assigned: make(relation.Tuple, len(varOrder)),
 		leapfrog: leapfrog,
 	}
-	covered := make([]bool, len(varOrder))
-	for _, a := range atoms {
-		st, err := newAtomState(a, orderIndex)
+	if workers > 1 {
+		err := parallel.ForEach(ctx, workers, len(atoms), func(i int) (err error) {
+			j.atoms[i], err = newAtomState(atoms[i], varOrder)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		j.atoms = append(j.atoms, st)
+	} else {
+		for i, a := range atoms {
+			st, err := newAtomState(a, varOrder)
+			if err != nil {
+				return nil, err
+			}
+			j.atoms[i] = st
+		}
+	}
+	covered := make([]bool, len(varOrder))
+	for _, st := range j.atoms {
 		for d, pos := range st.globalPos {
 			j.byVar[pos] = append(j.byVar[pos], atomDepth{atom: st, depth: d})
 			covered[pos] = true
@@ -109,7 +127,7 @@ func (j *driver) allocCursors() {
 // the given atoms with the given global variable order, invoking emit for
 // every result. It returns instrumentation counters.
 func GenericJoin(atoms []Atom, varOrder []string, agg ranking.Aggregate, emit Emit) (*Instr, error) {
-	j, err := newJoin(atoms, varOrder, agg, emit, false)
+	j, err := newJoin(context.Background(), 1, atoms, varOrder, agg, emit, false)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +139,7 @@ func GenericJoin(atoms []Atom, varOrder []string, agg ranking.Aggregate, emit Em
 // all participating atoms leapfrog to their next common value instead of
 // one atom driving and the others probing.
 func LeapfrogTriejoin(atoms []Atom, varOrder []string, agg ranking.Aggregate, emit Emit) (*Instr, error) {
-	j, err := newJoin(atoms, varOrder, agg, emit, true)
+	j, err := newJoin(context.Background(), 1, atoms, varOrder, agg, emit, true)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +295,7 @@ func Materialize(atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relat
 // (see collect) and ctx.Err() is returned with a nil relation.
 func materialize(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Relation, *Instr, error) {
 	var b relation.Builder
-	j, err := newJoin(atoms, varOrder, agg, collect(ctx, &b), false)
+	j, err := newJoin(ctx, 1, atoms, varOrder, agg, collect(ctx, &b), false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -29,13 +29,13 @@ const chunkFactor = 4
 type SkewHints func(variable string) []relation.Value
 
 // clone returns an independent trie cursor over the same sorted atom
-// data: the sorted rows, key columns and global positions are immutable
-// after newAtomState and shared read-only; only the interval stack and
-// the seek hints are fresh.
+// data: the sorted rows, key columns, depth-0 offsets and global
+// positions are immutable after newAtomState and shared read-only; only
+// the interval stack and the seek hints are fresh.
 func (st *atomState) clone() *atomState {
-	c := &atomState{rel: st.rel, rows: st.rows, keys: st.keys, globalPos: st.globalPos}
+	c := *st
 	c.initCursor()
-	return c
+	return &c
 }
 
 // clone returns an independent driver over cloned atom cursors, so
@@ -253,14 +253,17 @@ func (j *driver) planTasks(vals []lvlVal, chunks int, hints SkewHints) []task {
 // top level once; planTasks then splits the surviving values into
 // heavy/light tasks — heavy values are subdivided at the second
 // variable across workers instead of pinned to one — and each task runs
-// the existing sequential driver on an independent cursor clone.
+// the existing sequential driver on an independent cursor clone. Before
+// that, the atoms are sorted into their tries on the same workers, one
+// task per atom.
 //
 // The result is bit-identical to Materialize — same tuples in the same
 // order (each task collects into its own relation.Builder and the
 // builders are concatenated by task index, straight into the final
 // arrays) and the same Instr totals (the coordinator charges the
 // intersection passes once; workers replay those narrows uncounted and
-// sum their subtree counters after the barrier) — whatever the worker
+// sum their subtree counters after the barrier), and the same error for
+// malformed atoms (the lowest-indexed one's) — whatever the worker
 // count, hinting, or scheduling.
 //
 // workers <= 0 selects GOMAXPROCS; workers == 1 falls back to the
@@ -290,7 +293,7 @@ func MaterializeParallelHinted(ctx context.Context, atoms []Atom, varOrder []str
 	if workers <= 1 || len(varOrder) == 0 {
 		return materialize(ctx, atoms, varOrder, agg)
 	}
-	base, err := newJoin(atoms, varOrder, agg, nil, false)
+	base, err := newJoin(ctx, workers, atoms, varOrder, agg, nil, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -354,7 +357,7 @@ func TaskShares(atoms []Atom, varOrder []string, workers int, hints SkewHints) (
 		return max / total
 	}
 
-	base, jerr := newJoin(atoms, varOrder, ranking.SumCost, func(relation.Tuple, float64) bool { return true }, false)
+	base, jerr := newJoin(context.Background(), 1, atoms, varOrder, ranking.SumCost, func(relation.Tuple, float64) bool { return true }, false)
 	if jerr != nil {
 		return 0, 0, jerr
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -152,19 +153,23 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestMaterializeParallelMidCancel cancels after a few partition-
-// boundary checks; the call must surface ctx.Err() rather than a
-// partial relation.
+// TestMaterializeParallelMidCancel cancels after a few checks; the call
+// must surface ctx.Err() rather than a partial relation. Seven checks
+// precede the partition sweep (one on entry, then one per atom sort
+// and one per sort worker on its way out), so a countdown of 3 lands
+// among the atom sorts and one of 10 among the partitions.
 func TestMaterializeParallelMidCancel(t *testing.T) {
-	ctx := &countdownCtx{Context: context.Background()}
-	ctx.remaining.Store(3)
 	atoms := triangleAtoms(randomEdges(400, 30, 21))
-	out, _, err := MaterializeParallel(ctx, atoms, []string{"A", "B", "C"}, sum, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if out != nil {
-		t.Fatal("canceled materialisation must not return a partial relation")
+	for _, checks := range []int64{3, 10} {
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.remaining.Store(checks)
+		out, _, err := MaterializeParallel(ctx, atoms, []string{"A", "B", "C"}, sum, 4)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("after %d checks: got %v, want context.Canceled", checks, err)
+		}
+		if out != nil {
+			t.Fatalf("after %d checks: canceled materialisation must not return a partial relation", checks)
+		}
 	}
 }
 
@@ -187,5 +192,38 @@ func TestMaterializeParallelGOMAXPROCS1(t *testing.T) {
 	assertSameRelation(t, "gomaxprocs1", got, want)
 	if *gotInstr != *wantInstr {
 		t.Errorf("Instr = %+v, want %+v", *gotInstr, *wantInstr)
+	}
+}
+
+// TestNewJoinParallelBuildError: with two malformed atoms, building the
+// tries on several workers reports the error the sequential loop stops
+// at — the lower-indexed atom's — however the goroutines interleave, and
+// so do MaterializeParallel and Materialize.
+func TestNewJoinParallelBuildError(t *testing.T) {
+	edges := randomEdges(300, 25, 13)
+	order := []string{"A", "B", "C", "D"}
+	atoms := []Atom{
+		{Rel: edgeRel("R", edges), Vars: []string{"A", "B"}},
+		{Rel: edgeRel("S", edges), Vars: []string{"B", "C"}},
+		{Rel: edgeRel("T", edges), Vars: []string{"C", "C"}}, // repeats a variable
+		{Rel: edgeRel("U", edges), Vars: []string{"C", "D"}},
+		{Rel: edgeRel("V", edges), Vars: []string{"D", "E"}}, // E is not in the order
+		{Rel: edgeRel("W", edges), Vars: []string{"D", "A"}},
+	}
+	_, want := newJoin(context.Background(), 1, atoms, order, sum, nil, false)
+	if want == nil || !strings.Contains(want.Error(), "atom T") {
+		t.Fatalf("sequential build: got %v, want atom T's error", want)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		for range 10 {
+			if _, err := newJoin(context.Background(), workers, atoms, order, sum, nil, false); err == nil || err.Error() != want.Error() {
+				t.Fatalf("workers=%d: got %v, want %v", workers, err, want)
+			}
+		}
+	}
+	_, _, seqErr := Materialize(atoms, order, sum)
+	_, _, parErr := MaterializeParallel(context.Background(), atoms, order, sum, 4)
+	if seqErr == nil || parErr == nil || seqErr.Error() != want.Error() || parErr.Error() != want.Error() {
+		t.Fatalf("Materialize: %v, MaterializeParallel: %v, want %v", seqErr, parErr, want)
 	}
 }

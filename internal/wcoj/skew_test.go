@@ -56,7 +56,7 @@ func TestPlanTasksSubdividesHeavyValue(t *testing.T) {
 	order := []string{"A", "B", "C"}
 	const chunks = 16
 
-	base, err := newJoin(atoms, order, sum, nil, false)
+	base, err := newJoin(context.Background(), 1, atoms, order, sum, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSkewHintsLowerThreshold(t *testing.T) {
 	}
 	atoms := []Atom{{Rel: edgeRel("R", edges), Vars: []string{"A", "B"}}}
 	order := []string{"A", "B"}
-	base, err := newJoin(atoms, order, sum, nil, false)
+	base, err := newJoin(context.Background(), 1, atoms, order, sum, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSkewHintsLowerThreshold(t *testing.T) {
 			t.Fatalf("value %d subdivided without a hint", tk.heavy)
 		}
 	}
-	base2, _ := newJoin(atoms, order, sum, nil, false)
+	base2, _ := newJoin(context.Background(), 1, atoms, order, sum, nil, false)
 	vals2 := base2.levelValues(0)
 	hints := func(v string) []relation.Value {
 		if v == "A" {

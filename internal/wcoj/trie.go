@@ -12,15 +12,19 @@
 // depth-d key of sorted row r is keys[d][r]. A trie node is an interval
 // of rows. Seeks are plain searches over one column: a lower bound by
 // binary search, the end of a block by galloping from its first row, so
-// a short block costs O(log block) rather than O(log interval).
+// a short block costs O(log block) rather than O(log interval). The
+// depth-0 interval is always the whole atom, so when its column is dense
+// (vertex ids and dictionary codes are) the atom keeps one offset per
+// value in its range instead, and a depth-0 seek is a direct lookup.
 //
 // Because Generic-Join decomposes over the first variable's domain
 // (the observation behind the skew analysis of "Skew Strikes Back",
 // Ngo–Ré–Rudra), MaterializeParallel partitions the top-level
-// intersection across a bounded worker pool (internal/parallel) while
+// intersection across a bounded worker pool (internal/parallel), on
+// which it also sorts the atoms' tries, one task per atom, while
 // staying bit-identical to the sequential Materialize — same output
-// order, same Instr totals. See docs/ARCHITECTURE.md for the
-// determinism invariants.
+// order, same Instr totals, same error. See docs/ARCHITECTURE.md for
+// the determinism invariants.
 package wcoj
 
 import (
@@ -40,8 +44,8 @@ type Atom struct {
 }
 
 // atomState is the per-atom trie cursor used during the join. rows,
-// keys and globalPos are immutable after newAtomState, and cursor
-// clones share them; iv and hint are each cursor's own.
+// keys, start, base and globalPos are immutable after newAtomState, and
+// cursor clones share them; iv and hint are each cursor's own.
 type atomState struct {
 	rel *relation.Relation
 	// rows is the sorted row order: sorted row r is rel's row rows[r].
@@ -50,12 +54,19 @@ type atomState struct {
 	// keys[d][r] is the value of the atom's depth-d variable in sorted
 	// row r: a view into one flat array holding the columns back to back.
 	keys [][]relation.Value
+	// start is nil unless the depth-0 column is dense (see denseSpan).
+	// Then the sorted rows holding value base+i are [start[i], start[i+1]),
+	// so a depth-0 narrow reads two offsets and a depth-0 nextBlock one,
+	// where a sparse column is searched. It is the tail of rows'
+	// allocation: at most 2n+1 offsets for n rows.
+	start []int32
+	base  relation.Value
 	// iv[d] is the row interval after this atom's first d variables have
 	// been bound; iv[0] = [0, len).
 	iv [][2]int32
-	// hint[d] is the row where the last depth-d narrow stopped. Every row
-	// before it holds a value below the one that narrow sought, so the
-	// next narrow for a larger value may start there.
+	// hint[d] is the row where the last depth-d narrow stopped by search.
+	// Every row before it holds a value below the one that narrow sought,
+	// so the next narrow for a larger value may start there.
 	hint []int32
 	// globalPos[d] is the global variable position of the atom's d-th
 	// variable (strictly increasing).
@@ -63,8 +74,9 @@ type atomState struct {
 }
 
 // newAtomState sorts the atom's tuples by its variables in global order
-// and gathers their values into sorted key columns.
-func newAtomState(a Atom, orderIndex map[string]int) (*atomState, error) {
+// and gathers their values into sorted key columns, with the depth-0
+// offsets when that column is dense.
+func newAtomState(a Atom, varOrder []string) (*atomState, error) {
 	if len(a.Vars) != a.Rel.Arity() {
 		return nil, fmt.Errorf("wcoj: atom %s has %d vars for arity %d", a.Rel.Name, len(a.Vars), a.Rel.Arity())
 	}
@@ -79,8 +91,8 @@ func newAtomState(a Atom, orderIndex map[string]int) (*atomState, error) {
 			return nil, fmt.Errorf("wcoj: atom %s repeats variable %s", a.Rel.Name, v)
 		}
 		seen[v] = true
-		pos, ok := orderIndex[v]
-		if !ok {
+		pos := slices.Index(varOrder, v)
+		if pos < 0 {
 			return nil, fmt.Errorf("wcoj: atom %s variable %s missing from variable order", a.Rel.Name, v)
 		}
 		cvs = append(cvs, cv{col: col, pos: pos})
@@ -92,7 +104,18 @@ func newAtomState(a Atom, orderIndex map[string]int) (*atomState, error) {
 		cols[d], st.globalPos[d] = x.col, x.pos
 	}
 	n := a.Rel.Len()
-	st.rows = make([]int32, n)
+	offsets := 0
+	if n > 0 && len(cols) > 0 {
+		lo, hi := a.Rel.Tuples[0][cols[0]], a.Rel.Tuples[0][cols[0]]
+		for _, t := range a.Rel.Tuples {
+			lo, hi = min(lo, t[cols[0]]), max(hi, t[cols[0]])
+		}
+		if span := denseSpan(lo, hi, n); span > 0 {
+			st.base, offsets = lo, span+1
+		}
+	}
+	buf := make([]int32, n+offsets)
+	st.rows = buf[:n:n]
 	for i := range st.rows {
 		st.rows[i] = int32(i)
 	}
@@ -120,8 +143,31 @@ func newAtomState(a Atom, orderIndex map[string]int) (*atomState, error) {
 		}
 		st.keys[d] = col
 	}
+	if offsets > 0 {
+		st.start = buf[n:]
+		i := 0
+		for r, v := range st.keys[0] {
+			for end := int(v - st.base); i <= end; i++ {
+				st.start[i] = int32(r)
+			}
+		}
+		for ; i < offsets; i++ {
+			st.start[i] = int32(n)
+		}
+	}
 	st.initCursor()
 	return st, nil
+}
+
+// denseSpan returns the number of values in [lo, hi] when that is at
+// most 2n, so that one offset per value costs at most 8 B per row, and 0
+// when the column is sparse. The difference is taken in uint64, where it
+// cannot overflow for any lo ≤ hi.
+func denseSpan(lo, hi relation.Value, n int) int {
+	if d := uint64(hi) - uint64(lo); d < 2*uint64(n) {
+		return int(d) + 1
+	}
+	return 0
 }
 
 // initCursor gives the cursor a fresh interval stack and hints, at the
@@ -135,6 +181,15 @@ func (st *atomState) initCursor() {
 // narrow binds the atom's depth-d variable to v within the current
 // interval, returning false if no rows match.
 func (st *atomState) narrow(d int, v relation.Value) bool {
+	if d == 0 && st.start != nil {
+		// v below base wraps to an index far beyond the range.
+		i := uint64(v) - uint64(st.base)
+		if i >= uint64(len(st.start)-1) || st.start[i] == st.start[i+1] {
+			return false
+		}
+		st.iv[1] = [2]int32{st.start[i], st.start[i+1]}
+		return true
+	}
 	col := st.keys[d]
 	lo, hi := st.iv[d][0], st.iv[d][1]
 	// The hint holds for any interval it falls in: the check is what
@@ -166,6 +221,9 @@ func (st *atomState) seekGE(d int, from int32, v relation.Value) int32 {
 // depth-d value of row r.
 func (st *atomState) nextBlock(d int, r int32) int32 {
 	col := st.keys[d]
+	if d == 0 && st.start != nil {
+		return st.start[col[r]-st.base+1]
+	}
 	return gallop(col, r, st.iv[d][1], col[r], false)
 }
 

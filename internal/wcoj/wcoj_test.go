@@ -342,7 +342,7 @@ func TestSuggestOrderIsValidForGenericJoin(t *testing.T) {
 // once per bound prefix. The count is what newJoin and newAtomState
 // allocate once per join.
 func TestLeapfrogAllocsPerJoin(t *testing.T) {
-	const want = 52
+	const want = 50
 	for _, n := range []int{100, 400, 1600} {
 		atoms := triangleAtoms(randomEdges(n, n/8, 5))
 		order := []string{"A", "B", "C"}
