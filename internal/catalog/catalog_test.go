@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -144,6 +145,38 @@ func TestChooseOrderValid(t *testing.T) {
 	for _, v := range want {
 		if !seen[v] {
 			t.Fatalf("order %v misses %s", order, v)
+		}
+	}
+}
+
+// TestChooseOrderBeamPinned pins the order ChooseOrder picks for a bag
+// over 13 variables, beyond the exact subset DP: a 13-cycle of random
+// graphs of different sizes with two chords.
+func TestChooseOrderBeamPinned(t *testing.T) {
+	const l = 13
+	vars := make([]string, l)
+	for i := range vars {
+		vars[i] = fmt.Sprintf("V%02d", i)
+	}
+	var atoms []wcoj.Atom
+	add := func(a, b int) {
+		n := len(atoms)
+		g := workload.RandomGraph(30+7*n, 60+40*n, workload.UniformWeights(), uint64(n+1))
+		atoms = append(atoms, wcoj.Atom{Rel: g.Edges, Vars: []string{vars[a], vars[b]}})
+	}
+	for i := 0; i < l; i++ {
+		add(i, (i+1)%l)
+	}
+	add(0, 6)
+	add(3, 9)
+	want := []string{"V01", "V00", "V06", "V02", "V03", "V04", "V05", "V09", "V08", "V07", "V10", "V12", "V11"}
+	for run := 0; run < 3; run++ {
+		order, err := ChooseOrder(atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(order, want) {
+			t.Fatalf("run %d: order %v, want %v", run, order, want)
 		}
 	}
 }

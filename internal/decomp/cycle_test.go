@@ -2,13 +2,14 @@ package decomp
 
 import (
 	"context"
-
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/hypergraph"
 	"repro/internal/relation"
 	"repro/internal/wcoj"
 	"repro/internal/workload"
@@ -150,6 +151,58 @@ func TestFourCycleFanEqualsSpecialised(t *testing.T) {
 	for i := range a {
 		if math.Abs(a[i].Weight-b[i].Weight) > 1e-9 {
 			t.Fatalf("rank %d weight mismatch", i)
+		}
+	}
+}
+
+// bagPrices is a BagCoster that prices the bag over all of a cycle's
+// variables at one and every other bag at another.
+type bagPrices struct {
+	l          int
+	whole, fan float64
+}
+
+func (p bagPrices) BagCost(bag []string) float64 {
+	if len(bag) == p.l {
+		return p.whole
+	}
+	return p.fan
+}
+
+// TestCostedCycleTie: a long cycle whose one bag costs exactly what the
+// fan's bags cost together keeps the fan; a clearly cheaper one bag wins
+// and has its Generic-Join order pinned to the walk.
+func TestCostedCycleTie(t *testing.T) {
+	for _, c := range []struct {
+		l        int
+		fan, one string
+	}{
+		{5, "{A0,A1,A2} {A0,A2,A3} {A0,A3,A4} (width 2)", "{A0,A1,A2,A3,A4} (width 2.5)"},
+		{6, "{A0,A1,A2} {A0,A2,A3} {A0,A3,A4} {A0,A4,A5} (width 2)", "{A0,A1,A2,A3,A4,A5} (width 3)"},
+	} {
+		attrs := CycleAttrs(c.l)
+		edges, order := make([]hypergraph.Edge, c.l), make([]int, c.l)
+		for i, a := range attrs {
+			edges[i] = hypergraph.E(fmt.Sprintf("R%d", i+1), a, attrs[(i+1)%c.l])
+			order[i] = i
+		}
+		fanCost := 10 * float64(c.l-2)
+		s, err := CycleShape(edges, order, attrs, bagPrices{l: c.l, whole: fanCost, fan: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Decomposition != c.fan || s.trees[0].pin != nil || len(s.EstBagSizes) != c.l-2 || s.EstBagSizes[0] != 10 {
+			t.Errorf("c%d tie: %q pin %v est %v, want the fan %q", c.l, s.Decomposition, s.trees[0].pin, s.EstBagSizes, c.fan)
+		}
+		s, err = CycleShape(edges, order, attrs, bagPrices{l: c.l, whole: fanCost / 2, fan: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Decomposition != c.one || !slices.Equal(s.trees[0].pin, attrs) || !slices.Equal(s.EstBagSizes, []float64{fanCost / 2}) {
+			t.Errorf("c%d cheap bag: %q pin %v est %v, want %q pinned to the walk", c.l, s.Decomposition, s.trees[0].pin, s.EstBagSizes, c.one)
+		}
+		if s.Kind != "cycle" {
+			t.Errorf("c%d cheap bag: kind %q", c.l, s.Kind)
 		}
 	}
 }
