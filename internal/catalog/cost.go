@@ -18,7 +18,7 @@ const maxAGMCapVars = 8
 // CostModel estimates join sizes for one query from per-relation
 // statistics. It implements hypergraph.BagCoster, so the decomposition
 // search can rank candidate bags by estimated materialization cost, and
-// drives the Generic-Join variable-order search (Order/ChooseOrder).
+// drives the Generic-Join variable-order search (ChooseOrder).
 type CostModel struct {
 	h     *hypergraph.Hypergraph
 	edges []hypergraph.Edge
@@ -178,8 +178,12 @@ func (m *CostModel) pairSelectivity(e1, c1, e2, c2 int) float64 {
 			matches += float64(hh.Count) * mean2
 		}
 	}
-	for _, c := range h2 {
-		matches += c * mean1
+	// The unmatched heavy values of side 2, summed in Heavy's order so
+	// the estimate is bit-stable.
+	for _, hh := range s2.Heavy {
+		if c, ok := h2[hh.Value]; ok {
+			matches += c * mean1
+		}
 	}
 	matches += resid1 * resid2 / math.Max(dResid1, dResid2)
 	sel := matches / (r1 * r2)

@@ -3,40 +3,53 @@ package catalog
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"repro/internal/hypergraph"
 	"repro/internal/relation"
 	"repro/internal/wcoj"
 )
 
-const (
-	// maxOrderDPVars bounds the exact subset-DP variable-order search
-	// (2^n subset estimates); larger queries use the greedy beam.
-	maxOrderDPVars = 12
-	// orderBeamWidth is the beam kept by the greedy order search.
-	orderBeamWidth = 4
-)
+// maxOrderDPVars bounds the exact subset-DP variable-order search (2^n
+// subset estimates); larger bags use hypergraph.BeamOrders.
+const maxOrderDPVars = 12
 
-// Order returns a low-cost Generic-Join variable order over the model's
-// full variable set: the order minimizing the summed size estimates of
-// its prefixes — the intermediate relations Generic-Join effectively
-// explores while extending one variable at a time. Up to maxOrderDPVars
-// variables the minimum is exact (Selinger-style subset DP, exploiting
-// that a prefix's estimated size depends only on its variable *set*);
-// beyond that a width-orderBeamWidth greedy beam approximates it.
-func (m *CostModel) Order() []string {
+// ChooseOrder picks a Generic-Join variable order for one bag's atoms:
+// the order minimizing the summed size estimates of its prefixes — the
+// intermediate relations Generic-Join effectively explores while
+// extending one variable at a time. The estimates come from a throwaway
+// cost model over exactly those atoms (statistics collected from the
+// bag's actual — possibly filtered and projected — input relations). Up
+// to maxOrderDPVars variables the minimum is exact (Selinger-style
+// subset DP, exploiting that a prefix's estimated size depends only on
+// its variable *set*); beyond that hypergraph.BeamOrders approximates
+// it. ChooseOrder has the signature the decomposition layer's
+// WithOrderChooser hook expects; an error (e.g. an atom whose relation
+// is missing) makes the caller fall back to the structural
+// wcoj.SuggestOrder heuristic.
+func ChooseOrder(atoms []wcoj.Atom) ([]string, error) {
+	edges := make([]hypergraph.Edge, len(atoms))
+	rels := make([]*relation.Relation, len(atoms))
+	for i, a := range atoms {
+		edges[i] = hypergraph.Edge{Name: fmt.Sprintf("a%d", i), Vars: a.Vars}
+		rels[i] = a.Rel
+	}
+	m := NewCostModel(edges, rels, nil)
+	if m == nil {
+		return nil, fmt.Errorf("catalog: no statistics available for bag atoms")
+	}
 	vars := m.h.Vars()
-	if len(vars) <= 1 {
-		return vars
+	switch {
+	case len(vars) <= 1:
+		return vars, nil
+	case len(vars) <= maxOrderDPVars:
+		return m.orderDP(vars), nil
 	}
-	if len(vars) <= maxOrderDPVars {
-		return m.orderDP(vars)
-	}
-	return m.orderBeam(vars)
+	return hypergraph.BeamOrders(vars, struct{}{}, func(_ struct{}, prefix []string) (struct{}, float64) {
+		return struct{}{}, m.EstimateVars(prefix)
+	})[0], nil
 }
 
+// orderDP returns the order of vars of least summed prefix estimates.
 func (m *CostModel) orderDP(vars []string) []string {
 	n := len(vars)
 	full := 1<<n - 1
@@ -77,68 +90,4 @@ func (m *CostModel) orderDP(vars []string) []string {
 		S ^= 1 << v
 	}
 	return order
-}
-
-func (m *CostModel) orderBeam(vars []string) []string {
-	type state struct {
-		order []string
-		used  map[string]bool
-		cost  float64
-	}
-	states := []*state{{used: make(map[string]bool)}}
-	prefix := make([]string, 0, len(vars))
-	for step := 0; step < len(vars); step++ {
-		var next []*state
-		for _, s := range states {
-			for _, v := range vars {
-				if s.used[v] {
-					continue
-				}
-				prefix = append(prefix[:0], s.order...)
-				prefix = append(prefix, v)
-				used := make(map[string]bool, len(s.used)+1)
-				for u := range s.used {
-					used[u] = true
-				}
-				used[v] = true
-				next = append(next, &state{
-					order: append(append([]string(nil), s.order...), v),
-					used:  used,
-					cost:  s.cost + m.EstimateVars(prefix),
-				})
-			}
-		}
-		sort.Slice(next, func(i, j int) bool {
-			if next[i].cost != next[j].cost {
-				return next[i].cost < next[j].cost
-			}
-			return strings.Join(next[i].order, ",") < strings.Join(next[j].order, ",")
-		})
-		if len(next) > orderBeamWidth {
-			next = next[:orderBeamWidth]
-		}
-		states = next
-	}
-	return states[0].order
-}
-
-// ChooseOrder picks a Generic-Join variable order for one bag's atoms by
-// building a throwaway cost model over exactly those atoms (statistics
-// collected from the bag's actual — possibly filtered and projected —
-// input relations) and running the order search. It has the signature
-// the decomposition layer's WithOrderChooser hook expects; an error
-// (e.g. an atom whose relation is missing) makes the caller fall back
-// to the structural wcoj.SuggestOrder heuristic.
-func ChooseOrder(atoms []wcoj.Atom) ([]string, error) {
-	edges := make([]hypergraph.Edge, len(atoms))
-	rels := make([]*relation.Relation, len(atoms))
-	for i, a := range atoms {
-		edges[i] = hypergraph.Edge{Name: fmt.Sprintf("a%d", i), Vars: a.Vars}
-		rels[i] = a.Rel
-	}
-	m := NewCostModel(edges, rels, nil)
-	if m == nil {
-		return nil, fmt.Errorf("catalog: no statistics available for bag atoms")
-	}
-	return m.Order(), nil
 }

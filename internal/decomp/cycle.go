@@ -27,7 +27,7 @@ func CycleAttrs(l int) []string {
 // the variables in walk order; attrs is also the output schema. The
 // triangle is one bag and the 4-cycle the submodular union of three
 // trees. A longer cycle is the fan, unless coster prices one bag over
-// the whole walk strictly cheaper than the fan's bags together (see
+// the whole walk clearly cheaper than the fan's bags together (see
 // costedCycle); with a nil coster it is always the fan.
 func CycleShape(edges []hypergraph.Edge, order []int, attrs []string, coster hypergraph.BagCoster) (*Shape, error) {
 	switch {
@@ -40,36 +40,31 @@ func CycleShape(edges []hypergraph.Edge, order []int, attrs []string, coster hyp
 }
 
 // costedCycle ranks the two closed-form plans of an l-cycle, l ≥ 5, by
-// estimated materialisation: the fan, priced at the sum of
-// coster.BagCost over its l−2 bags, and one bag over all l walk
-// variables, priced at coster.BagCost(attrs). The fan's middle bags are
-// R × π_{A0} whatever the output, while one Generic-Join over the
-// whole cycle is worst-case optimal: it costs at most the AGM bound
-// (n^{l/2}) and tracks the output when that is small. The strictly
-// cheaper plan wins, so a tie keeps the fan. The one bag is the
-// triangle's construction generalised — its Generic-Join order pinned
-// to the walk — and keeps Kind "cycle". Either way the shape carries
-// its bags and their estimates (Decomposition, EstBagSizes); the widths
-// are closed-form too: 2 for the fan, l/2 (the fractional edge cover of
-// an l-cycle) for the one bag.
+// estimated materialisation with hypergraph.Cheapest: the fan, priced
+// at the sum of coster.BagCost over its l−2 bags, against one bag over
+// all l walk variables. The fan's middle bags are R × π_{A0} whatever
+// the output, while one Generic-Join over the whole cycle is
+// worst-case optimal: it costs at most the AGM bound (n^{l/2}) and
+// tracks the output when that is small. The one bag wins only when it
+// is clearly cheaper, so a tie (within Cheapest's relative 1e-6) keeps
+// the fan, whose width, 2, is below the one bag's l/2. The one bag is
+// the triangle's construction generalised — its Generic-Join order
+// pinned to the walk — and keeps Kind "cycle". Either way the shape
+// carries the winner's bags and estimates (Decomposition, EstBagSizes).
 func costedCycle(edges []hypergraph.Edge, order []int, attrs []string, coster hypergraph.BagCoster) (*Shape, error) {
 	s, err := fanShape(edges, order, attrs)
 	if err != nil {
 		return nil, err
 	}
 	tr := &s.trees[0]
-	est, fanCost := make([]float64, len(tr.dec.Bags)), 0.0
-	for i, b := range tr.dec.Bags {
-		est[i] = coster.BagCost(b)
-		fanCost += est[i]
+	dec, err := hypergraph.New(edges...).Cheapest(coster, tr.dec.Bags, [][]string{attrs})
+	if err != nil {
+		return nil, err
 	}
-	if one := coster.BagCost(attrs); one < fanCost {
-		tr.dec, tr.pin, est = hypergraph.New(edges...).FixedDecomposition(attrs), attrs, []float64{one}
-		tr.dec.Width = float64(len(attrs)) / 2
-	} else {
-		tr.dec.Width = 2
+	if len(dec.Bags) == 1 {
+		tr.pin = attrs
 	}
-	s.Decomposition, s.EstBagSizes = tr.dec.String(), est
+	tr.dec, s.Decomposition, s.EstBagSizes = dec, dec.String(), dec.EstBagSizes
 	return s, nil
 }
 

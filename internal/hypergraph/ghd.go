@@ -1,8 +1,11 @@
 package hypergraph
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,11 +62,6 @@ func (d *Decomposition) String() string {
 // are deduplicated before the width LP runs).
 const maxExhaustiveVars = 7
 
-// decompBeamWidth bounds the costed beam search over elimination orders
-// used by DecomposeCosted on queries too large for exhaustive
-// enumeration.
-const decompBeamWidth = 4
-
 // DecomposeCosted searches for a low-width generalized hypertree
 // decomposition of the hypergraph. Candidate decompositions come from
 // vertex elimination orders — every permutation for small queries,
@@ -72,13 +70,11 @@ const decompBeamWidth = 4
 // Generic-Join) is always a candidate, so the search succeeds for every
 // connected or disconnected query shape.
 //
-// A nil coster scores candidates purely structurally: by the maximum
-// fractional edge cover over their bags, ties preferring fewer bags,
-// then smaller bags. With a coster, candidates are ranked by total
-// estimated bag materialization cost (Σ coster.BagCost(bag)) — the
-// structural criteria only break near-ties — and, for queries beyond
-// the exhaustive range, a beam search over elimination orders guided by
-// the coster contributes extra candidates. The winning decomposition
+// Cheapest ranks the candidates: by structure alone with a nil coster,
+// by total estimated bag materialization cost (Σ coster.BagCost(bag))
+// otherwise. With a coster, for queries beyond the exhaustive range,
+// BeamOrders over elimination orders, each step priced by the bag it
+// creates, contributes extra candidates. The winning decomposition
 // then carries the coster's per-bag estimates in EstBagSizes/EstCost.
 func (h *Hypergraph) DecomposeCosted(coster BagCoster) (*Decomposition, error) {
 	if len(h.Edges) == 0 {
@@ -103,41 +99,25 @@ func (h *Hypergraph) DecomposeCosted(coster BagCoster) (*Decomposition, error) {
 		add(h.eliminationBags(h.greedyOrder(false)))
 		add(h.eliminationBags(h.greedyOrder(true)))
 		if coster != nil {
-			for _, bags := range h.beamEliminationBags(coster, decompBeamWidth) {
-				add(bags)
+			orders := BeamOrders(vars, h.primalAdjacency(), func(adj adjacency, order []string) (adjacency, float64) {
+				adj = adj.clone()
+				return adj, coster.BagCost(eliminate(adj, order[len(order)-1]))
+			})
+			for _, order := range orders {
+				add(h.eliminationBags(order))
 			}
 		}
 	}
 
-	// Score candidates; deterministic iteration via sorted keys.
-	keys := make([]string, 0, len(candidates))
-	for k := range candidates {
-		keys = append(keys, k)
+	// Rank in sorted key order, so an exact tie is deterministic.
+	keys := slices.Sorted(maps.Keys(candidates))
+	ordered := make([][][]string, len(keys))
+	for i, k := range keys {
+		ordered[i] = candidates[k]
 	}
-	sort.Strings(keys)
-
-	var best *Decomposition
-	bestCost := 0.0
-	for _, k := range keys {
-		bags := candidates[k]
-		width, err := h.maxBagCover(bags)
-		if err != nil {
-			continue // LP failure on one candidate is not fatal
-		}
-		cand := &Decomposition{Bags: bags, Width: width}
-		if coster == nil {
-			if best == nil || better(cand, best) {
-				best = cand
-			}
-			continue
-		}
-		cost := totalBagCost(coster, bags)
-		if best == nil || costedBetter(cand, cost, best, bestCost) {
-			best, bestCost = cand, cost
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("hypergraph: decomposition search failed for %s", h)
+	best, err := h.Cheapest(coster, ordered...)
+	if err != nil {
+		return nil, err
 	}
 	// A disconnected query (cartesian product of components) yields a
 	// disconnected bag set, which the T-DP layer rejects (no join tree
@@ -149,32 +129,46 @@ func (h *Hypergraph) DecomposeCosted(coster BagCoster) (*Decomposition, error) {
 	// materialisation cost for accepting the shape at all — fine for
 	// the rare disconnected query, not a width-optimal plan.
 	if merged := connectBags(best.Bags); len(merged) != len(best.Bags) {
-		w, err := h.maxBagCover(merged)
+		return h.Cheapest(coster, merged)
+	}
+	return best, nil
+}
+
+// Cheapest ranks candidate bag sets and returns the best as a
+// decomposition with its width, containment and, with a coster, its
+// per-bag estimates. With a nil coster the lowest width wins, then
+// fewer bags, then fewer bag variables (better); with a coster the
+// lowest total estimated bag cost, those structural criteria deciding
+// costs within a relative 1e-6 (costedBetter). On an exact tie the
+// earlier candidate wins. A candidate whose width LP fails is skipped;
+// Cheapest fails when none is left or when the winner leaves some edge
+// outside every bag.
+func (h *Hypergraph) Cheapest(coster BagCoster, candidates ...[][]string) (*Decomposition, error) {
+	var best *Decomposition
+	for _, bags := range candidates {
+		width, err := h.maxBagCover(bags)
 		if err != nil {
-			return nil, err
+			continue // LP failure on one candidate is not fatal
 		}
-		best = &Decomposition{Bags: merged, Width: w}
-	}
-	if coster != nil {
-		best.EstBagSizes = make([]float64, len(best.Bags))
-		best.EstCost = 0
-		for i, b := range best.Bags {
-			best.EstBagSizes[i] = coster.BagCost(b)
-			best.EstCost += best.EstBagSizes[i]
-		}
-	}
-	best.Contains = h.containment(best.Bags)
-	for ei := range h.Edges {
-		found := false
-		for _, c := range best.Contains {
-			for _, e := range c {
-				if e == ei {
-					found = true
-				}
+		cand := &Decomposition{Bags: bags, Width: width}
+		if coster != nil {
+			cand.EstBagSizes = make([]float64, len(bags))
+			for i, b := range bags {
+				cand.EstBagSizes[i] = coster.BagCost(b)
+				cand.EstCost += cand.EstBagSizes[i]
 			}
 		}
-		if !found {
-			return nil, fmt.Errorf("hypergraph: edge %s not contained in any bag of %s", h.Edges[ei].Name, best)
+		if best == nil || coster == nil && better(cand, best) || coster != nil && costedBetter(cand, best) {
+			best = cand
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("hypergraph: decomposition search failed for %s", h)
+	}
+	best.Contains = h.containment(best.Bags)
+	for ei, e := range h.Edges {
+		if !slices.ContainsFunc(best.Contains, func(c []int) bool { return slices.Contains(c, ei) }) {
+			return nil, fmt.Errorf("hypergraph: edge %s not contained in any bag of %s", e.Name, best)
 		}
 	}
 	return best, nil
@@ -212,106 +206,92 @@ func totalBagVars(bags [][]string) int {
 	return n
 }
 
-// costedBetter ranks candidate a (estimated cost ca) against b (cost
-// cb): a clearly cheaper candidate wins; within a relative epsilon the
-// structural criteria of better() decide, keeping the choice
-// deterministic when estimates coincide.
-func costedBetter(a *Decomposition, ca float64, b *Decomposition, cb float64) bool {
-	tol := 1e-6 * (1 + math.Max(ca, cb))
-	if ca < cb-tol {
+// costedBetter ranks candidate a against b by estimated cost: a clearly
+// cheaper candidate wins; within a relative epsilon the structural
+// criteria of better() decide, keeping the choice deterministic when
+// estimates coincide.
+func costedBetter(a, b *Decomposition) bool {
+	tol := 1e-6 * (1 + math.Max(a.EstCost, b.EstCost))
+	if a.EstCost < b.EstCost-tol {
 		return true
 	}
-	if ca > cb+tol {
+	if a.EstCost > b.EstCost+tol {
 		return false
 	}
 	return better(a, b)
 }
 
-// totalBagCost sums the coster's estimate over a candidate's bags.
-func totalBagCost(coster BagCoster, bags [][]string) float64 {
-	c := 0.0
-	for _, b := range bags {
-		c += coster.BagCost(b)
-	}
-	return c
-}
+// beamWidth is the number of partial orders BeamOrders keeps per step.
+const beamWidth = 4
 
-// beamEliminationBags beam-searches vertex elimination orders, scoring
-// a partial order by the accumulated estimated cost of the bags it has
-// created, and returns the bag sets of the surviving orders. It
-// complements the min-degree/min-fill candidates on queries too large
-// for exhaustive permutation.
-func (h *Hypergraph) beamEliminationBags(coster BagCoster, width int) [][][]string {
-	type state struct {
+// BeamOrders beam-searches the orders of vars. Every partial order
+// carries a state, start for the empty one; extend places the order's
+// last variable and returns the state after it and that step's cost.
+// Each step keeps the beamWidth partial orders of least accumulated
+// cost, ties broken by the orders' names, and BeamOrders returns the
+// complete orders that survive, cheapest first. It serves both the
+// elimination orders of DecomposeCosted and the Generic-Join variable
+// orders of large bags (catalog.ChooseOrder).
+func BeamOrders[S any](vars []string, start S, extend func(s S, order []string) (S, float64)) [][]string {
+	type partial struct {
 		order []string
-		adj   map[string]map[string]bool
+		name  string
+		s     S
 		cost  float64
 	}
-	vars := h.Vars()
-	states := []*state{{adj: h.primalAdjacency()}}
-	for step := 0; step < len(vars); step++ {
-		var next []*state
-		for _, s := range states {
-			for v, nbrs := range s.adj {
-				bag := make([]string, 0, len(nbrs)+1)
-				bag = append(bag, v)
-				for u := range nbrs {
-					bag = append(bag, u)
+	beam := []partial{{s: start}}
+	for range vars {
+		var next []partial
+		for _, p := range beam {
+			for _, v := range vars {
+				if slices.Contains(p.order, v) {
+					continue
 				}
-				sort.Strings(bag)
-				next = append(next, &state{
-					order: append(append([]string(nil), s.order...), v),
-					adj:   eliminateClone(s.adj, v),
-					cost:  s.cost + coster.BagCost(bag),
-				})
+				order := append(slices.Clip(p.order), v)
+				s, c := extend(p.s, order)
+				next = append(next, partial{order, strings.Join(order, ","), s, p.cost + c})
 			}
 		}
-		// Deterministic despite map iteration: sort expansions by cost,
-		// ties by the order string.
-		sort.Slice(next, func(i, j int) bool {
-			if next[i].cost != next[j].cost {
-				return next[i].cost < next[j].cost
-			}
-			return strings.Join(next[i].order, ",") < strings.Join(next[j].order, ",")
+		slices.SortFunc(next, func(a, b partial) int {
+			return cmp.Or(cmp.Compare(a.cost, b.cost), strings.Compare(a.name, b.name))
 		})
-		if len(next) > width {
-			next = next[:width]
-		}
-		states = next
+		beam = next[:min(len(next), beamWidth)]
 	}
-	out := make([][][]string, 0, len(states))
-	for _, s := range states {
-		out = append(out, h.eliminationBags(s.order))
+	orders := make([][]string, len(beam))
+	for i, p := range beam {
+		orders[i] = p.order
+	}
+	return orders
+}
+
+// adjacency is a primal graph: the variables adjacent to each variable.
+type adjacency map[string]map[string]bool
+
+func (adj adjacency) clone() adjacency {
+	out := make(adjacency, len(adj))
+	for u, m := range adj {
+		out[u] = maps.Clone(m)
 	}
 	return out
 }
 
-// eliminateClone returns a copy of adj with v eliminated: v removed and
-// its neighbours pairwise connected (fill edges). The input is not
-// modified.
-func eliminateClone(adj map[string]map[string]bool, v string) map[string]map[string]bool {
+// eliminate removes v from adj and connects its neighbours pairwise
+// (the fill edges). It returns v's bag: v and those neighbours, sorted.
+func eliminate(adj adjacency, v string) []string {
 	nbrs := adj[v]
-	out := make(map[string]map[string]bool, len(adj)-1)
-	for u, m := range adj {
-		if u == v {
-			continue
-		}
-		cm := make(map[string]bool, len(m)+len(nbrs))
-		for w := range m {
-			if w != v {
-				cm[w] = true
-			}
-		}
-		out[u] = cm
-	}
+	bag := append(make([]string, 0, len(nbrs)+1), v)
 	for u := range nbrs {
+		bag = append(bag, u)
+		delete(adj[u], v)
 		for w := range nbrs {
 			if u != w {
-				out[u][w] = true
+				adj[u][w] = true
 			}
 		}
 	}
-	return out
+	delete(adj, v)
+	sort.Strings(bag)
+	return bag
 }
 
 // eliminationBags builds the tree-decomposition bags induced by a vertex
@@ -322,34 +302,17 @@ func eliminateClone(adj map[string]map[string]bool, v string) map[string]map[str
 // first-eliminated variable.
 func (h *Hypergraph) eliminationBags(order []string) [][]string {
 	adj := h.primalAdjacency()
-	var bags [][]string
-	for _, v := range order {
-		nbrs := adj[v]
-		bag := make([]string, 0, len(nbrs)+1)
-		bag = append(bag, v)
-		for u := range nbrs {
-			bag = append(bag, u)
-		}
-		sort.Strings(bag)
-		bags = append(bags, bag)
-		// Remove v; connect its neighbours pairwise (fill edges).
-		for u := range nbrs {
-			delete(adj[u], v)
-			for w := range nbrs {
-				if u != w {
-					adj[u][w] = true
-				}
-			}
-		}
-		delete(adj, v)
+	bags := make([][]string, len(order))
+	for i, v := range order {
+		bags[i] = eliminate(adj, v)
 	}
 	return pruneSubsetBags(bags)
 }
 
 // primalAdjacency builds the primal (Gaifman) graph: two variables are
 // adjacent iff some edge contains both.
-func (h *Hypergraph) primalAdjacency() map[string]map[string]bool {
-	adj := make(map[string]map[string]bool)
+func (h *Hypergraph) primalAdjacency() adjacency {
+	adj := make(adjacency)
 	for _, v := range h.Vars() {
 		adj[v] = make(map[string]bool)
 	}
@@ -388,23 +351,14 @@ func (h *Hypergraph) greedyOrder(minFill bool) []string {
 		v := remaining[bestIdx]
 		order = append(order, v)
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		nbrs := adj[v]
-		for u := range nbrs {
-			delete(adj[u], v)
-			for w := range nbrs {
-				if u != w {
-					adj[u][w] = true
-				}
-			}
-		}
-		delete(adj, v)
+		eliminate(adj, v)
 	}
 	return order
 }
 
 // fillCount counts the missing edges among v's neighbours — the fill
 // edges eliminating v would introduce.
-func fillCount(adj map[string]map[string]bool, v string) int {
+func fillCount(adj adjacency, v string) int {
 	nbrs := make([]string, 0, len(adj[v]))
 	for u := range adj[v] {
 		// Map order is harmless: the count below is the same for every

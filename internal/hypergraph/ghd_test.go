@@ -183,3 +183,28 @@ func TestFractionalCoverOf(t *testing.T) {
 		t.Errorf("cover of all C4 vars = %g, want 2", rho)
 	}
 }
+
+// BenchmarkDecomposeCosted times the costed search on the benchmark's
+// two generic shapes, the chorded 5-cycle and the bowtie (every
+// elimination order), and on the 9-cycle with two chords (the greedy
+// orders and the beam), all priced by nameCoster.
+func BenchmarkDecomposeCosted(b *testing.B) {
+	shapes := []struct {
+		name string
+		h    *Hypergraph
+	}{
+		{"chorded5", New(E("R1", "A", "B"), E("R2", "B", "C"), E("R3", "C", "D"), E("R4", "D", "E"), E("R5", "E", "A"), E("R6", "B", "E"))},
+		{"bowtie", New(E("E1", "A", "B"), E("E2", "B", "C"), E("E3", "C", "A"), E("E4", "A", "D"), E("E5", "D", "E"), E("E6", "E", "A"))},
+		{"c9chords", greedyShapes()[0].h},
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.h.DecomposeCosted(nameCoster{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

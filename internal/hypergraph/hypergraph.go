@@ -7,7 +7,9 @@
 // planner compiles through: vertex-elimination orders scored by a
 // coster's estimated bag sizes, or by the maximum fractional edge cover
 // over the bags when there is no coster, exhaustive for small queries
-// and min-degree/min-fill greedy beyond.
+// and min-degree/min-fill greedy (plus a costed beam) beyond. Its
+// ranking loop (Cheapest) and beam (BeamOrders) also serve the
+// long-cycle choice and the Generic-Join order search.
 package hypergraph
 
 import (

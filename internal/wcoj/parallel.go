@@ -247,7 +247,7 @@ func (j *driver) planTasks(vals []lvlVal, chunks int, hints SkewHints) []task {
 	return tasks
 }
 
-// MaterializeParallel is Materialize with the top of the join
+// MaterializeParallelHinted is Materialize with the top of the join
 // partitioned across workers, exploiting that Generic-Join decomposes
 // over the first variable's domain. A coordinator pass intersects the
 // top level once; planTasks then splits the surviving values into
@@ -271,14 +271,10 @@ func (j *driver) planTasks(vals []lvlVal, chunks int, hints SkewHints) []task {
 // on either path, wherever an output Builder opens a chunk: when ctx is
 // done mid-materialisation no further tasks start, running ones stop
 // within 4 096 results, and ctx.Err() is returned with a nil relation.
-func MaterializeParallel(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate, workers int) (*relation.Relation, *Instr, error) {
-	return MaterializeParallelHinted(ctx, atoms, varOrder, agg, workers, nil)
-}
-
-// MaterializeParallelHinted is MaterializeParallel with catalog skew
-// hints: hinted first-variable values are treated as heavy at a lower
-// threshold (see planTasks). Hints affect only load balance, never
-// results or Instr totals.
+//
+// hints are catalog skew hints, nil for none: hinted first-variable
+// values are treated as heavy at a lower threshold (see planTasks).
+// Hints affect only load balance, never results or Instr totals.
 func MaterializeParallelHinted(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate, workers int, hints SkewHints) (*relation.Relation, *Instr, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

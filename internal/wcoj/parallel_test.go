@@ -76,7 +76,7 @@ func TestMaterializeParallelBitIdentical(t *testing.T) {
 			t.Fatalf("%s: sequential: %v", name, err)
 		}
 		for _, workers := range []int{1, 2, 3, 8, 16} {
-			got, gotInstr, err := MaterializeParallel(context.Background(), fx.atoms, fx.order, sum, workers)
+			got, gotInstr, err := MaterializeParallelHinted(context.Background(), fx.atoms, fx.order, sum, workers, nil)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: %v", name, workers, err)
 			}
@@ -116,7 +116,7 @@ func TestMaterializeParallelAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotInstr, err := MaterializeParallel(context.Background(), atoms, order, agg, 4)
+		got, gotInstr, err := MaterializeParallelHinted(context.Background(), atoms, order, agg, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestMaterializeParallelPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	atoms := triangleAtoms(randomEdges(100, 15, 3))
-	_, _, err := MaterializeParallel(ctx, atoms, []string{"A", "B", "C"}, sum, 4)
+	_, _, err := MaterializeParallelHinted(ctx, atoms, []string{"A", "B", "C"}, sum, 4, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -163,7 +163,7 @@ func TestMaterializeParallelMidCancel(t *testing.T) {
 	for _, checks := range []int64{3, 10} {
 		ctx := &countdownCtx{Context: context.Background()}
 		ctx.remaining.Store(checks)
-		out, _, err := MaterializeParallel(ctx, atoms, []string{"A", "B", "C"}, sum, 4)
+		out, _, err := MaterializeParallelHinted(ctx, atoms, []string{"A", "B", "C"}, sum, 4, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("after %d checks: got %v, want context.Canceled", checks, err)
 		}
@@ -185,7 +185,7 @@ func TestMaterializeParallelGOMAXPROCS1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotInstr, err := MaterializeParallel(context.Background(), atoms, order, sum, 4)
+	got, gotInstr, err := MaterializeParallelHinted(context.Background(), atoms, order, sum, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMaterializeParallelGOMAXPROCS1(t *testing.T) {
 // TestNewJoinParallelBuildError: with two malformed atoms, building the
 // tries on several workers reports the error the sequential loop stops
 // at — the lower-indexed atom's — however the goroutines interleave, and
-// so do MaterializeParallel and Materialize.
+// so do MaterializeParallelHinted and Materialize.
 func TestNewJoinParallelBuildError(t *testing.T) {
 	edges := randomEdges(300, 25, 13)
 	order := []string{"A", "B", "C", "D"}
@@ -222,8 +222,8 @@ func TestNewJoinParallelBuildError(t *testing.T) {
 		}
 	}
 	_, _, seqErr := Materialize(atoms, order, sum)
-	_, _, parErr := MaterializeParallel(context.Background(), atoms, order, sum, 4)
+	_, _, parErr := MaterializeParallelHinted(context.Background(), atoms, order, sum, 4, nil)
 	if seqErr == nil || parErr == nil || seqErr.Error() != want.Error() || parErr.Error() != want.Error() {
-		t.Fatalf("Materialize: %v, MaterializeParallel: %v, want %v", seqErr, parErr, want)
+		t.Fatalf("Materialize: %v, MaterializeParallelHinted: %v, want %v", seqErr, parErr, want)
 	}
 }

@@ -78,7 +78,7 @@ func relationHash(r *relation.Relation) uint64 {
 
 // TestJoinWorkAndOutputPinned pins what a change to the trie cursor must
 // not move: the exact Instr of Generic-Join and Leapfrog Triejoin, and
-// the rows Materialize and MaterializeParallel emit, in order and with
+// the rows Materialize and MaterializeParallelHinted emit, in order and with
 // their weights (the order of duplicate tuples included), on a triangle
 // and a 6-cycle.
 func TestJoinWorkAndOutputPinned(t *testing.T) {
@@ -112,7 +112,7 @@ func TestJoinWorkAndOutputPinned(t *testing.T) {
 			t.Errorf("%s: Leapfrog Instr = %+v, want %+v", fx.name, *lf, w.lf)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			out, instr, err := MaterializeParallel(context.Background(), fx.atoms, fx.order, sum, workers)
+			out, instr, err := MaterializeParallelHinted(context.Background(), fx.atoms, fx.order, sum, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

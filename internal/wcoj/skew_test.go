@@ -35,7 +35,7 @@ func TestSkewAwareHeavyHitterBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
-		got, gotInstr, err := MaterializeParallel(context.Background(), atoms, order, sum, workers)
+		got, gotInstr, err := MaterializeParallelHinted(context.Background(), atoms, order, sum, workers, nil)
 		if err != nil {
 			t.Fatalf("skew-aware workers=%d: %v", workers, err)
 		}
@@ -186,7 +186,7 @@ func TestSkewSingleVariableOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotInstr, err := MaterializeParallel(context.Background(), atoms, order, sum, 4)
+	got, gotInstr, err := MaterializeParallelHinted(context.Background(), atoms, order, sum, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

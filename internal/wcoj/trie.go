@@ -19,7 +19,7 @@
 //
 // Because Generic-Join decomposes over the first variable's domain
 // (the observation behind the skew analysis of "Skew Strikes Back",
-// Ngo–Ré–Rudra), MaterializeParallel partitions the top-level
+// Ngo–Ré–Rudra), MaterializeParallelHinted partitions the top-level
 // intersection across a bounded worker pool (internal/parallel), on
 // which it also sorts the atoms' tries, one task per atom, while
 // staying bit-identical to the sequential Materialize — same output
