@@ -44,9 +44,11 @@ func ChooseOrder(atoms []wcoj.Atom) ([]string, error) {
 	case len(vars) <= maxOrderDPVars:
 		return m.orderDP(vars), nil
 	}
-	return hypergraph.BeamOrders(vars, struct{}{}, func(_ struct{}, prefix []string) (struct{}, float64) {
-		return struct{}{}, m.EstimateVars(prefix)
-	})[0], nil
+	// A prefix's estimate depends on nothing but its variables: the
+	// beam's state is empty.
+	return hypergraph.BeamOrders(vars, struct{}{},
+		func(_ struct{}, prefix []string) float64 { return m.EstimateVars(prefix) },
+		func(s struct{}, _ []string) struct{} { return s })[0], nil
 }
 
 // orderDP returns the order of vars of least summed prefix estimates.

@@ -99,10 +99,15 @@ func (h *Hypergraph) DecomposeCosted(coster BagCoster) (*Decomposition, error) {
 		add(h.eliminationBags(h.greedyOrder(false)))
 		add(h.eliminationBags(h.greedyOrder(true)))
 		if coster != nil {
-			orders := BeamOrders(vars, h.primalAdjacency(), func(adj adjacency, order []string) (adjacency, float64) {
-				adj = adj.clone()
-				return adj, coster.BagCost(eliminate(adj, order[len(order)-1]))
-			})
+			orders := BeamOrders(vars, h.primalAdjacency(),
+				func(adj adjacency, order []string) float64 {
+					return coster.BagCost(adj.bag(order[len(order)-1]))
+				},
+				func(adj adjacency, order []string) adjacency {
+					adj = adj.clone()
+					eliminate(adj, order[len(order)-1])
+					return adj
+				})
 			for _, order := range orders {
 				add(h.eliminationBags(order))
 			}
@@ -225,14 +230,16 @@ func costedBetter(a, b *Decomposition) bool {
 const beamWidth = 4
 
 // BeamOrders beam-searches the orders of vars. Every partial order
-// carries a state, start for the empty one; extend places the order's
-// last variable and returns the state after it and that step's cost.
-// Each step keeps the beamWidth partial orders of least accumulated
-// cost, ties broken by the orders' names, and BeamOrders returns the
-// complete orders that survive, cheapest first. It serves both the
-// elimination orders of DecomposeCosted and the Generic-Join variable
-// orders of large bags (catalog.ChooseOrder).
-func BeamOrders[S any](vars []string, start S, extend func(s S, order []string) (S, float64)) [][]string {
+// carries a state, start for the empty one. price returns the cost of
+// placing an order's last variable, given the state of the order
+// before it; advance returns the state after it, without modifying its
+// argument, and runs only for the partial orders kept. Each step keeps
+// the beamWidth partial orders of least accumulated cost, ties broken
+// by the orders' names, and BeamOrders returns the complete orders that
+// survive, cheapest first. It serves both the elimination orders of
+// DecomposeCosted and the Generic-Join variable orders of large bags
+// (catalog.ChooseOrder).
+func BeamOrders[S any](vars []string, start S, price func(S, []string) float64, advance func(S, []string) S) [][]string {
 	type partial struct {
 		order []string
 		name  string
@@ -248,14 +255,16 @@ func BeamOrders[S any](vars []string, start S, extend func(s S, order []string) 
 					continue
 				}
 				order := append(slices.Clip(p.order), v)
-				s, c := extend(p.s, order)
-				next = append(next, partial{order, strings.Join(order, ","), s, p.cost + c})
+				next = append(next, partial{order, strings.Join(order, ","), p.s, p.cost + price(p.s, order)})
 			}
 		}
 		slices.SortFunc(next, func(a, b partial) int {
 			return cmp.Or(cmp.Compare(a.cost, b.cost), strings.Compare(a.name, b.name))
 		})
 		beam = next[:min(len(next), beamWidth)]
+		for i := range beam {
+			beam[i].s = advance(beam[i].s, beam[i].order)
+		}
 	}
 	orders := make([][]string, len(beam))
 	for i, p := range beam {
@@ -267,6 +276,7 @@ func BeamOrders[S any](vars []string, start S, extend func(s S, order []string) 
 // adjacency is a primal graph: the variables adjacent to each variable.
 type adjacency map[string]map[string]bool
 
+// clone returns a copy of adj that shares no map with it.
 func (adj adjacency) clone() adjacency {
 	out := make(adjacency, len(adj))
 	for u, m := range adj {
@@ -275,13 +285,22 @@ func (adj adjacency) clone() adjacency {
 	return out
 }
 
-// eliminate removes v from adj and connects its neighbours pairwise
-// (the fill edges). It returns v's bag: v and those neighbours, sorted.
-func eliminate(adj adjacency, v string) []string {
-	nbrs := adj[v]
-	bag := append(make([]string, 0, len(nbrs)+1), v)
-	for u := range nbrs {
+// bag returns v and its neighbours, sorted.
+func (adj adjacency) bag(v string) []string {
+	bag := append(make([]string, 0, len(adj[v])+1), v)
+	for u := range adj[v] {
 		bag = append(bag, u)
+	}
+	sort.Strings(bag)
+	return bag
+}
+
+// eliminate removes v from adj and connects its neighbours pairwise
+// (the fill edges). It returns v's bag from before the removal.
+func eliminate(adj adjacency, v string) []string {
+	bag := adj.bag(v)
+	nbrs := adj[v]
+	for u := range nbrs {
 		delete(adj[u], v)
 		for w := range nbrs {
 			if u != w {
@@ -290,7 +309,6 @@ func eliminate(adj adjacency, v string) []string {
 		}
 	}
 	delete(adj, v)
-	sort.Strings(bag)
 	return bag
 }
 
