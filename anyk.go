@@ -46,10 +46,10 @@
 // keeps the fan). Every other cyclic shape — K4,
 // bowtie, star-with-chord, cliques, fused triangles, arbitrary
 // hypergraphs with higher-arity atoms — compiles through the generic
-// GHD planner: a generalized hypertree decomposition is searched
-// (exhaustive vertex-elimination orders for small queries, min-degree /
-// min-fill greedy orders for larger ones, scored by the cost model's
-// estimate of the tuples its bags materialise), each bag is
+// GHD planner: a generalized hypertree decomposition is searched (one
+// subset DP over vertex-elimination orders, exact up to 12 variables
+// and a beam beyond, scored by the cost model's estimate of the tuples
+// its bags materialise), each bag is
 // materialised with Generic-Join, and the acyclic bag tree feeds the
 // same any-k machinery. See internal/hypergraph.DecomposeCosted for the
 // search and internal/decomp for the one preparer every shape — the

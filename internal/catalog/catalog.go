@@ -5,7 +5,8 @@
 // joining any subset of the query variables from those statistics,
 // capped by the AGM bound. The decomposition search
 // (hypergraph.DecomposeCosted) and the Generic-Join variable-order
-// search (ChooseOrder) consume the model through small interfaces.
+// search (ChooseOrder) consume the model, both through the one subset
+// DP of hypergraph.CheapestOrder.
 // The statistics of a query's relations are collected in one place,
 // the facade's Compile, which builds one model from them and keeps
 // only the model; ChooseOrder collects its own over the atoms of the

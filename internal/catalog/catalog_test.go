@@ -150,8 +150,10 @@ func TestChooseOrderValid(t *testing.T) {
 }
 
 // TestChooseOrderBeamPinned pins the order ChooseOrder picks for a bag
-// over 13 variables, beyond the exact subset DP: a 13-cycle of random
-// graphs of different sizes with two chords.
+// over 13 variables, beyond the exact subset DP, where the search is a
+// beam over sets: a 13-cycle of random graphs of different sizes with
+// two chords. The order's summed prefix estimate may not exceed that of
+// the order the earlier beam over orders pinned.
 func TestChooseOrderBeamPinned(t *testing.T) {
 	const l = 13
 	vars := make([]string, l)
@@ -169,7 +171,24 @@ func TestChooseOrderBeamPinned(t *testing.T) {
 	}
 	add(0, 6)
 	add(3, 9)
-	want := []string{"V01", "V00", "V06", "V02", "V03", "V04", "V05", "V09", "V08", "V07", "V10", "V12", "V11"}
+	edges := make([]hypergraph.Edge, len(atoms))
+	rels := make([]*relation.Relation, len(atoms))
+	for i, a := range atoms {
+		edges[i], rels[i] = hypergraph.E(fmt.Sprint(i), a.Vars...), a.Rel
+	}
+	m := NewCostModel(edges, rels, nil)
+	prefixSum := func(order []string) float64 {
+		sum := 0.0
+		for i := range order {
+			sum += m.EstimateVars(order[:i+1])
+		}
+		return sum
+	}
+	want := []string{"V01", "V00", "V06", "V02", "V05", "V04", "V03", "V09", "V08", "V07", "V10", "V12", "V11"}
+	old := []string{"V01", "V00", "V06", "V02", "V03", "V04", "V05", "V09", "V08", "V07", "V10", "V12", "V11"}
+	if got, before := prefixSum(want), prefixSum(old); got > before {
+		t.Fatalf("order %v sums %g, the order pinned before sums %g", want, got, before)
+	}
 	for run := 0; run < 3; run++ {
 		order, err := ChooseOrder(atoms)
 		if err != nil {

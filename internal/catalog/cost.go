@@ -12,7 +12,7 @@ import (
 // solves the AGM log-weighted cover LP to cap the chain estimate. The
 // LP is exact worst-case information but costs a simplex solve per
 // call; beyond this many variables the chain estimate stands alone so
-// the beam searches stay cheap.
+// the decomposition search stays cheap on the bags of large queries.
 const maxAGMCapVars = 8
 
 // CostModel estimates join sizes for one query from per-relation

@@ -1,12 +1,10 @@
 package hypergraph
 
 import (
-	"cmp"
 	"fmt"
-	"maps"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -56,71 +54,72 @@ func (d *Decomposition) String() string {
 	return fmt.Sprintf("%s (width %.3g)", strings.Join(parts, " "), d.Width)
 }
 
-// maxExhaustiveVars bounds the exhaustive elimination-order search: up
-// to this many variables every permutation is tried (at most 7! = 5040
-// candidate orders, which collapse to far fewer distinct bag sets and
-// are deduplicated before the width LP runs).
-const maxExhaustiveVars = 7
-
 // DecomposeCosted searches for a low-width generalized hypertree
-// decomposition of the hypergraph. Candidate decompositions come from
-// vertex elimination orders — every permutation for small queries,
-// min-degree and min-fill greedy orders for larger ones. The trivial
-// single-bag decomposition (all variables in one bag, evaluated by one
-// Generic-Join) is always a candidate, so the search succeeds for every
-// connected or disconnected query shape.
-//
-// Cheapest ranks the candidates: by structure alone with a nil coster,
-// by total estimated bag materialization cost (Σ coster.BagCost(bag))
-// otherwise. With a coster, for queries beyond the exhaustive range,
-// BeamOrders over elimination orders, each step priced by the bag it
-// creates, contributes extra candidates. The winning decomposition
-// then carries the coster's per-bag estimates in EstBagSizes/EstCost.
+// decomposition of the hypergraph among the bag sets of vertex
+// elimination orders, which CheapestOrder searches over the sets of
+// variables eliminated so far: every elimination step creates one bag
+// (elimination.bag), and the order's bag set is its maximal bags. With
+// a coster an order costs the summed coster.BagCost of its maximal
+// bags; with a nil coster it ranks as better does — a first search
+// finds the least width, the maximum fractional edge cover over the
+// bags, and a second the fewest bags, then bag variables, within it.
+// Cheapest takes the final pick between the found bag set and the
+// trivial single bag (all variables, evaluated by one Generic-Join), so
+// the search succeeds for every connected or disconnected query shape.
+// The winning decomposition carries the coster's per-bag estimates in
+// EstBagSizes/EstCost.
 func (h *Hypergraph) DecomposeCosted(coster BagCoster) (*Decomposition, error) {
 	if len(h.Edges) == 0 {
 		return nil, fmt.Errorf("hypergraph: cannot decompose an empty hypergraph")
 	}
-	vars := h.Vars()
-
-	// Collect candidate bag sets, deduplicated by canonical key.
-	candidates := make(map[string][][]string)
-	add := func(bags [][]string) {
-		candidates[bagsKey(bags)] = bags
-	}
-
-	// The trivial fallback: one bag holding every variable.
-	add([][]string{append([]string(nil), vars...)})
-
-	if len(vars) <= maxExhaustiveVars {
-		permute(vars, func(order []string) {
-			add(h.eliminationBags(order))
-		})
-	} else {
-		add(h.eliminationBags(h.greedyOrder(false)))
-		add(h.eliminationBags(h.greedyOrder(true)))
-		if coster != nil {
-			orders := BeamOrders(vars, h.primalAdjacency(),
-				func(adj adjacency, order []string) float64 {
-					return coster.BagCost(adj.bag(order[len(order)-1]))
-				},
-				func(adj adjacency, order []string) adjacency {
-					adj = adj.clone()
-					eliminate(adj, order[len(order)-1])
-					return adj
-				})
-			for _, order := range orders {
-				add(h.eliminationBags(order))
+	e := h.elimination()
+	n := len(e.vars)
+	// priced is a step of CheapestOrder: the price of the bag that
+	// eliminating v after placed creates, 0 for a bag inside an earlier
+	// one, each distinct bag priced once.
+	priced := func(price func(bag []string) float64) func(VarSet, int) float64 {
+		m := make(map[string]float64)
+		return func(placed VarSet, v int) float64 {
+			bag, maximal := e.bag(placed, v)
+			if !maximal {
+				return 0
 			}
+			c, ok := m[string(bag)]
+			if !ok {
+				c = price(VarSet(bag).Names(e.vars))
+				m[string(bag)] = c
+			}
+			return c
 		}
 	}
-
-	// Rank in sorted key order, so an exact tie is deterministic.
-	keys := slices.Sorted(maps.Keys(candidates))
-	ordered := make([][][]string, len(keys))
-	for i, k := range keys {
-		ordered[i] = candidates[k]
+	var order []int
+	if coster != nil {
+		order, _ = CheapestOrder(n, false, priced(coster.BagCost))
+	} else {
+		// A bag inside another has no larger cover, so an order's width
+		// is the widest cover of its maximal bags, each at least 1.
+		rho := priced(func(bag []string) float64 {
+			if _, r, err := h.FractionalCoverOf(bag); err == nil {
+				return r
+			}
+			return math.Inf(1)
+		})
+		_, width := CheapestOrder(n, true, rho)
+		// A bag weighs more than all bag variables together (at most n
+		// bags of at most n), so the sum ranks bag count first.
+		weight := float64(n*n + 1)
+		order, _ = CheapestOrder(n, false, func(placed VarSet, v int) float64 {
+			switch r := rho(placed, v); {
+			case r == 0:
+				return 0
+			case r > width+1e-9:
+				return math.Inf(1)
+			}
+			bag, _ := e.bag(placed, v)
+			return weight + float64(len(VarSet(bag).Names(e.vars)))
+		})
 	}
-	best, err := h.Cheapest(coster, ordered...)
+	best, err := h.Cheapest(coster, e.bags(order), [][]string{e.vars})
 	if err != nil {
 		return nil, err
 	}
@@ -226,275 +225,159 @@ func costedBetter(a, b *Decomposition) bool {
 	return better(a, b)
 }
 
-// beamWidth is the number of partial orders BeamOrders keeps per step.
-const beamWidth = 4
-
-// BeamOrders beam-searches the orders of vars. Every partial order
-// carries a state, start for the empty one. price returns the cost of
-// placing an order's last variable, given the state of the order
-// before it; advance returns the state after it, without modifying its
-// argument, and runs only for the partial orders kept. Each step keeps
-// the beamWidth partial orders of least accumulated cost, ties broken
-// by the orders' names, and BeamOrders returns the complete orders that
-// survive, cheapest first. It serves both the elimination orders of
-// DecomposeCosted and the Generic-Join variable orders of large bags
-// (catalog.ChooseOrder).
-func BeamOrders[S any](vars []string, start S, price func(S, []string) float64, advance func(S, []string) S) [][]string {
-	type partial struct {
-		order []string
-		name  string
-		s     S
-		cost  float64
-	}
-	beam := []partial{{s: start}}
-	for range vars {
-		var next []partial
-		for _, p := range beam {
-			for _, v := range vars {
-				if slices.Contains(p.order, v) {
-					continue
-				}
-				order := append(slices.Clip(p.order), v)
-				next = append(next, partial{order, strings.Join(order, ","), p.s, p.cost + price(p.s, order)})
-			}
-		}
-		slices.SortFunc(next, func(a, b partial) int {
-			return cmp.Or(cmp.Compare(a.cost, b.cost), strings.Compare(a.name, b.name))
-		})
-		beam = next[:min(len(next), beamWidth)]
-		for i := range beam {
-			beam[i].s = advance(beam[i].s, beam[i].order)
-		}
-	}
-	orders := make([][]string, len(beam))
-	for i, p := range beam {
-		orders[i] = p.order
-	}
-	return orders
+// elimination is the primal graph of a hypergraph — two variables are
+// adjacent iff some edge holds both — over its sorted variables, by
+// index, with the scratch space of bag.
+type elimination struct {
+	vars   []string
+	adj    [][]int
+	placed VarSet // the set comp, nbhd and size describe
+	comp   []int  // comp[u]: u's component of placed, −1 outside it
+	nbhd   []byte // the bytes of N(c) from c·len(placed) on
+	size   []int  // size[c]: |N(c)|
+	buf    []byte // the last bag
 }
 
-// adjacency is a primal graph: the variables adjacent to each variable.
-type adjacency map[string]map[string]bool
-
-// clone returns a copy of adj that shares no map with it.
-func (adj adjacency) clone() adjacency {
-	out := make(adjacency, len(adj))
-	for u, m := range adj {
-		out[u] = maps.Clone(m)
-	}
-	return out
-}
-
-// bag returns v and its neighbours, sorted.
-func (adj adjacency) bag(v string) []string {
-	bag := append(make([]string, 0, len(adj[v])+1), v)
-	for u := range adj[v] {
-		bag = append(bag, u)
-	}
-	sort.Strings(bag)
-	return bag
-}
-
-// eliminate removes v from adj and connects its neighbours pairwise
-// (the fill edges). It returns v's bag from before the removal.
-func eliminate(adj adjacency, v string) []string {
-	bag := adj.bag(v)
-	nbrs := adj[v]
-	for u := range nbrs {
-		delete(adj[u], v)
-		for w := range nbrs {
-			if u != w {
-				adj[u][w] = true
-			}
-		}
-	}
-	delete(adj, v)
-	return bag
-}
-
-// eliminationBags builds the tree-decomposition bags induced by a vertex
-// elimination order: each eliminated variable's bag is the variable plus
-// its current neighbours in the (progressively filled-in) primal graph.
-// Non-maximal bags are dropped. The resulting bag hypergraph is always
-// α-acyclic, and every query edge lies inside the bag of its
-// first-eliminated variable.
-func (h *Hypergraph) eliminationBags(order []string) [][]string {
-	adj := h.primalAdjacency()
-	bags := make([][]string, len(order))
-	for i, v := range order {
-		bags[i] = eliminate(adj, v)
-	}
-	return pruneSubsetBags(bags)
-}
-
-// primalAdjacency builds the primal (Gaifman) graph: two variables are
-// adjacent iff some edge contains both.
-func (h *Hypergraph) primalAdjacency() adjacency {
-	adj := make(adjacency)
-	for _, v := range h.Vars() {
-		adj[v] = make(map[string]bool)
-	}
-	for _, e := range h.Edges {
-		for _, u := range e.Vars {
-			for _, w := range e.Vars {
-				if u != w {
-					adj[u][w] = true
+func (h *Hypergraph) elimination() *elimination {
+	vars := h.Vars()
+	e := &elimination{vars: vars, adj: make([][]int, len(vars)), comp: make([]int, len(vars))}
+	for _, ed := range h.Edges {
+		for _, u := range ed.Vars {
+			for _, w := range ed.Vars {
+				i, _ := slices.BinarySearch(vars, u)
+				j, _ := slices.BinarySearch(vars, w)
+				if i != j && !slices.Contains(e.adj[i], j) {
+					e.adj[i] = append(e.adj[i], j)
 				}
 			}
 		}
 	}
-	return adj
+	return e
 }
 
-// greedyOrder produces a vertex elimination order with the min-degree
-// (minFill=false) or min-fill (minFill=true) heuristic, breaking ties
-// alphabetically for determinism.
-func (h *Hypergraph) greedyOrder(minFill bool) []string {
-	adj := h.primalAdjacency()
-	remaining := h.Vars()
-	var order []string
-	for len(remaining) > 0 {
-		bestIdx, bestScore := -1, 0
-		for i, v := range remaining {
-			var score int
-			if minFill {
-				score = fillCount(adj, v)
-			} else {
-				score = len(adj[v])
-			}
-			if bestIdx < 0 || score < bestScore {
-				bestIdx, bestScore = i, score
-			}
+// components finds the components of placed and their neighbourhoods.
+func (e *elimination) components(placed VarSet) {
+	e.placed, e.nbhd, e.size = placed, e.nbhd[:0], e.size[:0]
+	for u := range e.vars {
+		e.comp[u] = -1
+	}
+	var stack []int
+	for u := range e.vars {
+		if !placed.Has(u) || e.comp[u] >= 0 {
+			continue
 		}
-		v := remaining[bestIdx]
-		order = append(order, v)
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		eliminate(adj, v)
-	}
-	return order
-}
-
-// fillCount counts the missing edges among v's neighbours — the fill
-// edges eliminating v would introduce.
-func fillCount(adj adjacency, v string) int {
-	nbrs := make([]string, 0, len(adj[v]))
-	for u := range adj[v] {
-		// Map order is harmless: the count below is the same for every
-		// order of nbrs.
-		nbrs = append(nbrs, u)
-	}
-	n := 0
-	for i := 0; i < len(nbrs); i++ {
-		for j := i + 1; j < len(nbrs); j++ {
-			if !adj[nbrs[i]][nbrs[j]] {
-				n++
+		c, off := len(e.size), len(e.nbhd)
+		e.nbhd = append(e.nbhd, make([]byte, len(placed))...)
+		e.size = append(e.size, 0)
+		e.comp[u], stack = c, append(stack, u)
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range e.adj[x] {
+				switch b := &e.nbhd[off+w/8]; {
+				case !placed.Has(w):
+					if *b&(1<<(w%8)) == 0 {
+						*b |= 1 << (w % 8)
+						e.size[c]++
+					}
+				case e.comp[w] < 0:
+					e.comp[w], stack = c, append(stack, w)
+				}
 			}
 		}
 	}
-	return n
 }
 
-// pruneSubsetBags removes bags contained in another bag (and exact
-// duplicates), preserving first-occurrence order.
-func pruneSubsetBags(bags [][]string) [][]string {
+// bag returns the bag that eliminating v creates once the set placed is
+// eliminated — as a VarSet's bytes, valid until the next call — and
+// whether it is maximal. Whatever the order placed was eliminated in,
+// two remaining vertices are adjacent iff a path joins them through
+// placed (Rose, Tarjan and Lueker), so the bag is v and every vertex
+// outside placed that v reaches through it: v's own neighbours and the
+// neighbourhood N(C) of every component C of placed next to v. Later
+// bags lack v; an earlier one holds the bag iff the bag equals some
+// such N(C), the bag of C's last-eliminated vertex holding N(C) — so
+// that is the one case the bag is not maximal.
+func (e *elimination) bag(placed VarSet, v int) ([]byte, bool) {
+	if placed != e.placed {
+		e.components(placed)
+	}
+	bag := append(e.buf[:0], make([]byte, len(placed))...)
+	bag[v/8] |= 1 << (v % 8)
+	widest := 0 // the largest |N(C)| of a component C next to v
+	for _, u := range e.adj[v] {
+		if c := e.comp[u]; c < 0 {
+			bag[u/8] |= 1 << (u % 8)
+		} else {
+			for i, b := range e.nbhd[c*len(placed) : (c+1)*len(placed)] {
+				bag[i] |= b
+			}
+			widest = max(widest, e.size[c])
+		}
+	}
+	e.buf = bag
+	size := 0
+	for _, b := range bag {
+		size += bits.OnesCount8(b)
+	}
+	// Every N(C) lies in the bag, so one equals it iff it is as large.
+	return bag, widest < size
+}
+
+// bags returns the maximal bags of an elimination order, in the order
+// it creates them. Their hypergraph is always α-acyclic, and every
+// query edge lies inside the bag of its first-eliminated variable.
+func (e *elimination) bags(order []int) [][]string {
+	placed := VarSet(make([]byte, (len(order)+7)/8))
 	var out [][]string
-	for i, b := range bags {
-		dominated := false
-		for j, other := range bags {
-			if i == j {
-				continue
-			}
-			if subset(b, other) && (len(b) < len(other) || j < i) {
-				dominated = true
-				break
-			}
+	for _, v := range order {
+		if bag, maximal := e.bag(placed, v); maximal {
+			out = append(out, VarSet(bag).Names(e.vars))
 		}
-		if !dominated {
-			out = append(out, b)
-		}
+		placed = placed.With(v)
 	}
 	return out
 }
 
 // connectBags merges the smallest bag of every connected component of
 // the bag hypergraph (bags adjacent iff they share a variable) into one
-// union bag, so the final bag set is connected. Connected inputs come
-// back unchanged.
+// union bag, listed first, so the final bag set is connected; a bag
+// inside the union goes. Connected inputs come back unchanged.
 func connectBags(bags [][]string) [][]string {
-	n := len(bags)
-	comp := make([]int, n)
+	comp := make([]int, len(bags)) // ends as the least bag of each component
 	for i := range comp {
 		comp[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
-		if comp[x] != x {
-			comp[x] = find(comp[x])
-		}
-		return comp[x]
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if len(intersect(bags[i], bags[j])) > 0 {
-				comp[find(i)] = find(j)
+	for changed := true; changed; {
+		changed = false
+		for i, a := range bags {
+			for j, b := range bags {
+				if comp[j] < comp[i] && slices.ContainsFunc(a, func(v string) bool { return slices.Contains(b, v) }) {
+					comp[i], changed = comp[j], true
+				}
 			}
 		}
 	}
-	// Smallest bag per component, in deterministic order.
-	smallest := make(map[int]int)
-	var roots []int
-	for i := 0; i < n; i++ {
-		r := find(i)
-		s, ok := smallest[r]
-		if !ok {
-			smallest[r] = i
-			roots = append(roots, r)
-			continue
-		}
-		if len(bags[i]) < len(bags[s]) {
-			smallest[r] = i
+	smallest := make(map[int]int) // component → its first smallest bag
+	for i, b := range bags {
+		if s, ok := smallest[comp[i]]; !ok || len(b) < len(bags[s]) {
+			smallest[comp[i]] = i
 		}
 	}
-	if len(roots) <= 1 {
+	if len(smallest) == 1 {
 		return bags
 	}
-	mergedSet := make(map[string]bool)
-	drop := make(map[int]bool)
-	for _, r := range roots {
-		i := smallest[r]
-		drop[i] = true
-		for _, v := range bags[i] {
-			mergedSet[v] = true
-		}
-	}
-	union := make([]string, 0, len(mergedSet))
-	for v := range mergedSet {
-		union = append(union, v)
-	}
-	sort.Strings(union)
-	out := [][]string{union}
+	var union []string
 	for i, b := range bags {
-		if !drop[i] {
-			out = append(out, b)
+		if smallest[comp[i]] == i {
+			union = append(union, b...)
 		}
 	}
-	return pruneSubsetBags(out)
-}
-
-// intersect returns the sorted common elements of two sorted slices.
-func intersect(a, b []string) []string {
-	var out []string
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+	slices.Sort(union)
+	out := [][]string{slices.Compact(union)}
+	for i, b := range bags {
+		if smallest[comp[i]] != i && !subset(b, out[0]) {
+			out = append(out, b)
 		}
 	}
 	return out
@@ -565,34 +448,4 @@ func (h *Hypergraph) containment(bags [][]string) [][]int {
 		}
 	}
 	return out
-}
-
-// bagsKey canonicalises a bag set (sorted bags, sorted set) for
-// deduplication.
-func bagsKey(bags [][]string) string {
-	keys := make([]string, len(bags))
-	for i, b := range bags {
-		keys[i] = strings.Join(b, ",")
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
-}
-
-// permute calls f with every permutation of xs (xs is reused across
-// calls; f must not retain it).
-func permute(xs []string, f func([]string)) {
-	buf := append([]string(nil), xs...)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(buf) {
-			f(buf)
-			return
-		}
-		for i := k; i < len(buf); i++ {
-			buf[k], buf[i] = buf[i], buf[k]
-			rec(k + 1)
-			buf[k], buf[i] = buf[i], buf[k]
-		}
-	}
-	rec(0)
 }

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // checkDecomposition validates the structural invariants every
@@ -140,8 +141,8 @@ func TestDecomposeAcyclic(t *testing.T) {
 }
 
 func TestDecomposeLargeFallsBackToGreedy(t *testing.T) {
-	// A 10-cycle has more vars than the exhaustive cap; greedy orders
-	// must still find a width-2 decomposition.
+	// A 10-cycle, beyond the permutation reference of FuzzDecompose:
+	// the subset DP must still find a width-2 decomposition.
 	h := Cycle(10)
 	d, err := h.DecomposeCosted(nil)
 	if err != nil {
@@ -150,6 +151,28 @@ func TestDecomposeLargeFallsBackToGreedy(t *testing.T) {
 	checkDecomposition(t, h, d)
 	if d.Width > 2+1e-9 {
 		t.Errorf("C10 width = %g, want <= 2", d.Width)
+	}
+}
+
+// TestDecomposeBeyond64Vars: a set holds any number of variables, so a
+// 70-cycle with a chord, which the beam over sets searches, decomposes
+// structurally and costed, each to width 3 at most and within a second.
+func TestDecomposeBeyond64Vars(t *testing.T) {
+	h := Cycle(70)
+	h.Edges = append(h.Edges, E("C", "A0", "A35"))
+	for _, coster := range []BagCoster{nil, nameCoster{}} {
+		start := time.Now()
+		d, err := h.DecomposeCosted(coster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("coster %v: search took %v", coster, took)
+		}
+		checkDecomposition(t, h, d)
+		if d.Width > 3+1e-9 {
+			t.Errorf("coster %v: width %g, want <= 3", coster, d.Width)
+		}
 	}
 }
 
@@ -184,18 +207,21 @@ func TestFractionalCoverOf(t *testing.T) {
 	}
 }
 
-// BenchmarkDecomposeCosted times the costed search on the benchmark's
-// two generic shapes, the chorded 5-cycle and the bowtie (every
-// elimination order), and on the 9-cycle with two chords (the greedy
-// orders and the beam), all priced by nameCoster.
+// BenchmarkDecomposeCosted times the costed search, priced by
+// nameCoster, on the benchmark's two generic shapes, the chorded
+// 5-cycle and the bowtie, on the 9-cycle with two chords and on a
+// 12-cycle with two chords, the largest shape the exact subset DP takes.
 func BenchmarkDecomposeCosted(b *testing.B) {
+	c12 := Cycle(12)
+	c12.Edges = append(c12.Edges, E("C1", "A0", "A6"), E("C2", "A3", "A9"))
 	shapes := []struct {
 		name string
 		h    *Hypergraph
 	}{
 		{"chorded5", New(E("R1", "A", "B"), E("R2", "B", "C"), E("R3", "C", "D"), E("R4", "D", "E"), E("R5", "E", "A"), E("R6", "B", "E"))},
 		{"bowtie", New(E("E1", "A", "B"), E("E2", "B", "C"), E("E3", "C", "A"), E("E4", "A", "D"), E("E5", "D", "E"), E("E6", "E", "A"))},
-		{"c9chords", greedyShapes()[0].h},
+		{"c9chords", largeShapes()[0].h},
+		{"c12chords", c12},
 	}
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {

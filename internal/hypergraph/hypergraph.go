@@ -6,10 +6,11 @@
 // decomposition search (DecomposeCosted) that the facade's generic cyclic
 // planner compiles through: vertex-elimination orders scored by a
 // coster's estimated bag sizes, or by the maximum fractional edge cover
-// over the bags when there is no coster, exhaustive for small queries
-// and min-degree/min-fill greedy (plus a costed beam) beyond. Its
-// ranking loop (Cheapest) and beam (BeamOrders) also serve the
-// long-cycle choice and the Generic-Join order search.
+// over the bags when there is no coster, searched by one subset DP over
+// the sets of eliminated variables (CheapestOrder), exact up to 12
+// variables and a beam over sets beyond. Its ranking loop (Cheapest)
+// and its order search also serve the long-cycle choice and the
+// Generic-Join order search.
 package hypergraph
 
 import (

@@ -2,7 +2,7 @@ package hypergraph
 
 import (
 	"fmt"
-	"slices"
+
 	"testing"
 )
 
@@ -19,10 +19,9 @@ func (nameCoster) BagCost(bag []string) float64 {
 	return c
 }
 
-// greedyShapes are hypergraphs over more than maxExhaustiveVars
-// variables, so DecomposeCosted takes the greedy orders (and, with a
-// coster, the beam) rather than every permutation.
-func greedyShapes() []struct {
+// largeShapes are hypergraphs over 9 or 10 variables, more than the
+// permutation oracle of FuzzDecompose covers.
+func largeShapes() []struct {
 	name string
 	h    *Hypergraph
 } {
@@ -61,33 +60,34 @@ func pinString(d *Decomposition) string {
 	return fmt.Sprintf("%v contains %v width %.9g est %v %v", d.Bags, d.Contains, d.Width, d.EstBagSizes, d.EstCost)
 }
 
-// TestDecomposeGreedyPinned pins the greedy orders and the structural
-// and costed decompositions on the shapes beyond the exhaustive search:
-// a refactor of the search must choose exactly these bags.
-func TestDecomposeGreedyPinned(t *testing.T) {
-	want := map[string][4]string{
+// TestDecomposeLargePinned pins the structural and costed
+// decompositions of largeShapes — a refactor of the search must choose
+// exactly these bags — and holds each to the width and estimated cost
+// of the plan that the min-degree and min-fill orders and an order beam
+// chose before the subset DP replaced them.
+func TestDecomposeLargePinned(t *testing.T) {
+	want := map[string]struct {
+		structural, costed string
+		width, cost        float64
+	}{
 		"9-cycle with two chords": {
-			"[A1 A3 A5 A6 A8 A0 A2 A4 A7]",
-			"[A1 A3 A5 A6 A2 A4 A0 A7 A8]",
-			"[[A0 A1 A2] [A2 A3 A4] [A4 A5 A6] [A4 A6 A7] [A0 A2 A4 A7] [A0 A7 A8]] contains [[0 1] [2 3] [4 5] [6] [9 10] [7 8]] width 2 est [] 0",
-			"[[A0 A1 A2] [A2 A3 A4] [A0 A7 A8] [A5 A6 A7] [A4 A5 A7] [A0 A2 A4 A7]] contains [[0 1] [2 3] [7 8] [5 6] [4] [9 10]] width 2 est [60 24 30 60 40 80] 294",
+			"[[A0 A7 A8] [A5 A6 A7] [A4 A5 A7] [A2 A3 A4] [A0 A2 A4 A7] [A0 A1 A2]] contains [[7 8] [5 6] [4] [2 3] [9 10] [0 1]] width 2 est [] 0",
+			"[[A2 A3 A4] [A0 A7 A8] [A5 A6 A7] [A4 A5 A7] [A0 A2 A4 A7] [A0 A1 A2]] contains [[2 3] [7 8] [5 6] [4] [9 10] [0 1]] width 2 est [24 30 60 40 80 60] 294",
+			2, 294,
 		},
 		"3x3 grid": {
-			"[G00 G02 G20 G22 G01 G10 G11 G12 G21]",
-			"[G00 G02 G01 G20 G10 G11 G12 G21 G22]",
-			"[[G00 G01 G10] [G01 G02 G12] [G01 G10 G11 G12] [G10 G20 G21] [G10 G11 G12 G21] [G12 G21 G22]] contains [[0 1] [2 4] [3 5 7] [6 10] [5 7 8] [9 11]] width 3 est [] 0",
-			"[[G01 G02 G12] [G12 G21 G22] [G00 G01 G10] [G10 G20 G21] [G01 G10 G11 G12] [G10 G11 G12 G21]] contains [[2 4] [9 11] [0 1] [6 10] [3 5 7] [5 7 8]] width 3 est [24 24 150 150 360 360] 1068",
+			"[[G12 G21 G22] [G11 G12 G20 G21] [G10 G11 G12 G20] [G02 G10 G11 G12] [G01 G02 G10 G11] [G00 G01 G10]] contains [[9 11] [7 8 10] [5 6 7] [4 5 7] [2 3 5] [0 1]] width 2 est [] 0",
+			"[[G12 G21 G22] [G01 G02 G12] [G10 G20 G21] [G10 G11 G12 G21] [G01 G10 G11 G12] [G00 G01 G10]] contains [[9 11] [2 4] [6 10] [5 7 8] [3 5 7] [0 1]] width 3 est [24 24 150 360 360 150] 1068",
+			3, 1068,
 		},
 		"K5 with pendants": {
-			"[P Q S A B C D E]",
-			"[D E P A Q B C S]",
-			"[[A B C D E] [A P] [B Q] [C S]] contains [[3 4 5 6 7 8 9 10 11 12] [0] [1] [2]] width 2.5 est [] 0",
-			"[[A P] [B Q] [C S] [A B C D E]] contains [[0] [1] [2] [3 4 5 6 7 8 9 10 11 12]] width 2.5 est [4 9 20 720] 753",
+			"[[A B C D E] [C S] [B Q] [A P]] contains [[3 4 5 6 7 8 9 10 11 12] [2] [1] [0]] width 2.5 est [] 0",
+			"[[A B C D E] [C S] [B Q] [A P]] contains [[3 4 5 6 7 8 9 10 11 12] [2] [1] [0]] width 2.5 est [720 20 9 4] 753",
+			2.5, 753,
 		},
 	}
-	for _, s := range greedyShapes() {
+	for _, s := range largeShapes() {
 		w := want[s.name]
-		minDeg, minFill := s.h.greedyOrder(false), s.h.greedyOrder(true)
 		structural, err := s.h.DecomposeCosted(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -96,14 +96,14 @@ func TestDecomposeGreedyPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := [4]string{fmt.Sprint(minDeg), fmt.Sprint(minFill), pinString(structural), pinString(costed)}
-		for i, what := range []string{"min-degree order", "min-fill order", "DecomposeCosted(nil)", "DecomposeCosted(coster)"} {
-			if got[i] != w[i] {
-				t.Errorf("%s: %s\n got %s\nwant %s", s.name, what, got[i], w[i])
-			}
+		if got := pinString(structural); got != w.structural {
+			t.Errorf("%s: DecomposeCosted(nil)\n got %s\nwant %s", s.name, got, w.structural)
 		}
-		if !slices.Equal(s.h.greedyOrder(true), minFill) {
-			t.Errorf("%s: min-fill order not deterministic", s.name)
+		if got := pinString(costed); got != w.costed {
+			t.Errorf("%s: DecomposeCosted(coster)\n got %s\nwant %s", s.name, got, w.costed)
+		}
+		if structural.Width > w.width+1e-9 || costed.EstCost > w.cost {
+			t.Errorf("%s: width %g, cost %g; the old search reached %g and %g", s.name, structural.Width, costed.EstCost, w.width, w.cost)
 		}
 	}
 }
