@@ -40,46 +40,46 @@ var planSequenceGoldens = map[string]struct {
 	n    int
 	hash uint64
 }{
-	"triangle/Lazy/sum":         {228, 0xbfa1ffa152942882},
-	"triangle/Take2/sum":        {228, 0xbfa1ffa152942882},
-	"triangle/Lazy/sum-desc":    {228, 0x32646fabcb5a0c82},
-	"triangle/Take2/sum-desc":   {228, 0x32646fabcb5a0c82},
-	"triangle/Lazy/max":         {228, 0x7ef521660000dc07},
-	"triangle/Take2/max":        {228, 0x7ef521660000dc07},
+	"triangle/Lazy/sum":         {228, 0x9bad51778c880182},
+	"triangle/Take2/sum":        {228, 0x9bad51778c880182},
+	"triangle/Lazy/sum-desc":    {228, 0x11b667cafbc99882},
+	"triangle/Take2/sum-desc":   {228, 0x11b667cafbc99882},
+	"triangle/Lazy/max":         {228, 0x451dfb521a195867},
+	"triangle/Take2/max":        {228, 0x451dfb521a195867},
 	"triangle/Lazy/min-desc":    {228, 0xfb9e4d0f4cad214f},
 	"triangle/Take2/min-desc":   {228, 0xfb9e4d0f4cad214f},
-	"triangle/Lazy/product":     {228, 0x9544486ab35fc2dd},
-	"triangle/Take2/product":    {228, 0x9544486ab35fc2dd},
-	"four-cycle/Lazy/sum":       {1504, 0x1cd1d875ea09996d},
-	"four-cycle/Take2/sum":      {1504, 0x6d2d5559c73242dd},
-	"four-cycle/Lazy/sum-desc":  {1504, 0x2dbdfe8f46097c7d},
-	"four-cycle/Take2/sum-desc": {1504, 0xdfe7bfe02a4effed},
-	"four-cycle/Lazy/max":       {1504, 0xda5f17a5464bac9d},
-	"four-cycle/Take2/max":      {1504, 0xcd074787e3aaa2dd},
-	"four-cycle/Lazy/min-desc":  {1504, 0x985540cda2606945},
-	"four-cycle/Take2/min-desc": {1504, 0xaf71ffcbd79ddc59},
-	"four-cycle/Lazy/product":   {1504, 0xbe4b885b092d4181},
-	"four-cycle/Take2/product":  {1504, 0xc7e8bfc2190d03d1},
-	"fan5/Lazy/sum":             {9021, 0x680620a10c0c4aea},
-	"fan5/Take2/sum":            {9021, 0xa15ce9e9017c4a3a},
-	"fan5/Lazy/sum-desc":        {9021, 0x810c361b4810bcca},
-	"fan5/Take2/sum-desc":       {9021, 0x9b78d067dc7b8b4a},
-	"fan5/Lazy/max":             {9021, 0x9d6ddc3e37d84bfc},
-	"fan5/Take2/max":            {9021, 0x4641f97c63fedc3c},
-	"fan5/Lazy/min-desc":        {9021, 0x1a9792680f3086bc},
-	"fan5/Take2/min-desc":       {9021, 0x179b54f9a380050},
-	"fan5/Lazy/product":         {9021, 0xc30eb99094a3458d},
-	"fan5/Take2/product":        {9021, 0xbd08fea62113fb6d},
-	"bowtie/Lazy/sum":           {5360, 0x8b7c611790bd5a62},
-	"bowtie/Take2/sum":          {5360, 0x8a01aef014289f22},
-	"bowtie/Lazy/sum-desc":      {5360, 0x99f22cd3f2b8d682},
-	"bowtie/Take2/sum-desc":     {5360, 0xa3f2492fa34dc142},
-	"bowtie/Lazy/max":           {5360, 0x84010d9e428e2577},
-	"bowtie/Take2/max":          {5360, 0xd66f93cc14c78a37},
+	"triangle/Lazy/product":     {228, 0xed9c485f658862bd},
+	"triangle/Take2/product":    {228, 0xed9c485f658862bd},
+	"four-cycle/Lazy/sum":       {1504, 0xec965f2cc658eed},
+	"four-cycle/Take2/sum":      {1504, 0x1bd0dc4dfa4414fd},
+	"four-cycle/Lazy/sum-desc":  {1504, 0xccbacbca4869edbd},
+	"four-cycle/Take2/sum-desc": {1504, 0xa17d130c341b380d},
+	"four-cycle/Lazy/max":       {1504, 0x3332ad98b0f5648d},
+	"four-cycle/Take2/max":      {1504, 0x7f37576d495271fd},
+	"four-cycle/Lazy/min-desc":  {1504, 0xad0ec30886521a5d},
+	"four-cycle/Take2/min-desc": {1504, 0x224588896a101fad},
+	"four-cycle/Lazy/product":   {1504, 0x6d5416ceb422be01},
+	"four-cycle/Take2/product":  {1504, 0xa7535bab8807a991},
+	"fan5/Lazy/sum":             {9021, 0x211432d1ebfba51a},
+	"fan5/Take2/sum":            {9021, 0xdc58d82839dd78ca},
+	"fan5/Lazy/sum-desc":        {9021, 0xffc9aa59f69f2f8a},
+	"fan5/Take2/sum-desc":       {9021, 0xc5dd5b6800af4bba},
+	"fan5/Lazy/max":             {9021, 0x44789af3f1734c2c},
+	"fan5/Take2/max":            {9021, 0xdfe46592bb81d5fc},
+	"fan5/Lazy/min-desc":        {9021, 0xbbf388cd6e6a4dac},
+	"fan5/Take2/min-desc":       {9021, 0xc4e15d966c50e970},
+	"fan5/Lazy/product":         {9021, 0x180d582f0e57aa4d},
+	"fan5/Take2/product":        {9021, 0x9a2f7dcb1e15599d},
+	"bowtie/Lazy/sum":           {5360, 0xc75e3151bca6ec82},
+	"bowtie/Take2/sum":          {5360, 0x5bd179b90467e892},
+	"bowtie/Lazy/sum-desc":      {5360, 0xb46e4553958b7a62},
+	"bowtie/Take2/sum-desc":     {5360, 0x3533d964977b26f2},
+	"bowtie/Lazy/max":           {5360, 0xaa8ede5d6823d377},
+	"bowtie/Take2/max":          {5360, 0x89b930bb5ca66557},
 	"bowtie/Lazy/min-desc":      {5360, 0xd8a1f0b6c8dd7dff},
 	"bowtie/Take2/min-desc":     {5360, 0x96cd5577f4144d73},
-	"bowtie/Lazy/product":       {5360, 0xa7020c8cc211c97b},
-	"bowtie/Take2/product":      {5360, 0x8f4f431088d13d6b},
+	"bowtie/Lazy/product":       {5360, 0x70479fb14ac338ab},
+	"bowtie/Take2/product":      {5360, 0xaeeb973cb92a894b},
 }
 
 // TestPlanSequenceUnchanged pins the exact result sequence — tuples in

@@ -28,6 +28,7 @@
 package wcoj
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -119,9 +120,9 @@ func newAtomState(a Atom, varOrder []string) (*atomState, error) {
 	for i := range st.rows {
 		st.rows[i] = int32(i)
 	}
-	// Equal rows keep pdqsort's order (sort.Slice gives the same): it is
-	// the emit order of duplicate tuples, which the result-sequence
-	// goldens pin, so a stable or another sort would reorder results.
+	// Rows equal on every key keep their input order: the comparator
+	// breaks ties by row id. That order is the emit order of duplicate
+	// tuples, so it must not depend on the sorting algorithm.
 	slices.SortFunc(st.rows, func(i, j int32) int {
 		ti, tj := a.Rel.Tuples[i], a.Rel.Tuples[j]
 		for _, c := range cols {
@@ -132,7 +133,7 @@ func newAtomState(a Atom, varOrder []string) (*atomState, error) {
 				return 1
 			}
 		}
-		return 0
+		return cmp.Compare(i, j)
 	})
 	flat := make([]relation.Value, n*len(cols))
 	st.keys = make([][]relation.Value, len(cols))

@@ -86,6 +86,10 @@ func FuzzTrieCursor(f *testing.F) {
 			if st.keys[0][r] != ref[r][0] || st.keys[1][r] != ref[r][1] || row[1] != ref[r][0] || row[0] != ref[r][1] {
 				t.Fatalf("sorted row %d: keys (%d, %d), tuple %v, want %v", r, st.keys[0][r], st.keys[1][r], row, ref[r])
 			}
+			// Rows equal on every key keep their input order.
+			if r > 0 && ref[r] == ref[r-1] && st.rows[r] <= st.rows[r-1] {
+				t.Fatalf("sorted rows %d and %d hold equal keys %v from input rows %d and %d, want them ascending", r-1, r, ref[r], st.rows[r-1], st.rows[r])
+			}
 		}
 		for ; len(data) >= 3; data = data[3:] {
 			op, d := data[0]%4, int(data[0]/4)%2
