@@ -30,6 +30,9 @@ import (
 // in the one case where exactly heavyK values split the column evenly.
 const heavyK = 64
 
+// keepHeavy is the number of most frequent values a column keeps.
+const keepHeavy = heavyK - 1
+
 // HeavyHit is one value of a column with its exact number of rows.
 type HeavyHit struct {
 	Value int64
@@ -54,22 +57,72 @@ type RelationStats struct {
 }
 
 // Collect counts every value of every column of a relation and returns
-// its statistics. One map serves all columns; a count is an int32, so a
-// relation holds fewer than 2³¹ rows.
+// its statistics. A dense column (relation.DenseColumn) is counted in
+// an array over [min, max], allocated once at the relation's largest
+// span and cleared between columns; a sparse one in a map, also shared
+// by the relation's columns. Both give the same ColumnStats. A count is
+// an int32, so a relation holds fewer than 2³¹ rows.
 func Collect(r *relation.Relation) *RelationStats {
 	st := &RelationStats{Rows: r.Len(), Cols: make([]ColumnStats, r.Arity())}
-	counts := make(map[relation.Value]int32)
-	for c := range st.Cols {
-		clear(counts)
-		for _, t := range r.Tuples {
-			counts[t[c]]++
+	ranges := make([]struct {
+		base relation.Value
+		span int
+	}, r.Arity())
+	maxSpan, sparse := 0, false
+	for c := range ranges {
+		ranges[c].base, ranges[c].span = r.DenseColumn(c)
+		maxSpan, sparse = max(maxSpan, ranges[c].span), sparse || ranges[c].span == 0
+	}
+	cells := make([]int32, maxSpan)
+	var counts map[relation.Value]int32
+	if sparse {
+		counts = make(map[relation.Value]int32)
+	}
+	sel := heavySelector{buf: make([]HeavyHit, 0, 2*keepHeavy)}
+	for c, rg := range ranges {
+		if rg.span > 0 {
+			st.Cols[c] = collectDense(r.Tuples, c, rg.base, cells[:rg.span], &sel)
+		} else {
+			st.Cols[c] = collectMap(r.Tuples, c, counts, &sel)
 		}
-		st.Cols[c] = ColumnStats{Distinct: float64(len(counts)), Heavy: mostFrequent(counts)}
 	}
 	return st
 }
 
+// collectDense counts column c, whose values lie in [base,
+// base+len(cells)), in cells.
+func collectDense(tuples []relation.Tuple, c int, base relation.Value, cells []int32, sel *heavySelector) ColumnStats {
+	clear(cells)
+	for _, t := range tuples {
+		cells[t[c]-base]++
+	}
+	sel.reset()
+	distinct := 0
+	for i, n := range cells {
+		if n > 0 {
+			distinct++
+			sel.add(HeavyHit{Value: base + relation.Value(i), Count: int(n)})
+		}
+	}
+	return ColumnStats{Distinct: float64(distinct), Heavy: sel.result()}
+}
+
+// collectMap counts column c in counts.
+func collectMap(tuples []relation.Tuple, c int, counts map[relation.Value]int32, sel *heavySelector) ColumnStats {
+	clear(counts)
+	for _, t := range tuples {
+		counts[t[c]]++
+	}
+	sel.reset()
+	for v, n := range counts {
+		sel.add(HeavyHit{Value: v, Count: int(n)})
+	}
+	return ColumnStats{Distinct: float64(len(counts)), Heavy: sel.result()}
+}
+
 // cmpHeavy orders heavy hits by descending count, then ascending value.
+// It is a total order, so the hits a heavySelector keeps do not depend
+// on the order they arrive in.
 func cmpHeavy(a, b HeavyHit) int {
 	if c := cmp.Compare(b.Count, a.Count); c != 0 {
 		return c
@@ -77,35 +130,41 @@ func cmpHeavy(a, b HeavyHit) int {
 	return cmp.Compare(a.Value, b.Value)
 }
 
-// mostFrequent returns the heavyK−1 entries of counts that come first
-// under cmpHeavy, sorted, in a slice of exactly their length, since a
-// CostModel holds them for as long as it lives. It selects
-// them in a buffer of twice that size, sorting and cutting it back each
-// time it fills, so it never sorts the whole column.
-func mostFrequent(counts map[relation.Value]int32) []HeavyHit {
-	const keep = heavyK - 1
-	buf := make([]HeavyHit, 0, 2*keep)
+// heavySelector keeps the keepHeavy hits that come first under
+// cmpHeavy among those added. It selects them in a buffer of twice that
+// size, sorting and cutting it back each time it fills, so it never
+// sorts a whole column; one buffer serves every column of a relation.
+type heavySelector struct {
+	buf []HeavyHit
 	// floor is the last entry kept at the latest cut; before the first
 	// cut its count of 0 turns nothing away.
-	var floor HeavyHit
-	for v, n := range counts {
-		h := HeavyHit{Value: v, Count: int(n)}
-		if cmpHeavy(h, floor) > 0 {
-			continue
-		}
-		buf = append(buf, h)
-		if len(buf) == cap(buf) {
-			slices.SortFunc(buf, cmpHeavy)
-			buf = buf[:keep]
-			floor = buf[keep-1]
-		}
+	floor HeavyHit
+}
+
+func (s *heavySelector) reset() { s.buf, s.floor = s.buf[:0], HeavyHit{} }
+
+func (s *heavySelector) add(h HeavyHit) {
+	if cmpHeavy(h, s.floor) > 0 {
+		return
 	}
-	if len(buf) == 0 {
+	s.buf = append(s.buf, h)
+	if len(s.buf) == cap(s.buf) {
+		slices.SortFunc(s.buf, cmpHeavy)
+		s.buf = s.buf[:keepHeavy]
+		s.floor = s.buf[keepHeavy-1]
+	}
+}
+
+// result returns the kept hits, sorted, in a slice of exactly their
+// length, since a CostModel holds them for as long as it lives; nil
+// when none was added.
+func (s *heavySelector) result() []HeavyHit {
+	if len(s.buf) == 0 {
 		return nil
 	}
-	slices.SortFunc(buf, cmpHeavy)
-	out := make([]HeavyHit, min(len(buf), keep))
-	copy(out, buf)
+	slices.SortFunc(s.buf, cmpHeavy)
+	out := make([]HeavyHit, min(len(s.buf), keepHeavy))
+	copy(out, s.buf)
 	return out
 }
 

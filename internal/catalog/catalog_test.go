@@ -3,6 +3,7 @@ package catalog
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -55,6 +56,69 @@ func TestCollectExact(t *testing.T) {
 		}
 		if cap(cs.Heavy) > heavyK-1 {
 			t.Fatalf("%s: cap(Heavy) = %d > %d", name, cap(cs.Heavy), heavyK-1)
+		}
+	}
+
+	// A column Collect counts in an array gives the ColumnStats of the
+	// map path, at both ends of the int64 range and on both sides of the
+	// density rule. Column 0 is a dense column of a wider span, so the
+	// shared array is cleared between columns of different spans.
+	const n = 2000
+	skewed := func() relation.Value { return relation.Value(rng.Intn(1 + rng.Intn(n))) }
+	for _, tc := range []struct {
+		name  string
+		value func(i int) relation.Value
+		dense bool
+	}{
+		{"min-int64", func(int) relation.Value { return math.MinInt64 + skewed() }, true},
+		{"near-max-int64", func(int) relation.Value { return math.MaxInt64 - skewed() }, true},
+		{"negative", func(int) relation.Value { return -1 - skewed() }, true},
+		{"single-value", func(int) relation.Value { return 42 }, true},
+		{"span-2n", between(5, 5+2*n-1, skewed), true},
+		{"span-2n+1", between(5, 5+2*n, skewed), false},
+		{"full-range", between(math.MinInt64, math.MaxInt64, skewed), false},
+	} {
+		r := relation.New(tc.name, "Wide", "X")
+		for i := 0; i < n; i++ {
+			r.Add(relation.Value(rng.Intn(2*n)), tc.value(i))
+		}
+		checkDenseMatchesMap(t, r, []bool{true, tc.dense})
+	}
+	empty := relation.New("empty", "X", "Y")
+	if st := Collect(empty); st.Rows != 0 || len(st.Cols) != 2 {
+		t.Fatalf("empty relation: %+v", st)
+	}
+	checkDenseMatchesMap(t, empty, []bool{false, false})
+}
+
+// between returns a column whose rows 0 and 1 hold lo and hi and whose
+// other rows hold lo + next().
+func between(lo, hi relation.Value, next func() relation.Value) func(i int) relation.Value {
+	return func(i int) relation.Value {
+		switch i {
+		case 0:
+			return lo
+		case 1:
+			return hi
+		}
+		return lo + next()
+	}
+}
+
+// checkDenseMatchesMap checks that relation.DenseColumn finds each
+// column of r dense as dense says, and that Collect gives every column
+// the ColumnStats the map path gives.
+func checkDenseMatchesMap(t *testing.T, r *relation.Relation, dense []bool) {
+	t.Helper()
+	st := Collect(r)
+	sel := heavySelector{buf: make([]HeavyHit, 0, 2*keepHeavy)}
+	for c, name := range r.Attrs {
+		if _, span := r.DenseColumn(c); (span > 0) != dense[c] {
+			t.Fatalf("%s.%s: span %d, want dense %v", r.Name, name, span, dense[c])
+		}
+		want := collectMap(r.Tuples, c, make(map[relation.Value]int32), &sel)
+		if got := st.Cols[c]; got.Distinct != want.Distinct || !slices.Equal(got.Heavy, want.Heavy) {
+			t.Fatalf("%s.%s: Collect gives %+v, the map path %+v", r.Name, name, got, want)
 		}
 	}
 }

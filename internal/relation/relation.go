@@ -113,6 +113,27 @@ func (r *Relation) Len() int { return len(r.Tuples) }
 // Arity reports the number of attributes.
 func (r *Relation) Arity() int { return len(r.Attrs) }
 
+// DenseColumn reports whether column c is dense enough to address by
+// value: it returns the column's minimum and the number of values in
+// [min, max] when that is at most 2·Len(), so that one int32 per value
+// costs at most 8 B per row, and span 0 when the column is sparse or
+// the relation empty. The difference is taken in uint64, where it
+// cannot overflow for any min ≤ max. The trie offsets of internal/wcoj
+// and the counts of internal/catalog both follow this one rule.
+func (r *Relation) DenseColumn(c int) (base Value, span int) {
+	if len(r.Tuples) == 0 {
+		return 0, 0
+	}
+	lo, hi := r.Tuples[0][c], r.Tuples[0][c]
+	for _, t := range r.Tuples {
+		lo, hi = min(lo, t[c]), max(hi, t[c])
+	}
+	if d := uint64(hi) - uint64(lo); d < 2*uint64(len(r.Tuples)) {
+		return lo, int(d) + 1
+	}
+	return 0, 0
+}
+
 // AttrIndex returns the position of attr in the schema, or -1.
 func (r *Relation) AttrIndex(attr string) int {
 	for i, a := range r.Attrs {

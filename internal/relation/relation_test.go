@@ -32,6 +32,34 @@ func TestAddArityPanics(t *testing.T) {
 	r.Add(1)
 }
 
+// TestDenseColumn: a column is dense iff max − min + 1 ≤ 2·rows, with
+// the difference exact at both ends of the int64 range.
+func TestDenseColumn(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vals []Value
+		base Value
+		span int
+	}{
+		{"empty", nil, 0, 0},
+		{"single value", []Value{-7}, -7, 1},
+		{"span 2n", []Value{3, 1, 6}, 1, 6},
+		{"span 2n+1", []Value{3, 0, 6}, 0, 0},
+		{"bottom of range", []Value{math.MinInt64 + 1, math.MinInt64}, math.MinInt64, 2},
+		{"top of range", []Value{math.MaxInt64, math.MaxInt64 - 3}, math.MaxInt64 - 3, 4},
+		{"whole range", []Value{math.MaxInt64, math.MinInt64}, 0, 0},
+	} {
+		r := New("R", "X", "Y")
+		for _, v := range tc.vals {
+			r.Add(0, v)
+		}
+		base, span := r.DenseColumn(1)
+		if base != tc.base || span != tc.span {
+			t.Errorf("%s: DenseColumn = (%d, %d), want (%d, %d)", tc.name, base, span, tc.base, tc.span)
+		}
+	}
+}
+
 func TestAttrIndex(t *testing.T) {
 	r := New("R", "A", "B", "C")
 	if r.AttrIndex("B") != 1 {

@@ -16,6 +16,10 @@
 // depth-0 interval is always the whole atom, so when its column is dense
 // (vertex ids and dictionary codes are) the atom keeps one offset per
 // value in its range instead, and a depth-0 seek is a direct lookup.
+// Such a column is also sorted by counting: the offsets are the buckets'
+// bounds, and only the rows within one bucket are compared, on the
+// remaining columns. A sparse column is comparison-sorted. Rows equal
+// on every key keep their input order under either sort.
 //
 // Because Generic-Join decomposes over the first variable's domain
 // (the observation behind the skew analysis of "Skew Strikes Back",
@@ -55,11 +59,13 @@ type atomState struct {
 	// keys[d][r] is the value of the atom's depth-d variable in sorted
 	// row r: a view into one flat array holding the columns back to back.
 	keys [][]relation.Value
-	// start is nil unless the depth-0 column is dense (see denseSpan).
+	// start is nil unless the depth-0 column is dense (see
+	// relation.DenseColumn).
 	// Then the sorted rows holding value base+i are [start[i], start[i+1]),
 	// so a depth-0 narrow reads two offsets and a depth-0 nextBlock one,
 	// where a sparse column is searched. It is the tail of rows'
-	// allocation: at most 2n+1 offsets for n rows.
+	// allocation: at most 2n+1 offsets for n rows. newAtomState first
+	// uses it as the counting sort's buckets.
 	start []int32
 	base  relation.Value
 	// iv[d] is the row interval after this atom's first d variables have
@@ -74,9 +80,9 @@ type atomState struct {
 	globalPos []int
 }
 
-// newAtomState sorts the atom's tuples by its variables in global order
-// and gathers their values into sorted key columns, with the depth-0
-// offsets when that column is dense.
+// newAtomState sorts the atom's tuples by its variables in global order,
+// ties by row id, and gathers their values into sorted key columns, with
+// the depth-0 offsets when that column is dense.
 func newAtomState(a Atom, varOrder []string) (*atomState, error) {
 	if len(a.Vars) != a.Rel.Arity() {
 		return nil, fmt.Errorf("wcoj: atom %s has %d vars for arity %d", a.Rel.Name, len(a.Vars), a.Rel.Arity())
@@ -105,70 +111,100 @@ func newAtomState(a Atom, varOrder []string) (*atomState, error) {
 		cols[d], st.globalPos[d] = x.col, x.pos
 	}
 	n := a.Rel.Len()
+	var span int
+	if len(cols) > 0 {
+		st.base, span = a.Rel.DenseColumn(cols[0])
+	}
 	offsets := 0
-	if n > 0 && len(cols) > 0 {
-		lo, hi := a.Rel.Tuples[0][cols[0]], a.Rel.Tuples[0][cols[0]]
-		for _, t := range a.Rel.Tuples {
-			lo, hi = min(lo, t[cols[0]]), max(hi, t[cols[0]])
-		}
-		if span := denseSpan(lo, hi, n); span > 0 {
-			st.base, offsets = lo, span+1
-		}
+	if span > 0 {
+		offsets = span + 1
 	}
 	buf := make([]int32, n+offsets)
 	st.rows = buf[:n:n]
-	for i := range st.rows {
-		st.rows[i] = int32(i)
-	}
-	// Rows equal on every key keep their input order: the comparator
-	// breaks ties by row id. That order is the emit order of duplicate
-	// tuples, so it must not depend on the sorting algorithm.
-	slices.SortFunc(st.rows, func(i, j int32) int {
-		ti, tj := a.Rel.Tuples[i], a.Rel.Tuples[j]
-		for _, c := range cols {
-			if ti[c] != tj[c] {
-				if ti[c] < tj[c] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return cmp.Compare(i, j)
-	})
 	flat := make([]relation.Value, n*len(cols))
 	st.keys = make([][]relation.Value, len(cols))
-	for d, c := range cols {
-		col := flat[d*n : (d+1)*n : (d+1)*n]
-		for r, row := range st.rows {
-			col[r] = a.Rel.Tuples[row][c]
+	for d := range cols {
+		st.keys[d] = flat[d*n : (d+1)*n : (d+1)*n]
+	}
+	// Rows equal on every key keep their input order: both sorts break
+	// ties by row id, so the emit order of duplicate tuples does not
+	// depend on the sorting algorithm.
+	tuples := a.Rel.Tuples
+	byKeys := func(keys []int) func(i, j int32) int {
+		return func(i, j int32) int {
+			ti, tj := tuples[i], tuples[j]
+			for _, c := range keys {
+				if ti[c] != tj[c] {
+					if ti[c] < tj[c] {
+						return -1
+					}
+					return 1
+				}
+			}
+			return cmp.Compare(i, j)
 		}
-		st.keys[d] = col
 	}
 	if offsets > 0 {
 		st.start = buf[n:]
-		i := 0
-		for r, v := range st.keys[0] {
-			for end := int(v - st.base); i <= end; i++ {
-				st.start[i] = int32(r)
-			}
+		st.sortDense(tuples, cols, byKeys(cols[1:]))
+	} else {
+		for i := range st.rows {
+			st.rows[i] = int32(i)
 		}
-		for ; i < offsets; i++ {
-			st.start[i] = int32(n)
+		slices.SortFunc(st.rows, byKeys(cols))
+		if len(cols) > 0 {
+			gather(st.keys[0], st.rows, tuples, cols[0])
 		}
+	}
+	for d := 1; d < len(cols); d++ {
+		gather(st.keys[d], st.rows, tuples, cols[d])
 	}
 	st.initCursor()
 	return st, nil
 }
 
-// denseSpan returns the number of values in [lo, hi] when that is at
-// most 2n, so that one offset per value costs at most 8 B per row, and 0
-// when the column is sparse. The difference is taken in uint64, where it
-// cannot overflow for any lo ≤ hi.
-func denseSpan(lo, hi relation.Value, n int) int {
-	if d := uint64(hi) - uint64(lo); d < 2*uint64(n) {
-		return int(d) + 1
+// sortDense sorts the rows of a dense depth-0 column by counting: it
+// counts each value v into start[v−base+1], takes prefix sums, scatters
+// the row ids in input order with start as the cursors and shifts start
+// back by one, so that the rows holding base+i are [start[i],
+// start[i+1]). It fills keys[0] from those bounds, reading no tuple,
+// and sorts each block by the remaining columns with byRest.
+func (st *atomState) sortDense(tuples []relation.Tuple, cols []int, byRest func(i, j int32) int) {
+	c0, start := cols[0], st.start
+	for _, t := range tuples {
+		start[t[c0]-st.base+1]++
 	}
-	return 0
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	for row, t := range tuples {
+		i := t[c0] - st.base
+		st.rows[start[i]] = int32(row)
+		start[i]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	key0 := st.keys[0]
+	for i := range len(start) - 1 {
+		lo, hi := start[i], start[i+1]
+		if hi == lo {
+			continue
+		}
+		v := st.base + relation.Value(i)
+		for r := lo; r < hi; r++ {
+			key0[r] = v
+		}
+		if len(cols) > 1 && hi-lo > 1 {
+			slices.SortFunc(st.rows[lo:hi], byRest)
+		}
+	}
+}
+
+// gather writes column c of the sorted rows into dst.
+func gather(dst []relation.Value, rows []int32, tuples []relation.Tuple, c int) {
+	for r, row := range rows {
+		dst[r] = tuples[row][c]
+	}
 }
 
 // initCursor gives the cursor a fresh interval stack and hints, at the

@@ -32,7 +32,8 @@ var trieShapes = [4]struct{ base, step relation.Value }{
 // duplicates); the rest are (op, value, row) triples. Narrow values come
 // in any order and may miss or fall outside the domain, as planTasks'
 // replays and bindUncounted on clones narrow, so every seek hint is
-// tested stale as well as fresh.
+// tested stale as well as fresh. Rows equal on both keys must keep
+// their input order.
 func FuzzTrieCursor(f *testing.F) {
 	rows := []byte{0, 1, 0, 1, 1, 2, 1, 2, 1, 3, 2, 0, 3, 5, 3, 5, 0, 2, 0, 1, 3, 1, 2, 2, 1, 1, 0, 1, 4, 4, 0, 0, 1, 1}
 	f.Add(append([]byte{8}, rows...))
@@ -44,6 +45,8 @@ func FuzzTrieCursor(f *testing.F) {
 	}
 	f.Add([]byte{2<<6 | 3, 0, 0, 3, 1, 3, 2, 0, 0, 0, 0, 3, 0, 0, 16, 0, 0, 17, 0, 3, 2, 0, 3, 1, 0, 3, 5})
 	f.Add([]byte{3<<6 | 2, 1, 0, 2, 1, 0, 0, 0, 0, 1, 0, 0, 3, 0, 0, 19, 0, 3, 0, 0, 3, 1, 0})
+	// Two rows of one dense depth-0 block, in descending order below it.
+	f.Add([]byte{2, 1, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
