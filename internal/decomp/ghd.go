@@ -85,8 +85,7 @@ func AcyclicShape(edges []hypergraph.Edge) (s *Shape, ok bool) {
 // already-computed generalized hypertree decomposition (so a
 // prepare-once facade runs the costed search,
 // hypergraph.DecomposeCosted, a single time): one tree, whole inputs,
-// output schema GHDAttrs(edges). It accepts every query shape;
-// hand-built decompositions must be connected (see prepareGHD).
+// output schema GHDAttrs(edges). It accepts every query shape.
 func GHDShape(d *hypergraph.Decomposition, edges []hypergraph.Edge) *Shape {
 	return &Shape{Kind: "ghd", Edges: edges, Attrs: GHDAttrs(edges), Decomposition: d.String(), EstBagSizes: d.EstBagSizes,
 		trees: []shapeTree{{dec: d}}, chooser: true}
@@ -398,11 +397,8 @@ func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, 
 		return nil, nil, err
 	}
 
-	// GYO arranges the bags into a join tree. The bag set must be
-	// connected (the T-DP layer rejects cartesian tree edges);
-	// hypergraph.DecomposeCosted guarantees this by merging one bag per
-	// component of a disconnected query, so hand-built decompositions
-	// passed here must be connected too.
+	// GYO arranges the bags into a join tree; bags of different
+	// components of a disconnected query meet on the empty key.
 	tp, err := prepareTree(cfg, bags, agg, s.Attrs)
 	if err != nil {
 		return nil, nil, err

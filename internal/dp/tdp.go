@@ -3,8 +3,10 @@
 // query, the relations are arranged along the join tree in DFS preorder
 // and reduced by the bottom-up semi-join sweep. Each tree node's tuples
 // are partitioned into *candidate groups* by their join key with the
-// parent; every group carries the suffix-optimal weight π of its best
-// member, where
+// parent — empty on a tree edge whose nodes share no variable, such as
+// one joining two components of a disconnected query, so the child is
+// one group and the edge a product; every group carries the
+// suffix-optimal weight π of its best member, where
 //
 //	π(u, t) = w(t) ⊕ Σ_{c ∈ children(u)} bestπ(group of c selected by t)
 //
@@ -349,8 +351,12 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 // shares with node pos, whose groups become the child's Groups when the
 // child's rows are new (fresh); each row of pos's input is probed once
 // per child, kept if it finds every child, and mapped to the groups it
-// found. A node that drops no row keeps its input relation, uncopied.
-// It writes only pos's Rel and ChildGroup and its children's Groups.
+// found. A child that shares no attribute is indexed on the empty key:
+// one group holding all its rows, or none when it has none, so every
+// row of pos selects that group or none survives — the edge is a
+// product, enumerated, never materialised. A node that drops no row
+// keeps its input relation, uncopied. It writes only pos's Rel and
+// ChildGroup and its children's Groups.
 func linkNode(q *yannakakis.Query, nodes []*Node, fresh []bool, pos int) error {
 	n, in := nodes[pos], q.Atom(q.Tree.Order[pos])
 	rows := in.Len()
@@ -366,9 +372,6 @@ func linkNode(q *yannakakis.Query, nodes []*Node, fresh []bool, pos int) error {
 	for ci, c := range n.Children {
 		child := nodes[c]
 		shared := in.SharedAttrs(child.Rel)
-		if len(shared) == 0 {
-			return fmt.Errorf("dp: node %d shares no attributes with its parent (tree edge would be a cartesian product)", c)
-		}
 		// The index is dropped on return: the plan keeps its row arrays,
 		// which do not reference the probe table. shared are attributes
 		// of both relations, so neither lookup fails.

@@ -226,25 +226,6 @@ func TestPiIsSubtreeOptimumProperty(t *testing.T) {
 	}
 }
 
-func TestBuildRejectsCartesianTreeEdge(t *testing.T) {
-	// Two relations with no shared vars: hypergraph R(A,B), S(C,D) is
-	// technically "acyclic" per GYO only if an edge contains the other's
-	// shared vars — here shared = ∅, so the witness check passes
-	// trivially and the tree edge would be cartesian. Build must reject.
-	h := hypergraph.New(hypergraph.E("R", "A", "B"), hypergraph.E("S", "C", "D"))
-	r := relation.New("R", "X", "Y")
-	r.Add(1, 2)
-	s := relation.New("S", "X", "Y")
-	s.Add(3, 4)
-	q, err := yannakakis.NewQuery(h, []*relation.Relation{r, s})
-	if err != nil {
-		t.Skip("query building rejected disconnected hypergraph")
-	}
-	if _, err := Build(q, sum); err == nil {
-		t.Error("Build should reject cartesian tree edges")
-	}
-}
-
 func TestEmitAlignsWithOutAttrs(t *testing.T) {
 	rels := pathRels(
 		[][3]float64{{7, 8, 0}},

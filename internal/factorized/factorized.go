@@ -53,10 +53,9 @@ func Build(q *yannakakis.Query) (*DRep, error) {
 	for u := 0; u < n; u++ {
 		keyCols[u] = make([][]int, len(t.Children[u]))
 		for ci, c := range t.Children[u] {
+			// On an edge that shares nothing the key is empty: c is
+			// one group, one union every row of u shares.
 			shared := red[u].SharedAttrs(red[c])
-			if len(shared) == 0 {
-				return nil, fmt.Errorf("factorized: tree edge %d-%d shares no attributes", u, c)
-			}
 			var err error
 			if keyCols[u][ci], err = red[u].AttrIndexes(shared); err != nil {
 				return nil, err

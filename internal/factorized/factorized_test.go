@@ -48,6 +48,29 @@ func TestEmptyResult(t *testing.T) {
 	}
 }
 
+// A product of relations that share no variable is one union per
+// relation: n·m answers from n + m singletons.
+func TestCartesianProduct(t *testing.T) {
+	r := relation.New("R", "X", "Y")
+	s := relation.New("S", "X", "Y")
+	for i := relation.Value(0); i < 4; i++ {
+		r.Add(i, i+1)
+		s.Add(i, 2*i)
+		s.Add(i, 2*i+1)
+	}
+	inst := &workload.Instance{
+		H:    hypergraph.New(hypergraph.E("R", "A", "B"), hypergraph.E("S", "C", "D")),
+		Rels: []*relation.Relation{r, s},
+	}
+	d, q := mustDRep(t, inst)
+	if got, want := d.Count(), q.Evaluate(sum).Len(); got != 32 || want != 32 {
+		t.Fatalf("DRep.Count = %d, Yannakakis Evaluate size = %d, want 32", got, want)
+	}
+	if got := d.Singletons(); got != 12 {
+		t.Fatalf("Singletons = %d, want 12", got)
+	}
+}
+
 // The headline property of factorized databases: on the full cross
 // product (every tuple joins every tuple through a single key), the
 // flat result has n^l tuples while the d-representation stays at l·n

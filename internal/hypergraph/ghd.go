@@ -65,9 +65,11 @@ func (d *Decomposition) String() string {
 // bags, and a second the fewest bags, then bag variables, within it.
 // Cheapest takes the final pick between the found bag set and the
 // trivial single bag (all variables, evaluated by one Generic-Join), so
-// the search succeeds for every connected or disconnected query shape.
-// The winning decomposition carries the coster's per-bag estimates in
-// EstBagSizes/EstCost.
+// the search succeeds for every query shape. A disconnected query
+// gets the bags of its components, no bag spanning two: its join tree
+// links them by edges on the empty key, and the product is enumerated,
+// never materialised. The winning decomposition carries the coster's
+// per-bag estimates in EstBagSizes/EstCost.
 func (h *Hypergraph) DecomposeCosted(coster BagCoster) (*Decomposition, error) {
 	if len(h.Edges) == 0 {
 		return nil, fmt.Errorf("hypergraph: cannot decompose an empty hypergraph")
@@ -119,23 +121,7 @@ func (h *Hypergraph) DecomposeCosted(coster BagCoster) (*Decomposition, error) {
 			return weight + float64(len(VarSet(bag).Names(e.vars)))
 		})
 	}
-	best, err := h.Cheapest(coster, e.bags(order), [][]string{e.vars})
-	if err != nil {
-		return nil, err
-	}
-	// A disconnected query (cartesian product of components) yields a
-	// disconnected bag set, which the T-DP layer rejects (no join tree
-	// without cartesian tree edges). Merge the smallest bag of each
-	// component into one union bag so the cross product happens inside
-	// a single Generic-Join bag instead. Note the union bag joins the
-	// components' *bag contents* (which may be partial joins larger
-	// than each component's output), so this fallback trades
-	// materialisation cost for accepting the shape at all — fine for
-	// the rare disconnected query, not a width-optimal plan.
-	if merged := connectBags(best.Bags); len(merged) != len(best.Bags) {
-		return h.Cheapest(coster, merged)
-	}
-	return best, nil
+	return h.Cheapest(coster, e.bags(order), [][]string{e.vars})
 }
 
 // Cheapest ranks candidate bag sets and returns the best as a
@@ -337,67 +323,6 @@ func (e *elimination) bags(order []int) [][]string {
 		placed = placed.With(v)
 	}
 	return out
-}
-
-// connectBags merges the smallest bag of every connected component of
-// the bag hypergraph (bags adjacent iff they share a variable) into one
-// union bag, listed first, so the final bag set is connected; a bag
-// inside the union goes. Connected inputs come back unchanged.
-func connectBags(bags [][]string) [][]string {
-	comp := make([]int, len(bags)) // ends as the least bag of each component
-	for i := range comp {
-		comp[i] = i
-	}
-	for changed := true; changed; {
-		changed = false
-		for i, a := range bags {
-			for j, b := range bags {
-				if comp[j] < comp[i] && slices.ContainsFunc(a, func(v string) bool { return slices.Contains(b, v) }) {
-					comp[i], changed = comp[j], true
-				}
-			}
-		}
-	}
-	smallest := make(map[int]int) // component → its first smallest bag
-	for i, b := range bags {
-		if s, ok := smallest[comp[i]]; !ok || len(b) < len(bags[s]) {
-			smallest[comp[i]] = i
-		}
-	}
-	if len(smallest) == 1 {
-		return bags
-	}
-	var union []string
-	for i, b := range bags {
-		if smallest[comp[i]] == i {
-			union = append(union, b...)
-		}
-	}
-	slices.Sort(union)
-	out := [][]string{slices.Compact(union)}
-	for i, b := range bags {
-		if smallest[comp[i]] != i && !subset(b, out[0]) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// subset reports a ⊆ b for sorted string slices.
-func subset(a, b []string) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j >= len(b) || b[j] != x {
-			return false
-		}
-	}
-	return true
 }
 
 // maxBagCover returns the maximum fractional edge cover number over the

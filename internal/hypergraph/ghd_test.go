@@ -177,16 +177,22 @@ func TestDecomposeBeyond64Vars(t *testing.T) {
 }
 
 func TestDecomposeDisconnected(t *testing.T) {
-	// Two disjoint triangles: a cartesian product of two bags.
+	// Two disjoint triangles: one bag per triangle, none spanning both —
+	// the join tree links them on the empty key.
 	h := New(
 		E("R1", "A", "B"), E("R2", "B", "C"), E("R3", "C", "A"),
 		E("S1", "X", "Y"), E("S2", "Y", "Z"), E("S3", "Z", "X"),
 	)
-	d, err := h.DecomposeCosted(nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, coster := range []BagCoster{nil, nameCoster{}} {
+		d, err := h.DecomposeCosted(coster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDecomposition(t, h, d)
+		if got := bagsKey(d.Bags); got != "A,B,C;X,Y,Z" {
+			t.Errorf("coster %v: bags %s, want one per triangle", coster, got)
+		}
 	}
-	checkDecomposition(t, h, d)
 }
 
 func TestFractionalCoverOf(t *testing.T) {

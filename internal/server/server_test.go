@@ -167,6 +167,44 @@ func TestTopKEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTopKCartesianProduct: a query over two datasets with no shared
+// variable streams their ranked product, each answer a row of each
+// dataset in the order out_attrs names.
+func TestTopKCartesianProduct(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerPath(t, ts.URL)
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/queries/pairs", map[string]any{
+		"atoms": []any{
+			map[string]any{"dataset": "r1", "vars": []string{"A", "B"}},
+			map[string]any{"dataset": "r2", "vars": []string{"C", "D"}},
+		},
+	})
+	mustStatus(t, resp, body, 200)
+	if got := fmt.Sprint(body["out_attrs"]); got != "[C D A B]" {
+		t.Errorf("out_attrs %s, want [C D A B]", got)
+	}
+
+	resp, lines := streamTopK(t, ts.URL+"/v1/query/pairs/topk?k=100")
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %+v", resp.StatusCode, lines)
+	}
+	wantWeights := []float64{1, 2, 2, 3, 5, 6, 11, 12, 15}
+	if len(lines) != len(wantWeights)+1 {
+		t.Fatalf("got %d lines, want %d results + trailer: %+v", len(lines), len(wantWeights), lines)
+	}
+	for i, w := range wantWeights {
+		if lines[i].Weight == nil || *lines[i].Weight != w || len(lines[i].Tuple) != 4 {
+			t.Fatalf("line %d = %+v, want weight %v over 4 values", i, lines[i], w)
+		}
+	}
+	if got := fmt.Sprint(lines[0].Tuple); got != "[11 100 1 10]" {
+		t.Errorf("first answer %s, want [11 100 1 10]", got)
+	}
+	if tr := lines[len(wantWeights)]; !tr.Done || tr.Count == nil || *tr.Count != len(wantWeights) || tr.Error != "" {
+		t.Fatalf("trailer = %+v, want done with count %d", tr, len(wantWeights))
+	}
+}
+
 // TestWarmHitsDoZeroPreparation is the acceptance criterion: under
 // concurrent load on a warm key the registry reports hits only, the
 // prepared handle is shared, and exactly one preparation ever ran.

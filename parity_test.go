@@ -137,26 +137,34 @@ func parityCase(t *testing.T, inst *workload.Instance, workers int) {
 		}
 
 		// Sequential ≡ brute force as a (tuple, weight) multiset.
-		want := bruteGroups(inst, seqP.OutAttrs(), a.agg)
-		got := engineGroups(seq)
-		if len(got) != len(want) {
-			t.Fatalf("%s: engine produced %d distinct tuples, brute force %d", a.name, len(got), len(want))
+		if diff := groupsDiffer(engineGroups(seq), bruteGroups(inst, seqP.OutAttrs(), a.agg)); diff != "" {
+			t.Fatalf("%s: %s", a.name, diff)
 		}
-		for key, ww := range want {
-			gw, ok := got[key]
-			if !ok {
-				t.Fatalf("%s: brute-force tuple %s missing from engine output", a.name, key)
-			}
-			if len(gw) != len(ww) {
-				t.Fatalf("%s tuple %s: engine multiplicity %d, brute force %d", a.name, key, len(gw), len(ww))
-			}
-			for i := range ww {
-				if math.Abs(gw[i]-ww[i]) > 1e-9 {
-					t.Fatalf("%s tuple %s weight %d: engine %v, brute force %v", a.name, key, i, gw[i], ww[i])
-				}
+	}
+}
+
+// groupsDiffer reports how the engine's groups differ from the brute
+// force's as a (tuple, weight) multiset, with 1e-9 weight tolerance; ""
+// if they do not.
+func groupsDiffer(got, want map[string][]float64) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("engine produced %d distinct tuples, brute force %d", len(got), len(want))
+	}
+	for key, ww := range want {
+		gw, ok := got[key]
+		if !ok {
+			return fmt.Sprintf("brute-force tuple %s missing from engine output", key)
+		}
+		if len(gw) != len(ww) {
+			return fmt.Sprintf("tuple %s: engine multiplicity %d, brute force %d", key, len(gw), len(ww))
+		}
+		for i := range ww {
+			if math.Abs(gw[i]-ww[i]) > 1e-9 {
+				return fmt.Sprintf("tuple %s weight %d: engine %v, brute force %v", key, i, gw[i], ww[i])
 			}
 		}
 	}
+	return ""
 }
 
 // parityCorpus runs seeds 0..n-1, alternating uniform and Zipf-skewed
