@@ -13,7 +13,11 @@ import (
 // Instr counts the RAM-model work a join performed.
 type Instr struct {
 	// Seeks counts trie narrow, seekGE and nextBlock calls, one per call.
-	// A narrow binary-searches its first row, O(log n); the end of a
+	// Generic-Join charges its driver atom one nextBlock per candidate
+	// value, whose block is the driver's interval, and every other
+	// participant one narrow; Leapfrog Triejoin charges its seekGEs and
+	// one nextBlock per participant for each value they agree on. A
+	// narrow binary-searches its first row, O(log n); the end of a
 	// block and a leapfrog seek are found by galloping, O(log d) in the
 	// distance d the cursor moves. On an atom whose first variable's
 	// column is dense, a narrow or nextBlock of that variable reads its
@@ -161,21 +165,20 @@ func (j *driver) solve(pos int) {
 		j.leapfrogVar(pos, parts)
 		return
 	}
-	// Generic-Join: the atom with the smallest candidate interval drives;
-	// the others narrow by binary search.
-	driver := parts[0]
-	size := driver.atom.iv[driver.depth][1] - driver.atom.iv[driver.depth][0]
-	for _, p := range parts[1:] {
-		if s := p.atom.iv[p.depth][1] - p.atom.iv[p.depth][0]; s < size {
-			driver, size = p, s
-		}
-	}
-	col := driver.atom.keys[driver.depth]
-	lo, hi := driver.atom.iv[driver.depth][0], driver.atom.iv[driver.depth][1]
-	for r := lo; r < hi; {
+	// Generic-Join: the atom with the smallest candidate interval drives,
+	// one block per candidate value; the others narrow by search.
+	di := driverOf(parts)
+	st, d := parts[di].atom, parts[di].depth
+	col := st.keys[d]
+	for r, hi := st.iv[d][0], st.iv[d][1]; r < hi; {
 		v := col[r]
+		end := st.nextBlock(d, r)
+		j.instr.Seeks++
 		ok := true
-		for _, p := range parts {
+		for i, p := range parts {
+			if i == di {
+				continue
+			}
 			j.instr.Seeks++
 			if !p.atom.narrow(p.depth, v) {
 				ok = false
@@ -183,15 +186,30 @@ func (j *driver) solve(pos int) {
 			}
 		}
 		if ok {
+			st.iv[d+1] = [2]int32{r, end}
 			j.assigned[pos] = v
 			j.solve(pos + 1)
 			if j.stopped {
 				return
 			}
 		}
-		r = driver.atom.nextBlock(driver.depth, r)
-		j.instr.Seeks++
+		r = end
 	}
+}
+
+// driverOf returns the index of the participant whose interval at its
+// depth is smallest, the first of equals: the atom whose blocks
+// Generic-Join enumerates at this variable. solve and levelValues both
+// pick it here, so the sequential and the coordinator passes agree.
+func driverOf(parts []atomDepth) int {
+	di := 0
+	size := parts[0].atom.iv[parts[0].depth][1] - parts[0].atom.iv[parts[0].depth][0]
+	for i, p := range parts[1:] {
+		if s := p.atom.iv[p.depth][1] - p.atom.iv[p.depth][0]; s < size {
+			di, size = i+1, s
+		}
+	}
+	return di
 }
 
 // leapfrogVar intersects the candidate values of all participants at pos
@@ -232,22 +250,22 @@ func (j *driver) leapfrogVar(pos int, parts []atomDepth) {
 			}
 		}
 		if agree {
-			// All participants sit on maxV: narrow and recurse.
-			for _, p := range parts {
+			// Every participant stands on the first row of maxV's block,
+			// so that block is its interval: recurse.
+			for i, p := range parts {
+				p.atom.iv[p.depth+1] = [2]int32{cursors[i], p.atom.nextBlock(p.depth, cursors[i])}
 				j.instr.Seeks++
-				if !p.atom.narrow(p.depth, maxV) {
-					panic("wcoj: leapfrog narrow must succeed on agreed value")
-				}
 			}
 			j.assigned[pos] = maxV
 			j.solve(pos + 1)
 			if j.stopped {
 				return
 			}
-			// Advance the first participant past maxV.
+			// Advance the first participant past maxV, to the end of the
+			// block found above: the recursion narrowed only deeper
+			// intervals.
 			p := parts[0]
-			cursors[0] = p.atom.nextBlock(p.depth, cursors[0])
-			j.instr.Seeks++
+			cursors[0] = p.atom.iv[p.depth+1][1]
 			if cursors[0] >= p.atom.iv[p.depth][1] {
 				return
 			}

@@ -69,39 +69,41 @@ func (j *driver) clone(emit Emit) *driver {
 }
 
 // lvlVal is one surviving value of a coordinator intersection pass,
-// together with a work proxy: the product of the narrowed interval
-// sizes across the atoms containing the variable. The proxy is free
-// (narrow already computed the intervals) and upper-bounds the number
-// of row combinations the value's subtree can touch at this level.
+// together with a work proxy: the product of the value's interval sizes
+// across the atoms containing the variable, the driver's block and the
+// others' narrowed intervals. The proxy is free (the pass already found
+// the intervals) and upper-bounds the number of row combinations the
+// value's subtree can touch at this level.
 type lvlVal struct {
 	v relation.Value
 	w float64
 }
 
 // levelValues runs exactly the position-pos loop of the sequential
-// Generic-Join solve — same driver-atom selection, same narrow and
-// nextBlock sequence, same Seeks accounting — but records the surviving
-// values (with their interval-product work proxies) instead of
-// recursing. Any variables before pos must already be bound on this
-// driver's cursors. The recorded values, replayed on driver clones,
-// reproduce the sequential emission order; the Seeks charged here plus
-// the clones' subtree Seeks reproduce the sequential totals.
+// Generic-Join solve — same driver atom (driverOf), same nextBlock per
+// candidate and narrow of every other participant, same Seeks
+// accounting — but records the surviving values (with their
+// interval-product work proxies) instead of recursing. Any variables
+// before pos must already be bound on this driver's cursors. The
+// recorded values, replayed on driver clones, reproduce the sequential
+// emission order; the Seeks charged here plus the clones' subtree Seeks
+// reproduce the sequential totals.
 func (j *driver) levelValues(pos int) []lvlVal {
 	parts := j.byVar[pos]
-	drv := parts[0]
-	size := drv.atom.iv[drv.depth][1] - drv.atom.iv[drv.depth][0]
-	for _, p := range parts[1:] {
-		if s := p.atom.iv[p.depth][1] - p.atom.iv[p.depth][0]; s < size {
-			drv, size = p, s
-		}
-	}
+	di := driverOf(parts)
+	st, d := parts[di].atom, parts[di].depth
 	var vals []lvlVal
-	lo, hi := drv.atom.iv[drv.depth][0], drv.atom.iv[drv.depth][1]
-	for r := lo; r < hi; {
-		v := drv.atom.keys[drv.depth][r]
+	for r, hi := st.iv[d][0], st.iv[d][1]; r < hi; {
+		v := st.keys[d][r]
+		end := st.nextBlock(d, r)
+		j.instr.Seeks++
 		ok := true
 		w := 1.0
-		for _, p := range parts {
+		for i, p := range parts {
+			if i == di {
+				w *= float64(end - r)
+				continue
+			}
 			j.instr.Seeks++
 			if !p.atom.narrow(p.depth, v) {
 				ok = false
@@ -112,8 +114,7 @@ func (j *driver) levelValues(pos int) []lvlVal {
 		if ok {
 			vals = append(vals, lvlVal{v: v, w: w})
 		}
-		r = drv.atom.nextBlock(drv.depth, r)
-		j.instr.Seeks++
+		r = end
 	}
 	return vals
 }

