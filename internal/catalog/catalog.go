@@ -73,7 +73,13 @@ func Collect(r *relation.Relation) *RelationStats {
 		ranges[c].base, ranges[c].span = r.DenseColumn(c)
 		maxSpan, sparse = max(maxSpan, ranges[c].span), sparse || ranges[c].span == 0
 	}
-	cells := make([]int32, maxSpan)
+	// The count array of a dense column, then collectDense's
+	// count-of-counts buckets, in one allocation.
+	var cells, coc []int32
+	if maxSpan > 0 {
+		cells = make([]int32, maxSpan+r.Len()/keepHeavy+2)
+		cells, coc = cells[:maxSpan], cells[maxSpan:]
+	}
 	var counts map[relation.Value]int32
 	if sparse {
 		counts = make(map[relation.Value]int32)
@@ -81,7 +87,7 @@ func Collect(r *relation.Relation) *RelationStats {
 	sel := heavySelector{buf: make([]HeavyHit, 0, 2*keepHeavy)}
 	for c, rg := range ranges {
 		if rg.span > 0 {
-			st.Cols[c] = collectDense(r.Tuples, c, rg.base, cells[:rg.span], &sel)
+			st.Cols[c] = collectDense(r.Tuples, c, rg.base, cells[:rg.span], coc, &sel)
 		} else {
 			st.Cols[c] = collectMap(r.Tuples, c, counts, &sel)
 		}
@@ -90,19 +96,49 @@ func Collect(r *relation.Relation) *RelationStats {
 }
 
 // collectDense counts column c, whose values lie in [base,
-// base+len(cells)), in cells.
-func collectDense(tuples []relation.Tuple, c int, base relation.Value, cells []int32, sel *heavySelector) ColumnStats {
+// base+len(cells)), in cells. A count-of-counts pass over the cells, into
+// coc (len(tuples)/keepHeavy + 2 buckets), finds floor, the count of the
+// keepHeavy-th hit under cmpHeavy, so one more pass admits just the kept
+// hits — those above floor, and the first hits at floor in ascending
+// value — which the selector sorts once.
+func collectDense(tuples []relation.Tuple, c int, base relation.Value, cells, coc []int32, sel *heavySelector) ColumnStats {
 	clear(cells)
 	for _, t := range tuples {
 		cells[t[c]-base]++
 	}
-	sel.reset()
+	// Fewer than keepHeavy hits can have a count of top or more, so
+	// counts from top up share its bucket and floor stays below it.
+	top := len(tuples)/keepHeavy + 1
+	clear(coc)
 	distinct := 0
-	for i, n := range cells {
+	for _, n := range cells {
 		if n > 0 {
 			distinct++
-			sel.add(HeavyHit{Value: base + relation.Value(i), Count: int(n)})
+			coc[min(int(n), top)]++
 		}
+	}
+	// room is how many hits of count floor are kept; floor 0 (fewer than
+	// keepHeavy hits in all) keeps every hit.
+	floor, room := int32(0), keepHeavy
+	for n := top; n > 0; n-- {
+		if int(coc[n]) >= room {
+			floor = int32(n)
+			break
+		}
+		room -= int(coc[n])
+	}
+	sel.reset()
+	for i, n := range cells {
+		if n == 0 || n < floor {
+			continue
+		}
+		if n == floor {
+			if room == 0 {
+				continue
+			}
+			room--
+		}
+		sel.add(HeavyHit{Value: base + relation.Value(i), Count: int(n)})
 	}
 	return ColumnStats{Distinct: float64(distinct), Heavy: sel.result()}
 }
@@ -134,6 +170,7 @@ func cmpHeavy(a, b HeavyHit) int {
 // cmpHeavy among those added. It selects them in a buffer of twice that
 // size, sorting and cutting it back each time it fills, so it never
 // sorts a whole column; one buffer serves every column of a relation.
+// A dense column adds only the hits it keeps, so its buffer never fills.
 type heavySelector struct {
 	buf []HeavyHit
 	// floor is the last entry kept at the latest cut; before the first

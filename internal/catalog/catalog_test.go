@@ -123,6 +123,53 @@ func checkDenseMatchesMap(t *testing.T, r *relation.Relation, dense []bool) {
 	}
 }
 
+// TestCollectDenseTiesAtFloor: when the keepHeavy-th hit of a dense
+// column ties with hits it does not keep, the array path keeps the tied
+// hits of least value, as the map path does, and adds no other hit to
+// the selector — with the tie at a count of 1, at a count above it,
+// right below a dominant value whose count lands in the top
+// count-of-counts bucket, at the largest count the floor can take, and
+// with fewer hits than keepHeavy.
+func TestCollectDenseTiesAtFloor(t *testing.T) {
+	rng := workload.NewRand(5)
+	for _, tc := range []struct {
+		name   string
+		counts func(v int) int
+		values int
+	}{
+		{"all-once", func(int) int { return 1 }, 200},
+		{"ties-at-2", func(v int) int { return 2 + min(1, v%4) }, 200},
+		{"dominant", func(v int) int { return 1 + 5000*max(0, 1-v) + v%2 }, 150},
+		{"few", func(v int) int { return 1 + v%3 }, 40},
+		// keepHeavy hits at rows/keepHeavy, one above.
+		{"crowded", func(v int) int { return 2 + v/keepHeavy }, keepHeavy + 1},
+	} {
+		var rows []relation.Value
+		for v := 0; v < tc.values; v++ {
+			for i := 0; i < tc.counts(v); i++ {
+				rows = append(rows, relation.Value(v))
+			}
+		}
+		for i := len(rows) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			rows[i], rows[j] = rows[j], rows[i]
+		}
+		r := relation.New(tc.name, "X", "Y")
+		for _, v := range rows {
+			r.Add(v, relation.Value(tc.values-1)-v)
+		}
+		checkDenseMatchesMap(t, r, []bool{true, true})
+		// The array path adds exactly the hits it keeps, so the
+		// selector never cuts its buffer.
+		base, span := r.DenseColumn(0)
+		sel := heavySelector{buf: make([]HeavyHit, 0, 2*keepHeavy)}
+		cs := collectDense(r.Tuples, 0, base, make([]int32, span), make([]int32, r.Len()/keepHeavy+2), &sel)
+		if want := min(tc.values, keepHeavy); len(cs.Heavy) != want || len(sel.buf) != want || sel.floor != (HeavyHit{}) {
+			t.Fatalf("%s: %d heavy hits, %d added, cut at %v; want %d added and no cut", tc.name, len(cs.Heavy), len(sel.buf), sel.floor, want)
+		}
+	}
+}
+
 // TestHeavyValuesThreshold: a value whose count is exactly rows/heavyK
 // is a skew hint, one with a single row fewer is not.
 func TestHeavyValuesThreshold(t *testing.T) {

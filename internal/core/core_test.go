@@ -16,7 +16,7 @@ import (
 
 var sum = ranking.SumCost
 
-func buildTDP(t *testing.T, inst *workload.Instance, agg ranking.Aggregate) *dp.TDP {
+func buildTDP(t testing.TB, inst *workload.Instance, agg ranking.Aggregate) *dp.TDP {
 	t.Helper()
 	q, err := yannakakis.NewQuery(inst.H, inst.Rels)
 	if err != nil {

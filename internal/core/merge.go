@@ -13,7 +13,7 @@ import (
 // different trees, so their outputs interleave by weight).
 type mergeIter struct {
 	*Lifecycle
-	pq   *heap.Heap[mergeHead]
+	pq   heap.Heap[mergeHead]
 	srcs []Iterator
 	// last is the source of the head Next returned last. Its row is
 	// borrowed from that source, so the source is refilled only on the
@@ -35,12 +35,12 @@ type mergeHead struct {
 func Merge(ctx context.Context, agg ranking.Aggregate, iters ...Iterator) Iterator {
 	m := &mergeIter{
 		Lifecycle: NewLifecycle(ctx),
-		pq:        heap.New(func(a, b mergeHead) bool { return agg.Less(a.r.Weight, b.r.Weight) }),
+		pq:        heap.New[mergeHead](agg.Desc()),
 		srcs:      iters,
 	}
 	for _, it := range iters {
 		if r, ok := it.Next(); ok {
-			m.pq.Push(mergeHead{r: r, src: it})
+			m.pq.Push(r.Weight, mergeHead{r: r, src: it})
 		} else if err := it.Err(); err != nil {
 			m.Fail(err)
 			return m
@@ -59,13 +59,13 @@ func (m *mergeIter) Next() (Result, bool) {
 	if src := m.last; src != nil {
 		m.last = nil
 		if r, ok := src.Next(); ok {
-			m.pq.Push(mergeHead{r: r, src: src})
+			m.pq.Push(r.Weight, mergeHead{r: r, src: src})
 		} else if err := src.Err(); err != nil {
 			m.Fail(err)
 			return Result{}, false
 		}
 	}
-	head, ok := m.pq.Pop()
+	_, head, ok := m.pq.Pop()
 	if !ok {
 		m.Exhaust()
 		return Result{}, false

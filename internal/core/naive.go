@@ -22,15 +22,13 @@ func NewNaiveLawler(ctx context.Context, t *dp.TDP) Iterator {
 	it := &naiveIter{
 		Lifecycle: NewLifecycle(ctx),
 		t:         t,
-		pq: heap.New(func(a, b *naiveItem) bool {
-			return t.Agg.Less(a.weight, b.weight)
-		}),
+		pq:        heap.New[*naiveItem](t.Agg.Desc()),
 	}
 	if t.Empty() {
 		return it
 	}
 	if item, ok := it.champion(nil, 0, nil); ok {
-		it.pq.Push(item)
+		it.pq.Push(item.weight, item)
 	}
 	return it
 }
@@ -48,7 +46,7 @@ type naiveItem struct {
 type naiveIter struct {
 	*Lifecycle
 	t   *dp.TDP
-	pq  *heap.Heap[*naiveItem]
+	pq  heap.Heap[*naiveItem]
 	out rowBuf
 }
 
@@ -140,7 +138,7 @@ func (it *naiveIter) Next() (Result, bool) {
 	if !it.Proceed() {
 		return Result{}, false
 	}
-	item, ok := it.pq.Pop()
+	_, item, ok := it.pq.Pop()
 	if !ok {
 		it.Exhaust()
 		return Result{}, false
@@ -150,12 +148,12 @@ func (it *naiveIter) Next() (Result, bool) {
 	// choice as well.
 	sibExcl := append(append([]int32(nil), item.excl...), item.rows[item.devPos])
 	if sib, ok := it.champion(item.rows, item.devPos, sibExcl); ok {
-		it.pq.Push(sib)
+		it.pq.Push(sib.weight, sib)
 	}
 	// Child subspaces at every later position.
 	for j := item.devPos + 1; j < m; j++ {
 		if child, ok := it.champion(item.rows, j, []int32{item.rows[j]}); ok {
-			it.pq.Push(child)
+			it.pq.Push(child.weight, child)
 		}
 	}
 	return Result{Tuple: it.out.emit(it.t, item.rows), Weight: item.weight}, true

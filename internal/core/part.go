@@ -11,14 +11,14 @@ import (
 // partEntry is one entry of the global priority queue: it represents the
 // sub-space of solutions that agree with its parent solution before
 // devPos, pick exactly `row` (structure position candIdx) at devPos, and
-// are free afterwards. Its weight is the weight of the best solution in
-// that sub-space (prefix ⊕ π(row) ⊕ re-optimised open subtrees), so the
-// global queue pops sub-spaces in the order of their champions — the
-// Lawler–Murty invariant. parent is the arena index of the parent's
-// assignment (-1 for the root entry). The entry holds no pointer, so the
-// queue is one flat array the collector never scans.
+// are free afterwards. Its key in the queue is the weight of the best
+// solution in that sub-space (prefix ⊕ π(row) ⊕ re-optimised open
+// subtrees), so the global queue pops sub-spaces in the order of their
+// champions — the Lawler–Murty invariant. parent is the arena index of
+// the parent's assignment (-1 for the root entry). The entry holds no
+// pointer, so the queue is one flat array of 8 B keys and one of these
+// 16 B entries, neither of which the collector scans.
 type partEntry struct {
-	weight  float64
 	parent  int32
 	devPos  int32
 	candIdx int32
@@ -29,7 +29,7 @@ type partEntry struct {
 type partIter struct {
 	*Lifecycle
 	t  *dp.TDP
-	pq *heap.Heap[partEntry]
+	pq heap.Heap[partEntry]
 	// arena holds every popped assignment; an entry copies its prefix
 	// from its parent's.
 	arena arena
@@ -56,7 +56,7 @@ func NewPart(ctx context.Context, t *dp.TDP, v Variant) (Iterator, error) {
 	it := &partIter{
 		Lifecycle: NewLifecycle(ctx),
 		t:         t,
-		pq:        heap.New(func(a, b partEntry) bool { return t.Agg.Less(a.weight, b.weight) }),
+		pq:        heap.New[partEntry](t.Agg.Desc()),
 		arena:     arena{m: m},
 		base:      make([]int32, m),
 		mkStruct:  mk,
@@ -79,7 +79,7 @@ func NewPart(ctx context.Context, t *dp.TDP, v Variant) (Iterator, error) {
 	if !ok {
 		return it, nil
 	}
-	it.pq.Push(partEntry{weight: pi, parent: -1, row: row})
+	it.pq.Push(pi, partEntry{parent: -1, row: row})
 	return it, nil
 }
 
@@ -100,7 +100,7 @@ func (it *partIter) Next() (Result, bool) {
 	if !it.Proceed() {
 		return Result{}, false
 	}
-	e, ok := it.pq.Pop()
+	weight, e, ok := it.pq.Pop()
 	if !ok {
 		it.Exhaust()
 		return Result{}, false
@@ -180,8 +180,7 @@ func (it *partIter) Next() (Result, bool) {
 				continue
 			}
 			w := t.Agg.Combine(t.Agg.Combine(it.prefixW[j], pi), it.openSum[j])
-			it.pq.Push(partEntry{
-				weight:  w,
+			it.pq.Push(w, partEntry{
 				parent:  idx,
 				devPos:  int32(j),
 				candIdx: sIdx,
@@ -189,7 +188,7 @@ func (it *partIter) Next() (Result, bool) {
 			})
 		}
 	}
-	return Result{Tuple: it.out.emit(t, rows), Weight: e.weight}, true
+	return Result{Tuple: it.out.emit(t, rows), Weight: weight}, true
 }
 
 // Arena chunks double from arenaFirst rows to arenaFirst<<arenaShifts

@@ -20,23 +20,22 @@ type recSol struct {
 	weight float64
 }
 
-// recCand is a frontier candidate of one state's lattice. frozen is the
-// child index that produced it; only children ≥ frozen may advance,
-// which enumerates each rank vector exactly once. Like recSol it holds
-// no pointer, so a state's queue is one flat array the collector never
-// scans.
+// recCand is a frontier candidate of one state's lattice, queued under
+// its weight. frozen is the child index that produced it; only children
+// ≥ frozen may advance, which enumerates each rank vector exactly once.
+// Like recSol it holds no pointer, so a state's queue is two flat arrays
+// the collector never scans.
 type recCand struct {
 	row    int32
 	ranks  int32
 	frozen int32
-	weight float64
 }
 
 // recState enumerates the ranked subtree solutions of one (node, group).
 type recState struct {
 	pos      int
 	produced []recSol
-	pq       *heap.Heap[recCand]
+	pq       heap.Heap[recCand]
 }
 
 // recIter implements ANYK-REC over a T-DP.
@@ -87,12 +86,13 @@ func (it *recIter) stateAt(pos int, group int32) *recState {
 		a.add() // row 0: the seeds' all-zero vector
 	}
 	cands := make([]recCand, len(g.Rows))
+	weights := make([]float64, len(g.Rows))
 	for i, row := range g.Rows {
-		cands[i] = recCand{row: row, weight: n.Pi[row]}
+		cands[i], weights[i] = recCand{row: row}, n.Pi[row]
 	}
 	s := &recState{
 		pos: pos,
-		pq:  heap.NewFromSlice(func(a, b recCand) bool { return t.Agg.Less(a.weight, b.weight) }, cands),
+		pq:  heap.NewFromSlice(t.Agg.Desc(), weights, cands),
 	}
 	it.states[pos][group] = s
 	return s
@@ -105,11 +105,11 @@ func (it *recIter) ensure(s *recState, j int) bool {
 	n := t.Nodes[s.pos]
 	a := &it.ranks[s.pos]
 	for len(s.produced) <= j {
-		cand, ok := s.pq.Pop()
+		weight, cand, ok := s.pq.Pop()
 		if !ok {
 			return false
 		}
-		s.produced = append(s.produced, recSol{row: cand.row, ranks: cand.ranks, weight: cand.weight})
+		s.produced = append(s.produced, recSol{row: cand.row, ranks: cand.ranks, weight: weight})
 		// Successors: advance one child rank, children ≥ frozen only.
 		// An arena's chunks never move, so ranks stays valid while a.add
 		// and the recursive ensure calls grow the arenas.
@@ -143,7 +143,7 @@ func (it *recIter) ensure(s *recState, j int) bool {
 			idx, next := a.add()
 			copy(next, ranks)
 			next[ci]++
-			s.pq.Push(recCand{row: cand.row, ranks: idx, frozen: int32(ci), weight: w})
+			s.pq.Push(w, recCand{row: cand.row, ranks: idx, frozen: int32(ci)})
 		}
 	}
 	return true

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/dp"
 	"repro/internal/heap"
@@ -22,84 +22,94 @@ type candStruct interface {
 	successors(idx int32, buf []int32) []int32
 }
 
-type rowPi struct {
-	row int32
-	pi  float64
-}
-
 // makeStructFn builds the variant's structure for one group of a node.
 type makeStructFn func(n *dp.Node, g *dp.Group) candStruct
 
+// structFactory returns the builder of v's structures. Each holds the
+// group's row ids, 4 B a row, keyed by the node's π column in the
+// ranking's direction.
 func structFactory(v Variant, agg ranking.Aggregate) makeStructFn {
-	less := func(a, b rowPi) bool { return agg.Less(a.pi, b.pi) }
-	pairs := func(n *dp.Node, g *dp.Group) []rowPi {
-		ps := make([]rowPi, len(g.Rows))
-		for i, r := range g.Rows {
-			ps[i] = rowPi{row: r, pi: n.Pi[r]}
-		}
-		return ps
-	}
+	desc := agg.Desc()
 	switch v {
 	case Eager:
 		return func(n *dp.Node, g *dp.Group) candStruct {
-			ps := pairs(n, g)
-			sort.Slice(ps, func(i, j int) bool { return less(ps[i], ps[j]) })
-			return &sortedStruct{ps: ps}
+			ids, pi := slices.Clone(g.Rows), n.Pi
+			slices.SortFunc(ids, func(a, b int32) int {
+				switch {
+				case agg.Less(pi[a], pi[b]):
+					return -1
+				case agg.Less(pi[b], pi[a]):
+					return 1
+				}
+				return 0
+			})
+			return &sortedStruct{idList{ids, pi}}
 		}
 	case Lazy:
 		return func(n *dp.Node, g *dp.Group) candStruct {
-			return &lazyStruct{inc: heap.NewIncSort(less, pairs(n, g))}
+			return &lazyStruct{inc: heap.NewIncSort(n.Pi, desc, slices.Clone(g.Rows)), pi: n.Pi}
 		}
 	case Quick:
 		return func(n *dp.Node, g *dp.Group) candStruct {
-			return &quickStruct{inc: heap.NewIncQuick(less, pairs(n, g))}
+			return &quickStruct{inc: heap.NewIncQuick(n.Pi, desc, slices.Clone(g.Rows)), pi: n.Pi}
 		}
 	case Take2:
 		return func(n *dp.Node, g *dp.Group) candStruct {
-			h := heap.NewFromSlice(less, pairs(n, g))
-			return &heapStruct{ps: h.Items()}
+			ids := slices.Clone(g.Rows)
+			heap.Heapify(n.Pi, desc, ids)
+			return &heapStruct{idList{ids, n.Pi}}
 		}
 	case All:
 		return func(n *dp.Node, g *dp.Group) candStruct {
-			ps := pairs(n, g)
+			ids := slices.Clone(g.Rows)
 			// Best to the front; the rest stay unsorted.
-			if len(ps) > 0 {
-				ps[0], ps[g.BestIdx] = ps[g.BestIdx], ps[0]
+			if len(ids) > 0 {
+				ids[0], ids[g.BestIdx] = ids[g.BestIdx], ids[0]
 			}
-			return &allStruct{ps: ps}
+			return &allStruct{idList{ids, n.Pi}}
 		}
 	default:
 		panic("core: not a PART variant: " + string(v))
 	}
 }
 
-// sortedStruct: fully sorted candidate list (Eager).
-type sortedStruct struct{ ps []rowPi }
-
-func (s *sortedStruct) at(idx int32) (int32, float64, bool) {
-	if int(idx) >= len(s.ps) {
-		return 0, 0, false
-	}
-	p := s.ps[idx]
-	return p.row, p.pi, true
+// idList is a group's row ids in a structure's order, with the node's π
+// column they are keyed by.
+type idList struct {
+	ids []int32
+	pi  []float64
 }
 
+func (l *idList) at(idx int32) (int32, float64, bool) {
+	if int(idx) >= len(l.ids) {
+		return 0, 0, false
+	}
+	row := l.ids[idx]
+	return row, l.pi[row], true
+}
+
+// sortedStruct: fully sorted candidate list (Eager).
+type sortedStruct struct{ idList }
+
 func (s *sortedStruct) successors(idx int32, buf []int32) []int32 {
-	if int(idx+1) < len(s.ps) {
+	if int(idx+1) < len(s.ids) {
 		buf = append(buf, idx+1)
 	}
 	return buf
 }
 
 // lazyStruct: incrementally heap-sorted candidate list (Lazy).
-type lazyStruct struct{ inc *heap.IncSort[rowPi] }
+type lazyStruct struct {
+	inc heap.IncSort
+	pi  []float64
+}
 
 func (s *lazyStruct) at(idx int32) (int32, float64, bool) {
-	p, ok := s.inc.Get(int(idx))
+	row, ok := s.inc.Get(int(idx))
 	if !ok {
 		return 0, 0, false
 	}
-	return p.row, p.pi, true
+	return row, s.pi[row], true
 }
 
 func (s *lazyStruct) successors(idx int32, buf []int32) []int32 {
@@ -110,14 +120,17 @@ func (s *lazyStruct) successors(idx int32, buf []int32) []int32 {
 }
 
 // quickStruct: incrementally quicksorted candidate list (Quick).
-type quickStruct struct{ inc *heap.IncQuick[rowPi] }
+type quickStruct struct {
+	inc heap.IncQuick
+	pi  []float64
+}
 
 func (s *quickStruct) at(idx int32) (int32, float64, bool) {
-	p, ok := s.inc.Get(int(idx))
+	row, ok := s.inc.Get(int(idx))
 	if !ok {
 		return 0, 0, false
 	}
-	return p.row, p.pi, true
+	return row, s.pi[row], true
 }
 
 func (s *quickStruct) successors(idx int32, buf []int32) []int32 {
@@ -130,21 +143,13 @@ func (s *quickStruct) successors(idx int32, buf []int32) []int32 {
 // heapStruct: heap-ordered candidates; successors are heap children
 // (Take2). The heap property guarantees successors never rank better
 // than their parent, which is all the global queue needs.
-type heapStruct struct{ ps []rowPi }
-
-func (s *heapStruct) at(idx int32) (int32, float64, bool) {
-	if int(idx) >= len(s.ps) {
-		return 0, 0, false
-	}
-	p := s.ps[idx]
-	return p.row, p.pi, true
-}
+type heapStruct struct{ idList }
 
 func (s *heapStruct) successors(idx int32, buf []int32) []int32 {
-	if l := 2*idx + 1; int(l) < len(s.ps) {
+	if l := 2*idx + 1; int(l) < len(s.ids) {
 		buf = append(buf, l)
 	}
-	if r := 2*idx + 2; int(r) < len(s.ps) {
+	if r := 2*idx + 2; int(r) < len(s.ids) {
 		buf = append(buf, r)
 	}
 	return buf
@@ -152,19 +157,11 @@ func (s *heapStruct) successors(idx int32, buf []int32) []int32 {
 
 // allStruct: position 0 is the best; all other positions are successors
 // of 0 and have no successors themselves (All).
-type allStruct struct{ ps []rowPi }
-
-func (s *allStruct) at(idx int32) (int32, float64, bool) {
-	if int(idx) >= len(s.ps) {
-		return 0, 0, false
-	}
-	p := s.ps[idx]
-	return p.row, p.pi, true
-}
+type allStruct struct{ idList }
 
 func (s *allStruct) successors(idx int32, buf []int32) []int32 {
 	if idx == 0 {
-		for i := int32(1); int(i) < len(s.ps); i++ {
+		for i := int32(1); int(i) < len(s.ids); i++ {
 			buf = append(buf, i)
 		}
 	}

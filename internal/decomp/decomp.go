@@ -325,7 +325,7 @@ func PrepareTriangle(rels [3]*relation.Relation, agg ranking.Aggregate, opts ...
 type sortedIter struct {
 	*core.Lifecycle
 	rel  *relation.Relation
-	inc  *heap.IncSort[int32]
+	inc  heap.IncSort
 	perm []int
 	out  relation.Tuple
 	k    int
@@ -339,7 +339,7 @@ func newSortedIter(ctx context.Context, rel *relation.Relation, agg ranking.Aggr
 	return &sortedIter{
 		Lifecycle: core.NewLifecycle(ctx),
 		rel:       rel,
-		inc:       heap.NewIncSort(func(a, b int32) bool { return agg.Less(rel.Weights[a], rel.Weights[b]) }, rows),
+		inc:       heap.NewIncSort(rel.Weights, agg.Desc(), rows),
 		perm:      perm,
 	}
 }

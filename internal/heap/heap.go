@@ -1,102 +1,153 @@
-// Package heap provides generic priority-queue machinery used across the
-// library: a comparator-based binary min-heap and incremental ("lazy")
-// sorters that expose a sorted prefix of a slice on demand. The standard
-// library's container/heap requires an interface implementation per
-// element type and offers no incremental sort, so the ranked-enumeration
-// algorithms in this module build on the generic implementations here
-// instead.
+// Package heap provides the priority-queue machinery of the ranked
+// enumeration: a binary min-heap whose entries carry a float64 key, and
+// incremental ("lazy") sorters and a heapify over int32 ids keyed by a
+// column. Every structure orders by its float64 keys under one direction
+// bit, desc: a ranks before b when a < b, or when a > b with desc set —
+// exactly what ranking.Aggregate.Less evaluates for an aggregate whose
+// Desc is desc. The comparison is inlined rather than called through a
+// closure, and sifts move a hole instead of swapping, so a comparison is
+// the delay's constant and nothing more.
 package heap
 
-// Heap is a binary min-heap ordered by a user-supplied less function.
-// The zero value is not usable; construct with New or NewFromSlice.
+// less reports whether key a ranks strictly before key b.
+func less(desc bool, a, b float64) bool {
+	if desc {
+		return a > b
+	}
+	return a < b
+}
+
+// Heap is a binary min-heap of values, each ordered by the float64 key
+// it was pushed with. Keys and values sit in two parallel slices, so a
+// pointer-free T keeps the queue pointer-free and a comparison reads
+// only the key array. The zero value is an empty ascending heap; New and
+// NewFromSlice return a Heap by value, to be used through a pointer and
+// embedded in the structure that owns it.
 type Heap[T any] struct {
-	less func(a, b T) bool
-	data []T
+	desc bool
+	keys []float64
+	vals []T
 }
 
-// New returns an empty heap ordered by less.
-func New[T any](less func(a, b T) bool) *Heap[T] {
-	return &Heap[T]{less: less}
+// New returns an empty heap; desc selects descending key order.
+func New[T any](desc bool) Heap[T] {
+	return Heap[T]{desc: desc}
 }
 
-// NewFromSlice heapifies items in O(len(items)) and takes ownership of the
-// slice.
-func NewFromSlice[T any](less func(a, b T) bool, items []T) *Heap[T] {
-	h := &Heap[T]{less: less, data: items}
-	for i := len(items)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
+// NewFromSlice heapifies the entries (keys[i], vals[i]) in O(n) and
+// takes ownership of both slices, which must have equal length.
+func NewFromSlice[T any](desc bool, keys []float64, vals []T) Heap[T] {
+	if len(keys) != len(vals) {
+		panic("heap: NewFromSlice with keys and values of different lengths")
+	}
+	h := Heap[T]{desc: desc, keys: keys, vals: vals}
+	for i := len(keys)/2 - 1; i >= 0; i-- {
+		h.siftDown(i, keys[i], vals[i])
 	}
 	return h
 }
 
-// Len reports the number of elements in the heap.
-func (h *Heap[T]) Len() int { return len(h.data) }
+// Len reports the number of entries in the heap.
+func (h *Heap[T]) Len() int { return len(h.keys) }
 
-// Push adds x to the heap in O(log n).
-func (h *Heap[T]) Push(x T) {
-	h.data = append(h.data, x)
-	h.siftUp(len(h.data) - 1)
-}
-
-// Peek returns the minimum element without removing it. It reports false
-// if the heap is empty.
-func (h *Heap[T]) Peek() (T, bool) {
-	if len(h.data) == 0 {
-		var zero T
-		return zero, false
-	}
-	return h.data[0], true
-}
-
-// Pop removes and returns the minimum element. It reports false if the
-// heap is empty.
-func (h *Heap[T]) Pop() (T, bool) {
-	if len(h.data) == 0 {
-		var zero T
-		return zero, false
-	}
-	min := h.data[0]
-	last := len(h.data) - 1
-	h.data[0] = h.data[last]
-	var zero T
-	h.data[last] = zero // release reference for GC
-	h.data = h.data[:last]
-	if last > 0 {
-		h.siftDown(0)
-	}
-	return min, true
-}
-
-// Items returns the underlying slice in heap order (not sorted order).
-// Mutating elements may violate the heap invariant.
-func (h *Heap[T]) Items() []T { return h.data }
-
-func (h *Heap[T]) siftUp(i int) {
+// Push adds v with key in O(log n).
+func (h *Heap[T]) Push(key float64, v T) {
+	h.keys = append(h.keys, key)
+	h.vals = append(h.vals, v)
+	// siftUp: move the hole at the end up past every parent key ranks
+	// before, then fill it.
+	keys, vals, desc := h.keys, h.vals, h.desc
+	i := len(keys) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.data[i], h.data[parent]) {
-			return
+		if !less(desc, key, keys[parent]) {
+			break
 		}
-		h.data[i], h.data[parent] = h.data[parent], h.data[i]
+		keys[i], vals[i] = keys[parent], vals[parent]
 		i = parent
+	}
+	keys[i], vals[i] = key, v
+}
+
+// Peek returns the first entry without removing it. It reports false if
+// the heap is empty.
+func (h *Heap[T]) Peek() (float64, T, bool) {
+	if len(h.keys) == 0 {
+		var zero T
+		return 0, zero, false
+	}
+	return h.keys[0], h.vals[0], true
+}
+
+// Pop removes and returns the first entry. It reports false if the heap
+// is empty.
+func (h *Heap[T]) Pop() (float64, T, bool) {
+	var zero T
+	if len(h.keys) == 0 {
+		return 0, zero, false
+	}
+	key, v := h.keys[0], h.vals[0]
+	last := len(h.keys) - 1
+	lastKey, lastVal := h.keys[last], h.vals[last]
+	h.vals[last] = zero // release a reference for the collector
+	h.keys, h.vals = h.keys[:last], h.vals[:last]
+	if last > 0 {
+		h.siftDown(0, lastKey, lastVal)
+	}
+	return key, v, true
+}
+
+// siftDown places the entry (key, v) at the hole i: the hole moves down
+// past every child that ranks before key, the better child of two first.
+func (h *Heap[T]) siftDown(i int, key float64, v T) {
+	keys, vals, desc := h.keys, h.vals, h.desc
+	n := len(keys)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && less(desc, keys[right], keys[child]) {
+			child = right
+		}
+		if !less(desc, keys[child], key) {
+			break
+		}
+		keys[i], vals[i] = keys[child], vals[child]
+		i = child
+	}
+	keys[i], vals[i] = key, v
+}
+
+// Heapify arranges ids in binary-heap order of keys[id] in O(n): the id
+// at position i ranks no later than those at 2i+1 and 2i+2. The layout
+// is the one NewFromSlice gives the same keys.
+func Heapify(keys []float64, desc bool, ids []int32) {
+	for i := len(ids)/2 - 1; i >= 0; i-- {
+		siftIDs(keys, desc, ids, i)
 	}
 }
 
-func (h *Heap[T]) siftDown(i int) {
-	n := len(h.data)
+// siftIDs is Heap.siftDown over the id heap ids, keyed by keys.
+func siftIDs(keys []float64, desc bool, ids []int32, i int) {
+	id, n := ids[i], len(ids)
+	key := keys[id]
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && h.less(h.data[right], h.data[left]) {
-			smallest = right
+		ck := keys[ids[child]]
+		if right := child + 1; right < n {
+			if rk := keys[ids[right]]; less(desc, rk, ck) {
+				child, ck = right, rk
+			}
 		}
-		if !h.less(h.data[smallest], h.data[i]) {
-			return
+		if !less(desc, ck, key) {
+			break
 		}
-		h.data[i], h.data[smallest] = h.data[smallest], h.data[i]
-		i = smallest
+		ids[i] = ids[child]
+		i = child
 	}
+	ids[i] = id
 }

@@ -7,41 +7,64 @@ import (
 	"testing/quick"
 )
 
-func intLess(a, b int) bool { return a < b }
+// pushAll returns an ascending heap of xs, each keyed by itself.
+func pushAll(xs ...int) Heap[int] {
+	h := New[int](false)
+	for _, x := range xs {
+		h.Push(float64(x), x)
+	}
+	return h
+}
+
+// column returns xs as keys and the ids 0..len(xs)-1 that index them.
+func column(xs ...int) ([]float64, []int32) {
+	keys := make([]float64, len(xs))
+	ids := make([]int32, len(xs))
+	for i, x := range xs {
+		keys[i], ids[i] = float64(x), int32(i)
+	}
+	return keys, ids
+}
 
 func TestHeapEmpty(t *testing.T) {
-	h := New(intLess)
+	var h Heap[int]
 	if h.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", h.Len())
 	}
-	if _, ok := h.Pop(); ok {
+	if _, _, ok := h.Pop(); ok {
 		t.Error("Pop on empty heap reported ok")
 	}
-	if _, ok := h.Peek(); ok {
+	if _, _, ok := h.Peek(); ok {
 		t.Error("Peek on empty heap reported ok")
 	}
 }
 
 func TestHeapPushPopOrdered(t *testing.T) {
-	h := New(intLess)
-	in := []int{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}
-	for _, x := range in {
-		h.Push(x)
-	}
+	h := pushAll(5, 3, 8, 1, 9, 2, 7, 4, 6, 0)
 	for want := 0; want < 10; want++ {
-		got, ok := h.Pop()
-		if !ok || got != want {
-			t.Fatalf("Pop = %d,%v, want %d,true", got, ok, want)
+		key, got, ok := h.Pop()
+		if !ok || got != want || key != float64(want) {
+			t.Fatalf("Pop = %v,%d,%v, want %d,%d,true", key, got, ok, want, want)
+		}
+	}
+}
+
+func TestHeapDescending(t *testing.T) {
+	h := New[string](true)
+	for i, s := range []string{"b", "d", "a", "c"} {
+		h.Push([]float64{2, 4, 1, 3}[i], s)
+	}
+	for _, want := range []string{"d", "c", "b", "a"} {
+		if _, got, ok := h.Pop(); !ok || got != want {
+			t.Fatalf("Pop = %q,%v, want %q", got, ok, want)
 		}
 	}
 }
 
 func TestHeapPeekDoesNotRemove(t *testing.T) {
-	h := New(intLess)
-	h.Push(2)
-	h.Push(1)
+	h := pushAll(2, 1)
 	for i := 0; i < 3; i++ {
-		if v, ok := h.Peek(); !ok || v != 1 {
+		if _, v, ok := h.Peek(); !ok || v != 1 {
 			t.Fatalf("Peek = %d,%v, want 1,true", v, ok)
 		}
 	}
@@ -51,11 +74,12 @@ func TestHeapPeekDoesNotRemove(t *testing.T) {
 }
 
 func TestNewFromSlice(t *testing.T) {
-	items := []int{9, 4, 7, 1, 3}
-	h := NewFromSlice(intLess, items)
+	vals := []int{9, 4, 7, 1, 3}
+	keys := []float64{9, 4, 7, 1, 3}
+	h := NewFromSlice(false, keys, vals)
 	var got []int
 	for {
-		v, ok := h.Pop()
+		_, v, ok := h.Pop()
 		if !ok {
 			break
 		}
@@ -69,13 +93,23 @@ func TestNewFromSlice(t *testing.T) {
 	}
 }
 
+func TestHeapifyLayout(t *testing.T) {
+	keys, ids := column(9, 4, 7, 1, 3, 8, 2)
+	Heapify(keys, false, ids)
+	for i := 1; i < len(ids); i++ {
+		if keys[ids[i]] < keys[ids[(i-1)/2]] {
+			t.Fatalf("ids %v: position %d ranks before its parent", ids, i)
+		}
+	}
+}
+
 func TestHeapDuplicates(t *testing.T) {
-	h := New(intLess)
+	h := New[int](false)
 	for i := 0; i < 50; i++ {
-		h.Push(7)
+		h.Push(7, 7)
 	}
 	for i := 0; i < 50; i++ {
-		if v, ok := h.Pop(); !ok || v != 7 {
+		if _, v, ok := h.Pop(); !ok || v != 7 {
 			t.Fatalf("Pop dup = %d,%v", v, ok)
 		}
 	}
@@ -84,14 +118,14 @@ func TestHeapDuplicates(t *testing.T) {
 // Property: draining a heap yields a sorted permutation of the input.
 func TestHeapDrainSortedProperty(t *testing.T) {
 	f := func(in []int16) bool {
-		h := New(func(a, b int16) bool { return a < b })
+		h := New[int16](false)
 		for _, x := range in {
-			h.Push(x)
+			h.Push(float64(x), x)
 		}
 		prev := int16(-1 << 15)
 		count := 0
 		for {
-			v, ok := h.Pop()
+			_, v, ok := h.Pop()
 			if !ok {
 				break
 			}
@@ -111,16 +145,16 @@ func TestHeapDrainSortedProperty(t *testing.T) {
 // Property: interleaved push/pop never violates min order w.r.t. a model.
 func TestHeapAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	h := New(intLess)
+	h := New[int](false)
 	var model []int
 	for op := 0; op < 5000; op++ {
 		if rng.Intn(3) != 0 || len(model) == 0 {
 			x := rng.Intn(1000)
-			h.Push(x)
+			h.Push(float64(x), x)
 			model = append(model, x)
 			sort.Ints(model)
 		} else {
-			v, ok := h.Pop()
+			_, v, ok := h.Pop()
 			if !ok {
 				t.Fatal("Pop failed with non-empty model")
 			}
@@ -133,11 +167,12 @@ func TestHeapAgainstModel(t *testing.T) {
 }
 
 func TestIncSortBasic(t *testing.T) {
-	s := NewIncSort(intLess, []int{4, 2, 9, 1, 7})
-	for i, want := range []int{1, 2, 4, 7, 9} {
+	keys, ids := column(4, 2, 9, 1, 7)
+	s := NewIncSort(keys, false, ids)
+	for i, want := range []float64{1, 2, 4, 7, 9} {
 		got, ok := s.Get(i)
-		if !ok || got != want {
-			t.Fatalf("Get(%d) = %d,%v, want %d,true", i, got, ok, want)
+		if !ok || keys[got] != want {
+			t.Fatalf("Get(%d) = %d,%v, want the id of %v", i, got, ok, want)
 		}
 	}
 	if _, ok := s.Get(5); ok {
@@ -146,18 +181,25 @@ func TestIncSortBasic(t *testing.T) {
 }
 
 func TestIncSortRandomAccessIsStable(t *testing.T) {
-	s := NewIncSort(intLess, []int{4, 2, 9, 1, 7})
-	if v, _ := s.Get(3); v != 7 {
-		t.Fatalf("Get(3) = %d, want 7", v)
+	keys, ids := column(4, 2, 9, 1, 7)
+	s := NewIncSort(keys, false, ids)
+	if id, _ := s.Get(3); keys[id] != 7 {
+		t.Fatalf("Get(3) has key %v, want 7", keys[id])
 	}
 	// Earlier ranks must already be materialised and stable.
-	if v, _ := s.Get(0); v != 1 {
-		t.Fatalf("Get(0) = %d, want 1", v)
+	if id, _ := s.Get(0); keys[id] != 1 {
+		t.Fatalf("Get(0) has key %v, want 1", keys[id])
+	}
+	// The sorted prefix sits at the front of the slice given.
+	for i, want := range []float64{1, 2, 4, 7} {
+		if keys[ids[i]] != want {
+			t.Fatalf("ids[%d] has key %v, want %v", i, keys[ids[i]], want)
+		}
 	}
 }
 
 func TestIncSortEmpty(t *testing.T) {
-	s := NewIncSort(intLess, nil)
+	s := NewIncSort(nil, false, nil)
 	if _, ok := s.Get(0); ok {
 		t.Error("Get(0) on empty reported ok")
 	}
@@ -166,20 +208,28 @@ func TestIncSortEmpty(t *testing.T) {
 	}
 }
 
+// sortedKeys returns the keys of in, ascending.
+func sortedKeys(in []int16) []float64 {
+	ref := make([]float64, len(in))
+	for i, x := range in {
+		ref[i] = float64(x)
+	}
+	sort.Float64s(ref)
+	return ref
+}
+
 // Property: IncSort visits the same sequence as sort.
 func TestIncSortMatchesSortProperty(t *testing.T) {
 	f := func(in []int16) bool {
-		cp := append([]int16(nil), in...)
-		s := NewIncSort(func(a, b int16) bool { return a < b }, cp)
-		ref := append([]int16(nil), in...)
-		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-		for i := range ref {
+		keys, ids := column(int16s(in)...)
+		s := NewIncSort(keys, false, ids)
+		for i, want := range sortedKeys(in) {
 			got, ok := s.Get(i)
-			if !ok || got != ref[i] {
+			if !ok || keys[got] != want {
 				return false
 			}
 		}
-		_, ok := s.Get(len(ref))
+		_, ok := s.Get(len(in))
 		return !ok
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -187,12 +237,21 @@ func TestIncSortMatchesSortProperty(t *testing.T) {
 	}
 }
 
+func int16s(in []int16) []int {
+	out := make([]int, len(in))
+	for i, x := range in {
+		out[i] = int(x)
+	}
+	return out
+}
+
 func TestIncQuickBasic(t *testing.T) {
-	q := NewIncQuick(intLess, []int{4, 2, 9, 1, 7, 0, 3})
-	for i, want := range []int{0, 1, 2, 3, 4, 7, 9} {
+	keys, ids := column(4, 2, 9, 1, 7, 0, 3)
+	q := NewIncQuick(keys, false, ids)
+	for i, want := range []float64{0, 1, 2, 3, 4, 7, 9} {
 		got, ok := q.Get(i)
-		if !ok || got != want {
-			t.Fatalf("Get(%d) = %d,%v, want %d,true", i, got, ok, want)
+		if !ok || keys[got] != want {
+			t.Fatalf("Get(%d) = %d,%v, want the id of %v", i, got, ok, want)
 		}
 	}
 	if _, ok := q.Get(7); ok {
@@ -205,11 +264,12 @@ func TestIncQuickAllEqual(t *testing.T) {
 	for i := range in {
 		in[i] = 5
 	}
-	q := NewIncQuick(intLess, in)
+	keys, ids := column(in...)
+	q := NewIncQuick(keys, false, ids)
 	for i := 0; i < 100; i++ {
 		got, ok := q.Get(i)
-		if !ok || got != 5 {
-			t.Fatalf("Get(%d) = %d,%v, want 5,true", i, got, ok)
+		if !ok || keys[got] != 5 {
+			t.Fatalf("Get(%d) = %d,%v, want a key of 5", i, got, ok)
 		}
 	}
 }
@@ -222,18 +282,19 @@ func TestIncQuickLargeRandom(t *testing.T) {
 	}
 	ref := append([]int(nil), in...)
 	sort.Ints(ref)
-	q := NewIncQuick(intLess, in)
+	keys, ids := column(in...)
+	q := NewIncQuick(keys, false, ids)
 	// Access a scattering of ranks out of order.
 	for _, i := range []int{9999, 0, 5000, 1, 9998, 4999, 2500} {
 		got, ok := q.Get(i)
-		if !ok || got != ref[i] {
-			t.Fatalf("Get(%d) = %d,%v, want %d", i, got, ok, ref[i])
+		if !ok || keys[got] != float64(ref[i]) {
+			t.Fatalf("Get(%d) = %d,%v, want a key of %d", i, got, ok, ref[i])
 		}
 	}
 	for i := range ref {
 		got, _ := q.Get(i)
-		if got != ref[i] {
-			t.Fatalf("full drain: Get(%d) = %d, want %d", i, got, ref[i])
+		if keys[got] != float64(ref[i]) {
+			t.Fatalf("full drain: Get(%d) has key %v, want %d", i, keys[got], ref[i])
 		}
 	}
 }
@@ -241,13 +302,11 @@ func TestIncQuickLargeRandom(t *testing.T) {
 // Property: IncQuick matches sort for arbitrary inputs.
 func TestIncQuickMatchesSortProperty(t *testing.T) {
 	f := func(in []int16) bool {
-		cp := append([]int16(nil), in...)
-		q := NewIncQuick(func(a, b int16) bool { return a < b }, cp)
-		ref := append([]int16(nil), in...)
-		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-		for i := range ref {
+		keys, ids := column(int16s(in)...)
+		q := NewIncQuick(keys, false, ids)
+		for i, want := range sortedKeys(in) {
 			got, ok := q.Get(i)
-			if !ok || got != ref[i] {
+			if !ok || keys[got] != want {
 				return false
 			}
 		}
@@ -259,30 +318,29 @@ func TestIncQuickMatchesSortProperty(t *testing.T) {
 }
 
 // TestIncSortMatchesHeapPops checks that the in-place IncSort returns
-// the same elements, by identity, as repeated Heap.Pop on the same
-// input: with keys drawn from three values almost every comparison is a
-// tie, so any difference in the comparisons run would reorder ids.
+// the same ids as repeated Heap.Pop on the same keys: with keys drawn
+// from three values almost every comparison is a tie, so any difference
+// in the comparisons run would reorder ids.
 func TestIncSortMatchesHeapPops(t *testing.T) {
-	type elem struct{ key, id int }
-	less := func(a, b elem) bool { return a.key < b.key }
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 2, 3, 7, 8, 64, 1000} {
-		in := make([]elem, n)
+		in := make([]int, n)
 		for i := range in {
-			in[i] = elem{key: rng.Intn(3), id: i}
+			in[i] = rng.Intn(3)
 		}
-		h := NewFromSlice(less, append([]elem(nil), in...))
-		s := NewIncSort(less, append([]elem(nil), in...))
+		keys, ids := column(in...)
+		h := NewFromSlice(false, append([]float64(nil), keys...), append([]int32(nil), ids...))
+		s := NewIncSort(keys, false, ids)
 		if s.Total() != n {
 			t.Fatalf("n=%d: Total = %d", n, s.Total())
 		}
-		var want []elem
+		var want []int32
 		for {
-			x, ok := h.Pop()
+			_, id, ok := h.Pop()
 			if !ok {
 				break
 			}
-			want = append(want, x)
+			want = append(want, id)
 		}
 		// Jump to the middle rank first, then read every rank: ranks
 		// materialised by the jump must come back unchanged.

@@ -2,111 +2,122 @@ package heap
 
 import "slices"
 
-// IncSort incrementally sorts a slice in place: Get(i) returns the i-th
-// smallest element, materialising the sorted prefix lazily. Construction
-// is O(n) (heapify); each new rank costs O(log n). This is the data
-// structure behind the "Lazy" ANYK-PART variant: a candidate list only
-// pays sorting cost for the ranks actually visited.
+// IncSort incrementally sorts int32 ids by keys[id] in place: Get(i)
+// returns the id of rank i, materialising the sorted prefix lazily.
+// Construction is O(n) (heapify); each new rank costs O(log n). This is
+// the data structure behind the "Lazy" ANYK-PART variant: a candidate
+// list only pays sorting cost for the ranks actually visited.
 //
-// The sorted prefix sits at the front of the slice and the heap of the
-// rest is mirrored behind it — heap index j lives at data[len-1-j] — so
-// the slot a pop vacates, the heap's last, is exactly the one the popped
-// element belongs in, and no second slice is needed. Ranks come out in
-// the order repeated Heap.Pop on the same input yields, ties included:
-// both run the same comparisons in the same order.
-type IncSort[T any] struct {
-	less   func(a, b T) bool
-	data   []T
+// The sorted prefix sits at the front of the id slice and the heap of
+// the rest is mirrored behind it — heap index j lives at ids[len-1-j] —
+// so the slot a pop vacates, the heap's last, is exactly the one the
+// popped id belongs in, and no second slice is needed. Ranks come out in
+// the order repeated Heap.Pop of the same keys yields, ties included:
+// both run the same comparisons in the same order. After Get(i), the
+// first i+1 ids of the slice NewIncSort was given are ranks 0..i.
+type IncSort struct {
+	keys   []float64
+	ids    []int32
+	desc   bool
 	sorted int // length of the sorted prefix
 }
 
-// NewIncSort takes ownership of items and prepares incremental sorting.
-func NewIncSort[T any](less func(a, b T) bool, items []T) *IncSort[T] {
-	// Reversed, items[j] sits where heap index j lives, as in
-	// NewFromSlice.
-	slices.Reverse(items)
-	s := &IncSort[T]{less: less, data: items}
-	for i := len(items)/2 - 1; i >= 0; i-- {
-		s.siftDown(i, len(items))
+// NewIncSort takes ownership of ids and prepares sorting them by
+// keys[id], descending if desc. The value is used through a pointer and
+// may be embedded in the structure that owns it.
+func NewIncSort(keys []float64, desc bool, ids []int32) IncSort {
+	// Reversed, ids[j] sits where heap index j lives, as in NewFromSlice.
+	slices.Reverse(ids)
+	s := IncSort{keys: keys, ids: ids, desc: desc}
+	top := len(ids) - 1
+	for i := len(ids)/2 - 1; i >= 0; i-- {
+		s.siftDown(i, len(ids), ids[top-i])
 	}
 	return s
 }
 
-// Total reports the total number of elements (sorted and unsorted).
-func (s *IncSort[T]) Total() int { return len(s.data) }
+// Total reports the total number of ids (sorted and unsorted).
+func (s *IncSort) Total() int { return len(s.ids) }
 
-// Get returns the element of rank i (0-based). It reports false if
+// Get returns the id of rank i (0-based). It reports false if
 // i >= Total(). Ranks already materialised are returned in O(1).
-func (s *IncSort[T]) Get(i int) (T, bool) {
-	if i >= len(s.data) {
-		var zero T
-		return zero, false
+func (s *IncSort) Get(i int) (int32, bool) {
+	if i >= len(s.ids) {
+		return 0, false
 	}
-	top := len(s.data) - 1
+	ids, top := s.ids, len(s.ids)-1
 	for s.sorted <= i {
-		// Heap.Pop: the root goes, the last element takes its place and
-		// sifts down through the remaining size-1 heap. The last element
-		// sat at data[sorted], which the root then fills.
+		// Heap.Pop: the root goes, the last id sifts down from the root's
+		// hole through the remaining size-1 heap. The last id sat at
+		// ids[sorted], which the root then fills.
 		last := s.sorted
-		min := s.data[top]
-		s.data[top] = s.data[last]
-		s.siftDown(0, top-last)
-		s.data[last] = min
+		min := ids[top]
+		s.siftDown(0, top-last, ids[last])
+		ids[last] = min
 		s.sorted++
 	}
-	return s.data[i], true
+	return ids[i], true
 }
 
-// siftDown is Heap.siftDown over the mirrored heap of the given size.
-func (s *IncSort[T]) siftDown(i, size int) {
-	d, top := s.data, len(s.data)-1
+// siftDown is Heap.siftDown of id from the hole i over the mirrored heap
+// of the given size.
+func (s *IncSort) siftDown(i, size int, id int32) {
+	keys, ids, desc, top := s.keys, s.ids, s.desc, len(s.ids)-1
+	key := keys[id]
 	for {
-		left := 2*i + 1
-		if left >= size {
-			return
+		child := 2*i + 1
+		if child >= size {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < size && s.less(d[top-right], d[top-left]) {
-			smallest = right
+		ck := keys[ids[top-child]]
+		if right := child + 1; right < size {
+			if rk := keys[ids[top-right]]; less(desc, rk, ck) {
+				child, ck = right, rk
+			}
 		}
-		if !s.less(d[top-smallest], d[top-i]) {
-			return
+		if !less(desc, ck, key) {
+			break
 		}
-		d[top-i], d[top-smallest] = d[top-smallest], d[top-i]
-		i = smallest
+		ids[top-i] = ids[top-child]
+		i = child
 	}
+	ids[top-i] = id
 }
 
-// IncQuick incrementally sorts a slice using lazy quicksort: the slice is
-// partitioned on demand and only the partitions containing requested ranks
-// are refined. Amortised O(log n) per rank in expectation, O(n) extra
-// memory for the partition-boundary stack. This backs the "Quick"
-// ANYK-PART variant.
-type IncQuick[T any] struct {
-	less func(a, b T) bool
-	data []T
-	// bounds[i] is true when data[i] is a "pivot in final position", i.e.
-	// everything left of i is ≤ data[i] and everything right is ≥.
-	// sortedUpTo is the length of the fully sorted prefix.
-	bounds     []int // stack of right boundaries (exclusive) of unsorted runs, ascending from top
+// IncQuick incrementally sorts int32 ids by keys[id] using lazy
+// quicksort: the slice is partitioned on demand and only the partitions
+// containing requested ranks are refined. Amortised O(log n) per rank in
+// expectation, O(n) extra memory for the partition-boundary stack. This
+// backs the "Quick" ANYK-PART variant.
+type IncQuick struct {
+	keys []float64
+	ids  []int32
+	desc bool
+	// bounds is a stack of right boundaries (exclusive) of unsorted
+	// runs, ascending from the top; sortedUpTo is the length of the
+	// fully sorted prefix.
+	bounds     []int
 	sortedUpTo int
 	rng        uint64
 }
 
-// NewIncQuick takes ownership of items and prepares incremental quicksort.
-func NewIncQuick[T any](less func(a, b T) bool, items []T) *IncQuick[T] {
-	return &IncQuick[T]{
-		less:   less,
-		data:   items,
-		bounds: []int{len(items)},
+// NewIncQuick takes ownership of ids and prepares sorting them by
+// keys[id], descending if desc. The value is used through a pointer and
+// may be embedded in the structure that owns it.
+func NewIncQuick(keys []float64, desc bool, ids []int32) IncQuick {
+	return IncQuick{
+		keys:   keys,
+		ids:    ids,
+		desc:   desc,
+		bounds: []int{len(ids)},
 		rng:    0x9e3779b97f4a7c15,
 	}
 }
 
-// Total reports the total number of elements.
-func (q *IncQuick[T]) Total() int { return len(q.data) }
+// Total reports the total number of ids.
+func (q *IncQuick) Total() int { return len(q.ids) }
 
-func (q *IncQuick[T]) next() uint64 {
+func (q *IncQuick) next() uint64 {
 	// splitmix64 step for pivot selection.
 	q.rng += 0x9e3779b97f4a7c15
 	z := q.rng
@@ -115,13 +126,13 @@ func (q *IncQuick[T]) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Get returns the element of rank i (0-based), refining partitions as
-// needed. It reports false if i >= Total().
-func (q *IncQuick[T]) Get(i int) (T, bool) {
-	if i >= len(q.data) {
-		var zero T
-		return zero, false
+// Get returns the id of rank i (0-based), refining partitions as needed.
+// It reports false if i >= Total().
+func (q *IncQuick) Get(i int) (int32, bool) {
+	if i >= len(q.ids) {
+		return 0, false
 	}
+	keys, ids, desc := q.keys, q.ids, q.desc
 	for q.sortedUpTo <= i {
 		// The unsorted run starts at sortedUpTo and ends at the boundary
 		// on top of the stack.
@@ -131,9 +142,13 @@ func (q *IncQuick[T]) Get(i int) (T, bool) {
 		if n <= 8 {
 			// Insertion-sort small runs and retire the boundary.
 			for a := lo + 1; a < hi; a++ {
-				for b := a; b > lo && q.less(q.data[b], q.data[b-1]); b-- {
-					q.data[b], q.data[b-1] = q.data[b-1], q.data[b]
+				id := ids[a]
+				key := keys[id]
+				b := a
+				for ; b > lo && less(desc, key, keys[ids[b-1]]); b-- {
+					ids[b] = ids[b-1]
 				}
+				ids[b] = id
 			}
 			q.sortedUpTo = hi
 			q.bounds = q.bounds[:len(q.bounds)-1]
@@ -145,17 +160,17 @@ func (q *IncQuick[T]) Get(i int) (T, bool) {
 		// are retired in order. Excluding the pivot from both sub-runs
 		// guarantees progress even with many duplicate elements.
 		p := lo + int(q.next()%uint64(n))
-		q.data[p], q.data[hi-1] = q.data[hi-1], q.data[p]
-		pivot := q.data[hi-1]
+		ids[p], ids[hi-1] = ids[hi-1], ids[p]
+		pivot := keys[ids[hi-1]]
 		store := lo
 		for j := lo; j < hi-1; j++ {
-			if q.less(q.data[j], pivot) {
-				q.data[store], q.data[j] = q.data[j], q.data[store]
+			if less(desc, keys[ids[j]], pivot) {
+				ids[store], ids[j] = ids[j], ids[store]
 				store++
 			}
 		}
-		q.data[store], q.data[hi-1] = q.data[hi-1], q.data[store]
+		ids[store], ids[hi-1] = ids[hi-1], ids[store]
 		q.bounds = append(q.bounds, store+1, store)
 	}
-	return q.data[i], true
+	return ids[i], true
 }

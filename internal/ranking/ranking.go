@@ -106,11 +106,16 @@ func (a Aggregate) Combine(x, y float64) float64 {
 // Less reports whether x is strictly better (ranked earlier) than y:
 // descending for SumBenefit and MinBenefit, ascending otherwise.
 func (a Aggregate) Less(x, y float64) bool {
-	if a.op == sumDesc || a.op == minDesc {
+	if a.Desc() {
 		return x > y
 	}
 	return x < y
 }
+
+// Desc reports whether the aggregate ranks larger weights first
+// (SumBenefit and MinBenefit): the direction bit the heaps of package
+// heap order by.
+func (a Aggregate) Desc() bool { return a.op == sumDesc || a.op == minDesc }
 
 // DomainError reports a tuple weight outside the domain on which an
 // aggregate is monotone. Enumerating over it would not fail but return

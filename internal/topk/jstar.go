@@ -28,7 +28,7 @@ type JStar struct {
 	check [][]colMap
 	// restBest[i] = Σ_{j ≥ i} best score of stream j.
 	restBest []float64
-	pq       *heap.Heap[*jstarState]
+	pq       heap.Heap[jstarState]
 	Stats    JStarStats
 }
 
@@ -53,11 +53,11 @@ type bindNode struct {
 	depth  int
 }
 
+// jstarState is one search state, queued under its bound.
 type jstarState struct {
 	chain *bindNode // bound tuples for streams 0..level-1
 	level int       // next stream to bind
 	depth int       // cursor into stream `level`
-	bound float64
 }
 
 // NewJStar builds the operator over the given relations.
@@ -97,7 +97,7 @@ func NewJStar(rels ...*relation.Relation) *JStar {
 		}
 		j.restBest[i] = j.restBest[i+1] + top
 	}
-	j.pq = heap.New(func(a, b *jstarState) bool { return a.bound > b.bound })
+	j.pq = heap.New[jstarState](true)
 	nonEmpty := m > 0
 	for _, r := range rels {
 		if r.Len() == 0 {
@@ -105,7 +105,7 @@ func NewJStar(rels ...*relation.Relation) *JStar {
 		}
 	}
 	if nonEmpty {
-		j.pq.Push(&jstarState{level: 0, depth: 0, bound: j.restBest[0]})
+		j.pq.Push(j.restBest[0], jstarState{level: 0, depth: 0})
 	}
 	return j
 }
@@ -150,8 +150,8 @@ func (j *JStar) Attrs() []string { return j.attrs }
 // Bound returns an upper bound on all future scores (for composability
 // with the ScoredIterator contract).
 func (j *JStar) Bound() float64 {
-	if top, ok := j.pq.Peek(); ok {
-		return top.bound
+	if bound, _, ok := j.pq.Peek(); ok {
+		return bound
 	}
 	return math.Inf(-1)
 }
@@ -159,7 +159,7 @@ func (j *JStar) Bound() float64 {
 // Next returns the next join result in descending score order.
 func (j *JStar) Next() (relation.Tuple, float64, bool) {
 	for {
-		st, ok := j.pq.Pop()
+		bound, st, ok := j.pq.Pop()
 		if !ok {
 			return nil, 0, false
 		}
@@ -172,22 +172,18 @@ func (j *JStar) Next() (relation.Tuple, float64, bool) {
 					out[fm.outCol] = tup[fm.streamCol]
 				}
 			}
-			return out, st.bound, true
+			return out, bound, true
 		}
 		// Successor 1: advance the cursor within stream `level`.
 		if st.depth+1 < len(j.streams[st.level].order) {
-			j.pq.Push(&jstarState{
-				chain: st.chain, level: st.level, depth: st.depth + 1,
-				bound: j.stateBound(st.chain, st.level, st.depth+1),
-			})
+			j.pq.Push(j.stateBound(st.chain, st.level, st.depth+1),
+				jstarState{chain: st.chain, level: st.level, depth: st.depth + 1})
 		}
 		// Successor 2: bind the cursor tuple if it joins with the prefix.
 		if j.compatible(st.chain, st.level, st.depth) {
 			chain := &bindNode{parent: st.chain, stream: st.level, depth: st.depth}
-			j.pq.Push(&jstarState{
-				chain: chain, level: st.level + 1, depth: 0,
-				bound: j.stateBound(chain, st.level+1, 0),
-			})
+			j.pq.Push(j.stateBound(chain, st.level+1, 0),
+				jstarState{chain: chain, level: st.level + 1, depth: 0})
 		}
 		if j.pq.Len() > j.Stats.MaxQueue {
 			j.Stats.MaxQueue = j.pq.Len()

@@ -33,17 +33,12 @@ func NewScan(rel *relation.Relation) *Scan {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	// Descending by weight.
-	h := heap.NewFromSlice(func(a, b int32) bool { return rel.Weights[a] > rel.Weights[b] }, order)
-	sorted := make([]int32, 0, rel.Len())
-	for {
-		v, ok := h.Pop()
-		if !ok {
-			break
-		}
-		sorted = append(sorted, v)
+	// Descending by weight: reading the last rank sorts order in place.
+	inc := heap.NewIncSort(rel.Weights, true, order)
+	if len(order) > 0 {
+		inc.Get(len(order) - 1)
 	}
-	return &Scan{rel: rel, order: sorted}
+	return &Scan{rel: rel, order: order}
 }
 
 // Next implements ScoredIterator.
@@ -100,8 +95,8 @@ type HRJN struct {
 	firstR       float64
 	startedL     bool
 	startedR     bool
-	pq           *heap.Heap[scored]
-	pull         bool // false: pull left next on ties
+	pq           heap.Heap[relation.Tuple] // joined results by score
+	pull         bool                      // false: pull left next on ties
 	Stats        RankJoinStats
 }
 
@@ -127,14 +122,13 @@ func NewHRJN(left, right ScoredIterator) *HRJN {
 			rKeep = append(rKeep, i)
 		}
 	}
-	h := &HRJN{
+	return &HRJN{
 		left: left, right: right,
 		attrs: attrs, shared: shared,
 		lCols: lCols, rCols: rCols, rKeep: rKeep,
 		keys: relation.NewKeyTable(len(shared), 0),
+		pq:   heap.New[relation.Tuple](true),
 	}
-	h.pq = heap.New(func(a, b scored) bool { return a.s > b.s })
-	return h
 }
 
 // Attrs implements ScoredIterator.
@@ -158,8 +152,8 @@ func (h *HRJN) threshold() float64 {
 // Bound implements ScoredIterator.
 func (h *HRJN) Bound() float64 {
 	t := h.threshold()
-	if top, ok := h.pq.Peek(); ok && top.s > t {
-		return top.s
+	if s, _, ok := h.pq.Peek(); ok && s > t {
+		return s
 	}
 	return t
 }
@@ -180,16 +174,16 @@ func (h *HRJN) keyID(t relation.Tuple, cols []int) int {
 // Next implements ScoredIterator: the classic HRJN loop.
 func (h *HRJN) Next() (relation.Tuple, float64, bool) {
 	for {
-		if top, ok := h.pq.Peek(); ok && top.s >= h.threshold() {
+		if s, t, ok := h.pq.Peek(); ok && s >= h.threshold() {
 			h.pq.Pop()
-			return top.t, top.s, true
+			return t, s, true
 		}
 		// Pull from the side with the larger bound (ties alternate).
 		lb, rb := h.left.Bound(), h.right.Bound()
 		if math.IsInf(lb, -1) && math.IsInf(rb, -1) {
 			// Inputs drained: flush the queue.
-			if top, ok := h.pq.Pop(); ok {
-				return top.t, top.s, true
+			if s, t, ok := h.pq.Pop(); ok {
+				return t, s, true
 			}
 			return nil, 0, false
 		}
@@ -233,7 +227,7 @@ func (h *HRJN) emit(lt relation.Tuple, ls float64, rt relation.Tuple, rs float64
 	for _, c := range h.rKeep {
 		out = append(out, rt[c])
 	}
-	h.pq.Push(scored{t: out, s: ls + rs})
+	h.pq.Push(ls+rs, out)
 	h.Stats.Joined++
 	if h.pq.Len() > h.Stats.MaxQueue {
 		h.Stats.MaxQueue = h.pq.Len()
