@@ -11,10 +11,10 @@ import (
 // over a doubling sweep of path instances (about n and 2n results). No
 // result costs an object of its own: every iterator emits into one
 // reused tuple, the queues and arenas (ANYK-PART's assignments,
-// ANYK-REC's rank vectors) grow by amortised doubling or in chunks, and
-// the per-Run tables, candidate structures and REC states are shared by
-// all results. So the count stays at most 0.05 (0.007–0.025 measured)
-// and does not grow with n.
+// ANYK-REC's rank vectors) grow by amortised doubling or in chunks, the
+// REC states are shared by all results, and the candidate structures by
+// all Runs over the T-DP. So the count stays at most 0.05 (0.002–0.023
+// measured) and does not grow with n.
 func TestPartAllocsPerResult(t *testing.T) {
 	sizes := []struct{ n, domain int }{{160, 16}, {320, 32}}
 	const bound = 0.05

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -170,15 +171,20 @@ func TestWideStarAllVariants(t *testing.T) {
 // seeded random tree query with tie-heavy weights, under a ranking and
 // a PART variant picked by the input: the weight sequence must equal
 // Batch's exactly (integer weights make every aggregate exact), and the
-// (tuple, weight) multiset must too. Inputs whose output exceeds 20 000
-// results are skipped, so every run stays fast.
+// (tuple, weight) multiset must too. It drains the variant twice on the
+// one T-DP, interleaved — A to the split the input picks (variant / 5),
+// then B to the end, then the rest of A — and the two sequences, which
+// share the T-DP's candidate structures, must be identical, ties
+// included. Inputs whose output exceeds 20 000 results are skipped, so
+// every run stays fast.
 //
 //	go test -fuzz FuzzPartVsBatch -fuzztime 40s -run '^$' ./internal/core
 func FuzzPartVsBatch(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(20), uint8(5), uint8(1), uint8(0))
+	f.Add(uint64(3), uint8(3), uint8(20), uint8(4), uint8(36), uint8(0)) // Lazy, B runs after A's 7th answer
 	f.Fuzz(func(t *testing.T, seed uint64, nRels, tuples, domain, variant, rank uint8) {
 		variants := []Variant{Eager, Lazy, Quick, All, Take2}
-		v := variants[int(variant)%len(variants)]
+		v, split := variants[int(variant)%len(variants)], int(variant)/len(variants)
 		agg := ranking.All[int(rank)%len(ranking.All)]
 		inst := workload.RandomTree(1+int(nRels)%5, 1+int(tuples)%24, 2+int(domain)%8, tieWeights(), seed)
 		tdp, err := dp.Build(mustQ(inst), agg)
@@ -189,11 +195,20 @@ func FuzzPartVsBatch(f *testing.F) {
 			t.Skip("output too large for one fuzz input")
 		}
 		want := Collect(NewBatch(context.Background(), tdp), 0)
-		it, err := NewPart(context.Background(), tdp, v)
+		a, err := NewPart(context.Background(), tdp, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := Collect(it, 0)
+		var got []Result
+		if split > 0 {
+			got = Collect(a, split)
+		}
+		b, err := NewPart(context.Background(), tdp, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotB := Collect(b, 0)
+		got = append(got, Collect(a, 0)...)
 		if len(got) != len(want) {
 			t.Fatalf("%s/%s: %d results, Batch %d", v, agg.Name(), len(got), len(want))
 		}
@@ -208,6 +223,9 @@ func FuzzPartVsBatch(f *testing.F) {
 		}
 		if !ra.EqualAsSet(rb) {
 			t.Fatalf("%s/%s: (tuple, weight) multiset differs from Batch", v, agg.Name())
+		}
+		if !slices.EqualFunc(got, gotB, func(x, y Result) bool { return x.Weight == y.Weight && slices.Equal(x.Tuple, y.Tuple) }) {
+			t.Fatalf("%s/%s: the drain interleaved after %d answers and the one between differ", v, agg.Name(), split)
 		}
 	})
 }

@@ -33,13 +33,12 @@ type partIter struct {
 	// arena holds every popped assignment; an entry copies its prefix
 	// from its parent's.
 	arena arena
-	// slots[base[node]+group] is 1 + the index into structs of the
-	// group's candidate structure, 0 until it is first touched.
-	slots    []int32
-	base     []int32
-	structs  []candStruct
-	mkStruct makeStructFn
-	m        int
+	// cands is the T-DP's table of v's candidate structures, shared with
+	// every other iterator of v over t and held for this one's life.
+	cands *dp.Cands
+	v     Variant
+	shape succShape
+	m     int
 	// scratch buffers reused across Next calls.
 	sucBuf   []int32
 	prefixW  []float64
@@ -51,45 +50,43 @@ type partIter struct {
 // NewPart returns the ANYK-PART iterator with the given successor
 // structure variant (Eager, Lazy, Quick, All or Take2).
 func NewPart(ctx context.Context, t *dp.TDP, v Variant) (Iterator, error) {
-	mk := structFactory(v, t.Agg)
 	m := len(t.Nodes)
 	it := &partIter{
 		Lifecycle: NewLifecycle(ctx),
 		t:         t,
 		pq:        heap.New[partEntry](t.Agg.Desc()),
 		arena:     arena{m: m},
-		base:      make([]int32, m),
-		mkStruct:  mk,
+		cands:     t.Cands(string(v)),
+		v:         v,
+		shape:     shapeOf(v),
 		m:         m,
 		prefixW:   make([]float64, m+1),
 		openSum:   make([]float64, m),
 		groupBuf:  make([]int32, m),
 	}
-	groups := 0
-	for pos, n := range t.Nodes {
-		it.base[pos] = int32(groups)
-		groups += len(n.Groups)
-	}
-	it.slots = make([]int32, groups)
 	if t.Empty() {
 		return it, nil
 	}
-	st := it.structAt(0, 0)
-	row, pi, ok := st.at(0)
+	row, ok := it.structAt(0, 0).Get(0)
 	if !ok {
 		return it, nil
 	}
-	it.pq.Push(pi, partEntry{parent: -1, row: row})
+	it.pq.Push(t.Nodes[0].Pi[row], partEntry{parent: -1, row: row})
 	return it, nil
 }
 
-func (it *partIter) structAt(pos int, group int32) candStruct {
-	slot := &it.slots[it.base[pos]+group]
-	if *slot == 0 {
-		it.structs = append(it.structs, it.mkStruct(it.t.Nodes[pos], &it.t.Nodes[pos].Groups[group]))
-		*slot = int32(len(it.structs))
+// structAt returns the candidate structure of group g of node pos,
+// building and publishing it if no iterator has yet.
+func (it *partIter) structAt(pos int, g int32) *heap.Ranked {
+	slot := it.cands.Slot(pos, g)
+	if st := slot.Load(); st != nil {
+		return st
 	}
-	return it.structs[*slot-1]
+	st := buildStruct(it.v, it.t.Agg, it.t.Nodes[pos], g)
+	if !slot.CompareAndSwap(nil, st) {
+		st = slot.Load()
+	}
+	return st
 }
 
 // Next pops the best unseen solution, materialises it, and pushes its
@@ -121,8 +118,7 @@ func (it *partIter) Next() (Result, bool) {
 	for pos := int(e.devPos) + 1; pos < it.m; pos++ {
 		gi := t.GroupFor(pos, rows)
 		groups[pos] = gi
-		st := it.structAt(pos, gi)
-		row, _, ok := st.at(0)
+		row, ok := it.structAt(pos, gi).Get(0)
 		if !ok {
 			panic("core: empty candidate group after the bottom-up sweep")
 		}
@@ -157,7 +153,7 @@ func (it *partIter) Next() (Result, bool) {
 				}
 				if seen {
 					gi := parent.ChildGroup[ci][rows[n.Parent]]
-					base = t.Agg.Combine(base, t.Nodes[c].Groups[gi].BestPi)
+					base = t.Agg.Combine(base, t.Nodes[c].BestPi[gi])
 				}
 			}
 		}
@@ -168,18 +164,15 @@ func (it *partIter) Next() (Result, bool) {
 	// entry's candIdx; at every later position, the candidates following
 	// structure position 0.
 	for j := int(e.devPos); j < it.m; j++ {
-		st := it.structAt(j, groups[j])
+		st, pi := it.structAt(j, groups[j]), t.Nodes[j].Pi
 		from := int32(0)
 		if j == int(e.devPos) {
 			from = e.candIdx
 		}
-		it.sucBuf = st.successors(from, it.sucBuf[:0])
+		it.sucBuf = successors(it.shape, from, int32(st.Total()), it.sucBuf[:0])
 		for _, sIdx := range it.sucBuf {
-			row, pi, ok := st.at(sIdx)
-			if !ok {
-				continue
-			}
-			w := t.Agg.Combine(t.Agg.Combine(it.prefixW[j], pi), it.openSum[j])
+			row, _ := st.Get(int(sIdx))
+			w := t.Agg.Combine(t.Agg.Combine(it.prefixW[j], pi[row]), it.openSum[j])
 			it.pq.Push(w, partEntry{
 				parent:  idx,
 				devPos:  int32(j),

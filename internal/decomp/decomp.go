@@ -317,38 +317,26 @@ func PrepareTriangle(rels [3]*relation.Relation, agg ranking.Aggregate, opts ...
 	return prepareCycle(fanShape, TriangleAttrs, rels[:], agg, opts)
 }
 
-// sortedIter enumerates a materialised relation in weight order using an
-// incremental heap sort (O(r) build, O(log r) per result). perm maps the
-// bag's schema onto the plan's (output position i takes the bag's column
-// perm[i]) and each result is permuted into out; with no perm, a
-// result's tuple is the bag's own.
+// sortedIter enumerates a materialised relation in weight order: rank
+// by rank off the bag's shared incremental sort (treePlan.sorted), which
+// the first Run builds in O(r) and every Run extends by O(log r) a rank
+// it is the first to ask for. perm maps the bag's schema onto the plan's
+// (output position i takes the bag's column perm[i]) and each result is
+// permuted into out; with no perm, a result's tuple is the bag's own.
 type sortedIter struct {
 	*core.Lifecycle
-	rel  *relation.Relation
-	inc  heap.IncSort
-	perm []int
-	out  relation.Tuple
-	k    int
-}
-
-func newSortedIter(ctx context.Context, rel *relation.Relation, agg ranking.Aggregate, perm []int) core.Iterator {
-	rows := make([]int32, rel.Len())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	return &sortedIter{
-		Lifecycle: core.NewLifecycle(ctx),
-		rel:       rel,
-		inc:       heap.NewIncSort(rel.Weights, agg.Desc(), rows),
-		perm:      perm,
-	}
+	rel   *relation.Relation
+	ranks *heap.Ranked
+	perm  []int
+	out   relation.Tuple
+	k     int
 }
 
 func (s *sortedIter) Next() (core.Result, bool) {
 	if !s.Proceed() {
 		return core.Result{}, false
 	}
-	row, ok := s.inc.Get(s.k)
+	row, ok := s.ranks.Get(s.k)
 	if !ok {
 		s.Exhaust()
 		return core.Result{}, false
@@ -371,11 +359,14 @@ func (s *sortedIter) Next() (core.Result, bool) {
 // two or more bags, holds its T-DP, which emits in the plan's schema; a
 // tree of one materialised bag holds just the bag, which Run enumerates
 // in sorted order, and perm, which maps the bag's schema onto the plan's
-// (nil when they agree).
+// (nil when they agree). sorted is the bag's row ids in ranking order,
+// sorted as far as some Run has read and shared by every Run: the tree
+// holds it weakly and each of its iterators strongly.
 type treePlan struct {
-	bag  *relation.Relation
-	t    *dp.TDP
-	perm []int
+	bag    *relation.Relation
+	t      *dp.TDP
+	perm   []int
+	sorted dp.Memo[heap.Ranked]
 }
 
 // prepareTree compiles one tree of materialised bags — the one place a
@@ -465,8 +456,15 @@ func (tp *treePlan) numSolutions() (int, error) {
 // run starts one enumeration over the tree: any-k over its T-DP, or the
 // sorted scan of its only bag.
 func (tp *treePlan) run(ctx context.Context, agg ranking.Aggregate, v core.Variant) (core.Iterator, error) {
-	if tp.bag != nil {
-		return newSortedIter(ctx, tp.bag, agg, tp.perm), nil
+	if bag := tp.bag; bag != nil {
+		ranks := tp.sorted.Get(func() *heap.Ranked {
+			rows := make([]int32, bag.Len())
+			for i := range rows {
+				rows[i] = int32(i)
+			}
+			return heap.SharedIncSort(bag.Weights, agg.Desc(), rows)
+		})
+		return &sortedIter{Lifecycle: core.NewLifecycle(ctx), rel: bag, ranks: ranks, perm: tp.perm}, nil
 	}
 	return core.New(ctx, tp.t, v)
 }

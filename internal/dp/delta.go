@@ -46,5 +46,5 @@ func (t *Plan) sameTree(old *Plan, q *yannakakis.Query) bool {
 // parent must recompute regardless; otherwise group indices align and
 // only the per-group BestPi values matter.
 func groupBestsDiffer(fresh, old *Node, contentChanged bool) bool {
-	return contentChanged || !slices.EqualFunc(fresh.Groups, old.Groups, func(a, b Group) bool { return a.BestPi == b.BestPi })
+	return contentChanged || !slices.Equal(fresh.BestPi, old.BestPi)
 }

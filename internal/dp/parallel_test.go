@@ -53,8 +53,8 @@ func assertSameTDP(t *testing.T, label string, got, want *TDP) {
 		if !reflect.DeepEqual(g.Pi, w.Pi) {
 			t.Fatalf("%s: node %d Pi differs", label, pos)
 		}
-		if !reflect.DeepEqual(g.Groups, w.Groups) {
-			t.Fatalf("%s: node %d Groups (Rows/BestIdx/BestPi) differ", label, pos)
+		if !reflect.DeepEqual(g.Groups, w.Groups) || !reflect.DeepEqual(g.BestIdx, w.BestIdx) || !reflect.DeepEqual(g.BestPi, w.BestPi) {
+			t.Fatalf("%s: node %d Groups, BestIdx or BestPi differ", label, pos)
 		}
 		if !reflect.DeepEqual(g.ChildGroup, w.ChildGroup) {
 			t.Fatalf("%s: node %d grouping maps differ", label, pos)

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -154,6 +155,8 @@ type TDP struct {
 	OutAttrs []string
 	emits    []emitSpec
 	counts   *counts // the plan's, shared by all its instantiations
+	// cands maps a candidate-structure kind to its *Memo[Cands].
+	cands sync.Map
 }
 
 // Node is one join-tree node of the T-DP.
@@ -168,7 +171,8 @@ type Node struct {
 	// order of the key's first appearance. The root has exactly one
 	// group holding every row. All Groups[g].Rows of a node are windows
 	// of one array (relation.Index's CSR rows): read them, never append
-	// to or reorder one.
+	// to or reorder one. The plan's groups are shared by every T-DP
+	// instantiated from it.
 	Groups []Group
 	// ChildGroup[ci][row] is the group index in child Children[ci]
 	// selected by this node's row (-1 never occurs: the bottom-up sweep
@@ -177,15 +181,17 @@ type Node struct {
 	// Pi[row] is the suffix-optimal weight of the subtree rooted here
 	// when this node picks row.
 	Pi []float64
+	// BestIdx[g] is the position within Groups[g].Rows of the first row
+	// whose Pi is best by the aggregate's order; BestPi[g] is that Pi.
+	// Both are per instantiation, 12 B a group, and zero for an empty
+	// group.
+	BestIdx []int32
+	BestPi  []float64
 }
 
 // Group is a candidate set: the rows of a node sharing one parent key.
 type Group struct {
 	Rows []int32
-	// BestIdx is the position within Rows of the row minimising Pi
-	// (by the aggregate's order); BestPi is that value.
-	BestIdx int32
-	BestPi  float64
 }
 
 // emitSpec names the column col of node's row that one output position
@@ -484,10 +490,11 @@ func (p *Plan) InstantiateDelta(agg ranking.Aggregate, old *TDP, changed []bool,
 	return t, recomputed, nil
 }
 
-// instantiateNode is the π kernel: it gives node pos of t a copy of the
-// plan's skeleton and computes its π array and per-group bests. It reads
-// only the group bests of pos's children (one level deeper, finalised
-// behind the previous level's barrier) and writes only pos's own state.
+// instantiateNode is the π kernel: it gives node pos of t the plan's
+// skeleton, groups included, and computes its π array and per-group
+// bests. It reads only the group bests of pos's children (one level
+// deeper, finalised behind the previous level's barrier) and writes only
+// pos's own state.
 func (p *Plan) instantiateNode(t *TDP, pos int) error {
 	sn, agg := p.nodes[pos], t.Agg
 	n := &Node{
@@ -495,10 +502,10 @@ func (p *Plan) instantiateNode(t *TDP, pos int) error {
 		Parent:     sn.Parent,
 		Children:   sn.Children,
 		ChildGroup: sn.ChildGroup,
-		// Groups are value structs: copying the slice shares each group's
-		// Rows but gives this instantiation its own BestIdx/BestPi fields.
-		Groups: append([]Group(nil), sn.Groups...),
-		Pi:     make([]float64, sn.Rel.Len()),
+		Groups:     sn.Groups,
+		Pi:         make([]float64, sn.Rel.Len()),
+		BestIdx:    make([]int32, len(sn.Groups)),
+		BestPi:     make([]float64, len(sn.Groups)),
 	}
 	t.Nodes[pos] = n
 	for row := range n.Rel.Tuples {
@@ -508,23 +515,22 @@ func (p *Plan) instantiateNode(t *TDP, pos int) error {
 			if gi < 0 {
 				return fmt.Errorf("dp: dangling row survived the bottom-up sweep at node %d", pos)
 			}
-			pi = agg.Combine(pi, t.Nodes[c].Groups[gi].BestPi)
+			pi = agg.Combine(pi, t.Nodes[c].BestPi[gi])
 		}
 		n.Pi[row] = pi
 	}
-	for gi := range n.Groups {
-		g := &n.Groups[gi]
+	for gi, g := range n.Groups {
 		if len(g.Rows) == 0 {
 			continue
 		}
-		g.BestIdx = 0
-		g.BestPi = n.Pi[g.Rows[0]]
+		best := n.Pi[g.Rows[0]]
 		for i := 1; i < len(g.Rows); i++ {
-			if agg.Less(n.Pi[g.Rows[i]], g.BestPi) {
-				g.BestIdx = int32(i)
-				g.BestPi = n.Pi[g.Rows[i]]
+			if agg.Less(n.Pi[g.Rows[i]], best) {
+				n.BestIdx[gi] = int32(i)
+				best = n.Pi[g.Rows[i]]
 			}
 		}
+		n.BestPi[gi] = best
 	}
 	return nil
 }
@@ -534,7 +540,7 @@ func (t *TDP) Empty() bool { return t.Nodes[0].Rel.Len() == 0 }
 
 // TopWeight returns the weight of the best solution. It must not be
 // called when Empty.
-func (t *TDP) TopWeight() float64 { return t.Nodes[0].Groups[0].BestPi }
+func (t *TDP) TopWeight() float64 { return t.Nodes[0].BestPi[0] }
 
 // GroupFor returns the group index of node pos selected by the current
 // assignment of its parent (rows must have the parent's row filled in).

@@ -96,8 +96,8 @@ func TestGreedyCompleteProducesTopSolution(t *testing.T) {
 	tdp := mustBuild(t, hypergraph.Path(2), rels, sum)
 	rows := make([]int32, len(tdp.Nodes))
 	for pos, n := range tdp.Nodes {
-		g := &n.Groups[tdp.GroupFor(pos, rows)]
-		rows[pos] = g.Rows[g.BestIdx]
+		gi := tdp.GroupFor(pos, rows)
+		rows[pos] = n.Groups[gi].Rows[n.BestIdx[gi]]
 	}
 	w := tdp.SolutionWeight(rows)
 	if math.Abs(w-tdp.TopWeight()) > 1e-12 {

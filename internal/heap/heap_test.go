@@ -203,9 +203,6 @@ func TestIncSortEmpty(t *testing.T) {
 	if _, ok := s.Get(0); ok {
 		t.Error("Get(0) on empty reported ok")
 	}
-	if s.Total() != 0 {
-		t.Errorf("Total = %d, want 0", s.Total())
-	}
 }
 
 // sortedKeys returns the keys of in, ascending.
@@ -331,9 +328,6 @@ func TestIncSortMatchesHeapPops(t *testing.T) {
 		keys, ids := column(in...)
 		h := NewFromSlice(false, append([]float64(nil), keys...), append([]int32(nil), ids...))
 		s := NewIncSort(keys, false, ids)
-		if s.Total() != n {
-			t.Fatalf("n=%d: Total = %d", n, s.Total())
-		}
 		var want []int32
 		for {
 			_, id, ok := h.Pop()

@@ -36,11 +36,9 @@ func NewIncSort(keys []float64, desc bool, ids []int32) IncSort {
 	return s
 }
 
-// Total reports the total number of ids (sorted and unsorted).
-func (s *IncSort) Total() int { return len(s.ids) }
-
-// Get returns the id of rank i (0-based). It reports false if
-// i >= Total(). Ranks already materialised are returned in O(1).
+// Get returns the id of rank i (0-based). It reports false if i is not
+// below the number of ids. Ranks already materialised are returned in
+// O(1).
 func (s *IncSort) Get(i int) (int32, bool) {
 	if i >= len(s.ids) {
 		return 0, false
@@ -114,9 +112,6 @@ func NewIncQuick(keys []float64, desc bool, ids []int32) IncQuick {
 	}
 }
 
-// Total reports the total number of ids.
-func (q *IncQuick) Total() int { return len(q.ids) }
-
 func (q *IncQuick) next() uint64 {
 	// splitmix64 step for pivot selection.
 	q.rng += 0x9e3779b97f4a7c15
@@ -127,7 +122,7 @@ func (q *IncQuick) next() uint64 {
 }
 
 // Get returns the id of rank i (0-based), refining partitions as needed.
-// It reports false if i >= Total().
+// It reports false if i is not below the number of ids.
 func (q *IncQuick) Get(i int) (int32, bool) {
 	if i >= len(q.ids) {
 		return 0, false

@@ -662,8 +662,14 @@ func newRunConfig(opts []RunOption) (runConfig, error) {
 // Run executes the compiled plan and returns a ranked iterator. Always
 // Close the iterator (idempotent) and check Err after Next reports
 // false. Concurrent Runs on one handle are safe and share the cached
-// per-ranking plan. A Run concurrent with ApplyDelta enumerates either
-// entirely the old or entirely the new epoch.
+// per-ranking plan, and with it the plan's candidate structures (a
+// one-bag plan's sorted bag): what one Run sorts, every later or
+// concurrent Run with the same ranking and variant reads, in the same
+// order, so a warm Run repeats no sort. The plan holds them only while
+// some iterator does; an idle plan's are reclaimed by the next garbage
+// collection and rebuilt by the next Run. A Run concurrent with
+// ApplyDelta enumerates either entirely the old or entirely the new
+// epoch.
 func (p *Prepared) Run(opts ...RunOption) (Iterator, error) {
 	cfg, err := newRunConfig(opts)
 	if err != nil {
