@@ -42,7 +42,7 @@ func NewBatch(ctx context.Context, t *dp.TDP) Iterator {
 		for p := from; p < m; p++ {
 			n := t.Nodes[p]
 			gi := t.GroupFor(p, rows)
-			cand[p] = n.Groups[gi].Rows
+			cand[p] = n.Groups.Rows(gi)
 			if len(cand[p]) == 0 {
 				return false
 			}

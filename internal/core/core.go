@@ -99,8 +99,9 @@ func Variants() []Variant {
 // New returns the iterator implementing the given variant over t. The
 // context cancels enumeration: after ctx is done, Next returns false and
 // Err returns the context's error. A nil ctx means context.Background().
-// The T-DP itself is only read, so many iterators (across variants and
-// goroutines) may share one t.
+// Many iterators (across variants and goroutines) may share one t: they
+// read it, and share its candidate structures through its memo
+// (dp.TDP.Cands), which is safe for concurrent use.
 func New(ctx context.Context, t *dp.TDP, v Variant) (Iterator, error) {
 	switch v {
 	case Eager, Lazy, Quick, All, Take2:

@@ -72,15 +72,15 @@ func (it *naiveIter) champion(prefix []int32, devPos int, excl []int32) (*naiveI
 			}
 			pi[pos][row] = p
 		}
-		groupBestPi[pos] = make([]float64, len(n.Groups))
-		groupBestRow[pos] = make([]int32, len(n.Groups))
-		for gi := range n.Groups {
-			g := &n.Groups[gi]
-			if len(g.Rows) == 0 {
+		groupBestPi[pos] = make([]float64, n.Groups.Len())
+		groupBestRow[pos] = make([]int32, n.Groups.Len())
+		for gi := range groupBestPi[pos] {
+			g := n.Groups.Rows(int32(gi))
+			if len(g) == 0 {
 				continue
 			}
-			best := g.Rows[0]
-			for _, r := range g.Rows[1:] {
+			best := g[0]
+			for _, r := range g[1:] {
 				if t.Agg.Less(pi[pos][r], pi[pos][best]) {
 					best = r
 				}
@@ -97,7 +97,7 @@ func (it *naiveIter) champion(prefix []int32, devPos int, excl []int32) (*naiveI
 	n := t.Nodes[devPos]
 	gi := t.GroupFor(devPos, rows)
 	var bestRow int32 = -1
-	for _, r := range n.Groups[gi].Rows {
+	for _, r := range n.Groups.Rows(gi) {
 		if contains(excl, r) {
 			continue
 		}

@@ -62,7 +62,7 @@ func NewRec(ctx context.Context, t *dp.TDP) Iterator {
 	m := len(t.Nodes)
 	it := &recIter{Lifecycle: NewLifecycle(ctx), t: t, states: make([][]*recState, m), ranks: make([]arena, m), rows: make([]int32, m)}
 	for pos, n := range t.Nodes {
-		it.states[pos] = make([]*recState, len(n.Groups))
+		it.states[pos] = make([]*recState, n.Groups.Len())
 		it.ranks[pos].m = len(n.Children)
 	}
 	if !t.Empty() {
@@ -81,13 +81,13 @@ func (it *recIter) stateAt(pos int, group int32) *recState {
 	}
 	t := it.t
 	n := t.Nodes[pos]
-	g := &n.Groups[group]
+	g := n.Groups.Rows(group)
 	if a := &it.ranks[pos]; a.m > 0 && a.n == 0 {
 		a.add() // row 0: the seeds' all-zero vector
 	}
-	cands := make([]recCand, len(g.Rows))
-	weights := make([]float64, len(g.Rows))
-	for i, row := range g.Rows {
+	cands := make([]recCand, len(g))
+	weights := make([]float64, len(g))
+	for i, row := range g {
 		cands[i], weights[i] = recCand{row: row}, n.Pi[row]
 	}
 	s := &recState{

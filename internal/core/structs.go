@@ -42,7 +42,7 @@ func shapeOf(v Variant) succShape {
 
 // buildStruct builds v's structure for group g of node n.
 func buildStruct(v Variant, agg ranking.Aggregate, n *dp.Node, g int32) *heap.Ranked {
-	ids, pi := slices.Clone(n.Groups[g].Rows), n.Pi
+	ids, pi := slices.Clone(n.Groups.Rows(g)), n.Pi
 	switch v {
 	case Eager:
 		slices.SortFunc(ids, func(a, b int32) int {
@@ -64,8 +64,14 @@ func buildStruct(v Variant, agg ranking.Aggregate, n *dp.Node, g int32) *heap.Ra
 		// global queue needs.
 		heap.Heapify(pi, agg.Desc(), ids)
 	case All:
-		// Best to the front; the rest stay unsorted.
-		if best := n.BestIdx[g]; len(ids) > 0 {
+		// The first best to the front; the rest stay unsorted.
+		best := 0
+		for i, row := range ids {
+			if agg.Less(pi[row], pi[ids[best]]) {
+				best = i
+			}
+		}
+		if len(ids) > 0 {
 			ids[0], ids[best] = ids[best], ids[0]
 		}
 	default:

@@ -18,14 +18,14 @@ func TestSuccessorsSpanEveryPositionOnce(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%d", v, size), func(t *testing.T) {
 				// Rows are spread over a larger π array; every weight
 				// occurs about four times and the best is not first.
-				n := &dp.Node{Pi: make([]float64, 2*size+1), Groups: []dp.Group{{Rows: make([]int32, size)}}, BestIdx: []int32{0}}
-				g := n.Groups[0]
-				for i := range g.Rows {
+				ids, best := make([]int32, size), 0
+				n := &dp.Node{Pi: make([]float64, 2*size+1), Groups: dp.OneGroup(ids)}
+				for i := range ids {
 					row := int32(2*i + 1)
-					g.Rows[i] = row
+					ids[i] = row
 					n.Pi[row] = float64((i*7 + 3) % (size/4 + 1))
-					if sum.Less(n.Pi[row], n.Pi[g.Rows[n.BestIdx[0]]]) {
-						n.BestIdx[0] = int32(i)
+					if sum.Less(n.Pi[row], n.Pi[ids[best]]) {
+						best = i
 					}
 				}
 				s, sh := buildStruct(v, sum, n, 0), shapeOf(v)
@@ -53,8 +53,11 @@ func TestSuccessorsSpanEveryPositionOnce(t *testing.T) {
 				}
 				if size > 0 {
 					row, _ := s.Get(0)
-					if best := n.Pi[g.Rows[n.BestIdx[0]]]; n.Pi[row] != best {
-						t.Fatalf("position 0 has π %g, the group's best is %g", n.Pi[row], best)
+					if want := n.Pi[ids[best]]; n.Pi[row] != want {
+						t.Fatalf("position 0 has π %g, the group's best is %g", n.Pi[row], want)
+					}
+					if v == All && row != ids[best] {
+						t.Fatalf("position 0 holds row %d, the group's first best is row %d", row, ids[best])
 					}
 					walk(0, n.Pi[row])
 				}

@@ -63,15 +63,16 @@ func referencePlan(t testing.TB, q *yannakakis.Query) *Plan {
 			for i := range rows {
 				rows[i] = int32(i)
 			}
-			n.Groups = []Group{{Rows: rows}}
+			n.Groups = OneGroup(rows)
 			continue
 		}
 		parent := p.nodes[n.Parent]
 		shared := parent.Rel.SharedAttrs(n.Rel)
 		ix := relation.MustIndex(n.Rel, shared...)
-		n.Groups = make([]Group, ix.Keys())
-		for g := range n.Groups {
-			n.Groups[g].Rows = ix.Rows(g)
+		n.Groups = Grouping{start: []int32{0}}
+		for g := range ix.Keys() {
+			n.Groups.rows = append(n.Groups.rows, ix.Rows(g)...)
+			n.Groups.start = append(n.Groups.start, int32(len(n.Groups.rows)))
 		}
 		pCols, err := parent.Rel.AttrIndexes(shared)
 		if err != nil {
@@ -84,6 +85,20 @@ func referencePlan(t testing.TB, q *yannakakis.Query) *Plan {
 		parent.ChildGroup[childIndex(p.nodes, n.Parent, pos)] = cg
 	}
 	return p
+}
+
+// sameGroups reports whether a and b hold the same groups of the same
+// rows in the same order.
+func sameGroups(a, b Grouping) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for g := range int32(a.Len()) {
+		if !slices.Equal(a.Rows(g), b.Rows(g)) {
+			return false
+		}
+	}
+	return true
 }
 
 // assertMatchesReference compares a plan with referencePlan's node for
@@ -106,7 +121,7 @@ func assertMatchesReference(t *testing.T, label string, got, want *Plan) {
 		if !slices.Equal(g.Rel.Attrs, w.Rel.Attrs) || !relation.SameContent(g.Rel, w.Rel) {
 			t.Fatalf("%s: node %d rows %v, want %v", label, pos, g.Rel, w.Rel)
 		}
-		if !slices.EqualFunc(g.Groups, w.Groups, func(a, b Group) bool { return slices.Equal(a.Rows, b.Rows) }) {
+		if !sameGroups(g.Groups, w.Groups) {
 			t.Fatalf("%s: node %d groups %v, want %v", label, pos, g.Groups, w.Groups)
 		}
 		if len(g.ChildGroup) != len(w.ChildGroup) {

@@ -55,7 +55,7 @@ func (t *TDP) Cands(kind string) *Cands {
 		groups := 0
 		for pos, n := range t.Nodes {
 			c.base[pos] = int32(groups)
-			groups += len(n.Groups)
+			groups += n.Groups.Len()
 		}
 		c.slots = make([]atomic.Pointer[heap.Ranked], groups)
 		return c

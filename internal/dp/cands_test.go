@@ -48,8 +48,8 @@ func TestCandsSlotsPerGroup(t *testing.T) {
 	}
 	groups := 0
 	for pos, n := range tdp.Nodes {
-		for g := range n.Groups {
-			if c.Slot(pos, int32(g)) != &c.slots[groups] || c.Slot(pos, int32(g)).Load() != nil {
+		for g := range int32(n.Groups.Len()) {
+			if c.Slot(pos, g) != &c.slots[groups] || c.Slot(pos, g).Load() != nil {
 				t.Fatalf("node %d group %d: not the next empty slot", pos, g)
 			}
 			groups++

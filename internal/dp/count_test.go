@@ -28,7 +28,7 @@ func solutions(t *TDP) []string {
 		if t.Nodes[pos].Rel.Len() == 0 {
 			return
 		}
-		for _, r := range t.Nodes[pos].Groups[t.GroupFor(pos, rows)].Rows {
+		for _, r := range t.Nodes[pos].Groups.Rows(t.GroupFor(pos, rows)) {
 			rows[pos] = r
 			walk(pos + 1)
 		}

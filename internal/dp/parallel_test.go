@@ -41,7 +41,7 @@ func planFixtures(t *testing.T) map[string]*Plan {
 }
 
 // assertSameTDP compares two instantiations bit for bit: π arrays,
-// group partitions with their BestIdx/BestPi, child maps, and the
+// group partitions and their BestPi, child maps, and the
 // derived top weight and solution count.
 func assertSameTDP(t *testing.T, label string, got, want *TDP) {
 	t.Helper()
@@ -53,8 +53,8 @@ func assertSameTDP(t *testing.T, label string, got, want *TDP) {
 		if !reflect.DeepEqual(g.Pi, w.Pi) {
 			t.Fatalf("%s: node %d Pi differs", label, pos)
 		}
-		if !reflect.DeepEqual(g.Groups, w.Groups) || !reflect.DeepEqual(g.BestIdx, w.BestIdx) || !reflect.DeepEqual(g.BestPi, w.BestPi) {
-			t.Fatalf("%s: node %d Groups, BestIdx or BestPi differ", label, pos)
+		if !reflect.DeepEqual(g.Groups, w.Groups) || !reflect.DeepEqual(g.BestPi, w.BestPi) {
+			t.Fatalf("%s: node %d Groups or BestPi differ", label, pos)
 		}
 		if !reflect.DeepEqual(g.ChildGroup, w.ChildGroup) {
 			t.Fatalf("%s: node %d grouping maps differ", label, pos)
@@ -74,7 +74,7 @@ func assertSameTDP(t *testing.T, label string, got, want *TDP) {
 
 // TestInstantiateParallelBitIdentical checks the dp-level contract: the
 // level-synchronized parallel π pass produces exactly the sequential
-// instantiation — same π arrays, BestIdx/BestPi, counts — for worker
+// instantiation — same π arrays, BestPi, counts — for worker
 // counts {1, 2, GOMAXPROCS} under every ranking aggregate.
 func TestInstantiateParallelBitIdentical(t *testing.T) {
 	aggs := []ranking.Aggregate{

@@ -37,7 +37,7 @@ func TestBuildEnumeratesCartesianTreeEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := tdp.Nodes[1].Groups; len(g) != 1 || len(g[0].Rows) != 3 {
+	if g := tdp.Nodes[1].Groups; g.Len() != 1 || len(g.Rows(0)) != 3 {
 		t.Fatalf("the child's groups are %v, want one of all 3 rows", g)
 	}
 	want := []float64{1.5, 2.5, 4.5, 11, 12, 14, 21, 22, 24}

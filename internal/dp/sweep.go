@@ -100,7 +100,7 @@ func (c *counts) total(nodes []*Node) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return int(groupTotal(cum[0], nodes[0].Groups[0])), nil
+	return int(groupTotal(cum[0], nodes[0].Groups.Rows(0))), nil
 }
 
 // count builds c, unless it is built, by the one counting pass: the
@@ -119,9 +119,16 @@ func (c *counts) count(cfg config, nodes []*Node, old *counts, changed []bool) (
 				differs: func(pos int, contentChanged bool) bool {
 					// Unchanged content is grouped as before, so both arrays
 					// are read through the new node's groups.
-					return contentChanged || slices.ContainsFunc(nodes[pos].Groups, func(g Group) bool {
-						return groupTotal(cum[pos], g) != groupTotal(old.cum[pos], g)
-					})
+					if contentChanged {
+						return true
+					}
+					gs := nodes[pos].Groups
+					for g := range int32(gs.Len()) {
+						if groupTotal(cum[pos], gs.Rows(g)) != groupTotal(old.cum[pos], gs.Rows(g)) {
+							return true
+						}
+					}
+					return false
 				},
 			}
 		}
@@ -144,16 +151,16 @@ func countNode(nodes []*Node, cum [][]int64, pos int) error {
 		v := int64(1)
 		for ci, child := range n.Children {
 			var ok bool
-			g := nodes[child].Groups[n.ChildGroup[ci][row]]
+			g := nodes[child].Groups.Rows(n.ChildGroup[ci][row])
 			if v, ok = mulChecked(v, groupTotal(cum[child], g)); !ok {
 				return ErrCountOverflow
 			}
 		}
 		c[row] = v
 	}
-	for _, g := range n.Groups {
+	for g := range int32(n.Groups.Len()) {
 		sum := int64(0)
-		for _, r := range g.Rows {
+		for _, r := range n.Groups.Rows(g) {
 			var ok bool
 			if sum, ok = addChecked(sum, c[r]); !ok {
 				return ErrCountOverflow
@@ -166,11 +173,11 @@ func countNode(nodes []*Node, cum [][]int64, pos int) error {
 }
 
 // groupTotal is the number of solutions below one group of a node.
-func groupTotal(cum []int64, g Group) int64 {
-	if len(g.Rows) == 0 {
+func groupTotal(cum []int64, rows []int32) int64 {
+	if len(rows) == 0 {
 		return 0
 	}
-	return cum[g.Rows[len(g.Rows)-1]]
+	return cum[rows[len(rows)-1]]
 }
 
 // mulChecked and addChecked combine two non-negative counts, reporting
@@ -196,9 +203,9 @@ func (t *TDP) NumSolutions() (int, error) { return t.counts.total(t.Nodes) }
 func (t *TDP) Draw(r *rand.Rand, rows []int32) {
 	cums, _ := t.counts.get(t.Nodes) // built: NumSolutions succeeded
 	for pos, n := range t.Nodes {
-		g, cum := n.Groups[t.GroupFor(pos, rows)], cums[pos]
+		g, cum := n.Groups.Rows(t.GroupFor(pos, rows)), cums[pos]
 		x := r.Int64N(groupTotal(cum, g))
-		rows[pos] = g.Rows[sort.Search(len(g.Rows), func(i int) bool { return cum[g.Rows[i]] > x })]
+		rows[pos] = g[sort.Search(len(g), func(i int) bool { return cum[g[i]] > x })]
 	}
 }
 
@@ -237,10 +244,10 @@ func (p *Plan) Eval(s *Semiring, annotate func(pos, row int, w float64) float64)
 	sums := make([][]float64, len(p.nodes))
 	fold := func(pos int) error {
 		n := p.nodes[pos]
-		sums[pos] = make([]float64, len(n.Groups))
-		for gi, g := range n.Groups {
+		sums[pos] = make([]float64, n.Groups.Len())
+		for gi := range sums[pos] {
 			sum := s.Zero
-			for _, row := range g.Rows {
+			for _, row := range n.Groups.Rows(int32(gi)) {
 				a := annotate(pos, int(row), n.Rel.Weights[row])
 				for ci, c := range n.Children {
 					a = s.Mul(a, sums[c][n.ChildGroup[ci][row]])

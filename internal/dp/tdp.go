@@ -169,29 +169,42 @@ type Node struct {
 	Children []int
 	// Groups partitions Rel's rows by their join key with the parent, in
 	// order of the key's first appearance. The root has exactly one
-	// group holding every row. All Groups[g].Rows of a node are windows
-	// of one array (relation.Index's CSR rows): read them, never append
-	// to or reorder one. The plan's groups are shared by every T-DP
-	// instantiated from it.
-	Groups []Group
+	// group holding every row. The plan's groups are shared by every
+	// T-DP instantiated from it.
+	Groups Grouping
 	// ChildGroup[ci][row] is the group index in child Children[ci]
 	// selected by this node's row (-1 never occurs: the bottom-up sweep
 	// keeps only rows that join every child).
 	ChildGroup [][]int32
 	// Pi[row] is the suffix-optimal weight of the subtree rooted here
-	// when this node picks row.
+	// when this node picks row. A leaf's π is its weight, so a leaf
+	// shares Rel.Weights as its Pi.
 	Pi []float64
-	// BestIdx[g] is the position within Groups[g].Rows of the first row
-	// whose Pi is best by the aggregate's order; BestPi[g] is that Pi.
-	// Both are per instantiation, 12 B a group, and zero for an empty
-	// group.
-	BestIdx []int32
-	BestPi  []float64
+	// BestPi[g] is the best Pi of group g's rows by the aggregate's
+	// order: 8 B a group per instantiation, 0 for an empty group.
+	BestPi []float64
 }
 
-// Group is a candidate set: the rows of a node sharing one parent key.
-type Group struct {
-	Rows []int32
+// Grouping partitions a node's rows into candidate groups, each the rows
+// sharing one parent key, in CSR form: one array of every group's rows
+// (relation.Index's) and 4 B a group of offsets into it.
+type Grouping struct {
+	start []int32 // group g's rows are rows[start[g]:start[g+1]]
+	rows  []int32
+}
+
+// OneGroup is the grouping of rows into a single group.
+func OneGroup(rows []int32) Grouping {
+	return Grouping{start: []int32{0, int32(len(rows))}, rows: rows}
+}
+
+// Len is the number of groups.
+func (gs Grouping) Len() int { return max(len(gs.start)-1, 0) }
+
+// Rows returns group g's rows, ascending: a window of one array shared
+// by every group, to read, never to append to or reorder.
+func (gs Grouping) Rows(g int32) []int32 {
+	return gs.rows[gs.start[g]:gs.start[g+1]:gs.start[g+1]]
 }
 
 // emitSpec names the column col of node's row that one output position
@@ -325,12 +338,12 @@ func NewPlanDelta(q *yannakakis.Query, old *Plan, changedBase []bool, opts ...Op
 	if err != nil {
 		return nil, nil, err
 	}
-	if root := t.nodes[0]; root.Groups == nil {
+	if root := t.nodes[0]; root.Groups.start == nil {
 		rows := make([]int32, root.Rel.Len())
 		for i := range rows {
 			rows[i] = int32(i)
 		}
-		root.Groups = []Group{{Rows: rows}}
+		root.Groups = OneGroup(rows)
 	}
 	for _, c := range st.Changed {
 		if c {
@@ -384,10 +397,8 @@ func linkNode(q *yannakakis.Query, nodes []*Node, fresh []bool, pos int) error {
 		ixs[ci] = relation.MustIndex(child.Rel, shared...)
 		cols[ci], _ = in.AttrIndexes(shared)
 		if fresh[c] {
-			child.Groups = make([]Group, ixs[ci].Keys())
-			for g := range child.Groups {
-				child.Groups[g].Rows = ixs[ci].Rows(g)
-			}
+			start, rows := ixs[ci].CSR()
+			child.Groups = Grouping{start: start, rows: rows}
 		}
 	}
 	// cg[ci*rows+j] is the group of child ci that the j-th kept row
@@ -503,36 +514,42 @@ func (p *Plan) instantiateNode(t *TDP, pos int) error {
 		Children:   sn.Children,
 		ChildGroup: sn.ChildGroup,
 		Groups:     sn.Groups,
-		Pi:         make([]float64, sn.Rel.Len()),
-		BestIdx:    make([]int32, len(sn.Groups)),
-		BestPi:     make([]float64, len(sn.Groups)),
+		Pi:         sn.Rel.Weights,
+		BestPi:     make([]float64, sn.Groups.Len()),
 	}
 	t.Nodes[pos] = n
-	for row := range n.Rel.Tuples {
-		pi := n.Rel.Weights[row]
-		for ci, c := range n.Children {
-			gi := n.ChildGroup[ci][row]
-			if gi < 0 {
-				return fmt.Errorf("dp: dangling row survived the bottom-up sweep at node %d", pos)
+	if len(n.Children) > 0 {
+		n.Pi = make([]float64, sn.Rel.Len())
+		for row := range n.Rel.Tuples {
+			pi := n.Rel.Weights[row]
+			for ci, c := range n.Children {
+				gi := n.ChildGroup[ci][row]
+				if gi < 0 {
+					return fmt.Errorf("dp: dangling row survived the bottom-up sweep at node %d", pos)
+				}
+				pi = agg.Combine(pi, t.Nodes[c].BestPi[gi])
 			}
-			pi = agg.Combine(pi, t.Nodes[c].BestPi[gi])
+			n.Pi[row] = pi
 		}
-		n.Pi[row] = pi
 	}
-	for gi, g := range n.Groups {
-		if len(g.Rows) == 0 {
-			continue
+	for gi := range n.BestPi {
+		if rows := n.Groups.Rows(int32(gi)); len(rows) > 0 {
+			n.BestPi[gi] = n.Pi[rows[bestIn(agg, n.Pi, rows)]]
 		}
-		best := n.Pi[g.Rows[0]]
-		for i := 1; i < len(g.Rows); i++ {
-			if agg.Less(n.Pi[g.Rows[i]], best) {
-				n.BestIdx[gi] = int32(i)
-				best = n.Pi[g.Rows[i]]
-			}
-		}
-		n.BestPi[gi] = best
 	}
 	return nil
+}
+
+// bestIn returns the position within rows of the first row whose pi is
+// best by agg's order; rows is not empty.
+func bestIn(agg ranking.Aggregate, pi []float64, rows []int32) int {
+	best := 0
+	for i := 1; i < len(rows); i++ {
+		if agg.Less(pi[rows[i]], pi[rows[best]]) {
+			best = i
+		}
+	}
+	return best
 }
 
 // Empty reports whether the query has no results.

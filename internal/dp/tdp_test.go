@@ -96,8 +96,8 @@ func TestGreedyCompleteProducesTopSolution(t *testing.T) {
 	tdp := mustBuild(t, hypergraph.Path(2), rels, sum)
 	rows := make([]int32, len(tdp.Nodes))
 	for pos, n := range tdp.Nodes {
-		gi := tdp.GroupFor(pos, rows)
-		rows[pos] = n.Groups[gi].Rows[n.BestIdx[gi]]
+		g := n.Groups.Rows(tdp.GroupFor(pos, rows))
+		rows[pos] = g[bestIn(sum, n.Pi, g)]
 	}
 	w := tdp.SolutionWeight(rows)
 	if math.Abs(w-tdp.TopWeight()) > 1e-12 {
@@ -128,8 +128,8 @@ func TestGroupsPartitionRows(t *testing.T) {
 	for pos, n := range tdp.Nodes {
 		seen := make(map[int32]bool)
 		total := 0
-		for _, g := range n.Groups {
-			for _, r := range g.Rows {
+		for g := range int32(n.Groups.Len()) {
+			for _, r := range n.Groups.Rows(g) {
 				if seen[r] {
 					t.Fatalf("node %d: row %d in two groups", pos, r)
 				}
@@ -163,7 +163,7 @@ func TestChildGroupConsistency(t *testing.T) {
 			shared := root.Rel.SharedAttrs(child.Rel)
 			pCols, _ := root.Rel.AttrIndexes(shared)
 			cCols, _ := child.Rel.AttrIndexes(shared)
-			for _, crow := range child.Groups[gi].Rows {
+			for _, crow := range child.Groups.Rows(gi) {
 				for k := range shared {
 					if child.Rel.Tuples[crow][cCols[k]] != tp[pCols[k]] {
 						t.Fatalf("child group row does not join with parent row")
@@ -209,7 +209,7 @@ func TestPiIsSubtreeOptimumProperty(t *testing.T) {
 		for row := range root.Rel.Tuples {
 			gi := root.ChildGroup[0][row]
 			best := math.Inf(1)
-			for _, crow := range leaf.Groups[gi].Rows {
+			for _, crow := range leaf.Groups.Rows(gi) {
 				if leaf.Pi[crow] < best {
 					best = leaf.Pi[crow]
 				}

@@ -186,6 +186,11 @@ func (ix *Index) Rows(g int) []int32 {
 	return ix.rows[ix.start[g]:ix.start[g+1]:ix.start[g+1]]
 }
 
+// CSR returns the index's row arrays: group g's rows are
+// rows[start[g]:start[g+1]]. They do not reference the key table, so
+// keeping them keeps no probe structure; callers must not mutate them.
+func (ix *Index) CSR() (start, rows []int32) { return ix.start, ix.rows }
+
 // Keys returns the number of distinct keys, i.e. of groups.
 func (ix *Index) Keys() int { return ix.table.Len() }
 
