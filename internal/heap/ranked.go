@@ -85,12 +85,15 @@ func (r *Ranked) Get(i int) (int32, bool) {
 }
 
 // extend sorts the list up to rank i, which is in range, under the
-// mutex, and publishes the sorted length.
+// mutex, and publishes the sorted length. It sorts an eighth beyond i,
+// so that a reader walking the ranks in order takes the mutex O(log n)
+// times instead of n, at the cost of at most i/8 ranks no reader may ask
+// for; the ranks are the same either way.
 func (r *Ranked) extend(i int) int32 {
 	e := r.ext
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	id, _ := e.inc.Get(i)
+	e.inc.Get(min(i+i/8, len(r.ids)-1))
 	r.done.Store(int32(e.inc.final()))
-	return id
+	return r.ids[i]
 }

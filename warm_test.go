@@ -199,7 +199,7 @@ func TestWarmRunBytesFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			const runs = 20
+			const runs = 50
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
