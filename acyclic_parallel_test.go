@@ -35,41 +35,64 @@ func withThreshold(t *testing.T, n int, fn func()) {
 	fn()
 }
 
+// atWorkers runs fn with every prepare build at exactly n workers: n == 1
+// pins the size threshold above any input, and n >= 2 pins it at 0 with
+// GOMAXPROCS at n. A build reads both when it starts, so the Compile and
+// the first Runs to compare must all happen inside fn.
+func atWorkers(t *testing.T, n int, fn func()) {
+	t.Helper()
+	threshold := math.MaxInt
+	if n > 1 {
+		threshold = 0
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	}
+	withThreshold(t, threshold, fn)
+}
+
+// topKAt compiles mk() and collects its top k (k <= 0: every result),
+// both at n workers.
+func topKAt(t *testing.T, n int, mk func() *Query, k int) (out []Result) {
+	t.Helper()
+	atWorkers(t, n, func() {
+		p, err := Compile(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err = p.TopK(k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return out
+}
+
 // TestAcyclicParallelPrepareBitIdentical checks the facade contract on
-// the acyclic path for worker counts {1, 2, GOMAXPROCS}: identical
-// tuples, weights, and enumeration order across several ranking
-// functions (the star's full result set is combinatorially large, so
-// the order check drains the top 400 and the totals are compared via
-// the counting pass), plus a full drain on a small path query.
+// the acyclic path for 1, 2 and 4 workers: identical tuples, weights,
+// and enumeration order across several ranking functions (the star's
+// full result set is combinatorially large, so the order check drains
+// the top 400 and the totals are compared via the counting pass), plus
+// a full drain on a small path query.
 func TestAcyclicParallelPrepareBitIdentical(t *testing.T) {
 	const k = 400
 	for _, agg := range []ranking.Aggregate{SumCost, MaxCost, SumBenefit, ProductCost} {
-		seq, err := Compile(starQuery(), WithParallelism(1))
-		if err != nil {
-			t.Fatal(err)
+		topK := func(workers int) (out []Result, count int) {
+			atWorkers(t, workers, func() {
+				p, err := Compile(starQuery())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out, err = p.TopK(k, WithRanking(agg)); err != nil {
+					t.Fatal(err)
+				}
+				if count, err = p.Count(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return out, count
 		}
-		want, err := seq.TopK(k, WithRanking(agg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantCount, err := seq.Count()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-			par, err := Compile(starQuery(), WithParallelism(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := par.TopK(k, WithRanking(agg))
-			if err != nil {
-				t.Fatal(err)
-			}
+		want, wantCount := topK(1)
+		for _, workers := range []int{2, 4} {
+			got, gotCount := topK(workers)
 			assertSameResults(t, agg.Name(), got, want)
-			gotCount, err := par.Count()
-			if err != nil {
-				t.Fatal(err)
-			}
 			if gotCount != wantCount {
 				t.Fatalf("w=%d: Count %d != %d", workers, gotCount, wantCount)
 			}
@@ -78,39 +101,29 @@ func TestAcyclicParallelPrepareBitIdentical(t *testing.T) {
 
 	// Small path instance: full drain, every rank compared.
 	mk := prepCases()["acyclic"]
-	seq, err := Compile(mk(), WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := seq.TopK(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		par, err := Compile(mk(), WithParallelism(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.TopK(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, "path-full-drain", got, want)
+	want := topKAt(t, 1, mk, 0)
+	for _, workers := range []int{2, 4} {
+		assertSameResults(t, "path-full-drain", topKAt(t, workers, mk, 0), want)
 	}
 }
 
-// TestDefaultParallelismThreshold checks the resolution rule: an unset
-// WithParallelism resolves to GOMAXPROCS at or above the size threshold
-// and to the sequential path below it, an explicit option always wins,
-// and both default paths produce identical results.
+// TestDefaultParallelismThreshold checks the resolution rule: a build
+// runs on GOMAXPROCS workers at or above the size threshold and on the
+// sequential path below it, and both paths produce identical results.
 func TestDefaultParallelismThreshold(t *testing.T) {
+	if got := prepareWorkers(prepareParallelThreshold); got != parallel.Degree(0) {
+		t.Fatalf("at the threshold: workers = %d, want GOMAXPROCS = %d", got, parallel.Degree(0))
+	}
+	if got := prepareWorkers(prepareParallelThreshold - 1); got != 1 {
+		t.Fatalf("just below the threshold: workers = %d, want 1", got)
+	}
 	var want []Result
 	withThreshold(t, 1, func() { // everything clears the threshold
 		p, err := Compile(starQuery())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.prepareWorkers(runConfig{}, p.state.Load().estTuples); got != parallel.Degree(0) {
+		if got := prepareWorkers(p.state.Load().estTuples); got != parallel.Degree(0) {
 			t.Fatalf("above threshold: workers = %d, want GOMAXPROCS = %d", got, parallel.Degree(0))
 		}
 		if want, err = p.TopK(300); err != nil {
@@ -122,7 +135,7 @@ func TestDefaultParallelismThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.prepareWorkers(runConfig{}, p.state.Load().estTuples); got != 1 {
+		if got := prepareWorkers(p.state.Load().estTuples); got != 1 {
 			t.Fatalf("below threshold: workers = %d, want 1", got)
 		}
 		got, err := p.TopK(300)
@@ -130,18 +143,6 @@ func TestDefaultParallelismThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameResults(t, "threshold-default", got, want)
-
-		// Explicit parallelism overrides the threshold in both directions.
-		if got := p.prepareWorkers(runConfig{workers: 3, workersSet: true}, p.state.Load().estTuples); got != 3 {
-			t.Fatalf("explicit run override: workers = %d, want 3", got)
-		}
-		pc, err := Compile(starQuery(), WithParallelism(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := pc.prepareWorkers(runConfig{}, pc.state.Load().estTuples); got != 2 {
-			t.Fatalf("explicit compile default: workers = %d, want 2", got)
-		}
 	})
 }
 
@@ -174,11 +175,13 @@ func TestAcyclicCanceledCompile(t *testing.T) {
 	if _, err := Compile(starQuery(), WithContext(ctx)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled Compile: got %v, want context.Canceled", err)
 	}
-	mid := &cdCtx{Context: context.Background()}
-	mid.remaining.Store(2)
-	if _, err := Compile(starQuery(), WithContext(mid), WithParallelism(4)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-build Compile cancel: got %v, want context.Canceled", err)
-	}
+	atWorkers(t, 4, func() {
+		mid := &cdCtx{Context: context.Background()}
+		mid.remaining.Store(2)
+		if _, err := Compile(starQuery(), WithContext(mid)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("mid-build Compile cancel: got %v, want context.Canceled", err)
+		}
+	})
 	if _, err := Compile(starQuery()); err != nil {
 		t.Fatalf("healthy Compile after canceled ones: %v", err)
 	}
@@ -186,33 +189,35 @@ func TestAcyclicCanceledCompile(t *testing.T) {
 
 func TestAcyclicCanceledInstantiateNotCached(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		p, err := Compile(starQuery(), WithParallelism(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := p.Run(WithContext(ctx)); !errors.Is(err, context.Canceled) {
-			t.Fatalf("w=%d: pre-canceled first run: got %v, want context.Canceled", workers, err)
-		}
-		res, err := p.TopK(5)
-		if err != nil {
-			t.Fatalf("w=%d: run after canceled prepare: %v", workers, err)
-		}
-		if len(res) == 0 {
-			t.Fatalf("w=%d: run after canceled prepare returned no results", workers)
-		}
+		atWorkers(t, workers, func() {
+			p, err := Compile(starQuery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := p.Run(WithContext(ctx)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("w=%d: pre-canceled first run: got %v, want context.Canceled", workers, err)
+			}
+			res, err := p.TopK(5)
+			if err != nil {
+				t.Fatalf("w=%d: run after canceled prepare: %v", workers, err)
+			}
+			if len(res) == 0 {
+				t.Fatalf("w=%d: run after canceled prepare returned no results", workers)
+			}
 
-		// Mid-Instantiate: a fresh aggregate forces a new build; the
-		// countdown lets a few node tasks through before cancelling.
-		mid := &cdCtx{Context: context.Background()}
-		mid.remaining.Store(2)
-		if _, err := p.Run(WithRanking(MaxCost), WithContext(mid)); !errors.Is(err, context.Canceled) {
-			t.Fatalf("w=%d: mid-Instantiate cancel: got %v, want context.Canceled", workers, err)
-		}
-		if _, err := p.TopK(5, WithRanking(MaxCost)); err != nil {
-			t.Fatalf("w=%d: run after mid-Instantiate cancel: %v", workers, err)
-		}
+			// Mid-Instantiate: a fresh aggregate forces a new build; the
+			// countdown lets a few node tasks through before cancelling.
+			mid := &cdCtx{Context: context.Background()}
+			mid.remaining.Store(2)
+			if _, err := p.Run(WithRanking(MaxCost), WithContext(mid)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("w=%d: mid-Instantiate cancel: got %v, want context.Canceled", workers, err)
+			}
+			if _, err := p.TopK(5, WithRanking(MaxCost)); err != nil {
+				t.Fatalf("w=%d: run after mid-Instantiate cancel: %v", workers, err)
+			}
+		})
 	}
 }
 
@@ -220,25 +225,27 @@ func TestAcyclicCanceledInstantiateNotCached(t *testing.T) {
 // handle from many goroutines with different ranking functions — each
 // first Run races to instantiate its own aggregate's T-DP — and checks
 // every result stream against the sequential reference. A canceled
-// countdown run races the healthy ones and must not fail them. The
-// whole test repeats squeezed onto one P, mirroring the CI GOMAXPROCS
-// matrix.
+// countdown run races the healthy ones and must not fail them. Every
+// build clears the size threshold, so it runs on GOMAXPROCS workers;
+// the whole test repeats squeezed onto one P, where that is one worker.
 func TestAcyclicConcurrentRunsAcrossAggregates(t *testing.T) {
 	aggs := []ranking.Aggregate{SumCost, MaxCost, SumBenefit, ProductCost}
 	want := make(map[string][]Result)
-	for _, agg := range aggs {
-		seq, err := Compile(starQuery(), WithParallelism(1))
+	atWorkers(t, 1, func() {
+		seq, err := Compile(starQuery())
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := seq.TopK(8, WithRanking(agg))
-		if err != nil {
-			t.Fatal(err)
+		for _, agg := range aggs {
+			w, err := seq.TopK(8, WithRanking(agg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[agg.Name()] = w
 		}
-		want[agg.Name()] = w
-	}
+	})
 	run := func(t *testing.T) {
-		p, err := Compile(starQuery(), WithParallelism(4))
+		p, err := Compile(starQuery())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,10 +291,11 @@ func TestAcyclicConcurrentRunsAcrossAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t.Run("gomaxprocs=default", run)
+	t.Run("gomaxprocs=default", func(t *testing.T) {
+		withThreshold(t, 0, func() { run(t) })
+	})
 	t.Run("gomaxprocs=1", func(t *testing.T) {
-		old := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(old)
-		run(t)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		withThreshold(t, 0, func() { run(t) })
 	})
 }

@@ -26,14 +26,13 @@
 // Prepared handles are safe for concurrent Run calls, so one Compile
 // can serve many top-k requests with different k, ranking functions
 // (WithRanking), algorithm variants (WithVariant), and cancellation
-// contexts (WithContext). The prepare phase runs on a bounded worker
-// pool by default — level-synchronized T-DP instantiation for acyclic
-// queries, decomposition-bag materialisation for cyclic ones, both
-// bit-identical to sequential output (see docs/ARCHITECTURE.md);
-// inputs below a size threshold stay sequential, and WithParallelism
-// pins an explicit worker count (1 forces sequential). The one-shot
-// helpers Ranked, TopK, Count and IsEmpty remain as thin wrappers that
-// compile and execute in one step.
+// contexts (WithContext); Count, IsEmpty and Sample answer from the
+// same handle without enumerating. The prepare phase (Compile, the
+// first Run with each ranking, ApplyDelta) runs on GOMAXPROCS workers
+// once its input reaches a size threshold and sequentially below it —
+// level-synchronized T-DP instantiation for acyclic queries,
+// decomposition-bag materialisation for cyclic ones, both bit-identical
+// to sequential output (see docs/ARCHITECTURE.md).
 //
 // Every query compiles to a tree (or a union of trees) of bags that the
 // tree-based dynamic program runs over. An acyclic query is the
@@ -300,30 +299,6 @@ func (q *Query) Fingerprint() (string, error) {
 	return hex.EncodeToString(h[:]), nil
 }
 
-// Ranked compiles the query and returns a ranked-enumeration iterator —
-// the one-shot form of Compile + Run. Acyclic queries run the T-DP
-// any-k machinery over the tree of their atoms; triangles, 4-cycles,
-// and longer cycles are decomposed automatically, and every other
-// cyclic shape compiles through the generic GHD planner. For repeated
-// execution over the same data, Compile once and Run many times
-// instead.
-func (q *Query) Ranked(agg ranking.Aggregate, v Variant) (Iterator, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(WithRanking(agg), WithVariant(v))
-}
-
-// TopK runs Ranked and collects the first k results.
-func (q *Query) TopK(agg ranking.Aggregate, v Variant, k int) ([]Result, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.TopK(k, WithRanking(agg), WithVariant(v))
-}
-
 // matchCycleShape detects whether the query is a variable-renaming of
 // the l-cycle R1(A0,A1), ..., Rl(A_{l-1},A0) with edges in *either*
 // orientation. It walks the query structure only (so OutAttrs stays
@@ -387,28 +362,4 @@ func (q *Query) matchCycleShape() (order []int, walk []string, ok bool) {
 		return nil, nil, false
 	}
 	return order, walk, true
-}
-
-// Count returns the number of join results without enumerating them:
-// the counting pass over the join tree of an acyclic query (O(n) after
-// reduction), the same pass over the bag trees of a cyclic one (linear
-// in the materialised bags); see Prepared.Count.
-func (q *Query) Count() (int, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return 0, err
-	}
-	return p.Count()
-}
-
-// IsEmpty answers the Boolean query "does the join have any result?"
-// (§1 of the tutorial): it compiles the query and asks the handle
-// (Prepared.IsEmpty), which reads the reduced roots of an acyclic query
-// and, for a cyclic one, the bags of a plan it builds, counting nothing.
-func (q *Query) IsEmpty() (bool, error) {
-	p, err := Compile(q)
-	if err != nil {
-		return false, err
-	}
-	return p.IsEmpty()
 }

@@ -9,11 +9,21 @@ import (
 	"repro/internal/workload"
 )
 
+// mustCompile compiles q, failing the test on error.
+func mustCompile(t *testing.T, q *Query) *Prepared {
+	t.Helper()
+	p, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestFacadeAcyclicPath(t *testing.T) {
 	q := NewQuery().
 		Rel("R", []string{"A", "B"}, []Tuple{{1, 10}, {1, 11}, {2, 10}}, []float64{1, 5, 2}).
 		Rel("S", []string{"B", "C"}, []Tuple{{10, 100}, {10, 101}, {11, 100}}, []float64{10, 1, 0})
-	got, err := q.TopK(SumCost, Lazy, 3)
+	got, err := mustCompile(t, q).TopK(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +59,7 @@ func TestFacadeTriangle(t *testing.T) {
 		Rel("E1", []string{"A", "B"}, edges, ws).
 		Rel("E2", []string{"B", "C"}, edges, ws).
 		Rel("E3", []string{"C", "A"}, edges, ws)
-	got, err := q.TopK(SumCost, Lazy, 1)
+	got, err := mustCompile(t, q).TopK(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +84,11 @@ func TestFacadeFourCycle(t *testing.T) {
 		Rel("E2", []string{"B", "C"}, tuples, ws).
 		Rel("E3", []string{"C", "D"}, tuples, ws).
 		Rel("E4", []string{"D", "A"}, tuples, ws)
-	it, err := q.Ranked(SumCost, Lazy)
+	it, err := mustCompile(t, q).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer it.Close()
 	prev := math.Inf(-1)
 	count := 0
 	for {
@@ -104,8 +115,12 @@ func TestFacadeCycleDetectionPermuted(t *testing.T) {
 		Rel("E1", []string{"A", "B"}, e, nil).
 		Rel("E4", []string{"D", "A"}, e, nil).
 		Rel("E2", []string{"B", "C"}, e, nil)
-	if _, err := q.Ranked(SumCost, Lazy); err != nil {
+	p, err := Compile(q)
+	if err != nil {
 		t.Fatalf("permuted 4-cycle not recognised: %v", err)
+	}
+	if _, err := p.TopK(1); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -196,20 +211,20 @@ func TestRelKeepsArguments(t *testing.T) {
 }
 
 func TestFacadeErrors(t *testing.T) {
-	if _, err := NewQuery().Ranked(SumCost, Lazy); err == nil {
+	if _, err := Compile(NewQuery()); err == nil {
 		t.Error("empty query should fail")
 	}
 	q := NewQuery().Rel("R", []string{"A", "B"}, []Tuple{{1}}, nil)
-	if _, err := q.Ranked(SumCost, Lazy); err == nil {
+	if _, err := Compile(q); err == nil {
 		t.Error("arity mismatch should fail")
 	}
 	q2 := NewQuery().Rel("R", []string{"A"}, []Tuple{{1}}, []float64{})
-	if _, err := q2.Ranked(SumCost, Lazy); err == nil {
+	if _, err := Compile(q2); err == nil {
 		t.Error("weight length mismatch should fail")
 	}
 	// Surplus weights are a mismatch too, not a tail to drop.
 	q3 := NewQuery().Rel("R", []string{"A"}, []Tuple{{1}}, []float64{1, 2})
-	if _, err := q3.Ranked(SumCost, Lazy); err == nil || !strings.Contains(err.Error(), "has 1 tuples but 2 weights") {
+	if _, err := Compile(q3); err == nil || !strings.Contains(err.Error(), "has 1 tuples but 2 weights") {
 		t.Errorf("surplus weights should fail with the length error, got %v", err)
 	}
 	// Builder validation: duplicate relation names and repeated
@@ -217,20 +232,20 @@ func TestFacadeErrors(t *testing.T) {
 	dup := NewQuery().
 		Rel("R", []string{"A", "B"}, []Tuple{{1, 2}}, nil).
 		Rel("R", []string{"B", "C"}, []Tuple{{2, 3}}, nil)
-	if _, err := dup.Ranked(SumCost, Lazy); err == nil {
+	if _, err := Compile(dup); err == nil {
 		t.Error("duplicate relation name should fail")
 	}
 	rep := NewQuery().Rel("R", []string{"A", "A"}, []Tuple{{1, 1}}, nil)
-	if _, err := rep.Ranked(SumCost, Lazy); err == nil {
+	if _, err := Compile(rep); err == nil {
 		t.Error("repeated variable within one atom should fail")
 	}
 	// NaN has no rank (Less is false both ways); ±Inf do and stay legal.
 	nan := NewQuery().Rel("R", []string{"A"}, []Tuple{{1}, {2}}, []float64{1, math.NaN()})
-	if _, err := nan.Ranked(SumCost, Lazy); err == nil || !strings.Contains(err.Error(), "relation R tuple 1 has a NaN weight") {
+	if _, err := Compile(nan); err == nil || !strings.Contains(err.Error(), "relation R tuple 1 has a NaN weight") {
 		t.Errorf("NaN weight should fail naming relation and row, got %v", err)
 	}
 	inf := NewQuery().Rel("R", []string{"A"}, []Tuple{{1}, {2}}, []float64{math.Inf(1), math.Inf(-1)})
-	if got, err := inf.TopK(MaxCost, Lazy, 0); err != nil || len(got) != 2 || !math.IsInf(got[0].Weight, -1) {
+	if got, err := mustCompile(t, inf).TopK(0, WithRanking(MaxCost)); err != nil || len(got) != 2 || !math.IsInf(got[0].Weight, -1) {
 		t.Errorf("±Inf weights should rank, got %v, %v", got, err)
 	}
 	// A nil context is the default one, on Compile and on Run alike.
@@ -257,7 +272,7 @@ func TestFacadeFiveCycle(t *testing.T) {
 		Rel("E3", []string{"C", "D"}, e, w).
 		Rel("E4", []string{"D", "E"}, e, w).
 		Rel("E5", []string{"E", "A"}, e, w)
-	got, err := q.TopK(SumCost, Lazy, 1)
+	got, err := mustCompile(t, q).TopK(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +295,7 @@ func TestFacadeAllVariantsAgree(t *testing.T) {
 	}
 	var ref []Result
 	for _, v := range []Variant{Eager, Lazy, Quick, All, Take2, Rec, Batch} {
-		got, err := build().TopK(SumCost, v, 0)
+		got, err := mustCompile(t, build()).TopK(0, WithVariant(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,14 +318,15 @@ func TestFacadeCount(t *testing.T) {
 	q := NewQuery().
 		Rel("R", []string{"A", "B"}, []Tuple{{1, 10}, {1, 11}, {2, 10}}, nil).
 		Rel("S", []string{"B", "C"}, []Tuple{{10, 100}, {10, 101}, {11, 100}}, nil)
-	n, err := q.Count()
+	p := mustCompile(t, q)
+	n, err := p.Count()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 5 {
 		t.Fatalf("Count = %d, want 5", n)
 	}
-	empty, err := q.IsEmpty()
+	empty, err := p.IsEmpty()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +342,7 @@ func TestFacadeCountCyclic(t *testing.T) {
 		Rel("E1", []string{"A", "B"}, e, nil).
 		Rel("E2", []string{"B", "C"}, e, nil).
 		Rel("E3", []string{"C", "A"}, e, nil)
-	n, err := q.Count()
+	n, err := mustCompile(t, q).Count()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +355,7 @@ func TestFacadeIsEmptyTrue(t *testing.T) {
 	q := NewQuery().
 		Rel("R", []string{"A", "B"}, []Tuple{{1, 2}}, nil).
 		Rel("S", []string{"B", "C"}, []Tuple{{9, 9}}, nil)
-	empty, err := q.IsEmpty()
+	empty, err := mustCompile(t, q).IsEmpty()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,23 +407,22 @@ func TestFacadeOutAttrsCyclic(t *testing.T) {
 	}
 }
 
+// TestFacadeTopKPropagatesErrors: a builder error surfaces at Compile,
+// and a bad run option at every handle method that takes one.
 func TestFacadeTopKPropagatesErrors(t *testing.T) {
-	q := NewQuery().Rel("R", []string{"A", "B"}, []Tuple{{1}}, nil)
-	if _, err := q.TopK(SumCost, Lazy, 1); err == nil {
-		t.Error("TopK should propagate builder errors")
+	if _, err := Compile(NewQuery().Rel("R", []string{"A", "B"}, []Tuple{{1}}, nil)); err == nil {
+		t.Error("Compile should propagate builder errors")
 	}
-	if _, err := q.Count(); err == nil {
-		t.Error("Count should propagate builder errors")
+	p := mustCompile(t, NewQuery().Rel("R", []string{"A", "B"}, []Tuple{{1, 2}}, nil))
+	bogus := WithVariant("bogus")
+	if _, err := p.TopK(1, bogus); err == nil {
+		t.Error("TopK should propagate an unknown variant")
 	}
-	if _, err := q.IsEmpty(); err == nil {
-		t.Error("IsEmpty should propagate builder errors")
+	if _, err := p.Count(bogus); err == nil {
+		t.Error("Count should propagate an unknown variant")
 	}
-	empty := NewQuery()
-	if _, err := empty.Count(); err == nil {
-		t.Error("Count on empty query should error")
-	}
-	if _, err := empty.IsEmpty(); err == nil {
-		t.Error("IsEmpty on empty query should error")
+	if _, err := p.IsEmpty(bogus); err == nil {
+		t.Error("IsEmpty should propagate an unknown variant")
 	}
 }
 
@@ -419,7 +434,7 @@ func TestFacadeFourCycleCount(t *testing.T) {
 		Rel("E2", []string{"B", "C"}, e, nil).
 		Rel("E3", []string{"C", "D"}, e, nil).
 		Rel("E4", []string{"D", "A"}, e, nil)
-	n, err := q.Count()
+	n, err := mustCompile(t, q).Count()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,14 +452,15 @@ func TestFacadeRankingFunctionsExported(t *testing.T) {
 	}{SumCost, SumBenefit, MaxCost, MinBenefit, ProductCost} {
 		_ = agg.Name()
 	}
-	got, err := q.TopK(MaxCost, Lazy, 1)
+	p := mustCompile(t, q)
+	got, err := p.TopK(1, WithRanking(MaxCost))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0].Weight != 5 {
 		t.Errorf("max-cost weight = %g, want 5", got[0].Weight)
 	}
-	got, err = q.TopK(ProductCost, Lazy, 1)
+	got, err = p.TopK(1, WithRanking(ProductCost))
 	if err != nil {
 		t.Fatal(err)
 	}

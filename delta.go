@@ -45,10 +45,12 @@ type Delta struct {
 // a cold prepare after a delta. Results after ApplyDelta are
 // bit-identical to a cold Compile on the updated data.
 //
-// Honors WithContext and WithParallelism for the patch work; other run
-// options are ignored. On error nothing changes: the handle keeps
-// serving its current epoch. A call whose batches change no rows (all
-// deletes miss, no appends) is a no-op and does not advance the epoch.
+// Honors WithContext for the patch work, which, like Compile's, runs on
+// GOMAXPROCS workers at or above a size threshold and sequentially
+// below it; other run options are ignored. On error nothing changes:
+// the handle keeps serving its current epoch. A call whose batches
+// change no rows (all deletes miss, no appends) is a no-op and does not
+// advance the epoch.
 //
 // Concurrent Runs are safe: they enumerate either entirely the old or
 // entirely the new epoch. ApplyDelta calls serialise with each other.

@@ -32,7 +32,11 @@ func main() {
 		Rel("E4", []string{"D", "A"}, edges.Tuples, edges.Weights)
 
 	start := time.Now()
-	empty, err := q.IsEmpty()
+	p, err := repro.Compile(q)
+	if err != nil {
+		panic(err)
+	}
+	empty, err := p.IsEmpty()
 	if err != nil {
 		panic(err)
 	}
@@ -80,7 +84,7 @@ func main() {
 		fail("Count = %d, the semiring count %.0f", n, count)
 	}
 	fmt.Printf("Prepared.Count agrees: %d\n", n)
-	top, err := q2.TopK(repro.SumCost, repro.Lazy, 1)
+	top, err := p2.TopK(1)
 	if err != nil {
 		panic(err)
 	}

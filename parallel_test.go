@@ -39,11 +39,11 @@ func assertSameResults(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// TestWithParallelismBitIdentical checks the facade contract: a handle
-// compiled with WithParallelism yields exactly the same ranked output
-// as a sequential one, for every shape the planner routes — including
+// TestPrepareWorkersBitIdentical checks the facade contract: a handle
+// prepared on several workers yields exactly the same ranked output as
+// a sequential one, for every shape the planner routes — including
 // acyclic queries, whose T-DP instantiation fans out level by level.
-func TestWithParallelismBitIdentical(t *testing.T) {
+func TestPrepareWorkersBitIdentical(t *testing.T) {
 	shapes := map[string]func() *Query{
 		"bowtie": bowtieQuery,
 	}
@@ -54,46 +54,8 @@ func TestWithParallelismBitIdentical(t *testing.T) {
 	// TestAcyclicParallelPrepareBitIdentical — its full result set is
 	// too large to drain here.)
 	for name, mk := range shapes {
-		seq, err := Compile(mk(), WithParallelism(1))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		par, err := Compile(mk(), WithParallelism(4))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, err := seq.TopK(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.TopK(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, name, got, want)
+		assertSameResults(t, name, topKAt(t, 4, mk, 0), topKAt(t, 1, mk, 0))
 	}
-}
-
-// TestWithParallelismOnRun checks the per-run override: the option on
-// Run drives the build that run triggers, with identical output.
-func TestWithParallelismOnRun(t *testing.T) {
-	seq, err := Compile(bowtieQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Compile(bowtieQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := seq.TopK(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := par.TopK(0, WithParallelism(0)) // 0 = GOMAXPROCS
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "bowtie", got, want)
 }
 
 // TestConcurrentCancelDoesNotFailHealthyRun: a Run with a live context
@@ -101,47 +63,51 @@ func TestWithParallelismOnRun(t *testing.T) {
 // run's cancellation — if it lands on the canceled build's cache entry
 // it retries with its own context.
 func TestConcurrentCancelDoesNotFailHealthyRun(t *testing.T) {
-	for round := 0; round < 8; round++ {
-		p, err := Compile(bowtieQuery(), WithParallelism(2))
-		if err != nil {
-			t.Fatal(err)
+	atWorkers(t, 2, func() {
+		for round := 0; round < 8; round++ {
+			p, err := Compile(bowtieQuery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := p.TopK(1, WithContext(ctx))
+				done <- err
+			}()
+			cancel()
+			if _, err := p.TopK(1); err != nil {
+				t.Fatalf("round %d: healthy run failed: %v", round, err)
+			}
+			if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("round %d: canceled run: %v", round, err)
+			}
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			_, err := p.TopK(1, WithContext(ctx))
-			done <- err
-		}()
-		cancel()
-		if _, err := p.TopK(1); err != nil {
-			t.Fatalf("round %d: healthy run failed: %v", round, err)
-		}
-		if err := <-done; err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("round %d: canceled run: %v", round, err)
-		}
-	}
+	})
 }
 
 // TestCanceledPrepareNotCached: cancelling the Run that triggers bag
 // materialisation must fail that Run with ctx.Err() — and must not
 // poison the per-ranking cache, so a later Run succeeds.
 func TestCanceledPrepareNotCached(t *testing.T) {
-	p, err := Compile(bowtieQuery(), WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.Run(WithContext(ctx)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled first run: got %v, want context.Canceled", err)
-	}
-	res, err := p.TopK(5)
-	if err != nil {
-		t.Fatalf("run after canceled prepare: %v", err)
-	}
-	if len(res) == 0 {
-		t.Fatal("run after canceled prepare returned no results")
-	}
+	atWorkers(t, 4, func() {
+		p, err := Compile(bowtieQuery())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := p.Run(WithContext(ctx)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled first run: got %v, want context.Canceled", err)
+		}
+		res, err := p.TopK(5)
+		if err != nil {
+			t.Fatalf("run after canceled prepare: %v", err)
+		}
+		if len(res) == 0 {
+			t.Fatal("run after canceled prepare returned no results")
+		}
+	})
 }
 
 // skewAtoms builds triangle atoms over a three-layer rotor graph:

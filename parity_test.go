@@ -14,8 +14,8 @@ import (
 // cycles, chorded cycles — workload.RandomCQ) with optionally
 // Zipf-skewed data, evaluated three ways per aggregate:
 //
-//   - sequential (WithParallelism(1)),
-//   - skew-aware parallel (WithParallelism(8)), which must be
+//   - sequential (atWorkers(1)),
+//   - skew-aware parallel (atWorkers(8)), which must be
 //     bit-identical to sequential — same tuples, same weights, same
 //     order, and
 //   - a per-relation brute-force backtracker, matched as a multiset of
@@ -103,23 +103,27 @@ func engineGroups(results []Result) map[string][]float64 {
 func parityCase(t *testing.T, inst *workload.Instance, workers int) {
 	t.Helper()
 	q := instanceQuery(inst)
-	seqP, err := Compile(q, WithParallelism(1))
-	if err != nil {
-		t.Fatalf("compile sequential: %v", err)
+	// runAll compiles q and drains every aggregate, all at n workers.
+	runAll := func(n int) (*Prepared, [][]Result) {
+		var p *Prepared
+		out := make([][]Result, len(parityAggregates))
+		atWorkers(t, n, func() {
+			var err error
+			if p, err = Compile(q); err != nil {
+				t.Fatalf("compile at %d workers: %v", n, err)
+			}
+			for i, a := range parityAggregates {
+				if out[i], err = p.TopK(0, WithRanking(a.agg)); err != nil {
+					t.Fatalf("%s run at %d workers: %v", a.name, n, err)
+				}
+			}
+		})
+		return p, out
 	}
-	parP, err := Compile(q, WithParallelism(workers))
-	if err != nil {
-		t.Fatalf("compile parallel: %v", err)
-	}
-	for _, a := range parityAggregates {
-		seq, err := seqP.TopK(0, WithRanking(a.agg), WithParallelism(1))
-		if err != nil {
-			t.Fatalf("%s sequential run: %v", a.name, err)
-		}
-		par, err := parP.TopK(0, WithRanking(a.agg), WithParallelism(workers))
-		if err != nil {
-			t.Fatalf("%s parallel run: %v", a.name, err)
-		}
+	seqP, seqs := runAll(1)
+	_, pars := runAll(workers)
+	for i, a := range parityAggregates {
+		seq, par := seqs[i], pars[i]
 
 		// Skew-aware parallel ≡ sequential, bit for bit.
 		if len(par) != len(seq) {

@@ -65,16 +65,6 @@ type Prepared struct {
 	// (decomp.Epoch.Instantiate).
 	shape *decomp.Shape
 
-	// workers is the compile-time default parallelism for the prepare
-	// phase (the epoch build and each ranking's plan); workersSet records
-	// whether WithParallelism was passed to Compile at all. When it was
-	// not, the prepare parallelism is chosen per build: GOMAXPROCS when
-	// the estimated input size clears prepareParallelThreshold,
-	// sequential below it. WithParallelism on a Run overrides both for the
-	// build that run triggers.
-	workers    int
-	workersSet bool
-
 	// estOutput is the cost model's output-cardinality estimate, and
 	// estBags its per-bag materialisation estimates for the shapes that
 	// expose them (the GHD planner's costed decomposition; a long
@@ -125,8 +115,8 @@ type planState struct {
 	plans     onceCache[*decomp.Plan]
 
 	// estTuples is the estimated total tuple count one plan instantiation
-	// processes (decomp.Epoch.Tuples) — the input to the
-	// default-parallelism threshold.
+	// processes (decomp.Epoch.Tuples) — the input to
+	// prepareParallelThreshold.
 	estTuples int
 
 	// sampled counts the results Sample drew on the epoch.
@@ -213,29 +203,23 @@ func (c *onceCache[V]) built() map[ranking.Aggregate]V {
 }
 
 // prepareParallelThreshold is the estimated total tuple count (summed
-// across plan nodes or input relations) above which an unset
-// WithParallelism resolves to GOMAXPROCS instead of sequential. Below
-// it the prepare work is so small that goroutine scheduling costs more
-// than it saves: parallel prepare breaks even at a few thousand tuples
-// and the fan-out overhead is single-digit microseconds, so 8192 keeps
-// tiny queries on the zero-overhead sequential path while everything
-// benchmark-sized parallelises (the benchmark's dp.par_speedup,
+// across plan nodes or input relations) at which a prepare build runs
+// on GOMAXPROCS workers instead of sequentially. Below it the prepare
+// work is so small that goroutine scheduling costs more than it saves:
+// parallel prepare breaks even at a few thousand tuples and the fan-out
+// overhead is single-digit microseconds, so 8192 keeps tiny queries on
+// the zero-overhead sequential path while everything benchmark-sized
+// parallelises (the benchmark's dp.par_speedup,
 // wcoj.par_speedup.hub_triangle and decomp.prepare_ms.* rows measure
 // the parallel side). Tests override it to force either path
 // deterministically.
 var prepareParallelThreshold = 8192
 
-// prepareWorkers picks the prepare parallelism for one build: an
-// explicit WithParallelism (on the call in cfg, else on Compile) always
-// wins; otherwise the size threshold decides between GOMAXPROCS and
-// sequential.
-func (p *Prepared) prepareWorkers(cfg runConfig, estTuples int) int {
-	switch {
-	case cfg.workersSet:
-		return cfg.workers
-	case p.workersSet:
-		return p.workers
-	case estTuples >= prepareParallelThreshold:
+// prepareWorkers picks the prepare parallelism for one build of an
+// estimated estTuples: GOMAXPROCS at or above the size threshold,
+// sequential below it.
+func prepareWorkers(estTuples int) int {
+	if estTuples >= prepareParallelThreshold {
 		return parallel.Degree(0)
 	}
 	return 1
@@ -244,8 +228,8 @@ func (p *Prepared) prepareWorkers(cfg runConfig, estTuples int) int {
 // Compile analyses and plans the query once, returning a reusable
 // handle. Every query compiles to a decomposition: an acyclic query to
 // the join tree of its atoms, triangle, 4-cycle, and longer cycle
-// queries to their canonical decompositions (see Ranked for the
-// per-shape plans), and every other cyclic shape to the bag tree the
+// queries to their canonical decompositions (see the package doc for
+// the per-shape plans), and every other cyclic shape to the bag tree the
 // generalized-hypertree-decomposition search finds.
 //
 // Planning is cost-based: Compile counts per-column statistics
@@ -256,15 +240,14 @@ func (p *Prepared) prepareWorkers(cfg runConfig, estTuples int) int {
 // the heavy values that guide bag builds, not the model; a delta keeps
 // the decomposition and estimates chosen here and counts nothing again.
 //
-// Of the RunOptions, Compile consults two. WithParallelism drives the
-// first epoch's build (for an acyclic query the bottom-up sweep and
-// grouping) and sets the handle's default prepare parallelism (how
-// many workers build a ranking's plan on the first Run with it); when
-// it is omitted, parallelism defaults to GOMAXPROCS for inputs above a
-// size threshold and sequential below it. WithContext makes the epoch
-// build cancelable (a canceled Compile returns ctx.Err() and no
-// handle); it is not retained by the handle. The remaining options are
-// per-run and ignored here.
+// Compile builds the first epoch (for an acyclic query the bottom-up
+// sweep and grouping) on GOMAXPROCS workers when its input reaches a
+// size threshold and sequentially below it; a ranking's plan, built on
+// the first Run with it, follows the same rule. Of the RunOptions,
+// Compile consults only WithContext, which makes the epoch build
+// cancelable (a canceled Compile returns ctx.Err() and no handle); it
+// is not retained by the handle. The remaining options are per-run and
+// ignored here.
 func Compile(q *Query, opts ...RunOption) (*Prepared, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -293,12 +276,10 @@ func Compile(q *Query, opts ...RunOption) (*Prepared, error) {
 	}
 	cmSpan.End()
 	p := &Prepared{
-		fp:         fp,
-		srcEdges:   q.edges,
-		workers:    cfg.workers,
-		workersSet: cfg.workersSet,
-		estOutput:  cm.EstimateOutput(),
-		costOpts:   []decomp.PrepareOption{decomp.WithSkewHints(skewHints(cm, q.edges)), decomp.WithOrderChooser(catalog.ChooseOrder)},
+		fp:        fp,
+		srcEdges:  q.edges,
+		estOutput: cm.EstimateOutput(),
+		costOpts:  []decomp.PrepareOption{decomp.WithSkewHints(skewHints(cm, q.edges)), decomp.WithOrderChooser(catalog.ChooseOrder)},
 	}
 	shape, path, err := q.planShape(cm)
 	if err != nil {
@@ -341,12 +322,12 @@ func Compile(q *Query, opts ...RunOption) (*Prepared, error) {
 // place a planState is constructed. old is the predecessor epoch (nil
 // at Compile) and changed flags, per atom, the relations that differ
 // from old's; the bags and nodes it reuses and redoes are added to the
-// delta totals it carries over from old. The epoch's structure is built at the parallelism a first
-// Run would use, estimated from the input size (the reduced size is not
-// known yet), and under cfg.ctx. Every ranking built on old is rebuilt
-// from its old plan into the new state's cache, so warm rankings stay
-// warm; with no predecessor there are none, and plans build lazily
-// on first Run (planFor).
+// delta totals it carries over from old. The epoch's structure is built
+// at the parallelism a first Run would use, estimated from the input
+// size (the reduced size is not known yet), and under cfg.ctx. Every
+// ranking built on old is rebuilt from its old plan into the new
+// state's cache, so warm rankings stay warm; with no predecessor there
+// are none, and plans build lazily on first Run (planFor).
 func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Relation, changed []bool) (*planState, error) {
 	inputTuples := 0
 	for _, r := range rels {
@@ -357,7 +338,7 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 	if old != nil {
 		st.epoch, st.deltas, oldStructure = old.epoch+1, old.deltas, old.structure
 	}
-	workers := p.prepareWorkers(cfg, inputTuples)
+	workers := prepareWorkers(inputTuples)
 	structure, ds, err := p.shape.Build(rels, oldStructure, changed, p.prepareOpts(cfg.ctx, workers)...)
 	if err != nil {
 		return nil, err
@@ -382,9 +363,6 @@ func (p *Prepared) buildState(cfg runConfig, old *planState, rels []*relation.Re
 	}
 	return st, nil
 }
-
-// Prepare is Compile as a method on the query builder.
-func (q *Query) Prepare(opts ...RunOption) (*Prepared, error) { return Compile(q, opts...) }
 
 // OutAttrs returns the output schema every iterator of this handle
 // yields. The returned slice must not be modified.
@@ -414,7 +392,7 @@ type PlanStats struct {
 	// delta batch that changed at least one relation.
 	Epoch int64 `json:"epoch"`
 	// EstTuples is the estimated tuple count the prepare phase processes
-	// (the input to the default-parallelism threshold).
+	// (the input to the prepare-parallelism threshold).
 	EstTuples int `json:"est_tuples"`
 	// Solutions is the exact output cardinality, counted without
 	// enumeration by the epoch's first PlanStats, Count or Sample, for
@@ -540,21 +518,19 @@ func (p *Prepared) PlanStats() PlanStats {
 
 // runConfig collects the options of one Run (or Compile).
 type runConfig struct {
-	agg        ranking.Aggregate
-	variant    Variant
-	k          int
-	ctx        context.Context
-	workers    int
-	workersSet bool
-	cm         *catalog.CostModel // withCostModel; nil collects statistics
-	seed       uint64
-	seedSet    bool
+	agg     ranking.Aggregate
+	variant Variant
+	k       int
+	ctx     context.Context
+	cm      *catalog.CostModel // withCostModel; nil collects statistics
+	seed    uint64
+	seedSet bool
 }
 
 // RunOption configures one execution of a Prepared query. The defaults
 // are WithRanking(SumCost), WithVariant(Lazy), no k limit, and
-// context.Background(). Compile and Query.Prepare take the same
-// options and consult WithParallelism and WithContext.
+// context.Background(). Compile and ApplyDelta take the same options
+// and consult WithContext.
 type RunOption func(*runConfig)
 
 // WithRanking selects the ranking function for this run. The first run
@@ -586,31 +562,6 @@ func WithContext(ctx context.Context) RunOption {
 		if ctx != nil {
 			c.ctx = ctx
 		}
-	}
-}
-
-// WithParallelism sets how many workers run the prepare phase (an
-// epoch's build, and the first Run with each ranking function):
-// independent bags materialise concurrently, leftover workers partition
-// the first join variable inside each Generic-Join bag, and an acyclic
-// query's reduction, grouping and π pass fan out across each depth
-// level. n <= 0 selects GOMAXPROCS; n == 1 forces the sequential path.
-//
-// When the option is omitted entirely, parallelism is on by default:
-// builds over inputs of at least a few thousand tuples (the measured
-// break-even; see docs/ARCHITECTURE.md) use GOMAXPROCS workers, smaller
-// ones stay sequential to skip the scheduling overhead.
-//
-// Parallel preparation is bit-identical to sequential preparation —
-// same π weights, bag contents and order, same Stats — so the only
-// observable difference is latency. Passed to Compile it sets the
-// handle's default (and drives the first epoch's build); passed to Run
-// it overrides the default for the build that run triggers.
-// Enumeration itself is unaffected.
-func WithParallelism(n int) RunOption {
-	return func(c *runConfig) {
-		c.workers = parallel.Degree(n)
-		c.workersSet = true
 	}
 }
 
@@ -813,11 +764,11 @@ func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
 
 // planFor returns (building and caching on first use) the epoch's plan
 // under agg, for a Run, Count or Sample with options cfg. Its context
-// and parallelism only matter to the call that triggers the build; cache
-// hits ignore them. A build is cancelable between node and bag tasks,
-// and a canceled one fails with ctx.Err() and is dropped from the cache
-// (the onceCache retry-on-cancel policy), so one run's cancellation
-// never poisons the per-aggregate entry — the next Run rebuilds.
+// only matters to the call that triggers the build; cache hits ignore
+// it. A build is cancelable between node and bag tasks, and a canceled
+// one fails with ctx.Err() and is dropped from the cache (the onceCache
+// retry-on-cancel policy), so one run's cancellation never poisons the
+// per-aggregate entry — the next Run rebuilds.
 // Parallel builds are bit-identical to sequential ones, so the cached
 // plan does not depend on which Run won the build. The "prepare" span
 // covers the build (the π pass, after bag materialisation for cyclic
@@ -826,7 +777,7 @@ func (p *Prepared) IsEmpty(opts ...RunOption) (bool, error) {
 func (p *Prepared) planFor(cfg runConfig, st *planState, agg ranking.Aggregate) (*decomp.Plan, error) {
 	ctx, sp := obs.StartSpan(cfg.ctx, "prepare")
 	defer sp.End()
-	workers := p.prepareWorkers(cfg, st.estTuples)
+	workers := prepareWorkers(st.estTuples)
 	return st.plans.get(ctx, agg, func(a ranking.Aggregate) (*decomp.Plan, error) {
 		d, _, err := p.instantiate(st, a, nil, ctx, workers)
 		return d, err

@@ -46,9 +46,9 @@ func prepCases() map[string]func() *Query {
 	}
 }
 
-// TestPreparedMatchesOneShot checks that a Prepared handle yields
-// exactly the one-shot results for every shape and variant — including
-// repeated Runs off the same handle.
+// TestPreparedMatchesOneShot checks that a reused Prepared handle yields
+// exactly the results of a handle compiled for that one call, for every
+// shape and variant — including repeated Runs off the same handle.
 func TestPreparedMatchesOneShot(t *testing.T) {
 	for name, mk := range prepCases() {
 		t.Run(name, func(t *testing.T) {
@@ -57,7 +57,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, v := range []Variant{Eager, Lazy, Quick, All, Take2, Rec, Batch} {
-				want, err := mk().TopK(SumCost, v, 0)
+				want, err := mustCompile(t, mk()).TopK(0, WithVariant(v))
 				if err != nil {
 					t.Fatalf("%s one-shot: %v", v, err)
 				}
@@ -82,7 +82,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 }
 
 // TestPreparedRankingSwitch runs one handle under every ranking
-// function and checks each against the one-shot path.
+// function and checks each against a handle compiled for that call.
 func TestPreparedRankingSwitch(t *testing.T) {
 	mk := prepCases()["acyclic"]
 	p, err := Compile(mk())
@@ -90,7 +90,7 @@ func TestPreparedRankingSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, agg := range ranking.All {
-		want, err := mk().TopK(agg, Lazy, 10)
+		want, err := mustCompile(t, mk()).TopK(10, WithRanking(agg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestPreparedConcurrentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mk().TopK(SumCost, Lazy, 5)
+	want, err := mustCompile(t, mk()).TopK(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +314,8 @@ func TestPreparedConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestPreparedCountAndIsEmpty checks the counting helpers on the
-// prepared handle against the one-shot facade.
+// TestPreparedCountAndIsEmpty checks the counting helpers on a handle
+// against those of a handle compiled for that one call.
 func TestPreparedCountAndIsEmpty(t *testing.T) {
 	for name, mk := range prepCases() {
 		t.Run(name, func(t *testing.T) {
@@ -323,7 +323,7 @@ func TestPreparedCountAndIsEmpty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := mk().Count()
+			want, err := mustCompile(t, mk()).Count()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -432,8 +432,8 @@ func TestCompileCountsNothing(t *testing.T) {
 	for i := 0; i < atoms; i++ {
 		q.Rel(fmt.Sprintf("R%d", i), []string{"X", fmt.Sprintf("Y%d", i)}, tuples, nil)
 	}
-	compile := func() *Prepared {
-		p, err := Compile(q, WithParallelism(1))
+	compile := func() *Prepared { // 400 tuples: below prepareParallelThreshold
+		p, err := Compile(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,8 +574,8 @@ func TestIsEmptyCountsNothing(t *testing.T) {
 	for i := 0; i < atoms; i++ {
 		q.Rel(fmt.Sprintf("R%d", i), []string{"X", fmt.Sprintf("Y%d", i)}, tuples, nil)
 	}
-	compile := func() *Prepared {
-		p, err := Compile(q, WithParallelism(1))
+	compile := func() *Prepared { // 400 tuples: below prepareParallelThreshold
+		p, err := Compile(q)
 		if err != nil {
 			t.Fatal(err)
 		}
