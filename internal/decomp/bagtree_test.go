@@ -28,7 +28,7 @@ func cycleShape(t *testing.T, l int) *Shape {
 
 // TestBagTreeKeepsReducedRows: a plan keeps of a bag tree only its
 // T-DP, whose nodes hold the fully reduced rows they enumerate — the
-// full reducer's per-node counts over the bags prepareGHD materialises,
+// full reducer's per-node counts over the bags materializeBags produces,
 // which the bottom-up sweep alone leaves larger — on the c5 fan and on
 // the bowtie's searched GHD.
 func TestBagTreeKeepsReducedRows(t *testing.T) {
@@ -67,9 +67,13 @@ func TestBagTreeKeepsReducedRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, bags, err := c.shape.prepareGHD(newPrepCfg(nil), 0, 0, e.rels, sum)
+			rows, orders, err := c.shape.materializeBags(newPrepCfg(nil), 0, 0, e.rels, sum)
 			if err != nil {
 				t.Fatal(err)
+			}
+			bags := make([]*relation.Relation, len(rows))
+			for i, r := range rows {
+				bags[i] = r.Relation(bagName(i), orders[i])
 			}
 			q, err := bagQuery(bags)
 			if err != nil {

@@ -23,10 +23,11 @@ func cycleReference(rels []*relation.Relation) *relation.Relation {
 		atoms[i] = wcoj.Atom{Rel: r, Vars: []string{
 			fmt.Sprintf("A%d", i), fmt.Sprintf("A%d", (i+1)%l)}}
 	}
-	out, _, err := wcoj.Materialize(atoms, CycleAttrs(l), sum)
+	rows, _, err := wcoj.Materialize(atoms, CycleAttrs(l), sum)
 	if err != nil {
 		panic(err)
 	}
+	out := rows.Relation("GJ", CycleAttrs(l))
 	out.SortByWeight()
 	return out
 }

@@ -248,7 +248,7 @@ func (p *Plan) Sample(ctx context.Context, n int, r *rand.Rand) ([]core.Result, 
 			if ti > 0 {
 				row -= cum[ti-1]
 			}
-			src := tp.bag.Tuples[row]
+			src := tp.bag.Row(int(row))
 			if tp.perm == nil {
 				copy(tuple, src)
 			} else {
@@ -317,15 +317,15 @@ func PrepareTriangle(rels [3]*relation.Relation, agg ranking.Aggregate, opts ...
 	return prepareCycle(fanShape, TriangleAttrs, rels[:], agg, opts)
 }
 
-// sortedIter enumerates a materialised relation in weight order: rank
-// by rank off the bag's shared incremental sort (treePlan.sorted), which
+// sortedIter enumerates a materialised bag in weight order: rank by
+// rank off the bag's shared incremental sort (treePlan.sorted), which
 // the first Run builds in O(r) and every Run extends by O(log r) a rank
 // it is the first to ask for. perm maps the bag's schema onto the plan's
 // (output position i takes the bag's column perm[i]) and each result is
-// permuted into out; with no perm, a result's tuple is the bag's own.
+// permuted into out; with no perm, a result's tuple is the bag's own row.
 type sortedIter struct {
 	*core.Lifecycle
-	rel   *relation.Relation
+	rows  *relation.Rows
 	ranks *heap.Ranked
 	perm  []int
 	out   relation.Tuple
@@ -342,7 +342,7 @@ func (s *sortedIter) Next() (core.Result, bool) {
 		return core.Result{}, false
 	}
 	s.k++
-	tuple := s.rel.Tuples[row]
+	tuple := s.rows.Row(int(row))
 	if s.perm != nil {
 		if s.out == nil {
 			s.out = make(relation.Tuple, len(s.perm))
@@ -352,42 +352,50 @@ func (s *sortedIter) Next() (core.Result, bool) {
 		}
 		tuple = s.out
 	}
-	return core.Result{Tuple: tuple, Weight: s.rel.Weights[row]}, true
+	return core.Result{Tuple: tuple, Weight: s.rows.Weights[row]}, true
 }
 
 // treePlan is one compiled tree of a plan. An atom tree, or a tree of
 // two or more bags, holds its T-DP, which emits in the plan's schema; a
-// tree of one materialised bag holds just the bag, which Run enumerates
-// in sorted order, and perm, which maps the bag's schema onto the plan's
-// (nil when they agree). sorted is the bag's row ids in ranking order,
-// sorted as far as some Run has read and shared by every Run: the tree
-// holds it weakly and each of its iterators strongly.
+// tree of one materialised bag holds just the bag's rows, as
+// Generic-Join produced them and with no tuple header per row, which Run
+// enumerates in sorted order, and perm, which maps the bag's schema onto
+// the plan's (nil when they agree). sorted is the bag's row ids in
+// ranking order, sorted as far as some Run has read and shared by every
+// Run: the tree holds it weakly and each of its iterators strongly.
 type treePlan struct {
-	bag    *relation.Relation
+	bag    *relation.Rows
 	t      *dp.TDP
 	perm   []int
 	sorted dp.Memo[heap.Ranked]
 }
 
 // prepareTree compiles one tree of materialised bags — the one place a
-// bag tree is built. Two or more bags become the acyclic query over them
-// (GYO finds the join tree), which is fully reduced before its T-DP is
-// built on the reduced bags: a bag tree is never patched, so it has no
-// use for the bottom-up rows an atom tree keeps as its next delta's
-// predecessor, and rows the top-down sweep removes (a leaf bag is often
-// mostly dangling) do not stay resident. The dp.Plan the T-DP is
-// instantiated from is dropped too. Reduction, grouping and the π pass
-// all run under the prepare's context. They run sequentially: the
-// level-parallel sweeps buy nothing on a bag tree of a handful of nodes,
-// so the prepare's workers are spent on the bags alone. A single bag is
-// already the query's full output and needs no reduction, no grouping
-// and no π pass.
-func prepareTree(cfg prepCfg, bags []*relation.Relation, agg ranking.Aggregate, canonAttrs []string) (*treePlan, error) {
+// bag tree is built. bags[i] has schema orders[i], and base numbers the
+// first bag among the plan's. A single bag is already the query's full
+// output: it needs no reduction, no grouping and no π pass, and the tree
+// keeps its rows as Generic-Join produced them. Two or more bags become
+// relations (Rows.Relation adds their tuple headers) and the acyclic
+// query over them — GYO finds the join tree, and bags of different
+// components of a disconnected query meet on the empty key — which is
+// fully reduced before its T-DP is built on the reduced bags: a bag tree
+// is never patched, so it has no use for the bottom-up rows an atom tree
+// keeps as its next delta's predecessor, and rows the top-down sweep
+// removes (a leaf bag is often mostly dangling) do not stay resident.
+// The dp.Plan the T-DP is instantiated from is dropped too. Reduction,
+// grouping and the π pass all run under the prepare's context. They run
+// sequentially: the level-parallel sweeps buy nothing on a bag tree of a
+// handful of nodes, so the prepare's workers are spent on the bags alone.
+func prepareTree(cfg prepCfg, base int, bags []*relation.Rows, orders [][]string, agg ranking.Aggregate, canonAttrs []string) (*treePlan, error) {
 	if len(bags) == 1 {
-		perm, err := canonPerm(bags[0].Attrs, canonAttrs)
+		perm, err := canonPerm(orders[0], canonAttrs)
 		return &treePlan{bag: bags[0], perm: perm}, err
 	}
-	q, err := bagQuery(bags)
+	rels := make([]*relation.Relation, len(bags))
+	for i, b := range bags {
+		rels[i] = b.Relation(bagName(base+i), orders[i])
+	}
+	q, err := bagQuery(rels)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +472,7 @@ func (tp *treePlan) run(ctx context.Context, agg ranking.Aggregate, v core.Varia
 			}
 			return heap.SharedIncSort(bag.Weights, agg.Desc(), rows)
 		})
-		return &sortedIter{Lifecycle: core.NewLifecycle(ctx), rel: bag, ranks: ranks, perm: tp.perm}, nil
+		return &sortedIter{Lifecycle: core.NewLifecycle(ctx), rows: bag, ranks: ranks, perm: tp.perm}, nil
 	}
 	return core.New(ctx, tp.t, v)
 }

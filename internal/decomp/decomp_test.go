@@ -25,10 +25,11 @@ func fourCycleReference(rels [4]*relation.Relation, agg ranking.Aggregate) *rela
 		{Rel: rels[2], Vars: []string{"C", "D"}},
 		{Rel: rels[3], Vars: []string{"D", "A"}},
 	}
-	out, _, err := wcoj.Materialize(atoms, FourCycleAttrs, agg)
+	rows, _, err := wcoj.Materialize(atoms, FourCycleAttrs, agg)
 	if err != nil {
 		panic(err)
 	}
+	out := rows.Relation("GJ", FourCycleAttrs)
 	out.SortByWeight()
 	return out
 }
@@ -208,10 +209,11 @@ func TestTriangleMatchesReference(t *testing.T) {
 		{Rel: g.Edges, Vars: []string{"B", "C"}},
 		{Rel: g.Edges, Vars: []string{"C", "A"}},
 	}
-	want, _, err := wcoj.Materialize(atoms, TriangleAttrs, sum)
+	rows, _, err := wcoj.Materialize(atoms, TriangleAttrs, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := rows.Relation("GJ", TriangleAttrs)
 	want.SortByWeight()
 	if len(got) != want.Len() {
 		t.Fatalf("triangles: %d vs reference %d", len(got), want.Len())

@@ -329,7 +329,25 @@ func PrepareGHDWith(d *hypergraph.Decomposition, edges []hypergraph.Edge, rels [
 //     bag's Generic-Join wherever its output Builder opens a chunk.
 //
 // It returns the compiled tree and its bags in decomposition order.
-func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, agg ranking.Aggregate) (*treePlan, []*relation.Relation, error) {
+func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, agg ranking.Aggregate) (*treePlan, []*relation.Rows, error) {
+	bags, orders, err := s.materializeBags(cfg, ti, base, ins, agg)
+	if err != nil {
+		return nil, nil, err
+	}
+	tp, err := prepareTree(cfg, base, bags, orders, agg, s.Attrs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tp, bags, nil
+}
+
+// bagName names the i'th bag of a plan.
+func bagName(i int) string { return "G" + strconv.Itoa(i) }
+
+// materializeBags is prepareGHD's first step: it materialises the bags
+// of tree ti and returns them with their schemas, the Generic-Join
+// orders they were materialised in, in decomposition order.
+func (s *Shape) materializeBags(cfg prepCfg, ti, base int, ins []*relation.Relation, agg ranking.Aggregate) ([]*relation.Rows, [][]string, error) {
 	d, pin, edges := s.trees[ti].dec, s.trees[ti].pin, s.Edges
 
 	// Charge each edge to the first bag that contains it.
@@ -355,16 +373,15 @@ func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, 
 	// remainder handed to the first tasks so no requested worker is
 	// dropped (4 workers over 3 bags: intra budgets 2,1,1). Each task
 	// writes only its own slot, and sizes are read after the barrier.
-	bags := make([]*relation.Relation, len(d.Bags))
+	bags, orders := make([]*relation.Rows, len(d.Bags)), make([][]string, len(d.Bags))
 	bagWorkers := min(cfg.workers, len(bags))
 	intraBase, intraRem := 1, 0
 	if bagWorkers > 0 {
 		intraBase, intraRem = cfg.workers/bagWorkers, cfg.workers%bagWorkers
 	}
 	err := parallel.ForEach(cfg.ctx, bagWorkers, len(bags), func(bi int) error {
-		name := "G" + strconv.Itoa(base+bi)
 		bctx, bsp := obs.StartSpan(cfg.ctx, "materialize")
-		bsp.SetAttr("bag", name)
+		bsp.SetAttr("bag", bagName(base+bi))
 		defer bsp.End()
 		bagVars := d.Bags[bi]
 		atoms, err := bagAtoms(d, bi, bagVars, edges, ins, charged, agg)
@@ -388,22 +405,14 @@ func (s *Shape) prepareGHD(cfg prepCfg, ti, base int, ins []*relation.Relation, 
 		if err != nil {
 			return err
 		}
-		bag.Name = name
 		bsp.SetAttr("rows", strconv.Itoa(bag.Len()))
-		bags[bi] = bag
+		bags[bi], orders[bi] = bag, order
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// GYO arranges the bags into a join tree; bags of different
-	// components of a disconnected query meet on the empty key.
-	tp, err := prepareTree(cfg, bags, agg, s.Attrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tp, bags, nil
+	return bags, orders, nil
 }
 
 // DeltaStats reports what a Build or Instantiate with a predecessor

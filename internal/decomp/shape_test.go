@@ -92,10 +92,11 @@ func cycleOutput(t *testing.T, f shapeFixture, agg ranking.Aggregate) *relation.
 	for i, r := range f.rels {
 		atoms[i] = wcoj.Atom{Rel: r, Vars: []string{f.attrs[i], f.attrs[(i+1)%l]}}
 	}
-	out, _, err := wcoj.Materialize(atoms, f.attrs, agg)
+	rows, _, err := wcoj.Materialize(atoms, f.attrs, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := rows.Relation("GJ", f.attrs)
 	sort.SliceStable(out.Weights, func(i, j int) bool { return agg.Less(out.Weights[i], out.Weights[j]) })
 	return out
 }

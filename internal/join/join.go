@@ -56,7 +56,7 @@ func HashJoin(l, r *relation.Relation, agg ranking.Aggregate, stats *Stats) *rel
 		if stats != nil {
 			stats.ProbeSteps += l.Len() * r.Len()
 		}
-		return relation.Concat(name, attrs, &out)
+		return relation.ConcatRows(&out).Relation(name, attrs)
 	}
 
 	rIdx := relation.MustIndex(r, shared...)
@@ -73,7 +73,7 @@ func HashJoin(l, r *relation.Relation, agg ranking.Aggregate, stats *Stats) *rel
 			emit(&out, row, lt, r.Tuples[j], rKeep, agg.Combine(l.Weights[i], r.Weights[j]))
 		}
 	}
-	return relation.Concat(name, attrs, &out)
+	return relation.ConcatRows(&out).Relation(name, attrs)
 }
 
 // emit adds the output row of lt and rt to out, assembled in row.

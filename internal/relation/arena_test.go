@@ -86,9 +86,10 @@ func TestProjectCloneOneArray(t *testing.T) {
 
 // FuzzBuilderConcat draws an arity (0–4), a row count (up to past two
 // maximal chunks) and a split of the rows over up to eight builders, fed
-// through one reused row. Concat must equal the AddTuple reference with
-// every tuple cap-clipped, and Select under the keep mask must keep
-// exactly the masked rows, in order, without touching its source.
+// through one reused row. ConcatRows' Row and Weights must equal the
+// AddTuple reference, every row cap-clipped; Rows.Relation must equal it
+// too, with every tuple cap-clipped; and Select under the keep mask must
+// keep exactly the masked rows, in order, without touching its source.
 func FuzzBuilderConcat(f *testing.F) {
 	f.Add(uint8(2), uint16(0), []byte(nil), []byte(nil))
 	f.Add(uint8(0), uint16(70), []byte{128}, []byte{0x55})
@@ -128,7 +129,16 @@ func FuzzBuilderConcat(f *testing.F) {
 				builders[bi].Add(scratch, float64(i)/3)
 			}
 		}
-		got := Concat("out", attrs, builders...)
+		rows := ConcatRows(builders...)
+		if rows.Len() != n || cap(rows.Weights) != n || !slices.Equal(rows.Weights, want.Weights) {
+			t.Fatalf("%d rows: Len %d, cap(Weights) %d, or weights differ from the reference", n, rows.Len(), cap(rows.Weights))
+		}
+		for i := 0; i < n; i++ {
+			if tu := rows.Row(i); !slices.Equal(tu, want.Tuples[i]) || len(tu) != arity || cap(tu) != arity {
+				t.Fatalf("Row(%d) is %v (len %d, cap %d), want %v", i, tu, len(tu), cap(tu), want.Tuples[i])
+			}
+		}
+		got := rows.Relation("out", attrs)
 		if got.Len() != n || (n > 0 && (cap(got.Tuples) != n || cap(got.Weights) != n)) {
 			t.Fatalf("%d rows: Len %d, cap(Tuples) %d, cap(Weights) %d", n, got.Len(), cap(got.Tuples), cap(got.Weights))
 		}

@@ -5,34 +5,44 @@ import (
 	"testing"
 )
 
-// TestBuilderConcat checks Builder + Concat against an AddTuple-built
-// reference at every chunk boundary (the first chunk holds 64 rows,
-// chunks double up to 4 096), with one builder and with the rows spread
-// over several — an empty one in the middle — and that Concat sizes the
-// arrays exactly and leaves the builders empty.
+// TestBuilderConcat checks Builder + ConcatRows against an
+// AddTuple-built reference at every chunk boundary (the first chunk
+// holds 64 rows, chunks double up to 4 096), with one builder and with
+// the rows spread over several — an empty one in the middle — through
+// Row and Weights and through Relation, and that both size their arrays
+// exactly and leave the builders empty.
 func TestBuilderConcat(t *testing.T) {
 	attrs := []string{"A", "B"}
 	row := func(i int) (Tuple, float64) { return Tuple{Value(i), Value(2 * i)}, float64(i) / 8 }
-	check := func(name string, n int, got *Relation, bs ...*Builder) {
+	check := func(name string, n int, got *Rows, bs ...*Builder) {
 		t.Helper()
 		want := New("out", attrs...)
 		for i := 0; i < n; i++ {
 			tu, w := row(i)
 			want.AddTuple(tu, w)
 		}
-		if got.Name != "out" || !slices.Equal(got.Attrs, attrs) {
-			t.Fatalf("%s: got %s%v, want out%v", name, got.Name, got.Attrs, attrs)
+		if got.Len() != n || cap(got.Weights) != n || !slices.Equal(got.Weights, want.Weights) {
+			t.Fatalf("%s: %d rows, cap(Weights)=%d, or weights differ from the AddTuple reference; want %d", name, got.Len(), cap(got.Weights), n)
 		}
-		if !slices.EqualFunc(got.Tuples, want.Tuples, func(a, b Tuple) bool { return slices.Equal(a, b) }) ||
-			!slices.Equal(got.Weights, want.Weights) {
-			t.Fatalf("%s: rows differ from the AddTuple reference", name)
+		for i := 0; i < n; i++ {
+			if tu := got.Row(i); !slices.Equal(tu, want.Tuples[i]) || cap(tu) != len(attrs) {
+				t.Fatalf("%s: Row(%d) = %v (cap %d), want %v", name, i, tu, cap(tu), want.Tuples[i])
+			}
 		}
-		if cap(got.Tuples) != n || cap(got.Weights) != n {
-			t.Fatalf("%s: cap(Tuples)=%d cap(Weights)=%d, want exactly %d", name, cap(got.Tuples), cap(got.Weights), n)
+		rel := got.Relation("out", attrs)
+		if rel.Name != "out" || !slices.Equal(rel.Attrs, attrs) {
+			t.Fatalf("%s: got %s%v, want out%v", name, rel.Name, rel.Attrs, attrs)
+		}
+		if !slices.EqualFunc(rel.Tuples, want.Tuples, func(a, b Tuple) bool { return slices.Equal(a, b) }) ||
+			!slices.Equal(rel.Weights, want.Weights) {
+			t.Fatalf("%s: Relation rows differ from the AddTuple reference", name)
+		}
+		if cap(rel.Tuples) != n || cap(rel.Weights) != n {
+			t.Fatalf("%s: cap(Tuples)=%d cap(Weights)=%d, want exactly %d", name, cap(rel.Tuples), cap(rel.Weights), n)
 		}
 		for i, b := range bs {
 			if b.Len() != 0 || b.full != nil || b.cur.vals != nil || b.cur.ws != nil {
-				t.Fatalf("%s: builder %d still holds rows after Concat", name, i)
+				t.Fatalf("%s: builder %d still holds rows after ConcatRows", name, i)
 			}
 		}
 	}
@@ -55,7 +65,7 @@ func TestBuilderConcat(t *testing.T) {
 		if opens != wantOpens {
 			t.Fatalf("n=%d: Add reported %d opened chunks, want %d", n, opens, wantOpens)
 		}
-		check("one builder", n, Concat("out", attrs, &one), &one)
+		check("one builder", n, ConcatRows(&one), &one)
 
 		// The same rows cut at uneven points; the second builder stays empty.
 		cuts := []int{0, n / 3, n / 3, n/3 + n/2, n}
@@ -66,19 +76,32 @@ func TestBuilderConcat(t *testing.T) {
 				many[bi].Add(row(i))
 			}
 		}
-		check("several builders", n, Concat("out", attrs, many...), many...)
+		check("several builders", n, ConcatRows(many...), many...)
 	}
-	check("no builders", 0, Concat("out", attrs))
+	check("no builders", 0, ConcatRows())
 }
 
-// TestConcatArityPanics: Concat keeps AddTuple's arity check.
+// TestConcatArityPanics: Rows.Relation keeps AddTuple's arity check, and
+// ConcatRows refuses builders of different arities.
 func TestConcatArityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on arity mismatch")
-		}
-	}()
-	var b Builder
-	b.Add(Tuple{1, 2, 3}, 0)
-	Concat("R", []string{"A", "B"}, &b)
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic on arity mismatch", name)
+			}
+		}()
+		f()
+	}
+	panics("Relation", func() {
+		var b Builder
+		b.Add(Tuple{1, 2, 3}, 0)
+		ConcatRows(&b).Relation("R", []string{"A", "B"})
+	})
+	panics("ConcatRows", func() {
+		var b, c Builder
+		b.Add(Tuple{1, 2}, 0)
+		c.Add(Tuple{1, 2, 3}, 0)
+		ConcatRows(&b, &c)
+	})
 }

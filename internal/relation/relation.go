@@ -27,17 +27,19 @@
 //
 // No relation array is grown by append. An operator that does not know
 // its output size (a join, bag materialisation) collects rows in a
-// Builder and Concat allocates Tuples and Weights once, at their final
-// length; a row filter (Select, join.SemiJoin) collects surviving row
-// ids first and Subset builds the result off them; a caller that knows
-// the length presizes.
+// Builder, and ConcatRows keeps them as Rows: the Builder's chunks and
+// one Weights array allocated at its final length, with no per-row
+// header; Rows.Relation adds the Tuples headers for a consumer that
+// needs a Relation. A row filter (Select, join.SemiJoin) collects
+// surviving row ids first and Subset builds the result off them; a
+// caller that knows the length presizes.
 // AddTuple and AddWeighted remain for generators and tests.
 //
 // A relation an operator builds stores its values in a few large arrays,
-// not one per row: Concat's tuples are views into the Builder's chunks,
-// and Project, Clone and a compacting Select write one array each. Every
-// such view is cap-clipped, so an append to a tuple reallocates instead
-// of writing its neighbour. Tuples are read-only: relations, selections
+// not one per row: Rows.Relation's tuples are views into the Builder's
+// chunks, and Project, Clone and a compacting Select write one array
+// each. Every such view, and every Rows.Row, is cap-clipped, so an
+// append to a tuple reallocates instead of writing its neighbour. Tuples are read-only: relations, selections
 // and epochs share them, so a caller that wants to edit one copies it.
 // A Select that keeps fewer than half the rows copies the survivors into
 // a fresh array, so a selection never pins more than twice its own

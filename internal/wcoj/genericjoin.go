@@ -298,20 +298,21 @@ func (j *driver) emitAtom(ai int, w float64) {
 	}
 }
 
-// Materialize runs GenericJoin and collects the full output relation with
-// schema varOrder. The output size is not known in advance, so the rows
-// go through a relation.Builder: each result's values are copied straight
-// into its chunks, which become the relation's storage, and Tuples and
-// Weights are allocated once, at their final length. It cannot be
-// canceled; MaterializeParallelHinted is the variant that takes a
-// context.
-func Materialize(atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Relation, *Instr, error) {
+// Materialize runs GenericJoin and collects the full output, each row
+// aligned with varOrder. The output size is not known in advance, so the
+// rows go through a relation.Builder: each result's values are copied
+// straight into its chunks, which become the output's storage, and
+// Weights is allocated once, at its final length. The output is
+// relation.Rows, with no per-row header; a consumer that needs a
+// relation calls its Relation. It cannot be canceled;
+// MaterializeParallelHinted is the variant that takes a context.
+func Materialize(atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Rows, *Instr, error) {
 	return materialize(context.Background(), atoms, varOrder, agg)
 }
 
 // materialize is Materialize under a context: a done ctx stops the join
-// (see collect) and ctx.Err() is returned with a nil relation.
-func materialize(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Relation, *Instr, error) {
+// (see collect) and ctx.Err() is returned with nil rows.
+func materialize(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Rows, *Instr, error) {
 	var b relation.Builder
 	j, err := newJoin(ctx, 1, atoms, varOrder, agg, collect(ctx, &b), false)
 	if err != nil {
@@ -321,7 +322,7 @@ func materialize(ctx context.Context, atoms []Atom, varOrder []string, agg ranki
 	if j.stopped {
 		return nil, nil, ctx.Err()
 	}
-	return relation.Concat("GJ", varOrder, &b), j.instr, nil
+	return relation.ConcatRows(&b), j.instr, nil
 }
 
 // collect returns the Emit that adds every result to b. It polls ctx

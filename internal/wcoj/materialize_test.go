@@ -66,16 +66,16 @@ func TestMaterializeSequentialHonoursContext(t *testing.T) {
 // TestMaterializeBytesPerRow is the allocation guarantee of bag
 // materialisation as a doubling sweep: the bytes allocated per emitted
 // row stay under one constant however large the output — the row's
-// values and weight in a Builder chunk (arity·8 + 8 B) and one slot of
-// each final array (24 + 8 B), plus a fixed slack for the chunk capacity
-// still unfilled when the join ends (under one doubling), the copy of
-// the last chunk and the driver itself. Growing the arrays by append
-// re-allocates them at every 1.25× step, about five times their final
-// size per row.
+// values and weight in a Builder chunk (arity·8 + 8 B) and its slot of
+// the final Weights array (8 B; no tuple header is built), plus a fixed
+// slack for the chunk capacity still unfilled when the join ends (under
+// one doubling), the copy of the last chunk, the chunk table and the
+// driver itself. Growing the arrays by append re-allocates them at every
+// 1.25× step, about five times their final size per row.
 func TestMaterializeBytesPerRow(t *testing.T) {
 	const (
 		chunkBytes = 2*8 + 8
-		rowArrays  = 24 + 8
+		rowArrays  = 8
 		slack      = 40
 	)
 	for _, side := range []int{1 << 6, 1 << 7, 1 << 8} {
@@ -91,8 +91,8 @@ func TestMaterializeBytesPerRow(t *testing.T) {
 		if out.Len() != n || instr.Emits != n {
 			t.Fatalf("n=%d: %d rows, %d emits", n, out.Len(), instr.Emits)
 		}
-		if cap(out.Tuples) != n || cap(out.Weights) != n {
-			t.Errorf("n=%d: cap(Tuples)=%d cap(Weights)=%d, want exactly n", n, cap(out.Tuples), cap(out.Weights))
+		if cap(out.Weights) != n {
+			t.Errorf("n=%d: cap(Weights)=%d, want exactly n", n, cap(out.Weights))
 		}
 		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 		limit := float64(chunkBytes + rowArrays + slack)
@@ -113,7 +113,7 @@ func TestMaterializeAllocsPerRow(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, side := range []int{1 << 7, 1 << 8, 1 << 9} {
 			atoms, order := crossAtoms(side)
-			var out *relation.Relation
+			var out *relation.Rows
 			objs := testing.AllocsPerRun(2, func() {
 				var err error
 				if out, _, err = MaterializeParallelHinted(context.Background(), atoms, order, sum, workers, nil); err != nil {
@@ -135,7 +135,7 @@ func TestMaterializeAllocsPerRow(t *testing.T) {
 
 // TestMaterializeChunkBoundariesEverySchedule: the sequential path and
 // the parallel one at several worker counts collect the same output —
-// same tuples, same order, same Instr — when every task's share crosses
+// same rows (compared through Row), same order, same Instr — when every task's share crosses
 // several chunk boundaries of its Builder (64, 192, 448, … rows).
 func TestMaterializeChunkBoundariesEverySchedule(t *testing.T) {
 	// Each of 6 B values joins 100 A values with 100 C values: 60 000
@@ -160,12 +160,12 @@ func TestMaterializeChunkBoundariesEverySchedule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		assertSameRelation(t, fmt.Sprintf("workers=%d", workers), got, want)
+		assertSameRows(t, fmt.Sprintf("workers=%d", workers), got, want)
 		if *gotInstr != *wantInstr {
 			t.Errorf("workers=%d: Instr = %+v, want %+v", workers, *gotInstr, *wantInstr)
 		}
-		if cap(got.Tuples) != got.Len() {
-			t.Errorf("workers=%d: cap(Tuples) = %d for %d rows", workers, cap(got.Tuples), got.Len())
+		if cap(got.Weights) != got.Len() {
+			t.Errorf("workers=%d: cap(Weights) = %d for %d rows", workers, cap(got.Weights), got.Len())
 		}
 	}
 }

@@ -258,10 +258,9 @@ func (j *driver) planTasks(vals []lvlVal, chunks int, hints SkewHints) []task {
 // that, the atoms are sorted into their tries on the same workers, one
 // task per atom.
 //
-// The result is bit-identical to Materialize — same tuples in the same
+// The result is bit-identical to Materialize — same rows in the same
 // order (each task collects into its own relation.Builder and the
-// builders are concatenated by task index, straight into the final
-// arrays) and the same Instr totals (the coordinator charges the
+// builders' chunks are concatenated by task index) and the same Instr totals (the coordinator charges the
 // intersection passes once; workers replay those narrows uncounted and
 // sum their subtree counters after the barrier), and the same error for
 // malformed atoms (the lowest-indexed one's) — whatever the worker
@@ -271,12 +270,12 @@ func (j *driver) planTasks(vals []lvlVal, chunks int, hints SkewHints) []task {
 // sequential Materialize. Cancellation is checked between tasks and,
 // on either path, wherever an output Builder opens a chunk: when ctx is
 // done mid-materialisation no further tasks start, running ones stop
-// within 4 096 results, and ctx.Err() is returned with a nil relation.
+// within 4 096 results, and ctx.Err() is returned with nil rows.
 //
 // hints are catalog skew hints, nil for none: hinted first-variable
 // values are treated as heavy at a lower threshold (see planTasks).
 // Hints affect only load balance, never results or Instr totals.
-func MaterializeParallelHinted(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate, workers int, hints SkewHints) (*relation.Relation, *Instr, error) {
+func MaterializeParallelHinted(ctx context.Context, atoms []Atom, varOrder []string, agg ranking.Aggregate, workers int, hints SkewHints) (*relation.Rows, *Instr, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -316,7 +315,7 @@ func MaterializeParallelHinted(ctx context.Context, atoms []Atom, varOrder []str
 		instr.Seeks += ti.Seeks
 		instr.Emits += ti.Emits
 	}
-	return relation.Concat("GJ", varOrder, outs...), instr, nil
+	return relation.ConcatRows(outs...), instr, nil
 }
 
 // TaskShares reports the parallel load balance of the two partitioning

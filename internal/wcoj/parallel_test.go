@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -80,7 +81,7 @@ func TestMaterializeParallelBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/workers=%d: %v", name, workers, err)
 			}
-			assertSameRelation(t, fmt.Sprintf("%s/workers=%d", name, workers), got, want)
+			assertSameRows(t, fmt.Sprintf("%s/workers=%d", name, workers), got, want)
 			if *gotInstr != *wantInstr {
 				t.Errorf("%s/workers=%d: Instr = %+v, want %+v", name, workers, *gotInstr, *wantInstr)
 			}
@@ -88,19 +89,19 @@ func TestMaterializeParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func assertSameRelation(t *testing.T, name string, got, want *relation.Relation) {
+// assertSameRows fails unless got and want hold the same rows in the
+// same order, compared through Row and Weights.
+func assertSameRows(t *testing.T, name string, got, want *relation.Rows) {
 	t.Helper()
 	if got.Len() != want.Len() {
-		t.Fatalf("%s: %d tuples, want %d", name, got.Len(), want.Len())
+		t.Fatalf("%s: %d rows, want %d", name, got.Len(), want.Len())
 	}
-	for i := range want.Tuples {
+	for i := range want.Len() {
 		if got.Weights[i] != want.Weights[i] {
 			t.Fatalf("%s: weight[%d] = %v, want %v", name, i, got.Weights[i], want.Weights[i])
 		}
-		for c := range want.Tuples[i] {
-			if got.Tuples[i][c] != want.Tuples[i][c] {
-				t.Fatalf("%s: tuple[%d] = %v, want %v", name, i, got.Tuples[i], want.Tuples[i])
-			}
+		if g, w := got.Row(i), want.Row(i); !slices.Equal(g, w) {
+			t.Fatalf("%s: row %d = %v, want %v", name, i, g, w)
 		}
 	}
 }
@@ -120,7 +121,7 @@ func TestMaterializeParallelAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameRelation(t, agg.Name(), got, want)
+		assertSameRows(t, agg.Name(), got, want)
 		if *gotInstr != *wantInstr {
 			t.Errorf("%s: Instr = %+v, want %+v", agg.Name(), *gotInstr, *wantInstr)
 		}
@@ -189,7 +190,7 @@ func TestMaterializeParallelGOMAXPROCS1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameRelation(t, "gomaxprocs1", got, want)
+	assertSameRows(t, "gomaxprocs1", got, want)
 	if *gotInstr != *wantInstr {
 		t.Errorf("Instr = %+v, want %+v", *gotInstr, *wantInstr)
 	}

@@ -60,13 +60,13 @@ func pinFixtures() []struct {
 	}
 }
 
-// relationHash is an FNV-1a hash of a relation's tuples and weights in
-// row order.
-func relationHash(r *relation.Relation) uint64 {
+// relationHash is an FNV-1a hash of the rows' values and weights in row
+// order.
+func relationHash(r *relation.Rows) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
-	for i, t := range r.Tuples {
-		for _, v := range t {
+	for i := range r.Len() {
+		for _, v := range r.Row(i) {
 			binary.LittleEndian.PutUint64(buf[:], uint64(v))
 			h.Write(buf[:])
 		}
@@ -128,9 +128,9 @@ func TestJoinWorkAndOutputPinned(t *testing.T) {
 
 // hasWeightedDuplicate reports whether two adjacent rows of r hold the
 // same tuple with different weights.
-func hasWeightedDuplicate(r *relation.Relation) bool {
+func hasWeightedDuplicate(r *relation.Rows) bool {
 	for i := 1; i < r.Len(); i++ {
-		if slices.Equal(r.Tuples[i-1], r.Tuples[i]) && r.Weights[i-1] != r.Weights[i] {
+		if slices.Equal(r.Row(i-1), r.Row(i)) && r.Weights[i-1] != r.Weights[i] {
 			return true
 		}
 	}

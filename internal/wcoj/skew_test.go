@@ -39,7 +39,7 @@ func TestSkewAwareHeavyHitterBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("skew-aware workers=%d: %v", workers, err)
 		}
-		assertSameRelation(t, fmt.Sprintf("skew-aware/workers=%d", workers), got, want)
+		assertSameRows(t, fmt.Sprintf("skew-aware/workers=%d", workers), got, want)
 		if *gotInstr != *wantInstr {
 			t.Errorf("skew-aware/workers=%d: Instr = %+v, want %+v", workers, *gotInstr, *wantInstr)
 		}
@@ -101,15 +101,15 @@ func TestPlanTasksSubdividesHeavyValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := relation.New("GJ", order...)
+	var b relation.Builder
 	for i := range tasks {
 		w := base.clone(func(tp relation.Tuple, wt float64) bool {
-			got.AddWeighted(wt, tp...) // tp is borrowed: copy it
+			b.Add(tp, wt) // tp is borrowed: Add copies it
 			return true
 		})
 		tasks[i].run(w)
 	}
-	assertSameRelation(t, "planTasks replay", got, want)
+	assertSameRows(t, "planTasks replay", relation.ConcatRows(&b), want)
 }
 
 // TestSkewHintsLowerThreshold: a value below the local heavy threshold
@@ -166,7 +166,7 @@ func TestSkewHintsLowerThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameRelation(t, "hinted", got, want)
+	assertSameRows(t, "hinted", got, want)
 	if *gotInstr != *wantInstr {
 		t.Errorf("hinted: Instr = %+v, want %+v", *gotInstr, *wantInstr)
 	}
@@ -190,7 +190,7 @@ func TestSkewSingleVariableOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameRelation(t, "unary", got, want)
+	assertSameRows(t, "unary", got, want)
 	if *gotInstr != *wantInstr {
 		t.Errorf("unary: Instr = %+v, want %+v", *gotInstr, *wantInstr)
 	}

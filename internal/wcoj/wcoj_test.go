@@ -51,7 +51,7 @@ func TestGenericJoinMatchesBinaryPlan(t *testing.T) {
 		{1, 2}, {2, 3}, {3, 1}, {2, 4}, {4, 1}, {3, 4}, {4, 5}, {5, 3}, {1, 5}, {5, 1},
 	}
 	atoms := triangleAtoms(edges)
-	got, _, err := Materialize(atoms, []string{"A", "B", "C"}, sum)
+	got, _, err := materializeRel(atoms, []string{"A", "B", "C"}, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLeapfrogMatchesGenericJoin(t *testing.T) {
 		{1, 2}, {2, 3}, {3, 1}, {2, 4}, {4, 1}, {3, 4}, {4, 5}, {5, 3}, {1, 5}, {5, 1}, {2, 5}, {5, 2},
 	}
 	atoms := triangleAtoms(edges)
-	gj, _, err := Materialize(atoms, []string{"A", "B", "C"}, sum)
+	gj, _, err := materializeRel(atoms, []string{"A", "B", "C"}, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestGenericJoinPathProperty(t *testing.T) {
 			s.AddWeighted(float64(i), relation.Value(v%4), relation.Value(v%5))
 		}
 		atoms := []Atom{{Rel: r, Vars: []string{"A", "B"}}, {Rel: s, Vars: []string{"B", "C"}}}
-		got, _, err := Materialize(atoms, []string{"A", "B", "C"}, sum)
+		got, _, err := materializeRel(atoms, []string{"A", "B", "C"}, sum)
 		if err != nil {
 			return false
 		}
@@ -128,7 +128,7 @@ func TestLeapfrogEqualsGenericJoinProperty(t *testing.T) {
 			edges = append(edges, [2]relation.Value{relation.Value(v % 7), relation.Value((v / 7) % 7)})
 		}
 		atoms := triangleAtoms(edges)
-		gj, _, err1 := Materialize(atoms, []string{"A", "B", "C"}, sum)
+		gj, _, err1 := materializeRel(atoms, []string{"A", "B", "C"}, sum)
 		if err1 != nil {
 			return false
 		}
@@ -224,6 +224,16 @@ func TestErrorCases(t *testing.T) {
 
 func emitNothing(relation.Tuple, float64) bool { return true }
 
+// materializeRel is Materialize with its rows as a relation of schema
+// varOrder, for the tests that compare outputs as sets.
+func materializeRel(atoms []Atom, varOrder []string, agg ranking.Aggregate) (*relation.Relation, *Instr, error) {
+	out, instr, err := Materialize(atoms, varOrder, agg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out.Relation("GJ", varOrder), instr, nil
+}
+
 // The §3 hard instance: binary plans do Θ(n²) work while GenericJoin's
 // seek count stays near-linear (the output itself is Θ(n)).
 func TestHardInstanceWorkGap(t *testing.T) {
@@ -265,8 +275,8 @@ func TestSingleAtomEnumeration(t *testing.T) {
 func TestVariableOrderIndependence(t *testing.T) {
 	edges := [][2]relation.Value{{1, 2}, {2, 3}, {3, 1}, {2, 4}, {4, 1}}
 	atoms := triangleAtoms(edges)
-	a, _, _ := Materialize(atoms, []string{"A", "B", "C"}, sum)
-	b, _, err := Materialize(atoms, []string{"C", "A", "B"}, sum)
+	a, _, _ := materializeRel(atoms, []string{"A", "B", "C"}, sum)
+	b, _, err := materializeRel(atoms, []string{"C", "A", "B"}, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +329,11 @@ func TestSuggestOrderIsValidForGenericJoin(t *testing.T) {
 	edges := [][2]relation.Value{{1, 2}, {2, 3}, {3, 1}, {2, 4}, {4, 1}}
 	atoms := triangleAtoms(edges)
 	order := SuggestOrder(atoms)
-	got, _, err := Materialize(atoms, order, sum)
+	got, _, err := materializeRel(atoms, order, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Materialize(atoms, []string{"A", "B", "C"}, sum)
+	want, _, err := materializeRel(atoms, []string{"A", "B", "C"}, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
